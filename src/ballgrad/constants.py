@@ -20,8 +20,13 @@ direction).
 
 Every integrand is integrated in angle variables (x = cos(theta)), which
 keeps all weight factors analytic; integrals with a (1 - 2*rho*z + rho^2)
-denominator additionally get geometrically graded panels toward the
-endpoints once rho >= 0.8, where that factor develops a boundary peak.
+denominator additionally get panels graded geometrically around the peak of
+that Poisson denominator once rho >= 0.8, where the peak sharpens toward the
+boundary.
+
+The two per-t quadratures of the certificates (kernel curvature and kink
+integrals) are array expressions over the whole t-grid, taken in blocks of
+_T_CHUNK rows so that the (rows, nodes) temporaries stay small.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gegenbauer import DimensionParams, gamma_ratio, series_cutoff
-from .quadrature import QuadratureRule, composite_nodes, gauss_legendre
+from .quadrature import QuadratureRule, composite_nodes, gauss_legendre, map_panels
 
 __all__ = [
     "SeriesControl",
@@ -59,6 +64,8 @@ DEFAULT_QUAD_ORDER = 128
 CONVEXITY_FLOOR = -1e-12
 TIE_TOLERANCE = 1e-12
 RADIAL_MATCH_TOL = 1e-8
+# t rows per block of the vectorised t-sweeps; bounds the (rows, nodes) temporaries
+_T_CHUNK = 32
 
 
 def _default_rule(rule: QuadratureRule | None) -> QuadratureRule:
@@ -69,8 +76,10 @@ def _default_rule(rule: QuadratureRule | None) -> QuadratureRule:
 class SeriesControl:
     """Truncation policy for the rho-power series.
 
-    The default term cap accommodates rho up to 0.99 at the default tail
-    tolerance (roughly 6.7e3 terms are needed there).
+    At the default tail tolerance the default term cap covers rho = 0.99 only
+    for lam <= 3 (7,657 terms at lam = 3): `certify` for n <= 4 and the series
+    route of `constant` for n <= 8. Past that the series routes raise
+    SeriesConvergenceError.
     """
 
     max_terms: int = 8192
@@ -131,17 +140,17 @@ class KernelPoint:
         object.__setattr__(self, "in_omega", bool(disc > 0.0))
 
 
-def _graded_breakpoints(rho: float):
-    """Panel edges resolving the (1 - 2*rho*cos(theta) + rho^2) boundary peak."""
+def _graded_breakpoints(rho: float, peak: float):
+    """Panel edges in (0, pi) resolving the peak at theta = peak of
+    1/(1 - 2*rho*cos(theta - peak) + rho^2), whose width is about 1 - rho."""
     if rho < 0.8:
         return ()
     h = 1.0 - rho
     pts = []
     for m in (1.0, 4.0, 16.0, 64.0):
-        s = m * h
-        if s < math.pi / 2:
-            pts.append(s)
-            pts.append(math.pi - s)
+        for s in (peak - m * h, peak + m * h):
+            if 0.0 < s < math.pi:
+                pts.append(s)
     return tuple(sorted(pts))
 
 
@@ -156,7 +165,7 @@ def _inner_smooth(dim: DimensionParams, rho: float, alpha: float, x, rule: Quadr
     for every entry of x at once.
     """
     n = dim.n
-    nodes, wts = composite_nodes(0.0, math.pi, rule, _graded_breakpoints(rho))
+    nodes, wts = composite_nodes(0.0, math.pi, rule, _graded_breakpoints(rho, 0.0))
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     a = xa * math.cos(alpha)
     b = np.sqrt(np.maximum(1.0 - xa * xa, 0.0)) * math.sin(alpha)
@@ -241,13 +250,14 @@ def constant_direct(q: ConstantQuery, rule: QuadratureRule | None = None) -> flo
     """Directional constant via the double-integral representation.
 
     Both integrals run in angle variables; the outer one is split at the kink
-    located at arccos(delta * t).
+    located at arccos(delta * t) and graded around its peak at theta = alpha,
+    the inner one graded around psi = 0.
     """
     rule = _default_rule(rule)
     n, rho = q.dim.n, q.rho
     dt = q.delta * q.t
     kink = math.acos(dt)
-    bps = sorted((*_graded_breakpoints(rho), kink))
+    bps = sorted((*_graded_breakpoints(rho, q.alpha), kink))
     nodes, wts = composite_nodes(0.0, math.pi, rule, bps)
     x = np.cos(nodes)
     inner = _inner_smooth(q.dim, rho, q.alpha, x, rule)
@@ -257,19 +267,28 @@ def constant_direct(q: ConstantQuery, rule: QuadratureRule | None = None) -> flo
 
 
 def _kink_integrals(t, dim: DimensionParams, rho: float, rule: QuadratureRule):
-    """The two kink integrals of the profile, for scalar or vector t."""
+    """The two kink integrals of the profile, for scalar or vector t.
+
+    Row i integrates over the panels [0, arccos(delta t_i)] and
+    [arccos(delta t_i), pi]; |delta t_i| <= delta < 1 keeps the kink inside.
+    """
     n = dim.n
     delta = (n - 2) / n * rho
     ta = np.atleast_1d(np.asarray(t, dtype=float))
+    dt = delta * ta
+    edges = np.empty((ta.size, 3))
+    edges[:, 0] = 0.0
+    edges[:, 1] = np.arccos(dt)
+    edges[:, 2] = math.pi
     plain = np.empty_like(ta)
     weighted = np.empty_like(ta)
-    for i, ti in enumerate(ta):
-        dt = delta * ti
-        nodes, wts = composite_nodes(0.0, math.pi, rule, (math.acos(dt),))
+    for lo in range(0, ta.size, _T_CHUNK):
+        rows = slice(lo, lo + _T_CHUNK)
+        nodes, wts = map_panels(edges[rows], rule)
         c = np.cos(nodes)
-        base = np.abs(dt - c) * np.sin(nodes) ** (n - 2)
-        plain[i] = wts @ base
-        weighted[i] = (n - 2) * rho * ti * (wts @ (base * c))
+        base = np.abs(dt[rows, None] - c) * np.sin(nodes) ** (n - 2) * wts
+        plain[rows] = base.sum(axis=1)
+        weighted[rows] = (n - 2) * rho * ta[rows] * (base * c).sum(axis=1)
     return plain, weighted
 
 
@@ -345,7 +364,7 @@ def constant_radial(n, rho: float, rule: QuadratureRule | None = None) -> float:
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
     rule = _default_rule(rule)
     delta = (dim.n - 2) / dim.n * rho
-    bps = sorted((*_graded_breakpoints(rho), math.acos(delta)))
+    bps = sorted((*_graded_breakpoints(rho, 0.0), math.acos(delta)))
     nodes, wts = composite_nodes(0.0, math.pi, rule, bps)
     c = np.cos(nodes)
     denom = (1.0 - 2.0 * rho * c + rho * rho) ** ((dim.n - 2) / 2.0)
@@ -384,33 +403,44 @@ def profile_curvature_series(t, dim: DimensionParams, rho: float,
     return float(out[0]) if ta.ndim == 0 else out
 
 
-def profile_curvature_kernel(t: float, dim: DimensionParams, rho: float,
-                             rule: QuadratureRule | None = None) -> float:
+def profile_curvature_kernel(t, dim: DimensionParams, rho: float,
+                             rule: QuadratureRule | None = None):
     """Second derivative of the profile as an integral of the kernel density.
 
     The integral over the kernel support is taken through the substitution
     z = delta*t^2 + w*cos(theta), w = sqrt((1 - delta^2 t^2)(1 - t^2)), under
     which all (1-t^2) denominator powers of the density cancel exactly and
-    the integrand is analytic up to the (1 - 2 rho z + rho^2) boundary peak.
+    the integrand is analytic up to the (1 - 2 rho z + rho^2) peak at
+    theta = 0. Accepts scalar or array t: a float for scalar t, an ndarray of
+    the same shape otherwise.
     """
-    if not -1.0 < t < 1.0:
+    ta = np.asarray(t, dtype=float)
+    if not np.all(np.abs(ta) < 1.0):
         raise ValueError(f"t must lie in (-1, 1), got {t}")
     if rho == 0.0:
-        return 0.0
+        return 0.0 if ta.ndim == 0 else np.zeros_like(ta)
     rule = _default_rule(rule)
     n = dim.n
     delta = (n - 2) / n * rho
-    g = 1.0 - (delta * t) ** 2
-    w = math.sqrt(g * (1.0 - t * t))
-    center = delta * t * t
     eta = n / (n - 2.0)
-    nodes, wts = composite_nodes(0.0, math.pi, rule, _graded_breakpoints(rho))
-    z = center + w * np.cos(nodes)
-    p = 1.0 - 2.0 * rho * z + rho * rho
+    nodes, wts = composite_nodes(0.0, math.pi, rule, _graded_breakpoints(rho, 0.0))
+    cos_nodes = np.cos(nodes)
     s = np.sin(nodes)
-    vals = s ** (n - 3) * (p - eta * g * s * s) ** 2 * p ** (-(n + 2) / 2.0)
-    pref = 2.0 * gamma_ratio(((n - 1) / 2.0,), ((n - 2) / 2.0, 0.5))
-    return pref * delta * delta * g ** ((n - 3) / 2.0) * float(wts @ vals)
+    s_pow = s ** (n - 3)
+    s_sq = s * s
+    scale = 2.0 * gamma_ratio(((n - 1) / 2.0,), ((n - 2) / 2.0, 0.5)) * delta * delta
+    tv = ta.ravel()
+    out = np.empty_like(tv)
+    for lo in range(0, tv.size, _T_CHUNK):
+        rows = slice(lo, lo + _T_CHUNK)
+        tc = tv[rows, None]
+        g = 1.0 - (delta * tc) ** 2
+        w = np.sqrt(g * (1.0 - tc * tc))
+        z = delta * tc * tc + w * cos_nodes
+        p = 1.0 - 2.0 * rho * z + rho * rho
+        vals = s_pow * (p - eta * g * s_sq) ** 2 * p ** (-(n + 2) / 2.0)
+        out[rows] = scale * g[:, 0] ** ((n - 3) / 2.0) * (vals @ wts)
+    return float(out[0]) if ta.ndim == 0 else out.reshape(ta.shape)
 
 
 def curvature_density_grid(t, z, n: int, rho: float):
@@ -520,9 +550,7 @@ def certify_convexity(n: int, rho: float, grid_size: int = 201,
     rule = _default_rule(rule)
     grid = np.linspace(-0.999, 0.999, grid_size)
     curv = np.atleast_1d(profile_curvature_series(grid, dim, rho, ctl))
-    gap = 0.0
-    for i, ti in enumerate(grid):
-        gap = max(gap, abs(curv[i] - profile_curvature_kernel(float(ti), dim, rho, rule)))
+    gap = float(np.max(np.abs(curv - profile_curvature_kernel(grid, dim, rho, rule))))
     imin = int(np.argmin(curv))
     return ConvexityReport(
         n=dim.n,

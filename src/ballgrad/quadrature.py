@@ -14,6 +14,7 @@ __all__ = [
     "ToleranceNotMetError",
     "gauss_legendre",
     "composite_nodes",
+    "map_panels",
     "integrate",
     "integrate_split",
     "integrate_adaptive",
@@ -99,12 +100,21 @@ def composite_nodes(a: float, b: float, rule: QuadratureRule, breakpoints=()):
         if a < s < b and s - edges[-1] > 1e-12:
             edges.append(float(s))
     edges.append(b)
-    pts, wts = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        pts.append(0.5 * (lo + hi) + half * rule.nodes)
-        wts.append(half * rule.weights)
-    return np.concatenate(pts), np.concatenate(wts)
+    return map_panels(np.array(edges), rule)
+
+
+def map_panels(edges: np.ndarray, rule: QuadratureRule):
+    """Mapped nodes and weights of one rule panel per pair of consecutive edges.
+
+    `edges` has shape (..., P+1) and increases along its last axis; each row
+    gets its own panels, so the result has shape (..., P * rule.order).
+    """
+    lo = edges[..., :-1, None]
+    hi = edges[..., 1:, None]
+    half = 0.5 * (hi - lo)
+    shape = edges.shape[:-1] + (-1,)
+    nodes = 0.5 * (lo + hi) + half * rule.nodes
+    return nodes.reshape(shape), (half * rule.weights).reshape(shape)
 
 
 def _apply(f, x: np.ndarray, w: np.ndarray) -> float:

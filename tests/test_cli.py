@@ -1,10 +1,13 @@
 import json
 import math
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import ballgrad
 from ballgrad.cli import main
 
 
@@ -43,6 +46,15 @@ def test_constant_alpha_literals(capsys):
                                  "--alpha", "0,pi/2,pi"])
     assert code == 0
     assert len(out.strip().splitlines()) == 4
+
+
+def test_constant_near_boundary_off_radial(capsys):
+    # both routes meet the 1e-8 agreement contract at rho = 0.99, alpha = pi/3
+    code, out, _ = _run(capsys, ["constant", "--dim", "3", "--rho", "0.99",
+                                 "--alpha", "pi/3"])
+    assert code == 0
+    fields = out.strip().splitlines()[1].split(",")
+    assert float(fields[5]) <= 1e-8 * float(fields[3])
 
 
 def test_constant_rejects_bad_rho(capsys):
@@ -174,10 +186,14 @@ def test_missing_dim(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the same ballgrad as this process, installed or not
+    src = str(pathlib.Path(ballgrad.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "ballgrad.cli", "constant", "--dim", "3",
          "--rho", "0", "--alpha", "0"],
         capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("n,rho,alpha,")

@@ -134,6 +134,21 @@ def test_cross_route_agreement(rule):
         assert abs(a - b) <= 1e-8 * max(1.0, abs(a))
 
 
+@pytest.mark.parametrize("n, rho, alpha", [
+    (3, 0.99, math.pi / 3),
+    (5, 0.99, 2 * math.pi / 3),
+    (8, 0.99, math.pi / 3),
+    (4, 0.999, math.pi / 2),
+])
+def test_direct_route_near_boundary(rule, n, rho, alpha):
+    # off the radial direction the outer peak sits at theta = alpha; the series
+    # route, with its term cap raised, referees the direct route there
+    q = ConstantQuery(DimensionParams(n), rho, alpha)
+    direct = constant_direct(q, rule)
+    series = constant_series(q, SeriesControl(max_terms=60000), rule)
+    assert abs(direct - series) <= 1e-8 * abs(series)
+
+
 def test_radial_specialization(rule):
     # the radial formula is the alpha = 0 slice of the direct route
     for n in DIMS:
@@ -203,13 +218,15 @@ def test_profile_sum_reproduces_direct_route(rule):
 
 def test_profile_parts_vectorized(rule):
     dim = DimensionParams(4)
-    ts = np.array([-0.8, -0.1, 0.0, 0.6])
-    plain, weighted, tail = profile_parts(ts, dim, 0.5, rule=rule)
-    for i, t in enumerate(ts):
-        p, w, h = profile_parts(float(t), dim, 0.5, rule=rule)
-        assert plain[i] == pytest.approx(p, rel=1e-14)
-        assert weighted[i] == pytest.approx(w, rel=1e-14, abs=1e-15)
-        assert tail[i] == pytest.approx(h, rel=1e-14, abs=1e-15)
+    # the 181-point grid spans several row blocks of the kink integrals
+    for rho, ts in ((0.5, np.array([-0.8, -0.1, 0.0, 0.6])),
+                    (0.95, np.cos(np.linspace(0.0, math.pi, 181)))):
+        plain, weighted, tail = profile_parts(ts, dim, rho, rule=rule)
+        for i, t in enumerate(ts):
+            p, w, h = profile_parts(float(t), dim, rho, rule=rule)
+            assert plain[i] == pytest.approx(p, rel=1e-14)
+            assert weighted[i] == pytest.approx(w, rel=1e-14, abs=1e-15)
+            assert tail[i] == pytest.approx(h, rel=1e-14, abs=1e-15)
 
 
 # -- curvature routes ---------------------------------------------------------
@@ -245,6 +262,19 @@ def test_curvature_vectorized(rule):
     vec = profile_curvature_series(ts, dim, 0.7)
     for i, t in enumerate(ts):
         assert vec[i] == pytest.approx(profile_curvature_series(float(t), dim, 0.7), rel=1e-13)
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.95])    # 0.95: graded panels
+@pytest.mark.parametrize("size", [1, 201])       # 201: a partial last row block
+def test_curvature_kernel_vectorized(rule, rho, size):
+    dim = DimensionParams(5)
+    ts = np.linspace(-0.999, 0.999, size)
+    vec = profile_curvature_kernel(ts, dim, rho, rule)
+    assert vec.shape == ts.shape
+    for i, t in enumerate(ts):
+        one = profile_curvature_kernel(float(t), dim, rho, rule)
+        assert isinstance(one, float)
+        assert vec[i] == pytest.approx(one, rel=1e-14)
 
 
 def test_curvature_nonnegative(rule):
@@ -317,6 +347,17 @@ def test_certify_convexity_passes(rule):
     assert rep.passed
     d = rep.to_dict()
     assert d["n"] == 8 and len(d["series_terms"]) == 3
+
+
+def test_certify_convexity_route_gap(rule):
+    grid = np.linspace(-0.999, 0.999, 11)
+    for n, rho in ((3, 0.5), (8, 0.95)):
+        dim = DimensionParams(n)
+        rep = certify_convexity(n, rho, grid_size=11, rule=rule)
+        curv = profile_curvature_series(grid, dim, rho)
+        want = max(abs(curv[i] - profile_curvature_kernel(float(t), dim, rho, rule))
+                   for i, t in enumerate(grid))
+        assert rep.max_route_gap == pytest.approx(want, abs=1e-14 * np.max(np.abs(curv)))
 
 
 def test_certify_convexity_rho_zero(rule):

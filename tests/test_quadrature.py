@@ -10,6 +10,7 @@ from ballgrad.quadrature import (
     integrate,
     integrate_adaptive,
     integrate_split,
+    map_panels,
 )
 
 ORDERS = (1, 2, 3, 5, 8, 16, 64, 128)
@@ -119,6 +120,13 @@ def test_composite_nodes_cover_interval():
     assert len(x) == 8
     assert abs(w.sum() - 2.0) <= 1e-14
     assert np.all((x > -1.0) & (x < 1.0))
+    # a batch of per-row edges maps each row as composite_nodes maps it alone
+    edges = np.array([[-1.0, 0.25, 1.0], [0.0, 0.5, 3.0]])
+    xb, wb = map_panels(edges, r)
+    assert xb.shape == wb.shape == (2, 8)
+    for row, (a, s, b) in enumerate(edges):
+        x, w = composite_nodes(a, b, r, (s,))
+        assert np.array_equal(xb[row], x) and np.array_equal(wb[row], w)
 
 
 def test_adaptive_smooth():
