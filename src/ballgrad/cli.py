@@ -220,9 +220,9 @@ def cmd_constant(args) -> int:
     rows = []
     all_ok = True
     for rho in rhos:
-        for alpha in alphas:
-            q = ConstantQuery(dim, rho, alpha)
-            c_ser = constant_series(q, ctl, rule)
+        queries = [ConstantQuery(dim, rho, alpha) for alpha in alphas]
+        series = constant_series(queries, ctl, rule)
+        for alpha, q, c_ser in zip(alphas, queries, series.tolist()):
             c_dir = constant_direct(q, rule)
             diff = abs(c_ser - c_dir)
             all_ok &= diff <= tol * max(1.0, abs(c_ser))

@@ -26,7 +26,11 @@ boundary.
 
 The two per-t quadratures of the certificates (kernel curvature and kink
 integrals) are array expressions over the whole t-grid, taken in blocks of
-_T_CHUNK rows so that the (rows, nodes) temporaries stay small.
+_T_CHUNK rows so that the (rows, nodes) temporaries stay small. Every
+rho-power series (the three curvature pair sums, the lagged series part of
+the profile and inner_integral_series) is one call of
+gegenbauer.pair_series: a single blocked recurrence over the stacked
+(lam, argument) rows on the whole t-grid, max(K) steps instead of sum(K).
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gegenbauer import DimensionParams, gamma_ratio, series_cutoff
+from .gegenbauer import DimensionParams, gamma_ratio, pair_series, pair_weights, series_cutoff
 from .quadrature import QuadratureRule, composite_nodes, gauss_legendre, map_panels
 
 __all__ = [
@@ -187,46 +191,6 @@ def inner_integral(q: ConstantQuery, x: float, rule: QuadratureRule | None = Non
     return (1.0 - x * x) ** ((q.dim.n - 3) / 2.0) * smooth
 
 
-def _pair_sum_scalar(lam: float, x1: float, x2: float, rho: float, K: int) -> float:
-    """sum_{k<=K} (k!/(2 lam)_k) C_k^lam(x1) C_k^lam(x2) rho^k for scalars."""
-    total = 1.0
-    if K == 0:
-        return total
-    c1p, c2p = 1.0, 1.0
-    c1, c2 = 2.0 * lam * x1, 2.0 * lam * x2
-    b = 1.0 / (2.0 * lam)
-    r = rho
-    total += b * c1 * c2 * r
-    for m in range(2, K + 1):
-        c1p, c1 = c1, (2.0 * (m + lam - 1.0) * x1 * c1 - (m + 2.0 * lam - 2.0) * c1p) / m
-        c2p, c2 = c2, (2.0 * (m + lam - 1.0) * x2 * c2 - (m + 2.0 * lam - 2.0) * c2p) / m
-        b *= m / (2.0 * lam + m - 1.0)
-        r *= rho
-        total += b * c1 * c2 * r
-    return total
-
-
-def _pair_sum_grid(lam: float, x1: np.ndarray, x2: np.ndarray, rho: float, K: int) -> np.ndarray:
-    """Vector version of _pair_sum_scalar over matching abscissa arrays."""
-    total = np.ones_like(x1)
-    if K == 0:
-        return total
-    c1p = np.ones_like(x1)
-    c2p = np.ones_like(x2)
-    c1 = 2.0 * lam * x1
-    c2 = 2.0 * lam * x2
-    b = 1.0 / (2.0 * lam)
-    r = rho
-    total = total + b * r * c1 * c2
-    for m in range(2, K + 1):
-        c1p, c1 = c1, (2.0 * (m + lam - 1.0) * x1 * c1 - (m + 2.0 * lam - 2.0) * c1p) / m
-        c2p, c2 = c2, (2.0 * (m + lam - 1.0) * x2 * c2 - (m + 2.0 * lam - 2.0) * c2p) / m
-        b *= m / (2.0 * lam + m - 1.0)
-        r *= rho
-        total = total + (b * r) * c1 * c2
-    return total
-
-
 def inner_integral_series(q: ConstantQuery, x: float,
                           ctl: SeriesControl | None = None) -> float:
     """Series expansion of the inner integral; cross-validates inner_integral."""
@@ -240,7 +204,7 @@ def inner_integral_series(q: ConstantQuery, x: float,
     if q.rho == 0.0:
         return pref
     K = series_cutoff(q.rho, lam, ctl)
-    return pref * _pair_sum_scalar(lam, x, q.t, q.rho, K)
+    return pref * float(pair_series([(lam, x, lam, q.t)], [pair_weights(lam, q.rho, K)])[0])
 
 
 # -- the three constant routes ----------------------------------------------
@@ -293,7 +257,11 @@ def _kink_integrals(t, dim: DimensionParams, rho: float, rule: QuadratureRule):
 
 
 def _tail_series(t, dim: DimensionParams, rho: float, ctl: SeriesControl):
-    """Series part of the profile, for scalar or vector t."""
+    """Series part of the profile, for scalar or vector t.
+
+    Term k couples degree k-2 at lam_high with degree k at lam_low, weighted
+    by (k-2)!/(n+2)_(k-2) rho^k; (n+2)_m = (2 lam_high)_m.
+    """
     n = dim.n
     delta = (n - 2) / n * rho
     ta = np.atleast_1d(np.asarray(t, dtype=float))
@@ -301,31 +269,8 @@ def _tail_series(t, dim: DimensionParams, rho: float, ctl: SeriesControl):
         return np.zeros_like(ta)
     lam_h, lam_l = dim.lambda_high, dim.lambda_low
     K = series_cutoff(rho, lam_l, ctl)
-    x1 = delta * ta
-    # lagged recurrence: term k couples degree k-2 at lam_high with degree k at lam_low
-    h_prev = np.ones_like(ta)          # degree k-2 == 0 at lam_high
-    h_cur = 2.0 * lam_h * x1           # degree k-2 == 1 at lam_high
-    l_pp = np.ones_like(ta)            # degree 0 at lam_low
-    l_p = 2.0 * lam_l * ta             # degree 1 at lam_low
-    coeff = 1.0                        # m!/(n+2)_m at m = k-2 = 0
-    r = rho * rho
-    total = np.zeros_like(ta)
-    for k in range(2, K + 1):
-        l_pp, l_p = l_p, (2.0 * (k + lam_l - 1.0) * ta * l_p - (k + 2.0 * lam_l - 2.0) * l_pp) / k
-        m = k - 2
-        if m == 0:
-            h_val = h_prev
-        elif m == 1:
-            h_val = h_cur
-            coeff = 1.0 / (n + 2.0)
-        else:
-            h_prev, h_cur = h_cur, (
-                2.0 * (m + lam_h - 1.0) * x1 * h_cur - (m + 2.0 * lam_h - 2.0) * h_prev
-            ) / m
-            h_val = h_cur
-            coeff *= m / (n + m + 1.0)
-        total = total + (coeff * r) * h_val * l_p
-        r *= rho
+    total = pair_series([(lam_h, delta * ta, lam_l, ta)],
+                        [pair_weights(lam_h, rho, K, lag=2)], lag=2)[0]
     pref = (2.0 / (n * n - 1.0)) * (1.0 - (delta * ta) ** 2) ** ((n + 1) / 2.0)
     return pref * total
 
@@ -350,11 +295,26 @@ def profile_parts(t, dim: DimensionParams, rho: float,
     return plain, weighted, tail
 
 
-def constant_series(q: ConstantQuery, ctl: SeriesControl | None = None,
-                    rule: QuadratureRule | None = None) -> float:
-    """Directional constant via the ultraspherical-expansion representation."""
-    plain, weighted, tail = profile_parts(q.t, q.dim, q.rho, ctl, rule)
-    return q.dim.c_n / (1.0 - q.rho ** 2) * (plain + weighted + tail)
+def constant_series(q, ctl: SeriesControl | None = None,
+                    rule: QuadratureRule | None = None):
+    """Directional constant via the ultraspherical-expansion representation.
+
+    `q` is one ConstantQuery (float result) or a sequence of queries at one
+    dimension and rho, evaluated in one vector profile_parts call over their
+    t = cos(alpha) (ndarray result).
+    """
+    if isinstance(q, ConstantQuery):
+        dim, rho, t = q.dim, q.rho, q.t
+    else:
+        queries = list(q)
+        if not queries:
+            raise ValueError("no queries given")
+        dim, rho = queries[0].dim, queries[0].rho
+        if any(p.dim != dim or p.rho != rho for p in queries):
+            raise ValueError("queries must share one dimension and rho")
+        t = np.array([p.t for p in queries])
+    plain, weighted, tail = profile_parts(t, dim, rho, ctl, rule)
+    return dim.c_n / (1.0 - rho ** 2) * (plain + weighted + tail)
 
 
 def constant_radial(n, rho: float, rule: QuadratureRule | None = None) -> float:
@@ -390,10 +350,10 @@ def profile_curvature_series(t, dim: DimensionParams, rho: float,
     x1 = delta * tv
     g = 1.0 - x1 * x1
 
-    lam_l, lam_m, lam_h = dim.lambda_low, dim.lambda_mid, dim.lambda_high
-    s_low = _pair_sum_grid(lam_l, x1, tv, rho, series_cutoff(rho, lam_l, ctl))
-    s_mid = _pair_sum_grid(lam_m, x1, tv, rho, series_cutoff(rho, lam_m, ctl))
-    s_high = _pair_sum_grid(lam_h, x1, tv, rho, series_cutoff(rho, lam_h, ctl))
+    lams = (dim.lambda_low, dim.lambda_mid, dim.lambda_high)
+    s_low, s_mid, s_high = pair_series(
+        [(lam, x1, lam, tv) for lam in lams],
+        [pair_weights(lam, rho, series_cutoff(rho, lam, ctl)) for lam in lams])
 
     d2 = delta * delta
     out = (2.0 * d2 * g ** ((n - 3) / 2.0) * s_low

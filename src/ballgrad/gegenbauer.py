@@ -3,10 +3,16 @@
 Evaluation is recurrence-based by default; the explicit finite sum is kept as
 an independent cross-check. Gamma-ratio constants are computed through
 log-Gamma so they stay finite for large arguments.
+
+Every rho-power series of the package runs through one engine:
+`recurrence_blocks` steps the three-term recurrence for a stack of
+(lam, argument) rows at once, in blocks of degrees, and `pair_series` sums
+weighted products of two rows per block with one einsum.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,11 +32,18 @@ __all__ = [
     "legendre",
     "assoc_legendre",
     "series_cutoff",
+    "pair_weights",
+    "recurrence_blocks",
+    "pair_series",
 ]
 
 # slack for arguments that should lie in [-1, 1] but carry rounding noise
 # (e.g. cos*cos + sin*sin*cos combinations)
 _ARG_TOL = 1e-12
+# degrees per block of the stacked recurrence, and argument columns per chunk:
+# the block buffers stay near 1 MB for a handful of rows
+_BLOCK = 32
+_COLUMNS = 256
 
 
 class SeriesConvergenceError(RuntimeError):
@@ -205,8 +218,14 @@ def series_cutoff(rho: float, lam: float, control) -> int:
     Since |C_k^lam| <= C_k^lam(1) ~ k^(2*lam-1), the tail of a rho-power series
     is controlled once rho^K (K+1)^max(2*lam-1, 0) drops below the tail
     tolerance; returns the first such K >= 8. `control` needs attributes
-    max_terms and tail_tol.
+    max_terms and tail_tol. Orders are cached per (rho, lam, max_terms,
+    tail_tol); a failure is not cached and raises on every call.
     """
+    return _cutoff(rho, lam, control.max_terms, control.tail_tol)
+
+
+@functools.lru_cache(maxsize=1024)
+def _cutoff(rho: float, lam: float, max_terms: int, tail_tol: float) -> int:
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
     if rho == 0.0:
@@ -214,14 +233,116 @@ def series_cutoff(rho: float, lam: float, control) -> int:
     p = max(2.0 * lam - 1.0, 0.0)
     K = 8
     power = rho ** K
-    while power * (K + 1.0) ** p >= control.tail_tol:
+    while power * (K + 1.0) ** p >= tail_tol:
         K += 1
         power *= rho
-        if K > control.max_terms:
+        if K > max_terms:
             raise SeriesConvergenceError(
-                f"series tail still above {control.tail_tol:g} after "
-                f"{control.max_terms} terms (rho={rho}, lam={lam})",
+                f"series tail still above {tail_tol:g} after "
+                f"{max_terms} terms (rho={rho}, lam={lam})",
                 terms=K,
                 tail_estimate=power * (K + 1.0) ** p,
             )
     return K
+
+
+def pair_weights(lam: float, rho: float, K: int, lag: int = 0) -> np.ndarray:
+    """Weights w_k = (j!/(2 lam)_j) rho^k, j = k - lag, for k = 0..K (zero for k < lag).
+
+    Both factors are running products in increasing k, j!/(2 lam)_j by the
+    factors j/(2 lam + j - 1) and rho^k by rho.
+    """
+    f = np.ones(K + 1 - lag)
+    if f.size > 1:
+        f[1] = 1.0 / (2.0 * lam)
+        j = np.arange(2.0, f.size)
+        f[2:] = j / (2.0 * lam + j - 1.0)
+    r = np.full(K + 1, rho)
+    r[0] = 1.0
+    w = np.zeros(K + 1)
+    w[lag:] = np.cumprod(f) * np.cumprod(r)[lag:]
+    return w
+
+
+def recurrence_blocks(lams, xs, orders):
+    """Run the three-term recurrence for a stack of rows, _BLOCK degrees at a time.
+
+    Row r is C_k^{lams[r]} at the arguments xs[r, :]; `orders` gives the last
+    degree each row needs, in nonincreasing order. Yields (m0, act, buf) per
+    block: buf[j, r] = C_{m0-2+j}^{lams[r]}(xs[r]) for the rows r < act whose
+    order reaches m0, where buf[0:2] repeats the last two degrees of the
+    previous block (zeros below degree 0) and buf[2:] holds the block's
+    degrees. The buffer is reused: consume each block before asking for the
+    next. Every value is bit-identical to eval_sequence.
+    """
+    lams = np.asarray(lams, dtype=float)
+    orders = np.asarray(orders, dtype=int)
+    x = np.asarray(xs, dtype=float)
+    if np.any(np.diff(orders) > 0):
+        raise ValueError("rows must come in nonincreasing order of their orders")
+    buf = np.zeros((_BLOCK + 2,) + x.shape)
+    # per block: (a_m * x) for every step, and b_m spread over the columns,
+    # which each step then overwrites with b_m * C_{m-2}
+    ax = np.empty((_BLOCK,) + x.shape)
+    bx = np.empty((_BLOCK,) + x.shape)
+    top = int(orders[0])
+    for m0 in range(0, top + 1, _BLOCK):
+        nb = min(_BLOCK, top + 1 - m0)
+        act = int(np.count_nonzero(orders >= m0))
+        lam = lams[:act]
+        rows, xa = buf[:nb + 2, :act], x[:act]
+        if m0:
+            rows[:2] = buf[_BLOCK:, :act]
+        m = np.arange(m0, m0 + nb, dtype=float)[:, None]
+        np.multiply((2.0 * (m + lam - 1.0))[:, :, None], xa, out=ax[:nb, :act])
+        bx[:nb, :act] = (m + 2.0 * lam - 2.0)[:, :, None]
+        first = 0
+        if m0 == 0:
+            rows[2] = 1.0
+            if nb > 1:
+                np.multiply((2.0 * lam)[:, None], xa, out=rows[3])
+            first = 2
+        c, axs, bxs = list(rows), list(ax[:nb, :act]), list(bx[:nb, :act])
+        for j in range(first, nb):
+            cur, prev = c[j + 2], bxs[j]
+            np.multiply(axs[j], c[j + 1], out=cur)
+            np.multiply(prev, c[j], out=prev)
+            np.subtract(cur, prev, out=cur)
+            np.divide(cur, m0 + j, out=cur)
+        yield m0, act, rows
+
+
+def pair_series(pairs, weights, lag: int = 0) -> np.ndarray:
+    """Weighted sums of products of two Gegenbauer sequences, one per pair.
+
+    pairs[p] = (lam_a, x_a, lam_b, x_b) and weights[p] = (w_0, ..., w_K):
+    returns S[p] = sum_{k=lag}^{K} w_k C_{k-lag}^{lam_a}(x_a) C_k^{lam_b}(x_b),
+    elementwise over the arguments, which broadcast to one common shape.
+    All rows run as one stacked recurrence (recurrence_blocks) of max(K)
+    steps, in chunks of _COLUMNS argument columns; a pair stops adding terms
+    at its own K. Needs 0 <= lag <= 2.
+    """
+    if not 0 <= lag <= 2:
+        raise ValueError(f"lag must lie in [0, 2], got {lag}")
+    args = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                 for lam_a, xa, lam_b, xb in pairs for v in (xa, xb)))
+    shape = args[0].shape
+    order = sorted(range(len(pairs)), key=lambda p: -len(weights[p]))
+    lams = [lam for p in order for lam in (pairs[p][0], pairs[p][2])]
+    x = np.stack([args[2 * p + i].ravel() for p in order for i in (0, 1)])
+    K = np.array([len(weights[p]) - 1 for p in order])
+    w = np.zeros((K[0] + 1, len(order)))
+    for col, p in enumerate(order):
+        w[:K[col] + 1, col] = weights[p]
+    total = np.zeros((len(order), x.shape[1]))
+    for lo in range(0, x.shape[1], _COLUMNS):
+        cols = slice(lo, lo + _COLUMNS)
+        acc = total[:, cols]
+        for m0, act, rows in recurrence_blocks(lams, x[:, cols], np.repeat(K, 2)):
+            nb = len(rows) - 2
+            npair = act // 2
+            acc[:npair] += np.einsum("kp,kpt,kpt->pt", w[m0:m0 + nb, :npair],
+                                     rows[2 - lag:2 - lag + nb, 0::2], rows[2:, 1::2])
+    out = np.empty_like(total)
+    out[order] = total
+    return out.reshape((len(pairs),) + shape)

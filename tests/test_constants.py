@@ -20,7 +20,7 @@ from ballgrad.constants import (
     profile_curvature_series,
     profile_parts,
 )
-from ballgrad.gegenbauer import DimensionParams, SeriesConvergenceError, gamma_ratio
+from ballgrad.gegenbauer import DimensionParams, SeriesConvergenceError, gamma_ratio, series_cutoff
 from ballgrad.quadrature import gauss_legendre, integrate_adaptive
 
 DIMS = (3, 4, 5, 8)
@@ -149,6 +149,19 @@ def test_direct_route_near_boundary(rule, n, rho, alpha):
     assert abs(direct - series) <= 1e-8 * abs(series)
 
 
+def test_constant_series_query_sequence(rule):
+    dim = DimensionParams(5)
+    queries = [ConstantQuery(dim, 0.9, a) for a in np.linspace(0.0, math.pi, 13)]
+    vec = constant_series(queries, rule=rule)
+    assert vec.shape == (13,)
+    for q, v in zip(queries, vec):
+        assert v == pytest.approx(constant_series(q, rule=rule), rel=1e-14)
+    with pytest.raises(ValueError):
+        constant_series(queries + [ConstantQuery(dim, 0.5, 0.0)], rule=rule)
+    with pytest.raises(ValueError):
+        constant_series([], rule=rule)
+
+
 def test_radial_specialization(rule):
     # the radial formula is the alpha = 0 slice of the direct route
     for n in DIMS:
@@ -254,6 +267,48 @@ def test_curvature_series_vs_profile_fd(rule):
             f = [sum(profile_parts(t + s * h, dim, rho, rule=rule)) for s in (-1, 0, 1)]
             fd = (f[0] - 2 * f[1] + f[2]) / (h * h)
             assert abs(profile_curvature_series(t, dim, rho) - fd) <= 1e-5
+
+
+def _curvature_series_longdouble(t, n, rho):
+    """The truncated curvature series of profile_curvature_series, at the same
+    orders, evaluated in np.longdouble (64-bit mantissa on x86)."""
+    L = np.longdouble
+    t = np.asarray(t, dtype=L)
+    delta = L(n - 2) / L(n) * L(rho)
+    x1 = delta * t
+    sums = []
+    for lam2 in (n - 2, n, n + 2):
+        lam = L(lam2) / 2
+        K = series_cutoff(rho, lam2 / 2.0, SeriesControl())
+        a_prev, b_prev = np.ones_like(t), np.ones_like(t)
+        a, b = 2 * lam * x1, 2 * lam * t
+        w = L(1)
+        total = np.ones_like(t)
+        for m in range(1, K + 1):
+            if m >= 2:
+                a_prev, a = a, (2 * (m + lam - 1) * x1 * a - (m + 2 * lam - 2) * a_prev) / m
+                b_prev, b = b, (2 * (m + lam - 1) * t * b - (m + 2 * lam - 2) * b_prev) / m
+            w *= L(m) / (2 * lam + m - 1) * L(rho)
+            total += w * a * b
+        sums.append(total)
+    g, d2, nl = 1 - x1 * x1, delta * delta, L(n)
+    return (2 * d2 * g ** (L(n - 3) / 2) * sums[0]
+            - 4 * nl * d2 / (nl - 1) * g ** (L(n - 1) / 2) * sums[1]
+            + 2 * nl ** 3 * d2 / ((nl + 1) * (nl - 1) * (nl - 2))
+            * g ** (L(n + 1) / 2) * sums[2])
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="longdouble is double here")
+@pytest.mark.parametrize("n, rho, bound", [
+    (8, 0.95, 5e-12),    # measured 1.1e-12 relative to max |curvature|
+    (16, 0.95, 2e-8),    # measured 6.3e-9: the pair sums cancel by ~1e6 at lam = 9
+])
+def test_curvature_series_vs_longdouble(n, rho, bound):
+    grid = np.linspace(-0.999, 0.999, 41)
+    ref = _curvature_series_longdouble(grid, n, rho)
+    got = profile_curvature_series(grid, DimensionParams(n), rho)
+    scale = float(np.max(np.abs(ref)))
+    assert float(np.max(np.abs(got - ref))) <= bound * scale
 
 
 def test_curvature_vectorized(rule):

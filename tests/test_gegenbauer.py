@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from ballgrad.gegenbauer import (
+    _BLOCK,
+    _COLUMNS,
     DimensionParams,
     GegenbauerIndex,
     SeriesConvergenceError,
@@ -15,7 +17,10 @@ from ballgrad.gegenbauer import (
     eval_sequence,
     gamma_ratio,
     legendre,
+    pair_series,
+    pair_weights,
     pochhammer,
+    recurrence_blocks,
     series_cutoff,
 )
 
@@ -192,3 +197,83 @@ def test_series_cutoff():
         series_cutoff(0.9, 2.5, SimpleNamespace(max_terms=16, tail_tol=1e-14))
     with pytest.raises(ValueError):
         series_cutoff(1.0, 1.0, ctl)
+
+
+def test_series_cutoff_cached_and_failure_repeats():
+    ctl = SimpleNamespace(max_terms=8192, tail_tol=1e-14)
+    assert series_cutoff(0.93, 2.5, ctl) == series_cutoff(0.93, 2.5, ctl)
+    capped = SimpleNamespace(max_terms=16, tail_tol=1e-14)
+    for _ in range(3):
+        with pytest.raises(SeriesConvergenceError):
+            series_cutoff(0.93, 2.5, capped)
+
+
+def _collect_blocks(lams, xs, orders):
+    """{(row, degree): values} from every block of the stacked recurrence."""
+    got = {}
+    for m0, act, rows in recurrence_blocks(lams, xs, orders):
+        assert act == sum(1 for K in orders if K >= m0)
+        for r in range(act):
+            for j in range(len(rows) - 2):
+                got[r, m0 + j] = rows[j + 2, r].copy()
+    return got
+
+
+@pytest.mark.parametrize("lam", (0.5, 1.5, 9.0))
+@pytest.mark.parametrize("K", (0, 1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5))
+def test_recurrence_blocks_bit_identical(lam, K):
+    xs = np.linspace(-1.0, 1.0, 9)[None, :]
+    got = _collect_blocks([lam], xs, [K])
+    seq = eval_sequence(lam, K, xs[0])
+    assert sorted(got) == [(0, k) for k in range(K + 1)]
+    for k in range(K + 1):
+        assert np.array_equal(got[0, k], seq[k])
+
+
+def test_recurrence_blocks_mixed_orders():
+    # rows stop at their own order; earlier rows keep stepping past it
+    lams = (9.0, 0.5, 1.5, 1.5, 0.5)
+    orders = (3 * _BLOCK + 5, _BLOCK + 1, _BLOCK, 2, 0)
+    xs = np.random.default_rng(3).uniform(-1.0, 1.0, size=(len(lams), 6))
+    got = _collect_blocks(lams, xs, orders)
+    for r, (lam, K) in enumerate(zip(lams, orders)):
+        seq = eval_sequence(lam, K, xs[r])
+        for k in range(K + 1):
+            assert np.array_equal(got[r, k], seq[k])
+    with pytest.raises(ValueError):
+        list(recurrence_blocks((1.0, 1.0), np.zeros((2, 3)), (2, 5)))
+
+
+def test_pair_weights():
+    lam, rho = 1.5, 0.7
+    w = pair_weights(lam, rho, 10)
+    for k in range(11):
+        want = math.factorial(k) / pochhammer(2 * lam, k) * rho ** k
+        assert w[k] == pytest.approx(want, rel=1e-14)
+    lagged = pair_weights(lam, rho, 10, lag=2)
+    assert lagged[:2].tolist() == [0.0, 0.0]
+    for k in range(2, 11):
+        want = math.factorial(k - 2) / pochhammer(2 * lam, k - 2) * rho ** k
+        assert lagged[k] == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("lag", (0, 2))
+def test_pair_series_matches_explicit(lag):
+    # more columns than one chunk, pairs of different lengths and lambdas
+    t = np.linspace(-0.999, 0.999, _COLUMNS + 45)
+    x1 = 0.6 * t
+    pairs = [(0.5, x1, 0.5, t), (2.5, x1, 1.5, t), (4.0, t, 4.0, 0.3)]
+    weights = [pair_weights(lam_a, 0.9, K, lag)
+               for (lam_a, *_), K in zip(pairs, (120, 2 * _BLOCK + 3, 300))]
+    got = pair_series(pairs, weights, lag)
+    assert got.shape == (3, t.size)
+    for p, ((lam_a, xa, lam_b, xb), w) in enumerate(zip(pairs, weights)):
+        K = len(w) - 1
+        xa, xb = np.broadcast_arrays(xa, xb)
+        a, b = eval_sequence(lam_a, K, xa), eval_sequence(lam_b, K, xb)
+        terms = np.array([w[k] * a[k - lag] * b[k] for k in range(lag, K + 1)])
+        # relative to the sum of |terms|, the conditioning of the sum
+        err = np.abs(got[p] - terms.sum(axis=0)) / np.abs(terms).sum(axis=0)
+        assert np.max(err) <= 1e-14
+    scalar = pair_series([(1.5, 0.2, 1.5, -0.4)], [pair_weights(1.5, 0.5, 40)])
+    assert scalar.shape == (1,)
