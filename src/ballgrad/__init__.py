@@ -36,7 +36,6 @@ from .gegenbauer import (
     series_cutoff,
 )
 from .identities import (
-    AdditionCoefficient,
     KernelParams,
     addition_coefficient,
     addition_theorem_rhs,

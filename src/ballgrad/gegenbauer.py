@@ -1,7 +1,9 @@
 """Gegenbauer (ultraspherical), Legendre, and associated Legendre polynomials.
 
-Evaluation is recurrence-based by default; the explicit finite sum is kept as
-an independent cross-check. Gamma-ratio constants are computed through
+Evaluation is recurrence-based by default: eval_sequence runs the three-term
+recurrence for scalar or array arguments (lam broadcasts too), and the
+single-degree evaluators take its last row. The explicit finite sum is kept
+as an independent cross-check. Gamma-ratio constants are computed through
 log-Gamma so they stay finite for large arguments.
 
 Every rho-power series of the package runs through one engine:
@@ -123,18 +125,9 @@ def _clipped(x):
     return np.clip(x, -1.0, 1.0)
 
 
-def _recurrence(lam: float, k: int, x):
-    """C_k^lam(x) by the three-term recurrence; x scalar or ndarray, no lam guard."""
-    x = np.asarray(x, dtype=float)
-    c_prev = np.ones_like(x)
-    if k == 0:
-        return c_prev
-    c_cur = 2.0 * lam * x
-    for m in range(2, k + 1):
-        c_prev, c_cur = c_cur, (
-            2.0 * (m + lam - 1.0) * x * c_cur - (m + 2.0 * lam - 2.0) * c_prev
-        ) / m
-    return c_cur
+def _value(v):
+    """A 0-d result as a Python float; arrays pass through."""
+    return float(v) if np.ndim(v) == 0 else v
 
 
 def eval_explicit(idx: GegenbauerIndex, x: float) -> float:
@@ -158,20 +151,26 @@ def eval_explicit(idx: GegenbauerIndex, x: float) -> float:
     return float(total)
 
 
-def eval_recurrence(idx: GegenbauerIndex, x: float) -> float:
-    """C_k^lam(x) by the numerically stable three-term recurrence."""
-    return float(_recurrence(idx.lam, idx.degree, _clipped(x)))
+def eval_recurrence(idx: GegenbauerIndex, x):
+    """C_k^lam(x) by the numerically stable three-term recurrence.
+
+    x may be a scalar (float result) or an ndarray (array result).
+    """
+    return _value(eval_sequence(idx.lam, idx.degree, x)[-1])
 
 
-def eval_sequence(lam: float, K: int, x) -> np.ndarray:
+def eval_sequence(lam, K: int, x) -> np.ndarray:
     """All of C_0^lam(x), ..., C_K^lam(x) in one recurrence pass.
 
-    x may be a scalar or ndarray; the leading axis of the result indexes the degree.
+    lam and x may be scalars or ndarrays that broadcast against each other,
+    so rows with different lam run as one stack; the leading axis of the
+    result indexes the degree.
     """
     if K < 0:
         raise ValueError(f"K must be nonnegative, got {K}")
     xa = _clipped(x)
-    out = np.empty((K + 1,) + xa.shape)
+    lam = np.asarray(lam, dtype=float)
+    out = np.empty((K + 1,) + np.broadcast_shapes(lam.shape, xa.shape))
     out[0] = 1.0
     if K >= 1:
         out[1] = 2.0 * lam * xa
@@ -181,24 +180,27 @@ def eval_sequence(lam: float, K: int, x) -> np.ndarray:
     return out
 
 
-def derivative(idx: GegenbauerIndex, order: int, x: float) -> float:
-    """m-th derivative of C_k^lam at x: 2^m (lam)_m C_{k-m}^{lam+m}(x); 0 for m > k."""
+def derivative(idx: GegenbauerIndex, order: int, x):
+    """m-th derivative of C_k^lam at x: 2^m (lam)_m C_{k-m}^{lam+m}(x); 0 for m > k.
+
+    x may be a scalar (float result) or an ndarray (array result).
+    """
     if order < 0:
         raise ValueError(f"derivative order must be nonnegative, got {order}")
     if order > idx.degree:
-        return 0.0
+        return _value(np.zeros(np.shape(x)))
     if order == 0:
         return eval_recurrence(idx, x)
     lam, k = idx.lam, idx.degree
     scale = (2.0 ** order) * pochhammer(lam, order)
-    return scale * float(_recurrence(lam + order, k - order, _clipped(x)))
+    return _value(scale * eval_sequence(lam + order, k - order, x)[-1])
 
 
-def legendre(k: int, x: float) -> float:
-    """Legendre polynomial P_k(x) = C_k^{1/2}(x)."""
+def legendre(k: int, x):
+    """Legendre polynomial P_k(x) = C_k^{1/2}(x); x scalar or ndarray."""
     if k < 0:
         raise ValueError(f"degree must be nonnegative, got {k}")
-    return float(_recurrence(0.5, k, _clipped(x)))
+    return _value(eval_sequence(0.5, k, x)[-1])
 
 
 def assoc_legendre(k: int, j: int, x: float) -> float:

@@ -2,6 +2,16 @@
 the addition and product theorems, the product-formula kernel, the weighted
 derivative identity, and the kink integral with its closed form.
 
+Every check takes its sampled arguments (angles, points, degrees of an inner
+product) as scalars or ndarrays: a scalar gives a float, an array gives an
+array of its shape. An array runs as one stacked recurrence (eval_sequence,
+whose lam broadcasts) and, for integrals, one batch of quadrature rows with
+the non-finite check of the scalar path; run_suite makes one call per
+(lam, degree) batch of samples, and equals the scalar calls bit for bit.
+For that, fractional powers of sampled values are taken with np.power: `**`
+on a numpy scalar calls the C library's pow, which can round differently
+from numpy's array loop.
+
 All weighted integrals on [-1, 1] are evaluated after the substitution
 x = cos(theta): the weight (1-x^2)^(lam-1/2) turns into (sin theta)^(2*lam),
 which is analytic for every half-integer lam and never endpoint-singular.
@@ -14,20 +24,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gegenbauer import (
+# assoc_legendre, integrate and integrate_split are not called here; they stay
+# importable from this module because bench/spans.py traces calls through
+# these names.
+from .gegenbauer import (  # noqa: F401
     GegenbauerIndex,
-    _recurrence,
+    _value,
     assoc_legendre,
     eval_recurrence,
+    eval_sequence,
     gamma_ratio,
     legendre,
     pochhammer,
 )
-from .quadrature import QuadratureRule, gauss_legendre, integrate, integrate_split
+from .quadrature import (  # noqa: F401
+    QuadratureRule,
+    composite_nodes,
+    gauss_legendre,
+    integrate,
+    integrate_split,
+    integrate_values,
+    map_panels,
+)
 
 __all__ = [
     "KernelParams",
-    "AdditionCoefficient",
     "addition_coefficient",
     "orthogonality_integral",
     "orthogonality_closed_form",
@@ -47,9 +68,51 @@ __all__ = [
 _FD_STEP = 1e-5  # central-difference step for all derivative oracles
 
 
+def _gegenbauer(lam, k: int, x):
+    """C_k^lam(x), the last row of eval_sequence; no lam guard."""
+    return eval_sequence(lam, k, x)[-1]
+
+
+def _inside(v, bound: float, message: str) -> np.ndarray:
+    """v as a float array; raises ValueError on the first element with |v| >= bound."""
+    v = np.asarray(v, dtype=float)
+    bad = v[~(np.abs(v) < bound)]
+    if bad.size:
+        raise ValueError(f"{message}, got {bad[0]}")
+    return v
+
+
+def _angles(*angles):
+    """The angles as float arrays of one broadcast shape, each in [0, pi]."""
+    out = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in angles))
+    for a in out:
+        bad = a[~((a >= 0.0) & (a <= math.pi))]
+        if bad.size:
+            raise ValueError(f"angles must lie in [0, pi], got {bad[0]}")
+    return out
+
+
+def _family(lam: float, k: int, x):
+    """Rows C_{k-j}^{lam+j}(x), j = 0..k, from one recurrence with a lam per row.
+
+    Up to the factor 2^j (lam)_j, row j is the j-th derivative of C_k^lam.
+    """
+    j = np.arange(k + 1)
+    lams = (lam + j).reshape((-1,) + (1,) * np.ndim(x))
+    return eval_sequence(lams, k, x)[k - j, j]
+
+
+def _sum_rows(terms):
+    # sequential sum over the leading axis: one order for scalar and array input
+    return np.cumsum(terms, axis=0)[-1]
+
+
 @dataclass(frozen=True)
 class KernelParams:
-    """Arguments (lam, x, y) of the product-formula kernel; lam > 0 required."""
+    """Arguments (lam, x, y) of the product-formula kernel; lam > 0 required.
+
+    x and y may be arrays of sample points that broadcast against each other.
+    """
 
     lam: float
     x: float
@@ -58,8 +121,8 @@ class KernelParams:
     def __post_init__(self):
         if not self.lam > 0:
             raise ValueError(f"lam must be positive, got {self.lam}")
-        if not (-1.0 < self.x < 1.0 and -1.0 < self.y < 1.0):
-            raise ValueError("x and y must lie in (-1, 1)")
+        _inside(self.x, 1.0, "x and y must lie in (-1, 1)")
+        _inside(self.y, 1.0, "x and y must lie in (-1, 1)")
 
 
 def addition_coefficient(lam: float, k: int, j: int) -> float:
@@ -79,18 +142,6 @@ def addition_coefficient(lam: float, k: int, j: int) -> float:
     return (2.0 * lam + 2.0 * j - 1.0) * math.exp(log_val)
 
 
-@dataclass(frozen=True)
-class AdditionCoefficient:
-    lam: float
-    k: int
-    j: int
-    value: float
-
-    @classmethod
-    def compute(cls, lam: float, k: int, j: int) -> "AdditionCoefficient":
-        return cls(lam, k, j, addition_coefficient(lam, k, j))
-
-
 def orthogonality_closed_form(lam: float, k: int) -> float:
     """Diagonal value of the weighted L2 inner product of C_k^lam with itself."""
     return gamma_ratio((0.5, lam + 0.5), (lam,)) * pochhammer(2.0 * lam, k) / (
@@ -98,78 +149,81 @@ def orthogonality_closed_form(lam: float, k: int) -> float:
     )
 
 
-def orthogonality_integral(lam: float, k: int, l: int, rule: QuadratureRule) -> float:
+def orthogonality_integral(lam: float, k, l, rule: QuadratureRule):
     """Weighted inner product of C_k^lam and C_l^lam on [-1, 1] by quadrature.
 
-    Vanishes for k != l; equals orthogonality_closed_form(lam, k) on the diagonal.
+    Vanishes for k != l; equals orthogonality_closed_form(lam, k) on the
+    diagonal. k and l may be integer arrays that broadcast: every pair is a
+    row of one batch over a single recurrence up to the largest degree.
     """
     if not lam > -0.5 or lam == 0.0:
         raise ValueError(f"lam must exceed -1/2 and be nonzero, got {lam}")
+    k, l = np.broadcast_arrays(np.asarray(k), np.asarray(l))
+    theta, w = composite_nodes(0.0, math.pi, rule)
+    seq = eval_sequence(lam, int(max(k.max(), l.max())), np.cos(theta))
+    vals = (np.sin(theta) ** (2.0 * lam)) * seq[k] * seq[l]
+    return _value(integrate_values(vals, w))
 
-    def integrand(theta):
-        c = np.cos(theta)
-        return (np.sin(theta) ** (2.0 * lam)) * _recurrence(lam, k, c) * _recurrence(lam, l, c)
 
-    return integrate(integrand, 0.0, math.pi, rule)
-
-
-def addition_theorem_rhs(lam: float, k: int, theta: float, phi: float, psi: float) -> float:
+def addition_theorem_rhs(lam: float, k: int, theta, phi, psi):
     """Right side of the addition theorem; equals C_k^lam applied to the
     combined argument cos(theta)cos(phi) + sin(theta)sin(phi)cos(psi).
 
-    Only valid for lam > 1/2; use legendre_addition_rhs at lam = 1/2.
+    Only valid for lam > 1/2; use legendre_addition_rhs at lam = 1/2. The
+    angles may be arrays that broadcast against each other.
     """
     if not lam > 0.5:
         raise ValueError(
             f"addition theorem needs lam > 1/2 (got {lam}); "
             "use legendre_addition_rhs for the lam = 1/2 case"
         )
-    for angle in (theta, phi, psi):
-        if not 0.0 <= angle <= math.pi:
-            raise ValueError(f"angles must lie in [0, pi], got {angle}")
-    ct, st = math.cos(theta), math.sin(theta)
-    cp, sp = math.cos(phi), math.sin(phi)
-    cpsi = math.cos(psi)
-    total = 0.0
-    for j in range(k + 1):
-        term = addition_coefficient(lam, k, j)
-        term *= (st * sp) ** j
-        term *= float(_recurrence(lam + j, k - j, ct))
-        term *= float(_recurrence(lam + j, k - j, cp))
-        term *= float(_recurrence(lam - 0.5, j, cpsi))
-        total += term
-    return total
+    theta, phi, psi = _angles(theta, phi, psi)
+    j = np.arange(k + 1).reshape((-1,) + (1,) * theta.ndim)
+    coef = np.array([addition_coefficient(lam, k, i) for i in range(k + 1)]).reshape(j.shape)
+    fam_theta, fam_phi = np.moveaxis(_family(lam, k, np.cos((theta, phi))), 1, 0)
+    terms = (coef * (np.sin(theta) * np.sin(phi)) ** j * fam_theta * fam_phi
+             * eval_sequence(lam - 0.5, k, np.cos(psi)))
+    return _value(_sum_rows(terms))
 
 
-def legendre_addition_rhs(k: int, theta: float, phi: float, psi: float) -> float:
-    """Right side of the Legendre addition theorem (the lam = 1/2 route)."""
-    for angle in (theta, phi, psi):
-        if not 0.0 <= angle <= math.pi:
-            raise ValueError(f"angles must lie in [0, pi], got {angle}")
-    ct, cp = math.cos(theta), math.cos(phi)
-    total = legendre(k, ct) * legendre(k, cp)
-    for j in range(1, k + 1):
-        ratio = math.exp(math.lgamma(k - j + 1.0) - math.lgamma(k + j + 1.0))
-        total += 2.0 * ratio * assoc_legendre(k, j, ct) * assoc_legendre(k, j, cp) * math.cos(j * psi)
-    return total
+def legendre_addition_rhs(k: int, theta, phi, psi):
+    """Right side of the Legendre addition theorem (the lam = 1/2 route).
+
+    P_k(cos g) = sum_j e_j (k-j)!/(k+j)! P_k^j(cos theta) P_k^j(cos phi) cos(j psi),
+    e_0 = 1 and e_j = 2 otherwise. With P_k^j(cos t) = (-1)^j sin(t)^j
+    2^j (1/2)_j C_{k-j}^{1/2+j}(cos t) it runs on the same stacked family as
+    addition_theorem_rhs. The angles may be arrays that broadcast.
+    """
+    theta, phi, psi = _angles(theta, phi, psi)
+    j = np.arange(k + 1).reshape((-1,) + (1,) * theta.ndim)
+    coef = np.array([
+        (1.0 if i == 0 else 2.0)
+        * math.exp(math.lgamma(k - i + 1.0) - math.lgamma(k + i + 1.0))
+        * ((2.0 ** i) * pochhammer(0.5, i)) ** 2
+        for i in range(k + 1)
+    ]).reshape(j.shape)
+    fam_theta, fam_phi = np.moveaxis(_family(0.5, k, np.cos((theta, phi))), 1, 0)
+    terms = (coef * (np.sin(theta) * np.sin(phi)) ** j * fam_theta * fam_phi
+             * np.cos(j * psi))
+    return _value(_sum_rows(terms))
 
 
-def product_formula_check(lam: float, k: int, phi: float, psi: float,
-                          rule: QuadratureRule) -> tuple[float, float]:
-    """(LHS, RHS) of the classical product formula for C_k^lam (lam > 0)."""
+def product_formula_check(lam: float, k: int, phi, psi, rule: QuadratureRule):
+    """(LHS, RHS) of the classical product formula for C_k^lam (lam > 0).
+
+    phi and psi may be arrays that broadcast; each sample is one quadrature row.
+    """
     if not lam > 0:
         raise ValueError(f"product formula needs lam > 0, got {lam}")
-    lhs = float(_recurrence(lam, k, math.cos(phi))) * float(_recurrence(lam, k, math.cos(psi)))
-    a = math.cos(phi) * math.cos(psi)
-    b = math.sin(phi) * math.sin(psi)
-
-    def integrand(theta):
-        arg = np.clip(a + b * np.cos(theta), -1.0, 1.0)
-        return _recurrence(lam, k, arg) * np.sin(theta) ** (2.0 * lam - 1.0)
-
+    phi, psi = np.broadcast_arrays(np.asarray(phi, dtype=float), np.asarray(psi, dtype=float))
+    lhs = _gegenbauer(lam, k, np.cos(phi)) * _gegenbauer(lam, k, np.cos(psi))
+    theta, w = composite_nodes(0.0, math.pi, rule)
+    a = (np.cos(phi) * np.cos(psi))[..., None]
+    b = (np.sin(phi) * np.sin(psi))[..., None]
+    arg = np.clip(a + b * np.cos(theta), -1.0, 1.0)
+    vals = _gegenbauer(lam, k, arg) * np.sin(theta) ** (2.0 * lam - 1.0)
     pref = gamma_ratio((lam + 0.5,), (0.5, lam)) * pochhammer(2.0 * lam, k) / math.factorial(k)
-    rhs = pref * integrate(integrand, 0.0, math.pi, rule)
-    return lhs, rhs
+    return _value(lhs), _value(pref * integrate_values(vals, w))
 
 
 def kernel_support(x: float, y: float) -> tuple[float, float]:
@@ -182,6 +236,14 @@ def kernel_support(x: float, y: float) -> tuple[float, float]:
     return x * y - w, x * y + w
 
 
+def _kernel_density(lam: float, x, y, disc):
+    """Kernel density at discriminant disc = 1 - x^2 - y^2 - z^2 + 2xyz; zero where disc <= 0."""
+    pref = gamma_ratio((lam + 0.5,), (lam, 0.5))
+    denom = np.power((1.0 - x * x) * (1.0 - y * y), lam - 0.5)
+    safe = np.where(disc > 0.0, disc, 1.0)
+    return np.where(disc > 0.0, pref * np.power(safe, lam - 1.0) / denom, 0.0)
+
+
 def kernel_K(params: KernelParams, z):
     """Product-formula kernel density; zero outside its support.
 
@@ -189,82 +251,78 @@ def kernel_K(params: KernelParams, z):
     """
     lam, x, y = params.lam, params.x, params.y
     za = np.asarray(z, dtype=float)
-    disc = 1.0 - x * x - y * y - za * za + 2.0 * x * y * za
-    pref = gamma_ratio((lam + 0.5,), (lam, 0.5))
-    denom = ((1.0 - x * x) * (1.0 - y * y)) ** (lam - 0.5)
-    safe = np.where(disc > 0.0, disc, 1.0)
-    val = np.where(disc > 0.0, pref * safe ** (lam - 1.0) / denom, 0.0)
-    return float(val) if val.ndim == 0 else val
+    return _value(_kernel_density(lam, x, y, 1.0 - x * x - y * y - za * za + 2.0 * x * y * za))
 
 
-def kernel_product_check(params: KernelParams, k: int,
-                         rule: QuadratureRule) -> tuple[float, float]:
+def kernel_product_check(params: KernelParams, k: int, rule: QuadratureRule):
     """(C_k(x)C_k(y), ((2 lam)_k/k!) * integral of C_k(z) K(x,y,z) dz).
 
     The z-integral runs over the analytic support interval through the
-    substitution z = xy + sqrt((1-x^2)(1-y^2)) cos(theta), whose Jacobian
-    tames the (lam-1)-power endpoint behavior of the kernel for every lam.
+    substitution z = xy + w cos(theta), w = sqrt((1-x^2)(1-y^2)), whose
+    Jacobian tames the (lam-1)-power endpoint behavior of the kernel for
+    every lam. On it the discriminant is exactly (w sin(theta))^2; computing
+    it from z instead cancels near the ends of the support. params.x and
+    params.y may be arrays of points, one quadrature row each.
     """
-    lam, x, y = params.lam, params.x, params.y
-    lhs = float(_recurrence(lam, k, x)) * float(_recurrence(lam, k, y))
-    w = math.sqrt((1.0 - x * x) * (1.0 - y * y))
-    center = x * y
+    lam = params.lam
+    x, y = np.broadcast_arrays(np.asarray(params.x, dtype=float),
+                               np.asarray(params.y, dtype=float))
+    lhs = _gegenbauer(lam, k, x) * _gegenbauer(lam, k, y)
+    theta, wq = composite_nodes(0.0, math.pi, rule)
+    xs, ys = x[..., None], y[..., None]
+    w = np.sqrt((1.0 - xs * xs) * (1.0 - ys * ys))
+    jac = w * np.sin(theta)
+    z = xs * ys + w * np.cos(theta)
+    vals = _gegenbauer(lam, k, np.clip(z, -1.0, 1.0)) * _kernel_density(lam, xs, ys, jac * jac) * jac
+    rhs = pochhammer(2.0 * lam, k) / math.factorial(k) * integrate_values(vals, wq)
+    return _value(lhs), _value(rhs)
 
-    def integrand(theta):
-        z = center + w * np.cos(theta)
-        return _recurrence(lam, k, np.clip(z, -1.0, 1.0)) * kernel_K(params, z) * w * np.sin(theta)
 
-    rhs = pochhammer(2.0 * lam, k) / math.factorial(k) * integrate(integrand, 0.0, math.pi, rule)
-    return lhs, rhs
-
-
-def weighted_derivative_check(lam: float, k: int, x: float) -> tuple[float, float]:
+def weighted_derivative_check(lam: float, k: int, x):
     """(finite-difference derivative of (1-x^2)^(lam-1/2) C_k^lam, closed form).
 
     The closed form is -((k+1)(k+2 lam-1)/(2(lam-1))) (1-x^2)^(lam-3/2)
     C_{k+1}^{lam-1}(x); lam = 1 is excluded by the identity itself. The
     difference stencil is 5-point central so truncation stays below the
-    1e-6 agreement contract even at the largest sampled degrees.
+    1e-6 agreement contract even at the largest sampled degrees. x may be an
+    array; its four stencil points run as one batch.
     """
     if lam == 1.0:
         raise ValueError("the weighted derivative identity excludes lam = 1")
-    if not abs(x) < 1.0 - 3.0 * _FD_STEP:
-        raise ValueError(f"x must lie safely inside (-1, 1), got {x}")
-
-    def weighted(u):
-        return (1.0 - u * u) ** (lam - 0.5) * float(_recurrence(lam, k, u))
-
+    x = _inside(x, 1.0 - 3.0 * _FD_STEP, "x must lie safely inside (-1, 1)")
     h = _FD_STEP
-    lhs = (-weighted(x + 2 * h) + 8.0 * weighted(x + h)
-           - 8.0 * weighted(x - h) + weighted(x - 2 * h)) / (12.0 * h)
+    u = x + np.array([2 * h, h, -h, -2 * h]).reshape((4,) + (1,) * x.ndim)
+    wu = np.power(1.0 - u * u, lam - 0.5) * _gegenbauer(lam, k, u)
+    lhs = (-wu[0] + 8.0 * wu[1] - 8.0 * wu[2] + wu[3]) / (12.0 * h)
     rhs = (
         -((k + 1.0) * (k + 2.0 * lam - 1.0) / (2.0 * (lam - 1.0)))
-        * (1.0 - x * x) ** (lam - 1.5)
-        * float(_recurrence(lam - 1.0, k + 1, x))
+        * np.power(1.0 - x * x, lam - 1.5)
+        * _gegenbauer(lam - 1.0, k + 1, x)
     )
-    return lhs, rhs
+    return _value(lhs), _value(rhs)
 
 
-def kink_integral_closed(lam: float, k: int, s: float) -> float:
+def kink_integral_closed(lam: float, k: int, s):
     """Closed form of the kink integral of |x-s| against the C_k^lam weight (k >= 2)."""
     if k < 2:
         raise ValueError(f"closed form holds for k >= 2, got {k}")
-    if not -1.0 < s < 1.0:
-        raise ValueError(f"s must lie in (-1, 1), got {s}")
+    s = _inside(s, 1.0, "s must lie in (-1, 1)")
     pref = 8.0 * lam * (lam + 1.0) / (k * (k - 1.0) * (k + 2.0 * lam) * (k + 2.0 * lam + 1.0))
-    return pref * (1.0 - s * s) ** (lam + 1.5) * float(_recurrence(lam + 2.0, k - 2, s))
+    return _value(pref * np.power(1.0 - s * s, lam + 1.5) * _gegenbauer(lam + 2.0, k - 2, s))
 
 
-def kink_integral_brute(lam: float, k: int, s: float, rule: QuadratureRule) -> float:
-    """Quadrature value of the kink integral, split at the kink x = s."""
-    if not -1.0 < s < 1.0:
-        raise ValueError(f"s must lie in (-1, 1), got {s}")
+def kink_integral_brute(lam: float, k: int, s, rule: QuadratureRule):
+    """Quadrature value of the kink integral, split at the kink x = s.
 
-    def integrand(theta):
-        c = np.cos(theta)
-        return np.abs(c - s) * np.sin(theta) ** (2.0 * lam) * _recurrence(lam, k, c)
-
-    return integrate_split(integrand, 0.0, math.pi, [math.acos(s)], rule)
+    s may be an array: sample i integrates over its own panels
+    [0, arccos s_i] and [arccos s_i, pi], all mapped in one map_panels call.
+    """
+    s = _inside(s, 1.0, "s must lie in (-1, 1)")
+    edges = np.stack(np.broadcast_arrays(0.0, np.arccos(s), math.pi), axis=-1)
+    theta, w = map_panels(edges, rule)
+    c = np.cos(theta)
+    vals = np.abs(c - s[..., None]) * np.sin(theta) ** (2.0 * lam) * _gegenbauer(lam, k, c)
+    return _value(integrate_values(vals, w))
 
 
 # -- residual suite ---------------------------------------------------------
@@ -282,11 +340,19 @@ SUITE_TOLERANCES = {
 }
 
 DEFAULT_SUITE_LAMBDAS = (0.5, 1.0, 1.5, 2.5, 3.0)
+# samples per check call: keeps the (samples, nodes, degrees) temporaries of
+# one call near 7 MB however many samples are asked for
+_SAMPLE_BLOCK = 256
 
 
-def _residual(a: float, b: float) -> float:
+def _residual(a, b):
     # relative residual with a 1e-12 absolute floor at the 1e-9 scale
-    return abs(a - b) / max(abs(a), abs(b), 1e-3)
+    return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-3)
+
+
+def _blocks(samples: np.ndarray):
+    """The sample rows in blocks of _SAMPLE_BLOCK, transposed for unpacking."""
+    return (samples[i:i + _SAMPLE_BLOCK].T for i in range(0, len(samples), _SAMPLE_BLOCK))
 
 
 def run_suite(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12, samples: int = 20,
@@ -297,7 +363,8 @@ def run_suite(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12, samples: int 
     Returns {check name: {"max_residual", "tolerance", "passed", "cases"}}.
     Checks whose hypotheses exclude a lam value skip it: the addition theorem
     runs the Legendre route at lam <= 1/2, and the weighted derivative
-    identity skips lam in (0.9, 1.1).
+    identity skips lam in (0.9, 1.1). Each check is called once per
+    (lam, degree) batch of samples (per block of _SAMPLE_BLOCK samples).
     """
     rule = rule or gauss_legendre(128)
     rng = np.random.default_rng(seed)
@@ -308,21 +375,23 @@ def run_suite(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12, samples: int 
     worst = {name: (0.0, 0) for name in wanted}
 
     def record(name, res):
+        res = np.asarray(res)
         cur, cnt = worst[name]
-        worst[name] = (max(cur, res), cnt + 1)
+        worst[name] = (max(cur, float(res.max(initial=0.0))), cnt + res.size)
 
     degrees = range(max_degree + 1)
 
-    if {"orthogonality-offdiag", "orthogonality-diag"} & wanted:
+    if {"orthogonality-offdiag", "orthogonality-diag"} & wanted and max_degree >= 0:
+        pairs = np.array([(k, l) for k in range(0, max_degree + 1, 2)
+                          for l in range(k, max_degree + 1, 3)])
+        diag = pairs[:, 0] == pairs[:, 1]
         for lam in lambdas:
-            for k in range(0, max_degree + 1, 2):
-                for l in range(k, max_degree + 1, 3):
-                    val = orthogonality_integral(lam, k, l, rule)
-                    if k == l and "orthogonality-diag" in wanted:
-                        record("orthogonality-diag",
-                               _residual(val, orthogonality_closed_form(lam, k)))
-                    elif k != l and "orthogonality-offdiag" in wanted:
-                        record("orthogonality-offdiag", abs(val))
+            vals = orthogonality_integral(lam, pairs[:, 0], pairs[:, 1], rule)
+            if "orthogonality-diag" in wanted:
+                closed = [orthogonality_closed_form(lam, k) for k in pairs[diag, 0]]
+                record("orthogonality-diag", _residual(vals[diag], np.array(closed)))
+            if "orthogonality-offdiag" in wanted:
+                record("orthogonality-offdiag", np.abs(vals[~diag]))
 
     if {"addition", "legendre-addition"} & wanted:
         for lam in lambdas:
@@ -332,8 +401,8 @@ def run_suite(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12, samples: int 
                 continue
             for k in degrees:
                 angles = rng.uniform(0.05, math.pi - 0.05, size=(samples, 3))
-                for theta, phi, psi in angles:
-                    arg = math.cos(theta) * math.cos(phi) + math.sin(theta) * math.sin(phi) * math.cos(psi)
+                for theta, phi, psi in _blocks(angles):
+                    arg = np.cos(theta) * np.cos(phi) + np.sin(theta) * np.sin(phi) * np.cos(psi)
                     if legendre_route:
                         lhs = legendre(k, arg)
                         rhs = legendre_addition_rhs(k, theta, phi, psi)
@@ -346,39 +415,36 @@ def run_suite(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12, samples: int 
         for lam in lambdas:
             for k in degrees:
                 angles = rng.uniform(0.05, math.pi - 0.05, size=(samples, 2))
-                for phi, psi in angles:
-                    lhs, rhs = product_formula_check(lam, k, phi, psi, rule)
-                    record("product", _residual(lhs, rhs))
+                for phi, psi in _blocks(angles):
+                    record("product", _residual(*product_formula_check(lam, k, phi, psi, rule)))
 
     if {"kernel-product", "kernel-mass"} & wanted:
         for lam in lambdas:
             points = rng.uniform(-0.95, 0.95, size=(samples, 2))
-            for x, y in points:
+            for x, y in _blocks(points):
                 params = KernelParams(lam, x, y)
                 if "kernel-mass" in wanted:
                     _, mass = kernel_product_check(params, 0, rule)
-                    record("kernel-mass", abs(mass - 1.0))
+                    record("kernel-mass", np.abs(mass - 1.0))
                 if "kernel-product" in wanted:
                     for k in range(1, max_degree + 1, 3):
-                        lhs, rhs = kernel_product_check(params, k, rule)
-                        record("kernel-product", _residual(lhs, rhs))
+                        record("kernel-product", _residual(*kernel_product_check(params, k, rule)))
 
     if "kink" in wanted:
         for lam in lambdas:
             for k in range(2, max_degree + 1):
-                for s in rng.uniform(-0.9, 0.9, size=samples):
-                    closed = kink_integral_closed(lam, k, s)
-                    brute = kink_integral_brute(lam, k, s, rule)
-                    record("kink", _residual(closed, brute))
+                for s in _blocks(rng.uniform(-0.9, 0.9, size=samples)):
+                    record("kink", _residual(kink_integral_closed(lam, k, s),
+                                             kink_integral_brute(lam, k, s, rule)))
 
     if "weighted-derivative" in wanted:
         for lam in lambdas:
             if 0.9 < lam < 1.1:
                 continue
             for k in degrees:
-                for x in rng.uniform(-0.95, 0.95, size=samples):
+                for x in _blocks(rng.uniform(-0.95, 0.95, size=samples)):
                     lhs, rhs = weighted_derivative_check(lam, k, x)
-                    record("weighted-derivative", abs(lhs - rhs))
+                    record("weighted-derivative", np.abs(lhs - rhs))
 
     report = {}
     for name, (res, cases) in sorted(worst.items()):

@@ -17,6 +17,7 @@ __all__ = [
     "map_panels",
     "integrate",
     "integrate_split",
+    "integrate_values",
     "integrate_adaptive",
 ]
 
@@ -121,9 +122,22 @@ def _apply(f, x: np.ndarray, w: np.ndarray) -> float:
     vals = np.asarray(f(x), dtype=float)
     if vals.ndim == 0:
         vals = np.broadcast_to(vals, x.shape)
+    return float(integrate_values(vals, w))
+
+
+def integrate_values(vals, w: np.ndarray) -> np.ndarray:
+    """Quadrature sums along the last axis of integrand values taken at mapped nodes.
+
+    `vals` has shape (..., N) and `w` is one weight row (N,) for all rows or
+    one per row, as composite_nodes and map_panels return them: a batch of
+    integrals in one call. Raises ValueError on a non-finite value.
+    """
+    vals = np.asarray(vals, dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError("integrand returned a non-finite value")
-    return float(np.dot(w, vals))
+    # a stack of (1, N) @ (N, 1) products: each row is the dot product of a
+    # single integral, so a batch sums in the same order as one integral
+    return (vals[..., None, :] @ w[..., :, None])[..., 0, 0]
 
 
 def integrate(f, a: float, b: float, rule: QuadratureRule) -> float:

@@ -128,6 +128,46 @@ def test_eval_sequence_array():
                 eval_recurrence(GegenbauerIndex(1.5, k), float(x)), abs=1e-13)
 
 
+def _recurrence_loop(lam, k, x):
+    # the single-degree recurrence as a plain loop: the reference for every
+    # single-degree evaluator
+    c_prev, c_cur = np.ones_like(x), 2.0 * lam * x
+    if k == 0:
+        return c_prev
+    for m in range(2, k + 1):
+        c_prev, c_cur = c_cur, (
+            2.0 * (m + lam - 1.0) * x * c_cur - (m + 2.0 * lam - 2.0) * c_prev
+        ) / m
+    return c_cur
+
+
+@pytest.mark.parametrize("lam", (0.5, 1.5, 9.0))
+@pytest.mark.parametrize("k", (0, 1, 2, 12, 40))
+def test_single_degree_evaluators_bit_identical(lam, k):
+    xs = np.linspace(-1.0, 1.0, 11)
+    idx = GegenbauerIndex(lam, k)
+    want = _recurrence_loop(lam, k, xs)
+    assert np.array_equal(eval_recurrence(idx, xs), want)
+    assert [eval_recurrence(idx, float(x)) for x in xs] == want.tolist()
+    if lam == 0.5:
+        assert np.array_equal(legendre(k, xs), want)
+        assert [legendre(k, float(x)) for x in xs] == want.tolist()
+    if k >= 1:
+        dwant = 2.0 * lam * _recurrence_loop(lam + 1.0, k - 1, xs)
+        assert np.array_equal(derivative(idx, 1, xs), dwant)
+        assert [derivative(idx, 1, float(x)) for x in xs] == dwant.tolist()
+    assert type(eval_recurrence(idx, 0.3)) is float
+
+
+def test_eval_sequence_broadcasts_lam():
+    lams = np.array([0.5, 1.5, 9.0])[:, None]
+    xs = np.linspace(-1.0, 1.0, 7)
+    seq = eval_sequence(lams, 12, xs)
+    assert seq.shape == (13, 3, 7)
+    for r, lam in enumerate(lams[:, 0]):
+        assert np.array_equal(seq[:, r], eval_sequence(lam, 12, xs))
+
+
 def test_derivative_trivial():
     idx = GegenbauerIndex(1.0, 3)
     assert derivative(idx, 0, 0.2) == pytest.approx(eval_recurrence(idx, 0.2), abs=1e-15)
