@@ -21,6 +21,7 @@ import math
 import os
 import re
 import sys
+from dataclasses import asdict
 
 from .constants import (
     ConstantQuery,
@@ -49,7 +50,6 @@ _DEFAULTS = {
     "degree_max": 12,
 }
 _CONSTANT_TOL = 1e-8
-_IDENTITY_TOL = 1e-9
 
 
 class UsageError(Exception):
@@ -271,8 +271,8 @@ def cmd_certify(args) -> int:
         rad = certify_radial_max(dim.n, rho, alpha_grid=alphas, ctl=ctl, rule=rule,
                                  tie_tol=noise_floor)
         all_ok &= conv.passed and rad.passed
-        results.append({"rho": rho, "convexity": conv.to_dict(),
-                        "radial_max": rad.to_dict()})
+        results.append({"rho": rho, "convexity": asdict(conv),
+                        "radial_max": asdict(rad)})
 
     if fmt == "csv":
         rows = []
@@ -318,6 +318,10 @@ def cmd_identities(args) -> int:
     samples = _resolve(args, "samples", int, _DEFAULTS["samples"])
     seed = _resolve(args, "seed", int, _DEFAULTS["seed"])
     fmt = _resolve(args, "format", str, "csv")
+    if degree_max < 0:
+        raise UsageError(f"--degree-max must be at least 0, got {degree_max}")
+    if samples < 1:
+        raise UsageError(f"--samples must be at least 1, got {samples}")
 
     checks = None
     if check is not None:
@@ -339,8 +343,11 @@ def cmd_identities(args) -> int:
         if not lam > -0.5:
             raise UsageError(f"lambda must exceed -1/2, got {lam}")
 
-    report = run_suite(lambdas=lambdas, max_degree=degree_max, samples=samples,
-                       rule=rule, seed=seed, checks=checks)
+    try:
+        report = run_suite(lambdas=lambdas, max_degree=degree_max, samples=samples,
+                           rule=rule, seed=seed, checks=checks)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     all_ok = all(entry["passed"] for entry in report.values())
 
     if fmt == "json":

@@ -27,16 +27,16 @@ boundary.
 The two per-t quadratures of the certificates (kernel curvature and kink
 integrals) are array expressions over the whole t-grid, taken in blocks of
 _T_CHUNK rows so that the (rows, nodes) temporaries stay small. Every
-rho-power series (the three curvature pair sums, the lagged series part of
-the profile and inner_integral_series) is one call of
-gegenbauer.pair_series: a single blocked recurrence over the stacked
-(lam, argument) rows on the whole t-grid, max(K) steps instead of sum(K).
+rho-power series (the three curvature pair sums and the lagged series part
+of the profile) is one call of gegenbauer.pair_series: a single blocked
+recurrence over the stacked (lam, argument) rows on the whole t-grid, max(K)
+steps instead of sum(K).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,19 +46,15 @@ from .quadrature import QuadratureRule, composite_nodes, gauss_legendre, map_pan
 __all__ = [
     "SeriesControl",
     "ConstantQuery",
-    "KernelPoint",
     "ConvexityReport",
     "RadialMaxReport",
     "DEFAULT_QUAD_ORDER",
-    "inner_integral",
-    "inner_integral_series",
     "constant_direct",
     "constant_series",
     "constant_radial",
     "profile_parts",
     "profile_curvature_series",
     "profile_curvature_kernel",
-    "curvature_density",
     "curvature_density_grid",
     "certify_convexity",
     "certify_radial_max",
@@ -127,35 +123,17 @@ class ConstantQuery:
         return math.cos(self.alpha)
 
 
-@dataclass(frozen=True)
-class KernelPoint:
-    """Point (t, z) with its membership in the positivity region of the kernel."""
-
-    t: float
-    z: float
-    delta: float
-    in_omega: bool = field(init=False)
-
-    def __post_init__(self):
-        if not (-1.0 < self.t < 1.0 and -1.0 < self.z < 1.0):
-            raise ValueError("t and z must lie in (-1, 1)")
-        disc = (1.0 - self.delta ** 2 * self.t ** 2 - self.t ** 2 - self.z ** 2
-                + 2.0 * self.delta * self.t ** 2 * self.z)
-        object.__setattr__(self, "in_omega", bool(disc > 0.0))
-
-
-def _graded_breakpoints(rho: float, peak: float):
-    """Panel edges in (0, pi) resolving the peak at theta = peak of
-    1/(1 - 2*rho*cos(theta - peak) + rho^2), whose width is about 1 - rho."""
-    if rho < 0.8:
-        return ()
-    h = 1.0 - rho
-    pts = []
-    for m in (1.0, 4.0, 16.0, 64.0):
-        for s in (peak - m * h, peak + m * h):
-            if 0.0 < s < math.pi:
-                pts.append(s)
-    return tuple(sorted(pts))
+def _graded_panels(rho: float, rule: QuadratureRule, peak: float = 0.0, kinks=()):
+    """Nodes and weights over [0, pi], split at the kinks and, once rho >= 0.8,
+    graded around the peak at theta = peak of
+    1/(1 - 2*rho*cos(theta - peak) + rho^2), whose width is about 1 - rho.
+    composite_nodes sorts the edges and drops those outside (0, pi)."""
+    edges = list(kinks)
+    if rho >= 0.8:
+        h = 1.0 - rho
+        for m in (1.0, 4.0, 16.0, 64.0):
+            edges += (peak - m * h, peak + m * h)
+    return composite_nodes(0.0, math.pi, rule, edges)
 
 
 # -- inner integral of the double-integral route ----------------------------
@@ -169,42 +147,13 @@ def _inner_smooth(dim: DimensionParams, rho: float, alpha: float, x, rule: Quadr
     for every entry of x at once.
     """
     n = dim.n
-    nodes, wts = composite_nodes(0.0, math.pi, rule, _graded_breakpoints(rho, 0.0))
+    nodes, wts = _graded_panels(rho, rule)
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     a = xa * math.cos(alpha)
     b = np.sqrt(np.maximum(1.0 - xa * xa, 0.0)) * math.sin(alpha)
     denom = 1.0 - 2.0 * rho * (a[:, None] + b[:, None] * np.cos(nodes)[None, :]) + rho * rho
     vals = np.sin(nodes)[None, :] ** (n - 3) * denom ** (-(n / 2.0 - 1.0))
     return vals @ wts
-
-
-def inner_integral(q: ConstantQuery, x: float, rule: QuadratureRule | None = None) -> float:
-    """Inner integral of the double-integral route at abscissa x, by quadrature.
-
-    Evaluated after the substitution y = sqrt(1-x^2) cos(psi), which removes
-    the endpoint singularity present for n = 3.
-    """
-    if not -1.0 < x < 1.0:
-        raise ValueError(f"x must lie in (-1, 1), got {x}")
-    rule = _default_rule(rule)
-    smooth = float(_inner_smooth(q.dim, q.rho, q.alpha, x, rule)[0])
-    return (1.0 - x * x) ** ((q.dim.n - 3) / 2.0) * smooth
-
-
-def inner_integral_series(q: ConstantQuery, x: float,
-                          ctl: SeriesControl | None = None) -> float:
-    """Series expansion of the inner integral; cross-validates inner_integral."""
-    if not -1.0 < x < 1.0:
-        raise ValueError(f"x must lie in (-1, 1), got {x}")
-    ctl = _default_control(ctl)
-    n = q.dim.n
-    lam = q.dim.lambda_low
-    pref = gamma_ratio((0.5, (n - 2) / 2.0), ((n - 1) / 2.0,)) \
-        * (1.0 - x * x) ** ((n - 3) / 2.0)
-    if q.rho == 0.0:
-        return pref
-    K = series_cutoff(q.rho, lam, ctl)
-    return pref * float(pair_series([(lam, x, lam, q.t)], [pair_weights(lam, q.rho, K)])[0])
 
 
 # -- the three constant routes ----------------------------------------------
@@ -220,9 +169,7 @@ def constant_direct(q: ConstantQuery, rule: QuadratureRule | None = None) -> flo
     rule = _default_rule(rule)
     n, rho = q.dim.n, q.rho
     dt = q.delta * q.t
-    kink = math.acos(dt)
-    bps = sorted((*_graded_breakpoints(rho, q.alpha), kink))
-    nodes, wts = composite_nodes(0.0, math.pi, rule, bps)
+    nodes, wts = _graded_panels(rho, rule, q.alpha, (math.acos(dt),))
     x = np.cos(nodes)
     inner = _inner_smooth(q.dim, rho, q.alpha, x, rule)
     outer_vals = np.abs(dt - x) * np.sin(nodes) ** (n - 2) * inner
@@ -324,8 +271,7 @@ def constant_radial(n, rho: float, rule: QuadratureRule | None = None) -> float:
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
     rule = _default_rule(rule)
     delta = (dim.n - 2) / dim.n * rho
-    bps = sorted((*_graded_breakpoints(rho, 0.0), math.acos(delta)))
-    nodes, wts = composite_nodes(0.0, math.pi, rule, bps)
+    nodes, wts = _graded_panels(rho, rule, kinks=(math.acos(delta),))
     c = np.cos(nodes)
     denom = (1.0 - 2.0 * rho * c + rho * rho) ** ((dim.n - 2) / 2.0)
     vals = np.abs(c - delta) * np.sin(nodes) ** (dim.n - 2) / denom
@@ -383,7 +329,7 @@ def profile_curvature_kernel(t, dim: DimensionParams, rho: float,
     n = dim.n
     delta = (n - 2) / n * rho
     eta = n / (n - 2.0)
-    nodes, wts = composite_nodes(0.0, math.pi, rule, _graded_breakpoints(rho, 0.0))
+    nodes, wts = _graded_panels(rho, rule)
     cos_nodes = np.cos(nodes)
     s = np.sin(nodes)
     s_pow = s ** (n - 3)
@@ -408,13 +354,16 @@ def curvature_density_grid(t, z, n: int, rho: float):
 
     Zero off the positivity region; inside it the value is a Gamma-ratio
     prefactor times disc^((n-4)/2) * (A - n*B/(n-2))^2 over the denominator
-    powers, with A = (1 - 2 rho z + rho^2)(1 - t^2) and B = disc.
+    powers, with A = (1 - 2 rho z + rho^2)(1 - t^2) and B = disc. Raises
+    ValueError unless every t and z lies in (-1, 1).
     """
     dim = n if isinstance(n, DimensionParams) else DimensionParams(n)
     n = dim.n
     delta = (n - 2) / n * rho
     ta = np.asarray(t, dtype=float)
     za = np.asarray(z, dtype=float)
+    if not (np.all(np.abs(ta) < 1.0) and np.all(np.abs(za) < 1.0)):
+        raise ValueError("t and z must lie in (-1, 1)")
     disc = 1.0 - (delta * ta) ** 2 - ta * ta - za * za + 2.0 * delta * ta * ta * za
     p = 1.0 - 2.0 * rho * za + rho * rho
     a = p * (1.0 - ta * ta)
@@ -426,19 +375,6 @@ def curvature_density_grid(t, z, n: int, rho: float):
     )
     out = np.where(disc > 0.0, dens, 0.0)
     return float(out) if out.ndim == 0 else out
-
-
-def curvature_density(point: KernelPoint, n: int, rho: float) -> float:
-    """Kernel density at a typed point; validates the point's shrunk radius."""
-    dim = n if isinstance(n, DimensionParams) else DimensionParams(n)
-    expected = (dim.n - 2) / dim.n * rho
-    if abs(point.delta - expected) > 1e-12:
-        raise ValueError(
-            f"point.delta={point.delta} inconsistent with (n={dim.n}, rho={rho})"
-        )
-    if not point.in_omega:
-        return 0.0
-    return float(curvature_density_grid(point.t, point.z, dim, rho))
 
 
 # -- certification sweeps ----------------------------------------------------
@@ -458,11 +394,6 @@ class ConvexityReport:
     series_terms: tuple
     quad_order: int
 
-    def to_dict(self) -> dict:
-        d = dict(self.__dict__)
-        d["series_terms"] = list(self.series_terms)
-        return d
-
 
 @dataclass(frozen=True)
 class RadialMaxReport:
@@ -481,15 +412,8 @@ class RadialMaxReport:
     series_terms: int
     quad_order: int
 
-    def to_dict(self) -> dict:
-        d = dict(self.__dict__)
-        d["argmax_alphas"] = list(self.argmax_alphas)
-        return d
-
 
 def _series_orders(dim: DimensionParams, rho: float, ctl: SeriesControl):
-    if rho == 0.0:
-        return (0, 0, 0)
     return tuple(series_cutoff(rho, lam, ctl)
                  for lam in (dim.lambda_low, dim.lambda_mid, dim.lambda_high))
 
@@ -555,10 +479,6 @@ def certify_radial_max(n: int, rho: float, alpha_grid=None,
         value_at_zero >= max_value - tie_tol * scale
         and radial_residual <= RADIAL_MATCH_TOL
     )
-    if rho == 0.0:
-        terms = 0
-    else:
-        terms = series_cutoff(rho, dim.lambda_low, ctl)
     return RadialMaxReport(
         n=dim.n,
         rho=rho,
@@ -570,6 +490,6 @@ def certify_radial_max(n: int, rho: float, alpha_grid=None,
         radial_value=radial,
         radial_residual=radial_residual,
         passed=passed,
-        series_terms=terms,
+        series_terms=series_cutoff(rho, dim.lambda_low, ctl),
         quad_order=rule.order,
     )

@@ -49,7 +49,12 @@ class QuadratureRule:
 
 
 def _legendre_pair(order: int, x: np.ndarray):
-    """(P_order(x), P'_order(x)) by the degree recurrence."""
+    """(P_order(x), P'_order(x)) by the degree recurrence.
+
+    Not gegenbauer.eval_sequence (P_k = C_k^(1/2)): that keeps all order + 1
+    degrees at every node, 134 MB at order = MAX_ORDER = 4096, where this
+    loop keeps two rows.
+    """
     p_prev = np.ones_like(x)
     p = x.copy()
     for m in range(2, order + 1):

@@ -132,6 +132,28 @@ def test_identities_lambda_half_addition_routed(capsys):
     assert lines[1].endswith("pass")
 
 
+@pytest.mark.parametrize("flags", [
+    ["--degree-max", "-1"],
+    ["--samples", "0"],
+    ["--samples", "-1"],
+    ["--lambda", "0", "--samples", "2", "--degree-max", "4"],
+    ["--lambda", "-0.3", "--samples", "2", "--degree-max", "4"],
+], ids=["degree-max-negative", "samples-zero", "samples-negative",
+        "lambda-zero", "lambda-negative"])
+def test_identities_rejects_empty_or_out_of_domain_grid(capsys, flags):
+    code, out, err = _run(capsys, ["identities", *flags])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("ballgrad: error: ")
+
+
+def test_identities_lambda_zero_kink(capsys):
+    # the kink integral is defined at lambda = 0, unlike the suite's other checks
+    code, out, _ = _run(capsys, ["identities", "--lambda", "0", "--check", "kink"])
+    assert code == 0
+    assert out.strip().splitlines()[1].endswith("pass")
+
+
 def test_identities_json(capsys):
     code, out, _ = _run(capsys, ["identities", "--check", "kink", "--samples", "2",
                                  "--degree-max", "4", "--format", "json"])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,22 +6,26 @@ import pytest
 
 from ballgrad.constants import (
     ConstantQuery,
-    KernelPoint,
     SeriesControl,
+    _inner_smooth,
     certify_convexity,
     certify_radial_max,
     constant_direct,
     constant_radial,
     constant_series,
-    curvature_density,
     curvature_density_grid,
-    inner_integral,
-    inner_integral_series,
     profile_curvature_kernel,
     profile_curvature_series,
     profile_parts,
 )
-from ballgrad.gegenbauer import DimensionParams, SeriesConvergenceError, gamma_ratio, series_cutoff
+from ballgrad.gegenbauer import (
+    DimensionParams,
+    SeriesConvergenceError,
+    gamma_ratio,
+    pair_series,
+    pair_weights,
+    series_cutoff,
+)
 from ballgrad.quadrature import gauss_legendre, integrate_adaptive
 
 DIMS = (3, 4, 5, 8)
@@ -56,17 +61,41 @@ def test_series_control_validation():
 
 
 def test_kernel_point_membership():
-    delta = 0.25
+    # the density vanishes exactly off the positivity region disc > 0
+    n, rho = 4, 0.5
+    delta = (n - 2) / n * rho
     rng = np.random.default_rng(0)
-    for t, z in rng.uniform(-0.99, 0.99, size=(50, 2)):
-        p = KernelPoint(t, z, delta)
-        disc = 1 - delta ** 2 * t ** 2 - t ** 2 - z ** 2 + 2 * delta * t ** 2 * z
-        assert p.in_omega == (disc > 0)
-    with pytest.raises(ValueError):
-        KernelPoint(1.0, 0.0, delta)
+    t, z = rng.uniform(-0.99, 0.99, size=(2, 50))
+    disc = 1 - delta ** 2 * t ** 2 - t ** 2 - z ** 2 + 2 * delta * t ** 2 * z
+    vals = curvature_density_grid(t, z, n, rho)
+    assert np.array_equal(vals == 0.0, disc <= 0)
+    assert 0 < np.count_nonzero(disc <= 0) < t.size
+    for bad in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), ([0.2, 1.0], 0.0)):
+        with pytest.raises(ValueError):
+            curvature_density_grid(*bad, n, rho)
 
 
 # -- inner integral -----------------------------------------------------------
+
+def _inner_quadrature(q, x, rule):
+    """The inner integral of constant_direct at abscissa x, by its own quadrature."""
+    smooth = float(_inner_smooth(q.dim, q.rho, q.alpha, x, rule)[0])
+    return (1.0 - x * x) ** ((q.dim.n - 3) / 2.0) * smooth
+
+
+def _inner_series(q, x):
+    """Oracle: the ultraspherical expansion of the same inner integral,
+    B_n (1-x^2)^((n-3)/2) sum_k (k!/(n-2)_k) rho^k C_k^lam(x) C_k^lam(t)
+    with lam = (n-2)/2 and B_n = Gamma(1/2)Gamma((n-2)/2)/Gamma((n-1)/2)."""
+    n = q.dim.n
+    lam = q.dim.lambda_low
+    pref = gamma_ratio((0.5, (n - 2) / 2.0), ((n - 1) / 2.0,)) \
+        * (1.0 - x * x) ** ((n - 3) / 2.0)
+    if q.rho == 0.0:
+        return pref
+    K = series_cutoff(q.rho, lam, SeriesControl())
+    return pref * float(pair_series([(lam, x, lam, q.t)], [pair_weights(lam, q.rho, K)])[0])
+
 
 def test_inner_integral_rho_zero(rule):
     # at rho = 0 only the constant term survives:
@@ -77,14 +106,14 @@ def test_inner_integral_rho_zero(rule):
         for x in (-0.5, 0.0, 0.7):
             want = gamma_ratio((0.5, (n - 2) / 2), ((n - 1) / 2,)) \
                 * (1 - x * x) ** ((n - 3) / 2)
-            assert inner_integral(q, x, rule) == pytest.approx(want, rel=1e-12)
-            assert inner_integral_series(q, x) == pytest.approx(want, rel=1e-14)
+            assert _inner_quadrature(q, x, rule) == pytest.approx(want, rel=1e-12)
+            assert _inner_series(q, x) == pytest.approx(want, rel=1e-14)
 
 
 def test_inner_integral_cross_route(rule):
     q = ConstantQuery(DimensionParams(3), 0.5, math.pi / 3)
-    a = inner_integral(q, 0.2, rule)
-    b = inner_integral_series(q, 0.2)
+    a = _inner_quadrature(q, 0.2, rule)
+    b = _inner_series(q, 0.2)
     assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
     for n in (3, 4, 5):
         dim = DimensionParams(n)
@@ -92,17 +121,9 @@ def test_inner_integral_cross_route(rule):
             for alpha in (0.4, 2.0):
                 q = ConstantQuery(dim, rho, alpha)
                 for x in (-0.6, 0.2, 0.8):
-                    a = inner_integral(q, x, rule)
-                    b = inner_integral_series(q, x)
+                    a = _inner_quadrature(q, x, rule)
+                    b = _inner_series(q, x)
                     assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
-
-
-def test_inner_integral_domain(rule):
-    q = ConstantQuery(DimensionParams(4), 0.3, 0.2)
-    with pytest.raises(ValueError):
-        inner_integral(q, 1.0, rule)
-    with pytest.raises(ValueError):
-        inner_integral_series(q, -1.0)
 
 
 # -- constant routes ----------------------------------------------------------
@@ -353,15 +374,9 @@ def test_density_nonnegative_on_region():
 
 def test_density_zero_off_region():
     # (t, z) = (0.9, -0.9) lies outside the positivity region for small delta
-    p = KernelPoint(0.9, -0.9, (5 - 2) / 5 * 0.1)
-    assert not p.in_omega
-    assert curvature_density(p, 5, 0.1) == 0.0
-
-
-def test_density_delta_consistency():
-    p = KernelPoint(0.2, 0.1, 0.3)
-    with pytest.raises(ValueError):
-        curvature_density(p, 5, 0.1)
+    t, z, delta = 0.9, -0.9, (5 - 2) / 5 * 0.1
+    assert 1 - delta ** 2 * t ** 2 - t ** 2 - z ** 2 + 2 * delta * t ** 2 * z <= 0
+    assert curvature_density_grid(t, z, 5, 0.1) == 0.0
 
 
 def test_density_bracket_is_perfect_square():
@@ -400,7 +415,7 @@ def test_certify_convexity_passes(rule):
     assert rep.grid_size == 201
     rep = certify_convexity(8, 0.95, rule=rule)
     assert rep.passed
-    d = rep.to_dict()
+    d = dataclasses.asdict(rep)
     assert d["n"] == 8 and len(d["series_terms"]) == 3
 
 

@@ -1,0 +1,39 @@
+"""Guards against stale names: every exported name resolves, the package root
+is exactly the README and CLI surface, and the README's example runs."""
+
+import importlib
+import pathlib
+import re
+import types
+
+import ballgrad
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+MODULES = ("cli", "constants", "gegenbauer", "identities", "quadrature")
+ROOT_NAMES = {
+    "ConstantQuery", "ConvexityReport", "RadialMaxReport", "SeriesControl",
+    "certify_convexity", "certify_radial_max", "constant_direct", "constant_radial",
+    "constant_series", "DimensionParams", "SeriesConvergenceError", "eval_explicit",
+    "run_suite", "gauss_legendre", "integrate_adaptive",
+}
+
+
+def test_module_exports_resolve():
+    for name in MODULES:
+        module = importlib.import_module(f"ballgrad.{name}")
+        missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+        assert missing == [], name
+
+
+def test_package_root_is_readme_and_cli_surface():
+    public = {name for name, value in vars(ballgrad).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == ROOT_NAMES
+
+
+def test_readme_example_runs(capsys):
+    examples = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert examples
+    for code in examples:
+        exec(compile(code, str(README), "exec"), {})
+    assert capsys.readouterr().out
