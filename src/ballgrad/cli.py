@@ -60,13 +60,11 @@ def _parse_angle(text: str) -> float:
     """Angle literal: a float, or 'pi', 'pi/6', '3*pi/4'-style multiples."""
     s = text.strip().lower()
     m = re.fullmatch(r"(?:([0-9.]+)\*)?pi(?:/([0-9.]+))?", s)
-    if m:
-        num = float(m.group(1)) if m.group(1) else 1.0
-        den = float(m.group(2)) if m.group(2) else 1.0
-        return num * math.pi / den
     try:
+        if m:
+            return float(m.group(1) or 1.0) * math.pi / float(m.group(2) or 1.0)
         return float(s)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise UsageError(f"cannot parse angle {text!r}") from None
 
 
@@ -114,25 +112,28 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--dim", type=int, help="ambient dimension n >= 3")
-        p.add_argument("--max-terms", dest="max_terms", type=int,
-                       help="series term cap")
-        p.add_argument("--tail-tol", dest="tail_tol", type=float,
-                       help="series tail tolerance")
         p.add_argument("--quad-order", dest="quad_order", type=int,
                        help="Gauss-Legendre order")
         p.add_argument("--format", choices=("csv", "json"), help="output format")
         p.add_argument("--out", help="output path ('-' for stdout)")
 
+    def series_common(p):
+        p.add_argument("--dim", type=int, help="ambient dimension n >= 3")
+        p.add_argument("--max-terms", dest="max_terms", type=int,
+                       help="series term cap")
+        p.add_argument("--tail-tol", dest="tail_tol", type=float,
+                       help="series tail tolerance")
+        common(p)
+
     p_const = sub.add_parser("constant", help="directional constant by both routes")
-    common(p_const)
+    series_common(p_const)
     p_const.add_argument("--rho", help="comma-separated radii in [0, 1)")
     p_const.add_argument("--alpha", help="comma list of angles or 'step:<angle>'")
     p_const.add_argument("--tol", type=float,
                          help="relative route-agreement tolerance (default 1e-8)")
 
     p_cert = sub.add_parser("certify", help="convexity and radial-max certificates")
-    common(p_cert)
+    series_common(p_cert)
     p_cert.add_argument("--rho", help="comma-separated radii in [0, 1)")
     p_cert.add_argument("--alpha", help="alpha grid spec (default step:pi/180)")
     p_cert.add_argument("--t-grid", dest="t_grid", type=int,
@@ -153,21 +154,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_output(text: str, out: str):
-    if out in (None, "-"):
+def _format(text: str) -> str:
+    if text not in ("csv", "json"):
+        raise UsageError(f"format must be csv or json, got {text!r}")
+    return text
+
+
+def _emit(args, fmt: str, header, rows, payload):
+    """Write rows under header as CSV, or payload as JSON, to --out ('-' for stdout)."""
+    if fmt == "json":
+        text = json.dumps(payload, indent=2) + "\n"
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+        text = buf.getvalue()
+    out = _resolve(args, "out", str, "-")
+    if out == "-":
         sys.stdout.write(text)
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
-    return buf.getvalue()
 
 
 def _common_config(args):
@@ -204,18 +213,14 @@ def _rho_list(args):
 def cmd_constant(args) -> int:
     dim, ctl, rule = _common_config(args)
     rhos = _rho_list(args)
-    alpha_spec = _resolve(args, "alpha", str, None)
-    if alpha_spec is None:
-        alphas = [k * math.pi / 12.0 for k in range(13)]
-    else:
-        alphas = _parse_alpha_spec(str(alpha_spec))
+    alphas = _parse_alpha_spec(str(_resolve(args, "alpha", str, "step:pi/12")))
     if not alphas:
         raise UsageError("--alpha list is empty")
     for a in alphas:
         if not 0.0 <= a <= math.pi:
             raise UsageError(f"alpha must lie in [0, pi], got {a}")
     tol = _resolve(args, "tol", float, _CONSTANT_TOL)
-    fmt = _resolve(args, "format", str, "csv")
+    fmt = _resolve(args, "format", _format, "csv")
 
     rows = []
     all_ok = True
@@ -228,25 +233,17 @@ def cmd_constant(args) -> int:
             all_ok &= diff <= tol * max(1.0, abs(c_ser))
             rows.append((dim.n, rho, alpha, c_ser, c_dir, diff))
 
-    if fmt == "json":
-        payload = {
-            "command": "constant",
-            "dim": dim.n,
-            "quad_order": rule.order,
-            "max_terms": ctl.max_terms,
-            "tail_tol": ctl.tail_tol,
-            "tolerance": tol,
-            "rows": [
-                {"n": n, "rho": r, "alpha": a, "c_series": cs,
-                 "c_direct": cd, "abs_diff": d}
-                for n, r, a, cs, cd, d in rows
-            ],
-            "passed": all_ok,
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        text = _csv_text(("n", "rho", "alpha", "c_series", "c_direct", "abs_diff"), rows)
-    _write_output(text, _resolve(args, "out", str, "-"))
+    header = ("n", "rho", "alpha", "c_series", "c_direct", "abs_diff")
+    _emit(args, fmt, header, rows, {
+        "command": "constant",
+        "dim": dim.n,
+        "quad_order": rule.order,
+        "max_terms": ctl.max_terms,
+        "tail_tol": ctl.tail_tol,
+        "tolerance": tol,
+        "rows": [dict(zip(header, row)) for row in rows],
+        "passed": all_ok,
+    })
     return 0 if all_ok else 1
 
 
@@ -261,7 +258,7 @@ def cmd_certify(args) -> int:
     alphas = _parse_alpha_spec(str(alpha_spec))
     if not alphas or alphas[0] > 1e-12 or math.pi - alphas[-1] > 1e-12:
         raise UsageError("--alpha grid must cover [0, pi] in increasing order")
-    fmt = _resolve(args, "format", str, "json")
+    fmt = _resolve(args, "format", _format, "json")
 
     results = []
     all_ok = True
@@ -274,31 +271,26 @@ def cmd_certify(args) -> int:
         results.append({"rho": rho, "convexity": asdict(conv),
                         "radial_max": asdict(rad)})
 
-    if fmt == "csv":
-        rows = []
-        for entry in results:
-            conv, rad = entry["convexity"], entry["radial_max"]
-            rows.append((dim.n, entry["rho"], "convexity",
-                         conv["min_curvature"], conv["max_route_gap"],
-                         "pass" if conv["passed"] else "fail"))
-            rows.append((dim.n, entry["rho"], "radial-max",
-                         rad["interior_gap"], rad["radial_residual"],
-                         "pass" if rad["passed"] else "fail"))
-        text = _csv_text(("n", "rho", "certificate", "margin", "residual", "status"), rows)
-    else:
-        payload = {
-            "command": "certify",
-            "dim": dim.n,
-            "quad_order": rule.order,
-            "max_terms": ctl.max_terms,
-            "tail_tol": ctl.tail_tol,
-            "t_grid": t_grid,
-            "alpha_points": len(alphas),
-            "results": results,
-            "passed": all_ok,
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    _write_output(text, _resolve(args, "out", str, "-"))
+    rows = []
+    for entry in results:
+        conv, rad = entry["convexity"], entry["radial_max"]
+        rows.append((dim.n, entry["rho"], "convexity",
+                     conv["min_curvature"], conv["max_route_gap"],
+                     "pass" if conv["passed"] else "fail"))
+        rows.append((dim.n, entry["rho"], "radial-max",
+                     rad["interior_gap"], rad["radial_residual"],
+                     "pass" if rad["passed"] else "fail"))
+    _emit(args, fmt, ("n", "rho", "certificate", "margin", "residual", "status"), rows, {
+        "command": "certify",
+        "dim": dim.n,
+        "quad_order": rule.order,
+        "max_terms": ctl.max_terms,
+        "tail_tol": ctl.tail_tol,
+        "t_grid": t_grid,
+        "alpha_points": len(alphas),
+        "results": results,
+        "passed": all_ok,
+    })
     return 0 if all_ok else 1
 
 
@@ -317,7 +309,7 @@ def cmd_identities(args) -> int:
     degree_max = _resolve(args, "degree_max", int, _DEFAULTS["degree_max"])
     samples = _resolve(args, "samples", int, _DEFAULTS["samples"])
     seed = _resolve(args, "seed", int, _DEFAULTS["seed"])
-    fmt = _resolve(args, "format", str, "csv")
+    fmt = _resolve(args, "format", _format, "csv")
     if degree_max < 0:
         raise UsageError(f"--degree-max must be at least 0, got {degree_max}")
     if samples < 1:
@@ -350,26 +342,18 @@ def cmd_identities(args) -> int:
         raise UsageError(str(exc))
     all_ok = all(entry["passed"] for entry in report.values())
 
-    if fmt == "json":
-        payload = {
-            "command": "identities",
-            "lambdas": lambdas,
-            "degree_max": degree_max,
-            "samples": samples,
-            "seed": seed,
-            "quad_order": rule.order,
-            "results": report,
-            "passed": all_ok,
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        rows = [
-            (name, entry["max_residual"], entry["tolerance"], entry["cases"],
-             "pass" if entry["passed"] else "fail")
-            for name, entry in report.items()
-        ]
-        text = _csv_text(("check", "max_residual", "tolerance", "cases", "status"), rows)
-    _write_output(text, _resolve(args, "out", str, "-"))
+    rows = [(name, entry["max_residual"], entry["tolerance"], entry["cases"],
+             "pass" if entry["passed"] else "fail") for name, entry in report.items()]
+    _emit(args, fmt, ("check", "max_residual", "tolerance", "cases", "status"), rows, {
+        "command": "identities",
+        "lambdas": lambdas,
+        "degree_max": degree_max,
+        "samples": samples,
+        "seed": seed,
+        "quad_order": rule.order,
+        "results": report,
+        "passed": all_ok,
+    })
     return 0 if all_ok else 1
 
 

@@ -287,8 +287,6 @@ def profile_curvature_series(t, dim: DimensionParams, rho: float,
     ta = np.asarray(t, dtype=float)
     if np.any(np.abs(ta) >= 1.0):
         raise ValueError("t must lie in (-1, 1)")
-    if rho == 0.0:
-        return 0.0 if ta.ndim == 0 else np.zeros_like(ta)
     ctl = _default_control(ctl)
     n = dim.n
     delta = (n - 2) / n * rho
@@ -323,8 +321,6 @@ def profile_curvature_kernel(t, dim: DimensionParams, rho: float,
     ta = np.asarray(t, dtype=float)
     if not np.all(np.abs(ta) < 1.0):
         raise ValueError(f"t must lie in (-1, 1), got {t}")
-    if rho == 0.0:
-        return 0.0 if ta.ndim == 0 else np.zeros_like(ta)
     rule = _default_rule(rule)
     n = dim.n
     delta = (n - 2) / n * rho
@@ -413,11 +409,6 @@ class RadialMaxReport:
     quad_order: int
 
 
-def _series_orders(dim: DimensionParams, rho: float, ctl: SeriesControl):
-    return tuple(series_cutoff(rho, lam, ctl)
-                 for lam in (dim.lambda_low, dim.lambda_mid, dim.lambda_high))
-
-
 def certify_convexity(n: int, rho: float, grid_size: int = 201,
                       ctl: SeriesControl | None = None,
                       rule: QuadratureRule | None = None,
@@ -433,7 +424,7 @@ def certify_convexity(n: int, rho: float, grid_size: int = 201,
     ctl = _default_control(ctl)
     rule = _default_rule(rule)
     grid = np.linspace(-0.999, 0.999, grid_size)
-    curv = np.atleast_1d(profile_curvature_series(grid, dim, rho, ctl))
+    curv = profile_curvature_series(grid, dim, rho, ctl)
     gap = float(np.max(np.abs(curv - profile_curvature_kernel(grid, dim, rho, rule))))
     imin = int(np.argmin(curv))
     return ConvexityReport(
@@ -444,7 +435,8 @@ def certify_convexity(n: int, rho: float, grid_size: int = 201,
         argmin_t=float(grid[imin]),
         passed=bool(curv[imin] >= threshold),
         max_route_gap=gap,
-        series_terms=_series_orders(dim, rho, ctl),
+        series_terms=tuple(series_cutoff(rho, lam, ctl)
+                           for lam in (dim.lambda_low, dim.lambda_mid, dim.lambda_high)),
         quad_order=rule.order,
     )
 

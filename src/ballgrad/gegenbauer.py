@@ -198,9 +198,7 @@ def derivative(idx: GegenbauerIndex, order: int, x):
 
 def legendre(k: int, x):
     """Legendre polynomial P_k(x) = C_k^{1/2}(x); x scalar or ndarray."""
-    if k < 0:
-        raise ValueError(f"degree must be nonnegative, got {k}")
-    return _value(eval_sequence(0.5, k, x)[-1])
+    return eval_recurrence(GegenbauerIndex(0.5, k), x)
 
 
 def assoc_legendre(k: int, j: int, x: float) -> float:

@@ -1,5 +1,9 @@
 """Gauss-Legendre quadrature on [-1, 1] with affine mapping, kink-aware
-splitting, and adaptive bisection refinement."""
+splitting, and adaptive bisection refinement.
+
+The rules come from Newton iteration on the Legendre polynomial P_N, which
+runs on the same three-term recurrence as every series of the package
+(gegenbauer.recurrence_blocks at lam = 1/2)."""
 
 from __future__ import annotations
 
@@ -8,6 +12,8 @@ import heapq
 from dataclasses import dataclass
 
 import numpy as np
+
+from .gegenbauer import recurrence_blocks
 
 __all__ = [
     "QuadratureRule",
@@ -49,23 +55,17 @@ class QuadratureRule:
 
 
 def _legendre_pair(order: int, x: np.ndarray):
-    """(P_order(x), P'_order(x)) by the degree recurrence.
-
-    Not gegenbauer.eval_sequence (P_k = C_k^(1/2)): that keeps all order + 1
-    degrees at every node, 134 MB at order = MAX_ORDER = 4096, where this
-    loop keeps two rows.
-    """
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for m in range(2, order + 1):
-        p_prev, p = p, ((2.0 * m - 1.0) * x * p - (m - 1.0) * p_prev) / m
+    """(P_order(x), P'_order(x)); P_order and P_order-1 are the last two rows of
+    the series engine's recurrence at lam = 1/2 (P_k = C_k^(1/2))."""
+    *_, (_, _, rows) = recurrence_blocks([0.5], x[None, :], [order])
+    p_prev, p = rows[-2, 0], rows[-1, 0]
     dp = order * (x * p - p_prev) / (x * x - 1.0)
     return p, dp
 
 
 @functools.lru_cache(maxsize=None)
 def gauss_legendre(order: int) -> QuadratureRule:
-    """N-point Gauss-Legendre rule: Newton iteration on Chebyshev-type seeds."""
+    """N-point Gauss-Legendre rule (cached): Newton iteration on Chebyshev-type seeds."""
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must lie in [1, {MAX_ORDER}], got {order}")
     if order == 1:

@@ -219,3 +219,92 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("n,rho,alpha,")
+
+
+@pytest.mark.parametrize("argv", [
+    ["constant", "--dim", "3", "--rho", "0.5", "--alpha", "1.2.3*pi"],
+    ["constant", "--dim", "3", "--rho", "0.5", "--alpha", "pi/0"],
+    ["constant", "--dim", "3", "--rho", "0.5", "--alpha", "pi/."],
+    ["certify", "--dim", "3", "--rho", "0.5", "--alpha", "step:1.2.3*pi"],
+    ["certify", "--dim", "3", "--rho", "0.5", "--alpha", "step:pi/0"],
+    ["certify", "--dim", "3", "--rho", "0.5", "--alpha", "step:pi/."],
+], ids=["constant-two-dots", "constant-zero-den", "constant-dot-den",
+        "certify-two-dots", "certify-zero-den", "certify-dot-den"])
+def test_malformed_angle_is_usage_error(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("ballgrad: error: cannot parse angle ")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--dim", "3"], ["--max-terms", "1"], ["--tail-tol", "-5"],
+], ids=["dim", "max-terms", "tail-tol"])
+def test_identities_rejects_series_flags(capsys, flags):
+    # identities has no dimension and no rho-power series
+    code, out, _ = _run(capsys, ["identities", *flags])
+    assert code == 2
+    assert out == ""
+
+
+def test_env_format_must_be_csv_or_json(capsys, monkeypatch):
+    monkeypatch.setenv("BALLGRAD_FORMAT", "xml")
+    code, out, err = _run(capsys, ["certify", "--dim", "3", "--rho", "0.5"])
+    assert code == 2
+    assert out == ""
+    assert "BALLGRAD_FORMAT" in err
+
+
+def _typed(field):
+    for cast in (int, float):
+        try:
+            return cast(field)
+        except ValueError:
+            pass
+    return field
+
+
+def _csv_json_rows(capsys, argv):
+    """(CSV rows, JSON payload) of one command run in both formats."""
+    code_csv, text, _ = _run(capsys, [*argv, "--format", "csv"])
+    code_json, payload, _ = _run(capsys, [*argv, "--format", "json"])
+    assert code_csv == code_json == 0
+    lines = text.strip().splitlines()
+    rows = [tuple(_typed(v) for v in line.split(",")) for line in lines[1:]]
+    return lines[0].split(","), rows, json.loads(payload)
+
+
+def test_constant_csv_and_json_agree(capsys):
+    header, rows, payload = _csv_json_rows(
+        capsys, ["constant", "--dim", "4", "--rho", "0,0.5", "--alpha", "0,pi/3"])
+    assert [list(row) for row in payload["rows"]] == [header] * 4
+    assert rows == [tuple(row.values()) for row in payload["rows"]]
+
+
+def test_certify_csv_and_json_agree(capsys):
+    header, rows, payload = _csv_json_rows(
+        capsys, ["certify", "--dim", "3", "--rho", "0,0.5", "--t-grid", "21",
+                 "--alpha", "step:pi/12"])
+    assert header == ["n", "rho", "certificate", "margin", "residual", "status"]
+    expected = []
+    for entry in payload["results"]:
+        conv, rad = entry["convexity"], entry["radial_max"]
+        expected += [
+            (payload["dim"], entry["rho"], "convexity", conv["min_curvature"],
+             conv["max_route_gap"], "pass" if conv["passed"] else "fail"),
+            (payload["dim"], entry["rho"], "radial-max", rad["interior_gap"],
+             rad["radial_residual"], "pass" if rad["passed"] else "fail"),
+        ]
+    assert rows == expected
+
+
+def test_identities_csv_and_json_agree(capsys):
+    header, rows, payload = _csv_json_rows(
+        capsys, ["identities", "--samples", "2", "--degree-max", "4"])
+    assert header == ["check", "max_residual", "tolerance", "cases", "status"]
+    assert rows == [
+        (name, entry["max_residual"], entry["tolerance"], entry["cases"],
+         "pass" if entry["passed"] else "fail")
+        for name, entry in payload["results"].items()
+    ]

@@ -56,6 +56,43 @@ def test_against_numpy_leggauss(n):
     np.testing.assert_allclose(r.weights, w, atol=1e-13)
 
 
+def _two_row_rule(order):
+    """Gauss-Legendre rule by a two-row degree loop for P_N, kept here as the
+    reference that the engine-driven Newton step must reproduce bit for bit."""
+    def legendre_pair(x):
+        p_prev, p = np.ones_like(x), x.copy()
+        for m in range(2, order + 1):
+            p_prev, p = p, ((2.0 * m - 1.0) * x * p - (m - 1.0) * p_prev) / m
+        return p, order * (x * p - p_prev) / (x * x - 1.0)
+
+    i = np.arange(1, order + 1)
+    x = np.cos(np.pi * (4.0 * i - 1.0) / (4.0 * order + 2.0))
+    for _ in range(100):
+        p, dp = legendre_pair(x)
+        dx = p / dp
+        x = x - dx
+        if np.max(np.abs(dx)) < 1e-15:
+            break
+    _, dp = legendre_pair(x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    idx = np.argsort(x)
+    x, w = x[idx], w[idx]
+    x = 0.5 * (x - x[::-1])
+    w = 0.5 * (w + w[::-1])
+    if order % 2 == 1:
+        x[order // 2] = 0.0
+    return x, w
+
+
+# around the recurrence engine's 32-degree block edges, and MAX_ORDER
+@pytest.mark.parametrize("n", (2, 3, 31, 32, 33, 34, 66, 128, 4096))
+def test_matches_two_row_recurrence_bitwise(n):
+    r = gauss_legendre(n)
+    x, w = _two_row_rule(n)
+    assert np.array_equal(r.nodes, x)
+    assert np.array_equal(r.weights, w)
+
+
 def test_order_bounds():
     with pytest.raises(ValueError):
         gauss_legendre(0)
