@@ -343,6 +343,17 @@ DEFAULT_SUITE_LAMBDAS = (0.5, 1.0, 1.5, 2.5, 3.0)
 # samples per check call: keeps the (samples, nodes, degrees) temporaries of
 # one call near 7 MB however many samples are asked for
 _SAMPLE_BLOCK = 256
+# the lambdas a check applies to, as (rule, test); other checks take every lambda.
+# Near lambda = 1 the weighted derivative's finite-difference oracle is ill-conditioned.
+_LAMBDA_DOMAINS = {
+    "addition": ("lambda > 1/2", lambda lam: lam > 0.5),
+    "legendre-addition": ("lambda <= 1/2", lambda lam: lam <= 0.5),
+    "weighted-derivative": ("lambda outside (0.9, 1.1)", lambda lam: not 0.9 < lam < 1.1),
+}
+
+
+def _applies(name: str, lam: float) -> bool:
+    return name not in _LAMBDA_DOMAINS or _LAMBDA_DOMAINS[name][1](lam)
 
 
 def _residual(a, b):
@@ -361,10 +372,11 @@ def run_suite(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12, samples: int 
     """Max residual of every identity over a sampled (lam, degree, point) grid.
 
     Returns {check name: {"max_residual", "tolerance", "passed", "cases"}}.
-    Checks whose hypotheses exclude a lam value skip it: the addition theorem
-    runs the Legendre route at lam <= 1/2, and the weighted derivative
-    identity skips lam in (0.9, 1.1). Each check is called once per
-    (lam, degree) batch of samples (per block of _SAMPLE_BLOCK samples).
+    A check runs at the lambdas of its _LAMBDA_DOMAINS entry and is left out
+    when none qualifies; "addition" runs the Legendre route when no lam > 1/2.
+    Raises ValueError for an unknown check, a lam <= -1/2, or when no wanted
+    check applies. Each check is called once per (lam, degree) batch of
+    samples (per block of _SAMPLE_BLOCK samples).
     """
     rule = rule or gauss_legendre(128)
     rng = np.random.default_rng(seed)
@@ -372,6 +384,18 @@ def run_suite(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12, samples: int 
     unknown = wanted - set(SUITE_TOLERANCES)
     if unknown:
         raise ValueError(f"unknown identity checks: {sorted(unknown)}")
+    low = [lam for lam in lambdas if not lam > -0.5]
+    if low:
+        raise ValueError(f"lambda must exceed -1/2, got {low[0]}")
+    if "addition" in wanted and not any(_applies("addition", lam) for lam in lambdas):
+        wanted = wanted - {"addition"} | {"legendre-addition"}
+    left_out = {name for name in wanted if not any(_applies(name, lam) for lam in lambdas)}
+    if left_out == wanted:
+        rules = "; ".join(f"{name} needs {_LAMBDA_DOMAINS[name][0]}"
+                          for name in sorted(left_out) if name in _LAMBDA_DOMAINS)
+        raise ValueError(f"no identity check applies to lambdas {list(lambdas)}"
+                         + (f" ({rules})" if rules else ""))
+    wanted -= left_out
     worst = {name: (0.0, 0) for name in wanted}
 
     def record(name, res):
@@ -395,7 +419,7 @@ def run_suite(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12, samples: int 
 
     if {"addition", "legendre-addition"} & wanted:
         for lam in lambdas:
-            legendre_route = lam <= 0.5
+            legendre_route = _applies("legendre-addition", lam)
             name = "legendre-addition" if legendre_route else "addition"
             if name not in wanted:
                 continue
@@ -439,7 +463,7 @@ def run_suite(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12, samples: int 
 
     if "weighted-derivative" in wanted:
         for lam in lambdas:
-            if 0.9 < lam < 1.1:
+            if not _applies("weighted-derivative", lam):
                 continue
             for k in degrees:
                 for x in _blocks(rng.uniform(-0.95, 0.95, size=samples)):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import sys
 import pytest
 
 import ballgrad
+from ballgrad import cli
 from ballgrad.cli import main
 
 
@@ -308,3 +310,120 @@ def test_identities_csv_and_json_agree(capsys):
          "pass" if entry["passed"] else "fail")
         for name, entry in payload["results"].items()
     ]
+
+
+@pytest.mark.parametrize("case", ["missing-directory", "empty-env"])
+def test_out_write_failure_is_usage_error(tmp_path, capsys, monkeypatch, case):
+    argv = ["constant", "--dim", "3", "--rho", "0", "--alpha", "0"]
+    if case == "missing-directory":
+        target = str(tmp_path / "missing" / "table.csv")
+        argv += ["--out", target]
+    else:
+        target = ""
+        monkeypatch.setenv("BALLGRAD_OUT", target)
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"ballgrad: error: cannot write {target!r}")
+
+
+def _subcommands():
+    """{command: its subparser}, from the CLI's own parser."""
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def _options(parser):
+    return [a for a in parser._actions if a.option_strings and a.dest != "help"]
+
+
+# (environment text, command-line text) for a flag, by dest where the type needs
+# a particular form, else by the flag's type
+_FLAG_TEXTS = {"rho": ("0.5", "0.25"), "alpha": ("pi/4", "0,pi"), "lambdas": ("2.5", "1.5,3"),
+               "format": ("json", "csv"), "check": ("kink", "product")}
+_TYPE_TEXTS = {int: ("7", "9"), float: ("0.25", "0.5"), str: ("a.csv", "b.csv")}
+
+
+def _texts(action):
+    return _FLAG_TEXTS.get(action.dest) or _TYPE_TEXTS[action.type]
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, action.option_strings[0])
+    for command, parser in _subcommands().items() for action in _options(parser)
+])
+def test_env_sets_every_flag(monkeypatch, command, flag):
+    # every option of every subcommand reads BALLGRAD_<FLAG>, and the flag wins
+    options = _options(_subcommands()[command])
+    action = next(a for a in options if flag in a.option_strings)
+    others = [tok for a in options if a.required and a is not action
+              for tok in (a.option_strings[0], _texts(a)[0])]
+    env_text, cli_text = _texts(action)
+    monkeypatch.setenv("BALLGRAD_" + flag[2:].replace("-", "_").upper(), env_text)
+    args = cli._build_parser().parse_args([command, *others])
+    assert getattr(args, action.dest) == action.type(env_text)
+    args = cli._build_parser().parse_args([command, *others, flag, cli_text])
+    assert getattr(args, action.dest) == action.type(cli_text) != action.type(env_text)
+
+
+def test_env_lambda_reaches_identities(capsys, monkeypatch):
+    monkeypatch.setenv("BALLGRAD_LAMBDA", "2.5")
+    code, out, _ = _run(capsys, ["identities", "--check", "kink", "--samples", "2",
+                                 "--degree-max", "3", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["lambdas"] == [2.5]
+
+
+def test_env_bad_value_is_one_line(capsys, monkeypatch):
+    monkeypatch.setenv("BALLGRAD_QUAD_ORDER", "abc")
+    code, out, err = _run(capsys, ["constant", "--dim", "3", "--rho", "0", "--alpha", "0"])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("ballgrad: error: ")
+    assert "BALLGRAD_QUAD_ORDER='abc'" in err
+    # a variable of a flag the command does not have is never read
+    monkeypatch.setenv("BALLGRAD_DIM", "abc")
+    code, _, _ = _run(capsys, ["identities", "--quad-order", "64", "--check", "kink",
+                               "--samples", "2", "--degree-max", "3"])
+    assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["constant", "--dim", "abc", "--rho", "0"],
+    ["identities", "--dim", "3"],
+    [],
+], ids=["bad-int", "unknown-flag", "no-command"])
+def test_argparse_errors_are_one_line(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("ballgrad: error: ")
+
+
+def test_help_exits_zero(capsys):
+    code, out, _ = _run(capsys, ["constant", "--help"])
+    assert code == 0
+    assert "--rho" in out
+
+
+def test_identities_leaves_out_checks_outside_their_lambdas(capsys):
+    code, out, _ = _run(capsys, ["identities", "--lambda", "1.5"])
+    assert code == 0
+    assert "legendre-addition" not in out
+    code, out, err = _run(capsys, ["identities", "--lambda", "1.5", "--check",
+                                   "legendre-addition"])
+    assert code == 2
+    assert out == ""
+    assert "legendre-addition needs lambda <= 1/2" in err
+
+
+def test_identities_json_echoes_requested_lambdas(capsys):
+    code, out, _ = _run(capsys, ["identities", "--lambda", "1,2", "--check",
+                                 "weighted-derivative", "--samples", "2", "--degree-max", "3",
+                                 "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["lambdas"] == [1.0, 2.0]
+    assert payload["results"]["weighted-derivative"]["cases"] == 4 * 2

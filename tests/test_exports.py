@@ -1,12 +1,15 @@
 """Guards against stale names: every exported name resolves, the package root
-is exactly the README and CLI surface, and the README's example runs."""
+is exactly the README and CLI surface, and the README's Python example and
+CLI lines run."""
 
 import importlib
 import pathlib
 import re
+import shlex
 import types
 
 import ballgrad
+from ballgrad.cli import main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 MODULES = ("cli", "constants", "gegenbauer", "identities", "quadrature")
@@ -37,3 +40,12 @@ def test_readme_example_runs(capsys):
     for code in examples:
         exec(compile(code, str(README), "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_readme_cli_lines_run(capsys):
+    (block,) = re.findall(r"## CLI\n\n```sh\n(.*?)```", README.read_text(), re.S)
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert lines and all(argv[0] == "ballgrad" for argv in lines)
+    for argv in lines:
+        assert main(argv[1:]) == 0, argv
+        assert capsys.readouterr().out

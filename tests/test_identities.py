@@ -372,3 +372,19 @@ def test_kernel_product_near_support_edge_converges():
     for order in (64, 128, 256, 512):
         lhs, rhs = kernel_product_check(params, 7, gauss_legendre(order))
         assert _residual(lhs, rhs) < 1e-12
+
+
+def test_run_suite_lambda_domains(rule):
+    small = dict(max_degree=4, samples=3, rule=rule)
+    report = run_suite(lambdas=(1.5,), **small)
+    assert "legendre-addition" not in report and "addition" in report
+    assert all(entry["passed"] for entry in report.values())
+    assert "weighted-derivative" not in run_suite(lambdas=(1.0,), **small)
+    # with no lambda above 1/2 the addition check runs its Legendre route
+    assert set(run_suite(lambdas=(0.5,), checks={"addition"}, **small)) == {"legendre-addition"}
+    with pytest.raises(ValueError, match="legendre-addition needs lambda <= 1/2"):
+        run_suite(lambdas=(1.5,), checks={"legendre-addition"}, **small)
+    with pytest.raises(ValueError, match="weighted-derivative needs lambda outside"):
+        run_suite(lambdas=(1.0, 1.05), checks={"weighted-derivative"}, **small)
+    with pytest.raises(ValueError, match="exceed -1/2"):
+        run_suite(lambdas=(1.5, -0.5), checks={"kink"}, **small)
