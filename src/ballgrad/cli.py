@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -51,14 +52,17 @@ class _EnvText(str):
 
 class _Parser(argparse.ArgumentParser):
     """argparse with one-line usage errors; a BALLGRAD_<FLAG> default that fails
-    its flag's type (converted only when the flag is absent) names its variable."""
+    its flag's type or choices (checked only when the flag is absent) names it."""
 
     def error(self, message):
         raise UsageError(message)
 
     def _get_value(self, action, text):
         try:
-            return super()._get_value(action, text)
+            value = super()._get_value(action, text)
+            if isinstance(text, _EnvText):  # argparse checks choices only on the command line
+                self._check_value(action, value)
+            return value
         except (argparse.ArgumentError, UsageError) as exc:
             if not isinstance(text, _EnvText):
                 raise
@@ -169,6 +173,12 @@ def _build_parser() -> argparse.ArgumentParser:
     _flag(p_ident, "--samples", "random samples per case", int, 20)
     _flag(p_ident, "--seed", "sampling seed", int, 0)
     return parser
+
+
+@functools.lru_cache(maxsize=8)
+def _parser_for(env: tuple) -> argparse.ArgumentParser:
+    """_build_parser's parser per set of BALLGRAD_* items (env), which it holds as defaults."""
+    return _build_parser()
 
 
 def _emit(args, header, rows, payload):
@@ -294,7 +304,8 @@ def cmd_identities(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        env = tuple(sorted(item for item in os.environ.items() if item[0].startswith(ENV_PREFIX)))
+        args = _parser_for(env).parse_args(argv)
         return args.run(args)
     except SystemExit as exc:  # --help
         return int(exc.code) if exc.code else 0

@@ -26,7 +26,8 @@ boundary.
 
 The two per-t quadratures of the certificates (kernel curvature and kink
 integrals) are array expressions over the whole t-grid, taken in blocks of
-_T_CHUNK rows so that the (rows, nodes) temporaries stay small. Every
+_T_CHUNK rows so that the (rows, nodes) temporaries stay small; so is the
+inner matrix of constant_direct, in place in one reused buffer. Every
 rho-power series (the three curvature pair sums and the lagged series part
 of the profile) is one call of gegenbauer.pair_series: a single blocked
 recurrence over the stacked (lam, argument) rows on the whole t-grid, max(K)
@@ -64,7 +65,7 @@ DEFAULT_QUAD_ORDER = 128
 CONVEXITY_FLOOR = -1e-12
 TIE_TOLERANCE = 1e-12
 RADIAL_MATCH_TOL = 1e-8
-# t rows per block of the vectorised t-sweeps; bounds the (rows, nodes) temporaries
+# rows per block of the t-sweeps and the direct route's inner matrix; bounds temporaries
 _T_CHUNK = 32
 
 
@@ -144,16 +145,34 @@ def _inner_smooth(dim: DimensionParams, rho: float, alpha: float, x, rule: Quadr
 
     Returns the integral over psi in [0, pi] of
     (sin psi)^(n-3) / (1 - 2 rho (x cos(alpha) + sqrt(1-x^2) sin(alpha) cos(psi)) + rho^2)^(n/2-1)
-    for every entry of x at once.
+    for every entry of x at once, _T_CHUNK rows at a time in one reused buffer
+    by the one-matrix expression's operations in its order: bit-identical to it.
     """
     n = dim.n
     nodes, wts = _graded_panels(rho, rule)
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     a = xa * math.cos(alpha)
     b = np.sqrt(np.maximum(1.0 - xa * xa, 0.0)) * math.sin(alpha)
-    denom = 1.0 - 2.0 * rho * (a[:, None] + b[:, None] * np.cos(nodes)[None, :]) + rho * rho
-    vals = np.sin(nodes)[None, :] ** (n - 3) * denom ** (-(n / 2.0 - 1.0))
-    return vals @ wts
+    cos_nodes = np.cos(nodes)
+    s_pow = np.sin(nodes) ** (n - 3)
+    out = np.empty_like(xa)
+    # numpy takes a one-row product as a dot, whose sum order differs from the
+    # matrix-vector product's, so a lone last row joins the block before it
+    starts = list(range(0, xa.size, _T_CHUNK))
+    if len(starts) > 1 and starts[-1] == xa.size - 1:
+        del starts[-1]
+    buf = np.empty((min(_T_CHUNK + 1, xa.size), nodes.size))
+    for lo, hi in zip(starts, starts[1:] + [xa.size]):
+        v = buf[:hi - lo]
+        np.multiply(b[lo:hi, None], cos_nodes, out=v)
+        v += a[lo:hi, None]
+        v *= 2.0 * rho
+        np.subtract(1.0, v, out=v)
+        v += rho * rho
+        v **= -(n / 2.0 - 1.0)
+        np.multiply(s_pow, v, out=v)
+        out[lo:hi] = v @ wts
+    return out
 
 
 # -- the three constant routes ----------------------------------------------

@@ -258,6 +258,29 @@ def test_env_format_must_be_csv_or_json(capsys, monkeypatch):
     assert "BALLGRAD_FORMAT" in err
 
 
+def test_env_change_reaches_next_call(capsys, monkeypatch):
+    # the parser is cached per set of BALLGRAD_* variables
+    argv = ["constant", "--dim", "3", "--rho", "0", "--alpha", "0"]
+    monkeypatch.setenv("BALLGRAD_FORMAT", "json")
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["dim"] == 3
+    monkeypatch.setenv("BALLGRAD_FORMAT", "csv")
+    monkeypatch.setenv("BALLGRAD_DIM", "5")
+    code, out, _ = _run(capsys, argv[:1] + argv[3:])
+    assert code == 0
+    assert out.splitlines()[1].startswith("5,0,0,")
+
+
+def test_env_check_must_be_a_check(capsys, monkeypatch):
+    monkeypatch.setenv("BALLGRAD_CHECK", "bogus")
+    code, out, err = _run(capsys, ["identities"])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "BALLGRAD_CHECK" in err
+
+
 def _typed(field):
     for cast in (int, float):
         try:

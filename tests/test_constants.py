@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from ballgrad.constants import (
     ConstantQuery,
     SeriesControl,
+    _T_CHUNK,
+    _graded_panels,
     _inner_smooth,
     certify_convexity,
     certify_radial_max,
@@ -124,6 +127,44 @@ def test_inner_integral_cross_route(rule):
                     a = _inner_quadrature(q, x, rule)
                     b = _inner_series(q, x)
                     assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
+
+
+def _inner_one_matrix(dim, rho, alpha, x, rule):
+    """Reference: _inner_smooth as one (x, psi) matrix expression."""
+    n = dim.n
+    nodes, wts = _graded_panels(rho, rule)
+    a = x * math.cos(alpha)
+    b = np.sqrt(np.maximum(1.0 - x * x, 0.0)) * math.sin(alpha)
+    denom = 1.0 - 2.0 * rho * (a[:, None] + b[:, None] * np.cos(nodes)[None, :]) + rho * rho
+    vals = np.sin(nodes)[None, :] ** (n - 3) * denom ** (-(n / 2.0 - 1.0))
+    return vals @ wts
+
+
+@pytest.mark.parametrize("order", [7, 128])
+@pytest.mark.parametrize("n", [3, 4, 7, 12])
+def test_inner_integral_blocks_bit_identical(order, n):
+    # _T_CHUNK + 1 leaves a lone last row, which numpy would take as a dot
+    rule = gauss_legendre(order)
+    dim = DimensionParams(n)
+    for size in (1, _T_CHUNK - 1, _T_CHUNK, _T_CHUNK + 1, 3 * _T_CHUNK + 5):
+        x = np.cos(np.linspace(0.0, math.pi, size))
+        for rho in (0.0, 0.5, 0.9, 0.99):
+            for alpha in (0.0, math.pi / 3, math.pi):
+                want = _inner_one_matrix(dim, rho, alpha, x, rule)
+                assert np.array_equal(_inner_smooth(dim, rho, alpha, x, rule), want)
+
+
+def test_direct_route_memory(rule):
+    # the inner matrix is built in row blocks: the one-matrix form peaked at 19.8 MB
+    q = ConstantQuery(DimensionParams(3), 0.99, math.pi / 3)
+    constant_direct(q, rule)
+    tracemalloc.start()
+    try:
+        constant_direct(q, rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 # -- constant routes ----------------------------------------------------------
