@@ -32,6 +32,11 @@ rho-power series (the three curvature pair sums and the lagged series part
 of the profile) is one call of gegenbauer.pair_series: a single blocked
 recurrence over the stacked (lam, argument) rows on the whole t-grid, max(K)
 steps instead of sum(K).
+
+The profile and its curvature are even in t (see _even_in_t), so both
+certificate sweeps evaluate them once per distinct |t| of their grids and
+mirror the values back; the convexity grid is made exactly antisymmetric, so
+its 201 points take 101 columns.
 """
 
 from __future__ import annotations
@@ -395,9 +400,27 @@ def curvature_density_grid(t, z, n: int, rho: float):
 # -- certification sweeps ----------------------------------------------------
 
 
+def _even_in_t(f, t):
+    """f(t) for an f that is even in t = cos(alpha), evaluated once per distinct |t|.
+
+    Exact for the profile and its curvature: C(x, l) = C(x, -l), since the
+    constant integrates |grad P . l|, and the reflection x2 -> -x2 fixes
+    rho*e1 and maps l_alpha to -l_(pi - alpha), so f(-t) = f(t). A grid that
+    is not symmetric simply shares fewer values.
+    """
+    u, inv = np.unique(np.abs(t), return_inverse=True)
+    return f(u)[inv]
+
+
 @dataclass(frozen=True)
 class ConvexityReport:
-    """Grid certificate that the constant profile has nonnegative curvature."""
+    """Grid certificate that the constant profile has nonnegative curvature.
+
+    Both curvature routes run once per distinct |t| of the exactly
+    antisymmetric grid, so min_curvature and max_route_gap are taken over
+    those values, and argmin_t is the first (lower) point of the mirrored
+    pair that attains the minimum.
+    """
 
     n: int
     rho: float
@@ -412,7 +435,11 @@ class ConvexityReport:
 
 @dataclass(frozen=True)
 class RadialMaxReport:
-    """Grid certificate that the constant is maximized in the radial direction."""
+    """Grid certificate that the constant is maximized in the radial direction.
+
+    The profile runs once per distinct |cos(alpha)| of the grid, so alpha = 0
+    and alpha = pi share one value and their expected tie is exact.
+    """
 
     n: int
     rho: float
@@ -443,8 +470,10 @@ def certify_convexity(n: int, rho: float, grid_size: int = 201,
     ctl = _default_control(ctl)
     rule = _default_rule(rule)
     grid = np.linspace(-0.999, 0.999, grid_size)
-    curv = profile_curvature_series(grid, dim, rho, ctl)
-    gap = float(np.max(np.abs(curv - profile_curvature_kernel(grid, dim, rho, rule))))
+    grid = 0.5 * (grid - grid[::-1])  # exactly antisymmetric, as in gauss_legendre
+    curv = _even_in_t(lambda u: profile_curvature_series(u, dim, rho, ctl), grid)
+    kern = _even_in_t(lambda u: profile_curvature_kernel(u, dim, rho, rule), grid)
+    gap = float(np.max(np.abs(curv - kern)))
     imin = int(np.argmin(curv))
     return ConvexityReport(
         n=dim.n,
@@ -477,9 +506,8 @@ def certify_radial_max(n: int, rho: float, alpha_grid=None,
         else np.asarray(alpha_grid, dtype=float)
     if alphas[0] > 1e-12 or math.pi - alphas[-1] > 1e-12:
         raise ValueError("alpha grid must cover [0, pi]")
-    t = np.cos(alphas)
-    plain, weighted, tail = profile_parts(t, dim, rho, ctl, rule)
-    values = dim.c_n / (1.0 - rho * rho) * (plain + weighted + tail)
+    profile = _even_in_t(lambda u: sum(profile_parts(u, dim, rho, ctl, rule)), np.cos(alphas))
+    values = dim.c_n / (1.0 - rho * rho) * profile
     max_value = float(values.max())
     scale = max(1.0, abs(max_value))
     ties = np.nonzero(values >= max_value - tie_tol * scale)[0]

@@ -219,7 +219,9 @@ def series_cutoff(rho: float, lam: float, control) -> int:
     is controlled once rho^K (K+1)^max(2*lam-1, 0) drops below the tail
     tolerance; returns the first such K >= 8. `control` needs attributes
     max_terms and tail_tol. Orders are cached per (rho, lam, max_terms,
-    tail_tol); a failure is not cached and raises on every call.
+    tail_tol); a failure is not cached and raises on every call. A bound
+    (K+1)^(2*lam-1) past the double range, at large lam, raises
+    SeriesConvergenceError too, with tail_estimate = inf.
     """
     return _cutoff(rho, lam, control.max_terms, control.tail_tol)
 
@@ -233,16 +235,24 @@ def _cutoff(rho: float, lam: float, max_terms: int, tail_tol: float) -> int:
     p = max(2.0 * lam - 1.0, 0.0)
     K = 8
     power = rho ** K
-    while power * (K + 1.0) ** p >= tail_tol:
-        K += 1
-        power *= rho
-        if K > max_terms:
-            raise SeriesConvergenceError(
-                f"series tail still above {tail_tol:g} after "
-                f"{max_terms} terms (rho={rho}, lam={lam})",
-                terms=K,
-                tail_estimate=power * (K + 1.0) ** p,
-            )
+    try:
+        while power * (K + 1.0) ** p >= tail_tol:
+            K += 1
+            power *= rho
+            if K > max_terms:
+                raise SeriesConvergenceError(
+                    f"series tail still above {tail_tol:g} after "
+                    f"{max_terms} terms (rho={rho}, lam={lam})",
+                    terms=K,
+                    tail_estimate=power * (K + 1.0) ** p,
+                )
+    except OverflowError:
+        raise SeriesConvergenceError(
+            f"tail bound (K+1)^{p:g} exceeds the double range at K={K} "
+            f"(rho={rho}, lam={lam})",
+            terms=K,
+            tail_estimate=math.inf,
+        ) from None
     return K
 
 

@@ -104,6 +104,21 @@ def test_certify_near_boundary_reports_longer_series(capsys):
     assert max(payload["results"][0]["convexity"]["series_terms"]) > 1000
 
 
+@pytest.mark.parametrize("argv", [
+    ["constant", "--dim", "200", "--rho", "0.99"],
+    ["certify", "--dim", "128", "--rho", "0.999"],
+    ["constant", "--dim", "1024", "--rho", "0.3", "--alpha", "0"],
+], ids=["constant-200", "certify-128", "constant-1024"])
+def test_series_order_overflow_is_one_line(capsys, argv):
+    # the cutoff's (K+1)^(2 lam - 1) passes the double range before its bound is met
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("ballgrad: series did not converge: ")
+    assert "Traceback" not in err
+
+
 def test_certify_empty_rho(capsys):
     code, _, _ = _run(capsys, ["certify", "--dim", "5", "--rho", ""])
     assert code == 2

@@ -373,6 +373,26 @@ def test_curvature_series_vs_longdouble(n, rho, bound):
     assert float(np.max(np.abs(got - ref))) <= bound * scale
 
 
+def _symmetric(lo, hi, size):
+    grid = np.linspace(lo, hi, size)
+    return 0.5 * (grid - grid[::-1])
+
+
+@pytest.mark.parametrize("rho", [0.3, 0.9, 0.99])
+@pytest.mark.parametrize("n", [3, 8, 16])
+def test_profile_and_curvature_even(rule, n, rho):
+    # the certificates evaluate these once per |t|; the term cap fits lam = 9 at rho = 0.99
+    dim, ctl = DimensionParams(n), SeriesControl(max_terms=32768)
+    t = _symmetric(-0.999, 0.999, 41)
+    series = profile_curvature_series(t, dim, rho, ctl)
+    assert np.array_equal(series, series[::-1])
+    kernel = profile_curvature_kernel(t, dim, rho, rule)
+    assert np.max(np.abs(kernel - kernel[::-1])) <= 1e-14 * np.max(np.abs(kernel))
+    t = _symmetric(-1.0, 1.0, 41)
+    f = sum(profile_parts(t, dim, rho, ctl, rule))
+    assert np.max(np.abs(f - f[::-1])) <= 1e-14 * np.max(np.abs(f))
+
+
 def test_curvature_vectorized(rule):
     dim = DimensionParams(4)
     ts = np.linspace(-0.9, 0.9, 7)
@@ -469,6 +489,33 @@ def test_certify_convexity_route_gap(rule):
         want = max(abs(curv[i] - profile_curvature_kernel(float(t), dim, rho, rule))
                    for i, t in enumerate(grid))
         assert rep.max_route_gap == pytest.approx(want, abs=1e-14 * np.max(np.abs(curv)))
+
+
+@pytest.mark.parametrize("n, rho", [(3, 0.5), (8, 0.95), (3, 0.99)])
+def test_certificates_match_full_grid_evaluation(rule, n, rho):
+    # the reports evaluate once per distinct |t|; here every grid point is evaluated
+    dim, ctl = DimensionParams(n), SeriesControl()
+    conv = certify_convexity(n, rho, rule=rule)
+    grid = _symmetric(-0.999, 0.999, 201)
+    curv = profile_curvature_series(grid, dim, rho, ctl)
+    kern = profile_curvature_kernel(grid, dim, rho, rule)
+    scale = np.max(np.abs(curv))
+    assert conv.passed == bool(curv.min() >= -1e-12)
+    assert conv.series_terms == tuple(series_cutoff(rho, lam, ctl) for lam in
+                                      (dim.lambda_low, dim.lambda_mid, dim.lambda_high))
+    assert conv.min_curvature == pytest.approx(curv.min(), rel=1e-14)
+    assert abs(conv.argmin_t) == abs(grid[np.argmin(curv)])
+    assert abs(conv.max_route_gap - np.max(np.abs(curv - kern))) <= 1e-14 * scale
+
+    rad = certify_radial_max(n, rho, rule=rule)
+    alphas = np.linspace(0.0, math.pi, 181)
+    values = dim.c_n / (1 - rho * rho) * sum(profile_parts(np.cos(alphas), dim, rho, ctl, rule))
+    assert rad.passed == bool(values[0] >= values.max() - 1e-12 * max(1.0, values.max()))
+    assert rad.series_terms == series_cutoff(rho, dim.lambda_low, ctl)
+    assert rad.value_at_zero == pytest.approx(values[0], rel=1e-14)
+    assert rad.max_value == pytest.approx(values.max(), rel=1e-14)
+    assert rad.argmax_alphas == (0.0, math.pi)
+    assert rad.value_at_zero == rad.max_value
 
 
 def test_certify_convexity_rho_zero(rule):

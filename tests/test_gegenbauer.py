@@ -239,6 +239,16 @@ def test_series_cutoff():
         series_cutoff(1.0, 1.0, ctl)
 
 
+@pytest.mark.parametrize("rho, lam, K", [(0.99, 99.0, 36), (0.999, 63.0, 292), (0.3, 511.0, 8)])
+def test_series_cutoff_overflow_is_convergence_error(rho, lam, K):
+    # (K+1)^(2 lam - 1) passes the double range before the tail bound is met
+    ctl = SimpleNamespace(max_terms=8192, tail_tol=1e-14)
+    with pytest.raises(SeriesConvergenceError) as info:
+        series_cutoff(rho, lam, ctl)
+    assert info.value.terms == K and info.value.tail_estimate == math.inf
+    assert f"K={K} " in str(info.value) and f"lam={lam}" in str(info.value)
+
+
 def test_series_cutoff_cached_and_failure_repeats():
     ctl = SimpleNamespace(max_terms=8192, tail_tol=1e-14)
     assert series_cutoff(0.93, 2.5, ctl) == series_cutoff(0.93, 2.5, ctl)
