@@ -27,13 +27,14 @@ from dataclasses import asdict
 from .constants import (
     ConstantQuery,
     DEFAULT_QUAD_ORDER,
+    ROUTE_TOL,
     SeriesControl,
     certify_convexity,
     certify_radial_max,
     constant_direct,
     constant_series,
 )
-from .gegenbauer import DimensionParams, SeriesConvergenceError
+from .gegenbauer import SERIES_TAIL_TOL, DimensionParams, SeriesConvergenceError
 from .identities import DEFAULT_SUITE_LAMBDAS, SUITE_TOLERANCES, run_suite
 from .quadrature import gauss_legendre
 
@@ -146,7 +147,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def series_common(p, fmt, alpha):
         _flag(p, "--dim", "ambient dimension n >= 3", int, required=True)
         _flag(p, "--max-terms", "series term cap", int, SeriesControl().max_terms)
-        _flag(p, "--tail-tol", "series tail tolerance", float, SeriesControl().tail_tol)
         common(p, fmt)
         _flag(p, "--rho", "comma-separated radii in [0, 1)", _rhos, required=True)
         _flag(p, "--alpha", f"comma list of angles, or 'step:<angle>' (default {alpha})",
@@ -155,13 +155,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_const = sub.add_parser("constant", help="directional constant by both routes")
     p_const.set_defaults(run=cmd_constant)
     series_common(p_const, "csv", "step:pi/12")
-    _flag(p_const, "--tol", "relative route-agreement tolerance (default 1e-8)", float, 1e-8)
 
     p_cert = sub.add_parser("certify", help="convexity and radial-max certificates")
     p_cert.set_defaults(run=cmd_certify)
     series_common(p_cert, "json", "step:pi/180")
     _flag(p_cert, "--t-grid", "number of t-grid points", int, 201)
-    _flag(p_cert, "--tol", "certificate noise floor (default 1e-12)", float, 1e-12)
 
     p_ident = sub.add_parser("identities", help="polynomial identity residual suite")
     p_ident.set_defaults(run=cmd_identities)
@@ -205,7 +203,7 @@ def _emit(args, header, rows, payload):
 def _common_config(args):
     try:
         dim = DimensionParams(args.dim)
-        ctl = SeriesControl(max_terms=args.max_terms, tail_tol=args.tail_tol)
+        ctl = SeriesControl(max_terms=args.max_terms)
         rule = gauss_legendre(args.quad_order)
     except ValueError as exc:
         raise UsageError(str(exc))
@@ -222,7 +220,7 @@ def cmd_constant(args) -> int:
         for alpha, q, c_ser in zip(args.alpha, queries, series.tolist()):
             c_dir = constant_direct(q, rule)
             diff = abs(c_ser - c_dir)
-            all_ok &= diff <= args.tol * max(1.0, abs(c_ser))
+            all_ok &= diff <= ROUTE_TOL * max(1.0, abs(c_ser))
             rows.append((dim.n, rho, alpha, c_ser, c_dir, diff))
 
     header = ("n", "rho", "alpha", "c_series", "c_direct", "abs_diff")
@@ -231,8 +229,8 @@ def cmd_constant(args) -> int:
         "dim": dim.n,
         "quad_order": rule.order,
         "max_terms": ctl.max_terms,
-        "tail_tol": ctl.tail_tol,
-        "tolerance": args.tol,
+        "tail_tol": SERIES_TAIL_TOL,
+        "tolerance": ROUTE_TOL,
         "rows": [dict(zip(header, row)) for row in rows],
         "passed": all_ok,
     })
@@ -243,16 +241,15 @@ def cmd_certify(args) -> int:
     dim, ctl, rule = _common_config(args)
     if args.t_grid < 3:
         raise UsageError(f"--t-grid must be at least 3, got {args.t_grid}")
-    if args.alpha[0] > 1e-12 or math.pi - args.alpha[-1] > 1e-12:
-        raise UsageError("--alpha grid must cover [0, pi] in increasing order")
+    if (args.alpha[0] > 1e-12 or math.pi - args.alpha[-1] > 1e-12
+            or any(b <= a for a, b in zip(args.alpha, args.alpha[1:]))):
+        raise UsageError("--alpha grid must cover [0, pi] in strictly increasing order")
 
     results, rows = [], []
     all_ok = True
     for rho in args.rho:
-        conv = certify_convexity(dim.n, rho, grid_size=args.t_grid, ctl=ctl, rule=rule,
-                                 threshold=-args.tol)
-        rad = certify_radial_max(dim.n, rho, alpha_grid=args.alpha, ctl=ctl, rule=rule,
-                                 tie_tol=args.tol)
+        conv = certify_convexity(dim.n, rho, grid_size=args.t_grid, ctl=ctl, rule=rule)
+        rad = certify_radial_max(dim.n, rho, alpha_grid=args.alpha, ctl=ctl, rule=rule)
         all_ok &= conv.passed and rad.passed
         results.append({"rho": rho, "convexity": asdict(conv), "radial_max": asdict(rad)})
         rows += [(dim.n, rho, "convexity", conv.min_curvature, conv.max_route_gap,
@@ -264,7 +261,7 @@ def cmd_certify(args) -> int:
         "dim": dim.n,
         "quad_order": rule.order,
         "max_terms": ctl.max_terms,
-        "tail_tol": ctl.tail_tol,
+        "tail_tol": SERIES_TAIL_TOL,
         "t_grid": args.t_grid,
         "alpha_points": len(args.alpha),
         "results": results,
@@ -285,6 +282,8 @@ def cmd_identities(args) -> int:
                            checks=None if args.check is None else {args.check})
     except ValueError as exc:
         raise UsageError(str(exc))
+    except OverflowError as exc:  # Gegenbauer normalisations pass the double range
+        raise UsageError(f"--degree-max {args.degree_max} is too large: {exc.args[-1]}") from None
     all_ok = all(entry["passed"] for entry in report.values())
 
     rows = [(name, entry["max_residual"], entry["tolerance"], entry["cases"],

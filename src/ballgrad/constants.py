@@ -55,6 +55,7 @@ __all__ = [
     "ConvexityReport",
     "RadialMaxReport",
     "DEFAULT_QUAD_ORDER",
+    "ROUTE_TOL", "CONVEXITY_FLOOR", "TIE_TOLERANCE",
     "constant_direct",
     "constant_series",
     "constant_radial",
@@ -67,9 +68,10 @@ __all__ = [
 ]
 
 DEFAULT_QUAD_ORDER = 128
+# the accuracy contracts: route agreement and tie relative to max(1, |value|)
+ROUTE_TOL = 1e-8
 CONVEXITY_FLOOR = -1e-12
 TIE_TOLERANCE = 1e-12
-RADIAL_MATCH_TOL = 1e-8
 # rows per block of the t-sweeps and the direct route's inner matrix; bounds temporaries
 _T_CHUNK = 32
 
@@ -80,29 +82,21 @@ def _default_rule(rule: QuadratureRule | None) -> QuadratureRule:
 
 @dataclass(frozen=True)
 class SeriesControl:
-    """Truncation policy for the rho-power series.
+    """Term cap of the rho-power series; the tail bound is gegenbauer.SERIES_TAIL_TOL.
 
-    At the default tail tolerance the default term cap covers rho = 0.99 only
-    for lam <= 3 (7,657 terms at lam = 3): `certify` for n <= 4 and the series
-    route of `constant` for n <= 8. Past that the series routes raise
-    SeriesConvergenceError.
+    The default cap covers rho = 0.99 only for lam <= 3 (7,657 terms at
+    lam = 3): `certify` for n <= 4 and the series route of `constant` for
+    n <= 8. Past that the series routes raise SeriesConvergenceError.
     """
 
     max_terms: int = 8192
-    tail_tol: float = 1e-14
 
     def __post_init__(self):
         if self.max_terms < 8:
             raise ValueError(f"max_terms must be at least 8, got {self.max_terms}")
-        if not self.tail_tol > 0:
-            raise ValueError(f"tail_tol must be positive, got {self.tail_tol}")
 
 
 _DEFAULT_CONTROL = SeriesControl()
-
-
-def _default_control(ctl: SeriesControl | None) -> SeriesControl:
-    return ctl if ctl is not None else _DEFAULT_CONTROL
 
 
 @dataclass(frozen=True)
@@ -258,7 +252,7 @@ def profile_parts(t, dim: DimensionParams, rho: float,
     if np.any(np.abs(ta) > 1.0):
         raise ValueError("t must lie in [-1, 1]")
     rule = _default_rule(rule)
-    ctl = _default_control(ctl)
+    ctl = ctl or _DEFAULT_CONTROL
     plain, weighted = _kink_integrals(ta, dim, rho, rule)
     tail = _tail_series(ta, dim, rho, ctl)
     if ta.ndim == 0:
@@ -299,7 +293,10 @@ def constant_radial(n, rho: float, rule: QuadratureRule | None = None) -> float:
     c = np.cos(nodes)
     denom = (1.0 - 2.0 * rho * c + rho * rho) ** ((dim.n - 2) / 2.0)
     vals = np.abs(c - delta) * np.sin(nodes) ** (dim.n - 2) / denom
-    return dim.c_n / (1.0 - rho * rho) * float(wts @ vals)
+    value = dim.c_n / (1.0 - rho * rho) * float(wts @ vals)
+    if not math.isfinite(value):
+        raise OverflowError(f"constant_radial overflows at n={dim.n}, rho={rho}")
+    return value
 
 
 # -- second derivative of the profile ---------------------------------------
@@ -311,7 +308,7 @@ def profile_curvature_series(t, dim: DimensionParams, rho: float,
     ta = np.asarray(t, dtype=float)
     if np.any(np.abs(ta) >= 1.0):
         raise ValueError("t must lie in (-1, 1)")
-    ctl = _default_control(ctl)
+    ctl = ctl or _DEFAULT_CONTROL
     n = dim.n
     delta = (n - 2) / n * rho
     tv = np.atleast_1d(ta)
@@ -366,6 +363,8 @@ def profile_curvature_kernel(t, dim: DimensionParams, rho: float,
         p = 1.0 - 2.0 * rho * z + rho * rho
         vals = s_pow * (p - eta * g * s_sq) ** 2 * p ** (-(n + 2) / 2.0)
         out[rows] = scale * g[:, 0] ** ((n - 3) / 2.0) * (vals @ wts)
+    if not np.all(np.isfinite(out)):
+        raise OverflowError(f"profile_curvature_kernel overflows at n={n}, rho={rho}")
     return float(out[0]) if ta.ndim == 0 else out.reshape(ta.shape)
 
 
@@ -419,7 +418,8 @@ class ConvexityReport:
     Both curvature routes run once per distinct |t| of the exactly
     antisymmetric grid, so min_curvature and max_route_gap are taken over
     those values, and argmin_t is the first (lower) point of the mirrored
-    pair that attains the minimum.
+    pair that attains the minimum. passed needs min_curvature >=
+    CONVEXITY_FLOOR and max_route_gap <= ROUTE_TOL * max(1, max |curvature|).
     """
 
     n: int
@@ -457,17 +457,16 @@ class RadialMaxReport:
 
 def certify_convexity(n: int, rho: float, grid_size: int = 201,
                       ctl: SeriesControl | None = None,
-                      rule: QuadratureRule | None = None,
-                      threshold: float = CONVEXITY_FLOOR) -> ConvexityReport:
+                      rule: QuadratureRule | None = None) -> ConvexityReport:
     """Scan the profile curvature on a uniform open t-grid and certify its sign.
 
-    Also reports the largest discrepancy between the series and kernel
-    curvature routes over the grid.
+    The series curvature is certified, and the kernel curvature must agree
+    with it to ROUTE_TOL; max_route_gap reports their largest discrepancy.
     """
     if grid_size < 3:
         raise ValueError(f"grid_size must be at least 3, got {grid_size}")
     dim = DimensionParams(n)
-    ctl = _default_control(ctl)
+    ctl = ctl or _DEFAULT_CONTROL
     rule = _default_rule(rule)
     grid = np.linspace(-0.999, 0.999, grid_size)
     grid = 0.5 * (grid - grid[::-1])  # exactly antisymmetric, as in gauss_legendre
@@ -475,13 +474,14 @@ def certify_convexity(n: int, rho: float, grid_size: int = 201,
     kern = _even_in_t(lambda u: profile_curvature_kernel(u, dim, rho, rule), grid)
     gap = float(np.max(np.abs(curv - kern)))
     imin = int(np.argmin(curv))
+    routes_agree = gap <= ROUTE_TOL * max(1.0, float(np.max(np.abs(curv))))
     return ConvexityReport(
         n=dim.n,
         rho=rho,
         grid_size=grid_size,
         min_curvature=float(curv[imin]),
         argmin_t=float(grid[imin]),
-        passed=bool(curv[imin] >= threshold),
+        passed=bool(curv[imin] >= CONVEXITY_FLOOR and routes_agree),
         max_route_gap=gap,
         series_terms=tuple(series_cutoff(rho, lam, ctl)
                            for lam in (dim.lambda_low, dim.lambda_mid, dim.lambda_high)),
@@ -491,32 +491,31 @@ def certify_convexity(n: int, rho: float, grid_size: int = 201,
 
 def certify_radial_max(n: int, rho: float, alpha_grid=None,
                        ctl: SeriesControl | None = None,
-                       rule: QuadratureRule | None = None,
-                       tie_tol: float = TIE_TOLERANCE) -> RadialMaxReport:
-    """Scan the directional constant over an alpha grid covering [0, pi].
+                       rule: QuadratureRule | None = None) -> RadialMaxReport:
+    """Scan the directional constant over an alpha grid rising from 0 to pi.
 
-    Certifies that alpha = 0 attains the grid maximum (a tie at alpha = pi is
-    expected from the endpoint equality) and that the maximum reproduces the
-    closed radial formula.
+    Certifies that alpha = 0 attains the grid maximum within TIE_TOLERANCE (a
+    tie at alpha = pi is expected from the endpoint equality) and that the
+    maximum reproduces the closed radial formula to ROUTE_TOL.
     """
     dim = DimensionParams(n)
-    ctl = _default_control(ctl)
+    ctl = ctl or _DEFAULT_CONTROL
     rule = _default_rule(rule)
     alphas = np.linspace(0.0, math.pi, 181) if alpha_grid is None \
         else np.asarray(alpha_grid, dtype=float)
-    if alphas[0] > 1e-12 or math.pi - alphas[-1] > 1e-12:
-        raise ValueError("alpha grid must cover [0, pi]")
+    if alphas[0] > 1e-12 or math.pi - alphas[-1] > 1e-12 or np.any(np.diff(alphas) <= 0.0):
+        raise ValueError("alpha grid must cover [0, pi] in strictly increasing order")
     profile = _even_in_t(lambda u: sum(profile_parts(u, dim, rho, ctl, rule)), np.cos(alphas))
     values = dim.c_n / (1.0 - rho * rho) * profile
     max_value = float(values.max())
     scale = max(1.0, abs(max_value))
-    ties = np.nonzero(values >= max_value - tie_tol * scale)[0]
+    ties = np.nonzero(values >= max_value - TIE_TOLERANCE * scale)[0]
     value_at_zero = float(values[0])
     radial = constant_radial(dim, rho, rule)
     radial_residual = abs(value_at_zero - radial) / scale
     passed = bool(
-        value_at_zero >= max_value - tie_tol * scale
-        and radial_residual <= RADIAL_MATCH_TOL
+        value_at_zero >= max_value - TIE_TOLERANCE * scale
+        and radial_residual <= ROUTE_TOL
     )
     return RadialMaxReport(
         n=dim.n,

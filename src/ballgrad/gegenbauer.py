@@ -33,6 +33,7 @@ __all__ = [
     "derivative",
     "legendre",
     "assoc_legendre",
+    "SERIES_TAIL_TOL",
     "series_cutoff",
     "pair_weights",
     "recurrence_blocks",
@@ -46,6 +47,8 @@ _ARG_TOL = 1e-12
 # the block buffers stay near 1 MB for a handful of rows
 _BLOCK = 32
 _COLUMNS = 256
+# every rho-power series stops at the first K with rho^K (K+1)^max(2 lam - 1, 0) below this
+SERIES_TAIL_TOL = 1e-14
 
 
 class SeriesConvergenceError(RuntimeError):
@@ -216,18 +219,17 @@ def series_cutoff(rho: float, lam: float, control) -> int:
     """Truncation index for series with terms bounded by C_k^lam(1)-type growth.
 
     Since |C_k^lam| <= C_k^lam(1) ~ k^(2*lam-1), the tail of a rho-power series
-    is controlled once rho^K (K+1)^max(2*lam-1, 0) drops below the tail
-    tolerance; returns the first such K >= 8. `control` needs attributes
-    max_terms and tail_tol. Orders are cached per (rho, lam, max_terms,
-    tail_tol); a failure is not cached and raises on every call. A bound
-    (K+1)^(2*lam-1) past the double range, at large lam, raises
-    SeriesConvergenceError too, with tail_estimate = inf.
+    is controlled once rho^K (K+1)^max(2*lam-1, 0) drops below SERIES_TAIL_TOL;
+    returns the first such K >= 8. `control` needs the attribute max_terms.
+    Orders are cached per (rho, lam, max_terms); a failure is not cached and
+    raises on every call. A bound (K+1)^(2*lam-1) past the double range, at
+    large lam, raises SeriesConvergenceError too, with tail_estimate = inf.
     """
-    return _cutoff(rho, lam, control.max_terms, control.tail_tol)
+    return _cutoff(rho, lam, control.max_terms)
 
 
 @functools.lru_cache(maxsize=1024)
-def _cutoff(rho: float, lam: float, max_terms: int, tail_tol: float) -> int:
+def _cutoff(rho: float, lam: float, max_terms: int) -> int:
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
     if rho == 0.0:
@@ -236,12 +238,12 @@ def _cutoff(rho: float, lam: float, max_terms: int, tail_tol: float) -> int:
     K = 8
     power = rho ** K
     try:
-        while power * (K + 1.0) ** p >= tail_tol:
+        while power * (K + 1.0) ** p >= SERIES_TAIL_TOL:
             K += 1
             power *= rho
             if K > max_terms:
                 raise SeriesConvergenceError(
-                    f"series tail still above {tail_tol:g} after "
+                    f"series tail still above {SERIES_TAIL_TOL:g} after "
                     f"{max_terms} terms (rho={rho}, lam={lam})",
                     terms=K,
                     tail_estimate=power * (K + 1.0) ** p,

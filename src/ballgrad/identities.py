@@ -412,7 +412,7 @@ def run_suite(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12, samples: int 
         for lam in lambdas:
             vals = orthogonality_integral(lam, pairs[:, 0], pairs[:, 1], rule)
             if "orthogonality-diag" in wanted:
-                closed = [orthogonality_closed_form(lam, k) for k in pairs[diag, 0]]
+                closed = [orthogonality_closed_form(lam, k) for k in pairs[diag, 0].tolist()]
                 record("orthogonality-diag", _residual(vals[diag], np.array(closed)))
             if "orthogonality-offdiag" in wanted:
                 record("orthogonality-offdiag", np.abs(vals[~diag]))

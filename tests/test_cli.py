@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -76,6 +77,8 @@ def test_constant_json_format(capsys):
     payload = json.loads(out)
     assert payload["passed"] is True
     assert payload["quad_order"] == 128
+    # the fixed contracts are echoed
+    assert (payload["tolerance"], payload["tail_tol"], payload["max_terms"]) == (1e-8, 1e-14, 8192)
     assert len(payload["rows"]) == 1
     row = payload["rows"][0]
     assert abs(row["c_series"] - row["c_direct"]) <= 1e-8
@@ -432,12 +435,40 @@ def test_env_bad_value_is_one_line(capsys, monkeypatch):
     ["constant", "--dim", "abc", "--rho", "0"],
     ["identities", "--dim", "3"],
     [],
-], ids=["bad-int", "unknown-flag", "no-command"])
+    ["certify", "--dim", "3", "--rho", "0.5", "--alpha", "0,pi/2,pi/4,pi"],
+], ids=["bad-int", "unknown-flag", "no-command", "alpha-not-increasing"])
 def test_argparse_errors_are_one_line(capsys, argv):
     code, out, err = _run(capsys, argv)
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("ballgrad: error: ")
+
+
+@pytest.mark.parametrize("command", ["constant", "certify"])
+@pytest.mark.parametrize("flag", ["--tol", "--tail-tol"])
+def test_contract_flags_are_gone(capsys, command, flag):
+    # the accuracy contracts are constants: no flag loosens them
+    code, out, err = _run(capsys, [command, "--dim", "3", "--rho", "0.5", "--alpha", "0,pi",
+                                   flag, "1"])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("ballgrad: error: ")
+    assert flag in err
+
+
+@pytest.mark.parametrize("check", ["orthogonality-diag", "product", "kernel-product",
+                                   "legendre-addition"])
+def test_identities_degree_overflow_is_usage_error(capsys, check):
+    # Gegenbauer normalisations such as (1)_k = k! pass the double range near k = 171;
+    # a numpy overflow warning would put a second line on stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, ["identities", "--check", check, "--degree-max", "200",
+                                       "--samples", "1"])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("ballgrad: error: --degree-max 200 is too large: ")
 
 
 def test_help_exits_zero(capsys):

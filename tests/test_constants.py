@@ -59,8 +59,7 @@ def test_query_validation():
 def test_series_control_validation():
     with pytest.raises(ValueError):
         SeriesControl(max_terms=4)
-    with pytest.raises(ValueError):
-        SeriesControl(tail_tol=0.0)
+    assert [f.name for f in dataclasses.fields(SeriesControl)] == ["max_terms"]
 
 
 def test_kernel_point_membership():
@@ -480,6 +479,22 @@ def test_certify_convexity_passes(rule):
     assert d["n"] == 8 and len(d["series_terms"]) == 3
 
 
+def test_certify_convexity_needs_route_agreement():
+    # a 2-node rule puts the kernel curvature 0.0547 off the series, just under
+    # the 0.0548 margin: the floor alone would pass, the route contract fails it
+    rep = certify_convexity(3, 0.5, rule=gauss_legendre(2))
+    assert rep.min_curvature > 0.05 and rep.max_route_gap > 0.05
+    assert not rep.passed
+
+
+def test_certificates_take_no_tolerance():
+    # the contracts are constants, not parameters
+    with pytest.raises(TypeError):
+        certify_convexity(3, 0.5, threshold=-1.0)
+    with pytest.raises(TypeError):
+        certify_radial_max(3, 0.5, tie_tol=1.0)
+
+
 def test_certify_convexity_route_gap(rule):
     grid = np.linspace(-0.999, 0.999, 11)
     for n, rho in ((3, 0.5), (8, 0.95)):
@@ -549,3 +564,24 @@ def test_certify_radial_max_degenerate(rule):
 def test_certify_radial_max_grid_validation(rule):
     with pytest.raises(ValueError):
         certify_radial_max(4, 0.5, alpha_grid=np.linspace(0.0, 1.0, 50), rule=rule)
+    for grid in ([0.0, math.pi / 2, math.pi / 4, math.pi], [0.0, 1.0, 1.0, math.pi]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            certify_radial_max(4, 0.5, alpha_grid=grid, rule=rule)
+
+
+@pytest.mark.parametrize("n, rho", [(1024, 0.7), (4096, 0.3)])
+def test_constant_radial_overflow_raises(n, rho):
+    # (1 - 2 rho c + rho^2)^((n-2)/2) passes the double range; no silent nan
+    with pytest.raises(OverflowError, match=f"constant_radial overflows at n={n}, rho={rho}"):
+        with np.errstate(all="ignore"):
+            constant_radial(n, rho)
+
+
+@pytest.mark.parametrize("n, rho, t", [(128, 0.999, 0.0), (256, 0.99, 0.5),
+                                       (256, 0.99, np.array([0.0, 0.5]))])
+def test_profile_curvature_kernel_overflow_raises(n, rho, t):
+    # p^(-(n+2)/2) with p >= (1 - rho)^2 passes the double range; no silent nan
+    with pytest.raises(OverflowError,
+                       match=f"profile_curvature_kernel overflows at n={n}, rho={rho}"):
+        with np.errstate(all="ignore"):
+            profile_curvature_kernel(t, DimensionParams(n), rho)

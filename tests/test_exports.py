@@ -2,6 +2,7 @@
 is exactly the README and CLI surface, and the README's Python example and
 CLI lines run."""
 
+import argparse
 import importlib
 import pathlib
 import re
@@ -9,6 +10,7 @@ import shlex
 import types
 
 import ballgrad
+from ballgrad import cli
 from ballgrad.cli import main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -49,3 +51,11 @@ def test_readme_cli_lines_run(capsys):
     for argv in lines:
         assert main(argv[1:]) == 0, argv
         assert capsys.readouterr().out
+
+
+def test_readme_documents_every_flag():
+    # the backticked --flags of the README are exactly the parser's options
+    (sub,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {flag for parser in sub.choices.values() for action in parser._actions
+               for flag in action.option_strings if flag not in ("-h", "--help")}
+    assert set(re.findall(r"`(--[a-z][a-z-]*)", README.read_text())) == options

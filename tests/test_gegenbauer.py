@@ -80,7 +80,7 @@ def test_recurrence_matches_explicit(lam):
 @pytest.mark.parametrize("lam", (0.5, 1.5, 3.0))
 @pytest.mark.parametrize("z", (-0.5, 0.25, 0.5))
 def test_generating_function(lam, z):
-    ctl = SimpleNamespace(max_terms=4096, tail_tol=1e-14)
+    ctl = SimpleNamespace(max_terms=4096)
     K = series_cutoff(abs(z), lam, ctl)
     for x in (-0.9, 0.3, 0.7):
         seq = eval_sequence(lam, K, x)
@@ -226,7 +226,7 @@ def test_gamma_ratio():
 
 
 def test_series_cutoff():
-    ctl = SimpleNamespace(max_terms=8192, tail_tol=1e-14)
+    ctl = SimpleNamespace(max_terms=8192)
     assert series_cutoff(0.0, 1.5, ctl) == 0
     k_half = series_cutoff(0.5, 0.5, ctl)
     k_nine = series_cutoff(0.9, 0.5, ctl)
@@ -234,7 +234,7 @@ def test_series_cutoff():
     # the bound rho^K (K+1)^p < tol holds at the returned K
     assert 0.9 ** k_nine < 1e-14
     with pytest.raises(SeriesConvergenceError):
-        series_cutoff(0.9, 2.5, SimpleNamespace(max_terms=16, tail_tol=1e-14))
+        series_cutoff(0.9, 2.5, SimpleNamespace(max_terms=16))
     with pytest.raises(ValueError):
         series_cutoff(1.0, 1.0, ctl)
 
@@ -242,7 +242,7 @@ def test_series_cutoff():
 @pytest.mark.parametrize("rho, lam, K", [(0.99, 99.0, 36), (0.999, 63.0, 292), (0.3, 511.0, 8)])
 def test_series_cutoff_overflow_is_convergence_error(rho, lam, K):
     # (K+1)^(2 lam - 1) passes the double range before the tail bound is met
-    ctl = SimpleNamespace(max_terms=8192, tail_tol=1e-14)
+    ctl = SimpleNamespace(max_terms=8192)
     with pytest.raises(SeriesConvergenceError) as info:
         series_cutoff(rho, lam, ctl)
     assert info.value.terms == K and info.value.tail_estimate == math.inf
@@ -250,9 +250,9 @@ def test_series_cutoff_overflow_is_convergence_error(rho, lam, K):
 
 
 def test_series_cutoff_cached_and_failure_repeats():
-    ctl = SimpleNamespace(max_terms=8192, tail_tol=1e-14)
+    ctl = SimpleNamespace(max_terms=8192)
     assert series_cutoff(0.93, 2.5, ctl) == series_cutoff(0.93, 2.5, ctl)
-    capped = SimpleNamespace(max_terms=16, tail_tol=1e-14)
+    capped = SimpleNamespace(max_terms=16)
     for _ in range(3):
         with pytest.raises(SeriesConvergenceError):
             series_cutoff(0.93, 2.5, capped)
