@@ -249,7 +249,7 @@ def cmd_certify(args) -> int:
     all_ok = True
     for rho in args.rho:
         conv = certify_convexity(dim.n, rho, grid_size=args.t_grid, ctl=ctl, rule=rule)
-        rad = certify_radial_max(dim.n, rho, alpha_grid=args.alpha, ctl=ctl, rule=rule)
+        rad = certify_radial_max(dim.n, rho, alpha_grid=args.alpha, rule=rule)
         all_ok &= conv.passed and rad.passed
         results.append({"rho": rho, "convexity": asdict(conv), "radial_max": asdict(rad)})
         rows += [(dim.n, rho, "convexity", conv.min_curvature, conv.max_route_gap,

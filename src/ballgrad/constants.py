@@ -24,19 +24,21 @@ denominator additionally get panels graded geometrically around the peak of
 that Poisson denominator once rho >= 0.8, where the peak sharpens toward the
 boundary.
 
-The two per-t quadratures of the certificates (kernel curvature and kink
-integrals) are array expressions over the whole t-grid, taken in blocks of
-_T_CHUNK rows so that the (rows, nodes) temporaries stay small; so is the
-inner matrix of constant_direct, in place in one reused buffer. Every
-rho-power series (the three curvature pair sums and the lagged series part
-of the profile) is one call of gegenbauer.pair_series: a single blocked
-recurrence over the stacked (lam, argument) rows on the whole t-grid, max(K)
-steps instead of sum(K).
+The two per-t quadratures (kernel curvature and kink integrals) are array
+expressions over the whole t-grid, taken in blocks of _T_CHUNK rows so that
+the (rows, nodes) temporaries stay small; so is the inner matrix of
+constant_direct, in place in one reused buffer. Every rho-power series (the
+three curvature pair sums and the lagged series part of the profile) is one
+call of gegenbauer.pair_series: a single blocked recurrence over the stacked
+(lam, argument) rows on the whole t-grid, max(K) steps instead of sum(K).
 
-The profile and its curvature are even in t (see _even_in_t), so both
-certificate sweeps evaluate them once per distinct |t| of their grids and
-mirror the values back; the convexity grid is made exactly antisymmetric, so
-its 201 points take 101 columns.
+The profile f and its curvature are even in t (see _even_in_t), so
+f'(0) = 0 and f(t) = f(0) + int_0^|t| (|t| - s) f''(s) ds. The radial-max
+certificate takes this Green profile (_green_profile): the kernel curvature,
+integrated twice in closed form, anchored at constant_direct(alpha = pi/2);
+it runs no series. The convexity certificate evaluates both curvature routes
+once per distinct |t| and mirrors the values back; its grid is made exactly
+antisymmetric, so its 201 points take 101 columns.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gegenbauer import DimensionParams, gamma_ratio, pair_series, pair_weights, series_cutoff
+from .gegenbauer import (DimensionParams, eval_sequence, gamma_ratio, pair_series,
+                         pair_weights, series_cutoff)
 from .quadrature import QuadratureRule, composite_nodes, gauss_legendre, map_panels
 
 __all__ = [
@@ -74,6 +77,8 @@ CONVEXITY_FLOOR = -1e-12
 TIE_TOLERANCE = 1e-12
 # rows per block of the t-sweeps and the direct route's inner matrix; bounds temporaries
 _T_CHUNK = 32
+# Gauss nodes per panel of the Green profile (_green_profile)
+_GREEN_ORDER = 16
 
 
 def _default_rule(rule: QuadratureRule | None) -> QuadratureRule:
@@ -85,8 +90,10 @@ class SeriesControl:
     """Term cap of the rho-power series; the tail bound is gegenbauer.SERIES_TAIL_TOL.
 
     The default cap covers rho = 0.99 only for lam <= 3 (7,657 terms at
-    lam = 3): `certify` for n <= 4 and the series route of `constant` for
-    n <= 8. Past that the series routes raise SeriesConvergenceError.
+    lam = 3): the series route of `constant` for n <= 8, and the convexity
+    half of `certify` (series curvature up to lam = (n+2)/2) for n <= 4.
+    Past that the series routes raise SeriesConvergenceError. The radial-max
+    half of `certify` runs no series, so the cap does not limit it.
     """
 
     max_terms: int = 8192
@@ -192,7 +199,10 @@ def constant_direct(q: ConstantQuery, rule: QuadratureRule | None = None) -> flo
     inner = _inner_smooth(q.dim, rho, q.alpha, x, rule)
     outer_vals = np.abs(dt - x) * np.sin(nodes) ** (n - 2) * inner
     total = float(wts @ outer_vals)
-    return n * (n - 2) / (2.0 * math.pi) / (1.0 - rho * rho) * total
+    value = n * (n - 2) / (2.0 * math.pi) / (1.0 - rho * rho) * total
+    if not math.isfinite(value):
+        raise OverflowError(f"constant_direct overflows at n={n}, rho={rho}")
+    return value
 
 
 def _kink_integrals(t, dim: DimensionParams, rho: float, rule: QuadratureRule):
@@ -437,8 +447,11 @@ class ConvexityReport:
 class RadialMaxReport:
     """Grid certificate that the constant is maximized in the radial direction.
 
-    The profile runs once per distinct |cos(alpha)| of the grid, so alpha = 0
-    and alpha = pi share one value and their expected tie is exact.
+    The values are the Green profile at |cos(alpha)|, anchored at the direct
+    route at alpha = pi/2, so alpha = 0 and alpha = pi share one value and
+    their expected tie is exact. radial_residual compares the value at
+    alpha = 0 with constant_radial: a check across three routes (direct at
+    pi/2, kernel curvature integrated over [0, 1], closed radial formula).
     """
 
     n: int
@@ -451,7 +464,6 @@ class RadialMaxReport:
     radial_value: float
     radial_residual: float
     passed: bool
-    series_terms: int
     quad_order: int
 
 
@@ -489,24 +501,71 @@ def certify_convexity(n: int, rho: float, grid_size: int = 201,
     )
 
 
+def _green_edges(rho: float) -> np.ndarray:
+    """Panel edges of the Green profile on [0, 1]: geometric, 0.5 * 4^-k, down to
+    (1 - rho)/4 toward t = 0 (the curvature's layer there) and (1 - rho)^2/4 toward t = 1."""
+    edges, h = [0.0, 0.5, 1.0], 0.125
+    while h >= (1.0 - rho) ** 2 / 4.0:
+        edges.append(1.0 - h)
+        if h >= (1.0 - rho) / 4.0:
+            edges.append(h)
+        h /= 4.0
+    return np.array(sorted(edges))
+
+
+def _legendre_integral(c):
+    """Legendre coefficients (last axis) of the integral from -1 to x, by
+    int_{-1}^x P_k = (P_(k+1) - P_(k-1)) / (2k + 1) and int_{-1}^x P_0 = P_0 + P_1."""
+    q = c / (2.0 * np.arange(c.shape[-1]) + 1.0)
+    zero = np.zeros(c.shape[:-1] + (1,))
+    return np.concatenate((q[..., :1], q), -1) - np.concatenate((q[..., 1:], zero, zero), -1)
+
+
+def _green_profile(u, dim: DimensionParams, rho: float, rule: QuadratureRule):
+    """f(u) - f(0) = int_0^u (u - s) f''(s) ds for u in [0, 1], f the normalized profile.
+
+    Exact for an even f (f'(0) = 0). f'' is the kernel curvature at
+    _GREEN_ORDER Gauss nodes per _green_edges panel, expanded in Legendre
+    polynomials per panel; both integrals are closed-form on that expansion.
+    """
+    gl = gauss_legendre(_GREEN_ORDER)
+    edges = _green_edges(rho)
+    nodes, _ = map_panels(edges, gl)
+    half = 0.5 * np.diff(edges)
+    # Legendre coefficients from Gauss values: c_k = (k + 1/2) sum_i w_i P_k(x_i) f_i
+    basis = eval_sequence(0.5, _GREEN_ORDER - 1, gl.nodes)
+    to_coef = (np.arange(_GREEN_ORDER) + 0.5)[:, None] * basis * gl.weights
+    curv = profile_curvature_kernel(nodes, dim, rho, rule).reshape(-1, _GREEN_ORDER)
+    c1 = half[:, None] * _legendre_integral(curv @ to_coef.T)  # f'(s) - f'(a_j) on panel j
+    c2 = half[:, None] * _legendre_integral(c1)                # and its integral from a_j
+    # f' and f - f(0) at the left edges a_j; P_k(1) = 1 gives each panel's increments
+    slope = np.concatenate(([0.0], np.cumsum(c1.sum(axis=1))))[:-1]
+    level = np.concatenate(([0.0], np.cumsum(2.0 * half * slope + c2.sum(axis=1))))[:-1]
+    j = np.clip(np.searchsorted(edges, u, side="right") - 1, 0, half.size - 1)
+    x = (u - edges[j]) / half[j] - 1.0
+    poly = (eval_sequence(0.5, _GREEN_ORDER + 1, x) * c2[j].T).sum(axis=0)
+    return level[j] + slope[j] * (u - edges[j]) + poly
+
+
 def certify_radial_max(n: int, rho: float, alpha_grid=None,
-                       ctl: SeriesControl | None = None,
                        rule: QuadratureRule | None = None) -> RadialMaxReport:
     """Scan the directional constant over an alpha grid rising from 0 to pi.
 
-    Certifies that alpha = 0 attains the grid maximum within TIE_TOLERANCE (a
-    tie at alpha = pi is expected from the endpoint equality) and that the
-    maximum reproduces the closed radial formula to ROUTE_TOL.
+    The values are the Green profile (_green_profile) at |cos(alpha)|,
+    anchored at constant_direct(alpha = pi/2). Certifies that alpha = 0
+    attains the grid maximum within TIE_TOLERANCE (a tie at alpha = pi is
+    exact, as both share |t| = 1) and that the maximum reproduces the closed
+    radial formula to ROUTE_TOL.
     """
     dim = DimensionParams(n)
-    ctl = ctl or _DEFAULT_CONTROL
     rule = _default_rule(rule)
     alphas = np.linspace(0.0, math.pi, 181) if alpha_grid is None \
         else np.asarray(alpha_grid, dtype=float)
     if alphas[0] > 1e-12 or math.pi - alphas[-1] > 1e-12 or np.any(np.diff(alphas) <= 0.0):
         raise ValueError("alpha grid must cover [0, pi] in strictly increasing order")
-    profile = _even_in_t(lambda u: sum(profile_parts(u, dim, rho, ctl, rule)), np.cos(alphas))
-    values = dim.c_n / (1.0 - rho * rho) * profile
+    anchor = constant_direct(ConstantQuery(dim, rho, math.pi / 2), rule)
+    values = anchor + dim.c_n / (1.0 - rho * rho) * _green_profile(
+        np.abs(np.cos(alphas)), dim, rho, rule)
     max_value = float(values.max())
     scale = max(1.0, abs(max_value))
     ties = np.nonzero(values >= max_value - TIE_TOLERANCE * scale)[0]
@@ -528,6 +587,5 @@ def certify_radial_max(n: int, rho: float, alpha_grid=None,
         radial_value=radial,
         radial_residual=radial_residual,
         passed=passed,
-        series_terms=series_cutoff(rho, dim.lambda_low, ctl),
         quad_order=rule.order,
     )

@@ -4,12 +4,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss, legval, legvander
 
+from ballgrad import constants
 from ballgrad.constants import (
     ConstantQuery,
     SeriesControl,
     _T_CHUNK,
     _graded_panels,
+    _green_edges,
+    _green_profile,
     _inner_smooth,
     certify_convexity,
     certify_radial_max,
@@ -524,13 +528,79 @@ def test_certificates_match_full_grid_evaluation(rule, n, rho):
 
     rad = certify_radial_max(n, rho, rule=rule)
     alphas = np.linspace(0.0, math.pi, 181)
-    values = dim.c_n / (1 - rho * rho) * sum(profile_parts(np.cos(alphas), dim, rho, ctl, rule))
+    values = _green_values_inline(dim, rho, alphas, rule)
     assert rad.passed == bool(values[0] >= values.max() - 1e-12 * max(1.0, values.max()))
-    assert rad.series_terms == series_cutoff(rho, dim.lambda_low, ctl)
     assert rad.value_at_zero == pytest.approx(values[0], rel=1e-14)
     assert rad.max_value == pytest.approx(values.max(), rel=1e-14)
+    series = dim.c_n / (1 - rho * rho) * sum(profile_parts(np.cos(alphas), dim, rho, ctl, rule))
+    assert rad.value_at_zero == pytest.approx(series[0], rel=1e-12)
+    assert rad.max_value == pytest.approx(series.max(), rel=1e-12)
     assert rad.argmax_alphas == (0.0, math.pi)
     assert rad.value_at_zero == rad.max_value
+
+
+def _green_values_inline(dim, rho, alphas, rule):
+    """The radial certificate's values, written out at every alpha: the direct
+    route at pi/2 plus int_0^u (u - s) p(s) ds, u = |cos(alpha)|, p the
+    16-node Legendre interpolant of the kernel curvature on each Green panel,
+    integrated panel by panel by a 16-node Gauss rule on the part below u."""
+    x, w = leggauss(16)
+    edges = _green_edges(rho)
+    total = np.zeros(len(alphas))
+    for a, b in zip(edges[:-1], edges[1:]):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        curv = profile_curvature_kernel(mid + half * x, dim, rho, rule)
+        coef = (np.arange(16) + 0.5) * ((legvander(x, 15).T * w) @ curv)
+        for i, u in enumerate(np.abs(np.cos(alphas))):
+            if u > a:
+                top = min(u, b)
+                s = 0.5 * (a + top) + 0.5 * (top - a) * x
+                total[i] += 0.5 * (top - a) * w @ ((u - s) * legval((s - mid) / half, coef))
+    anchor = constant_direct(ConstantQuery(dim, rho, math.pi / 2), rule)
+    return anchor + dim.c_n / (1 - rho * rho) * total
+
+
+def _series_profile(dim, rho, t, rule):
+    return sum(profile_parts(t, dim, rho, SeriesControl(), rule))
+
+
+@pytest.mark.parametrize("n, rho", [(n, rho) for n in (3, 5, 8, 16) for rho in (0.1, 0.5, 0.9, 0.95)]
+                         + [(3, 0.99), (4, 0.99)])
+def test_green_profile_matches_series(rule, n, rho):
+    # f(0) + int_0^|t| (|t| - s) f''(s) ds against the series profile, on the 181 radial-max angles
+    dim = DimensionParams(n)
+    t = np.cos(np.linspace(0.0, math.pi, 181))
+    series = _series_profile(dim, rho, t, rule)
+    green = _series_profile(dim, rho, 0.0, rule) + _green_profile(np.abs(t), dim, rho, rule)
+    assert np.max(np.abs(green - series) / series) <= 1e-12
+
+
+@pytest.mark.parametrize("rho, nodes", [(0.1, 32), (0.5, 64), (0.9, 112), (0.99, 192)])
+def test_green_panels(rho, nodes):
+    edges = _green_edges(rho)
+    assert edges[0] == 0.0 and edges[-1] == 1.0 and np.all(np.diff(edges) > 0.0)
+    assert 16 * (edges.size - 1) == nodes
+
+
+@pytest.mark.parametrize("n, rho", [(3, 0.5), (8, 0.9), (3, 0.99), (16, 0.999)])
+def test_green_profile_node_doubling(rule, monkeypatch, n, rho):
+    dim = DimensionParams(n)
+    u = np.abs(np.cos(np.linspace(0.0, math.pi, 181)))
+    coarse = _green_profile(u, dim, rho, rule)
+    monkeypatch.setattr(constants, "_GREEN_ORDER", 32)
+    fine = _green_profile(u, dim, rho, rule)
+    f0 = constant_direct(ConstantQuery(dim, rho, math.pi / 2), rule) * (1 - rho * rho) / dim.c_n
+    assert np.max(np.abs(coarse - fine)) <= 1e-12 * (f0 + fine.max())
+
+
+@pytest.mark.parametrize("rho", [0.995, 0.999])
+@pytest.mark.parametrize("n", [3, 8, 16])
+def test_certify_radial_max_near_boundary(rule, n, rho):
+    # past the series term cap: the certificate needs no series
+    rep = certify_radial_max(n, rho, rule=rule)
+    assert rep.passed
+    assert rep.radial_residual <= 1e-12
+    assert set(rep.argmax_alphas) <= {0.0, math.pi}
 
 
 def test_certify_convexity_rho_zero(rule):
@@ -575,6 +645,21 @@ def test_constant_radial_overflow_raises(n, rho):
     with pytest.raises(OverflowError, match=f"constant_radial overflows at n={n}, rho={rho}"):
         with np.errstate(all="ignore"):
             constant_radial(n, rho)
+
+
+@pytest.mark.parametrize("n, rho", [(128, 0.999), (256, 0.99), (1024, 0.9), (4096, 0.3)])
+def test_constant_direct_overflow_raises(n, rho):
+    # the inner (1 - 2 rho z + rho^2)^(1 - n/2) passes the double range; no silent nan
+    with pytest.raises(OverflowError, match=f"constant_direct overflows at n={n}, rho={rho}"):
+        with np.errstate(all="ignore"):
+            constant_direct(ConstantQuery(DimensionParams(n), rho, math.pi / 2))
+
+
+def test_certify_radial_max_overflow_names_the_anchor():
+    # the Green profile's anchor is the direct route at pi/2
+    with pytest.raises(OverflowError, match="constant_direct overflows at n=1024, rho=0.7"):
+        with np.errstate(all="ignore"):
+            certify_radial_max(1024, 0.7)
 
 
 @pytest.mark.parametrize("n, rho, t", [(128, 0.999, 0.0), (256, 0.99, 0.5),

@@ -1,12 +1,15 @@
 """Guards against stale names: every exported name resolves, the package root
 is exactly the README and CLI surface, and the README's Python example and
-CLI lines run."""
+CLI lines run. Also guards the import weight of the command."""
 
 import argparse
 import importlib
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 import types
 
 import ballgrad
@@ -59,3 +62,23 @@ def test_readme_documents_every_flag():
     options = {flag for parser in sub.choices.values() for action in parser._actions
                for flag in action.option_strings if flag not in ("-h", "--help")}
     assert set(re.findall(r"`(--[a-z][a-z-]*)", README.read_text())) == options
+
+
+def test_cli_loads_no_heavy_modules():
+    # a fresh process that imports the CLI and runs both certificates loads
+    # none of these: each adds milliseconds of import time and resident memory
+    src = str(pathlib.Path(ballgrad.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = ("import io, sys, contextlib, ballgrad.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert ballgrad.cli.main(['certify', '--dim', '3', '--rho', '0.5',"
+            " '--alpha', '0,pi/2,pi', '--t-grid', '5']) == 0\n"
+            "print(' '.join(sorted(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "ballgrad.constants" in loaded
+    heavy = [m for m in loaded if m == "numpy.polynomial" or m.startswith("numpy.polynomial.")
+             or m.split(".")[0] in ("scipy", "mpmath")]
+    assert heavy == []
