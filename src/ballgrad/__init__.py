@@ -10,7 +10,6 @@ from .constants import (
     ConstantQuery,
     ConvexityReport,
     RadialMaxReport,
-    SeriesControl,
     certify_convexity,
     certify_radial_max,
     constant_direct,

@@ -25,22 +25,26 @@ import sys
 from dataclasses import asdict
 
 from .constants import (
-    ConstantQuery,
+    ALPHA_GRID,
     DEFAULT_QUAD_ORDER,
     ROUTE_TOL,
-    SeriesControl,
+    T_GRID,
+    ConstantQuery,
     certify_convexity,
     certify_radial_max,
     constant_direct,
     constant_series,
 )
-from .gegenbauer import SERIES_TAIL_TOL, DimensionParams, SeriesConvergenceError
+from .gegenbauer import (SERIES_MAX_TERMS, SERIES_TAIL_TOL, DimensionParams,
+                         SeriesConvergenceError, series_cutoff)
 from .identities import DEFAULT_SUITE_LAMBDAS, SUITE_TOLERANCES, run_suite
 from .quadrature import gauss_legendre
 
 __all__ = ["main", "console_entry"]
 
 ENV_PREFIX = "BALLGRAD_"
+# most angles a 'step:<angle>' grid may ask for
+MAX_ANGLES = 100_000
 
 
 class UsageError(Exception):
@@ -98,6 +102,8 @@ def _alphas(spec: str):
         step = _parse_angle(spec[len("step:"):])
         if not 0.0 < step <= math.pi:
             raise UsageError(f"alpha step must lie in (0, pi], got {spec!r}")
+        if math.pi / step > MAX_ANGLES - 1:  # before round(), which has no int for inf
+            raise UsageError(f"alpha step {spec!r} gives more than {MAX_ANGLES} angles")
         count = int(round(math.pi / step))
         return [i * math.pi / count for i in range(count + 1)]
     alphas = [_parse_angle(tok) for tok in spec.split(",") if tok.strip()]
@@ -128,12 +134,6 @@ def _rhos(spec: str):
     return rhos
 
 
-def _format(text: str) -> str:
-    if text not in ("csv", "json"):
-        raise UsageError(f"format must be csv or json, got {text!r}")
-    return text
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ballgrad",
                      description="Sharp gradient-estimate constants on the unit ball")
@@ -141,25 +141,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, fmt):
         _flag(p, "--quad-order", "Gauss-Legendre order", int, DEFAULT_QUAD_ORDER)
-        _flag(p, "--format", "output format", _format, fmt, metavar="{csv,json}")
+        _flag(p, "--format", "output format", default=fmt, choices=("csv", "json"))
         _flag(p, "--out", "output path ('-' for stdout)", default="-")
 
-    def series_common(p, fmt, alpha):
+    def series_common(p, fmt):
         _flag(p, "--dim", "ambient dimension n >= 3", int, required=True)
-        _flag(p, "--max-terms", "series term cap", int, SeriesControl().max_terms)
+        _flag(p, "--max-terms", "series term cap", int, SERIES_MAX_TERMS)
         common(p, fmt)
         _flag(p, "--rho", "comma-separated radii in [0, 1)", _rhos, required=True)
-        _flag(p, "--alpha", f"comma list of angles, or 'step:<angle>' (default {alpha})",
-              _alphas, alpha)
 
     p_const = sub.add_parser("constant", help="directional constant by both routes")
     p_const.set_defaults(run=cmd_constant)
-    series_common(p_const, "csv", "step:pi/12")
+    series_common(p_const, "csv")
+    _flag(p_const, "--alpha", "comma list of angles, or 'step:<angle>' (default step:pi/12)",
+          _alphas, "step:pi/12")
 
     p_cert = sub.add_parser("certify", help="convexity and radial-max certificates")
     p_cert.set_defaults(run=cmd_certify)
-    series_common(p_cert, "json", "step:pi/180")
-    _flag(p_cert, "--t-grid", "number of t-grid points", int, 201)
+    series_common(p_cert, "json")
 
     p_ident = sub.add_parser("identities", help="polynomial identity residual suite")
     p_ident.set_defaults(run=cmd_identities)
@@ -203,20 +202,20 @@ def _emit(args, header, rows, payload):
 def _common_config(args):
     try:
         dim = DimensionParams(args.dim)
-        ctl = SeriesControl(max_terms=args.max_terms)
+        series_cutoff(0.0, dim.lambda_low, args.max_terms)  # rejects a cap below 8
         rule = gauss_legendre(args.quad_order)
     except ValueError as exc:
         raise UsageError(str(exc))
-    return dim, ctl, rule
+    return dim, rule
 
 
 def cmd_constant(args) -> int:
-    dim, ctl, rule = _common_config(args)
+    dim, rule = _common_config(args)
     rows = []
     all_ok = True
     for rho in args.rho:
         queries = [ConstantQuery(dim, rho, alpha) for alpha in args.alpha]
-        series = constant_series(queries, ctl, rule)
+        series = constant_series(queries, args.max_terms, rule)
         for alpha, q, c_ser in zip(args.alpha, queries, series.tolist()):
             c_dir = constant_direct(q, rule)
             diff = abs(c_ser - c_dir)
@@ -228,7 +227,7 @@ def cmd_constant(args) -> int:
         "command": "constant",
         "dim": dim.n,
         "quad_order": rule.order,
-        "max_terms": ctl.max_terms,
+        "max_terms": args.max_terms,
         "tail_tol": SERIES_TAIL_TOL,
         "tolerance": ROUTE_TOL,
         "rows": [dict(zip(header, row)) for row in rows],
@@ -238,18 +237,12 @@ def cmd_constant(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    dim, ctl, rule = _common_config(args)
-    if args.t_grid < 3:
-        raise UsageError(f"--t-grid must be at least 3, got {args.t_grid}")
-    if (args.alpha[0] > 1e-12 or math.pi - args.alpha[-1] > 1e-12
-            or any(b <= a for a, b in zip(args.alpha, args.alpha[1:]))):
-        raise UsageError("--alpha grid must cover [0, pi] in strictly increasing order")
-
+    dim, rule = _common_config(args)
     results, rows = [], []
     all_ok = True
     for rho in args.rho:
-        conv = certify_convexity(dim.n, rho, grid_size=args.t_grid, ctl=ctl, rule=rule)
-        rad = certify_radial_max(dim.n, rho, alpha_grid=args.alpha, rule=rule)
+        conv = certify_convexity(dim.n, rho, args.max_terms, rule)
+        rad = certify_radial_max(dim.n, rho, rule)
         all_ok &= conv.passed and rad.passed
         results.append({"rho": rho, "convexity": asdict(conv), "radial_max": asdict(rad)})
         rows += [(dim.n, rho, "convexity", conv.min_curvature, conv.max_route_gap,
@@ -260,10 +253,10 @@ def cmd_certify(args) -> int:
         "command": "certify",
         "dim": dim.n,
         "quad_order": rule.order,
-        "max_terms": ctl.max_terms,
+        "max_terms": args.max_terms,
         "tail_tol": SERIES_TAIL_TOL,
-        "t_grid": args.t_grid,
-        "alpha_points": len(args.alpha),
+        "t_grid": T_GRID.size,
+        "alpha_points": ALPHA_GRID.size,
         "results": results,
         "passed": all_ok,
     })

@@ -38,7 +38,9 @@ certificate takes this Green profile (_green_profile): the kernel curvature,
 integrated twice in closed form, anchored at constant_direct(alpha = pi/2);
 it runs no series. The convexity certificate evaluates both curvature routes
 once per distinct |t| and mirrors the values back; its grid is made exactly
-antisymmetric, so its 201 points take 101 columns.
+antisymmetric, so its 201 points take 101 columns. Both certificate grids
+(T_GRID, ALPHA_GRID) are constants, as the accuracy contracts are; the one
+setting of the series routes is their term cap, a plain max_terms int.
 """
 
 from __future__ import annotations
@@ -48,17 +50,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gegenbauer import (DimensionParams, eval_sequence, gamma_ratio, pair_series,
-                         pair_weights, series_cutoff)
-from .quadrature import QuadratureRule, composite_nodes, gauss_legendre, map_panels
+from .gegenbauer import (SERIES_MAX_TERMS, DimensionParams, eval_sequence, gamma_ratio,
+                         pair_series, pair_weights, series_cutoff)
+from .quadrature import (DEFAULT_QUAD_ORDER, QuadratureRule, composite_nodes, gauss_legendre,
+                         map_panels)
 
 __all__ = [
-    "SeriesControl",
     "ConstantQuery",
     "ConvexityReport",
     "RadialMaxReport",
     "DEFAULT_QUAD_ORDER",
     "ROUTE_TOL", "CONVEXITY_FLOOR", "TIE_TOLERANCE",
+    "T_GRID", "ALPHA_GRID",
     "constant_direct",
     "constant_series",
     "constant_radial",
@@ -70,11 +73,16 @@ __all__ = [
     "certify_radial_max",
 ]
 
-DEFAULT_QUAD_ORDER = 128
 # the accuracy contracts: route agreement and tie relative to max(1, |value|)
 ROUTE_TOL = 1e-8
 CONVEXITY_FLOOR = -1e-12
 TIE_TOLERANCE = 1e-12
+# the certificate grids: 201 t in [-0.999, 0.999], made exactly antisymmetric as
+# in gauss_legendre, and the 181 angles i*pi/180 of the radial-max scan
+T_GRID = np.linspace(-0.999, 0.999, 201)
+T_GRID = 0.5 * (T_GRID - T_GRID[::-1])
+ALPHA_GRID = np.array([i * math.pi / 180 for i in range(181)])
+T_GRID.flags.writeable = ALPHA_GRID.flags.writeable = False
 # rows per block of the t-sweeps and the direct route's inner matrix; bounds temporaries
 _T_CHUNK = 32
 # Gauss nodes per panel of the Green profile (_green_profile)
@@ -83,27 +91,6 @@ _GREEN_ORDER = 16
 
 def _default_rule(rule: QuadratureRule | None) -> QuadratureRule:
     return rule if rule is not None else gauss_legendre(DEFAULT_QUAD_ORDER)
-
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Term cap of the rho-power series; the tail bound is gegenbauer.SERIES_TAIL_TOL.
-
-    The default cap covers rho = 0.99 only for lam <= 3 (7,657 terms at
-    lam = 3): the series route of `constant` for n <= 8, and the convexity
-    half of `certify` (series curvature up to lam = (n+2)/2) for n <= 4.
-    Past that the series routes raise SeriesConvergenceError. The radial-max
-    half of `certify` runs no series, so the cap does not limit it.
-    """
-
-    max_terms: int = 8192
-
-    def __post_init__(self):
-        if self.max_terms < 8:
-            raise ValueError(f"max_terms must be at least 8, got {self.max_terms}")
-
-
-_DEFAULT_CONTROL = SeriesControl()
 
 
 @dataclass(frozen=True)
@@ -231,7 +218,7 @@ def _kink_integrals(t, dim: DimensionParams, rho: float, rule: QuadratureRule):
     return plain, weighted
 
 
-def _tail_series(t, dim: DimensionParams, rho: float, ctl: SeriesControl):
+def _tail_series(t, dim: DimensionParams, rho: float, max_terms: int):
     """Series part of the profile, for scalar or vector t.
 
     Term k couples degree k-2 at lam_high with degree k at lam_low, weighted
@@ -240,18 +227,17 @@ def _tail_series(t, dim: DimensionParams, rho: float, ctl: SeriesControl):
     n = dim.n
     delta = (n - 2) / n * rho
     ta = np.atleast_1d(np.asarray(t, dtype=float))
-    if rho == 0.0:
-        return np.zeros_like(ta)
     lam_h, lam_l = dim.lambda_high, dim.lambda_low
-    K = series_cutoff(rho, lam_l, ctl)
+    K = series_cutoff(rho, lam_l, max_terms)
+    if K == 0:  # rho = 0
+        return np.zeros_like(ta)
     total = pair_series([(lam_h, delta * ta, lam_l, ta)],
                         [pair_weights(lam_h, rho, K, lag=2)], lag=2)[0]
     pref = (2.0 / (n * n - 1.0)) * (1.0 - (delta * ta) ** 2) ** ((n + 1) / 2.0)
     return pref * total
 
 
-def profile_parts(t, dim: DimensionParams, rho: float,
-                  ctl: SeriesControl | None = None,
+def profile_parts(t, dim: DimensionParams, rho: float, max_terms: int = SERIES_MAX_TERMS,
                   rule: QuadratureRule | None = None):
     """The three additive parts of the normalized constant profile at t = cos(alpha).
 
@@ -262,16 +248,14 @@ def profile_parts(t, dim: DimensionParams, rho: float,
     if np.any(np.abs(ta) > 1.0):
         raise ValueError("t must lie in [-1, 1]")
     rule = _default_rule(rule)
-    ctl = ctl or _DEFAULT_CONTROL
     plain, weighted = _kink_integrals(ta, dim, rho, rule)
-    tail = _tail_series(ta, dim, rho, ctl)
+    tail = _tail_series(ta, dim, rho, max_terms)
     if ta.ndim == 0:
         return float(plain[0]), float(weighted[0]), float(tail[0])
     return plain, weighted, tail
 
 
-def constant_series(q, ctl: SeriesControl | None = None,
-                    rule: QuadratureRule | None = None):
+def constant_series(q, max_terms: int = SERIES_MAX_TERMS, rule: QuadratureRule | None = None):
     """Directional constant via the ultraspherical-expansion representation.
 
     `q` is one ConstantQuery (float result) or a sequence of queries at one
@@ -288,7 +272,7 @@ def constant_series(q, ctl: SeriesControl | None = None,
         if any(p.dim != dim or p.rho != rho for p in queries):
             raise ValueError("queries must share one dimension and rho")
         t = np.array([p.t for p in queries])
-    plain, weighted, tail = profile_parts(t, dim, rho, ctl, rule)
+    plain, weighted, tail = profile_parts(t, dim, rho, max_terms, rule)
     return dim.c_n / (1.0 - rho ** 2) * (plain + weighted + tail)
 
 
@@ -313,12 +297,11 @@ def constant_radial(n, rho: float, rule: QuadratureRule | None = None) -> float:
 
 
 def profile_curvature_series(t, dim: DimensionParams, rho: float,
-                             ctl: SeriesControl | None = None):
+                             max_terms: int = SERIES_MAX_TERMS):
     """Second derivative of the profile by its three-series representation."""
     ta = np.asarray(t, dtype=float)
     if np.any(np.abs(ta) >= 1.0):
         raise ValueError("t must lie in (-1, 1)")
-    ctl = ctl or _DEFAULT_CONTROL
     n = dim.n
     delta = (n - 2) / n * rho
     tv = np.atleast_1d(ta)
@@ -328,7 +311,7 @@ def profile_curvature_series(t, dim: DimensionParams, rho: float,
     lams = (dim.lambda_low, dim.lambda_mid, dim.lambda_high)
     s_low, s_mid, s_high = pair_series(
         [(lam, x1, lam, tv) for lam in lams],
-        [pair_weights(lam, rho, series_cutoff(rho, lam, ctl)) for lam in lams])
+        [pair_weights(lam, rho, series_cutoff(rho, lam, max_terms)) for lam in lams])
 
     d2 = delta * delta
     out = (2.0 * d2 * g ** ((n - 3) / 2.0) * s_low
@@ -350,8 +333,9 @@ def profile_curvature_kernel(t, dim: DimensionParams, rho: float,
     the same shape otherwise.
     """
     ta = np.asarray(t, dtype=float)
-    if not np.all(np.abs(ta) < 1.0):
-        raise ValueError(f"t must lie in (-1, 1), got {t}")
+    bad = ~(np.abs(ta) < 1.0)
+    if bad.any():
+        raise ValueError(f"t must lie in (-1, 1), got {float(ta[bad].flat[0])}")
     rule = _default_rule(rule)
     n = dim.n
     delta = (n - 2) / n * rho
@@ -467,35 +451,29 @@ class RadialMaxReport:
     quad_order: int
 
 
-def certify_convexity(n: int, rho: float, grid_size: int = 201,
-                      ctl: SeriesControl | None = None,
+def certify_convexity(n: int, rho: float, max_terms: int = SERIES_MAX_TERMS,
                       rule: QuadratureRule | None = None) -> ConvexityReport:
-    """Scan the profile curvature on a uniform open t-grid and certify its sign.
+    """Scan the profile curvature on T_GRID and certify its sign.
 
     The series curvature is certified, and the kernel curvature must agree
     with it to ROUTE_TOL; max_route_gap reports their largest discrepancy.
     """
-    if grid_size < 3:
-        raise ValueError(f"grid_size must be at least 3, got {grid_size}")
     dim = DimensionParams(n)
-    ctl = ctl or _DEFAULT_CONTROL
     rule = _default_rule(rule)
-    grid = np.linspace(-0.999, 0.999, grid_size)
-    grid = 0.5 * (grid - grid[::-1])  # exactly antisymmetric, as in gauss_legendre
-    curv = _even_in_t(lambda u: profile_curvature_series(u, dim, rho, ctl), grid)
-    kern = _even_in_t(lambda u: profile_curvature_kernel(u, dim, rho, rule), grid)
+    curv = _even_in_t(lambda u: profile_curvature_series(u, dim, rho, max_terms), T_GRID)
+    kern = _even_in_t(lambda u: profile_curvature_kernel(u, dim, rho, rule), T_GRID)
     gap = float(np.max(np.abs(curv - kern)))
     imin = int(np.argmin(curv))
     routes_agree = gap <= ROUTE_TOL * max(1.0, float(np.max(np.abs(curv))))
     return ConvexityReport(
         n=dim.n,
         rho=rho,
-        grid_size=grid_size,
+        grid_size=T_GRID.size,
         min_curvature=float(curv[imin]),
-        argmin_t=float(grid[imin]),
+        argmin_t=float(T_GRID[imin]),
         passed=bool(curv[imin] >= CONVEXITY_FLOOR and routes_agree),
         max_route_gap=gap,
-        series_terms=tuple(series_cutoff(rho, lam, ctl)
+        series_terms=tuple(series_cutoff(rho, lam, max_terms)
                            for lam in (dim.lambda_low, dim.lambda_mid, dim.lambda_high)),
         quad_order=rule.order,
     )
@@ -503,9 +481,10 @@ def certify_convexity(n: int, rho: float, grid_size: int = 201,
 
 def _green_edges(rho: float) -> np.ndarray:
     """Panel edges of the Green profile on [0, 1]: geometric, 0.5 * 4^-k, down to
-    (1 - rho)/4 toward t = 0 (the curvature's layer there) and (1 - rho)^2/4 toward t = 1."""
+    (1 - rho)/4 toward t = 0 (the curvature's layer there) and toward t = 1 down to
+    (1 - rho)^2/4, but not below 2^-39, where the last nodes would round to 1.0."""
     edges, h = [0.0, 0.5, 1.0], 0.125
-    while h >= (1.0 - rho) ** 2 / 4.0:
+    while h >= max((1.0 - rho) ** 2 / 4.0, 2.0 ** -39):
         edges.append(1.0 - h)
         if h >= (1.0 - rho) / 4.0:
             edges.append(h)
@@ -547,9 +526,8 @@ def _green_profile(u, dim: DimensionParams, rho: float, rule: QuadratureRule):
     return level[j] + slope[j] * (u - edges[j]) + poly
 
 
-def certify_radial_max(n: int, rho: float, alpha_grid=None,
-                       rule: QuadratureRule | None = None) -> RadialMaxReport:
-    """Scan the directional constant over an alpha grid rising from 0 to pi.
+def certify_radial_max(n: int, rho: float, rule: QuadratureRule | None = None) -> RadialMaxReport:
+    """Scan the directional constant over ALPHA_GRID, from 0 to pi.
 
     The values are the Green profile (_green_profile) at |cos(alpha)|,
     anchored at constant_direct(alpha = pi/2). Certifies that alpha = 0
@@ -559,13 +537,9 @@ def certify_radial_max(n: int, rho: float, alpha_grid=None,
     """
     dim = DimensionParams(n)
     rule = _default_rule(rule)
-    alphas = np.linspace(0.0, math.pi, 181) if alpha_grid is None \
-        else np.asarray(alpha_grid, dtype=float)
-    if alphas[0] > 1e-12 or math.pi - alphas[-1] > 1e-12 or np.any(np.diff(alphas) <= 0.0):
-        raise ValueError("alpha grid must cover [0, pi] in strictly increasing order")
     anchor = constant_direct(ConstantQuery(dim, rho, math.pi / 2), rule)
     values = anchor + dim.c_n / (1.0 - rho * rho) * _green_profile(
-        np.abs(np.cos(alphas)), dim, rho, rule)
+        np.abs(np.cos(ALPHA_GRID)), dim, rho, rule)
     max_value = float(values.max())
     scale = max(1.0, abs(max_value))
     ties = np.nonzero(values >= max_value - TIE_TOLERANCE * scale)[0]
@@ -579,8 +553,8 @@ def certify_radial_max(n: int, rho: float, alpha_grid=None,
     return RadialMaxReport(
         n=dim.n,
         rho=rho,
-        grid_points=len(alphas),
-        argmax_alphas=tuple(float(alphas[i]) for i in ties),
+        grid_points=ALPHA_GRID.size,
+        argmax_alphas=tuple(float(ALPHA_GRID[i]) for i in ties),
         value_at_zero=value_at_zero,
         max_value=max_value,
         interior_gap=value_at_zero - max_value,

@@ -34,6 +34,7 @@ __all__ = [
     "legendre",
     "assoc_legendre",
     "SERIES_TAIL_TOL",
+    "SERIES_MAX_TERMS",
     "series_cutoff",
     "pair_weights",
     "recurrence_blocks",
@@ -49,6 +50,8 @@ _BLOCK = 32
 _COLUMNS = 256
 # every rho-power series stops at the first K with rho^K (K+1)^max(2 lam - 1, 0) below this
 SERIES_TAIL_TOL = 1e-14
+# default term cap of every rho-power series (the CLI's --max-terms)
+SERIES_MAX_TERMS = 8192
 
 
 class SeriesConvergenceError(RuntimeError):
@@ -215,21 +218,20 @@ def assoc_legendre(k: int, j: int, x: float) -> float:
     return ((-1.0) ** j) * (1.0 - xv * xv) ** (j / 2.0) * dj
 
 
-def series_cutoff(rho: float, lam: float, control) -> int:
+@functools.lru_cache(maxsize=1024)
+def series_cutoff(rho: float, lam: float, max_terms: int) -> int:
     """Truncation index for series with terms bounded by C_k^lam(1)-type growth.
 
     Since |C_k^lam| <= C_k^lam(1) ~ k^(2*lam-1), the tail of a rho-power series
     is controlled once rho^K (K+1)^max(2*lam-1, 0) drops below SERIES_TAIL_TOL;
-    returns the first such K >= 8. `control` needs the attribute max_terms.
-    Orders are cached per (rho, lam, max_terms); a failure is not cached and
-    raises on every call. A bound (K+1)^(2*lam-1) past the double range, at
-    large lam, raises SeriesConvergenceError too, with tail_estimate = inf.
+    returns the first such K >= 8, or 0 at rho = 0. Past max_terms terms, or
+    where the bound (K+1)^(2*lam-1) passes the double range (large lam,
+    tail_estimate = inf), it raises SeriesConvergenceError. The one check of
+    the cap: max_terms below 8 is a ValueError, for every caller. Orders are
+    cached; a failure is not cached and raises on every call.
     """
-    return _cutoff(rho, lam, control.max_terms)
-
-
-@functools.lru_cache(maxsize=1024)
-def _cutoff(rho: float, lam: float, max_terms: int) -> int:
+    if max_terms < 8:
+        raise ValueError(f"max_terms must be at least 8, got {max_terms}")
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
     if rho == 0.0:

@@ -38,6 +38,7 @@ from .gegenbauer import (  # noqa: F401
     pochhammer,
 )
 from .quadrature import (  # noqa: F401
+    DEFAULT_QUAD_ORDER,
     QuadratureRule,
     composite_nodes,
     gauss_legendre,
@@ -378,7 +379,7 @@ def run_suite(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12, samples: int 
     check applies. Each check is called once per (lam, degree) batch of
     samples (per block of _SAMPLE_BLOCK samples).
     """
-    rule = rule or gauss_legendre(128)
+    rule = rule or gauss_legendre(DEFAULT_QUAD_ORDER)
     rng = np.random.default_rng(seed)
     wanted = set(checks) if checks is not None else set(SUITE_TOLERANCES)
     unknown = wanted - set(SUITE_TOLERANCES)

@@ -16,6 +16,7 @@ import numpy as np
 from .gegenbauer import recurrence_blocks
 
 __all__ = [
+    "DEFAULT_QUAD_ORDER",
     "QuadratureRule",
     "ToleranceNotMetError",
     "gauss_legendre",
@@ -28,6 +29,8 @@ __all__ = [
 ]
 
 MAX_ORDER = 4096
+# Gauss-Legendre order of every route, certificate and identity check by default
+DEFAULT_QUAD_ORDER = 128
 
 
 class ToleranceNotMetError(RuntimeError):

@@ -6,11 +6,12 @@ import pathlib
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 
 import pytest
 
 import ballgrad
-from ballgrad import cli
+from ballgrad import certify_convexity, certify_radial_max, cli
 from ballgrad.cli import main
 
 
@@ -99,8 +100,7 @@ def test_certify_passes(capsys):
 
 
 def test_certify_near_boundary_reports_longer_series(capsys):
-    code, out, _ = _run(capsys, ["certify", "--dim", "3", "--rho", "0.99",
-                                 "--alpha", "step:pi/36"])
+    code, out, _ = _run(capsys, ["certify", "--dim", "3", "--rho", "0.99"])
     assert code == 0
     payload = json.loads(out)
     assert payload["passed"] is True
@@ -245,11 +245,11 @@ def test_module_entry_point():
     ["constant", "--dim", "3", "--rho", "0.5", "--alpha", "1.2.3*pi"],
     ["constant", "--dim", "3", "--rho", "0.5", "--alpha", "pi/0"],
     ["constant", "--dim", "3", "--rho", "0.5", "--alpha", "pi/."],
-    ["certify", "--dim", "3", "--rho", "0.5", "--alpha", "step:1.2.3*pi"],
-    ["certify", "--dim", "3", "--rho", "0.5", "--alpha", "step:pi/0"],
-    ["certify", "--dim", "3", "--rho", "0.5", "--alpha", "step:pi/."],
+    ["constant", "--dim", "3", "--rho", "0.5", "--alpha", "step:1.2.3*pi"],
+    ["constant", "--dim", "3", "--rho", "0.5", "--alpha", "step:pi/0"],
+    ["constant", "--dim", "3", "--rho", "0.5", "--alpha", "step:pi/."],
 ], ids=["constant-two-dots", "constant-zero-den", "constant-dot-den",
-        "certify-two-dots", "certify-zero-den", "certify-dot-den"])
+        "step-two-dots", "step-zero-den", "step-dot-den"])
 def test_malformed_angle_is_usage_error(capsys, argv):
     code, out, err = _run(capsys, argv)
     assert code == 2
@@ -266,6 +266,32 @@ def test_identities_rejects_series_flags(capsys, flags):
     code, out, _ = _run(capsys, ["identities", *flags])
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize("step", ["1e-9", "5e-324", "pi/100000"])
+def test_alpha_step_grid_is_bounded(capsys, step):
+    # the count is checked before any angle is built: 3e9 floats for 1e-9
+    code, out, err = _run(capsys, ["constant", "--dim", "3", "--rho", "0", "--alpha",
+                                   "step:" + step])
+    assert code == 2
+    assert out == ""
+    assert err == (f"ballgrad: error: alpha step 'step:{step}' gives more than "
+                   f"{cli.MAX_ANGLES} angles\n")
+
+
+def test_alpha_step_grid_at_the_bound():
+    alphas = cli._alphas(f"step:pi/{cli.MAX_ANGLES - 1}")
+    assert len(alphas) == cli.MAX_ANGLES and alphas[-1] == math.pi
+
+
+@pytest.mark.parametrize("command", ["constant", "certify"])
+@pytest.mark.parametrize("cap", ["7", "0"])
+def test_max_terms_below_8_is_usage_error(capsys, command, cap):
+    # series_cutoff checks the cap, also at rho = 0 where no series term runs
+    code, out, err = _run(capsys, [command, "--dim", "3", "--rho", "0", "--max-terms", cap])
+    assert code == 2
+    assert out == ""
+    assert err == f"ballgrad: error: max_terms must be at least 8, got {cap}\n"
 
 
 def test_env_format_must_be_csv_or_json(capsys, monkeypatch):
@@ -327,8 +353,7 @@ def test_constant_csv_and_json_agree(capsys):
 
 def test_certify_csv_and_json_agree(capsys):
     header, rows, payload = _csv_json_rows(
-        capsys, ["certify", "--dim", "3", "--rho", "0,0.5", "--t-grid", "21",
-                 "--alpha", "step:pi/12"])
+        capsys, ["certify", "--dim", "3", "--rho", "0,0.5"])
     assert header == ["n", "rho", "certificate", "margin", "residual", "status"]
     expected = []
     for entry in payload["results"]:
@@ -435,13 +460,26 @@ def test_env_bad_value_is_one_line(capsys, monkeypatch):
     ["constant", "--dim", "abc", "--rho", "0"],
     ["identities", "--dim", "3"],
     [],
-    ["certify", "--dim", "3", "--rho", "0.5", "--alpha", "0,pi/2,pi/4,pi"],
-], ids=["bad-int", "unknown-flag", "no-command", "alpha-not-increasing"])
+    ["certify", "--dim", "3", "--rho", "0.5", "--alpha", "0"],
+    ["certify", "--dim", "3", "--rho", "0.5", "--t-grid", "5"],
+    ["constant", "--dim", "3", "--rho", "0", "--format", "xml"],
+], ids=["bad-int", "unknown-flag", "no-command", "certify-alpha", "certify-t-grid",
+        "format-xml"])
 def test_argparse_errors_are_one_line(capsys, argv):
     code, out, err = _run(capsys, argv)
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("ballgrad: error: ")
+
+
+def test_certify_json_is_the_library_reports(capsys):
+    # the certify command adds no computation of its own: its JSON is asdict of both reports
+    code, out, _ = _run(capsys, ["certify", "--dim", "5", "--rho", "0.9"])
+    assert code == 0
+    (entry,) = json.loads(out)["results"]
+    expected = {"rho": 0.9, "convexity": asdict(certify_convexity(5, 0.9)),
+                "radial_max": asdict(certify_radial_max(5, 0.9))}
+    assert entry == json.loads(json.dumps(expected))
 
 
 @pytest.mark.parametrize("command", ["constant", "certify"])

@@ -8,8 +8,9 @@ from numpy.polynomial.legendre import leggauss, legval, legvander
 
 from ballgrad import constants
 from ballgrad.constants import (
+    ALPHA_GRID,
+    T_GRID,
     ConstantQuery,
-    SeriesControl,
     _T_CHUNK,
     _graded_panels,
     _green_edges,
@@ -26,6 +27,7 @@ from ballgrad.constants import (
     profile_parts,
 )
 from ballgrad.gegenbauer import (
+    SERIES_MAX_TERMS,
     DimensionParams,
     SeriesConvergenceError,
     gamma_ratio,
@@ -33,7 +35,7 @@ from ballgrad.gegenbauer import (
     pair_weights,
     series_cutoff,
 )
-from ballgrad.quadrature import gauss_legendre, integrate_adaptive
+from ballgrad.quadrature import gauss_legendre, integrate_adaptive, map_panels
 
 DIMS = (3, 4, 5, 8)
 
@@ -60,10 +62,25 @@ def test_query_validation():
         ConstantQuery(dim, 0.5, 4.0)
 
 
-def test_series_control_validation():
-    with pytest.raises(ValueError):
-        SeriesControl(max_terms=4)
-    assert [f.name for f in dataclasses.fields(SeriesControl)] == ["max_terms"]
+@pytest.mark.parametrize("call", [
+    lambda cap: series_cutoff(0.5, 1.5, cap),
+    lambda cap: series_cutoff(0.0, 1.5, cap),
+    lambda cap: constant_series(ConstantQuery(DimensionParams(3), 0.0, 0.0), cap),
+    lambda cap: profile_parts(0.3, DimensionParams(4), 0.5, cap),
+    lambda cap: profile_curvature_series(0.3, DimensionParams(4), 0.5, cap),
+    lambda cap: certify_convexity(3, 0.5, cap),
+], ids=["cutoff", "cutoff-rho-zero", "constant-series-rho-zero", "profile-parts",
+        "curvature-series", "certify-convexity"])
+def test_series_cap_validation(call):
+    # series_cutoff alone checks the term cap, and every series route reaches it
+    for cap in (7, 4, 0, -1):
+        with pytest.raises(ValueError, match=f"max_terms must be at least 8, got {cap}"):
+            call(cap)
+    try:  # 8 passes the check; at rho = 0.5 the series needs more terms
+        call(8)
+    except SeriesConvergenceError:
+        pass
+    assert SERIES_MAX_TERMS == 8192
 
 
 def test_kernel_point_membership():
@@ -99,7 +116,7 @@ def _inner_series(q, x):
         * (1.0 - x * x) ** ((n - 3) / 2.0)
     if q.rho == 0.0:
         return pref
-    K = series_cutoff(q.rho, lam, SeriesControl())
+    K = series_cutoff(q.rho, lam, SERIES_MAX_TERMS)
     return pref * float(pair_series([(lam, x, lam, q.t)], [pair_weights(lam, q.rho, K)])[0])
 
 
@@ -210,7 +227,7 @@ def test_direct_route_near_boundary(rule, n, rho, alpha):
     # route, with its term cap raised, referees the direct route there
     q = ConstantQuery(DimensionParams(n), rho, alpha)
     direct = constant_direct(q, rule)
-    series = constant_series(q, SeriesControl(max_terms=60000), rule)
+    series = constant_series(q, 60000, rule)
     assert abs(direct - series) <= 1e-8 * abs(series)
 
 
@@ -259,7 +276,7 @@ def test_radial_domain(rule):
 def test_series_nonconvergence_signaled(rule):
     q = ConstantQuery(DimensionParams(4), 0.9, 0.5)
     with pytest.raises(SeriesConvergenceError):
-        constant_series(q, SeriesControl(max_terms=16), rule)
+        constant_series(q, 16, rule)
 
 
 # -- profile parts ------------------------------------------------------------
@@ -344,7 +361,7 @@ def _curvature_series_longdouble(t, n, rho):
     sums = []
     for lam2 in (n - 2, n, n + 2):
         lam = L(lam2) / 2
-        K = series_cutoff(rho, lam2 / 2.0, SeriesControl())
+        K = series_cutoff(rho, lam2 / 2.0, SERIES_MAX_TERMS)
         a_prev, b_prev = np.ones_like(t), np.ones_like(t)
         a, b = 2 * lam * x1, 2 * lam * t
         w = L(1)
@@ -385,14 +402,14 @@ def _symmetric(lo, hi, size):
 @pytest.mark.parametrize("n", [3, 8, 16])
 def test_profile_and_curvature_even(rule, n, rho):
     # the certificates evaluate these once per |t|; the term cap fits lam = 9 at rho = 0.99
-    dim, ctl = DimensionParams(n), SeriesControl(max_terms=32768)
+    dim = DimensionParams(n)
     t = _symmetric(-0.999, 0.999, 41)
-    series = profile_curvature_series(t, dim, rho, ctl)
+    series = profile_curvature_series(t, dim, rho, 32768)
     assert np.array_equal(series, series[::-1])
     kernel = profile_curvature_kernel(t, dim, rho, rule)
     assert np.max(np.abs(kernel - kernel[::-1])) <= 1e-14 * np.max(np.abs(kernel))
     t = _symmetric(-1.0, 1.0, 41)
-    f = sum(profile_parts(t, dim, rho, ctl, rule))
+    f = sum(profile_parts(t, dim, rho, 32768, rule))
     assert np.max(np.abs(f - f[::-1])) <= 1e-14 * np.max(np.abs(f))
 
 
@@ -500,39 +517,38 @@ def test_certificates_take_no_tolerance():
 
 
 def test_certify_convexity_route_gap(rule):
-    grid = np.linspace(-0.999, 0.999, 11)
     for n, rho in ((3, 0.5), (8, 0.95)):
         dim = DimensionParams(n)
-        rep = certify_convexity(n, rho, grid_size=11, rule=rule)
-        curv = profile_curvature_series(grid, dim, rho)
+        rep = certify_convexity(n, rho, rule=rule)
+        curv = profile_curvature_series(T_GRID, dim, rho)
         want = max(abs(curv[i] - profile_curvature_kernel(float(t), dim, rho, rule))
-                   for i, t in enumerate(grid))
+                   for i, t in enumerate(T_GRID))
         assert rep.max_route_gap == pytest.approx(want, abs=1e-14 * np.max(np.abs(curv)))
 
 
 @pytest.mark.parametrize("n, rho", [(3, 0.5), (8, 0.95), (3, 0.99)])
 def test_certificates_match_full_grid_evaluation(rule, n, rho):
     # the reports evaluate once per distinct |t|; here every grid point is evaluated
-    dim, ctl = DimensionParams(n), SeriesControl()
+    dim = DimensionParams(n)
     conv = certify_convexity(n, rho, rule=rule)
     grid = _symmetric(-0.999, 0.999, 201)
-    curv = profile_curvature_series(grid, dim, rho, ctl)
+    curv = profile_curvature_series(grid, dim, rho)
     kern = profile_curvature_kernel(grid, dim, rho, rule)
     scale = np.max(np.abs(curv))
     assert conv.passed == bool(curv.min() >= -1e-12)
-    assert conv.series_terms == tuple(series_cutoff(rho, lam, ctl) for lam in
+    assert conv.series_terms == tuple(series_cutoff(rho, lam, SERIES_MAX_TERMS) for lam in
                                       (dim.lambda_low, dim.lambda_mid, dim.lambda_high))
     assert conv.min_curvature == pytest.approx(curv.min(), rel=1e-14)
     assert abs(conv.argmin_t) == abs(grid[np.argmin(curv)])
     assert abs(conv.max_route_gap - np.max(np.abs(curv - kern))) <= 1e-14 * scale
 
     rad = certify_radial_max(n, rho, rule=rule)
-    alphas = np.linspace(0.0, math.pi, 181)
+    alphas = np.arange(181) * math.pi / 180
     values = _green_values_inline(dim, rho, alphas, rule)
     assert rad.passed == bool(values[0] >= values.max() - 1e-12 * max(1.0, values.max()))
     assert rad.value_at_zero == pytest.approx(values[0], rel=1e-14)
     assert rad.max_value == pytest.approx(values.max(), rel=1e-14)
-    series = dim.c_n / (1 - rho * rho) * sum(profile_parts(np.cos(alphas), dim, rho, ctl, rule))
+    series = dim.c_n / (1 - rho * rho) * sum(profile_parts(np.cos(alphas), dim, rho, rule=rule))
     assert rad.value_at_zero == pytest.approx(series[0], rel=1e-12)
     assert rad.max_value == pytest.approx(series.max(), rel=1e-12)
     assert rad.argmax_alphas == (0.0, math.pi)
@@ -561,7 +577,7 @@ def _green_values_inline(dim, rho, alphas, rule):
 
 
 def _series_profile(dim, rho, t, rule):
-    return sum(profile_parts(t, dim, rho, SeriesControl(), rule))
+    return sum(profile_parts(t, dim, rho, rule=rule))
 
 
 @pytest.mark.parametrize("n, rho", [(n, rho) for n in (3, 5, 8, 16) for rho in (0.1, 0.5, 0.9, 0.95)]
@@ -611,8 +627,13 @@ def test_certify_convexity_rho_zero(rule):
 
 
 def test_certify_convexity_validation(rule):
+    # the t-grid is a constant: 201 points in (-1, 1), exactly antisymmetric
+    assert T_GRID.shape == (201,) and np.all(np.diff(T_GRID) > 0.0)
+    assert T_GRID[0] == -0.999 and np.array_equal(T_GRID, -T_GRID[::-1])
     with pytest.raises(ValueError):
-        certify_convexity(4, 0.5, grid_size=2, rule=rule)
+        T_GRID[0] = 0.0
+    with pytest.raises(TypeError):
+        certify_convexity(4, 0.5, grid_size=11, rule=rule)
 
 
 def test_certify_radial_max(rule):
@@ -632,11 +653,36 @@ def test_certify_radial_max_degenerate(rule):
 
 
 def test_certify_radial_max_grid_validation(rule):
+    # the alpha grid is a constant covering [0, pi] in strictly increasing
+    # order: i*pi/180, the 'step:pi/180' grid the CLI used to build
+    assert ALPHA_GRID.tolist() == [i * math.pi / 180 for i in range(181)]
+    assert ALPHA_GRID[0] == 0.0 and ALPHA_GRID[-1] == math.pi
+    assert np.all(np.diff(ALPHA_GRID) > 0.0)
     with pytest.raises(ValueError):
-        certify_radial_max(4, 0.5, alpha_grid=np.linspace(0.0, 1.0, 50), rule=rule)
-    for grid in ([0.0, math.pi / 2, math.pi / 4, math.pi], [0.0, 1.0, 1.0, math.pi]):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            certify_radial_max(4, 0.5, alpha_grid=grid, rule=rule)
+        ALPHA_GRID[1] = 0.0
+    with pytest.raises(TypeError):
+        certify_radial_max(4, 0.5, alpha_grid=ALPHA_GRID, rule=rule)
+    assert certify_radial_max(4, 0.5, rule=rule).grid_points == 181
+
+
+@pytest.mark.parametrize("rho", [1 - 1e-7, 1 - 1e-8])
+def test_certify_radial_max_at_the_edge_of_double(rule, rho):
+    # the Green panels stop grading toward t = 1 before a node rounds to 1.0;
+    # whatever the verdict, the call ends in a report or in a one-line error
+    assert map_panels(_green_edges(rho), gauss_legendre(16))[0].max() < 1.0
+    try:
+        rep = certify_radial_max(3, rho, rule=rule)
+    except (ValueError, ArithmeticError) as exc:
+        assert "\n" not in str(exc) and len(str(exc)) < 200
+    else:
+        assert rep.rho == rho and rep.grid_points == 181
+
+
+def test_curvature_kernel_names_the_first_bad_t():
+    t = np.concatenate((np.linspace(0.0, 0.9, 500), [1.0, 1.5], np.linspace(0.0, 0.9, 500)))
+    with pytest.raises(ValueError) as info:
+        profile_curvature_kernel(t, DimensionParams(3), 0.5)
+    assert str(info.value) == "t must lie in (-1, 1), got 1.0"
 
 
 @pytest.mark.parametrize("n, rho", [(1024, 0.7), (4096, 0.3)])

@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -80,8 +79,7 @@ def test_recurrence_matches_explicit(lam):
 @pytest.mark.parametrize("lam", (0.5, 1.5, 3.0))
 @pytest.mark.parametrize("z", (-0.5, 0.25, 0.5))
 def test_generating_function(lam, z):
-    ctl = SimpleNamespace(max_terms=4096)
-    K = series_cutoff(abs(z), lam, ctl)
+    K = series_cutoff(abs(z), lam, 4096)
     for x in (-0.9, 0.3, 0.7):
         seq = eval_sequence(lam, K, x)
         partial = float(np.polynomial.polynomial.polyval(z, seq))
@@ -226,36 +224,32 @@ def test_gamma_ratio():
 
 
 def test_series_cutoff():
-    ctl = SimpleNamespace(max_terms=8192)
-    assert series_cutoff(0.0, 1.5, ctl) == 0
-    k_half = series_cutoff(0.5, 0.5, ctl)
-    k_nine = series_cutoff(0.9, 0.5, ctl)
+    assert series_cutoff(0.0, 1.5, 8192) == 0
+    k_half = series_cutoff(0.5, 0.5, 8192)
+    k_nine = series_cutoff(0.9, 0.5, 8192)
     assert 8 <= k_half < k_nine
     # the bound rho^K (K+1)^p < tol holds at the returned K
     assert 0.9 ** k_nine < 1e-14
     with pytest.raises(SeriesConvergenceError):
-        series_cutoff(0.9, 2.5, SimpleNamespace(max_terms=16))
+        series_cutoff(0.9, 2.5, 16)
     with pytest.raises(ValueError):
-        series_cutoff(1.0, 1.0, ctl)
+        series_cutoff(1.0, 1.0, 8192)
 
 
 @pytest.mark.parametrize("rho, lam, K", [(0.99, 99.0, 36), (0.999, 63.0, 292), (0.3, 511.0, 8)])
 def test_series_cutoff_overflow_is_convergence_error(rho, lam, K):
     # (K+1)^(2 lam - 1) passes the double range before the tail bound is met
-    ctl = SimpleNamespace(max_terms=8192)
     with pytest.raises(SeriesConvergenceError) as info:
-        series_cutoff(rho, lam, ctl)
+        series_cutoff(rho, lam, 8192)
     assert info.value.terms == K and info.value.tail_estimate == math.inf
     assert f"K={K} " in str(info.value) and f"lam={lam}" in str(info.value)
 
 
 def test_series_cutoff_cached_and_failure_repeats():
-    ctl = SimpleNamespace(max_terms=8192)
-    assert series_cutoff(0.93, 2.5, ctl) == series_cutoff(0.93, 2.5, ctl)
-    capped = SimpleNamespace(max_terms=16)
+    assert series_cutoff(0.93, 2.5, 8192) == series_cutoff(0.93, 2.5, 8192)
     for _ in range(3):
         with pytest.raises(SeriesConvergenceError):
-            series_cutoff(0.93, 2.5, capped)
+            series_cutoff(0.93, 2.5, 16)
 
 
 def _collect_blocks(lams, xs, orders):
