@@ -24,23 +24,23 @@ denominator additionally get panels graded geometrically around the peak of
 that Poisson denominator once rho >= 0.8, where the peak sharpens toward the
 boundary.
 
-The two per-t quadratures (kernel curvature and kink integrals) are array
-expressions over the whole t-grid, taken in blocks of _T_CHUNK rows so that
-the (rows, nodes) temporaries stay small; so is the inner matrix of
-constant_direct, in place in one reused buffer. Every rho-power series (the
-three curvature pair sums and the lagged series part of the profile) is one
-call of gegenbauer.pair_series: a single blocked recurrence over the stacked
-(lam, argument) rows on the whole t-grid, max(K) steps instead of sum(K).
+The per-t quadratures run in blocks of _T_CHUNK t rows so that the
+(rows, nodes) temporaries stay small: the kernel curvature, the profile's kink
+integrals (the identity suite's kink_integral_brute, degrees 0 and 1 stacked)
+and, in one reused buffer, the inner matrix of constant_direct. Every
+rho-power series (the three curvature pair sums and the lagged series part of
+the profile) is one call of gegenbauer.pair_series: a single blocked
+recurrence over the stacked (lam, argument) rows, max(K) steps, not sum(K).
 
-The profile f and its curvature are even in t (see _even_in_t), so
+The profile f and its curvature are even in t: C(x, l) = C(x, -l), and the
+reflection x2 -> -x2 fixes rho*e1 and maps l_alpha to -l_(pi - alpha). So
 f'(0) = 0 and f(t) = f(0) + int_0^|t| (|t| - s) f''(s) ds. The radial-max
 certificate takes this Green profile (_green_profile): the kernel curvature,
 integrated twice in closed form, anchored at constant_direct(alpha = pi/2);
-it runs no series. The convexity certificate evaluates both curvature routes
-once per distinct |t| and mirrors the values back; its grid is made exactly
-antisymmetric, so its 201 points take 101 columns. Both certificate grids
-(T_GRID, ALPHA_GRID) are constants, as the accuracy contracts are; the one
-setting of the series routes is their term cap, a plain max_terms int.
+it runs no series. The convexity certificate runs both curvature routes on
+the upper half of T_GRID, which is exactly antisymmetric. Both certificate
+grids are constants, as the accuracy contracts are; the one setting of the
+series routes is their term cap, a plain max_terms int.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ import numpy as np
 
 from .gegenbauer import (SERIES_MAX_TERMS, DimensionParams, eval_sequence, gamma_ratio,
                          pair_series, pair_weights, series_cutoff)
+from .identities import kink_integral_brute
 from .quadrature import (DEFAULT_QUAD_ORDER, QuadratureRule, composite_nodes, gauss_legendre,
                          map_panels)
 
@@ -91,6 +92,15 @@ _GREEN_ORDER = 16
 
 def _default_rule(rule: QuadratureRule | None) -> QuadratureRule:
     return rule if rule is not None else gauss_legendre(DEFAULT_QUAD_ORDER)
+
+
+def _checked_t(t, closed: bool = False) -> np.ndarray:
+    """t as a float array; ValueError names its first entry outside (-1, 1) ([-1, 1] if closed)."""
+    ta = np.asarray(t, dtype=float)
+    bad = ta[~(np.abs(ta) <= 1.0 if closed else np.abs(ta) < 1.0)]
+    if bad.size:
+        raise ValueError(f"t must lie in {'[-1, 1]' if closed else '(-1, 1)'}, got {bad[0]}")
+    return ta
 
 
 @dataclass(frozen=True)
@@ -192,64 +202,32 @@ def constant_direct(q: ConstantQuery, rule: QuadratureRule | None = None) -> flo
     return value
 
 
-def _kink_integrals(t, dim: DimensionParams, rho: float, rule: QuadratureRule):
-    """The two kink integrals of the profile, for scalar or vector t.
-
-    Row i integrates over the panels [0, arccos(delta t_i)] and
-    [arccos(delta t_i), pi]; |delta t_i| <= delta < 1 keeps the kink inside.
-    """
-    n = dim.n
-    delta = (n - 2) / n * rho
-    ta = np.atleast_1d(np.asarray(t, dtype=float))
-    dt = delta * ta
-    edges = np.empty((ta.size, 3))
-    edges[:, 0] = 0.0
-    edges[:, 1] = np.arccos(dt)
-    edges[:, 2] = math.pi
-    plain = np.empty_like(ta)
-    weighted = np.empty_like(ta)
-    for lo in range(0, ta.size, _T_CHUNK):
-        rows = slice(lo, lo + _T_CHUNK)
-        nodes, wts = map_panels(edges[rows], rule)
-        c = np.cos(nodes)
-        base = np.abs(dt[rows, None] - c) * np.sin(nodes) ** (n - 2) * wts
-        plain[rows] = base.sum(axis=1)
-        weighted[rows] = (n - 2) * rho * ta[rows] * (base * c).sum(axis=1)
-    return plain, weighted
-
-
-def _tail_series(t, dim: DimensionParams, rho: float, max_terms: int):
-    """Series part of the profile, for scalar or vector t.
-
-    Term k couples degree k-2 at lam_high with degree k at lam_low, weighted
-    by (k-2)!/(n+2)_(k-2) rho^k; (n+2)_m = (2 lam_high)_m.
-    """
-    n = dim.n
-    delta = (n - 2) / n * rho
-    ta = np.atleast_1d(np.asarray(t, dtype=float))
-    lam_h, lam_l = dim.lambda_high, dim.lambda_low
-    K = series_cutoff(rho, lam_l, max_terms)
-    if K == 0:  # rho = 0
-        return np.zeros_like(ta)
-    total = pair_series([(lam_h, delta * ta, lam_l, ta)],
-                        [pair_weights(lam_h, rho, K, lag=2)], lag=2)[0]
-    pref = (2.0 / (n * n - 1.0)) * (1.0 - (delta * ta) ** 2) ** ((n + 1) / 2.0)
-    return pref * total
-
-
 def profile_parts(t, dim: DimensionParams, rho: float, max_terms: int = SERIES_MAX_TERMS,
                   rule: QuadratureRule | None = None):
     """The three additive parts of the normalized constant profile at t = cos(alpha).
 
     Returns (plain kink integral, weighted kink integral, series part); each
-    entry is a float for scalar t and an ndarray for vector t.
+    entry is a float for scalar t and an ndarray for vector t. The kink
+    integrals are kink_integral_brute at lam = (n-2)/2, s = delta*t and degrees
+    0 and 1, the second times rho*t (C_1^lam(x) = (n-2) x), _T_CHUNK rows a call.
+    Term k of the series part couples degree k-2 at lam_high with degree k at
+    lam_low, weighted by (k-2)!/(n+2)_(k-2) rho^k; (n+2)_m = (2 lam_high)_m.
     """
-    ta = np.asarray(t, dtype=float)
-    if np.any(np.abs(ta) > 1.0):
-        raise ValueError("t must lie in [-1, 1]")
+    ta = _checked_t(t, closed=True)
+    K = series_cutoff(rho, dim.lambda_low, max_terms)  # checks rho and max_terms first
     rule = _default_rule(rule)
-    plain, weighted = _kink_integrals(ta, dim, rho, rule)
-    tail = _tail_series(ta, dim, rho, max_terms)
+    n, tv = dim.n, np.atleast_1d(ta)
+    s = (n - 2) / n * rho * tv
+    kink = np.empty((2, tv.size))
+    for lo in range(0, tv.size, _T_CHUNK):
+        rows = slice(lo, lo + _T_CHUNK)
+        kink[:, rows] = kink_integral_brute(dim.lambda_low, np.arange(2), s[rows], rule)
+    tail = np.zeros_like(tv)
+    if K > 0:  # K = 0 at rho = 0
+        pref = (2.0 / (n * n - 1.0)) * (1.0 - s ** 2) ** ((n + 1) / 2.0)
+        tail = pref * pair_series([(dim.lambda_high, s, dim.lambda_low, tv)],
+                                  [pair_weights(dim.lambda_high, rho, K, lag=2)], lag=2)[0]
+    plain, weighted = kink[0], rho * tv * kink[1]
     if ta.ndim == 0:
         return float(plain[0]), float(weighted[0]), float(tail[0])
     return plain, weighted, tail
@@ -299,9 +277,7 @@ def constant_radial(n, rho: float, rule: QuadratureRule | None = None) -> float:
 def profile_curvature_series(t, dim: DimensionParams, rho: float,
                              max_terms: int = SERIES_MAX_TERMS):
     """Second derivative of the profile by its three-series representation."""
-    ta = np.asarray(t, dtype=float)
-    if np.any(np.abs(ta) >= 1.0):
-        raise ValueError("t must lie in (-1, 1)")
+    ta = _checked_t(t)
     n = dim.n
     delta = (n - 2) / n * rho
     tv = np.atleast_1d(ta)
@@ -332,10 +308,7 @@ def profile_curvature_kernel(t, dim: DimensionParams, rho: float,
     theta = 0. Accepts scalar or array t: a float for scalar t, an ndarray of
     the same shape otherwise.
     """
-    ta = np.asarray(t, dtype=float)
-    bad = ~(np.abs(ta) < 1.0)
-    if bad.any():
-        raise ValueError(f"t must lie in (-1, 1), got {float(ta[bad].flat[0])}")
+    ta = _checked_t(t)
     rule = _default_rule(rule)
     n = dim.n
     delta = (n - 2) / n * rho
@@ -393,27 +366,15 @@ def curvature_density_grid(t, z, n: int, rho: float):
 # -- certification sweeps ----------------------------------------------------
 
 
-def _even_in_t(f, t):
-    """f(t) for an f that is even in t = cos(alpha), evaluated once per distinct |t|.
-
-    Exact for the profile and its curvature: C(x, l) = C(x, -l), since the
-    constant integrates |grad P . l|, and the reflection x2 -> -x2 fixes
-    rho*e1 and maps l_alpha to -l_(pi - alpha), so f(-t) = f(t). A grid that
-    is not symmetric simply shares fewer values.
-    """
-    u, inv = np.unique(np.abs(t), return_inverse=True)
-    return f(u)[inv]
-
-
 @dataclass(frozen=True)
 class ConvexityReport:
     """Grid certificate that the constant profile has nonnegative curvature.
 
-    Both curvature routes run once per distinct |t| of the exactly
-    antisymmetric grid, so min_curvature and max_route_gap are taken over
-    those values, and argmin_t is the first (lower) point of the mirrored
-    pair that attains the minimum. passed needs min_curvature >=
-    CONVEXITY_FLOOR and max_route_gap <= ROUTE_TOL * max(1, max |curvature|).
+    Both curvature routes run on the upper half T_GRID[100:], the |t| of the
+    exactly antisymmetric grid; argmin_t is the lower point -|t| of the
+    mirrored pair, the first grid point that attains the minimum. passed needs
+    min_curvature >= CONVEXITY_FLOOR and max_route_gap <= ROUTE_TOL * max(1,
+    max |curvature|).
     """
 
     n: int
@@ -460,8 +421,10 @@ def certify_convexity(n: int, rho: float, max_terms: int = SERIES_MAX_TERMS,
     """
     dim = DimensionParams(n)
     rule = _default_rule(rule)
-    curv = _even_in_t(lambda u: profile_curvature_series(u, dim, rho, max_terms), T_GRID)
-    kern = _even_in_t(lambda u: profile_curvature_kernel(u, dim, rho, rule), T_GRID)
+    # f is even and T_GRID antisymmetric: reversed, these are the values on T_GRID[:101]
+    upper = T_GRID[T_GRID.size // 2:]
+    curv = profile_curvature_series(upper, dim, rho, max_terms)[::-1]
+    kern = profile_curvature_kernel(upper, dim, rho, rule)[::-1]
     gap = float(np.max(np.abs(curv - kern)))
     imin = int(np.argmin(curv))
     routes_agree = gap <= ROUTE_TOL * max(1.0, float(np.max(np.abs(curv))))

@@ -312,17 +312,23 @@ def kink_integral_closed(lam: float, k: int, s):
     return _value(pref * np.power(1.0 - s * s, lam + 1.5) * _gegenbauer(lam + 2.0, k - 2, s))
 
 
-def kink_integral_brute(lam: float, k: int, s, rule: QuadratureRule):
+def kink_integral_brute(lam: float, k, s, rule: QuadratureRule):
     """Quadrature value of the kink integral, split at the kink x = s.
 
     s may be an array: sample i integrates over its own panels
     [0, arccos s_i] and [arccos s_i, pi], all mapped in one map_panels call.
+    k may be an integer array of degrees: the result stacks one row per
+    degree along a new leading axis, all from one eval_sequence pass.
     """
+    k = np.asarray(k)
+    if k.dtype.kind not in "iu" or np.any(k < 0):
+        raise ValueError(f"k must be nonnegative integer degrees, got {k.tolist()}")
     s = _inside(s, 1.0, "s must lie in (-1, 1)")
     edges = np.stack(np.broadcast_arrays(0.0, np.arccos(s), math.pi), axis=-1)
     theta, w = map_panels(edges, rule)
     c = np.cos(theta)
-    vals = np.abs(c - s[..., None]) * np.sin(theta) ** (2.0 * lam) * _gegenbauer(lam, k, c)
+    seq = eval_sequence(lam, int(k.max()), c)[k]
+    vals = np.abs(c - s[..., None]) * np.sin(theta) ** (2.0 * lam) * seq
     return _value(integrate_values(vals, w))
 
 

@@ -324,6 +324,55 @@ def test_profile_parts_vectorized(rule):
             assert tail[i] == pytest.approx(h, rel=1e-14, abs=1e-15)
 
 
+@pytest.mark.parametrize("rho", [0.5, 0.95])
+def test_profile_kink_parts_closed_form(rule, rho):
+    # at n = 3 (lam = 1/2) the kink integrals are int_{-1}^1 |x - s| dx = 1 + s^2 and
+    # int_{-1}^1 |x - s| x dx = s^3/3 - s, with s = delta*t; the weighted part is rho*t times it
+    t = np.cos(np.linspace(0.0, math.pi, 73))
+    s = rho / 3.0 * t
+    plain, weighted, _ = profile_parts(t, DimensionParams(3), rho, rule=rule)
+    assert np.max(np.abs(plain - (1.0 + s * s))) <= 1e-14
+    assert np.max(np.abs(weighted - rho * t * (s ** 3 / 3.0 - s))) <= 1e-14
+
+
+def test_profile_parts_memory(rule):
+    # the kink integrals run in _T_CHUNK-row blocks: one block for all rows peaked at 328 MB
+    t = np.linspace(-1.0, 1.0, 20000)
+    dim = DimensionParams(3)
+    profile_parts(t[:10], dim, 0.5, rule=rule)
+    tracemalloc.start()
+    try:
+        profile_parts(t, dim, 0.5, rule=rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+@pytest.mark.parametrize("rho", [math.nan, -0.5, 5.0])
+def test_series_routes_name_the_bad_rho(rho):
+    # the rho check comes before any quadrature, whose own domain error would hide it
+    for call in (lambda: profile_parts(0.9, DimensionParams(3), rho),
+                 lambda: profile_curvature_series(0.9, DimensionParams(3), rho),
+                 lambda: certify_convexity(3, rho)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == f"rho must lie in [0, 1), got {rho}"
+
+
+@pytest.mark.parametrize("bad", [math.nan, 1.5])
+@pytest.mark.parametrize("fn, interval", [(profile_parts, "[-1, 1]"),
+                                          (profile_curvature_series, "(-1, 1)"),
+                                          (profile_curvature_kernel, "(-1, 1)")])
+def test_profile_functions_name_the_bad_t(fn, interval, bad):
+    # NaN fails the domain check as an out-of-range value does, scalar or inside an array
+    message = f"t must lie in {interval}, got {bad}"
+    for t in (bad, np.array([0.2, bad, -0.3, 2.0])):
+        with pytest.raises(ValueError) as info:
+            fn(t, DimensionParams(3), 0.5)
+        assert str(info.value) == message
+
+
 # -- curvature routes ---------------------------------------------------------
 
 def test_curvature_zero_at_origin():

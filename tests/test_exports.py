@@ -1,8 +1,10 @@
 """Guards against stale names: every exported name resolves, the package root
-is exactly the README and CLI surface, and the README's Python example and
-CLI lines run. Also guards the import weight of the command."""
+is exactly the README and CLI surface, no module imports a name it never
+uses, and the README's Python example and CLI lines run. Also guards the
+import weight of the command."""
 
 import argparse
+import ast
 import importlib
 import os
 import pathlib
@@ -25,6 +27,13 @@ ROOT_NAMES = {
     "run_suite", "gauss_legendre", "integrate_adaptive",
 }
 
+# imported names a module does not use: the package root re-exports its surface,
+# and bench/spans.py traces calls through these names in identities
+UNUSED_IMPORTS = {
+    "__init__": ROOT_NAMES,
+    "identities": {"assoc_legendre", "integrate", "integrate_split"},
+}
+
 
 def test_module_exports_resolve():
     for name in MODULES:
@@ -37,6 +46,21 @@ def test_package_root_is_readme_and_cli_surface():
     public = {name for name, value in vars(ballgrad).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public == ROOT_NAMES
+
+
+def test_no_unused_imports():
+    # no linter runs here; this catches names that deletions leave imported
+    for path in sorted(pathlib.Path(ballgrad.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        allowed = UNUSED_IMPORTS.get(path.stem, set())
+        assert imported - used == allowed, path.name
 
 
 def test_readme_example_runs(capsys):

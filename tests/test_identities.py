@@ -249,6 +249,26 @@ def test_kink_integral_domain(rule):
         kink_integral_brute(1.0, 4, -1.0, rule)
 
 
+def test_kink_integral_stacked_degrees(rule):
+    # one row per degree along a new leading axis, bit for bit the per-degree calls
+    s = np.array([-0.7, 0.0, 0.35, 0.9])
+    for lam in (0.5, 2.5):
+        for ks in (np.arange(2), np.array([5, 0, 3, 3]), np.array([[1, 4], [2, 0]])):
+            stacked = kink_integral_brute(lam, ks, s, rule)
+            assert stacked.shape == ks.shape + s.shape
+            for idx, k in np.ndenumerate(ks):
+                assert stacked[idx].tolist() == kink_integral_brute(lam, int(k), s, rule).tolist()
+        assert kink_integral_brute(lam, np.arange(3), 0.35, rule).tolist() == [
+            kink_integral_brute(lam, k, 0.35, rule) for k in range(3)]
+
+
+@pytest.mark.parametrize("k", [-1, 2.0, 1.5, True, np.array([0, -1]), np.array([0.0, 1.0])])
+def test_kink_integral_rejects_bad_degrees(rule, k):
+    # a degree of -1 would otherwise index the recurrence's rows from the end
+    with pytest.raises(ValueError, match="^k must be nonnegative integer degrees"):
+        kink_integral_brute(1.5, k, np.array([0.2, -0.4]), rule)
+
+
 # -- the bundled suite -------------------------------------------------------
 
 def test_run_suite_passes(rule):
