@@ -22,7 +22,10 @@ Every integrand is integrated in angle variables (x = cos(theta)), which
 keeps all weight factors analytic; integrals with a (1 - 2*rho*z + rho^2)
 denominator additionally get panels graded geometrically around the peak of
 that Poisson denominator once rho >= 0.8, where the peak sharpens toward the
-boundary.
+boundary. Each such denominator is written (1 - rho)^2 + 2 rho (1 - z), with
+1 - z built from half-angle sines, so that no term cancels as rho -> 1 and
+the denominator is never below (1 - rho)^2; _inv_power raises it to its
+negative power by a reciprocal and squarings.
 
 The per-t quadratures run in blocks of _T_CHUNK t rows so that the
 (rows, nodes) temporaries stay small: the kernel curvature, the profile's kink
@@ -94,6 +97,33 @@ def _default_rule(rule: QuadratureRule | None) -> QuadratureRule:
     return rule if rule is not None else gauss_legendre(DEFAULT_QUAD_ORDER)
 
 
+def _checked_rho(rho: float) -> float:
+    """rho; ValueError names it unless it lies in [0, 1) (NaN included)."""
+    if not 0.0 <= rho < 1.0:
+        raise ValueError(f"rho must lie in [0, 1), got {rho}")
+    return rho
+
+
+def _inv_power(v: np.ndarray, e: float) -> np.ndarray:
+    """v ** -e in place, for e a positive multiple of 1/2: one reciprocal, a
+    square root if e is half an odd integer, then squarings and products.
+    Every intermediate is (1/v)^a with 1/2 <= a <= e, so inf appears exactly
+    where the result passes the double range."""
+    np.reciprocal(v, out=v)
+    m = int(e)
+    if m == 0:
+        return np.sqrt(v, out=v)
+    root = np.sqrt(v) if e > m else None
+    base = v.copy() if m & (m - 1) else None
+    for bit in bin(m)[3:]:
+        v *= v
+        if bit == "1":
+            v *= base
+    if root is not None:
+        v *= root
+    return v
+
+
 def _checked_t(t, closed: bool = False) -> np.ndarray:
     """t as a float array; ValueError names its first entry outside (-1, 1) ([-1, 1] if closed)."""
     ta = np.asarray(t, dtype=float)
@@ -112,8 +142,7 @@ class ConstantQuery:
     alpha: float
 
     def __post_init__(self):
-        if not 0.0 <= self.rho < 1.0:
-            raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
+        _checked_rho(self.rho)
         if not 0.0 <= self.alpha <= math.pi:
             raise ValueError(f"alpha must lie in [0, pi], got {self.alpha}")
 
@@ -143,38 +172,35 @@ def _graded_panels(rho: float, rule: QuadratureRule, peak: float = 0.0, kinks=()
 # -- inner integral of the double-integral route ----------------------------
 
 
-def _inner_smooth(dim: DimensionParams, rho: float, alpha: float, x, rule: QuadratureRule):
-    """Angular form of the inner integral with its (1-x^2) power factored out.
+def _inner_smooth(dim: DimensionParams, rho: float, alpha: float, theta, rule: QuadratureRule):
+    """Angular form of the inner integral with its (sin theta)^(n-3) factored out.
 
-    Returns the integral over psi in [0, pi] of
-    (sin psi)^(n-3) / (1 - 2 rho (x cos(alpha) + sqrt(1-x^2) sin(alpha) cos(psi)) + rho^2)^(n/2-1)
-    for every entry of x at once, _T_CHUNK rows at a time in one reused buffer
-    by the one-matrix expression's operations in its order: bit-identical to it.
+    Returns the integral over psi in [0, pi] of (sin psi)^(n-3) / D^(n/2-1),
+    D = 1 - 2 rho (cos(theta) cos(alpha) + sin(theta) sin(alpha) cos(psi)) + rho^2
+      = c0 + c1 sin^2(psi/2), c0 = (1-rho)^2 + 4 rho sin^2((theta-alpha)/2),
+    c1 = 4 rho sin(theta) sin(alpha), for every outer angle theta in [0, pi] at
+    once. The (sin psi)^(n-3) factor rides in the weights. _T_CHUNK rows run at
+    a time in one reused buffer by the one-matrix expression's operations in its
+    order: bit-identical to it.
     """
-    n = dim.n
     nodes, wts = _graded_panels(rho, rule)
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    a = xa * math.cos(alpha)
-    b = np.sqrt(np.maximum(1.0 - xa * xa, 0.0)) * math.sin(alpha)
-    cos_nodes = np.cos(nodes)
-    s_pow = np.sin(nodes) ** (n - 3)
-    out = np.empty_like(xa)
+    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    c0 = (1.0 - rho) ** 2 + 4.0 * rho * np.sin(0.5 * (th - alpha)) ** 2
+    c1 = 4.0 * rho * np.sin(th) * math.sin(alpha)
+    half_sq = np.sin(0.5 * nodes) ** 2
+    wts = wts * np.sin(nodes) ** (dim.n - 3)
+    out = np.empty_like(th)
     # numpy takes a one-row product as a dot, whose sum order differs from the
     # matrix-vector product's, so a lone last row joins the block before it
-    starts = list(range(0, xa.size, _T_CHUNK))
-    if len(starts) > 1 and starts[-1] == xa.size - 1:
+    starts = list(range(0, th.size, _T_CHUNK))
+    if len(starts) > 1 and starts[-1] == th.size - 1:
         del starts[-1]
-    buf = np.empty((min(_T_CHUNK + 1, xa.size), nodes.size))
-    for lo, hi in zip(starts, starts[1:] + [xa.size]):
+    buf = np.empty((min(_T_CHUNK + 1, th.size), nodes.size))
+    for lo, hi in zip(starts, starts[1:] + [th.size]):
         v = buf[:hi - lo]
-        np.multiply(b[lo:hi, None], cos_nodes, out=v)
-        v += a[lo:hi, None]
-        v *= 2.0 * rho
-        np.subtract(1.0, v, out=v)
-        v += rho * rho
-        v **= -(n / 2.0 - 1.0)
-        np.multiply(s_pow, v, out=v)
-        out[lo:hi] = v @ wts
+        np.multiply(c1[lo:hi, None], half_sq, out=v)
+        v += c0[lo:hi, None]
+        out[lo:hi] = _inv_power(v, dim.n / 2.0 - 1.0) @ wts
     return out
 
 
@@ -192,11 +218,10 @@ def constant_direct(q: ConstantQuery, rule: QuadratureRule | None = None) -> flo
     n, rho = q.dim.n, q.rho
     dt = q.delta * q.t
     nodes, wts = _graded_panels(rho, rule, q.alpha, (math.acos(dt),))
-    x = np.cos(nodes)
-    inner = _inner_smooth(q.dim, rho, q.alpha, x, rule)
-    outer_vals = np.abs(dt - x) * np.sin(nodes) ** (n - 2) * inner
+    inner = _inner_smooth(q.dim, rho, q.alpha, nodes, rule)
+    outer_vals = np.abs(dt - np.cos(nodes)) * np.sin(nodes) ** (n - 2) * inner
     total = float(wts @ outer_vals)
-    value = n * (n - 2) / (2.0 * math.pi) / (1.0 - rho * rho) * total
+    value = n * (n - 2) / (2.0 * math.pi) / ((1.0 - rho) * (1.0 + rho)) * total
     if not math.isfinite(value):
         raise OverflowError(f"constant_direct overflows at n={n}, rho={rho}")
     return value
@@ -251,21 +276,19 @@ def constant_series(q, max_terms: int = SERIES_MAX_TERMS, rule: QuadratureRule |
             raise ValueError("queries must share one dimension and rho")
         t = np.array([p.t for p in queries])
     plain, weighted, tail = profile_parts(t, dim, rho, max_terms, rule)
-    return dim.c_n / (1.0 - rho ** 2) * (plain + weighted + tail)
+    return dim.c_n / ((1.0 - rho) * (1.0 + rho)) * (plain + weighted + tail)
 
 
 def constant_radial(n, rho: float, rule: QuadratureRule | None = None) -> float:
     """Sharp constant in the radial direction, by the closed 1-D formula."""
     dim = n if isinstance(n, DimensionParams) else DimensionParams(n)
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"rho must lie in [0, 1), got {rho}")
     rule = _default_rule(rule)
-    delta = (dim.n - 2) / dim.n * rho
+    delta = (dim.n - 2) / dim.n * _checked_rho(rho)
     nodes, wts = _graded_panels(rho, rule, kinks=(math.acos(delta),))
-    c = np.cos(nodes)
-    denom = (1.0 - 2.0 * rho * c + rho * rho) ** ((dim.n - 2) / 2.0)
-    vals = np.abs(c - delta) * np.sin(nodes) ** (dim.n - 2) / denom
-    value = dim.c_n / (1.0 - rho * rho) * float(wts @ vals)
+    denom = (1.0 - rho) ** 2 + 4.0 * rho * np.sin(0.5 * nodes) ** 2
+    vals = np.abs(np.cos(nodes) - delta) * _inv_power(denom, (dim.n - 2) / 2.0)
+    wts = wts * np.sin(nodes) ** (dim.n - 2)
+    value = dim.c_n / ((1.0 - rho) * (1.0 + rho)) * float(wts @ vals)
     if not math.isfinite(value):
         raise OverflowError(f"constant_radial overflows at n={dim.n}, rho={rho}")
     return value
@@ -305,19 +328,21 @@ def profile_curvature_kernel(t, dim: DimensionParams, rho: float,
     z = delta*t^2 + w*cos(theta), w = sqrt((1 - delta^2 t^2)(1 - t^2)), under
     which all (1-t^2) denominator powers of the density cancel exactly and
     the integrand is analytic up to the (1 - 2 rho z + rho^2) peak at
-    theta = 0. Accepts scalar or array t: a float for scalar t, an ndarray of
-    the same shape otherwise.
+    theta = 0. That denominator is c0 + 4 rho w sin^2(theta/2) with
+    c0 = (1-rho)^2 + 2 rho t^2 (1-delta)^2 / (1 - delta t^2 + w), since
+    1 - delta t^2 - w = t^2 (1-delta)^2 / (1 - delta t^2 + w). Accepts scalar
+    or array t: a float for scalar t, an ndarray of the same shape otherwise.
     """
     ta = _checked_t(t)
     rule = _default_rule(rule)
     n = dim.n
-    delta = (n - 2) / n * rho
+    delta = (n - 2) / n * _checked_rho(rho)
     eta = n / (n - 2.0)
     nodes, wts = _graded_panels(rho, rule)
-    cos_nodes = np.cos(nodes)
     s = np.sin(nodes)
-    s_pow = s ** (n - 3)
     s_sq = s * s
+    half_sq = np.sin(0.5 * nodes) ** 2
+    wts = wts * s ** (n - 3)
     scale = 2.0 * gamma_ratio(((n - 1) / 2.0,), ((n - 2) / 2.0, 0.5)) * delta * delta
     tv = ta.ravel()
     out = np.empty_like(tv)
@@ -326,9 +351,10 @@ def profile_curvature_kernel(t, dim: DimensionParams, rho: float,
         tc = tv[rows, None]
         g = 1.0 - (delta * tc) ** 2
         w = np.sqrt(g * (1.0 - tc * tc))
-        z = delta * tc * tc + w * cos_nodes
-        p = 1.0 - 2.0 * rho * z + rho * rho
-        vals = s_pow * (p - eta * g * s_sq) ** 2 * p ** (-(n + 2) / 2.0)
+        c0 = (1.0 - rho) ** 2 + 2.0 * rho * (tc * (1.0 - delta)) ** 2 / (1.0 - delta * tc * tc + w)
+        p = 4.0 * rho * w * half_sq + c0
+        bracket = (p - eta * g * s_sq) ** 2
+        vals = _inv_power(p, (n + 2) / 2.0) * bracket
         out[rows] = scale * g[:, 0] ** ((n - 3) / 2.0) * (vals @ wts)
     if not np.all(np.isfinite(out)):
         raise OverflowError(f"profile_curvature_kernel overflows at n={n}, rho={rho}")
@@ -345,7 +371,7 @@ def curvature_density_grid(t, z, n: int, rho: float):
     """
     dim = n if isinstance(n, DimensionParams) else DimensionParams(n)
     n = dim.n
-    delta = (n - 2) / n * rho
+    delta = (n - 2) / n * _checked_rho(rho)
     ta = np.asarray(t, dtype=float)
     za = np.asarray(z, dtype=float)
     if not (np.all(np.abs(ta) < 1.0) and np.all(np.abs(za) < 1.0)):
@@ -501,7 +527,7 @@ def certify_radial_max(n: int, rho: float, rule: QuadratureRule | None = None) -
     dim = DimensionParams(n)
     rule = _default_rule(rule)
     anchor = constant_direct(ConstantQuery(dim, rho, math.pi / 2), rule)
-    values = anchor + dim.c_n / (1.0 - rho * rho) * _green_profile(
+    values = anchor + dim.c_n / ((1.0 - rho) * (1.0 + rho)) * _green_profile(
         np.abs(np.cos(ALPHA_GRID)), dim, rho, rule)
     max_value = float(values.max())
     scale = max(1.0, abs(max_value))

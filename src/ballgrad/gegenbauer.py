@@ -84,6 +84,8 @@ class DimensionParams:
     n: int
 
     def __post_init__(self):
+        if not isinstance(self.n, (int, np.integer)):
+            raise ValueError(f"dimension must be an integer, got {self.n!r}")
         if self.n < 3:
             raise ValueError(f"dimension must be at least 3, got {self.n}")
 

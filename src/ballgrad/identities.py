@@ -305,8 +305,8 @@ def weighted_derivative_check(lam: float, k: int, x):
 
 def kink_integral_closed(lam: float, k: int, s):
     """Closed form of the kink integral of |x-s| against the C_k^lam weight (k >= 2)."""
-    if k < 2:
-        raise ValueError(f"closed form holds for k >= 2, got {k}")
+    if not isinstance(k, (int, np.integer)) or k < 2:
+        raise ValueError(f"closed form holds for integer k >= 2, got k={k!r}")
     s = _inside(s, 1.0, "s must lie in (-1, 1)")
     pref = 8.0 * lam * (lam + 1.0) / (k * (k - 1.0) * (k + 2.0 * lam) * (k + 2.0 * lam + 1.0))
     return _value(pref * np.power(1.0 - s * s, lam + 1.5) * _gegenbauer(lam + 2.0, k - 2, s))

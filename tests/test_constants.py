@@ -16,6 +16,7 @@ from ballgrad.constants import (
     _green_edges,
     _green_profile,
     _inner_smooth,
+    _inv_power,
     certify_convexity,
     certify_radial_max,
     constant_direct,
@@ -102,7 +103,7 @@ def test_kernel_point_membership():
 
 def _inner_quadrature(q, x, rule):
     """The inner integral of constant_direct at abscissa x, by its own quadrature."""
-    smooth = float(_inner_smooth(q.dim, q.rho, q.alpha, x, rule)[0])
+    smooth = float(_inner_smooth(q.dim, q.rho, q.alpha, math.acos(x), rule)[0])
     return (1.0 - x * x) ** ((q.dim.n - 3) / 2.0) * smooth
 
 
@@ -149,15 +150,14 @@ def test_inner_integral_cross_route(rule):
                     assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
 
 
-def _inner_one_matrix(dim, rho, alpha, x, rule):
-    """Reference: _inner_smooth as one (x, psi) matrix expression."""
+def _inner_one_matrix(dim, rho, alpha, theta, rule):
+    """Reference: _inner_smooth as one (theta, psi) matrix expression."""
     n = dim.n
     nodes, wts = _graded_panels(rho, rule)
-    a = x * math.cos(alpha)
-    b = np.sqrt(np.maximum(1.0 - x * x, 0.0)) * math.sin(alpha)
-    denom = 1.0 - 2.0 * rho * (a[:, None] + b[:, None] * np.cos(nodes)[None, :]) + rho * rho
-    vals = np.sin(nodes)[None, :] ** (n - 3) * denom ** (-(n / 2.0 - 1.0))
-    return vals @ wts
+    c0 = (1.0 - rho) ** 2 + 4.0 * rho * np.sin(0.5 * (theta - alpha)) ** 2
+    c1 = 4.0 * rho * np.sin(theta) * math.sin(alpha)
+    denom = c0[:, None] + c1[:, None] * np.sin(0.5 * nodes)[None, :] ** 2
+    return _inv_power(denom, n / 2.0 - 1.0) @ (wts * np.sin(nodes) ** (n - 3))
 
 
 @pytest.mark.parametrize("order", [7, 128])
@@ -167,11 +167,81 @@ def test_inner_integral_blocks_bit_identical(order, n):
     rule = gauss_legendre(order)
     dim = DimensionParams(n)
     for size in (1, _T_CHUNK - 1, _T_CHUNK, _T_CHUNK + 1, 3 * _T_CHUNK + 5):
-        x = np.cos(np.linspace(0.0, math.pi, size))
+        theta = np.linspace(0.0, math.pi, size)
         for rho in (0.0, 0.5, 0.9, 0.99):
             for alpha in (0.0, math.pi / 3, math.pi):
-                want = _inner_one_matrix(dim, rho, alpha, x, rule)
-                assert np.array_equal(_inner_smooth(dim, rho, alpha, x, rule), want)
+                want = _inner_one_matrix(dim, rho, alpha, theta, rule)
+                assert np.array_equal(_inner_smooth(dim, rho, alpha, theta, rule), want)
+
+
+@pytest.mark.parametrize("e", [0.5, 1, 1.5, 2.5, 3, 5, 9, 511])
+def test_inv_power_matches_numpy(e):
+    # the reciprocal's rounding grows e-fold and each squaring adds one; measured
+    # worst: 1 eps at e = 0.5, 7 eps at e = 9, 355 eps at e = 511
+    v = np.logspace(-6.0, math.log10(4.0), 2001)
+    with np.errstate(over="ignore"):
+        want = np.power(v, -e)
+        got = v.copy()
+        assert _inv_power(got, e) is got
+    # inf exactly where the true value passes the double range (e = 511 only)
+    assert np.array_equal(np.isinf(got), np.isinf(want)) and not np.all(np.isinf(want))
+    fin = np.isfinite(want)
+    assert np.max(np.abs(got[fin] / want[fin] - 1.0)) <= (e + 2) * np.finfo(float).eps
+
+
+def _direct_longdouble(q, rule):
+    """constant_direct's double integral on its own nodes, in np.longdouble and
+    with the Poisson denominator as 1 - 2 rho z + rho^2."""
+    L, n = np.longdouble, q.dim.n
+    dt = q.delta * q.t
+    th, wo = (a.astype(L) for a in _graded_panels(q.rho, rule, q.alpha, (math.acos(dt),)))
+    ps, wi = (a.astype(L) for a in _graded_panels(q.rho, rule))
+    rho, alpha = L(q.rho), L(q.alpha)
+    inner = np.empty_like(th)
+    for lo in range(0, th.size, 256):
+        tr = th[lo:lo + 256, None]
+        z = np.cos(tr) * np.cos(alpha) + np.sin(tr) * np.sin(alpha) * np.cos(ps)
+        inner[lo:lo + 256] = (np.sin(ps) ** (n - 3) * (1 - 2 * rho * z + rho * rho)
+                              ** (1 - L(n) / 2)) @ wi
+    total = wo @ (np.abs(L(dt) - np.cos(th)) * np.sin(th) ** (n - 2) * inner)
+    return L(n * (n - 2)) / (2 * L(math.pi)) / (1 - rho * rho) * total
+
+
+def _kernel_longdouble(t, n, rho, rule):
+    """profile_curvature_kernel on its own nodes, in np.longdouble and with the
+    Poisson denominator as 1 - 2 rho z + rho^2, z = delta t^2 + w cos(theta)."""
+    L = np.longdouble
+    th, wts = (a.astype(L) for a in _graded_panels(rho, rule))
+    tc, r = np.asarray(t, dtype=L)[:, None], L(rho)
+    delta = L(n - 2) / n * r
+    g = 1 - (delta * tc) ** 2
+    w = np.sqrt(g * (1 - tc * tc))
+    p = 1 - 2 * r * (delta * tc * tc + w * np.cos(th)) + r * r
+    s = np.sin(th)
+    vals = s ** (n - 3) * (p - L(n) / (n - 2) * g * s * s) ** 2 * p ** (-L(n + 2) / 2)
+    scale = 2 * L(gamma_ratio(((n - 1) / 2.0,), ((n - 2) / 2.0, 0.5))) * delta * delta
+    return scale * g[:, 0] ** (L(n - 3) / 2) * (vals @ wts)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="longdouble is double here")
+@pytest.mark.parametrize("n, rho, parent", [
+    (3, 0.99, 5.4e-16), (3, 0.999, 1.9e-14), (8, 0.99, 5.1e-15),
+    (8, 0.999, 3.9e-14), (32, 0.99, 3.1e-14), (32, 0.999, 1.8e-13),
+])
+def test_direct_and_kernel_vs_longdouble(rule, n, rho, parent):
+    # rounding error on the same nodes; `parent` is the direct route's error when
+    # its denominators were 1 - 2 rho z + rho^2 and its prefactor 1/(1 - rho*rho)
+    # (measured 1.3e-16 to 5.0e-16 since); the kernel's was 2.4e-14 to 3.6e-12 of
+    # max |f''| then, 2.6e-16 to 4.5e-15 since
+    dim = DimensionParams(n)
+    for alpha in (0.0, math.pi / 3, math.pi / 2, 2.0):
+        q = ConstantQuery(dim, rho, alpha)
+        ref = _direct_longdouble(q, rule)
+        assert float(abs((constant_direct(q, rule) - ref) / ref)) <= parent
+    t = np.linspace(0.0, 0.999, 41)
+    ref = _kernel_longdouble(t, n, rho, rule)
+    got = profile_curvature_kernel(t, dim, rho, rule)
+    assert float(np.max(np.abs(got - ref))) <= 1e-13 * float(np.max(np.abs(ref)))
 
 
 def test_direct_route_memory(rule):
@@ -349,12 +419,15 @@ def test_profile_parts_memory(rule):
     assert peak < 4e6
 
 
-@pytest.mark.parametrize("rho", [math.nan, -0.5, 5.0])
+@pytest.mark.parametrize("rho", [math.nan, -0.5, 5.0, 1.0, 1.5])
 def test_series_routes_name_the_bad_rho(rho):
-    # the rho check comes before any quadrature, whose own domain error would hide it
+    # the rho check comes before any quadrature, whose own domain error would hide
+    # it; the kernel curvature and its density check rho as the series routes do
     for call in (lambda: profile_parts(0.9, DimensionParams(3), rho),
                  lambda: profile_curvature_series(0.9, DimensionParams(3), rho),
-                 lambda: certify_convexity(3, rho)):
+                 lambda: certify_convexity(3, rho),
+                 lambda: profile_curvature_kernel(0.3, DimensionParams(3), rho),
+                 lambda: curvature_density_grid(0.3, 0.2, 3, rho)):
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == f"rho must lie in [0, 1), got {rho}"
@@ -683,6 +756,8 @@ def test_certify_convexity_validation(rule):
         T_GRID[0] = 0.0
     with pytest.raises(TypeError):
         certify_convexity(4, 0.5, grid_size=11, rule=rule)
+    with pytest.raises(ValueError, match="dimension must be an integer, got 3.5"):
+        certify_convexity(3.5, 0.5, rule=rule)
 
 
 def test_certify_radial_max(rule):
@@ -732,6 +807,21 @@ def test_curvature_kernel_names_the_first_bad_t():
     with pytest.raises(ValueError) as info:
         profile_curvature_kernel(t, DimensionParams(3), 0.5)
     assert str(info.value) == "t must lie in (-1, 1), got 1.0"
+
+
+def test_routes_near_rho_one(rule):
+    # every Poisson denominator is at least (1 - rho)^2 = 1e-24: none rounds to 0,
+    # so no divide-by-zero warning and finite values; the certificate's verdict
+    # is not asserted (its 128-node kernel is under-resolved this close to 1)
+    rho = 1 - 1e-12
+    dim = DimensionParams(3)
+    direct = constant_direct(ConstantQuery(dim, rho, math.pi / 2), rule)
+    radial = constant_radial(dim, rho, rule)
+    assert math.isfinite(direct) and math.isfinite(radial) and 0.0 < direct < radial
+    # the direct route at alpha = 0 reproduces the radial formula: measured 1.6e-16
+    assert constant_direct(ConstantQuery(dim, rho, 0.0), rule) == pytest.approx(radial, rel=1e-12)
+    rep = certify_radial_max(3, rho, rule=rule)
+    assert rep.rho == rho and rep.value_at_zero > direct
 
 
 @pytest.mark.parametrize("n, rho", [(1024, 0.7), (4096, 0.3)])

@@ -216,6 +216,10 @@ def test_dimension_params():
     assert DimensionParams(8).c_n > 0
     with pytest.raises(ValueError):
         DimensionParams(2)
+    for n in (3.5, 3.0, "3"):
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            DimensionParams(n)
+    assert DimensionParams(np.int64(4)).lambda_low == 1.0
 
 
 def test_gamma_ratio():

@@ -245,6 +245,9 @@ def test_kink_integral_domain(rule):
         kink_integral_closed(1.0, 1, 0.0)
     with pytest.raises(ValueError):
         kink_integral_closed(1.0, 4, 1.0)
+    for k in (2.5, 3.0, -1):
+        with pytest.raises(ValueError, match="k >= 2, got k="):
+            kink_integral_closed(1.0, k, 0.1)
     with pytest.raises(ValueError):
         kink_integral_brute(1.0, 4, -1.0, rule)
 
