@@ -2,9 +2,8 @@
 unit ball, with the ultraspherical-polynomial machinery, quadrature, identity
 oracles, and certification sweeps behind them.
 
-The package root holds the surface of the README and the CLI, plus the
-referees that tests use (eval_explicit, integrate_adaptive); every other name
-is imported from its own module."""
+The package root holds the surface of the README and the CLI; every other
+name is imported from its own module."""
 
 from .constants import (
     ConstantQuery,
@@ -16,8 +15,8 @@ from .constants import (
     constant_radial,
     constant_series,
 )
-from .gegenbauer import DimensionParams, SeriesConvergenceError, eval_explicit
+from .gegenbauer import DimensionParams, SeriesConvergenceError
 from .identities import run_suite
-from .quadrature import gauss_legendre, integrate_adaptive
+from .quadrature import gauss_legendre
 
 __version__ = "0.1.0"

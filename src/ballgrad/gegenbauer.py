@@ -1,9 +1,8 @@
 """Gegenbauer (ultraspherical), Legendre, and associated Legendre polynomials.
 
-Evaluation is recurrence-based by default: eval_sequence runs the three-term
-recurrence for scalar or array arguments (lam broadcasts too), and the
-single-degree evaluators take its last row. The explicit finite sum is kept
-as an independent cross-check. Gamma-ratio constants are computed through
+Evaluation is recurrence-based: eval_sequence runs the three-term recurrence
+for scalar or array arguments (lam broadcasts too), and the single-degree
+evaluators take its last row. Gamma-ratio constants are computed through
 log-Gamma so they stay finite for large arguments.
 
 Every rho-power series of the package runs through one engine:
@@ -17,7 +16,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -27,7 +25,6 @@ __all__ = [
     "SeriesConvergenceError",
     "pochhammer",
     "gamma_ratio",
-    "eval_explicit",
     "eval_recurrence",
     "eval_sequence",
     "derivative",
@@ -136,27 +133,6 @@ def _clipped(x):
 def _value(v):
     """A 0-d result as a Python float; arrays pass through."""
     return float(v) if np.ndim(v) == 0 else v
-
-
-def eval_explicit(idx: GegenbauerIndex, x: float) -> float:
-    """Finite-sum form of C_k^lam(x), as an independent oracle for the recurrence.
-
-    The alternating sum cancels catastrophically in floating point for large
-    degree near |x| = 1, so it is accumulated in exact rational arithmetic and
-    rounded once at the end.
-    """
-    lam, k = idx.lam, idx.degree
-    xv = float(_clipped(x))
-    lam_q = Fraction(lam)
-    two_x = 2 * Fraction(xv)
-    total = Fraction(0)
-    for j in range(k // 2 + 1):
-        poch = Fraction(1)
-        for i in range(k - j):
-            poch *= lam_q + i
-        term = poch * two_x ** (k - 2 * j) / (math.factorial(j) * math.factorial(k - 2 * j))
-        total += -term if j % 2 else term
-    return float(total)
 
 
 def eval_recurrence(idx: GegenbauerIndex, x):

@@ -381,9 +381,10 @@ def run_suite(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12, samples: int 
     Returns {check name: {"max_residual", "tolerance", "passed", "cases"}}.
     A check runs at the lambdas of its _LAMBDA_DOMAINS entry and is left out
     when none qualifies; "addition" runs the Legendre route when no lam > 1/2.
-    Raises ValueError for an unknown check, a lam <= -1/2, or when no wanted
-    check applies. Each check is called once per (lam, degree) batch of
-    samples (per block of _SAMPLE_BLOCK samples).
+    Raises ValueError for an unknown check, a lam <= -1/2 or not finite, or
+    when no wanted check applies. Each check is called once per (lam, degree)
+    batch of samples (per block of _SAMPLE_BLOCK samples). A non-finite
+    residual records max_residual nan and fails its check.
     """
     rule = rule or gauss_legendre(DEFAULT_QUAD_ORDER)
     rng = np.random.default_rng(seed)
@@ -391,9 +392,9 @@ def run_suite(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12, samples: int 
     unknown = wanted - set(SUITE_TOLERANCES)
     if unknown:
         raise ValueError(f"unknown identity checks: {sorted(unknown)}")
-    low = [lam for lam in lambdas if not lam > -0.5]
+    low = [lam for lam in lambdas if not -0.5 < lam < math.inf]
     if low:
-        raise ValueError(f"lambda must exceed -1/2, got {low[0]}")
+        raise ValueError(f"lambda must be finite and exceed -1/2, got {low[0]}")
     if "addition" in wanted and not any(_applies("addition", lam) for lam in lambdas):
         wanted = wanted - {"addition"} | {"legendre-addition"}
     left_out = {name for name in wanted if not any(_applies(name, lam) for lam in lambdas)}
@@ -408,7 +409,10 @@ def run_suite(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12, samples: int 
     def record(name, res):
         res = np.asarray(res)
         cur, cnt = worst[name]
-        worst[name] = (max(cur, float(res.max(initial=0.0))), cnt + res.size)
+        top = float(res.max(initial=0.0))
+        # max() would drop a nan (max(0.0, nan) is 0.0): a non-finite residual
+        # records nan, which stays the maximum and fails the check
+        worst[name] = (max(cur, top) if math.isfinite(top) else math.nan, cnt + res.size)
 
     degrees = range(max_degree + 1)
 

@@ -1,5 +1,5 @@
-"""Gauss-Legendre quadrature on [-1, 1] with affine mapping, kink-aware
-splitting, and adaptive bisection refinement.
+"""Gauss-Legendre quadrature on [-1, 1] with affine mapping and kink-aware
+splitting.
 
 The rules come from Newton iteration on the Legendre polynomial P_N, which
 runs on the same three-term recurrence as every series of the package
@@ -8,7 +8,6 @@ runs on the same three-term recurrence as every series of the package
 from __future__ import annotations
 
 import functools
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,28 +17,17 @@ from .gegenbauer import recurrence_blocks
 __all__ = [
     "DEFAULT_QUAD_ORDER",
     "QuadratureRule",
-    "ToleranceNotMetError",
     "gauss_legendre",
     "composite_nodes",
     "map_panels",
     "integrate",
     "integrate_split",
     "integrate_values",
-    "integrate_adaptive",
 ]
 
 MAX_ORDER = 4096
 # Gauss-Legendre order of every route, certificate and identity check by default
 DEFAULT_QUAD_ORDER = 128
-
-
-class ToleranceNotMetError(RuntimeError):
-    """Adaptive refinement hit its depth cap before reaching the tolerance."""
-
-    def __init__(self, message: str, estimate: float, error_bound: float):
-        super().__init__(message)
-        self.estimate = estimate
-        self.error_bound = error_bound
 
 
 @dataclass(frozen=True)
@@ -162,47 +150,3 @@ def integrate_split(f, a: float, b: float, breakpoints, rule: QuadratureRule) ->
     """
     x, w = composite_nodes(a, b, rule, breakpoints)
     return _apply(f, x, w)
-
-
-_ADAPT_DEPTH_CAP = 40
-
-
-def integrate_adaptive(f, a: float, b: float, tol: float) -> float:
-    """Bisection refinement with an embedded 10/20-point rule pair.
-
-    The panel with the largest error estimate is bisected until the summed
-    error bound drops below tol. Raises ToleranceNotMetError (carrying the
-    best estimate and its error bound) once the worst panel reaches the
-    depth cap.
-    """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    coarse_rule = gauss_legendre(10)
-    fine_rule = gauss_legendre(20)
-
-    def panel(lo, hi, depth):
-        fine = integrate(f, lo, hi, fine_rule)
-        err = abs(fine - integrate(f, lo, hi, coarse_rule))
-        return (-err, lo, hi, depth, fine)
-
-    heap = [panel(float(a), float(b), 0)]
-    total = heap[0][4]
-    total_err = -heap[0][0]
-    while total_err > tol:
-        neg_err, lo, hi, depth, fine = heapq.heappop(heap)
-        if depth >= _ADAPT_DEPTH_CAP:
-            heapq.heappush(heap, (neg_err, lo, hi, depth, fine))
-            raise ToleranceNotMetError(
-                f"adaptive quadrature stalled on [{lo}, {hi}] "
-                f"(estimate {total:.17g}, error bound {total_err:.3g})",
-                estimate=total,
-                error_bound=total_err,
-            )
-        mid = 0.5 * (lo + hi)
-        left = panel(lo, mid, depth + 1)
-        right = panel(mid, hi, depth + 1)
-        total += left[4] + right[4] - fine
-        total_err += -left[0] - right[0] + neg_err
-        heapq.heappush(heap, left)
-        heapq.heappush(heap, right)
-    return total

@@ -158,8 +158,9 @@ def test_identities_lambda_half_addition_routed(capsys):
     ["--samples", "-1"],
     ["--lambda", "0", "--samples", "2", "--degree-max", "4"],
     ["--lambda", "-0.3", "--samples", "2", "--degree-max", "4"],
+    ["--lambda", "inf", "--samples", "2", "--degree-max", "4"],
 ], ids=["degree-max-negative", "samples-zero", "samples-negative",
-        "lambda-zero", "lambda-negative"])
+        "lambda-zero", "lambda-negative", "lambda-inf"])
 def test_identities_rejects_empty_or_out_of_domain_grid(capsys, flags):
     code, out, err = _run(capsys, ["identities", *flags])
     assert code == 2

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from mpmath import mp
 from numpy.polynomial.legendre import leggauss, legval, legvander
 
 from ballgrad import constants
@@ -36,7 +37,7 @@ from ballgrad.gegenbauer import (
     pair_weights,
     series_cutoff,
 )
-from ballgrad.quadrature import gauss_legendre, integrate_adaptive, map_panels
+from ballgrad.quadrature import gauss_legendre, map_panels
 
 DIMS = (3, 4, 5, 8)
 
@@ -596,15 +597,16 @@ def test_density_bracket_is_perfect_square():
 
 
 def test_density_integrates_to_curvature():
-    # adaptive z-integration of the pointwise density against the kernel route
-    for n in (4, 5):
+    # mpmath's tanh-sinh z-integration of the pointwise density against the
+    # kernel route; it also handles the endpoint singularity at n = 3
+    for n in (3, 4, 5):
         dim = DimensionParams(n)
         rho, t = 0.5, 0.3
         delta = (n - 2) / n * rho
         w = math.sqrt((1 - (delta * t) ** 2) * (1 - t * t))
         lo, hi = delta * t * t - w, delta * t * t + w
-        val = delta ** 2 * integrate_adaptive(
-            lambda z: curvature_density_grid(t, z, n, rho), lo, hi, 1e-10)
+        val = delta ** 2 * float(mp.quad(
+            lambda z: curvature_density_grid(t, float(z), n, rho), [lo, hi]))
         want = profile_curvature_kernel(t, dim, rho)
         assert abs(val - want) <= 1e-8 * max(1.0, abs(want))
 

@@ -23,8 +23,8 @@ MODULES = ("cli", "constants", "gegenbauer", "identities", "quadrature")
 ROOT_NAMES = {
     "ConstantQuery", "ConvexityReport", "RadialMaxReport",
     "certify_convexity", "certify_radial_max", "constant_direct", "constant_radial",
-    "constant_series", "DimensionParams", "SeriesConvergenceError", "eval_explicit",
-    "run_suite", "gauss_legendre", "integrate_adaptive",
+    "constant_series", "DimensionParams", "SeriesConvergenceError", "run_suite",
+    "gauss_legendre",
 }
 
 # imported names a module does not use: the package root re-exports its surface,
@@ -89,13 +89,15 @@ def test_readme_documents_every_flag():
 
 
 def test_cli_loads_no_heavy_modules():
-    # a fresh process that imports the CLI and runs both certificates loads
-    # none of these: each adds milliseconds of import time and resident memory
+    # a fresh process that imports the CLI and runs each command loads none
+    # of these: each adds milliseconds of import time and resident memory
     src = str(pathlib.Path(ballgrad.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     code = ("import io, sys, contextlib, ballgrad.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert ballgrad.cli.main(['certify', '--dim', '3', '--rho', '0.5']) == 0\n"
+            "    assert ballgrad.cli.main(['constant', '--dim', '3', '--rho', '0.5']) == 0\n"
+            "    assert ballgrad.cli.main(['identities', '--samples', '2', '--degree-max', '4']) == 0\n"
             "print(' '.join(sorted(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120, env={**os.environ, "PYTHONPATH": path})
@@ -103,5 +105,5 @@ def test_cli_loads_no_heavy_modules():
     loaded = proc.stdout.split()
     assert "ballgrad.constants" in loaded
     heavy = [m for m in loaded if m == "numpy.polynomial" or m.startswith("numpy.polynomial.")
-             or m.split(".")[0] in ("scipy", "mpmath")]
+             or m.split(".")[0] in ("scipy", "mpmath", "fractions", "decimal", "heapq")]
     assert heavy == []

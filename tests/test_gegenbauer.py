@@ -11,7 +11,6 @@ from ballgrad.gegenbauer import (
     SeriesConvergenceError,
     assoc_legendre,
     derivative,
-    eval_explicit,
     eval_recurrence,
     eval_sequence,
     gamma_ratio,
@@ -22,6 +21,7 @@ from ballgrad.gegenbauer import (
     recurrence_blocks,
     series_cutoff,
 )
+from referees import eval_explicit
 
 LAMBDAS = (0.5, 1.0, 1.5, 2.0, 3.0)
 XS = (-0.9, -0.5, 0.0, 0.3, 0.7, 0.99)

@@ -411,3 +411,17 @@ def test_run_suite_lambda_domains(rule):
         run_suite(lambdas=(1.0, 1.05), checks={"weighted-derivative"}, **small)
     with pytest.raises(ValueError, match="exceed -1/2"):
         run_suite(lambdas=(1.5, -0.5), checks={"kink"}, **small)
+    with pytest.raises(ValueError, match="lambda must be finite"):
+        run_suite(lambdas=(math.inf,), checks={"kink"}, **small)
+
+
+def test_run_suite_nan_residual_fails():
+    # lam = 1e300 overflows both sides of the weighted-derivative identity to nan
+    with np.errstate(all="ignore"):
+        lhs, rhs = weighted_derivative_check(1e300, 2, np.array([0.3]))
+        report = run_suite(lambdas=(1e300,), max_degree=2, samples=1,
+                           checks={"weighted-derivative"})
+    assert np.isnan(lhs).all() and np.isnan(rhs).all()
+    entry = report["weighted-derivative"]
+    assert math.isnan(entry["max_residual"])
+    assert entry["passed"] is False and entry["cases"] == 3

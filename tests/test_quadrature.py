@@ -2,13 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from ballgrad.quadrature import (
-    ToleranceNotMetError,
     composite_nodes,
     gauss_legendre,
     integrate,
-    integrate_adaptive,
     integrate_split,
     map_panels,
 )
@@ -166,37 +165,33 @@ def test_composite_nodes_cover_interval():
         assert np.array_equal(xb[row], x) and np.array_equal(wb[row], w)
 
 
+# the referee is mpmath's adaptive tanh-sinh rule, independent of the package;
+# a kink enters it as an interval point
+
+def _referee(f, points):
+    return float(mp.quad(lambda x: f(float(x)), points))
+
+
 def test_adaptive_smooth():
     f = lambda x: np.exp(-4.0 * x * x)
-    got = integrate_adaptive(f, -1.0, 1.0, 1e-10)
-    ref = integrate(f, -1.0, 1.0, gauss_legendre(128))
-    assert abs(got - ref) <= 1e-9
+    got = integrate(f, -1.0, 1.0, gauss_legendre(128))
+    assert abs(got - _referee(f, [-1, 1])) <= 1e-14
 
 
 def test_adaptive_kink_matches_split():
     f = lambda x: np.abs(x - 0.3)
-    got = integrate_adaptive(f, -1.0, 1.0, 1e-10)
-    ref = integrate_split(f, -1.0, 1.0, [0.3], gauss_legendre(10))
-    assert abs(got - ref) <= 1e-9
+    got = integrate_split(f, -1.0, 1.0, [0.3], gauss_legendre(10))
+    assert abs(got - _referee(f, [-1, 0.3, 1])) <= 1e-14
 
 
 def test_adaptive_weighted_kink_matches_split():
     # polynomial-weighted kink, the shape of the production integrands
     f = lambda x: np.abs(x + 0.4) * (1 - x * x) * (2 * x * x - 0.5)
-    got = integrate_adaptive(f, -1.0, 1.0, 1e-10)
-    ref = integrate_split(f, -1.0, 1.0, [-0.4], gauss_legendre(32))
-    assert abs(got - ref) <= 1e-9
+    got = integrate_split(f, -1.0, 1.0, [-0.4], gauss_legendre(32))
+    assert abs(got - _referee(f, [-1, -0.4, 1])) <= 1e-14
 
 
 def test_adaptive_zero():
-    assert integrate_adaptive(lambda x: np.zeros_like(x), -1.0, 1.0, 1e-12) == 0.0
-
-
-def test_adaptive_tolerance_not_met():
-    f = lambda x: np.sign(x - 1.0 / 3.0)
-    with pytest.raises(ToleranceNotMetError) as info:
-        integrate_adaptive(f, 0.0, 1.0, 1e-30)
-    assert math.isfinite(info.value.estimate)
-    assert info.value.error_bound > 1e-30
-    with pytest.raises(ValueError):
-        integrate_adaptive(f, 0.0, 1.0, 0.0)
+    f = lambda x: 0.0 * x
+    got = integrate(f, -1.0, 1.0, gauss_legendre(128))
+    assert got == _referee(f, [-1, 1]) == 0.0
