@@ -24,6 +24,8 @@ import re
 import sys
 from dataclasses import asdict
 
+import numpy as np
+
 from .constants import (
     ALPHA_GRID,
     DEFAULT_QUAD_ORDER,
@@ -270,9 +272,10 @@ def cmd_identities(args) -> int:
         raise UsageError(f"--samples must be at least 1, got {args.samples}")
     try:
         rule = gauss_legendre(args.quad_order)
-        report = run_suite(lambdas=args.lambdas, max_degree=args.degree_max,
-                           samples=args.samples, rule=rule, seed=args.seed,
-                           checks=None if args.check is None else {args.check})
+        with np.errstate(all="ignore"):  # a non-finite residual fails its row, the one report
+            report = run_suite(lambdas=args.lambdas, max_degree=args.degree_max,
+                               samples=args.samples, rule=rule, seed=args.seed,
+                               checks=None if args.check is None else {args.check})
     except ValueError as exc:
         raise UsageError(str(exc))
     except OverflowError as exc:  # Gegenbauer normalisations pass the double range
@@ -288,7 +291,10 @@ def cmd_identities(args) -> int:
         "samples": args.samples,
         "seed": args.seed,
         "quad_order": rule.order,
-        "results": report,
+        # JSON has no NaN: a non-finite residual is null
+        "results": {name: dict(entry, max_residual=entry["max_residual"]
+                               if math.isfinite(entry["max_residual"]) else None)
+                    for name, entry in report.items()},
         "passed": all_ok,
     })
     return 0 if all_ok else 1

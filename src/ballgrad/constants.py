@@ -2,7 +2,7 @@
 the unit ball.
 
 The directional constant C(rho*e1, l_alpha) is computed by three independent
-routes that cross-validate each other:
+routes that cross-validate each other, and in closed form at alpha = pi/2:
 
 * constant_direct   -- the double-integral representation, by nested
                        Gauss-Legendre quadrature after trigonometric
@@ -10,7 +10,9 @@ routes that cross-validate each other:
 * constant_series   -- the ultraspherical-expansion representation: two kink
                        integrals plus a rho-power series;
 * constant_radial   -- the closed one-dimensional formula for the radial
-                       direction (alpha = 0).
+                       direction (alpha = 0);
+* constant_transverse -- the closed form at alpha = pi/2, a 2F1 in rho^2
+                       evaluated by Euler's integral.
 
 On top of these sit the convexity profile in t = cos(alpha), its second
 derivative by a series route and by an integral-kernel route, the pointwise
@@ -39,11 +41,11 @@ The profile f and its curvature are even in t: C(x, l) = C(x, -l), and the
 reflection x2 -> -x2 fixes rho*e1 and maps l_alpha to -l_(pi - alpha). So
 f'(0) = 0 and f(t) = f(0) + int_0^|t| (|t| - s) f''(s) ds. The radial-max
 certificate takes this Green profile (_green_profile): the kernel curvature,
-integrated twice in closed form, anchored at constant_direct(alpha = pi/2);
-it runs no series. The convexity certificate runs both curvature routes on
-the upper half of T_GRID, which is exactly antisymmetric. Both certificate
-grids are constants, as the accuracy contracts are; the one setting of the
-series routes is their term cap, a plain max_terms int.
+integrated twice in closed form, anchored at constant_transverse; it runs
+no series and no double integral. The convexity certificate runs both
+curvature routes on the upper half of T_GRID, which is exactly
+antisymmetric. Both certificate grids are constants, as the accuracy
+contracts are; the one setting of the series routes is their term cap.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ __all__ = [
     "constant_direct",
     "constant_series",
     "constant_radial",
+    "constant_transverse",
     "profile_parts",
     "profile_curvature_series",
     "profile_curvature_kernel",
@@ -89,8 +92,13 @@ ALPHA_GRID = np.array([i * math.pi / 180 for i in range(181)])
 T_GRID.flags.writeable = ALPHA_GRID.flags.writeable = False
 # rows per block of the t-sweeps and the direct route's inner matrix; bounds temporaries
 _T_CHUNK = 32
-# Gauss nodes per panel of the Green profile (_green_profile)
+# Gauss nodes per panel of the Green profile (_green_profile), and its map from
+# Gauss values to Legendre coefficients: c_k = (k + 1/2) sum_i w_i P_k(x_i) f_i
 _GREEN_ORDER = 16
+_GREEN_TO_COEF = ((np.arange(_GREEN_ORDER) + 0.5)[:, None]
+                  * eval_sequence(0.5, _GREEN_ORDER - 1, gauss_legendre(_GREEN_ORDER).nodes)
+                  * gauss_legendre(_GREEN_ORDER).weights)
+_GREEN_TO_COEF.flags.writeable = False
 
 
 def _default_rule(rule: QuadratureRule | None) -> QuadratureRule:
@@ -294,6 +302,23 @@ def constant_radial(n, rho: float, rule: QuadratureRule | None = None) -> float:
     return value
 
 
+def constant_transverse(n, rho: float) -> float:
+    """Sharp constant at alpha = pi/2: 2 c_n F / ((n-1)(1-rho^2)), F = 2F1(-1/2,
+    n/2-1; (n+1)/2; rho^2). F is Euler's integral (DLMF 15.6.1, s = sin^2 phi),
+    Gamma((n+1)/2) / (Gamma(n/2-1) Gamma(3/2)) times int_0^(pi/2) 2 sin^(n-3)
+    cos^2 sqrt(cos^2 + (1-rho^2) sin^2) dphi, by 64 Gauss nodes per panel graded
+    into its layer at pi/2, of width sqrt(1-rho^2). Never overflows."""
+    dim = n if isinstance(n, DimensionParams) else DimensionParams(n)
+    n = dim.n
+    eps = math.sqrt((1.0 - _checked_rho(rho)) * (1.0 + rho))
+    nodes, wts = composite_nodes(0.0, math.pi / 2, gauss_legendre(64),
+                                 [math.pi / 2 - m * eps for m in (1.0, 4.0, 16.0, 64.0)])
+    c, s = np.cos(nodes), np.sin(nodes)
+    euler = float(wts @ (2.0 * s ** (n - 3) * c * c * np.sqrt(c * c + (eps * s) ** 2)))
+    hyp = gamma_ratio(((n + 1) / 2.0,), (n / 2.0 - 1.0, 1.5)) * euler
+    return 2.0 * dim.c_n * hyp / ((n - 1.0) * (1.0 - rho) * (1.0 + rho))
+
+
 # -- second derivative of the profile ---------------------------------------
 
 
@@ -418,11 +443,11 @@ class ConvexityReport:
 class RadialMaxReport:
     """Grid certificate that the constant is maximized in the radial direction.
 
-    The values are the Green profile at |cos(alpha)|, anchored at the direct
-    route at alpha = pi/2, so alpha = 0 and alpha = pi share one value and
-    their expected tie is exact. radial_residual compares the value at
-    alpha = 0 with constant_radial: a check across three routes (direct at
-    pi/2, kernel curvature integrated over [0, 1], closed radial formula).
+    The values are the Green profile at |cos(alpha)|, anchored at
+    constant_transverse (alpha = pi/2), so alpha = 0 and alpha = pi share one
+    value and their expected tie is exact. radial_residual compares the value
+    at alpha = 0 with constant_radial: a check across three routes (closed
+    transverse, kernel curvature integrated over [0, 1], closed radial).
     """
 
     n: int
@@ -500,12 +525,9 @@ def _green_profile(u, dim: DimensionParams, rho: float, rule: QuadratureRule):
     edges = _green_edges(rho)
     nodes, _ = map_panels(edges, gl)
     half = 0.5 * np.diff(edges)
-    # Legendre coefficients from Gauss values: c_k = (k + 1/2) sum_i w_i P_k(x_i) f_i
-    basis = eval_sequence(0.5, _GREEN_ORDER - 1, gl.nodes)
-    to_coef = (np.arange(_GREEN_ORDER) + 0.5)[:, None] * basis * gl.weights
     curv = profile_curvature_kernel(nodes, dim, rho, rule).reshape(-1, _GREEN_ORDER)
-    c1 = half[:, None] * _legendre_integral(curv @ to_coef.T)  # f'(s) - f'(a_j) on panel j
-    c2 = half[:, None] * _legendre_integral(c1)                # and its integral from a_j
+    c1 = half[:, None] * _legendre_integral(curv @ _GREEN_TO_COEF.T)  # f'(s) - f'(a_j), panel j
+    c2 = half[:, None] * _legendre_integral(c1)                       # and its integral from a_j
     # f' and f - f(0) at the left edges a_j; P_k(1) = 1 gives each panel's increments
     slope = np.concatenate(([0.0], np.cumsum(c1.sum(axis=1))))[:-1]
     level = np.concatenate(([0.0], np.cumsum(2.0 * half * slope + c2.sum(axis=1))))[:-1]
@@ -519,14 +541,14 @@ def certify_radial_max(n: int, rho: float, rule: QuadratureRule | None = None) -
     """Scan the directional constant over ALPHA_GRID, from 0 to pi.
 
     The values are the Green profile (_green_profile) at |cos(alpha)|,
-    anchored at constant_direct(alpha = pi/2). Certifies that alpha = 0
-    attains the grid maximum within TIE_TOLERANCE (a tie at alpha = pi is
-    exact, as both share |t| = 1) and that the maximum reproduces the closed
-    radial formula to ROUTE_TOL.
+    anchored at constant_transverse (alpha = pi/2); no double integral runs.
+    Certifies that alpha = 0 attains the grid maximum within TIE_TOLERANCE (a
+    tie at alpha = pi is exact, as both share |t| = 1) and that the maximum
+    reproduces the closed radial formula to ROUTE_TOL.
     """
     dim = DimensionParams(n)
     rule = _default_rule(rule)
-    anchor = constant_direct(ConstantQuery(dim, rho, math.pi / 2), rule)
+    anchor = constant_transverse(dim, rho)
     values = anchor + dim.c_n / ((1.0 - rho) * (1.0 + rho)) * _green_profile(
         np.abs(np.cos(ALPHA_GRID)), dim, rho, rule)
     max_value = float(values.max())

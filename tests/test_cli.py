@@ -535,3 +535,23 @@ def test_identities_json_echoes_requested_lambdas(capsys):
     payload = json.loads(out)
     assert payload["lambdas"] == [1.0, 2.0]
     assert payload["results"]["weighted-derivative"]["cases"] == 4 * 2
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_identities_nan_residual_is_the_only_report(capsys, fmt):
+    # lambda 1e300 overflows the recurrence: the failing row reports it, numpy
+    # prints no warning, and JSON (which has no NaN) writes the residual as null
+    def refuse(text):
+        raise ValueError(f"not JSON: {text}")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, ["identities", "--lambda", "1e300", "--check",
+                                       "weighted-derivative", "--degree-max", "2",
+                                       "--samples", "1", "--format", fmt])
+    assert code == 1 and err == ""
+    if fmt == "json":
+        entry = json.loads(out, parse_constant=refuse)["results"]["weighted-derivative"]
+        assert entry == {"max_residual": None, "tolerance": 1e-6, "passed": False, "cases": 3}
+    else:
+        assert out.splitlines()[1] == "weighted-derivative,nan,9.9999999999999995e-07,3,fail"

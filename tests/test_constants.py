@@ -1,5 +1,7 @@
 import dataclasses
+import importlib
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from mpmath import mp
 from numpy.polynomial.legendre import leggauss, legval, legvander
 
-from ballgrad import constants
+from ballgrad import cli, constants
 from ballgrad.constants import (
     ALPHA_GRID,
     T_GRID,
@@ -23,6 +25,7 @@ from ballgrad.constants import (
     constant_direct,
     constant_radial,
     constant_series,
+    constant_transverse,
     curvature_density_grid,
     profile_curvature_kernel,
     profile_curvature_series,
@@ -722,12 +725,24 @@ def test_green_panels(rho, nodes):
     assert 16 * (edges.size - 1) == nodes
 
 
+def test_green_basis_is_a_read_only_constant():
+    # Gauss values to Legendre coefficients, built once: exact on polynomials of degree 15
+    with pytest.raises(ValueError):
+        constants._GREEN_TO_COEF[0, 0] = 0.0
+    coef = np.arange(16.0) / 7.0
+    got = constants._GREEN_TO_COEF @ legval(gauss_legendre(16).nodes, coef)
+    assert np.max(np.abs(got - coef)) <= 1e-14
+
+
 @pytest.mark.parametrize("n, rho", [(3, 0.5), (8, 0.9), (3, 0.99), (16, 0.999)])
 def test_green_profile_node_doubling(rule, monkeypatch, n, rho):
     dim = DimensionParams(n)
     u = np.abs(np.cos(np.linspace(0.0, math.pi, 181)))
     coarse = _green_profile(u, dim, rho, rule)
+    gl = gauss_legendre(32)
     monkeypatch.setattr(constants, "_GREEN_ORDER", 32)
+    monkeypatch.setattr(constants, "_GREEN_TO_COEF",
+                        (np.arange(32) + 0.5)[:, None] * legvander(gl.nodes, 31).T * gl.weights)
     fine = _green_profile(u, dim, rho, rule)
     f0 = constant_direct(ConstantQuery(dim, rho, math.pi / 2), rule) * (1 - rho * rho) / dim.c_n
     assert np.max(np.abs(coarse - fine)) <= 1e-12 * (f0 + fine.max())
@@ -843,10 +858,69 @@ def test_constant_direct_overflow_raises(n, rho):
 
 
 def test_certify_radial_max_overflow_names_the_anchor():
-    # the Green profile's anchor is the direct route at pi/2
-    with pytest.raises(OverflowError, match="constant_direct overflows at n=1024, rho=0.7"):
+    # the closed transverse anchor stays finite; the kernel curvature is what overflows
+    assert math.isfinite(constant_transverse(1024, 0.7))
+    with pytest.raises(OverflowError, match="profile_curvature_kernel overflows at n=1024, rho=0.7"):
         with np.errstate(all="ignore"):
             certify_radial_max(1024, 0.7)
+
+
+# -- the closed transverse constant (alpha = pi/2) ------------------------------
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 16, 64, 256])
+def test_constant_transverse_matches_hyp2f1(n):
+    # 2 c_n F(rho^2) / ((n-1)(1-rho^2)), F = 2F1(-1/2, n/2-1; (n+1)/2; .), all in mpmath
+    mp.dps = 30
+    c_n = 2 * mp.gamma(mp.mpf(n + 2) / 2) / (mp.sqrt(mp.pi) * mp.gamma(mp.mpf(n - 1) / 2))
+    for rho in (0.0, 0.3, 0.9, 0.99, 0.999):
+        x = mp.mpf(rho) ** 2
+        want = 2 * c_n * mp.hyp2f1(-0.5, mp.mpf(n) / 2 - 1, mp.mpf(n + 1) / 2, x) / ((n - 1) * (1 - x))
+        assert constant_transverse(n, rho) == pytest.approx(float(want), rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [3, 4, 8, 16, 256])
+def test_constant_transverse_at_the_center(n):
+    # F(0) = 1: C(0, l) = 2 c_n / (n - 1), which is 3/2 at n = 3 (acceptance criterion 7)
+    dim = DimensionParams(n)
+    assert constant_transverse(dim, 0.0) == pytest.approx(2 * dim.c_n / (n - 1), rel=1e-14)
+    if n == 3:
+        assert constant_transverse(3, 0.0) == pytest.approx(1.5, rel=1e-15)
+
+
+@pytest.mark.parametrize("rho", [0.99, 0.999, 0.9999])
+@pytest.mark.parametrize("n", [3, 16])
+def test_constant_transverse_near_the_boundary(n, rho):
+    # F(1) = Gamma((n+1)/2) / (Gamma(n/2+1) Gamma(3/2)) gives (1 - rho) C -> 2/pi at every n
+    assert abs((1 - rho) * constant_transverse(n, rho) * math.pi / 2 - 1) <= 10 * (1 - rho)
+
+
+def test_constant_transverse_matches_direct_on_bench_cases(rule, monkeypatch):
+    # the 38 certify operations of the benchmark (bench/ is only read)
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+    workloads = importlib.import_module("workloads")
+    cases = workloads.CERTIFY_INTERIOR + workloads.CERTIFY_BOUNDARY
+    assert len(cases) == 38
+    for n, rho in cases:
+        direct = constant_direct(ConstantQuery(DimensionParams(n), rho, math.pi / 2), rule)
+        assert constant_transverse(n, rho) == pytest.approx(direct, rel=1e-13), (n, rho)
+
+
+def test_constant_transverse_domain():
+    for rho in (-0.1, 1.0, math.nan):
+        with pytest.raises(ValueError, match="rho must lie in"):
+            constant_transverse(3, rho)
+
+
+def test_certify_radial_max_runs_no_double_integral(rule, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("constant_direct called")
+
+    monkeypatch.setattr(constants, "constant_direct", refuse)
+    monkeypatch.setattr(cli, "constant_direct", refuse)
+    for n, rho in ((3, 0.5), (8, 0.95), (16, 0.999)):
+        assert certify_radial_max(n, rho, rule=rule).passed
+    assert cli.main(["certify", "--dim", "3", "--rho", "0.5,0.9"]) == 0
 
 
 @pytest.mark.parametrize("n, rho, t", [(128, 0.999, 0.0), (256, 0.99, 0.5),
