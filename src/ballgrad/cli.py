@@ -99,7 +99,8 @@ def _parse_angle(text: str) -> float:
 
 
 def _alphas(spec: str):
-    """Comma list of angles in [0, pi], or 'step:<angle>' for a uniform grid on [0, pi]."""
+    """Comma list of angles in [0, pi], or 'step:<angle>' for a uniform grid on [0, pi],
+    exactly symmetric about pi/2: upper half (i/count)*pi, lower half pi - its mirror."""
     if spec.startswith("step:"):
         step = _parse_angle(spec[len("step:"):])
         if not 0.0 < step <= math.pi:
@@ -107,7 +108,8 @@ def _alphas(spec: str):
         if math.pi / step > MAX_ANGLES - 1:  # before round(), which has no int for inf
             raise UsageError(f"alpha step {spec!r} gives more than {MAX_ANGLES} angles")
         count = int(round(math.pi / step))
-        return [i * math.pi / count for i in range(count + 1)]
+        upper = [i / count * math.pi for i in range((count + 1) // 2, count + 1)]
+        return [math.pi - a for a in upper[::-1][:(count + 1) // 2]] + upper
     alphas = [_parse_angle(tok) for tok in spec.split(",") if tok.strip()]
     if not alphas:
         raise UsageError("--alpha list is empty")
@@ -218,8 +220,12 @@ def cmd_constant(args) -> int:
     for rho in args.rho:
         queries = [ConstantQuery(dim, rho, alpha) for alpha in args.alpha]
         series = constant_series(queries, args.max_terms, rule)
+        direct = {}  # by folded angle: constant_direct runs once per exact pair alpha, pi - alpha
         for alpha, q, c_ser in zip(args.alpha, queries, series.tolist()):
-            c_dir = constant_direct(q, rule)
+            fold = min(alpha, math.pi - alpha)
+            if fold not in direct:
+                direct[fold] = constant_direct(q, rule)
+            c_dir = direct[fold]
             diff = abs(c_ser - c_dir)
             all_ok &= diff <= ROUTE_TOL * max(1.0, abs(c_ser))
             rows.append((dim.n, rho, alpha, c_ser, c_dir, diff))

@@ -39,7 +39,8 @@ recurrence over the stacked (lam, argument) rows, max(K) steps, not sum(K).
 
 The profile f and its curvature are even in t: C(x, l) = C(x, -l), and the
 reflection x2 -> -x2 fixes rho*e1 and maps l_alpha to -l_(pi - alpha). So
-f'(0) = 0 and f(t) = f(0) + int_0^|t| (|t| - s) f''(s) ds. The radial-max
+constant_direct integrates at min(alpha, pi - alpha), one float per mirror
+pair, f'(0) = 0 and f(t) = f(0) + int_0^|t| (|t| - s) f''(s) ds. The radial-max
 certificate takes this Green profile (_green_profile): the kernel curvature,
 integrated twice in closed form, anchored at constant_transverse; it runs
 no series and no double integral. The convexity certificate runs both
@@ -218,15 +219,17 @@ def _inner_smooth(dim: DimensionParams, rho: float, alpha: float, theta, rule: Q
 def constant_direct(q: ConstantQuery, rule: QuadratureRule | None = None) -> float:
     """Directional constant via the double-integral representation.
 
-    Both integrals run in angle variables; the outer one is split at the kink
-    located at arccos(delta * t) and graded around its peak at theta = alpha,
-    the inner one graded around psi = 0.
+    Both integrals run in angle variables at a = min(alpha, pi - alpha), as the
+    constant is even in t (pi - alpha is exact for alpha >= pi/2, so the pair
+    gives one float); the outer one is split at the kink arccos(delta * cos(a))
+    and graded around its peak at theta = a, the inner one graded around psi = 0.
     """
     rule = _default_rule(rule)
     n, rho = q.dim.n, q.rho
-    dt = q.delta * q.t
-    nodes, wts = _graded_panels(rho, rule, q.alpha, (math.acos(dt),))
-    inner = _inner_smooth(q.dim, rho, q.alpha, nodes, rule)
+    alpha = min(q.alpha, math.pi - q.alpha)
+    dt = q.delta * math.cos(alpha)
+    nodes, wts = _graded_panels(rho, rule, alpha, (math.acos(dt),))
+    inner = _inner_smooth(q.dim, rho, alpha, nodes, rule)
     outer_vals = np.abs(dt - np.cos(nodes)) * np.sin(nodes) ** (n - 2) * inner
     total = float(wts @ outer_vals)
     value = n * (n - 2) / (2.0 * math.pi) / ((1.0 - rho) * (1.0 + rho)) * total
@@ -304,10 +307,11 @@ def constant_radial(n, rho: float, rule: QuadratureRule | None = None) -> float:
 
 def constant_transverse(n, rho: float) -> float:
     """Sharp constant at alpha = pi/2: 2 c_n F / ((n-1)(1-rho^2)), F = 2F1(-1/2,
-    n/2-1; (n+1)/2; rho^2). F is Euler's integral (DLMF 15.6.1, s = sin^2 phi),
-    Gamma((n+1)/2) / (Gamma(n/2-1) Gamma(3/2)) times int_0^(pi/2) 2 sin^(n-3)
-    cos^2 sqrt(cos^2 + (1-rho^2) sin^2) dphi, by 64 Gauss nodes per panel graded
-    into its layer at pi/2, of width sqrt(1-rho^2). Never overflows."""
+    n/2-1; (n+1)/2; rho^2). By Euler's integral for F (DLMF 15.6.1, s = sin^2 phi),
+    whose Gamma factors and 2 c_n/(n-1) cancel to n(n-2)/pi, it is n(n-2) E / (pi
+    (1-rho^2)), E = int_0^(pi/2) 2 sin^(n-3) cos^2 sqrt(cos^2 + (1-rho^2) sin^2) dphi,
+    by 64 Gauss nodes per panel graded into its layer at pi/2, of width sqrt(1-rho^2).
+    Never overflows."""
     dim = n if isinstance(n, DimensionParams) else DimensionParams(n)
     n = dim.n
     eps = math.sqrt((1.0 - _checked_rho(rho)) * (1.0 + rho))
@@ -315,8 +319,7 @@ def constant_transverse(n, rho: float) -> float:
                                  [math.pi / 2 - m * eps for m in (1.0, 4.0, 16.0, 64.0)])
     c, s = np.cos(nodes), np.sin(nodes)
     euler = float(wts @ (2.0 * s ** (n - 3) * c * c * np.sqrt(c * c + (eps * s) ** 2)))
-    hyp = gamma_ratio(((n + 1) / 2.0,), (n / 2.0 - 1.0, 1.5)) * euler
-    return 2.0 * dim.c_n * hyp / ((n - 1.0) * (1.0 - rho) * (1.0 + rho))
+    return n * (n - 2.0) * euler / (math.pi * (1.0 - rho) * (1.0 + rho))
 
 
 # -- second derivative of the profile ---------------------------------------

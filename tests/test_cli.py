@@ -13,6 +13,9 @@ import pytest
 import ballgrad
 from ballgrad import certify_convexity, certify_radial_max, cli
 from ballgrad.cli import main
+from ballgrad.constants import DEFAULT_QUAD_ORDER, ConstantQuery, constant_direct
+from ballgrad.gegenbauer import DimensionParams
+from ballgrad.quadrature import gauss_legendre
 
 
 def _run(capsys, argv):
@@ -283,6 +286,41 @@ def test_alpha_step_grid_is_bounded(capsys, step):
 def test_alpha_step_grid_at_the_bound():
     alphas = cli._alphas(f"step:pi/{cli.MAX_ANGLES - 1}")
     assert len(alphas) == cli.MAX_ANGLES and alphas[-1] == math.pi
+
+
+@pytest.mark.parametrize("k", [1, 2, 11, 12, 13, 22, 180, cli.MAX_ANGLES - 1])
+def test_alpha_step_grid_is_symmetric(k):
+    # 11 * pi / 11 < pi, 13 * pi / 13 > pi and 11 * pi / 22 < pi / 2 in floating point
+    a = cli._alphas(f"step:pi/{k}")
+    assert len(a) == k + 1 and a[0] == 0.0 and a[-1] == math.pi
+    assert all(math.pi - a[k - i] == a[i] for i in range(k + 1))
+    assert max(abs(x - i * math.pi / k) for i, x in enumerate(a)) <= 1e-15
+
+
+def test_alpha_step_grid_ends_at_pi(capsys):
+    # the last angle was 13 * pi / 13, one ulp above pi, which ConstantQuery rejects
+    code, out, _ = _run(capsys, ["constant", "--dim", "3", "--rho", "0.5", "--alpha", "step:pi/13"])
+    assert code == 0
+    assert [float(line.split(",")[2]) for line in out.splitlines()[1::13]] == [0.0, math.pi]
+
+
+@pytest.mark.parametrize("alpha, calls", [(None, 7), ("0,pi", 1), ("pi/3,2*pi/3", 2)])
+def test_constant_runs_direct_once_per_mirror_pair(capsys, monkeypatch, alpha, calls):
+    # pi - fl(2 pi/3) != fl(pi/3): only exact mirrors share the direct route
+    made = []
+
+    def counted(q, rule):
+        made.append(q.alpha)
+        return constant_direct(q, rule)
+
+    monkeypatch.setattr(cli, "constant_direct", counted)
+    argv = ["constant", "--dim", "5", "--rho", "0.9", "--format", "json"]
+    code, out, _ = _run(capsys, argv + ([] if alpha is None else ["--alpha", alpha]))
+    assert code == 0 and len(made) == calls
+    rule = gauss_legendre(DEFAULT_QUAD_ORDER)
+    for row in json.loads(out)["rows"]:
+        q = ConstantQuery(DimensionParams(5), 0.9, row["alpha"])
+        assert row["c_direct"] == constant_direct(q, rule)
 
 
 @pytest.mark.parametrize("command", ["constant", "certify"])

@@ -12,6 +12,7 @@ from numpy.polynomial.legendre import leggauss, legval, legvander
 from ballgrad import cli, constants
 from ballgrad.constants import (
     ALPHA_GRID,
+    ROUTE_TOL,
     T_GRID,
     ConstantQuery,
     _T_CHUNK,
@@ -246,6 +247,24 @@ def test_direct_and_kernel_vs_longdouble(rule, n, rho, parent):
     ref = _kernel_longdouble(t, n, rho, rule)
     got = profile_curvature_kernel(t, dim, rho, rule)
     assert float(np.max(np.abs(got - ref))) <= 1e-13 * float(np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("alpha", [math.pi / 2, 2.0, 2 * math.pi / 3, 11 * math.pi / 12, math.pi])
+def test_constant_direct_is_even_in_t(rule, alpha):
+    # the direct route integrates at min(alpha, pi - alpha); pi - alpha is exact here
+    for n, rho in ((3, 0.5), (5, 0.99)):
+        dim = DimensionParams(n)
+        assert (constant_direct(ConstantQuery(dim, rho, alpha), rule)
+                == constant_direct(ConstantQuery(dim, rho, math.pi - alpha), rule))
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.9, 0.99])
+@pytest.mark.parametrize("n", [3, 5])
+def test_folded_direct_meets_series(rule, n, rho):
+    for alpha in (2 * math.pi / 3, 11 * math.pi / 12):
+        q = ConstantQuery(DimensionParams(n), rho, alpha)
+        series = constant_series(q, rule=rule)
+        assert abs(constant_direct(q, rule) - series) <= ROUTE_TOL * max(1.0, abs(series))
 
 
 def test_direct_route_memory(rule):
@@ -868,15 +887,17 @@ def test_certify_radial_max_overflow_names_the_anchor():
 # -- the closed transverse constant (alpha = pi/2) ------------------------------
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 8, 16, 64, 256])
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 16, 64, 256, 1024])
 def test_constant_transverse_matches_hyp2f1(n):
-    # 2 c_n F(rho^2) / ((n-1)(1-rho^2)), F = 2F1(-1/2, n/2-1; (n+1)/2; .), all in mpmath
-    mp.dps = 30
-    c_n = 2 * mp.gamma(mp.mpf(n + 2) / 2) / (mp.sqrt(mp.pi) * mp.gamma(mp.mpf(n - 1) / 2))
-    for rho in (0.0, 0.3, 0.9, 0.99, 0.999):
-        x = mp.mpf(rho) ** 2
-        want = 2 * c_n * mp.hyp2f1(-0.5, mp.mpf(n) / 2 - 1, mp.mpf(n + 1) / 2, x) / ((n - 1) * (1 - x))
-        assert constant_transverse(n, rho) == pytest.approx(float(want), rel=1e-13)
+    # 2 c_n F(rho^2) / ((n-1)(1-rho^2)), F = 2F1(-1/2, n/2-1; (n+1)/2; .), all in mpmath;
+    # with the Gamma factors in closed form, only the Euler integral's rounding is left
+    with mp.workdps(40):
+        c_n = 2 * mp.gamma(mp.mpf(n + 2) / 2) / (mp.sqrt(mp.pi) * mp.gamma(mp.mpf(n - 1) / 2))
+        for rho in (0.0, 0.3, 0.9, 0.99, 0.999):
+            x = mp.mpf(rho) ** 2
+            want = (2 * c_n * mp.hyp2f1(-0.5, mp.mpf(n) / 2 - 1, mp.mpf(n + 1) / 2, x)
+                    / ((n - 1) * (1 - x)))
+            assert constant_transverse(n, rho) == pytest.approx(float(want), rel=2e-14)
 
 
 @pytest.mark.parametrize("n", [3, 4, 8, 16, 256])
