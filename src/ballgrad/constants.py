@@ -26,13 +26,12 @@ denominator additionally get panels graded geometrically around the peak of
 that Poisson denominator once rho >= 0.8, where the peak sharpens toward the
 boundary. Each such denominator is written (1 - rho)^2 + 2 rho (1 - z), with
 1 - z built from half-angle sines, so that no term cancels as rho -> 1 and
-the denominator is never below (1 - rho)^2; _inv_power raises it to its
-negative power by a reciprocal and squarings.
-
-The per-t quadratures run in blocks of _T_CHUNK t rows so that the
-(rows, nodes) temporaries stay small: the kernel curvature, the profile's kink
-integrals (the identity suite's kink_integral_brute, degrees 0 and 1 stacked)
-and, in one reused buffer, the inner matrix of constant_direct. Every
+the denominator is never below (1 - rho)^2. One function, _poisson_rows,
+integrates every power of it (the inner integral of constant_direct,
+constant_radial and the kernel curvature): _T_CHUNK rows at a time in one
+reused buffer, raised by _inv_power (a reciprocal and squarings) in place.
+The profile's kink integrals (the identity suite's kink_integral_brute,
+degrees 0 and 1 stacked) also run in _T_CHUNK-row blocks. Every
 rho-power series (the three curvature pair sums and the lagged series part of
 the profile) is one call of gegenbauer.pair_series: a single blocked
 recurrence over the stacked (lam, argument) rows, max(K) steps, not sum(K).
@@ -56,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gegenbauer import (SERIES_MAX_TERMS, DimensionParams, eval_sequence, gamma_ratio,
+from .gegenbauer import (SERIES_MAX_TERMS, DimensionParams, _checked_rho, eval_sequence,
                          pair_series, pair_weights, series_cutoff)
 from .identities import kink_integral_brute
 from .quadrature import (DEFAULT_QUAD_ORDER, QuadratureRule, composite_nodes, gauss_legendre,
@@ -104,13 +103,6 @@ _GREEN_TO_COEF.flags.writeable = False
 
 def _default_rule(rule: QuadratureRule | None) -> QuadratureRule:
     return rule if rule is not None else gauss_legendre(DEFAULT_QUAD_ORDER)
-
-
-def _checked_rho(rho: float) -> float:
-    """rho; ValueError names it unless it lies in [0, 1) (NaN included)."""
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"rho must lie in [0, 1), got {rho}")
-    return rho
 
 
 def _inv_power(v: np.ndarray, e: float) -> np.ndarray:
@@ -178,7 +170,40 @@ def _graded_panels(rho: float, rule: QuadratureRule, peak: float = 0.0, kinks=()
     return composite_nodes(0.0, math.pi, rule, edges)
 
 
-# -- inner integral of the double-integral route ----------------------------
+# -- the Poisson-power quadrature of every route -----------------------------
+
+
+def _poisson_rows(rho: float, rule: QuadratureRule, c0, c1, e: float, weight, kinks=(), a=None):
+    """For every row r, sum_i w_i weight(theta_i) p_ri^-e (p_ri - a_r sin^2 theta_i)^2,
+    the bracket only if a is given, p_ri = c0_r + c1_r sin^2(theta_i/2), over the
+    nodes theta_i and weights w_i of _graded_panels(rho, rule, 0, kinks).
+
+    _T_CHUNK rows run at a time in one reused buffer by the one-matrix
+    expression's operations in its order: bit-identical to it. Overflow gives
+    inf or nan silently; each caller raises its own OverflowError.
+    """
+    nodes, wts = _graded_panels(rho, rule, kinks=kinks)
+    half_sq, sin_sq = np.sin(0.5 * nodes) ** 2, None if a is None else np.sin(nodes) ** 2
+    wts = wts * weight(nodes)
+    out = np.empty(c0.size)
+    # numpy takes a one-row product as a dot, whose sum order differs from the
+    # matrix-vector product's, so a lone last row joins the block before it
+    starts = list(range(0, out.size - 1, _T_CHUNK)) or [0]
+    buf = np.empty((1 if a is None else 2, min(_T_CHUNK + 1, out.size), nodes.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi in zip(starts, starts[1:] + [out.size]):
+            v = buf[0, :hi - lo]
+            np.multiply(c1[lo:hi, None], half_sq, out=v)
+            v += c0[lo:hi, None]
+            if a is not None:  # the squared bracket, taken before v is raised in place
+                sq = buf[1, :hi - lo]
+                np.subtract(v, np.multiply(a[lo:hi, None], sin_sq, out=sq), out=sq)
+                sq *= sq
+            _inv_power(v, e)
+            if a is not None:
+                v *= sq
+            out[lo:hi] = v @ wts
+    return out
 
 
 def _inner_smooth(dim: DimensionParams, rho: float, alpha: float, theta, rule: QuadratureRule):
@@ -187,30 +212,12 @@ def _inner_smooth(dim: DimensionParams, rho: float, alpha: float, theta, rule: Q
     Returns the integral over psi in [0, pi] of (sin psi)^(n-3) / D^(n/2-1),
     D = 1 - 2 rho (cos(theta) cos(alpha) + sin(theta) sin(alpha) cos(psi)) + rho^2
       = c0 + c1 sin^2(psi/2), c0 = (1-rho)^2 + 4 rho sin^2((theta-alpha)/2),
-    c1 = 4 rho sin(theta) sin(alpha), for every outer angle theta in [0, pi] at
-    once. The (sin psi)^(n-3) factor rides in the weights. _T_CHUNK rows run at
-    a time in one reused buffer by the one-matrix expression's operations in its
-    order: bit-identical to it.
+    c1 = 4 rho sin(theta) sin(alpha), for all outer angles theta at once (_poisson_rows).
     """
-    nodes, wts = _graded_panels(rho, rule)
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     c0 = (1.0 - rho) ** 2 + 4.0 * rho * np.sin(0.5 * (th - alpha)) ** 2
     c1 = 4.0 * rho * np.sin(th) * math.sin(alpha)
-    half_sq = np.sin(0.5 * nodes) ** 2
-    wts = wts * np.sin(nodes) ** (dim.n - 3)
-    out = np.empty_like(th)
-    # numpy takes a one-row product as a dot, whose sum order differs from the
-    # matrix-vector product's, so a lone last row joins the block before it
-    starts = list(range(0, th.size, _T_CHUNK))
-    if len(starts) > 1 and starts[-1] == th.size - 1:
-        del starts[-1]
-    buf = np.empty((min(_T_CHUNK + 1, th.size), nodes.size))
-    for lo, hi in zip(starts, starts[1:] + [th.size]):
-        v = buf[:hi - lo]
-        np.multiply(c1[lo:hi, None], half_sq, out=v)
-        v += c0[lo:hi, None]
-        out[lo:hi] = _inv_power(v, dim.n / 2.0 - 1.0) @ wts
-    return out
+    return _poisson_rows(rho, rule, c0, c1, dim.n / 2.0 - 1.0, lambda x: np.sin(x) ** (dim.n - 3))
 
 
 # -- the three constant routes ----------------------------------------------
@@ -294,12 +301,11 @@ def constant_radial(n, rho: float, rule: QuadratureRule | None = None) -> float:
     """Sharp constant in the radial direction, by the closed 1-D formula."""
     dim = n if isinstance(n, DimensionParams) else DimensionParams(n)
     rule = _default_rule(rule)
-    delta = (dim.n - 2) / dim.n * _checked_rho(rho)
-    nodes, wts = _graded_panels(rho, rule, kinks=(math.acos(delta),))
-    denom = (1.0 - rho) ** 2 + 4.0 * rho * np.sin(0.5 * nodes) ** 2
-    vals = np.abs(np.cos(nodes) - delta) * _inv_power(denom, (dim.n - 2) / 2.0)
-    wts = wts * np.sin(nodes) ** (dim.n - 2)
-    value = dim.c_n / ((1.0 - rho) * (1.0 + rho)) * float(wts @ vals)
+    n, delta = dim.n, (dim.n - 2) / dim.n * _checked_rho(rho)
+    total = _poisson_rows(rho, rule, np.array([(1.0 - rho) ** 2]), np.array([4.0 * rho]),
+                          (n - 2) / 2.0, lambda x: np.sin(x) ** (n - 2) * np.abs(np.cos(x) - delta),
+                          kinks=(math.acos(delta),))
+    value = dim.c_n / ((1.0 - rho) * (1.0 + rho)) * float(total[0])
     if not math.isfinite(value):
         raise OverflowError(f"constant_radial overflows at n={dim.n}, rho={rho}")
     return value
@@ -363,27 +369,14 @@ def profile_curvature_kernel(t, dim: DimensionParams, rho: float,
     """
     ta = _checked_t(t)
     rule = _default_rule(rule)
-    n = dim.n
-    delta = (n - 2) / n * _checked_rho(rho)
-    eta = n / (n - 2.0)
-    nodes, wts = _graded_panels(rho, rule)
-    s = np.sin(nodes)
-    s_sq = s * s
-    half_sq = np.sin(0.5 * nodes) ** 2
-    wts = wts * s ** (n - 3)
-    scale = 2.0 * gamma_ratio(((n - 1) / 2.0,), ((n - 2) / 2.0, 0.5)) * delta * delta
+    n, delta = dim.n, (dim.n - 2) / dim.n * _checked_rho(rho)
     tv = ta.ravel()
-    out = np.empty_like(tv)
-    for lo in range(0, tv.size, _T_CHUNK):
-        rows = slice(lo, lo + _T_CHUNK)
-        tc = tv[rows, None]
-        g = 1.0 - (delta * tc) ** 2
-        w = np.sqrt(g * (1.0 - tc * tc))
-        c0 = (1.0 - rho) ** 2 + 2.0 * rho * (tc * (1.0 - delta)) ** 2 / (1.0 - delta * tc * tc + w)
-        p = 4.0 * rho * w * half_sq + c0
-        bracket = (p - eta * g * s_sq) ** 2
-        vals = _inv_power(p, (n + 2) / 2.0) * bracket
-        out[rows] = scale * g[:, 0] ** ((n - 3) / 2.0) * (vals @ wts)
+    g = 1.0 - (delta * tv) ** 2
+    w = np.sqrt(g * (1.0 - tv * tv))
+    c0 = (1.0 - rho) ** 2 + 2.0 * rho * (tv * (1.0 - delta)) ** 2 / (1.0 - delta * tv * tv + w)
+    sums = _poisson_rows(rho, rule, c0, 4.0 * rho * w, (n + 2) / 2.0,
+                         lambda x: np.sin(x) ** (n - 3), a=n / (n - 2.0) * g)
+    out = n * (n - 2.0) / (math.pi * dim.c_n) * delta * delta * g ** ((n - 3) / 2.0) * sums
     if not np.all(np.isfinite(out)):
         raise OverflowError(f"profile_curvature_kernel overflows at n={n}, rho={rho}")
     return float(out[0]) if ta.ndim == 0 else out.reshape(ta.shape)
@@ -392,10 +385,10 @@ def profile_curvature_kernel(t, dim: DimensionParams, rho: float,
 def curvature_density_grid(t, z, n: int, rho: float):
     """Pointwise kernel density behind the convexity certificate, vectorized.
 
-    Zero off the positivity region; inside it the value is a Gamma-ratio
-    prefactor times disc^((n-4)/2) * (A - n*B/(n-2))^2 over the denominator
-    powers, with A = (1 - 2 rho z + rho^2)(1 - t^2) and B = disc. Raises
-    ValueError unless every t and z lies in (-1, 1).
+    Zero off the positivity region; inside it the value is n(n-2)/(pi c_n)
+    (= 2 Gamma((n-1)/2) / (Gamma((n-2)/2) Gamma(1/2))) times disc^((n-4)/2) *
+    (A - n*B/(n-2))^2 over the denominator powers, with A = (1 - 2 rho z +
+    rho^2)(1 - t^2) and B = disc. Raises ValueError unless every t and z lies in (-1, 1).
     """
     dim = n if isinstance(n, DimensionParams) else DimensionParams(n)
     n = dim.n
@@ -408,9 +401,8 @@ def curvature_density_grid(t, z, n: int, rho: float):
     p = 1.0 - 2.0 * rho * za + rho * rho
     a = p * (1.0 - ta * ta)
     quad = (a - n / (n - 2.0) * disc) ** 2
-    pref = 2.0 * gamma_ratio(((n - 1) / 2.0,), ((n - 2) / 2.0, 0.5))
     safe = np.where(disc > 0.0, disc, 1.0)
-    dens = pref * safe ** ((n - 4) / 2.0) * quad / (
+    dens = n * (n - 2.0) / (math.pi * dim.c_n) * safe ** ((n - 4) / 2.0) * quad / (
         p ** ((n + 2) / 2.0) * (1.0 - ta * ta) ** ((n + 1) / 2.0)
     )
     out = np.where(disc > 0.0, dens, 0.0)

@@ -100,9 +100,19 @@ class DimensionParams:
 
     @property
     def c_n(self) -> float:
-        """Normalization 2*Gamma((n+2)/2) / (Gamma(1/2)*Gamma((n-1)/2))."""
-        n = self.n
-        return 2.0 * gamma_ratio(((n + 2) / 2.0,), (0.5, (n - 1) / 2.0))
+        """Normalization 2*Gamma((n+2)/2) / (Gamma(1/2)*Gamma((n-1)/2)), rounded once
+        from (2m+1) m C(2m, m) / 4^m at n = 2m+1, then / pi from 2m 4^(m-1) / C(2m-2, m-1)."""
+        n, m = int(self.n), int(self.n) // 2
+        if n % 2:
+            return n * m * math.comb(2 * m, m) / 4 ** m
+        return 2 * m * 4 ** (m - 1) / math.comb(2 * m - 2, m - 1) / math.pi
+
+
+def _checked_rho(rho: float) -> float:
+    """rho; ValueError names it unless it lies in [0, 1) (NaN included)."""
+    if not 0.0 <= rho < 1.0:
+        raise ValueError(f"rho must lie in [0, 1), got {rho}")
+    return rho
 
 
 def pochhammer(lam: float, k: int) -> float:
@@ -210,9 +220,7 @@ def series_cutoff(rho: float, lam: float, max_terms: int) -> int:
     """
     if max_terms < 8:
         raise ValueError(f"max_terms must be at least 8, got {max_terms}")
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"rho must lie in [0, 1), got {rho}")
-    if rho == 0.0:
+    if _checked_rho(rho) == 0.0:
         return 0
     p = max(2.0 * lam - 1.0, 0.0)
     K = 8

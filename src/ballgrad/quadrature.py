@@ -114,13 +114,6 @@ def map_panels(edges: np.ndarray, rule: QuadratureRule):
     return nodes.reshape(shape), (half * rule.weights).reshape(shape)
 
 
-def _apply(f, x: np.ndarray, w: np.ndarray) -> float:
-    vals = np.asarray(f(x), dtype=float)
-    if vals.ndim == 0:
-        vals = np.broadcast_to(vals, x.shape)
-    return float(integrate_values(vals, w))
-
-
 def integrate_values(vals, w: np.ndarray) -> np.ndarray:
     """Quadrature sums along the last axis of integrand values taken at mapped nodes.
 
@@ -138,8 +131,7 @@ def integrate_values(vals, w: np.ndarray) -> np.ndarray:
 
 def integrate(f, a: float, b: float, rule: QuadratureRule) -> float:
     """Integral of f over [a, b]; f must accept an ndarray of points."""
-    x, w = composite_nodes(a, b, rule)
-    return _apply(f, x, w)
+    return integrate_split(f, a, b, (), rule)
 
 
 def integrate_split(f, a: float, b: float, breakpoints, rule: QuadratureRule) -> float:
@@ -149,4 +141,7 @@ def integrate_split(f, a: float, b: float, breakpoints, rule: QuadratureRule) ->
     on each subinterval.
     """
     x, w = composite_nodes(a, b, rule, breakpoints)
-    return _apply(f, x, w)
+    vals = np.asarray(f(x), dtype=float)
+    if vals.ndim == 0:  # a constant integrand
+        vals = np.broadcast_to(vals, x.shape)
+    return float(integrate_values(vals, w))

@@ -3,6 +3,7 @@ import importlib
 import math
 import pathlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -177,6 +178,35 @@ def test_inner_integral_blocks_bit_identical(order, n):
             for alpha in (0.0, math.pi / 3, math.pi):
                 want = _inner_one_matrix(dim, rho, alpha, theta, rule)
                 assert np.array_equal(_inner_smooth(dim, rho, alpha, theta, rule), want)
+
+
+def _kernel_one_matrix(t, dim, rho, rule):
+    """Reference: profile_curvature_kernel as one (t, theta) matrix expression."""
+    n = dim.n
+    delta = (n - 2) / n * rho
+    nodes, wts = _graded_panels(rho, rule)
+    tc = t[:, None]
+    g = 1.0 - (delta * tc) ** 2
+    w = np.sqrt(g * (1.0 - tc * tc))
+    c0 = (1.0 - rho) ** 2 + 2.0 * rho * (tc * (1.0 - delta)) ** 2 / (1.0 - delta * tc * tc + w)
+    p = 4.0 * rho * w * np.sin(0.5 * nodes) ** 2 + c0
+    bracket = (p - n / (n - 2.0) * g * np.sin(nodes) ** 2) ** 2
+    vals = _inv_power(p, (n + 2) / 2.0) * bracket
+    scale = n * (n - 2.0) / (math.pi * dim.c_n) * delta * delta
+    return scale * g[:, 0] ** ((n - 3) / 2.0) * (vals @ (wts * np.sin(nodes) ** (n - 3)))
+
+
+@pytest.mark.parametrize("order", [7, 128])
+@pytest.mark.parametrize("n", [3, 4, 7, 12])
+def test_curvature_kernel_blocks_bit_identical(order, n):
+    # the kernel shares the inner integral's blocks, lone last row included
+    rule = gauss_legendre(order)
+    dim = DimensionParams(n)
+    for size in (1, _T_CHUNK - 1, _T_CHUNK, _T_CHUNK + 1, 3 * _T_CHUNK + 5):
+        t = np.linspace(0.0, 0.999, size)
+        for rho in (0.5, 0.9, 0.99):
+            want = _kernel_one_matrix(t, dim, rho, rule)
+            assert np.array_equal(profile_curvature_kernel(t, dim, rho, rule), want), (size, rho)
 
 
 @pytest.mark.parametrize("e", [0.5, 1, 1.5, 2.5, 3, 5, 9, 511])
@@ -942,6 +972,21 @@ def test_certify_radial_max_runs_no_double_integral(rule, monkeypatch):
     for n, rho in ((3, 0.5), (8, 0.95), (16, 0.999)):
         assert certify_radial_max(n, rho, rule=rule).passed
     assert cli.main(["certify", "--dim", "3", "--rho", "0.5,0.9"]) == 0
+
+
+@pytest.mark.parametrize("route, call", [
+    ("constant_direct",
+     lambda: constant_direct(ConstantQuery(DimensionParams(1024), 0.7, math.pi / 2))),
+    ("constant_radial", lambda: constant_radial(1024, 0.7)),
+    ("profile_curvature_kernel", lambda: profile_curvature_kernel(0.5, DimensionParams(1024), 0.7)),
+    ("profile_curvature_kernel", lambda: certify_radial_max(1024, 0.7)),
+])
+def test_overflow_raises_before_any_numpy_warning(route, call):
+    # no np.errstate: the route's own OverflowError, not a numpy RuntimeWarning, comes first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=f"{route} overflows at n=1024, rho=0.7"):
+            call()
 
 
 @pytest.mark.parametrize("n, rho, t", [(128, 0.999, 0.0), (256, 0.99, 0.5),

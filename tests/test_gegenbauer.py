@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from ballgrad.gegenbauer import (
     _BLOCK,
@@ -220,6 +221,18 @@ def test_dimension_params():
         with pytest.raises(ValueError, match="dimension must be an integer"):
             DimensionParams(n)
     assert DimensionParams(np.int64(4)).lambda_low == 1.0
+
+
+@pytest.mark.parametrize("n", list(range(3, 40)) + [64, 128, 256, 1024, 4096])
+def test_c_n_matches_mpmath(n):
+    # c_n and the kernel prefactor 2 Gamma((n-1)/2) / (Gamma((n-2)/2) Gamma(1/2)), which
+    # constants takes as n(n-2) / (pi c_n), each to a few rounding errors at every n
+    c_n = DimensionParams(n).c_n
+    with mp.workdps(40):
+        want = 2 * mp.gamma(mp.mpf(n + 2) / 2) / (mp.sqrt(mp.pi) * mp.gamma(mp.mpf(n - 1) / 2))
+        pref = 2 * mp.gamma(mp.mpf(n - 1) / 2) / (mp.gamma(mp.mpf(n - 2) / 2) * mp.sqrt(mp.pi))
+        assert abs(c_n / want - 1) <= 3e-16
+        assert abs(n * (n - 2.0) / (math.pi * c_n) / pref - 1) <= 3e-16
 
 
 def test_gamma_ratio():
