@@ -6,9 +6,10 @@ evaluators take its last row. Gamma-ratio constants are computed through
 log-Gamma so they stay finite for large arguments.
 
 Every rho-power series of the package runs through one engine:
-`recurrence_blocks` steps the three-term recurrence for a stack of
-(lam, argument) rows at once, in blocks of degrees, and `pair_series` sums
-weighted products of two rows per block with one einsum.
+`recurrence_blocks` steps the recurrence for a stack of (lam, argument) rows
+at once, in blocks of degrees, scaled to D_k = C_k^lam / s_k so that a step
+is one multiply and one subtract, and `pair_series` sums weighted products of
+two rows per block with one einsum, the scales folded into its weights.
 """
 
 from __future__ import annotations
@@ -264,51 +265,55 @@ def pair_weights(lam: float, rho: float, K: int, lag: int = 0) -> np.ndarray:
     return w
 
 
-def recurrence_blocks(lams, xs, orders):
-    """Run the three-term recurrence for a stack of rows, _BLOCK degrees at a time.
+def _scales(lam: float, K: int) -> np.ndarray:
+    """s_0, ..., s_K: s_0 = s_1 = 1 and s_m = s_(m-2) (m + 2 lam - 2)/m."""
+    s = np.ones(K + 1)
+    f = (np.arange(0.0, K - 1) + 2.0 * lam) / np.arange(2.0, K + 1)
+    s[2::2], s[3::2] = np.cumprod(f[0::2]), np.cumprod(f[1::2])
+    return s
 
-    Row r is C_k^{lams[r]} at the arguments xs[r, :]; `orders` gives the last
-    degree each row needs, in nonincreasing order. Yields (m0, act, buf) per
-    block: buf[j, r] = C_{m0-2+j}^{lams[r]}(xs[r]) for the rows r < act whose
-    order reaches m0, where buf[0:2] repeats the last two degrees of the
-    previous block (zeros below degree 0) and buf[2:] holds the block's
-    degrees. The buffer is reused: consume each block before asking for the
-    next. Every value is bit-identical to eval_sequence.
+
+def recurrence_blocks(lams, xs, orders):
+    """Run the scaled three-term recurrence for a stack of rows, _BLOCK degrees at a time.
+
+    Row r is D_k = C_k^lam / s_k (s_k from _scales) at lam = lams[r] > 0 and the
+    arguments xs[r, :]: D_m = a_m x D_(m-1) - D_(m-2) with a_m = 2(m + lam - 1)/m
+    s_(m-1)/s_m, one multiply and one subtract per degree, a_m from one table per
+    distinct lam. `orders` gives the last degree each row needs, in nonincreasing
+    order. Yields (m0, act, buf) per block: buf[j, r] = D_(m0-2+j) for the rows
+    r < act whose order reaches m0, where buf[0:2] repeats the last two degrees
+    of the previous block (zeros below degree 0) and buf[2:] holds the block's
+    degrees. The buffer is reused: consume each block before asking for the next.
     """
     lams = np.asarray(lams, dtype=float)
     orders = np.asarray(orders, dtype=int)
     x = np.asarray(xs, dtype=float)
     if np.any(np.diff(orders) > 0):
         raise ValueError("rows must come in nonincreasing order of their orders")
-    buf = np.zeros((_BLOCK + 2,) + x.shape)
-    # per block: (a_m * x) for every step, and b_m spread over the columns,
-    # which each step then overwrites with b_m * C_{m-2}
-    ax = np.empty((_BLOCK,) + x.shape)
-    bx = np.empty((_BLOCK,) + x.shape)
+    if not np.all(lams > 0.0):  # s_2 = lam
+        raise ValueError(f"lam must be positive, got {lams.tolist()}")
     top = int(orders[0])
+    distinct, row_lam = np.unique(lams, return_inverse=True)
+    a = np.zeros((distinct.size, top + 1))
+    for i, lam in enumerate(distinct):
+        s, m = _scales(lam, top), np.arange(1.0, top + 1)
+        a[i, 1:] = 2.0 * ((m - 1.0) + lam) / m * (s[:-1] / s[1:])
+    buf = np.zeros((_BLOCK + 2,) + x.shape)
+    ax = np.empty((_BLOCK,) + x.shape)  # a_m x for every step of a block
     for m0 in range(0, top + 1, _BLOCK):
         nb = min(_BLOCK, top + 1 - m0)
         act = int(np.count_nonzero(orders >= m0))
-        lam = lams[:act]
-        rows, xa = buf[:nb + 2, :act], x[:act]
+        rows = buf[:nb + 2, :act]
         if m0:
             rows[:2] = buf[_BLOCK:, :act]
-        m = np.arange(m0, m0 + nb, dtype=float)[:, None]
-        np.multiply((2.0 * (m + lam - 1.0))[:, :, None], xa, out=ax[:nb, :act])
-        bx[:nb, :act] = (m + 2.0 * lam - 2.0)[:, :, None]
-        first = 0
+        np.multiply(a[row_lam[:act], m0:m0 + nb].T[:, :, None], x[:act], out=ax[:nb, :act])
         if m0 == 0:
-            rows[2] = 1.0
-            if nb > 1:
-                np.multiply((2.0 * lam)[:, None], xa, out=rows[3])
-            first = 2
-        c, axs, bxs = list(rows), list(ax[:nb, :act]), list(bx[:nb, :act])
-        for j in range(first, nb):
-            cur, prev = c[j + 2], bxs[j]
+            rows[2] = 1.0  # D_0; D_1 = a_1 x D_0 - D_(-1) is a step, with D_(-1) = 0
+        c, axs = list(rows), list(ax[:nb, :act])
+        for j in range(1 if m0 == 0 else 0, nb):
+            cur = c[j + 2]
             np.multiply(axs[j], c[j + 1], out=cur)
-            np.multiply(prev, c[j], out=prev)
-            np.subtract(cur, prev, out=cur)
-            np.divide(cur, m0 + j, out=cur)
+            np.subtract(cur, c[j], out=cur)
         yield m0, act, rows
 
 
@@ -320,7 +325,9 @@ def pair_series(pairs, weights, lag: int = 0) -> np.ndarray:
     elementwise over the arguments, which broadcast to one common shape.
     All rows run as one stacked recurrence (recurrence_blocks) of max(K)
     steps, in chunks of _COLUMNS argument columns; a pair stops adding terms
-    at its own K. Needs 0 <= lag <= 2.
+    at its own K. The recurrence yields the normalised rows C_k^lam / s_k, so
+    the scales go into the weights: w_k s_(k-lag)(lam_a) s_k(lam_b). Needs
+    0 <= lag <= 2 and positive lam.
     """
     if not 0 <= lag <= 2:
         raise ValueError(f"lag must lie in [0, 2], got {lag}")
@@ -333,7 +340,9 @@ def pair_series(pairs, weights, lag: int = 0) -> np.ndarray:
     K = np.array([len(weights[p]) - 1 for p in order])
     w = np.zeros((K[0] + 1, len(order)))
     for col, p in enumerate(order):
-        w[:K[col] + 1, col] = weights[p]
+        k, (lam_a, lam_b) = K[col], lams[2 * col:2 * col + 2]
+        w[lag:k + 1, col] = (weights[p][lag:] * _scales(lam_a, k)[:k + 1 - lag]
+                             * _scales(lam_b, k)[lag:])
     total = np.zeros((len(order), x.shape[1]))
     for lo in range(0, x.shape[1], _COLUMNS):
         cols = slice(lo, lo + _COLUMNS)

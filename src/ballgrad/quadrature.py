@@ -1,9 +1,9 @@
 """Gauss-Legendre quadrature on [-1, 1] with affine mapping and kink-aware
 splitting.
 
-The rules come from Newton iteration on the Legendre polynomial P_N, which
-runs on the same three-term recurrence as every series of the package
-(gegenbauer.recurrence_blocks at lam = 1/2)."""
+The rules come from Newton iteration on the Legendre polynomial P_N, whose
+values come from the plain three-term recurrence of the single-degree
+evaluators (gegenbauer.eval_sequence at lam = 1/2)."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gegenbauer import recurrence_blocks
+from .gegenbauer import eval_sequence
 
 __all__ = [
     "DEFAULT_QUAD_ORDER",
@@ -47,9 +47,8 @@ class QuadratureRule:
 
 def _legendre_pair(order: int, x: np.ndarray):
     """(P_order(x), P'_order(x)); P_order and P_order-1 are the last two rows of
-    the series engine's recurrence at lam = 1/2 (P_k = C_k^(1/2))."""
-    *_, (_, _, rows) = recurrence_blocks([0.5], x[None, :], [order])
-    p_prev, p = rows[-2, 0], rows[-1, 0]
+    eval_sequence at lam = 1/2 (P_k = C_k^(1/2))."""
+    p_prev, p = eval_sequence(0.5, order, x)[-2:]
     dp = order * (x * p - p_prev) / (x * x - 1.0)
     return p, dp
 

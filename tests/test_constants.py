@@ -310,6 +310,20 @@ def test_direct_route_memory(rule):
     assert peak < 2e6
 
 
+def test_curvature_series_memory():
+    # the scaled recurrence keeps one step table per distinct lam (3 x 8,193 floats at
+    # most), not one per row: this call peaked at 1.03 MB with the unscaled steps
+    dim = DimensionParams(4)
+    profile_curvature_series(T_GRID[100:], dim, 0.99)
+    tracemalloc.start()
+    try:
+        profile_curvature_series(T_GRID[100:], dim, 0.99)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.4e6
+
+
 # -- constant routes ----------------------------------------------------------
 
 def test_constant_at_origin(rule):

@@ -7,9 +7,11 @@ from mpmath import mp
 from ballgrad.gegenbauer import (
     _BLOCK,
     _COLUMNS,
+    SERIES_MAX_TERMS,
     DimensionParams,
     GegenbauerIndex,
     SeriesConvergenceError,
+    _scales,
     assoc_legendre,
     derivative,
     eval_recurrence,
@@ -22,7 +24,7 @@ from ballgrad.gegenbauer import (
     recurrence_blocks,
     series_cutoff,
 )
-from referees import eval_explicit
+from referees import eval_explicit, eval_sequence_longdouble
 
 LAMBDAS = (0.5, 1.0, 1.5, 2.0, 3.0)
 XS = (-0.9, -0.5, 0.0, 0.3, 0.7, 0.99)
@@ -270,25 +272,38 @@ def test_series_cutoff_cached_and_failure_repeats():
 
 
 def _collect_blocks(lams, xs, orders):
-    """{(row, degree): values} from every block of the stacked recurrence."""
+    """{(row, degree): s_k D_k} from every block of the scaled stacked recurrence."""
     got = {}
+    scales = [_scales(lam, orders[0]) for lam in lams]
     for m0, act, rows in recurrence_blocks(lams, xs, orders):
         assert act == sum(1 for K in orders if K >= m0)
         for r in range(act):
             for j in range(len(rows) - 2):
-                got[r, m0 + j] = rows[j + 2, r].copy()
+                got[r, m0 + j] = scales[r][m0 + j] * rows[j + 2, r]
     return got
+
+
+def _assert_near_longdouble(got, r, lam, K, x, bound):
+    """s_k D_k of row r against the longdouble recurrence, relative to max_x |C_k^lam|."""
+    ref = eval_sequence_longdouble(lam, K, x)
+    for k in range(K + 1):
+        err = np.max(np.abs(got[r, k] - ref[k]))
+        assert err <= bound * np.max(np.abs(ref[k])), (k, float(err))
+
+
+# measured at most 4.2e-14 on these grids (lam 1.5, K = 101)
+_BLOCKS_BOUND = 1e-13
 
 
 @pytest.mark.parametrize("lam", (0.5, 1.5, 9.0))
 @pytest.mark.parametrize("K", (0, 1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5))
 def test_recurrence_blocks_bit_identical(lam, K):
+    # the rows are C_k / s_k, so they no longer equal eval_sequence bit for bit;
+    # s_k D_k must meet a longdouble recurrence
     xs = np.linspace(-1.0, 1.0, 9)[None, :]
     got = _collect_blocks([lam], xs, [K])
-    seq = eval_sequence(lam, K, xs[0])
     assert sorted(got) == [(0, k) for k in range(K + 1)]
-    for k in range(K + 1):
-        assert np.array_equal(got[0, k], seq[k])
+    _assert_near_longdouble(got, 0, lam, K, xs[0], _BLOCKS_BOUND)
 
 
 def test_recurrence_blocks_mixed_orders():
@@ -298,11 +313,30 @@ def test_recurrence_blocks_mixed_orders():
     xs = np.random.default_rng(3).uniform(-1.0, 1.0, size=(len(lams), 6))
     got = _collect_blocks(lams, xs, orders)
     for r, (lam, K) in enumerate(zip(lams, orders)):
-        seq = eval_sequence(lam, K, xs[r])
-        for k in range(K + 1):
-            assert np.array_equal(got[r, k], seq[k])
+        _assert_near_longdouble(got, r, lam, K, xs[r], _BLOCKS_BOUND)
     with pytest.raises(ValueError):
         list(recurrence_blocks((1.0, 1.0), np.zeros((2, 3)), (2, 5)))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="longdouble is double here")
+@pytest.mark.parametrize("lam, bound", [
+    (0.5, 5e-12),    # measured 1.3e-12; eval_sequence 4.7e-13
+    (9.0, 2e-10),    # measured 6.7e-11; eval_sequence 1.8e-11
+])
+def test_recurrence_blocks_long(lam, bound):
+    # the series' term cap: the error grows with the degree, most near |x| = 1
+    K = SERIES_MAX_TERMS
+    xs = np.random.default_rng(5).uniform(-1.0, 1.0, size=(1, 64))
+    _assert_near_longdouble(_collect_blocks([lam], xs, [K]), 0, lam, K, xs[0], bound)
+
+
+@pytest.mark.parametrize("lam", (0.0, -0.5, math.nan))
+def test_recurrence_blocks_rejects_nonpositive_lam(lam):
+    # s_2 = lam: the scales vanish or flip sign
+    with pytest.raises(ValueError, match="lam must be positive"):
+        next(recurrence_blocks((1.0, lam), np.zeros((2, 3)), (5, 5)))
+    with pytest.raises(ValueError, match="lam must be positive"):
+        pair_series([(1.0, 0.2, lam, 0.3)], [pair_weights(1.0, 0.5, 10)])
 
 
 def test_pair_weights():
@@ -338,3 +372,44 @@ def test_pair_series_matches_explicit(lag):
         assert np.max(err) <= 1e-14
     scalar = pair_series([(1.5, 0.2, 1.5, -0.4)], [pair_weights(1.5, 0.5, 40)])
     assert scalar.shape == (1,)
+
+
+def _pair_sum_longdouble(lam_a, xa, lam_b, xb, w, lag):
+    """(sum, sum of |terms|) of sum_k w_k C_(k-lag)^lam_a(xa) C_k^lam_b(xb) in longdouble."""
+    K = len(w) - 1
+    a = eval_sequence_longdouble(lam_a, K - lag, xa)
+    b = eval_sequence_longdouble(lam_b, K, xb)
+    terms = np.asarray(w[lag:], dtype=np.longdouble)[:, None] * a * b[lag:]
+    return terms.sum(axis=0), np.abs(terms).sum(axis=0)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="longdouble is double here")
+@pytest.mark.parametrize("n, rho", [(5, 0.99), (3, 0.995)])
+def test_pair_series_lagged_mixed_lambdas(n, rho):
+    # as profile_parts calls it: lam_high at s = delta t, lam_low at t, with t = +-1
+    dim = DimensionParams(n)
+    K = series_cutoff(rho, dim.lambda_low, SERIES_MAX_TERMS)
+    assert K >= 3000
+    t = np.concatenate(([-1.0, 1.0], np.linspace(-0.999, 0.999, 21)))
+    s = (n - 2) / n * rho * t
+    w = pair_weights(dim.lambda_high, rho, K, lag=2)
+    got = pair_series([(dim.lambda_high, s, dim.lambda_low, t)], [w], lag=2)[0]
+    want, size = _pair_sum_longdouble(dim.lambda_high, s, dim.lambda_low, t, w, 2)
+    assert np.max(np.abs(got - want) / size) <= 1e-14
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="longdouble is double here")
+@pytest.mark.parametrize("n, rho", [(32, 0.05), (32, 0.7), (64, 0.3), (64, 0.7),
+                                    (100, 0.5), (127, 0.05)])
+def test_pair_series_large_lambda(n, rho):
+    # the curvature pairs up to the largest n whose lam_high series_cutoff still
+    # orders (100 at rho 0.5, 127 at 0.05): the weights w_k s_k^2 stay finite
+    dim = DimensionParams(n)
+    t = np.linspace(0.0, 0.999, 11)
+    x1 = (n - 2) / n * rho * t
+    for lam in (dim.lambda_low, dim.lambda_mid, dim.lambda_high):
+        w = pair_weights(lam, rho, series_cutoff(rho, lam, SERIES_MAX_TERMS))
+        got = pair_series([(lam, x1, lam, t)], [w])[0]
+        want, size = _pair_sum_longdouble(lam, x1, lam, t, w, 0)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - want) / size) <= 1e-14
