@@ -294,9 +294,9 @@ def recurrence_blocks(lams, xs, orders):
         raise ValueError(f"lam must be positive, got {lams.tolist()}")
     top = int(orders[0])
     distinct, row_lam = np.unique(lams, return_inverse=True)
-    a = np.zeros((distinct.size, top + 1))
+    a, m = np.zeros((distinct.size, top + 1)), np.arange(1.0, top + 1)
     for i, lam in enumerate(distinct):
-        s, m = _scales(lam, top), np.arange(1.0, top + 1)
+        s = _scales(lam, top)
         a[i, 1:] = 2.0 * ((m - 1.0) + lam) / m * (s[:-1] / s[1:])
     buf = np.zeros((_BLOCK + 2,) + x.shape)
     ax = np.empty((_BLOCK,) + x.shape)  # a_m x for every step of a block
