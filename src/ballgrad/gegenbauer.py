@@ -1,8 +1,9 @@
 """Gegenbauer (ultraspherical), Legendre, and associated Legendre polynomials.
 
 Evaluation is recurrence-based: eval_sequence runs the three-term recurrence
-for scalar or array arguments (lam broadcasts too), and the single-degree
-evaluators take its last row. Gamma-ratio constants are computed through
+for scalar or array arguments (lam broadcasts too), stepping each degree in
+place in its row of the result, and the single-degree evaluators take its
+last row. Gamma-ratio constants are computed through
 log-Gamma so they stay finite for large arguments.
 
 Every rho-power series of the package runs through one engine:
@@ -159,20 +160,37 @@ def eval_sequence(lam, K: int, x) -> np.ndarray:
 
     lam and x may be scalars or ndarrays that broadcast against each other,
     so rows with different lam run as one stack; the leading axis of the
-    result indexes the degree.
+    result indexes the degree. One multiply writes 2(m + lam - 1) x for every
+    degree, then each degree steps in place in its own row (_step): four
+    ufunc calls a degree, none of which allocates.
     """
     if K < 0:
         raise ValueError(f"K must be nonnegative, got {K}")
     xa = _clipped(x)
     lam = np.asarray(lam, dtype=float)
-    out = np.empty((K + 1,) + np.broadcast_shapes(lam.shape, xa.shape))
+    shape = np.broadcast_shapes(lam.shape, xa.shape)
+    out = np.empty((K + 1,) + shape)
     out[0] = 1.0
     if K >= 1:
         out[1] = 2.0 * lam * xa
-    for m in range(2, K + 1):
-        out[m] = (2.0 * (m + lam - 1.0) * xa * out[m - 1]
-                  - (m + 2.0 * lam - 2.0) * out[m - 2]) / m
+    if K >= 2:
+        deg = np.arange(2, K + 1).reshape((-1,) + (1,) * len(shape))
+        np.multiply(2.0 * (deg + lam - 1.0), xa, out=out[2:])
+        back, tmp = deg + 2.0 * lam - 2.0, np.empty(shape)
+        for m in range(2, K + 1):
+            _step(out[m, ...], out[m - 1], out[m - 2], back[m - 2], m, tmp)
     return out
+
+
+def _step(cur, prev, prev2, back, m: int, tmp) -> None:
+    """One degree of the three-term recurrence, in place: cur holds 2(m + lam - 1) x
+    on entry and C_m^lam(x) on exit, from prev = C_(m-1) and prev2 = C_(m-2), with
+    back = m + 2 lam - 2. The operations and their order are those of
+    (2(m + lam - 1) x C_(m-1) - (m + 2 lam - 2) C_(m-2)) / m, so the rows are the
+    same bit for bit; tmp is scratch of cur's shape."""
+    cur *= prev
+    cur -= np.multiply(back, prev2, out=tmp)
+    cur /= m
 
 
 def derivative(idx: GegenbauerIndex, order: int, x):

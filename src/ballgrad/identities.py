@@ -6,11 +6,14 @@ Every check takes its sampled arguments (angles, points, degrees of an inner
 product) as scalars or ndarrays: a scalar gives a float, an array gives an
 array of its shape. An array runs as one stacked recurrence (eval_sequence,
 whose lam broadcasts) and, for integrals, one batch of quadrature rows with
-the non-finite check of the scalar path; run_suite makes one call per
-(lam, degree) batch of samples, and equals the scalar calls bit for bit.
-For that, fractional powers of sampled values are taken with np.power: `**`
-on a numpy scalar calls the C library's pow, which can round differently
-from numpy's array loop.
+the non-finite check of the scalar path. Behind the addition theorems, the
+weighted derivative and the closed kink form sits a private helper that also
+takes one degree per sample, reading each sample's degree from its own row of
+one recurrence table: the public check calls it with its one degree, and
+run_suite with every degree of one lam at once. Either way a sample's value
+equals the scalar call bit for bit. For that, fractional powers of sampled
+values are taken with np.power: `**` on a numpy scalar calls the C library's
+pow, which can round differently from numpy's array loop.
 
 All weighted integrals on [-1, 1] are evaluated after the substitution
 x = cos(theta): the weight (1-x^2)^(lam-1/2) turns into (sin theta)^(2*lam),
@@ -24,11 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# assoc_legendre, integrate and integrate_split are not called here; they stay
-# importable from this module because bench/spans.py traces calls through
-# these names.
+# assoc_legendre, eval_recurrence, legendre, integrate and integrate_split are
+# not called here; they stay importable from this module because
+# bench/spans.py traces calls through these names.
 from .gegenbauer import (  # noqa: F401
-    GegenbauerIndex,
     _value,
     assoc_legendre,
     eval_recurrence,
@@ -69,9 +71,17 @@ __all__ = [
 _FD_STEP = 1e-5  # central-difference step for all derivative oracles
 
 
-def _gegenbauer(lam, k: int, x):
-    """C_k^lam(x), the last row of eval_sequence; no lam guard."""
-    return eval_sequence(lam, k, x)[-1]
+def _gegenbauer(lam, k, x):
+    """C_k^lam(x) from one eval_sequence table; no lam guard.
+
+    k is a degree or an integer array that broadcasts against x, one degree
+    per element, each read from its own row of the table.
+    """
+    k = np.asarray(k)
+    seq = eval_sequence(lam, int(k.max()), x)
+    if k.ndim == 0:  # one degree: its row, without a gather
+        return seq[k]
+    return np.take_along_axis(seq, np.broadcast_to(k, seq.shape[1:])[None], axis=0)[0]
 
 
 def _inside(v, bound: float, message: str) -> np.ndarray:
@@ -93,19 +103,52 @@ def _angles(*angles):
     return out
 
 
-def _family(lam: float, k: int, x):
-    """Rows C_{k-j}^{lam+j}(x), j = 0..k, from one recurrence with a lam per row.
+def _family(lam: float, k: np.ndarray, x):
+    """Rows C_{k-j}^{lam+j}(x), j = 0..max(k), from one recurrence with a lam per row.
 
-    Up to the factor 2^j (lam)_j, row j is the j-th derivative of C_k^lam.
+    k holds one degree per element of x[0]; rows j > k hold C_0 = 1. Up to
+    the factor 2^j (lam)_j, row j is the j-th derivative of C_k^lam.
     """
-    j = np.arange(k + 1)
-    lams = (lam + j).reshape((-1,) + (1,) * np.ndim(x))
-    return eval_sequence(lams, k, x)[k - j, j]
+    K = int(k.max())
+    j = np.arange(K + 1).reshape((-1,) + (1,) * np.ndim(x))
+    seq = eval_sequence(lam + j, K, x)
+    return np.take_along_axis(seq, np.maximum(k - j, 0)[None], axis=0)[0]
 
 
-def _sum_rows(terms):
-    # sequential sum over the leading axis: one order for scalar and array input
-    return np.cumsum(terms, axis=0)[-1]
+def _addition_sum(lam: float, k, theta, phi, coefficient, last):
+    """The right side of both addition theorems: the sum over j = 0..k of
+    coefficient(k, j) (sin theta sin phi)^j C_{k-j}^{lam+j}(cos theta)
+    C_{k-j}^{lam+j}(cos phi) L_j, where last(j) returns the rows L_j for the
+    column j = 0..max(k).
+
+    k is a degree or one degree per sample. The sum runs in sequence over j
+    and each sample takes the partial sum at its own degree, so the terms
+    past it (j > k) never enter its value.
+    """
+    k = np.broadcast_to(k, theta.shape)
+    j = np.arange(k.max() + 1).reshape((-1,) + (1,) * theta.ndim)
+    table = np.zeros((j.size, j.size))
+    for d in set(k.ravel().tolist()):
+        table[d, :d + 1] = [coefficient(d, i) for i in range(d + 1)]
+    fam_theta, fam_phi = np.moveaxis(_family(lam, k, np.cos((theta, phi))), 1, 0)
+    terms = (np.moveaxis(table[k], -1, 0) * (np.sin(theta) * np.sin(phi)) ** j
+             * fam_theta * fam_phi * last(j))
+    return np.take_along_axis(np.cumsum(terms, axis=0), k[None], axis=0)[0]
+
+
+def _addition_rhs(lam: float, k, theta, phi, psi):
+    return _addition_sum(lam, k, theta, phi, lambda d, i: addition_coefficient(lam, d, i),
+                         lambda j: eval_sequence(lam - 0.5, len(j) - 1, np.cos(psi)))
+
+
+def _legendre_coefficient(k: int, j: int) -> float:
+    return ((1.0 if j == 0 else 2.0)
+            * math.exp(math.lgamma(k - j + 1.0) - math.lgamma(k + j + 1.0))
+            * ((2.0 ** j) * pochhammer(0.5, j)) ** 2)
+
+
+def _legendre_addition_rhs(k, theta, phi, psi):
+    return _addition_sum(0.5, k, theta, phi, _legendre_coefficient, lambda j: np.cos(j * psi))
 
 
 @dataclass(frozen=True)
@@ -178,13 +221,7 @@ def addition_theorem_rhs(lam: float, k: int, theta, phi, psi):
             f"addition theorem needs lam > 1/2 (got {lam}); "
             "use legendre_addition_rhs for the lam = 1/2 case"
         )
-    theta, phi, psi = _angles(theta, phi, psi)
-    j = np.arange(k + 1).reshape((-1,) + (1,) * theta.ndim)
-    coef = np.array([addition_coefficient(lam, k, i) for i in range(k + 1)]).reshape(j.shape)
-    fam_theta, fam_phi = np.moveaxis(_family(lam, k, np.cos((theta, phi))), 1, 0)
-    terms = (coef * (np.sin(theta) * np.sin(phi)) ** j * fam_theta * fam_phi
-             * eval_sequence(lam - 0.5, k, np.cos(psi)))
-    return _value(_sum_rows(terms))
+    return _value(_addition_rhs(lam, k, *_angles(theta, phi, psi)))
 
 
 def legendre_addition_rhs(k: int, theta, phi, psi):
@@ -195,18 +232,7 @@ def legendre_addition_rhs(k: int, theta, phi, psi):
     2^j (1/2)_j C_{k-j}^{1/2+j}(cos t) it runs on the same stacked family as
     addition_theorem_rhs. The angles may be arrays that broadcast.
     """
-    theta, phi, psi = _angles(theta, phi, psi)
-    j = np.arange(k + 1).reshape((-1,) + (1,) * theta.ndim)
-    coef = np.array([
-        (1.0 if i == 0 else 2.0)
-        * math.exp(math.lgamma(k - i + 1.0) - math.lgamma(k + i + 1.0))
-        * ((2.0 ** i) * pochhammer(0.5, i)) ** 2
-        for i in range(k + 1)
-    ]).reshape(j.shape)
-    fam_theta, fam_phi = np.moveaxis(_family(0.5, k, np.cos((theta, phi))), 1, 0)
-    terms = (coef * (np.sin(theta) * np.sin(phi)) ** j * fam_theta * fam_phi
-             * np.cos(j * psi))
-    return _value(_sum_rows(terms))
+    return _value(_legendre_addition_rhs(k, *_angles(theta, phi, psi)))
 
 
 def product_formula_check(lam: float, k: int, phi, psi, rule: QuadratureRule):
@@ -291,6 +317,12 @@ def weighted_derivative_check(lam: float, k: int, x):
     if lam == 1.0:
         raise ValueError("the weighted derivative identity excludes lam = 1")
     x = _inside(x, 1.0 - 3.0 * _FD_STEP, "x must lie safely inside (-1, 1)")
+    lhs, rhs = _weighted_derivative(lam, k, x)
+    return _value(lhs), _value(rhs)
+
+
+def _weighted_derivative(lam: float, k, x: np.ndarray):
+    # k is a degree or one degree per element of x
     h = _FD_STEP
     u = x + np.array([2 * h, h, -h, -2 * h]).reshape((4,) + (1,) * x.ndim)
     wu = np.power(1.0 - u * u, lam - 0.5) * _gegenbauer(lam, k, u)
@@ -300,16 +332,20 @@ def weighted_derivative_check(lam: float, k: int, x):
         * np.power(1.0 - x * x, lam - 1.5)
         * _gegenbauer(lam - 1.0, k + 1, x)
     )
-    return _value(lhs), _value(rhs)
+    return lhs, rhs
 
 
 def kink_integral_closed(lam: float, k: int, s):
     """Closed form of the kink integral of |x-s| against the C_k^lam weight (k >= 2)."""
     if not isinstance(k, (int, np.integer)) or k < 2:
         raise ValueError(f"closed form holds for integer k >= 2, got k={k!r}")
-    s = _inside(s, 1.0, "s must lie in (-1, 1)")
+    return _value(_kink_closed(lam, k, _inside(s, 1.0, "s must lie in (-1, 1)")))
+
+
+def _kink_closed(lam: float, k, s: np.ndarray):
+    # k is a degree >= 2 or one such degree per element of s
     pref = 8.0 * lam * (lam + 1.0) / (k * (k - 1.0) * (k + 2.0 * lam) * (k + 2.0 * lam + 1.0))
-    return _value(pref * np.power(1.0 - s * s, lam + 1.5) * _gegenbauer(lam + 2.0, k - 2, s))
+    return pref * np.power(1.0 - s * s, lam + 1.5) * _gegenbauer(lam + 2.0, k - 2, s)
 
 
 def kink_integral_brute(lam: float, k, s, rule: QuadratureRule):
@@ -347,9 +383,13 @@ SUITE_TOLERANCES = {
 }
 
 DEFAULT_SUITE_LAMBDAS = (0.5, 1.0, 1.5, 2.5, 3.0)
-# samples per check call: keeps the (samples, nodes, degrees) temporaries of
-# one call near 7 MB however many samples are asked for
+# rows per check call, a row being one sample, or one (degree, sample) pair
+# where a call takes every degree: keeps the (samples, nodes, degrees)
+# temporaries of one call near 7 MB however many samples are asked for
 _SAMPLE_BLOCK = 256
+# cells of the addition family's (degree, j, angle, row) table per call (2 MB),
+# which holds a call to fewer than _SAMPLE_BLOCK rows from max_degree 22 on
+_FAMILY_CELLS = 2 ** 18
 # the lambdas a check applies to, as (rule, test); other checks take every lambda.
 # Near lambda = 1 the weighted derivative's finite-difference oracle is ill-conditioned.
 _LAMBDA_DOMAINS = {
@@ -357,6 +397,10 @@ _LAMBDA_DOMAINS = {
     "legendre-addition": ("lambda <= 1/2", lambda lam: lam <= 0.5),
     "weighted-derivative": ("lambda outside (0.9, 1.1)", lambda lam: not 0.9 < lam < 1.1),
 }
+# the least max_degree at which a check has a case, where above 0: the kink
+# identity starts at degree 2, kernel-product samples degrees 1, 4, 7, ...,
+# and the first off-diagonal orthogonality pair is (0, 3)
+_DEGREE_MINIMA = {"kernel-product": 1, "kink": 2, "orthogonality-offdiag": 3}
 
 
 def _applies(name: str, lam: float) -> bool:
@@ -368,9 +412,10 @@ def _residual(a, b):
     return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-3)
 
 
-def _blocks(samples: np.ndarray):
-    """The sample rows in blocks of _SAMPLE_BLOCK, transposed for unpacking."""
-    return (samples[i:i + _SAMPLE_BLOCK].T for i in range(0, len(samples), _SAMPLE_BLOCK))
+def _blocks(size: int, *columns):
+    """The rows of the columns (arrays of one length) in blocks of `size`,
+    as one list of column slices per block."""
+    return ([c[i:i + size] for c in columns] for i in range(0, len(columns[0]), size))
 
 
 def run_suite(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12, samples: int = 20,
@@ -380,11 +425,19 @@ def run_suite(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12, samples: int 
 
     Returns {check name: {"max_residual", "tolerance", "passed", "cases"}}.
     A check runs at the lambdas of its _LAMBDA_DOMAINS entry and is left out
-    when none qualifies; "addition" runs the Legendre route when no lam > 1/2.
+    when none qualifies, or when max_degree is below its _DEGREE_MINIMA entry
+    (0 for the others); "addition" runs the Legendre route when no lam > 1/2.
     Raises ValueError for an unknown check, a lam <= -1/2 or not finite, or
-    when no wanted check applies. Each check is called once per (lam, degree)
-    batch of samples (per block of _SAMPLE_BLOCK samples). A non-finite
-    residual records max_residual nan and fails its check.
+    when no wanted check applies. "addition", "legendre-addition",
+    "weighted-derivative" and the closed side of "kink" take every degree of
+    one lam at once: the samples of all degrees are drawn in one call, in the
+    order of one draw per degree, and each (degree, sample) row reads its own
+    degree from one recurrence table, in blocks of _SAMPLE_BLOCK rows (fewer
+    for the addition family, by _FAMILY_CELLS). The other checks, and the
+    quadrature side of "kink", run one call per (lam, degree) per block of
+    _SAMPLE_BLOCK samples. Every residual equals that of a call of the public
+    check function at its one degree, bit for bit. A non-finite residual
+    records max_residual nan and fails its check.
     """
     rule = rule or gauss_legendre(DEFAULT_QUAD_ORDER)
     rng = np.random.default_rng(seed)
@@ -397,12 +450,16 @@ def run_suite(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12, samples: int 
         raise ValueError(f"lambda must be finite and exceed -1/2, got {low[0]}")
     if "addition" in wanted and not any(_applies("addition", lam) for lam in lambdas):
         wanted = wanted - {"addition"} | {"legendre-addition"}
-    left_out = {name for name in wanted if not any(_applies(name, lam) for lam in lambdas)}
+    short = {name for name in wanted if max_degree < _DEGREE_MINIMA.get(name, 0)}
+    left_out = short | {name for name in wanted
+                        if not any(_applies(name, lam) for lam in lambdas)}
     if left_out == wanted:
-        rules = "; ".join(f"{name} needs {_LAMBDA_DOMAINS[name][0]}"
-                          for name in sorted(left_out) if name in _LAMBDA_DOMAINS)
-        raise ValueError(f"no identity check applies to lambdas {list(lambdas)}"
-                         + (f" ({rules})" if rules else ""))
+        rules = "; ".join(
+            f"{name} needs max degree >= {_DEGREE_MINIMA.get(name, 0)}" if name in short
+            else f"{name} needs {_LAMBDA_DOMAINS[name][0]}"
+            for name in sorted(left_out) if name in short or name in _LAMBDA_DOMAINS)
+        raise ValueError(f"no identity check applies to lambdas {list(lambdas)} "
+                         f"at max degree {max_degree}" + (f" ({rules})" if rules else ""))
     wanted -= left_out
     worst = {name: (0.0, 0) for name in wanted}
 
@@ -415,8 +472,10 @@ def run_suite(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12, samples: int 
         worst[name] = (max(cur, top) if math.isfinite(top) else math.nan, cnt + res.size)
 
     degrees = range(max_degree + 1)
+    # the degree of every (degree, sample) row, degree-major like the draws
+    rows = np.repeat(np.arange(max_degree + 1), samples)
 
-    if {"orthogonality-offdiag", "orthogonality-diag"} & wanted and max_degree >= 0:
+    if {"orthogonality-offdiag", "orthogonality-diag"} & wanted:
         pairs = np.array([(k, l) for k in range(0, max_degree + 1, 2)
                           for l in range(k, max_degree + 1, 3)])
         diag = pairs[:, 0] == pairs[:, 1]
@@ -429,34 +488,32 @@ def run_suite(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12, samples: int 
                 record("orthogonality-offdiag", np.abs(vals[~diag]))
 
     if {"addition", "legendre-addition"} & wanted:
+        size = min(_SAMPLE_BLOCK, max(1, _FAMILY_CELLS // (2 * (max_degree + 1) ** 2)))
         for lam in lambdas:
             legendre_route = _applies("legendre-addition", lam)
             name = "legendre-addition" if legendre_route else "addition"
             if name not in wanted:
                 continue
-            for k in degrees:
-                angles = rng.uniform(0.05, math.pi - 0.05, size=(samples, 3))
-                for theta, phi, psi in _blocks(angles):
-                    arg = np.cos(theta) * np.cos(phi) + np.sin(theta) * np.sin(phi) * np.cos(psi)
-                    if legendre_route:
-                        lhs = legendre(k, arg)
-                        rhs = legendre_addition_rhs(k, theta, phi, psi)
-                    else:
-                        lhs = eval_recurrence(GegenbauerIndex(lam, k), arg)
-                        rhs = addition_theorem_rhs(lam, k, theta, phi, psi)
-                    record(name, _residual(lhs, rhs))
+            angles = rng.uniform(0.05, math.pi - 0.05, size=(rows.size, 3))
+            for k, theta, phi, psi in _blocks(size, rows, *angles.T):
+                arg = np.cos(theta) * np.cos(phi) + np.sin(theta) * np.sin(phi) * np.cos(psi)
+                if legendre_route:
+                    lhs, rhs = _gegenbauer(0.5, k, arg), _legendre_addition_rhs(k, theta, phi, psi)
+                else:
+                    lhs, rhs = _gegenbauer(lam, k, arg), _addition_rhs(lam, k, theta, phi, psi)
+                record(name, _residual(lhs, rhs))
 
     if "product" in wanted:
         for lam in lambdas:
             for k in degrees:
                 angles = rng.uniform(0.05, math.pi - 0.05, size=(samples, 2))
-                for phi, psi in _blocks(angles):
+                for phi, psi in _blocks(_SAMPLE_BLOCK, *angles.T):
                     record("product", _residual(*product_formula_check(lam, k, phi, psi, rule)))
 
     if {"kernel-product", "kernel-mass"} & wanted:
         for lam in lambdas:
             points = rng.uniform(-0.95, 0.95, size=(samples, 2))
-            for x, y in _blocks(points):
+            for x, y in _blocks(_SAMPLE_BLOCK, *points.T):
                 params = KernelParams(lam, x, y)
                 if "kernel-mass" in wanted:
                     _, mass = kernel_product_check(params, 0, rule)
@@ -466,20 +523,24 @@ def run_suite(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12, samples: int 
                         record("kernel-product", _residual(*kernel_product_check(params, k, rule)))
 
     if "kink" in wanted:
+        kinks = rows[2 * samples:]
         for lam in lambdas:
-            for k in range(2, max_degree + 1):
-                for s in _blocks(rng.uniform(-0.9, 0.9, size=samples)):
-                    record("kink", _residual(kink_integral_closed(lam, k, s),
-                                             kink_integral_brute(lam, k, s, rule)))
+            s = rng.uniform(-0.9, 0.9, size=kinks.size)
+            for k, sb in _blocks(_SAMPLE_BLOCK, kinks, s):
+                # one degree per quadrature call: a degree per row would build
+                # a (degree, row, node) table
+                brute = [kink_integral_brute(lam, d, sb[k == d], rule)
+                         for d in sorted(set(k.tolist()))]
+                record("kink", _residual(_kink_closed(lam, k, sb), np.concatenate(brute)))
 
     if "weighted-derivative" in wanted:
         for lam in lambdas:
             if not _applies("weighted-derivative", lam):
                 continue
-            for k in degrees:
-                for x in _blocks(rng.uniform(-0.95, 0.95, size=samples)):
-                    lhs, rhs = weighted_derivative_check(lam, k, x)
-                    record("weighted-derivative", np.abs(lhs - rhs))
+            x = rng.uniform(-0.95, 0.95, size=rows.size)
+            for k, xb in _blocks(_SAMPLE_BLOCK, rows, x):
+                lhs, rhs = _weighted_derivative(lam, k, xb)
+                record("weighted-derivative", np.abs(lhs - rhs))
 
     report = {}
     for name, (res, cases) in sorted(worst.items()):

@@ -3,7 +3,9 @@ splitting.
 
 The rules come from Newton iteration on the Legendre polynomial P_N, whose
 values come from the plain three-term recurrence of the single-degree
-evaluators (gegenbauer.eval_sequence at lam = 1/2)."""
+evaluators: the in-place step of gegenbauer.eval_sequence at lam = 1/2, on
+two rolling rows, so a rule of order N needs O(N) memory, not the (N+1) x N
+table."""
 
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gegenbauer import eval_sequence
+from .gegenbauer import _step
 
 __all__ = [
     "DEFAULT_QUAD_ORDER",
@@ -46,9 +48,17 @@ class QuadratureRule:
 
 
 def _legendre_pair(order: int, x: np.ndarray):
-    """(P_order(x), P'_order(x)); P_order and P_order-1 are the last two rows of
-    eval_sequence at lam = 1/2 (P_k = C_k^(1/2))."""
-    p_prev, p = eval_sequence(0.5, order, x)[-2:]
+    """(P_order(x), P'_order(x)); P_order and P_order-1 step in two rolling rows
+    by eval_sequence's recurrence step at lam = 1/2 (P_k = C_k^(1/2)), so they
+    equal its last two rows bit for bit in O(order) memory. At lam = 1/2 the
+    step's factors 2(m + lam - 1) and m + 2 lam - 2 are the exact 2m - 1 and
+    m - 1, and C_1 = 2 lam x is x."""
+    p_prev, p = np.ones_like(x), x.copy()
+    cur, tmp = np.empty_like(x), np.empty_like(x)
+    for m in range(2, order + 1):
+        np.multiply(2.0 * m - 1.0, x, out=cur)
+        _step(cur, p, p_prev, m - 1.0, m, tmp)
+        p_prev, p, cur = p, cur, p_prev
     dp = order * (x * p - p_prev) / (x * x - 1.0)
     return p, dp
 

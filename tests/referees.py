@@ -8,7 +8,25 @@ from fractions import Fraction
 
 import numpy as np
 
-from ballgrad.gegenbauer import GegenbauerIndex, _clipped
+from ballgrad.gegenbauer import GegenbauerIndex, _clipped, eval_recurrence, legendre
+from ballgrad.identities import (
+    _LAMBDA_DOMAINS,
+    _SAMPLE_BLOCK,
+    DEFAULT_SUITE_LAMBDAS,
+    SUITE_TOLERANCES,
+    KernelParams,
+    addition_coefficient,
+    addition_theorem_rhs,
+    kernel_product_check,
+    kink_integral_brute,
+    kink_integral_closed,
+    legendre_addition_rhs,
+    orthogonality_closed_form,
+    orthogonality_integral,
+    product_formula_check,
+    weighted_derivative_check,
+)
+from ballgrad.quadrature import DEFAULT_QUAD_ORDER, gauss_legendre
 
 
 def eval_explicit(idx: GegenbauerIndex, x: float) -> float:
@@ -45,3 +63,153 @@ def eval_sequence_longdouble(lam: float, K: int, x) -> np.ndarray:
     for m in range(2, K + 1):
         out[m] = (2 * (m + lam - 1) * xl * out[m - 1] - (m + 2 * lam - 2) * out[m - 2]) / m
     return out
+
+
+def eval_sequence_reference(lam, K: int, x) -> np.ndarray:
+    """eval_sequence as one allocating expression per degree, the form the
+    in-place step must reproduce bit for bit."""
+    xa = _clipped(x)
+    lam = np.asarray(lam, dtype=float)
+    out = np.empty((K + 1,) + np.broadcast_shapes(lam.shape, xa.shape))
+    out[0] = 1.0
+    if K >= 1:
+        out[1] = 2.0 * lam * xa
+    for m in range(2, K + 1):
+        out[m] = (2.0 * (m + lam - 1.0) * xa * out[m - 1]
+                  - (m + 2.0 * lam - 2.0) * out[m - 2]) / m
+    return out
+
+
+def addition_rhs_reference(lam: float, k: int, theta, phi, psi, legendre_route=False):
+    """Right side of the addition theorem at one degree k, or with
+    legendre_route of the Legendre addition theorem, as the sum over
+    j = 0..k in sequence: the one-degree form that the per-sample-degree
+    sums must reproduce bit for bit. The angles are float arrays."""
+    j = np.arange(k + 1).reshape((-1,) + (1,) * np.ndim(theta))
+    if legendre_route:
+        lam = 0.5
+        coef = [(1.0 if i == 0 else 2.0)
+                * math.exp(math.lgamma(k - i + 1.0) - math.lgamma(k + i + 1.0))
+                * ((2.0 ** i) * math.prod(0.5 + t for t in range(i))) ** 2
+                for i in range(k + 1)]
+        last = np.cos(j * psi)
+    else:
+        coef = [addition_coefficient(lam, k, i) for i in range(k + 1)]
+        last = eval_sequence_reference(lam - 0.5, k, np.cos(psi))
+    lams = (lam + j).reshape((-1,) + (1,) * (np.ndim(theta) + 1))
+    fam = eval_sequence_reference(lams, k, np.cos((theta, phi)))[k - j.ravel(), j.ravel()]
+    fam_theta, fam_phi = np.moveaxis(fam, 1, 0)
+    terms = (np.array(coef).reshape(j.shape) * (np.sin(theta) * np.sin(phi)) ** j
+             * fam_theta * fam_phi * last)
+    return np.cumsum(terms, axis=0)[-1]
+
+
+def run_suite_reference(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12,
+                        samples: int = 20, rule=None, seed: int = 0,
+                        checks=None) -> dict:
+    """run_suite as one public check call per (lam, degree) per block of
+    samples, the loop that the degree-batched suite must reproduce bit for bit.
+
+    A check with no case on the grid reports 0 cases here (and fails) where
+    run_suite leaves it out.
+    """
+    def applies(name, lam):
+        return name not in _LAMBDA_DOMAINS or _LAMBDA_DOMAINS[name][1](lam)
+
+    def residual(a, b):
+        return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-3)
+
+    def blocks(rows):
+        return (rows[i:i + _SAMPLE_BLOCK].T for i in range(0, len(rows), _SAMPLE_BLOCK))
+
+    rule = rule or gauss_legendre(DEFAULT_QUAD_ORDER)
+    rng = np.random.default_rng(seed)
+    wanted = set(checks) if checks is not None else set(SUITE_TOLERANCES)
+    if "addition" in wanted and not any(applies("addition", lam) for lam in lambdas):
+        wanted = wanted - {"addition"} | {"legendre-addition"}
+    wanted = {name for name in wanted if any(applies(name, lam) for lam in lambdas)}
+    worst = {name: (0.0, 0) for name in wanted}
+
+    def record(name, res):
+        res = np.asarray(res)
+        cur, cnt = worst[name]
+        top = float(res.max(initial=0.0))
+        worst[name] = (max(cur, top) if math.isfinite(top) else math.nan, cnt + res.size)
+
+    degrees = range(max_degree + 1)
+
+    if {"orthogonality-offdiag", "orthogonality-diag"} & wanted and max_degree >= 0:
+        pairs = np.array([(k, l) for k in range(0, max_degree + 1, 2)
+                          for l in range(k, max_degree + 1, 3)])
+        diag = pairs[:, 0] == pairs[:, 1]
+        for lam in lambdas:
+            vals = orthogonality_integral(lam, pairs[:, 0], pairs[:, 1], rule)
+            if "orthogonality-diag" in wanted:
+                closed = [orthogonality_closed_form(lam, k) for k in pairs[diag, 0].tolist()]
+                record("orthogonality-diag", residual(vals[diag], np.array(closed)))
+            if "orthogonality-offdiag" in wanted:
+                record("orthogonality-offdiag", np.abs(vals[~diag]))
+
+    if {"addition", "legendre-addition"} & wanted:
+        for lam in lambdas:
+            legendre_route = applies("legendre-addition", lam)
+            name = "legendre-addition" if legendre_route else "addition"
+            if name not in wanted:
+                continue
+            for k in degrees:
+                angles = rng.uniform(0.05, math.pi - 0.05, size=(samples, 3))
+                for theta, phi, psi in blocks(angles):
+                    arg = np.cos(theta) * np.cos(phi) + np.sin(theta) * np.sin(phi) * np.cos(psi)
+                    if legendre_route:
+                        lhs = legendre(k, arg)
+                        rhs = legendre_addition_rhs(k, theta, phi, psi)
+                    else:
+                        lhs = eval_recurrence(GegenbauerIndex(lam, k), arg)
+                        rhs = addition_theorem_rhs(lam, k, theta, phi, psi)
+                    record(name, residual(lhs, rhs))
+
+    if "product" in wanted:
+        for lam in lambdas:
+            for k in degrees:
+                angles = rng.uniform(0.05, math.pi - 0.05, size=(samples, 2))
+                for phi, psi in blocks(angles):
+                    record("product", residual(*product_formula_check(lam, k, phi, psi, rule)))
+
+    if {"kernel-product", "kernel-mass"} & wanted:
+        for lam in lambdas:
+            points = rng.uniform(-0.95, 0.95, size=(samples, 2))
+            for x, y in blocks(points):
+                params = KernelParams(lam, x, y)
+                if "kernel-mass" in wanted:
+                    _, mass = kernel_product_check(params, 0, rule)
+                    record("kernel-mass", np.abs(mass - 1.0))
+                if "kernel-product" in wanted:
+                    for k in range(1, max_degree + 1, 3):
+                        record("kernel-product", residual(*kernel_product_check(params, k, rule)))
+
+    if "kink" in wanted:
+        for lam in lambdas:
+            for k in range(2, max_degree + 1):
+                for s in blocks(rng.uniform(-0.9, 0.9, size=samples)):
+                    record("kink", residual(kink_integral_closed(lam, k, s),
+                                            kink_integral_brute(lam, k, s, rule)))
+
+    if "weighted-derivative" in wanted:
+        for lam in lambdas:
+            if not applies("weighted-derivative", lam):
+                continue
+            for k in degrees:
+                for x in blocks(rng.uniform(-0.95, 0.95, size=samples)):
+                    lhs, rhs = weighted_derivative_check(lam, k, x)
+                    record("weighted-derivative", np.abs(lhs - rhs))
+
+    report = {}
+    for name, (res, cases) in sorted(worst.items()):
+        tol = SUITE_TOLERANCES[name]
+        report[name] = {
+            "max_residual": res,
+            "tolerance": tol,
+            "passed": bool(res <= tol and cases > 0),
+            "cases": cases,
+        }
+    return report

@@ -565,6 +565,24 @@ def test_identities_leaves_out_checks_outside_their_lambdas(capsys):
     assert "legendre-addition needs lambda <= 1/2" in err
 
 
+def test_identities_small_degree_max_leaves_out_checks(capsys):
+    # kink starts at degree 2 and the first off-diagonal pair is (0, 3): with
+    # no case on the grid they are left out instead of failing on 0 cases
+    code, out, _ = _run(capsys, ["identities", "--degree-max", "1"])
+    assert code == 0
+    names = {line.split(",")[0] for line in out.strip().splitlines()[1:]}
+    assert names and not names & {"kink", "orthogonality-offdiag"}
+    assert all(line.endswith("pass") for line in out.strip().splitlines()[1:])
+
+
+def test_identities_check_below_its_degree_is_usage_error(capsys):
+    code, out, err = _run(capsys, ["identities", "--degree-max", "1", "--check", "kink"])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("ballgrad: error: ")
+    assert "kink needs max degree >= 2" in err
+
+
 def test_identities_json_echoes_requested_lambdas(capsys):
     code, out, _ = _run(capsys, ["identities", "--lambda", "1,2", "--check",
                                  "weighted-derivative", "--samples", "2", "--degree-max", "3",

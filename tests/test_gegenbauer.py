@@ -24,7 +24,7 @@ from ballgrad.gegenbauer import (
     recurrence_blocks,
     series_cutoff,
 )
-from referees import eval_explicit, eval_sequence_longdouble
+from referees import eval_explicit, eval_sequence_longdouble, eval_sequence_reference
 
 LAMBDAS = (0.5, 1.0, 1.5, 2.0, 3.0)
 XS = (-0.9, -0.5, 0.0, 0.3, 0.7, 0.99)
@@ -167,6 +167,16 @@ def test_eval_sequence_broadcasts_lam():
     assert seq.shape == (13, 3, 7)
     for r, lam in enumerate(lams[:, 0]):
         assert np.array_equal(seq[:, r], eval_sequence(lam, 12, xs))
+
+
+@pytest.mark.parametrize("K", (0, 1, 2, 17, 128))
+def test_eval_sequence_in_place_equals_expression(K):
+    xs = np.linspace(-1.0, 1.0, 9)
+    lams = np.array([0.5, 1.5, 9.0, 0.25])
+    for lam, x in ((1.5, 0.3), (0.5, -1.0), (2.5, xs), (lams[:, None], xs), (lams, 0.7),
+                   (lams[:, None, None], np.stack([xs, -xs]))):
+        got, want = eval_sequence(lam, K, x), eval_sequence_reference(lam, K, x)
+        assert got.shape == want.shape and np.array_equal(got, want), (lam, x)
 
 
 def test_derivative_trivial():

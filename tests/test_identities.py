@@ -5,7 +5,13 @@ import pytest
 
 from ballgrad.gegenbauer import GegenbauerIndex, eval_recurrence, legendre, pochhammer
 from ballgrad.identities import (
+    DEFAULT_SUITE_LAMBDAS,
+    SUITE_TOLERANCES,
     KernelParams,
+    _addition_rhs,
+    _kink_closed,
+    _legendre_addition_rhs,
+    _weighted_derivative,
     addition_coefficient,
     addition_theorem_rhs,
     kernel_K,
@@ -21,6 +27,7 @@ from ballgrad.identities import (
     weighted_derivative_check,
 )
 from ballgrad.quadrature import gauss_legendre
+from referees import addition_rhs_reference, run_suite_reference
 
 LAMBDAS = (0.5, 1.0, 1.5, 2.5)
 
@@ -425,3 +432,93 @@ def test_run_suite_nan_residual_fails():
     entry = report["weighted-derivative"]
     assert math.isnan(entry["max_residual"])
     assert entry["passed"] is False and entry["cases"] == 3
+
+
+# -- degree-batched suite against the per-degree loop -------------------------
+
+def _assert_suite_matches_reference(**grid):
+    # the reference keeps a check with no case on the grid (0 cases, failed);
+    # run_suite leaves it out, and raises when that leaves nothing
+    want = {name: entry for name, entry in run_suite_reference(**grid).items()
+            if entry["cases"] > 0}
+    if not want:
+        with pytest.raises(ValueError, match="no identity check applies"):
+            run_suite(**grid)
+    else:
+        assert run_suite(**grid) == want
+
+
+@pytest.mark.parametrize("seed", (0, 1, 54))
+@pytest.mark.parametrize("lambdas", (DEFAULT_SUITE_LAMBDAS, (0.5,), (1.5, 2.5)))
+def test_run_suite_matches_per_degree_loop(rule, seed, lambdas):
+    _assert_suite_matches_reference(lambdas=lambdas, rule=rule, seed=seed)
+
+
+@pytest.mark.parametrize("max_degree", (0, 1, 2, 12, 20))
+@pytest.mark.parametrize("samples", (1, 20, 300))  # 300 crosses _SAMPLE_BLOCK
+def test_run_suite_matches_per_degree_loop_on_every_grid(rule, max_degree, samples):
+    _assert_suite_matches_reference(max_degree=max_degree, samples=samples, rule=rule, seed=1)
+
+
+@pytest.mark.parametrize("check", sorted(SUITE_TOLERANCES))
+@pytest.mark.parametrize("lambdas, max_degree, samples, seed", [
+    (DEFAULT_SUITE_LAMBDAS, 12, 20, 54),
+    ((0.5,), 2, 300, 0),
+    ((1.5, 2.5), 20, 1, 1),
+])
+def test_each_check_matches_per_degree_loop(rule, check, lambdas, max_degree, samples, seed):
+    _assert_suite_matches_reference(lambdas=lambdas, max_degree=max_degree, samples=samples,
+                                    rule=rule, seed=seed, checks={check})
+
+
+def test_run_suite_leaves_out_checks_below_their_degree(rule):
+    small = dict(samples=2, rule=rule)
+    assert set(run_suite(max_degree=0, **small)) == set(SUITE_TOLERANCES) - {
+        "kernel-product", "kink", "orthogonality-offdiag"}
+    report = run_suite(max_degree=2, **small)
+    assert "orthogonality-offdiag" not in report and report["kink"]["cases"] == 5 * 2
+    assert all(entry["passed"] for entry in report.values())
+    with pytest.raises(ValueError, match=r"kink needs max degree >= 2"):
+        run_suite(max_degree=1, checks={"kink"}, **small)
+    with pytest.raises(ValueError, match=(r"kernel-product needs max degree >= 1; "
+                                          r"orthogonality-offdiag needs max degree >= 3")):
+        run_suite(max_degree=0, checks={"kernel-product", "orthogonality-offdiag"}, **small)
+
+
+def test_addition_sums_equal_one_degree_form():
+    rng = np.random.default_rng(8)
+    theta, phi, psi = rng.uniform(0.05, math.pi - 0.05, size=(3, 11))
+    for k in (0, 1, 2, 7, 12, 20):
+        for lam in (0.75, 1.5, 3.0):
+            assert np.array_equal(addition_theorem_rhs(lam, k, theta, phi, psi),
+                                  addition_rhs_reference(lam, k, theta, phi, psi))
+        assert np.array_equal(legendre_addition_rhs(k, theta, phi, psi),
+                              addition_rhs_reference(0.5, k, theta, phi, psi, legendre_route=True))
+
+
+def test_rows_of_mixed_degrees_equal_one_degree_calls(rule):
+    # the helpers run_suite calls with one degree per sample: each sample
+    # equals the public check at its own degree, bit for bit
+    rng = np.random.default_rng(9)
+    k = np.repeat(np.arange(2, 15), 3)[::-1].copy()
+    theta, phi, psi = rng.uniform(0.05, math.pi - 0.05, size=(3, k.size))
+    x = rng.uniform(-0.95, 0.95, size=k.size)
+    one = {d: k == d for d in np.unique(k).tolist()}
+
+    def per_degree(fn):
+        out = np.empty(k.size)
+        for d, rows in one.items():
+            out[rows] = fn(d, rows)
+        return out
+
+    for lam in (0.5, 1.5, 3.0):
+        if lam > 0.5:
+            assert np.array_equal(_addition_rhs(lam, k, theta, phi, psi), per_degree(
+                lambda d, r: addition_theorem_rhs(lam, d, theta[r], phi[r], psi[r])))
+        assert np.array_equal(_kink_closed(lam, k, x), per_degree(
+            lambda d, r: kink_integral_closed(lam, d, x[r])))
+        lhs, rhs = _weighted_derivative(lam, k, x)
+        assert np.array_equal(lhs, per_degree(lambda d, r: weighted_derivative_check(lam, d, x[r])[0]))
+        assert np.array_equal(rhs, per_degree(lambda d, r: weighted_derivative_check(lam, d, x[r])[1]))
+    assert np.array_equal(_legendre_addition_rhs(k, theta, phi, psi), per_degree(
+        lambda d, r: legendre_addition_rhs(d, theta[r], phi[r], psi[r])))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from ballgrad.quadrature import (
     integrate_split,
     map_panels,
 )
+from referees import eval_sequence_reference
 
 ORDERS = (1, 2, 3, 5, 8, 16, 64, 128)
 
@@ -64,6 +66,21 @@ def _two_row_rule(order):
             p_prev, p = p, ((2.0 * m - 1.0) * x * p - (m - 1.0) * p_prev) / m
         return p, order * (x * p - p_prev) / (x * x - 1.0)
 
+    return _newton_rule(order, legendre_pair)
+
+
+def _table_rule(order):
+    """Gauss-Legendre rule with P_N and P_(N-1) the last two rows of the whole
+    (N+1) x N recurrence table at lambda = 1/2, one allocating expression per
+    degree: the construction that the two rolling rows replace."""
+    def legendre_pair(x):
+        p_prev, p = eval_sequence_reference(0.5, order, x)[-2:]
+        return p, order * (x * p - p_prev) / (x * x - 1.0)
+
+    return _newton_rule(order, legendre_pair)
+
+
+def _newton_rule(order, legendre_pair):
     i = np.arange(1, order + 1)
     x = np.cos(np.pi * (4.0 * i - 1.0) / (4.0 * order + 2.0))
     for _ in range(100):
@@ -90,6 +107,26 @@ def test_matches_two_row_recurrence_bitwise(n):
     x, w = _two_row_rule(n)
     assert np.array_equal(r.nodes, x)
     assert np.array_equal(r.weights, w)
+
+
+@pytest.mark.parametrize("n", (2, 3, 16, 128, 129, 1024))
+def test_matches_table_construction_bitwise(n):
+    r = gauss_legendre(n)
+    x, w = _table_rule(n)
+    assert np.array_equal(r.nodes, x)
+    assert np.array_equal(r.weights, w)
+
+
+def test_rule_memory_is_linear_in_order():
+    # the whole (N+1) x N table peaked at 8.4 MB at order 1024; two rolling
+    # rows and their scratch need a few arrays of N doubles
+    tracemalloc.start()
+    try:
+        gauss_legendre.__wrapped__(1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1e6
 
 
 def test_order_bounds():
