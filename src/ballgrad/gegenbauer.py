@@ -6,11 +6,11 @@ place in its row of the result, and the single-degree evaluators take its
 last row. Gamma-ratio constants are computed through
 log-Gamma so they stay finite for large arguments.
 
-Every rho-power series of the package runs through one engine:
-`recurrence_blocks` steps the recurrence for a stack of (lam, argument) rows
-at once, in blocks of degrees, scaled to D_k = C_k^lam / s_k so that a step
-is one multiply and one subtract, and `pair_series` sums weighted products of
-two rows per block with one einsum, the scales folded into its weights.
+Every rho-power series of the package runs through one engine,
+`pair_series`: it steps the recurrence for a stack of (lam, argument) rows at
+once, in blocks of degrees, scaled to D_k = C_k^lam / s_k so that a step is
+one multiply and one subtract, and sums weighted products of two rows per
+block with one einsum, the scales folded into its weights.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "SERIES_MAX_TERMS",
     "series_cutoff",
     "pair_weights",
-    "recurrence_blocks",
     "pair_series",
 ]
 
@@ -291,61 +290,22 @@ def _scales(lam: float, K: int) -> np.ndarray:
     return s
 
 
-def recurrence_blocks(lams, xs, orders):
-    """Run the scaled three-term recurrence for a stack of rows, _BLOCK degrees at a time.
-
-    Row r is D_k = C_k^lam / s_k (s_k from _scales) at lam = lams[r] > 0 and the
-    arguments xs[r, :]: D_m = a_m x D_(m-1) - D_(m-2) with a_m = 2(m + lam - 1)/m
-    s_(m-1)/s_m, one multiply and one subtract per degree, a_m from one table per
-    distinct lam. `orders` gives the last degree each row needs, in nonincreasing
-    order. Yields (m0, act, buf) per block: buf[j, r] = D_(m0-2+j) for the rows
-    r < act whose order reaches m0, where buf[0:2] repeats the last two degrees
-    of the previous block (zeros below degree 0) and buf[2:] holds the block's
-    degrees. The buffer is reused: consume each block before asking for the next.
-    """
-    lams = np.asarray(lams, dtype=float)
-    orders = np.asarray(orders, dtype=int)
-    x = np.asarray(xs, dtype=float)
-    if np.any(np.diff(orders) > 0):
-        raise ValueError("rows must come in nonincreasing order of their orders")
-    if not np.all(lams > 0.0):  # s_2 = lam
-        raise ValueError(f"lam must be positive, got {lams.tolist()}")
-    top = int(orders[0])
-    distinct, row_lam = np.unique(lams, return_inverse=True)
-    a, m = np.zeros((distinct.size, top + 1)), np.arange(1.0, top + 1)
-    for i, lam in enumerate(distinct):
-        s = _scales(lam, top)
-        a[i, 1:] = 2.0 * ((m - 1.0) + lam) / m * (s[:-1] / s[1:])
-    buf = np.zeros((_BLOCK + 2,) + x.shape)
-    ax = np.empty((_BLOCK,) + x.shape)  # a_m x for every step of a block
-    for m0 in range(0, top + 1, _BLOCK):
-        nb = min(_BLOCK, top + 1 - m0)
-        act = int(np.count_nonzero(orders >= m0))
-        rows = buf[:nb + 2, :act]
-        if m0:
-            rows[:2] = buf[_BLOCK:, :act]
-        np.multiply(a[row_lam[:act], m0:m0 + nb].T[:, :, None], x[:act], out=ax[:nb, :act])
-        if m0 == 0:
-            rows[2] = 1.0  # D_0; D_1 = a_1 x D_0 - D_(-1) is a step, with D_(-1) = 0
-        c, axs = list(rows), list(ax[:nb, :act])
-        for j in range(1 if m0 == 0 else 0, nb):
-            cur = c[j + 2]
-            np.multiply(axs[j], c[j + 1], out=cur)
-            np.subtract(cur, c[j], out=cur)
-        yield m0, act, rows
-
-
 def pair_series(pairs, weights, lag: int = 0) -> np.ndarray:
     """Weighted sums of products of two Gegenbauer sequences, one per pair.
 
     pairs[p] = (lam_a, x_a, lam_b, x_b) and weights[p] = (w_0, ..., w_K):
     returns S[p] = sum_{k=lag}^{K} w_k C_{k-lag}^{lam_a}(x_a) C_k^{lam_b}(x_b),
     elementwise over the arguments, which broadcast to one common shape.
-    All rows run as one stacked recurrence (recurrence_blocks) of max(K)
-    steps, in chunks of _COLUMNS argument columns; a pair stops adding terms
-    at its own K. The recurrence yields the normalised rows C_k^lam / s_k, so
-    the scales go into the weights: w_k s_(k-lag)(lam_a) s_k(lam_b). Needs
-    0 <= lag <= 2 and positive lam.
+    Needs 0 <= lag <= 2 and positive lam.
+
+    All rows run as one stacked three-term recurrence of max(K) steps, in
+    chunks of _COLUMNS argument columns and blocks of _BLOCK degrees, longest
+    series first so that the active rows are a prefix; a pair stops adding
+    terms at its own K. The rows are D_k = C_k^lam / s_k (s_k from _scales),
+    so a step D_m = a_m x D_(m-1) - D_(m-2), a_m = 2(m + lam - 1)/m s_(m-1)/s_m,
+    is one multiply and one subtract, and the weights take the scales,
+    w_k s_(k-lag)(lam_a) s_k(lam_b), as prefixes of one s table per distinct
+    lam, which also gives that lam's a_m table. One einsum sums each block.
     """
     if not 0 <= lag <= 2:
         raise ValueError(f"lag must lie in [0, 2], got {lag}")
@@ -353,21 +313,43 @@ def pair_series(pairs, weights, lag: int = 0) -> np.ndarray:
                                  for lam_a, xa, lam_b, xb in pairs for v in (xa, xb)))
     shape = args[0].shape
     order = sorted(range(len(pairs)), key=lambda p: -len(weights[p]))
-    lams = [lam for p in order for lam in (pairs[p][0], pairs[p][2])]
+    lams = [float(lam) for p in order for lam in (pairs[p][0], pairs[p][2])]
+    if not all(lam > 0.0 for lam in lams):  # s_2 = lam
+        raise ValueError(f"lam must be positive, got {lams}")
     x = np.stack([args[2 * p + i].ravel() for p in order for i in (0, 1)])
     K = np.array([len(weights[p]) - 1 for p in order])
-    w = np.zeros((K[0] + 1, len(order)))
+    top, distinct = int(K[0]), sorted(set(lams))
+    scales = {lam: _scales(lam, top) for lam in distinct}
+    w = np.zeros((top + 1, len(order)))
     for col, p in enumerate(order):
-        k, (lam_a, lam_b) = K[col], lams[2 * col:2 * col + 2]
-        w[lag:k + 1, col] = (weights[p][lag:] * _scales(lam_a, k)[:k + 1 - lag]
-                             * _scales(lam_b, k)[lag:])
+        k, s_a, s_b = K[col], scales[lams[2 * col]], scales[lams[2 * col + 1]]
+        w[lag:k + 1, col] = weights[p][lag:] * s_a[:k + 1 - lag] * s_b[lag:k + 1]
+    a, m = np.zeros((len(distinct), top + 1)), np.arange(1.0, top + 1)
+    for i, lam in enumerate(distinct):
+        a[i, 1:] = 2.0 * ((m - 1.0) + lam) / m * (scales[lam][:-1] / scales[lam][1:])
+    del scales
+    row_lam = np.array([distinct.index(lam) for lam in lams])
     total = np.zeros((len(order), x.shape[1]))
     for lo in range(0, x.shape[1], _COLUMNS):
-        cols = slice(lo, lo + _COLUMNS)
-        acc = total[:, cols]
-        for m0, act, rows in recurrence_blocks(lams, x[:, cols], np.repeat(K, 2)):
-            nb = len(rows) - 2
-            npair = act // 2
+        xc = x[:, lo:lo + _COLUMNS]
+        acc = total[:, lo:lo + _COLUMNS]
+        buf = np.zeros((_BLOCK + 2,) + xc.shape)
+        ax = np.empty((_BLOCK,) + xc.shape)  # a_m x for every step of a block
+        for m0 in range(0, top + 1, _BLOCK):
+            nb = min(_BLOCK, top + 1 - m0)
+            npair = int(np.count_nonzero(K >= m0))
+            act = 2 * npair
+            rows = buf[:nb + 2, :act]
+            if m0:
+                rows[:2] = buf[_BLOCK:, :act]
+            np.multiply(a[row_lam[:act], m0:m0 + nb].T[:, :, None], xc[:act], out=ax[:nb, :act])
+            if m0 == 0:
+                rows[2] = 1.0  # D_0; D_1 = a_1 x D_0 - D_(-1) is a step, with D_(-1) = 0
+            c, axs = list(rows), list(ax[:nb, :act])
+            for j in range(1 if m0 == 0 else 0, nb):
+                cur = c[j + 2]
+                np.multiply(axs[j], c[j + 1], out=cur)
+                np.subtract(cur, c[j], out=cur)
             acc[:npair] += np.einsum("kp,kpt,kpt->pt", w[m0:m0 + nb, :npair],
                                      rows[2 - lag:2 - lag + nb, 0::2], rows[2:, 1::2])
     out = np.empty_like(total)

@@ -6,14 +6,14 @@ Every check takes its sampled arguments (angles, points, degrees of an inner
 product) as scalars or ndarrays: a scalar gives a float, an array gives an
 array of its shape. An array runs as one stacked recurrence (eval_sequence,
 whose lam broadcasts) and, for integrals, one batch of quadrature rows with
-the non-finite check of the scalar path. Behind the addition theorems, the
-weighted derivative and the closed kink form sits a private helper that also
-takes one degree per sample, reading each sample's degree from its own row of
-one recurrence table: the public check calls it with its one degree, and
-run_suite with every degree of one lam at once. Either way a sample's value
-equals the scalar call bit for bit. For that, fractional powers of sampled
-values are taken with np.power: `**` on a numpy scalar calls the C library's
-pow, which can round differently from numpy's array loop.
+the non-finite check of the scalar path. The addition theorems, the
+weighted derivative and the closed kink form also take one degree per
+sample, reading each sample's degree from its own row of one recurrence
+table; run_suite calls them with every degree of one lam at once. Either
+way a sample's value equals the scalar call bit for bit. For that,
+fractional powers of sampled values are taken with np.power: `**` on a
+numpy scalar calls the C library's pow, which can round differently from
+numpy's array loop.
 
 All weighted integrals on [-1, 1] are evaluated after the substitution
 x = cos(theta): the weight (1-x^2)^(lam-1/2) turns into (sin theta)^(2*lam),
@@ -136,19 +136,10 @@ def _addition_sum(lam: float, k, theta, phi, coefficient, last):
     return np.take_along_axis(np.cumsum(terms, axis=0), k[None], axis=0)[0]
 
 
-def _addition_rhs(lam: float, k, theta, phi, psi):
-    return _addition_sum(lam, k, theta, phi, lambda d, i: addition_coefficient(lam, d, i),
-                         lambda j: eval_sequence(lam - 0.5, len(j) - 1, np.cos(psi)))
-
-
 def _legendre_coefficient(k: int, j: int) -> float:
     return ((1.0 if j == 0 else 2.0)
             * math.exp(math.lgamma(k - j + 1.0) - math.lgamma(k + j + 1.0))
             * ((2.0 ** j) * pochhammer(0.5, j)) ** 2)
-
-
-def _legendre_addition_rhs(k, theta, phi, psi):
-    return _addition_sum(0.5, k, theta, phi, _legendre_coefficient, lambda j: np.cos(j * psi))
 
 
 @dataclass(frozen=True)
@@ -209,30 +200,36 @@ def orthogonality_integral(lam: float, k, l, rule: QuadratureRule):
     return _value(integrate_values(vals, w))
 
 
-def addition_theorem_rhs(lam: float, k: int, theta, phi, psi):
+def addition_theorem_rhs(lam: float, k, theta, phi, psi):
     """Right side of the addition theorem; equals C_k^lam applied to the
     combined argument cos(theta)cos(phi) + sin(theta)sin(phi)cos(psi).
 
     Only valid for lam > 1/2; use legendre_addition_rhs at lam = 1/2. The
-    angles may be arrays that broadcast against each other.
+    angles may be arrays that broadcast against each other; k is a degree or
+    an integer array of one degree per sample, of the angles' shape.
     """
     if not lam > 0.5:
         raise ValueError(
             f"addition theorem needs lam > 1/2 (got {lam}); "
             "use legendre_addition_rhs for the lam = 1/2 case"
         )
-    return _value(_addition_rhs(lam, k, *_angles(theta, phi, psi)))
+    theta, phi, psi = _angles(theta, phi, psi)
+    return _value(_addition_sum(lam, k, theta, phi, lambda d, i: addition_coefficient(lam, d, i),
+                                lambda j: eval_sequence(lam - 0.5, len(j) - 1, np.cos(psi))))
 
 
-def legendre_addition_rhs(k: int, theta, phi, psi):
+def legendre_addition_rhs(k, theta, phi, psi):
     """Right side of the Legendre addition theorem (the lam = 1/2 route).
 
     P_k(cos g) = sum_j e_j (k-j)!/(k+j)! P_k^j(cos theta) P_k^j(cos phi) cos(j psi),
     e_0 = 1 and e_j = 2 otherwise. With P_k^j(cos t) = (-1)^j sin(t)^j
     2^j (1/2)_j C_{k-j}^{1/2+j}(cos t) it runs on the same stacked family as
-    addition_theorem_rhs. The angles may be arrays that broadcast.
+    addition_theorem_rhs. The angles may be arrays that broadcast; k is a
+    degree or one degree per sample, as there.
     """
-    return _value(_legendre_addition_rhs(k, *_angles(theta, phi, psi)))
+    theta, phi, psi = _angles(theta, phi, psi)
+    return _value(_addition_sum(0.5, k, theta, phi, _legendre_coefficient,
+                                lambda j: np.cos(j * psi)))
 
 
 def product_formula_check(lam: float, k: int, phi, psi, rule: QuadratureRule):
@@ -305,24 +302,19 @@ def kernel_product_check(params: KernelParams, k: int, rule: QuadratureRule):
     return _value(lhs), _value(rhs)
 
 
-def weighted_derivative_check(lam: float, k: int, x):
+def weighted_derivative_check(lam: float, k, x):
     """(finite-difference derivative of (1-x^2)^(lam-1/2) C_k^lam, closed form).
 
     The closed form is -((k+1)(k+2 lam-1)/(2(lam-1))) (1-x^2)^(lam-3/2)
     C_{k+1}^{lam-1}(x); lam = 1 is excluded by the identity itself. The
     difference stencil is 5-point central so truncation stays below the
     1e-6 agreement contract even at the largest sampled degrees. x may be an
-    array; its four stencil points run as one batch.
+    array; its four stencil points run as one batch. k is a degree or an
+    integer array of one degree per element of x.
     """
     if lam == 1.0:
         raise ValueError("the weighted derivative identity excludes lam = 1")
     x = _inside(x, 1.0 - 3.0 * _FD_STEP, "x must lie safely inside (-1, 1)")
-    lhs, rhs = _weighted_derivative(lam, k, x)
-    return _value(lhs), _value(rhs)
-
-
-def _weighted_derivative(lam: float, k, x: np.ndarray):
-    # k is a degree or one degree per element of x
     h = _FD_STEP
     u = x + np.array([2 * h, h, -h, -2 * h]).reshape((4,) + (1,) * x.ndim)
     wu = np.power(1.0 - u * u, lam - 0.5) * _gegenbauer(lam, k, u)
@@ -332,20 +324,20 @@ def _weighted_derivative(lam: float, k, x: np.ndarray):
         * np.power(1.0 - x * x, lam - 1.5)
         * _gegenbauer(lam - 1.0, k + 1, x)
     )
-    return lhs, rhs
+    return _value(lhs), _value(rhs)
 
 
-def kink_integral_closed(lam: float, k: int, s):
-    """Closed form of the kink integral of |x-s| against the C_k^lam weight (k >= 2)."""
-    if not isinstance(k, (int, np.integer)) or k < 2:
-        raise ValueError(f"closed form holds for integer k >= 2, got k={k!r}")
-    return _value(_kink_closed(lam, k, _inside(s, 1.0, "s must lie in (-1, 1)")))
+def kink_integral_closed(lam: float, k, s):
+    """Closed form of the kink integral of |x-s| against the C_k^lam weight.
 
-
-def _kink_closed(lam: float, k, s: np.ndarray):
-    # k is a degree >= 2 or one such degree per element of s
+    k is a degree >= 2 or an integer array of one such degree per element of s.
+    """
+    k = np.asarray(k)
+    if k.dtype.kind not in "iu" or np.any(k < 2):
+        raise ValueError(f"closed form holds for integer k >= 2, got k={k.tolist()!r}")
+    s = _inside(s, 1.0, "s must lie in (-1, 1)")
     pref = 8.0 * lam * (lam + 1.0) / (k * (k - 1.0) * (k + 2.0 * lam) * (k + 2.0 * lam + 1.0))
-    return pref * np.power(1.0 - s * s, lam + 1.5) * _gegenbauer(lam + 2.0, k - 2, s)
+    return _value(pref * np.power(1.0 - s * s, lam + 1.5) * _gegenbauer(lam + 2.0, k - 2, s))
 
 
 def kink_integral_brute(lam: float, k, s, rule: QuadratureRule):
@@ -427,17 +419,18 @@ def run_suite(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12, samples: int 
     A check runs at the lambdas of its _LAMBDA_DOMAINS entry and is left out
     when none qualifies, or when max_degree is below its _DEGREE_MINIMA entry
     (0 for the others); "addition" runs the Legendre route when no lam > 1/2.
-    Raises ValueError for an unknown check, a lam <= -1/2 or not finite, or
-    when no wanted check applies. "addition", "legendre-addition",
-    "weighted-derivative" and the closed side of "kink" take every degree of
-    one lam at once: the samples of all degrees are drawn in one call, in the
-    order of one draw per degree, and each (degree, sample) row reads its own
-    degree from one recurrence table, in blocks of _SAMPLE_BLOCK rows (fewer
-    for the addition family, by _FAMILY_CELLS). The other checks, and the
-    quadrature side of "kink", run one call per (lam, degree) per block of
-    _SAMPLE_BLOCK samples. Every residual equals that of a call of the public
-    check function at its one degree, bit for bit. A non-finite residual
-    records max_residual nan and fails its check.
+    Raises ValueError for an unknown check, max_degree < 0, samples < 1, a
+    lam <= -1/2 or not finite, or when no wanted check applies. "addition",
+    "legendre-addition", "weighted-derivative" and the closed side of "kink"
+    call their public check with every degree of one lam at once: the samples
+    of all degrees are drawn in one call, in the order of one draw per
+    degree, and each (degree, sample) row reads its own degree from one
+    recurrence table, in blocks of _SAMPLE_BLOCK rows (fewer for the addition
+    family, by _FAMILY_CELLS). The other checks, and the quadrature side of
+    "kink", run one call per (lam, degree) per block of _SAMPLE_BLOCK
+    samples. Every residual equals that of a call of the public check
+    function at its one degree, bit for bit. A non-finite residual records
+    max_residual nan and fails its check.
     """
     rule = rule or gauss_legendre(DEFAULT_QUAD_ORDER)
     rng = np.random.default_rng(seed)
@@ -445,6 +438,10 @@ def run_suite(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12, samples: int 
     unknown = wanted - set(SUITE_TOLERANCES)
     if unknown:
         raise ValueError(f"unknown identity checks: {sorted(unknown)}")
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be at least 0, got {max_degree}")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     low = [lam for lam in lambdas if not -0.5 < lam < math.inf]
     if low:
         raise ValueError(f"lambda must be finite and exceed -1/2, got {low[0]}")
@@ -498,9 +495,9 @@ def run_suite(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12, samples: int 
             for k, theta, phi, psi in _blocks(size, rows, *angles.T):
                 arg = np.cos(theta) * np.cos(phi) + np.sin(theta) * np.sin(phi) * np.cos(psi)
                 if legendre_route:
-                    lhs, rhs = _gegenbauer(0.5, k, arg), _legendre_addition_rhs(k, theta, phi, psi)
+                    lhs, rhs = _gegenbauer(0.5, k, arg), legendre_addition_rhs(k, theta, phi, psi)
                 else:
-                    lhs, rhs = _gegenbauer(lam, k, arg), _addition_rhs(lam, k, theta, phi, psi)
+                    lhs, rhs = _gegenbauer(lam, k, arg), addition_theorem_rhs(lam, k, theta, phi, psi)
                 record(name, _residual(lhs, rhs))
 
     if "product" in wanted:
@@ -531,7 +528,7 @@ def run_suite(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12, samples: int 
                 # a (degree, row, node) table
                 brute = [kink_integral_brute(lam, d, sb[k == d], rule)
                          for d in sorted(set(k.tolist()))]
-                record("kink", _residual(_kink_closed(lam, k, sb), np.concatenate(brute)))
+                record("kink", _residual(kink_integral_closed(lam, k, sb), np.concatenate(brute)))
 
     if "weighted-derivative" in wanted:
         for lam in lambdas:
@@ -539,7 +536,7 @@ def run_suite(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12, samples: int 
                 continue
             x = rng.uniform(-0.95, 0.95, size=rows.size)
             for k, xb in _blocks(_SAMPLE_BLOCK, rows, x):
-                lhs, rhs = _weighted_derivative(lam, k, xb)
+                lhs, rhs = weighted_derivative_check(lam, k, xb)
                 record("weighted-derivative", np.abs(lhs - rhs))
 
     report = {}

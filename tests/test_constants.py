@@ -10,7 +10,7 @@ import pytest
 from mpmath import mp
 from numpy.polynomial.legendre import leggauss, legval, legvander
 
-from ballgrad import cli, constants
+from ballgrad import cli, constants, gegenbauer
 from ballgrad.constants import (
     ALPHA_GRID,
     ROUTE_TOL,
@@ -322,6 +322,27 @@ def test_curvature_series_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 1.4e6
+
+
+def test_series_tables_once_per_lambda(monkeypatch):
+    # pair_series builds one scale table per distinct lam, not one per series and
+    # side plus one per lam for the steps (9 for the three curvature series, 4 for
+    # profile_parts), and sorts its lams without np.unique
+    calls = []
+    scales = gegenbauer._scales
+    monkeypatch.setattr(gegenbauer, "_scales", lambda lam, K: calls.append(lam) or scales(lam, K))
+    dim = DimensionParams(4)
+    profile_curvature_series(T_GRID[100:], dim, 0.99)
+    assert sorted(calls) == [dim.lambda_low, dim.lambda_mid, dim.lambda_high]
+    calls.clear()
+    profile_parts(T_GRID[100:], dim, 0.9)
+    assert sorted(calls) == [dim.lambda_low, dim.lambda_high]
+
+    def no_unique(*args, **kwargs):
+        raise AssertionError("np.unique called")
+
+    monkeypatch.setattr(np, "unique", no_unique)
+    assert certify_convexity(3, 0.5).passed
 
 
 # -- constant routes ----------------------------------------------------------

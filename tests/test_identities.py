@@ -8,10 +8,6 @@ from ballgrad.identities import (
     DEFAULT_SUITE_LAMBDAS,
     SUITE_TOLERANCES,
     KernelParams,
-    _addition_rhs,
-    _kink_closed,
-    _legendre_addition_rhs,
-    _weighted_derivative,
     addition_coefficient,
     addition_theorem_rhs,
     kernel_K,
@@ -485,6 +481,17 @@ def test_run_suite_leaves_out_checks_below_their_degree(rule):
         run_suite(max_degree=0, checks={"kernel-product", "orthogonality-offdiag"}, **small)
 
 
+@pytest.mark.parametrize("grid, message", [
+    (dict(samples=0), "samples must be at least 1, got 0"),
+    (dict(samples=-1), "samples must be at least 1, got -1"),
+    (dict(max_degree=-1), "max_degree must be at least 0, got -1"),
+])
+def test_run_suite_rejects_empty_grid(rule, grid, message):
+    # samples=0 used to report every check failed on 0 cases, samples=-1 a numpy error
+    with pytest.raises(ValueError, match=message):
+        run_suite(rule=rule, **grid)
+
+
 def test_addition_sums_equal_one_degree_form():
     rng = np.random.default_rng(8)
     theta, phi, psi = rng.uniform(0.05, math.pi - 0.05, size=(3, 11))
@@ -497,8 +504,8 @@ def test_addition_sums_equal_one_degree_form():
 
 
 def test_rows_of_mixed_degrees_equal_one_degree_calls(rule):
-    # the helpers run_suite calls with one degree per sample: each sample
-    # equals the public check at its own degree, bit for bit
+    # run_suite calls the checks with one degree per sample: each sample
+    # equals the check called at its own degree, bit for bit
     rng = np.random.default_rng(9)
     k = np.repeat(np.arange(2, 15), 3)[::-1].copy()
     theta, phi, psi = rng.uniform(0.05, math.pi - 0.05, size=(3, k.size))
@@ -513,12 +520,12 @@ def test_rows_of_mixed_degrees_equal_one_degree_calls(rule):
 
     for lam in (0.5, 1.5, 3.0):
         if lam > 0.5:
-            assert np.array_equal(_addition_rhs(lam, k, theta, phi, psi), per_degree(
+            assert np.array_equal(addition_theorem_rhs(lam, k, theta, phi, psi), per_degree(
                 lambda d, r: addition_theorem_rhs(lam, d, theta[r], phi[r], psi[r])))
-        assert np.array_equal(_kink_closed(lam, k, x), per_degree(
+        assert np.array_equal(kink_integral_closed(lam, k, x), per_degree(
             lambda d, r: kink_integral_closed(lam, d, x[r])))
-        lhs, rhs = _weighted_derivative(lam, k, x)
+        lhs, rhs = weighted_derivative_check(lam, k, x)
         assert np.array_equal(lhs, per_degree(lambda d, r: weighted_derivative_check(lam, d, x[r])[0]))
         assert np.array_equal(rhs, per_degree(lambda d, r: weighted_derivative_check(lam, d, x[r])[1]))
-    assert np.array_equal(_legendre_addition_rhs(k, theta, phi, psi), per_degree(
+    assert np.array_equal(legendre_addition_rhs(k, theta, phi, psi), per_degree(
         lambda d, r: legendre_addition_rhs(d, theta[r], phi[r], psi[r])))
