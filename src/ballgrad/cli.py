@@ -304,7 +304,8 @@ def cmd_identities(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        env = tuple(sorted(item for item in os.environ.items() if item[0].startswith(ENV_PREFIX)))
+        env = tuple(sorted((key, os.environ[key]) for key in os.environ
+                           if key.startswith(ENV_PREFIX)))
         args = _parser_for(env).parse_args(argv)
         return args.run(args)
     except SystemExit as exc:  # --help

@@ -24,7 +24,8 @@ Every integrand is integrated in angle variables (x = cos(theta)), which
 keeps all weight factors analytic; integrals with a (1 - 2*rho*z + rho^2)
 denominator additionally get panels graded geometrically around the peak of
 that Poisson denominator once rho >= 0.8, where the peak sharpens toward the
-boundary. Each such denominator is written (1 - rho)^2 + 2 rho (1 - z), with
+boundary: edges at peak +- m (1 - rho), m = 1, 16, 256, 4096 (_graded_panels).
+Each such denominator is written (1 - rho)^2 + 2 rho (1 - z), with
 1 - z built from half-angle sines, so that no term cancels as rho -> 1 and
 the denominator is never below (1 - rho)^2. One function, _poisson_rows,
 integrates every power of it (the inner integral of constant_direct,
@@ -161,11 +162,24 @@ def _graded_panels(rho: float, rule: QuadratureRule, peak: float = 0.0, kinks=()
     """Nodes and weights over [0, pi], split at the kinks and, once rho >= 0.8,
     graded around the peak at theta = peak of
     1/(1 - 2*rho*cos(theta - peak) + rho^2), whose width is about 1 - rho.
-    composite_nodes sorts the edges and drops those outside (0, pi)."""
+    composite_nodes sorts the edges and drops those outside (0, pi).
+
+    The edges are peak +- m (1 - rho), m = 1, 16, 256, 4096. The poles sit
+    about 1 - rho off the real axis, so on [m h, 16 m h] (h = 1 - rho) the
+    nearest one lies 1/15 of the panel's length beyond its end: the Bernstein
+    ellipse of ratio about 1 + 2/sqrt(15) = 1.5, and N Gauss nodes err like
+    1.5^(-2N) (Trefethen, Approximation Theory and Approximation Practice,
+    Thm 19.3). For n <= 64 and rho in [0.8, 0.999], every route at orders 64
+    to 256 stays within 1.6e-14 of 1024 nodes per panel on the edges
+    m = 1, 4, 16, 64, and order 48 within 4.3e-15 (direct route) and 1.5e-12
+    (kernel curvature, of max |f''|). Past n = 64 the sin^(n-3) weight, of
+    width about 1/sqrt(n), needs more nodes on the long outer panels: at
+    rho = 0.8 and n = 200, order 64 is off by 3.2e-9 (direct) and 1.0e-6
+    (kernel)."""
     edges = list(kinks)
     if rho >= 0.8:
         h = 1.0 - rho
-        for m in (1.0, 4.0, 16.0, 64.0):
+        for m in (1.0, 16.0, 256.0, 4096.0):
             edges += (peak - m * h, peak + m * h)
     return composite_nodes(0.0, math.pi, rule, edges)
 

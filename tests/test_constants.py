@@ -832,6 +832,33 @@ def test_green_profile_node_doubling(rule, monkeypatch, n, rho):
     assert np.max(np.abs(coarse - fine)) <= 1e-12 * (f0 + fine.max())
 
 
+@pytest.mark.parametrize("rho, panels", [(0.0, 1), (0.79, 1), (0.8, 2), (0.9, 3), (0.99, 4),
+                                         (0.999, 4)])
+def test_graded_panel_counts(rho, panels):
+    # edges at +-(1 - rho) * (1, 16, 256, 4096) inside (0, pi): a denser grading fails here
+    nodes, _ = _graded_panels(rho, gauss_legendre(128))
+    assert nodes.size == 128 * panels
+
+
+@pytest.mark.parametrize("rho", [0.8, 0.9, 0.99, 0.999])
+@pytest.mark.parametrize("n", [3, 8, 32, 64])
+def test_graded_routes_node_doubling(n, rho):
+    # every Poisson route at 64 and 128 nodes per graded panel against 512 on the same panels
+    dim = DimensionParams(n)
+    fine = gauss_legendre(512)
+    queries = [ConstantQuery(dim, rho, a) for a in (0.0, math.pi / 3, math.pi / 2)]
+    direct = [constant_direct(q, fine) for q in queries]
+    radial = constant_radial(dim, rho, fine)
+    kernel = profile_curvature_kernel(T_GRID[100:], dim, rho, fine)
+    for order in (64, 128):
+        rule = gauss_legendre(order)
+        for q, want in zip(queries, direct):
+            assert abs(constant_direct(q, rule) - want) <= 1e-13 * want
+        assert abs(constant_radial(dim, rho, rule) - radial) <= 1e-13 * radial
+        got = profile_curvature_kernel(T_GRID[100:], dim, rho, rule)
+        assert np.max(np.abs(got - kernel)) <= 1e-13 * np.max(np.abs(kernel))
+
+
 @pytest.mark.parametrize("rho", [0.995, 0.999])
 @pytest.mark.parametrize("n", [3, 8, 16])
 def test_certify_radial_max_near_boundary(rule, n, rho):
