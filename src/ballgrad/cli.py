@@ -38,7 +38,7 @@ from .constants import (
     constant_series,
 )
 from .gegenbauer import (SERIES_MAX_TERMS, SERIES_TAIL_TOL, DimensionParams,
-                         SeriesConvergenceError, series_cutoff)
+                         SeriesConvergenceError, _checked_rho, series_cutoff)
 from .identities import DEFAULT_SUITE_LAMBDAS, SUITE_TOLERANCES, run_suite
 from .quadrature import gauss_legendre
 
@@ -131,11 +131,10 @@ def _numbers(spec: str, flag: str):
 
 def _rhos(spec: str):
     """Comma list of radii in [0, 1)."""
-    rhos = _numbers(spec, "--rho")
-    for r in rhos:
-        if not 0.0 <= r < 1.0:
-            raise UsageError(f"rho must lie in [0, 1), got {r}")
-    return rhos
+    try:
+        return [_checked_rho(r) for r in _numbers(spec, "--rho")]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -323,4 +322,4 @@ def console_entry():
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    console_entry()

@@ -56,8 +56,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gegenbauer import (SERIES_MAX_TERMS, DimensionParams, _checked_rho, eval_sequence,
-                         pair_series, pair_weights, series_cutoff)
+from .gegenbauer import (SERIES_MAX_TERMS, DimensionParams, _checked_rho, _inside,
+                         eval_sequence, pair_series, pair_weights, series_cutoff)
 from .identities import kink_integral_brute
 from .quadrature import (DEFAULT_QUAD_ORDER, QuadratureRule, composite_nodes, gauss_legendre,
                          map_panels)
@@ -102,10 +102,6 @@ _GREEN_TO_COEF = ((np.arange(_GREEN_ORDER) + 0.5)[:, None]
 _GREEN_TO_COEF.flags.writeable = False
 
 
-def _default_rule(rule: QuadratureRule | None) -> QuadratureRule:
-    return rule if rule is not None else gauss_legendre(DEFAULT_QUAD_ORDER)
-
-
 def _inv_power(v: np.ndarray, e: float) -> np.ndarray:
     """v ** -e in place, for e a positive multiple of 1/2: one reciprocal, a
     square root if e is half an odd integer, then squarings and products.
@@ -124,15 +120,6 @@ def _inv_power(v: np.ndarray, e: float) -> np.ndarray:
     if root is not None:
         v *= root
     return v
-
-
-def _checked_t(t, closed: bool = False) -> np.ndarray:
-    """t as a float array; ValueError names its first entry outside (-1, 1) ([-1, 1] if closed)."""
-    ta = np.asarray(t, dtype=float)
-    bad = ta[~(np.abs(ta) <= 1.0 if closed else np.abs(ta) < 1.0)]
-    if bad.size:
-        raise ValueError(f"t must lie in {'[-1, 1]' if closed else '(-1, 1)'}, got {bad[0]}")
-    return ta
 
 
 @dataclass(frozen=True)
@@ -245,7 +232,7 @@ def constant_direct(q: ConstantQuery, rule: QuadratureRule | None = None) -> flo
     gives one float); the outer one is split at the kink arccos(delta * cos(a))
     and graded around its peak at theta = a, the inner one graded around psi = 0.
     """
-    rule = _default_rule(rule)
+    rule = rule or gauss_legendre(DEFAULT_QUAD_ORDER)
     n, rho = q.dim.n, q.rho
     alpha = min(q.alpha, math.pi - q.alpha)
     dt = q.delta * math.cos(alpha)
@@ -270,9 +257,9 @@ def profile_parts(t, dim: DimensionParams, rho: float, max_terms: int = SERIES_M
     Term k of the series part couples degree k-2 at lam_high with degree k at
     lam_low, weighted by (k-2)!/(n+2)_(k-2) rho^k; (n+2)_m = (2 lam_high)_m.
     """
-    ta = _checked_t(t, closed=True)
+    ta = _inside(t, 1.0, "t must lie in [-1, 1]", closed=True)
     K = series_cutoff(rho, dim.lambda_low, max_terms)  # checks rho and max_terms first
-    rule = _default_rule(rule)
+    rule = rule or gauss_legendre(DEFAULT_QUAD_ORDER)
     n, tv = dim.n, np.atleast_1d(ta)
     s = (n - 2) / n * rho * tv
     kink = np.empty((2, tv.size))
@@ -293,28 +280,26 @@ def profile_parts(t, dim: DimensionParams, rho: float, max_terms: int = SERIES_M
 def constant_series(q, max_terms: int = SERIES_MAX_TERMS, rule: QuadratureRule | None = None):
     """Directional constant via the ultraspherical-expansion representation.
 
-    `q` is one ConstantQuery (float result) or a sequence of queries at one
-    dimension and rho, evaluated in one vector profile_parts call over their
-    t = cos(alpha) (ndarray result).
+    `q` is a sequence of queries at one dimension and rho, evaluated in one
+    vector profile_parts call over their t = cos(alpha) (ndarray result), or
+    one ConstantQuery, run as the batch [q] (float result, out[0]).
     """
-    if isinstance(q, ConstantQuery):
-        dim, rho, t = q.dim, q.rho, q.t
-    else:
-        queries = list(q)
-        if not queries:
-            raise ValueError("no queries given")
-        dim, rho = queries[0].dim, queries[0].rho
-        if any(p.dim != dim or p.rho != rho for p in queries):
-            raise ValueError("queries must share one dimension and rho")
-        t = np.array([p.t for p in queries])
+    queries = [q] if isinstance(q, ConstantQuery) else list(q)
+    if not queries:
+        raise ValueError("no queries given")
+    dim, rho = queries[0].dim, queries[0].rho
+    if any(p.dim != dim or p.rho != rho for p in queries):
+        raise ValueError("queries must share one dimension and rho")
+    t = np.array([p.t for p in queries])
     plain, weighted, tail = profile_parts(t, dim, rho, max_terms, rule)
-    return dim.c_n / ((1.0 - rho) * (1.0 + rho)) * (plain + weighted + tail)
+    out = dim.c_n / ((1.0 - rho) * (1.0 + rho)) * (plain + weighted + tail)
+    return float(out[0]) if isinstance(q, ConstantQuery) else out
 
 
 def constant_radial(n, rho: float, rule: QuadratureRule | None = None) -> float:
     """Sharp constant in the radial direction, by the closed 1-D formula."""
     dim = n if isinstance(n, DimensionParams) else DimensionParams(n)
-    rule = _default_rule(rule)
+    rule = rule or gauss_legendre(DEFAULT_QUAD_ORDER)
     n, delta = dim.n, (dim.n - 2) / dim.n * _checked_rho(rho)
     total = _poisson_rows(rho, rule, np.array([(1.0 - rho) ** 2]), np.array([4.0 * rho]),
                           (n - 2) / 2.0, lambda x: np.sin(x) ** (n - 2) * np.abs(np.cos(x) - delta),
@@ -348,7 +333,7 @@ def constant_transverse(n, rho: float) -> float:
 def profile_curvature_series(t, dim: DimensionParams, rho: float,
                              max_terms: int = SERIES_MAX_TERMS):
     """Second derivative of the profile by its three-series representation."""
-    ta = _checked_t(t)
+    ta = _inside(t, 1.0, "t must lie in (-1, 1)")
     n = dim.n
     delta = (n - 2) / n * rho
     tv = np.atleast_1d(ta)
@@ -381,8 +366,8 @@ def profile_curvature_kernel(t, dim: DimensionParams, rho: float,
     1 - delta t^2 - w = t^2 (1-delta)^2 / (1 - delta t^2 + w). Accepts scalar
     or array t: a float for scalar t, an ndarray of the same shape otherwise.
     """
-    ta = _checked_t(t)
-    rule = _default_rule(rule)
+    ta = _inside(t, 1.0, "t must lie in (-1, 1)")
+    rule = rule or gauss_legendre(DEFAULT_QUAD_ORDER)
     n, delta = dim.n, (dim.n - 2) / dim.n * _checked_rho(rho)
     tv = ta.ravel()
     g = 1.0 - (delta * tv) ** 2
@@ -402,15 +387,14 @@ def curvature_density_grid(t, z, n: int, rho: float):
     Zero off the positivity region; inside it the value is n(n-2)/(pi c_n)
     (= 2 Gamma((n-1)/2) / (Gamma((n-2)/2) Gamma(1/2))) times disc^((n-4)/2) *
     (A - n*B/(n-2))^2 over the denominator powers, with A = (1 - 2 rho z +
-    rho^2)(1 - t^2) and B = disc. Raises ValueError unless every t and z lies in (-1, 1).
+    rho^2)(1 - t^2) and B = disc. Raises ValueError, naming the first bad t, else
+    the first bad z, unless every t and z lies in (-1, 1).
     """
     dim = n if isinstance(n, DimensionParams) else DimensionParams(n)
     n = dim.n
     delta = (n - 2) / n * _checked_rho(rho)
-    ta = np.asarray(t, dtype=float)
-    za = np.asarray(z, dtype=float)
-    if not (np.all(np.abs(ta) < 1.0) and np.all(np.abs(za) < 1.0)):
-        raise ValueError("t and z must lie in (-1, 1)")
+    ta = _inside(t, 1.0, "t and z must lie in (-1, 1)")
+    za = _inside(z, 1.0, "t and z must lie in (-1, 1)")
     disc = 1.0 - (delta * ta) ** 2 - ta * ta - za * za + 2.0 * delta * ta * ta * za
     p = 1.0 - 2.0 * rho * za + rho * rho
     a = p * (1.0 - ta * ta)
@@ -480,7 +464,7 @@ def certify_convexity(n: int, rho: float, max_terms: int = SERIES_MAX_TERMS,
     with it to ROUTE_TOL; max_route_gap reports their largest discrepancy.
     """
     dim = DimensionParams(n)
-    rule = _default_rule(rule)
+    rule = rule or gauss_legendre(DEFAULT_QUAD_ORDER)
     # f is even and T_GRID antisymmetric: reversed, these are the values on T_GRID[:101]
     upper = T_GRID[T_GRID.size // 2:]
     curv = profile_curvature_series(upper, dim, rho, max_terms)[::-1]
@@ -556,7 +540,7 @@ def certify_radial_max(n: int, rho: float, rule: QuadratureRule | None = None) -
     reproduces the closed radial formula to ROUTE_TOL.
     """
     dim = DimensionParams(n)
-    rule = _default_rule(rule)
+    rule = rule or gauss_legendre(DEFAULT_QUAD_ORDER)
     anchor = constant_transverse(dim, rho)
     values = anchor + dim.c_n / ((1.0 - rho) * (1.0 + rho)) * _green_profile(
         np.abs(np.cos(ALPHA_GRID)), dim, rho, rule)

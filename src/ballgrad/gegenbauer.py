@@ -116,6 +116,16 @@ def _checked_rho(rho: float) -> float:
     return rho
 
 
+def _inside(v, bound: float, message: str, closed: bool = False) -> np.ndarray:
+    """v as a float array; ValueError appends its first element outside
+    (-bound, bound), or [-bound, bound] if closed, to message (NaN included)."""
+    v = np.asarray(v, dtype=float)
+    bad = v[~(np.abs(v) <= bound if closed else np.abs(v) < bound)]
+    if bad.size:
+        raise ValueError(f"{message}, got {bad[0]}")
+    return v
+
+
 def pochhammer(lam: float, k: int) -> float:
     """Shifted factorial (lam)_k = lam*(lam+1)*...*(lam+k-1), with (lam)_0 = 1."""
     if k < 0:
@@ -201,8 +211,6 @@ def derivative(idx: GegenbauerIndex, order: int, x):
         raise ValueError(f"derivative order must be nonnegative, got {order}")
     if order > idx.degree:
         return _value(np.zeros(np.shape(x)))
-    if order == 0:
-        return eval_recurrence(idx, x)
     lam, k = idx.lam, idx.degree
     scale = (2.0 ** order) * pochhammer(lam, order)
     return _value(scale * eval_sequence(lam + order, k - order, x)[-1])
@@ -309,6 +317,9 @@ def pair_series(pairs, weights, lag: int = 0) -> np.ndarray:
     """
     if not 0 <= lag <= 2:
         raise ValueError(f"lag must lie in [0, 2], got {lag}")
+    if not 0 < len(pairs) == len(weights):
+        raise ValueError(f"need one weight row per pair, got {len(pairs)} pairs "
+                         f"and {len(weights)} weight rows")
     args = np.broadcast_arrays(*(np.asarray(v, dtype=float)
                                  for lam_a, xa, lam_b, xb in pairs for v in (xa, xb)))
     shape = args[0].shape

@@ -31,6 +31,7 @@ import numpy as np
 # not called here; they stay importable from this module because
 # bench/spans.py traces calls through these names.
 from .gegenbauer import (  # noqa: F401
+    _inside,
     _value,
     assoc_legendre,
     eval_recurrence,
@@ -79,18 +80,7 @@ def _gegenbauer(lam, k, x):
     """
     k = np.asarray(k)
     seq = eval_sequence(lam, int(k.max()), x)
-    if k.ndim == 0:  # one degree: its row, without a gather
-        return seq[k]
     return np.take_along_axis(seq, np.broadcast_to(k, seq.shape[1:])[None], axis=0)[0]
-
-
-def _inside(v, bound: float, message: str) -> np.ndarray:
-    """v as a float array; raises ValueError on the first element with |v| >= bound."""
-    v = np.asarray(v, dtype=float)
-    bad = v[~(np.abs(v) < bound)]
-    if bad.size:
-        raise ValueError(f"{message}, got {bad[0]}")
-    return v
 
 
 def _angles(*angles):

@@ -68,9 +68,6 @@ def gauss_legendre(order: int) -> QuadratureRule:
     """N-point Gauss-Legendre rule (cached): Newton iteration on Chebyshev-type seeds."""
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must lie in [1, {MAX_ORDER}], got {order}")
-    if order == 1:
-        return QuadratureRule(1, np.array([0.0]), np.array([2.0]))
-
     i = np.arange(1, order + 1)
     x = np.cos(np.pi * (4.0 * i - 1.0) / (4.0 * order + 2.0))
     for _ in range(100):
@@ -139,7 +136,7 @@ def integrate_values(vals, w: np.ndarray) -> np.ndarray:
 
 
 def integrate(f, a: float, b: float, rule: QuadratureRule) -> float:
-    """Integral of f over [a, b]; f must accept an ndarray of points."""
+    """Integral of f over [a, b]; f takes an ndarray of points (a scalar value fills them all)."""
     return integrate_split(f, a, b, (), rule)
 
 
@@ -150,7 +147,4 @@ def integrate_split(f, a: float, b: float, breakpoints, rule: QuadratureRule) ->
     on each subinterval.
     """
     x, w = composite_nodes(a, b, rule, breakpoints)
-    vals = np.asarray(f(x), dtype=float)
-    if vals.ndim == 0:  # a constant integrand
-        vals = np.broadcast_to(vals, x.shape)
-    return float(integrate_values(vals, w))
+    return float(integrate_values(np.full(x.shape, f(x), dtype=float), w))

@@ -100,9 +100,13 @@ def test_kernel_point_membership():
     vals = curvature_density_grid(t, z, n, rho)
     assert np.array_equal(vals == 0.0, disc <= 0)
     assert 0 < np.count_nonzero(disc <= 0) < t.size
-    for bad in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), ([0.2, 1.0], 0.0)):
-        with pytest.raises(ValueError):
-            curvature_density_grid(*bad, n, rho)
+    # the error names the first bad t, else the first bad z; NaN is out of range
+    for t, z, bad in ((1.0, 0.0, 1.0), (-1.0, 0.0, -1.0), (0.0, 1.0, 1.0), ([0.2, 1.0], 0.0, 1.0),
+                      ([0.2, math.nan, 1.5], 0.0, math.nan), (0.2, [0.1, -1.0, 2.0], -1.0),
+                      ([0.3, -1.5], [2.0, 0.1], -1.5)):
+        with pytest.raises(ValueError) as info:
+            curvature_density_grid(t, z, n, rho)
+        assert str(info.value) == f"t and z must lie in (-1, 1), got {bad}"
 
 
 # -- inner integral -----------------------------------------------------------
@@ -400,6 +404,15 @@ def test_constant_series_query_sequence(rule):
         constant_series(queries + [ConstantQuery(dim, 0.5, 0.0)], rule=rule)
     with pytest.raises(ValueError):
         constant_series([], rule=rule)
+
+
+@pytest.mark.parametrize("n, rho", [(3, 0.5), (5, 0.9), (8, 0.0)])
+def test_constant_series_single_query_is_the_batch(rule, n, rho):
+    # one query runs as the batch [q]: the same bits as the first entry of a longer batch
+    dim = DimensionParams(n)
+    q, q2 = ConstantQuery(dim, rho, math.pi / 5), ConstantQuery(dim, rho, 2.0)
+    got = constant_series(q, rule=rule)
+    assert type(got) is float and got == constant_series([q, q2], rule=rule)[0]
 
 
 def test_radial_specialization(rule):
@@ -928,6 +941,13 @@ def test_certify_radial_max_at_the_edge_of_double(rule, rho):
         assert "\n" not in str(exc) and len(str(exc)) < 200
     else:
         assert rep.rho == rho and rep.grid_points == 181
+
+
+@pytest.mark.parametrize("n", [3, 8, 16])
+def test_certify_radial_max_near_the_endpoint(rule, n):
+    # the 1e-8 radial contract holds at rho = 0.99999: measured 1.9e-16, 4.8e-16, 4.7e-16
+    rep = certify_radial_max(n, 0.99999, rule=rule)
+    assert rep.passed and rep.radial_residual <= ROUTE_TOL
 
 
 def test_curvature_kernel_names_the_first_bad_t():

@@ -187,6 +187,18 @@ def test_derivative_trivial():
         derivative(idx, -1, 0.0)
 
 
+@pytest.mark.parametrize("lam", LAMBDAS)
+@pytest.mark.parametrize("k", (0, 1, 5))
+def test_derivative_order_zero_is_the_polynomial(lam, k):
+    # order 0 scales the recurrence by exactly 2^0 (lam)_0 = 1.0
+    idx = GegenbauerIndex(lam, k)
+    for x in XS:
+        got = derivative(idx, 0, x)
+        assert type(got) is float and got == eval_recurrence(idx, x)
+    xs = np.array(XS)
+    assert np.array_equal(derivative(idx, 0, xs), eval_recurrence(idx, xs))
+
+
 def _fd_derivative(f, x, h):
     # 5-point central first derivative
     return (-f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)) / (12 * h)
@@ -355,6 +367,15 @@ def test_recurrence_blocks_rejects_nonpositive_lam(lam):
     # s_2 = lam: the scales vanish or flip sign
     with pytest.raises(ValueError, match="lam must be positive"):
         pair_series([(1.0, 0.2, lam, 0.3)], [pair_weights(1.0, 0.5, 10)])
+
+
+def test_pair_series_needs_one_weight_row_per_pair():
+    pair, w = (1.0, 0.2, 1.0, 0.3), pair_weights(1.0, 0.5, 10)
+    for pairs, weights in (([], []), ([pair], []), ([pair], [w, w])):
+        with pytest.raises(ValueError) as info:
+            pair_series(pairs, weights)
+        assert str(info.value) == (f"need one weight row per pair, got {len(pairs)} pairs "
+                                   f"and {len(weights)} weight rows")
 
 
 def test_pair_weights():

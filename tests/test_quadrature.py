@@ -157,6 +157,17 @@ def test_integrate_basic():
         integrate(lambda x: x, 1.0, 0.0, r)
 
 
+@pytest.mark.parametrize("n", (1, 7, 16))
+def test_scalar_integrand_equals_array_integrand(n):
+    # a constant integrand may return a scalar: it fills a contiguous array over the
+    # nodes, which sums as the array form does (a zero-stride view sums differently)
+    r = gauss_legendre(n)
+    assert integrate(lambda x: 2.0, 0.0, 3.0, r) == integrate(
+        lambda x: np.full_like(x, 2.0), 0.0, 3.0, r)
+    assert integrate_split(lambda x: 2.0, 0.0, 3.0, [1.0], r) == integrate_split(
+        lambda x: np.full_like(x, 2.0), 0.0, 3.0, [1.0], r)
+
+
 def test_integrate_rejects_nonfinite():
     r = gauss_legendre(8)
     with pytest.raises(ValueError):
