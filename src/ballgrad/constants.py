@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gegenbauer import (SERIES_MAX_TERMS, DimensionParams, _checked_rho, _inside,
+from .gegenbauer import (SERIES_MAX_TERMS, DimensionParams, _checked_rho, _inside, _value,
                          eval_sequence, pair_series, pair_weights, series_cutoff)
 from .identities import kink_integral_brute
 from .quadrature import (DEFAULT_QUAD_ORDER, QuadratureRule, composite_nodes, gauss_legendre,
@@ -271,10 +271,7 @@ def profile_parts(t, dim: DimensionParams, rho: float, max_terms: int = SERIES_M
         pref = (2.0 / (n * n - 1.0)) * (1.0 - s ** 2) ** ((n + 1) / 2.0)
         tail = pref * pair_series([(dim.lambda_high, s, dim.lambda_low, tv)],
                                   [pair_weights(dim.lambda_high, rho, K, lag=2)], lag=2)[0]
-    plain, weighted = kink[0], rho * tv * kink[1]
-    if ta.ndim == 0:
-        return float(plain[0]), float(weighted[0]), float(tail[0])
-    return plain, weighted, tail
+    return tuple(_value(v.reshape(ta.shape)) for v in (kink[0], rho * tv * kink[1], tail))
 
 
 def constant_series(q, max_terms: int = SERIES_MAX_TERMS, rule: QuadratureRule | None = None):
@@ -350,7 +347,7 @@ def profile_curvature_series(t, dim: DimensionParams, rho: float,
            - 4.0 * n * d2 / (n - 1.0) * g ** ((n - 1) / 2.0) * s_mid
            + 2.0 * n ** 3 * d2 / ((n + 1.0) * (n - 1.0) * (n - 2.0))
            * g ** ((n + 1) / 2.0) * s_high)
-    return float(out[0]) if ta.ndim == 0 else out
+    return _value(out.reshape(ta.shape))
 
 
 def profile_curvature_kernel(t, dim: DimensionParams, rho: float,
@@ -378,7 +375,7 @@ def profile_curvature_kernel(t, dim: DimensionParams, rho: float,
     out = n * (n - 2.0) / (math.pi * dim.c_n) * delta * delta * g ** ((n - 3) / 2.0) * sums
     if not np.all(np.isfinite(out)):
         raise OverflowError(f"profile_curvature_kernel overflows at n={n}, rho={rho}")
-    return float(out[0]) if ta.ndim == 0 else out.reshape(ta.shape)
+    return _value(out.reshape(ta.shape))
 
 
 def curvature_density_grid(t, z, n: int, rho: float):
@@ -404,7 +401,7 @@ def curvature_density_grid(t, z, n: int, rho: float):
         p ** ((n + 2) / 2.0) * (1.0 - ta * ta) ** ((n + 1) / 2.0)
     )
     out = np.where(disc > 0.0, dens, 0.0)
-    return float(out) if out.ndim == 0 else out
+    return _value(out)
 
 
 # -- certification sweeps ----------------------------------------------------

@@ -8,9 +8,9 @@ log-Gamma so they stay finite for large arguments.
 
 Every rho-power series of the package runs through one engine,
 `pair_series`: it steps the recurrence for a stack of (lam, argument) rows at
-once, in blocks of degrees, scaled to D_k = C_k^lam / s_k so that a step is
-one multiply and one subtract, and sums weighted products of two rows per
-block with one einsum, the scales folded into its weights.
+once from the seed D_(-2) = -1, D_(-1) = 0, in blocks of degrees, scaled to
+D_k = C_k^lam / s_k so that a step is one multiply and one subtract, and sums
+weighted products of two rows per block with one einsum, scales in the weights.
 """
 
 from __future__ import annotations
@@ -180,14 +180,12 @@ def eval_sequence(lam, K: int, x) -> np.ndarray:
     shape = np.broadcast_shapes(lam.shape, xa.shape)
     out = np.empty((K + 1,) + shape)
     out[0] = 1.0
-    if K >= 1:
-        out[1] = 2.0 * lam * xa
-    if K >= 2:
-        deg = np.arange(2, K + 1).reshape((-1,) + (1,) * len(shape))
-        np.multiply(2.0 * (deg + lam - 1.0), xa, out=out[2:])
-        back, tmp = deg + 2.0 * lam - 2.0, np.empty(shape)
-        for m in range(2, K + 1):
-            _step(out[m, ...], out[m - 1], out[m - 2], back[m - 2], m, tmp)
+    out[1:2] = 2.0 * lam * xa
+    deg = np.arange(2, K + 1).reshape((-1,) + (1,) * len(shape))
+    np.multiply(2.0 * (deg + lam - 1.0), xa, out=out[2:])
+    back, tmp = deg + 2.0 * lam - 2.0, np.empty(shape)
+    for m in range(2, K + 1):
+        _step(out[m, ...], out[m - 1], out[m - 2], back[m - 2], m, tmp)
     return out
 
 
@@ -279,10 +277,9 @@ def pair_weights(lam: float, rho: float, K: int, lag: int = 0) -> np.ndarray:
     factors j/(2 lam + j - 1) and rho^k by rho.
     """
     f = np.ones(K + 1 - lag)
-    if f.size > 1:
-        f[1] = 1.0 / (2.0 * lam)
-        j = np.arange(2.0, f.size)
-        f[2:] = j / (2.0 * lam + j - 1.0)
+    f[1:2] = 1.0 / (2.0 * lam)
+    j = np.arange(2.0, f.size)
+    f[2:] = j / (2.0 * lam + j - 1.0)
     r = np.full(K + 1, rho)
     r[0] = 1.0
     w = np.zeros(K + 1)
@@ -314,6 +311,8 @@ def pair_series(pairs, weights, lag: int = 0) -> np.ndarray:
     is one multiply and one subtract, and the weights take the scales,
     w_k s_(k-lag)(lam_a) s_k(lam_b), as prefixes of one s table per distinct
     lam, which also gives that lam's a_m table. One einsum sums each block.
+    Each block steps all its degrees from two carry rows, the first block from
+    the seed D_(-2) = -1, D_(-1) = 0, whose step a_0 = 0 gives D_0 = 1 exactly.
     """
     if not 0 <= lag <= 2:
         raise ValueError(f"lag must lie in [0, 2], got {lag}")
@@ -345,19 +344,17 @@ def pair_series(pairs, weights, lag: int = 0) -> np.ndarray:
         xc = x[:, lo:lo + _COLUMNS]
         acc = total[:, lo:lo + _COLUMNS]
         buf = np.zeros((_BLOCK + 2,) + xc.shape)
+        buf[_BLOCK] = -1.0  # the carry into degree 0: D_(-2) = -1, D_(-1) = 0
         ax = np.empty((_BLOCK,) + xc.shape)  # a_m x for every step of a block
         for m0 in range(0, top + 1, _BLOCK):
             nb = min(_BLOCK, top + 1 - m0)
             npair = int(np.count_nonzero(K >= m0))
             act = 2 * npair
             rows = buf[:nb + 2, :act]
-            if m0:
-                rows[:2] = buf[_BLOCK:, :act]
+            rows[:2] = buf[_BLOCK:, :act]
             np.multiply(a[row_lam[:act], m0:m0 + nb].T[:, :, None], xc[:act], out=ax[:nb, :act])
-            if m0 == 0:
-                rows[2] = 1.0  # D_0; D_1 = a_1 x D_0 - D_(-1) is a step, with D_(-1) = 0
             c, axs = list(rows), list(ax[:nb, :act])
-            for j in range(1 if m0 == 0 else 0, nb):
+            for j in range(nb):
                 cur = c[j + 2]
                 np.multiply(axs[j], c[j + 1], out=cur)
                 np.subtract(cur, c[j], out=cur)

@@ -15,9 +15,9 @@ fractional powers of sampled values are taken with np.power: `**` on a
 numpy scalar calls the C library's pow, which can round differently from
 numpy's array loop.
 
-All weighted integrals on [-1, 1] are evaluated after the substitution
-x = cos(theta): the weight (1-x^2)^(lam-1/2) turns into (sin theta)^(2*lam),
-which is analytic for every half-integer lam and never endpoint-singular.
+All weighted integrals on [-1, 1] run in x = cos(theta), where the weight
+(1-x^2)^(lam-1/2) is (sin theta)^(2 lam): analytic on [0, pi] only where 2 lam
+is an integer, so run_suite refuses the quadrature checks at any other lam.
 """
 
 from __future__ import annotations
@@ -383,6 +383,8 @@ _LAMBDA_DOMAINS = {
 # identity starts at degree 2, kernel-product samples degrees 1, 4, 7, ...,
 # and the first off-diagonal orthogonality pair is (0, 3)
 _DEGREE_MINIMA = {"kernel-product": 1, "kink": 2, "orthogonality-offdiag": 3}
+# the checks that integrate sin^(2 lam) or sin^(2 lam - 1): all but the three recurrence-only ones
+_QUADRATURE_CHECKS = set(SUITE_TOLERANCES) - {"addition", "legendre-addition", "weighted-derivative"}
 
 
 def _applies(name: str, lam: float) -> bool:
@@ -410,7 +412,8 @@ def run_suite(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12, samples: int 
     when none qualifies, or when max_degree is below its _DEGREE_MINIMA entry
     (0 for the others); "addition" runs the Legendre route when no lam > 1/2.
     Raises ValueError for an unknown check, max_degree < 0, samples < 1, a
-    lam <= -1/2 or not finite, or when no wanted check applies. "addition",
+    lam <= -1/2 or not finite, when no wanted check applies, or when one of
+    _QUADRATURE_CHECKS would run at a lam with 2 lam not an integer. "addition",
     "legendre-addition", "weighted-derivative" and the closed side of "kink"
     call their public check with every degree of one lam at once: the samples
     of all degrees are drawn in one call, in the order of one draw per
@@ -448,6 +451,10 @@ def run_suite(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12, samples: int 
         raise ValueError(f"no identity check applies to lambdas {list(lambdas)} "
                          f"at max degree {max_degree}" + (f" ({rules})" if rules else ""))
     wanted -= left_out
+    off_grid = [lam for lam in lambdas if (2.0 * lam) % 1.0]
+    if off_grid and wanted & _QUADRATURE_CHECKS:
+        raise ValueError(f"2*lambda must be an integer for "
+                         f"{', '.join(sorted(wanted & _QUADRATURE_CHECKS))}, got {off_grid[0]}")
     worst = {name: (0.0, 0) for name in wanted}
 
     def record(name, res):

@@ -162,8 +162,9 @@ def test_identities_lambda_half_addition_routed(capsys):
     ["--lambda", "0", "--samples", "2", "--degree-max", "4"],
     ["--lambda", "-0.3", "--samples", "2", "--degree-max", "4"],
     ["--lambda", "inf", "--samples", "2", "--degree-max", "4"],
+    ["--lambda", "0.25"],
 ], ids=["degree-max-negative", "samples-zero", "samples-negative",
-        "lambda-zero", "lambda-negative", "lambda-inf"])
+        "lambda-zero", "lambda-negative", "lambda-inf", "lambda-off-grid"])
 def test_identities_rejects_empty_or_out_of_domain_grid(capsys, flags):
     code, out, err = _run(capsys, ["identities", *flags])
     assert code == 2

@@ -386,6 +386,9 @@ def test_pair_weights():
         assert w[k] == pytest.approx(want, rel=1e-14)
     lagged = pair_weights(lam, rho, 10, lag=2)
     assert lagged[:2].tolist() == [0.0, 0.0]
+    # K = lag: a single weight, rho^lag
+    assert pair_weights(lam, rho, 0).tolist() == [1.0]
+    assert pair_weights(lam, rho, 2, lag=2).tolist() == [0.0, 0.0, rho * rho]
     for k in range(2, 11):
         want = math.factorial(k - 2) / pochhammer(2 * lam, k - 2) * rho ** k
         assert lagged[k] == pytest.approx(want, rel=1e-14)
@@ -393,14 +396,17 @@ def test_pair_weights():
 
 @pytest.mark.parametrize("lag", (0, 2))
 def test_pair_series_matches_explicit(lag):
-    # more columns than one chunk, pairs of different lengths and lambdas
+    # more columns than one chunk, pairs of different lengths and lambdas, and
+    # series as short as the lag allows, whose terms come from the seeded carry
     t = np.linspace(-0.999, 0.999, _COLUMNS + 45)
     x1 = 0.6 * t
+    short = {0: [0, 1], 2: [2]}[lag]
     pairs = [(0.5, x1, 0.5, t), (2.5, x1, 1.5, t), (4.0, t, 4.0, 0.3)]
-    weights = [pair_weights(lam_a, 0.9, K, lag)
-               for (lam_a, *_), K in zip(pairs, (120, 2 * _BLOCK + 3, 300))]
+    pairs += [(1.5, x1, 2.5, 0.3)] * len(short)
+    orders = [120, 2 * _BLOCK + 3, 300] + short
+    weights = [pair_weights(lam_a, 0.9, K, lag) for (lam_a, *_), K in zip(pairs, orders)]
     got = pair_series(pairs, weights, lag)
-    assert got.shape == (3, t.size)
+    assert got.shape == (len(pairs), t.size)
     for p, ((lam_a, xa, lam_b, xb), w) in enumerate(zip(pairs, weights)):
         K = len(w) - 1
         xa, xb = np.broadcast_arrays(xa, xb)

@@ -416,6 +416,17 @@ def test_run_suite_lambda_domains(rule):
         run_suite(lambdas=(1.5, -0.5), checks={"kink"}, **small)
     with pytest.raises(ValueError, match="lambda must be finite"):
         run_suite(lambdas=(math.inf,), checks={"kink"}, **small)
+    # the quadrature checks integrate sin^(2 lam), analytic at the ends of
+    # [0, pi] only where 2 lam is an integer: at lam = 0.25 the product check
+    # reads residuals near 1e-1; the recurrence-only checks take any lambda
+    with pytest.raises(ValueError) as info:
+        run_suite(lambdas=(1.5, 0.25, 2.2), **small)
+    assert str(info.value) == ("2*lambda must be an integer for kernel-mass, kernel-product, "
+                               "kink, orthogonality-diag, orthogonality-offdiag, product, got 0.25")
+    with pytest.raises(ValueError, match="integer for product, got 2.2"):
+        run_suite(lambdas=(2.2,), checks={"product"}, **small)
+    report = run_suite(lambdas=(0.25, 1.5), checks={"addition"})
+    assert set(report) == {"addition"} and report["addition"]["passed"]
 
 
 def test_run_suite_nan_residual_fails():
