@@ -22,14 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "GegenbauerIndex",
     "DimensionParams",
     "SeriesConvergenceError",
     "pochhammer",
     "gamma_ratio",
     "eval_recurrence",
     "eval_sequence",
-    "derivative",
     "legendre",
     "assoc_legendre",
     "SERIES_TAIL_TOL",
@@ -59,20 +57,6 @@ class SeriesConvergenceError(RuntimeError):
         super().__init__(message)
         self.terms = terms
         self.tail_estimate = tail_estimate
-
-
-@dataclass(frozen=True)
-class GegenbauerIndex:
-    """Index pair (lam, degree) of the ultraspherical polynomial C_degree^lam."""
-
-    lam: float
-    degree: int
-
-    def __post_init__(self):
-        if not self.lam > -0.5:
-            raise ValueError(f"lam must exceed -1/2, got {self.lam}")
-        if self.degree < 0:
-            raise ValueError(f"degree must be nonnegative, got {self.degree}")
 
 
 @dataclass(frozen=True)
@@ -139,7 +123,11 @@ def pochhammer(lam: float, k: int) -> float:
 
 
 def gamma_ratio(numer, denom) -> float:
-    """prod Gamma(numer) / prod Gamma(denom) via log-Gamma; arguments must be positive."""
+    """prod Gamma(numer) / prod Gamma(denom) via log-Gamma, which drops the sign
+    of Gamma: ValueError names the first argument that is not positive."""
+    bad = [a for a in (*numer, *denom) if not a > 0.0]
+    if bad:
+        raise ValueError(f"gamma_ratio arguments must be positive, got {bad[0]}")
     s = sum(math.lgamma(a) for a in numer) - sum(math.lgamma(b) for b in denom)
     return math.exp(s)
 
@@ -156,12 +144,10 @@ def _value(v):
     return float(v) if np.ndim(v) == 0 else v
 
 
-def eval_recurrence(idx: GegenbauerIndex, x):
-    """C_k^lam(x) by the numerically stable three-term recurrence.
-
-    x may be a scalar (float result) or an ndarray (array result).
-    """
-    return _value(eval_sequence(idx.lam, idx.degree, x)[-1])
+def eval_recurrence(lam: float, k: int, x):
+    """C_k^lam(x), the last row of eval_sequence: a scalar x gives a float,
+    an ndarray an array."""
+    return _value(eval_sequence(lam, k, x)[-1])
 
 
 def eval_sequence(lam, K: int, x) -> np.ndarray:
@@ -200,34 +186,19 @@ def _step(cur, prev, prev2, back, m: int, tmp) -> None:
     cur /= m
 
 
-def derivative(idx: GegenbauerIndex, order: int, x):
-    """m-th derivative of C_k^lam at x: 2^m (lam)_m C_{k-m}^{lam+m}(x); 0 for m > k.
-
-    x may be a scalar (float result) or an ndarray (array result).
-    """
-    if order < 0:
-        raise ValueError(f"derivative order must be nonnegative, got {order}")
-    if order > idx.degree:
-        return _value(np.zeros(np.shape(x)))
-    lam, k = idx.lam, idx.degree
-    scale = (2.0 ** order) * pochhammer(lam, order)
-    return _value(scale * eval_sequence(lam + order, k - order, x)[-1])
-
-
 def legendre(k: int, x):
     """Legendre polynomial P_k(x) = C_k^{1/2}(x); x scalar or ndarray."""
-    return eval_recurrence(GegenbauerIndex(0.5, k), x)
+    return eval_recurrence(0.5, k, x)
 
 
-def assoc_legendre(k: int, j: int, x: float) -> float:
-    """Associated Legendre function (-1)^j (1-x^2)^{j/2} d^j/dx^j P_k(x)."""
+def assoc_legendre(k: int, j: int, x):
+    """Associated Legendre function (-1)^j (1-x^2)^{j/2} d^j/dx^j P_k(x), the
+    derivative being 2^j (1/2)_j C_{k-j}^{1/2+j}(x); x scalar or ndarray."""
     if not 0 <= j <= k:
         raise ValueError(f"need 0 <= j <= k, got j={j}, k={k}")
-    if j == 0:
-        return legendre(k, x)
-    xv = float(_clipped(x))
-    dj = derivative(GegenbauerIndex(0.5, k), j, xv)
-    return ((-1.0) ** j) * (1.0 - xv * xv) ** (j / 2.0) * dj
+    xa = _clipped(x)
+    dj = 2.0 ** j * pochhammer(0.5, j) * eval_sequence(0.5 + j, k - j, xa)[-1]
+    return _value((-1.0) ** j * (1.0 - xa * xa) ** (j / 2.0) * dj)
 
 
 @functools.lru_cache(maxsize=1024)

@@ -59,8 +59,6 @@ __all__ = [
     "addition_theorem_rhs",
     "legendre_addition_rhs",
     "product_formula_check",
-    "kernel_support",
-    "kernel_K",
     "kernel_product_check",
     "weighted_derivative_check",
     "kink_integral_closed",
@@ -240,32 +238,12 @@ def product_formula_check(lam: float, k: int, phi, psi, rule: QuadratureRule):
     return _value(lhs), _value(pref * integrate_values(vals, w))
 
 
-def kernel_support(x: float, y: float) -> tuple[float, float]:
-    """Interval of z where 1 - x^2 - y^2 - z^2 + 2xyz > 0.
-
-    The discriminant is a downward parabola in z with roots
-    x*y -/+ sqrt((1-x^2)(1-y^2)).
-    """
-    w = math.sqrt((1.0 - x * x) * (1.0 - y * y))
-    return x * y - w, x * y + w
-
-
 def _kernel_density(lam: float, x, y, disc):
     """Kernel density at discriminant disc = 1 - x^2 - y^2 - z^2 + 2xyz; zero where disc <= 0."""
     pref = gamma_ratio((lam + 0.5,), (lam, 0.5))
     denom = np.power((1.0 - x * x) * (1.0 - y * y), lam - 0.5)
     safe = np.where(disc > 0.0, disc, 1.0)
     return np.where(disc > 0.0, pref * np.power(safe, lam - 1.0) / denom, 0.0)
-
-
-def kernel_K(params: KernelParams, z):
-    """Product-formula kernel density; zero outside its support.
-
-    Accepts a scalar or ndarray z and returns matching shape.
-    """
-    lam, x, y = params.lam, params.x, params.y
-    za = np.asarray(z, dtype=float)
-    return _value(_kernel_density(lam, x, y, 1.0 - x * x - y * y - za * za + 2.0 * x * y * za))
 
 
 def kernel_product_check(params: KernelParams, k: int, rule: QuadratureRule):

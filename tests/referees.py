@@ -8,13 +8,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from ballgrad.gegenbauer import GegenbauerIndex, _clipped, eval_recurrence, legendre
+from ballgrad.gegenbauer import _clipped, _value, eval_recurrence, eval_sequence, legendre, pochhammer
 from ballgrad.identities import (
     _LAMBDA_DOMAINS,
     _SAMPLE_BLOCK,
     DEFAULT_SUITE_LAMBDAS,
     SUITE_TOLERANCES,
     KernelParams,
+    _kernel_density,
     addition_coefficient,
     addition_theorem_rhs,
     kernel_product_check,
@@ -29,14 +30,13 @@ from ballgrad.identities import (
 from ballgrad.quadrature import DEFAULT_QUAD_ORDER, gauss_legendre
 
 
-def eval_explicit(idx: GegenbauerIndex, x: float) -> float:
+def eval_explicit(lam: float, k: int, x: float) -> float:
     """Finite-sum form of C_k^lam(x), as an independent oracle for the recurrence.
 
     The alternating sum cancels catastrophically in floating point for large
     degree near |x| = 1, so it is accumulated in exact rational arithmetic and
     rounded once at the end.
     """
-    lam, k = idx.lam, idx.degree
     xv = float(_clipped(x))
     lam_q = Fraction(lam)
     two_x = 2 * Fraction(xv)
@@ -48,6 +48,38 @@ def eval_explicit(idx: GegenbauerIndex, x: float) -> float:
         term = poch * two_x ** (k - 2 * j) / (math.factorial(j) * math.factorial(k - 2 * j))
         total += -term if j % 2 else term
     return float(total)
+
+
+def derivative(lam: float, k: int, order: int, x):
+    """order-th derivative of C_k^lam at x, 2^m (lam)_m C_{k-m}^{lam+m}(x) for
+    m = order, 0 for m > k: the identity behind the rows of identities._family,
+    read off eval_sequence. A scalar x gives a float, an ndarray an array."""
+    if order < 0:
+        raise ValueError(f"derivative order must be nonnegative, got {order}")
+    if order > k:
+        return _value(np.zeros(np.shape(x)))
+    scale = (2.0 ** order) * pochhammer(lam, order)
+    return _value(scale * eval_sequence(lam + order, k - order, x)[-1])
+
+
+def kernel_support(x: float, y: float) -> tuple[float, float]:
+    """Interval of z where 1 - x^2 - y^2 - z^2 + 2xyz > 0.
+
+    The discriminant is a downward parabola in z with roots
+    x*y -/+ sqrt((1-x^2)(1-y^2)).
+    """
+    w = math.sqrt((1.0 - x * x) * (1.0 - y * y))
+    return x * y - w, x * y + w
+
+
+def kernel_K(params: KernelParams, z):
+    """Product-formula kernel density at z, zero outside its support: the
+    density that kernel_product_check integrates (identities._kernel_density)
+    at the discriminant 1 - x^2 - y^2 - z^2 + 2xyz. A scalar z gives a float,
+    an ndarray an array."""
+    lam, x, y = params.lam, params.x, params.y
+    za = np.asarray(z, dtype=float)
+    return _value(_kernel_density(lam, x, y, 1.0 - x * x - y * y - za * za + 2.0 * x * y * za))
 
 
 def eval_sequence_longdouble(lam: float, K: int, x) -> np.ndarray:
@@ -164,7 +196,7 @@ def run_suite_reference(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12,
                         lhs = legendre(k, arg)
                         rhs = legendre_addition_rhs(k, theta, phi, psi)
                     else:
-                        lhs = eval_recurrence(GegenbauerIndex(lam, k), arg)
+                        lhs = eval_recurrence(lam, k, arg)
                         rhs = addition_theorem_rhs(lam, k, theta, phi, psi)
                     record(name, residual(lhs, rhs))
 

@@ -9,11 +9,9 @@ from ballgrad.gegenbauer import (
     _COLUMNS,
     SERIES_MAX_TERMS,
     DimensionParams,
-    GegenbauerIndex,
     SeriesConvergenceError,
     _scales,
     assoc_legendre,
-    derivative,
     eval_recurrence,
     eval_sequence,
     gamma_ratio,
@@ -23,7 +21,7 @@ from ballgrad.gegenbauer import (
     pochhammer,
     series_cutoff,
 )
-from referees import eval_explicit, eval_sequence_longdouble, eval_sequence_reference
+from referees import derivative, eval_explicit, eval_sequence_longdouble, eval_sequence_reference
 
 LAMBDAS = (0.5, 1.0, 1.5, 2.0, 3.0)
 XS = (-0.9, -0.5, 0.0, 0.3, 0.7, 0.99)
@@ -44,37 +42,34 @@ def test_pochhammer_overflow():
 
 def test_index_validation():
     with pytest.raises(ValueError):
-        GegenbauerIndex(-0.5, 2)
+        eval_recurrence(1.0, -1, 0.3)
     with pytest.raises(ValueError):
-        GegenbauerIndex(1.0, -1)
-    with pytest.raises(ValueError):
-        eval_recurrence(GegenbauerIndex(1.0, 2), 1.5)
+        eval_recurrence(1.0, 2, 1.5)
 
 
 def test_degree_zero_and_one():
-    assert eval_explicit(GegenbauerIndex(2.7, 0), 0.3) == 1.0
+    assert eval_explicit(2.7, 0, 0.3) == 1.0
     # C_1 = 2*lam*x
-    assert eval_explicit(GegenbauerIndex(1.5, 1), 0.4) == pytest.approx(1.2, abs=1e-15)
-    assert eval_recurrence(GegenbauerIndex(2.0, 1), 0.25) == pytest.approx(1.0, abs=1e-15)
+    assert eval_explicit(1.5, 1, 0.4) == pytest.approx(1.2, abs=1e-15)
+    assert eval_recurrence(2.0, 1, 0.25) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_degree_two_closed_form():
     # expanding the explicit sum at k=2 gives 2*lam*(lam+1)*x^2 - lam,
     # which vanishes for lam=1, x=0.5
-    assert eval_explicit(GegenbauerIndex(1.0, 2), 0.5) == pytest.approx(0.0, abs=1e-15)
+    assert eval_explicit(1.0, 2, 0.5) == pytest.approx(0.0, abs=1e-15)
     for lam in LAMBDAS:
         for x in XS:
             want = 2 * lam * (lam + 1) * x * x - lam
-            assert eval_recurrence(GegenbauerIndex(lam, 2), x) == pytest.approx(want, abs=1e-14)
+            assert eval_recurrence(lam, 2, x) == pytest.approx(want, abs=1e-14)
 
 
 @pytest.mark.parametrize("lam", LAMBDAS)
 def test_recurrence_matches_explicit(lam):
     for k in range(31):
-        idx = GegenbauerIndex(lam, k)
         for x in XS:
-            a = eval_recurrence(idx, x)
-            b = eval_explicit(idx, x)
+            a = eval_recurrence(lam, k, x)
+            b = eval_explicit(lam, k, x)
             assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
 
 
@@ -92,10 +87,9 @@ def test_generating_function(lam, z):
 def test_parity():
     for lam in LAMBDAS:
         for k in (0, 1, 2, 5, 12, 25):
-            idx = GegenbauerIndex(lam, k)
             for x in (0.3, 0.77):
-                assert eval_recurrence(idx, -x) == pytest.approx(
-                    (-1.0) ** k * eval_recurrence(idx, x), rel=1e-12, abs=1e-300)
+                assert eval_recurrence(lam, k, -x) == pytest.approx(
+                    (-1.0) ** k * eval_recurrence(lam, k, x), rel=1e-12, abs=1e-300)
 
 
 def test_endpoint_value():
@@ -103,9 +97,9 @@ def test_endpoint_value():
     for lam in LAMBDAS:
         for k in range(31):
             want = pochhammer(2 * lam, k) / math.factorial(k)
-            got = eval_recurrence(GegenbauerIndex(lam, k), 1.0)
+            got = eval_recurrence(lam, k, 1.0)
             assert abs(got - want) <= 1e-12 * abs(want)
-    assert eval_recurrence(GegenbauerIndex(0.5, 5), 1.0) == pytest.approx(1.0, rel=1e-12)
+    assert eval_recurrence(0.5, 5, 1.0) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_eval_sequence():
@@ -115,7 +109,7 @@ def test_eval_sequence():
     assert np.all(seq[1::2] == 0.0)
     # matches single evaluations
     for k in range(11):
-        assert seq[k] == pytest.approx(eval_recurrence(GegenbauerIndex(2.0, k), 0.0), abs=1e-14)
+        assert seq[k] == pytest.approx(eval_recurrence(2.0, k, 0.0), abs=1e-14)
 
 
 def test_eval_sequence_array():
@@ -125,7 +119,7 @@ def test_eval_sequence_array():
     for j, x in enumerate(xs):
         for k in range(9):
             assert seq[k, j] == pytest.approx(
-                eval_recurrence(GegenbauerIndex(1.5, k), float(x)), abs=1e-13)
+                eval_recurrence(1.5, k, float(x)), abs=1e-13)
 
 
 def _recurrence_loop(lam, k, x):
@@ -145,18 +139,17 @@ def _recurrence_loop(lam, k, x):
 @pytest.mark.parametrize("k", (0, 1, 2, 12, 40))
 def test_single_degree_evaluators_bit_identical(lam, k):
     xs = np.linspace(-1.0, 1.0, 11)
-    idx = GegenbauerIndex(lam, k)
     want = _recurrence_loop(lam, k, xs)
-    assert np.array_equal(eval_recurrence(idx, xs), want)
-    assert [eval_recurrence(idx, float(x)) for x in xs] == want.tolist()
+    assert np.array_equal(eval_recurrence(lam, k, xs), want)
+    assert [eval_recurrence(lam, k, float(x)) for x in xs] == want.tolist()
     if lam == 0.5:
         assert np.array_equal(legendre(k, xs), want)
         assert [legendre(k, float(x)) for x in xs] == want.tolist()
     if k >= 1:
         dwant = 2.0 * lam * _recurrence_loop(lam + 1.0, k - 1, xs)
-        assert np.array_equal(derivative(idx, 1, xs), dwant)
-        assert [derivative(idx, 1, float(x)) for x in xs] == dwant.tolist()
-    assert type(eval_recurrence(idx, 0.3)) is float
+        assert np.array_equal(derivative(lam, k, 1, xs), dwant)
+        assert [derivative(lam, k, 1, float(x)) for x in xs] == dwant.tolist()
+    assert type(eval_recurrence(lam, k, 0.3)) is float
 
 
 def test_eval_sequence_broadcasts_lam():
@@ -179,24 +172,22 @@ def test_eval_sequence_in_place_equals_expression(K):
 
 
 def test_derivative_trivial():
-    idx = GegenbauerIndex(1.0, 3)
-    assert derivative(idx, 0, 0.2) == pytest.approx(eval_recurrence(idx, 0.2), abs=1e-15)
-    assert derivative(GegenbauerIndex(1.0, 1), 1, 0.77) == pytest.approx(2.0, abs=1e-15)
-    assert derivative(GegenbauerIndex(1.5, 2), 3, 0.1) == 0.0
+    assert derivative(1.0, 3, 0, 0.2) == pytest.approx(eval_recurrence(1.0, 3, 0.2), abs=1e-15)
+    assert derivative(1.0, 1, 1, 0.77) == pytest.approx(2.0, abs=1e-15)
+    assert derivative(1.5, 2, 3, 0.1) == 0.0
     with pytest.raises(ValueError):
-        derivative(idx, -1, 0.0)
+        derivative(1.0, 3, -1, 0.0)
 
 
 @pytest.mark.parametrize("lam", LAMBDAS)
 @pytest.mark.parametrize("k", (0, 1, 5))
 def test_derivative_order_zero_is_the_polynomial(lam, k):
     # order 0 scales the recurrence by exactly 2^0 (lam)_0 = 1.0
-    idx = GegenbauerIndex(lam, k)
     for x in XS:
-        got = derivative(idx, 0, x)
-        assert type(got) is float and got == eval_recurrence(idx, x)
+        got = derivative(lam, k, 0, x)
+        assert type(got) is float and got == eval_recurrence(lam, k, x)
     xs = np.array(XS)
-    assert np.array_equal(derivative(idx, 0, xs), eval_recurrence(idx, xs))
+    assert np.array_equal(derivative(lam, k, 0, xs), eval_recurrence(lam, k, xs))
 
 
 def _fd_derivative(f, x, h):
@@ -208,18 +199,16 @@ def test_derivative_first_order_vs_fd():
     h = 1e-5
     for lam in (0.5, 1.5, 2.0):
         for k in (1, 4, 9, 15):
-            idx = GegenbauerIndex(lam, k)
             for x in (-0.6, 0.0, 0.45):
-                fd = _fd_derivative(lambda u: eval_explicit(idx, u), x, h)
-                assert abs(derivative(idx, 1, x) - fd) <= 1e-6
+                fd = _fd_derivative(lambda u: eval_explicit(lam, k, u), x, h)
+                assert abs(derivative(lam, k, 1, x) - fd) <= 1e-6
 
 
 def test_derivative_second_order_vs_fd():
-    idx = GegenbauerIndex(1.5, 4)
     h = 1e-4
-    f = lambda u: eval_explicit(idx, u)
+    f = lambda u: eval_explicit(1.5, 4, u)
     fd = (f(0.3 + h) - 2 * f(0.3) + f(0.3 - h)) / (h * h)
-    assert abs(derivative(idx, 2, 0.3) - fd) <= 1e-6
+    assert abs(derivative(1.5, 4, 2, 0.3) - fd) <= 1e-6
 
 
 def test_legendre_values():
@@ -231,6 +220,22 @@ def test_legendre_values():
     assert assoc_legendre(1, 1, 0.6) == pytest.approx(-0.8, abs=1e-15)
     with pytest.raises(ValueError):
         assoc_legendre(2, 3, 0.1)
+
+
+def test_assoc_legendre_takes_arrays():
+    # one path for scalar and array x: P_k^0 = P_k bit for bit, the array
+    # equals the per-element calls to rounding (numpy's array power against the
+    # C library's pow), and P_2^1 = -3x sqrt(1-x^2), P_2^2 = 3(1-x^2)
+    xs = np.linspace(-1.0, 1.0, 37)
+    for k in range(8):
+        assert np.array_equal(assoc_legendre(k, 0, xs), legendre(k, xs))
+        for j in range(k + 1):
+            got = assoc_legendre(k, j, xs)
+            assert got.shape == xs.shape
+            assert got == pytest.approx([assoc_legendre(k, j, float(x)) for x in xs],
+                                        rel=1e-14, abs=1e-300)
+    assert assoc_legendre(2, 1, xs) == pytest.approx(-3 * xs * np.sqrt(1 - xs * xs), abs=1e-14)
+    assert assoc_legendre(2, 2, xs) == pytest.approx(3 * (1 - xs * xs), abs=1e-14)
 
 
 def test_dimension_params():
@@ -261,6 +266,21 @@ def test_c_n_matches_mpmath(n):
 def test_gamma_ratio():
     # Gamma(5)/Gamma(3) = 24/2
     assert gamma_ratio((5.0,), (3.0,)) == pytest.approx(12.0, rel=1e-14)
+    # the argument check adds no arithmetic: the log-Gamma sum, bit for bit
+    for numer, denom in [((5.0,), (3.0,)), ((0.5, 2.0), (1.5,)), ((3.5,), (0.5, 3.0)),
+                         ((1e-300,), (2.5,)), ((170.5,), (0.25, 100.5)), ((0.75, 1.25), (1e-3, 2.5))]:
+        want = math.exp(sum(math.lgamma(a) for a in numer) - sum(math.lgamma(b) for b in denom))
+        assert gamma_ratio(numer, denom) == want
+
+
+@pytest.mark.parametrize("numer, denom, bad", [
+    ((0.5, 0.25), (-0.25,), "-0.25"), ((0.0,), (1.0,), "0.0"),
+    ((1.0,), (2.0, -1.5), "-1.5"), ((math.nan,), (1.0,), "nan"),
+])
+def test_gamma_ratio_rejects_nonpositive_arguments(numer, denom, bad):
+    # lgamma is log|Gamma|: a negative argument would lose the sign of Gamma
+    with pytest.raises(ValueError, match=f"must be positive, got {bad}$"):
+        gamma_ratio(numer, denom)
 
 
 def test_series_cutoff():

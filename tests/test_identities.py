@@ -3,16 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from ballgrad.gegenbauer import GegenbauerIndex, eval_recurrence, legendre, pochhammer
+from ballgrad.gegenbauer import eval_recurrence, legendre, pochhammer
 from ballgrad.identities import (
     DEFAULT_SUITE_LAMBDAS,
     SUITE_TOLERANCES,
     KernelParams,
     addition_coefficient,
     addition_theorem_rhs,
-    kernel_K,
     kernel_product_check,
-    kernel_support,
     kink_integral_brute,
     kink_integral_closed,
     legendre_addition_rhs,
@@ -23,7 +21,7 @@ from ballgrad.identities import (
     weighted_derivative_check,
 )
 from ballgrad.quadrature import gauss_legendre
-from referees import addition_rhs_reference, run_suite_reference
+from referees import addition_rhs_reference, kernel_K, kernel_support, run_suite_reference
 
 LAMBDAS = (0.5, 1.0, 1.5, 2.5)
 
@@ -61,6 +59,10 @@ def test_orthogonality_k0_analytic(rule):
 def test_orthogonality_domain(rule):
     with pytest.raises(ValueError):
         orthogonality_integral(0.0, 1, 1, rule)
+    # Gamma(-1/4) < 0, a sign that log|Gamma| drops: the norm of C_2^(-1/4) is
+    # +0.0936449 (mpmath, closed form and quad), and the log-Gamma ratio read -0.0936449
+    with pytest.raises(ValueError, match="must be positive, got -0.25"):
+        orthogonality_closed_form(-0.25, 2)
 
 
 # -- addition theorems -------------------------------------------------------
@@ -86,7 +88,7 @@ def test_addition_theorem_random():
         for k in range(13):
             for theta, phi, psi in rng.uniform(0.05, math.pi - 0.05, size=(20, 3)):
                 arg = math.cos(theta) * math.cos(phi) + math.sin(theta) * math.sin(phi) * math.cos(psi)
-                lhs = eval_recurrence(GegenbauerIndex(lam, k), arg)
+                lhs = eval_recurrence(lam, k, arg)
                 rhs = addition_theorem_rhs(lam, k, theta, phi, psi)
                 assert _residual(lhs, rhs) <= 1e-9
 
@@ -95,7 +97,7 @@ def test_addition_theorem_trivial_cases():
     assert addition_theorem_rhs(1.5, 0, 0.3, 1.2, 2.2) == pytest.approx(1.0, rel=1e-13)
     # theta = 0 collapses the argument to cos(phi)
     got = addition_theorem_rhs(2.5, 5, 0.0, 1.1, 0.7)
-    want = eval_recurrence(GegenbauerIndex(2.5, 5), math.cos(1.1))
+    want = eval_recurrence(2.5, 5, math.cos(1.1))
     assert got == pytest.approx(want, rel=1e-12)
 
 
