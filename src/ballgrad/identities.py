@@ -2,28 +2,28 @@
 the addition and product theorems, the product-formula kernel, the weighted
 derivative identity, and the kink integral with its closed form.
 
-Every check takes its sampled arguments (angles, points, degrees of an inner
-product) as scalars or ndarrays: a scalar gives a float, an array gives an
-array of its shape. An array runs as one stacked recurrence (eval_sequence,
-whose lam broadcasts) and, for integrals, one batch of quadrature rows with
-the non-finite check of the scalar path. The addition theorems, the
-weighted derivative and the closed kink form also take one degree per
-sample, reading each sample's degree from its own row of one recurrence
-table; run_suite calls them with every degree of one lam at once. Either
-way a sample's value equals the scalar call bit for bit. For that,
-fractional powers of sampled values are taken with np.power: `**` on a
-numpy scalar calls the C library's pow, which can round differently from
-numpy's array loop.
+Every check takes plain arguments, checks its domain before any work, and
+takes its sampled ones (angles, points, degrees of an inner product) as
+scalars or ndarrays: a scalar gives a float, an array an array of its shape.
+An array runs as one stacked recurrence (eval_sequence, whose lam
+broadcasts) and, for integrals, one batch of quadrature rows with the
+non-finite check of the scalar path. The addition theorems, the weighted
+derivative and the closed kink form also take one degree per sample, reading
+each sample's degree from its own row of one recurrence table; run_suite
+calls them with every degree of one lam at once. Either way a sample's value
+equals the scalar call bit for bit. For that, fractional powers of sampled
+values are taken with np.power: `**` on a numpy scalar calls the C library's
+pow, which can round differently from numpy's array loop.
 
 All weighted integrals on [-1, 1] run in x = cos(theta), where the weight
 (1-x^2)^(lam-1/2) is (sin theta)^(2 lam): analytic on [0, pi] only where 2 lam
-is an integer, so run_suite refuses the quadrature checks at any other lam.
+is an integer; at lam = 0, C_k^0 vanishes for k >= 1 in this normalisation.
+So run_suite refuses the quadrature checks unless 2 lam is a positive integer.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +52,6 @@ from .quadrature import (  # noqa: F401
 )
 
 __all__ = [
-    "KernelParams",
     "addition_coefficient",
     "orthogonality_integral",
     "orthogonality_closed_form",
@@ -128,24 +127,6 @@ def _legendre_coefficient(k: int, j: int) -> float:
     return ((1.0 if j == 0 else 2.0)
             * math.exp(math.lgamma(k - j + 1.0) - math.lgamma(k + j + 1.0))
             * ((2.0 ** j) * pochhammer(0.5, j)) ** 2)
-
-
-@dataclass(frozen=True)
-class KernelParams:
-    """Arguments (lam, x, y) of the product-formula kernel; lam > 0 required.
-
-    x and y may be arrays of sample points that broadcast against each other.
-    """
-
-    lam: float
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        _inside(self.x, 1.0, "x and y must lie in (-1, 1)")
-        _inside(self.y, 1.0, "x and y must lie in (-1, 1)")
 
 
 def addition_coefficient(lam: float, k: int, j: int) -> float:
@@ -246,19 +227,20 @@ def _kernel_density(lam: float, x, y, disc):
     return np.where(disc > 0.0, pref * np.power(safe, lam - 1.0) / denom, 0.0)
 
 
-def kernel_product_check(params: KernelParams, k: int, rule: QuadratureRule):
-    """(C_k(x)C_k(y), ((2 lam)_k/k!) * integral of C_k(z) K(x,y,z) dz).
+def kernel_product_check(lam: float, k: int, x, y, rule: QuadratureRule):
+    """(C_k(x)C_k(y), ((2 lam)_k/k!) * integral of C_k(z) K(x,y,z) dz), lam > 0.
 
     The z-integral runs over the analytic support interval through the
     substitution z = xy + w cos(theta), w = sqrt((1-x^2)(1-y^2)), whose
     Jacobian tames the (lam-1)-power endpoint behavior of the kernel for
     every lam. On it the discriminant is exactly (w sin(theta))^2; computing
-    it from z instead cancels near the ends of the support. params.x and
-    params.y may be arrays of points, one quadrature row each.
+    it from z instead cancels near the ends of the support. x and y may be
+    arrays of points in (-1, 1) that broadcast, one quadrature row each.
     """
-    lam = params.lam
-    x, y = np.broadcast_arrays(np.asarray(params.x, dtype=float),
-                               np.asarray(params.y, dtype=float))
+    if not lam > 0:
+        raise ValueError(f"product formula needs lam > 0, got {lam}")
+    x, y = np.broadcast_arrays(_inside(x, 1.0, "x and y must lie in (-1, 1)"),
+                               _inside(y, 1.0, "x and y must lie in (-1, 1)"))
     lhs = _gegenbauer(lam, k, x) * _gegenbauer(lam, k, y)
     theta, wq = composite_nodes(0.0, math.pi, rule)
     xs, ys = x[..., None], y[..., None]
@@ -361,7 +343,7 @@ _LAMBDA_DOMAINS = {
 # identity starts at degree 2, kernel-product samples degrees 1, 4, 7, ...,
 # and the first off-diagonal orthogonality pair is (0, 3)
 _DEGREE_MINIMA = {"kernel-product": 1, "kink": 2, "orthogonality-offdiag": 3}
-# the checks that integrate sin^(2 lam) or sin^(2 lam - 1): all but the three recurrence-only ones
+# the checks that integrate sin^(2 lam) or sin^(2 lam - 1): they need 2 lam a positive integer
 _QUADRATURE_CHECKS = set(SUITE_TOLERANCES) - {"addition", "legendre-addition", "weighted-derivative"}
 
 
@@ -391,17 +373,18 @@ def run_suite(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12, samples: int 
     (0 for the others); "addition" runs the Legendre route when no lam > 1/2.
     Raises ValueError for an unknown check, max_degree < 0, samples < 1, a
     lam <= -1/2 or not finite, when no wanted check applies, or when one of
-    _QUADRATURE_CHECKS would run at a lam with 2 lam not an integer. "addition",
-    "legendre-addition", "weighted-derivative" and the closed side of "kink"
-    call their public check with every degree of one lam at once: the samples
-    of all degrees are drawn in one call, in the order of one draw per
-    degree, and each (degree, sample) row reads its own degree from one
-    recurrence table, in blocks of _SAMPLE_BLOCK rows (fewer for the addition
-    family, by _FAMILY_CELLS). The other checks, and the quadrature side of
-    "kink", run one call per (lam, degree) per block of _SAMPLE_BLOCK
-    samples. Every residual equals that of a call of the public check
-    function at its one degree, bit for bit. A non-finite residual records
-    max_residual nan and fails its check.
+    _QUADRATURE_CHECKS would run at a lam with 2 lam not a positive integer,
+    all before any check runs. "addition", "legendre-addition",
+    "weighted-derivative" and the closed side of "kink" call their public
+    check with every degree of one lam at once: the samples of all degrees
+    are drawn in one call, in the order of one draw per degree, and each
+    (degree, sample) row reads its own degree from one recurrence table, in
+    blocks of _SAMPLE_BLOCK rows (fewer for the addition family, by
+    _FAMILY_CELLS). The other checks, and the quadrature side of "kink", run
+    one call per (lam, degree) per block of _SAMPLE_BLOCK samples. Every
+    residual equals that of a call of the public check function at its one
+    degree, bit for bit. A non-finite residual records max_residual nan and
+    fails its check.
     """
     rule = rule or gauss_legendre(DEFAULT_QUAD_ORDER)
     rng = np.random.default_rng(seed)
@@ -429,9 +412,9 @@ def run_suite(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12, samples: int 
         raise ValueError(f"no identity check applies to lambdas {list(lambdas)} "
                          f"at max degree {max_degree}" + (f" ({rules})" if rules else ""))
     wanted -= left_out
-    off_grid = [lam for lam in lambdas if (2.0 * lam) % 1.0]
+    off_grid = [lam for lam in lambdas if not lam > 0 or (2.0 * lam) % 1.0]
     if off_grid and wanted & _QUADRATURE_CHECKS:
-        raise ValueError(f"2*lambda must be an integer for "
+        raise ValueError(f"2*lambda must be a positive integer for "
                          f"{', '.join(sorted(wanted & _QUADRATURE_CHECKS))}, got {off_grid[0]}")
     worst = {name: (0.0, 0) for name in wanted}
 
@@ -486,13 +469,12 @@ def run_suite(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12, samples: int 
         for lam in lambdas:
             points = rng.uniform(-0.95, 0.95, size=(samples, 2))
             for x, y in _blocks(_SAMPLE_BLOCK, *points.T):
-                params = KernelParams(lam, x, y)
                 if "kernel-mass" in wanted:
-                    _, mass = kernel_product_check(params, 0, rule)
+                    _, mass = kernel_product_check(lam, 0, x, y, rule)
                     record("kernel-mass", np.abs(mass - 1.0))
                 if "kernel-product" in wanted:
                     for k in range(1, max_degree + 1, 3):
-                        record("kernel-product", _residual(*kernel_product_check(params, k, rule)))
+                        record("kernel-product", _residual(*kernel_product_check(lam, k, x, y, rule)))
 
     if "kink" in wanted:
         kinks = rows[2 * samples:]

@@ -14,7 +14,6 @@ from ballgrad.identities import (
     _SAMPLE_BLOCK,
     DEFAULT_SUITE_LAMBDAS,
     SUITE_TOLERANCES,
-    KernelParams,
     _kernel_density,
     addition_coefficient,
     addition_theorem_rhs,
@@ -72,12 +71,11 @@ def kernel_support(x: float, y: float) -> tuple[float, float]:
     return x * y - w, x * y + w
 
 
-def kernel_K(params: KernelParams, z):
+def kernel_K(lam: float, x, y, z):
     """Product-formula kernel density at z, zero outside its support: the
     density that kernel_product_check integrates (identities._kernel_density)
     at the discriminant 1 - x^2 - y^2 - z^2 + 2xyz. A scalar z gives a float,
     an ndarray an array."""
-    lam, x, y = params.lam, params.x, params.y
     za = np.asarray(z, dtype=float)
     return _value(_kernel_density(lam, x, y, 1.0 - x * x - y * y - za * za + 2.0 * x * y * za))
 
@@ -211,13 +209,12 @@ def run_suite_reference(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12,
         for lam in lambdas:
             points = rng.uniform(-0.95, 0.95, size=(samples, 2))
             for x, y in blocks(points):
-                params = KernelParams(lam, x, y)
                 if "kernel-mass" in wanted:
-                    _, mass = kernel_product_check(params, 0, rule)
+                    _, mass = kernel_product_check(lam, 0, x, y, rule)
                     record("kernel-mass", np.abs(mass - 1.0))
                 if "kernel-product" in wanted:
                     for k in range(1, max_degree + 1, 3):
-                        record("kernel-product", residual(*kernel_product_check(params, k, rule)))
+                        record("kernel-product", residual(*kernel_product_check(lam, k, x, y, rule)))
 
     if "kink" in wanted:
         for lam in lambdas:

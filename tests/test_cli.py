@@ -160,11 +160,12 @@ def test_identities_lambda_half_addition_routed(capsys):
     ["--samples", "0"],
     ["--samples", "-1"],
     ["--lambda", "0", "--samples", "2", "--degree-max", "4"],
+    ["--lambda", "1.5,0"],
     ["--lambda", "-0.3", "--samples", "2", "--degree-max", "4"],
     ["--lambda", "inf", "--samples", "2", "--degree-max", "4"],
     ["--lambda", "0.25"],
 ], ids=["degree-max-negative", "samples-zero", "samples-negative",
-        "lambda-zero", "lambda-negative", "lambda-inf", "lambda-off-grid"])
+        "lambda-zero", "lambda-zero-after-valid", "lambda-negative", "lambda-inf", "lambda-off-grid"])
 def test_identities_rejects_empty_or_out_of_domain_grid(capsys, flags):
     code, out, err = _run(capsys, ["identities", *flags])
     assert code == 2
@@ -173,10 +174,13 @@ def test_identities_rejects_empty_or_out_of_domain_grid(capsys, flags):
 
 
 def test_identities_lambda_zero_kink(capsys):
-    # the kink integral is defined at lambda = 0, unlike the suite's other checks
-    code, out, _ = _run(capsys, ["identities", "--lambda", "0", "--check", "kink"])
-    assert code == 0
-    assert out.strip().splitlines()[1].endswith("pass")
+    # C_k^0 vanishes for k >= 1 and so does the closed form's 8 lam (lam + 1):
+    # the kink check would compare zeros, so lambda = 0 is refused as for the
+    # other quadrature checks
+    code, out, err = _run(capsys, ["identities", "--lambda", "0", "--check", "kink"])
+    assert code == 2
+    assert out == ""
+    assert err == "ballgrad: error: 2*lambda must be a positive integer for kink, got 0.0\n"
 
 
 def test_identities_json(capsys):

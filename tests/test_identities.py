@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from ballgrad import identities
 from ballgrad.gegenbauer import eval_recurrence, legendre, pochhammer
 from ballgrad.identities import (
     DEFAULT_SUITE_LAMBDAS,
     SUITE_TOLERANCES,
-    KernelParams,
     addition_coefficient,
     addition_theorem_rhs,
     kernel_product_check,
@@ -150,23 +150,25 @@ def test_product_formula_trivial(rule):
 
 def test_kernel_value():
     # at lam=1, x=y=0 the density is Gamma(3/2)/(Gamma(1)Gamma(1/2)) = 1/2
-    assert kernel_K(KernelParams(1.0, 0.0, 0.0), 0.5) == pytest.approx(0.5, rel=1e-13)
+    assert kernel_K(1.0, 0.0, 0.0, 0.5) == pytest.approx(0.5, rel=1e-13)
 
 
 def test_kernel_outside_support():
-    params = KernelParams(1.5, 0.9, -0.9)
     lo, hi = kernel_support(0.9, -0.9)
-    assert kernel_K(params, hi + 1e-6) == 0.0
-    assert kernel_K(params, lo - 1e-6) == 0.0
+    assert kernel_K(1.5, 0.9, -0.9, hi + 1e-6) == 0.0
+    assert kernel_K(1.5, 0.9, -0.9, lo - 1e-6) == 0.0
     z = np.linspace(-0.99, 0.99, 101)
-    assert np.all(kernel_K(params, z) >= 0.0)
+    assert np.all(kernel_K(1.5, 0.9, -0.9, z) >= 0.0)
 
 
-def test_kernel_params_domain():
-    with pytest.raises(ValueError):
-        KernelParams(0.0, 0.1, 0.2)
-    with pytest.raises(ValueError):
-        KernelParams(1.0, 1.0, 0.2)
+def test_kernel_product_domain(rule):
+    # lam first, then x, then y; an array names its first bad element
+    with pytest.raises(ValueError, match=r"^product formula needs lam > 0, got 0.0$"):
+        kernel_product_check(0.0, 0, 1.0, 0.2, rule)
+    with pytest.raises(ValueError, match=r"^x and y must lie in \(-1, 1\), got 1.0$"):
+        kernel_product_check(1.0, 0, 1.0, np.nan, rule)
+    with pytest.raises(ValueError, match=r"^x and y must lie in \(-1, 1\), got 1.0$"):
+        kernel_product_check(1.0, 0, 0.1, np.array([0.1, 1.0, -1.5]), rule)
 
 
 def test_kernel_support_interval():
@@ -180,25 +182,25 @@ def test_kernel_unit_mass(rule):
     rng = np.random.default_rng(5)
     for lam in LAMBDAS:
         for x, y in rng.uniform(-0.9, 0.9, size=(5, 2)):
-            _, mass = kernel_product_check(KernelParams(lam, x, y), 0, rule)
+            _, mass = kernel_product_check(lam, 0, x, y, rule)
             assert abs(mass - 1.0) <= 1e-10
 
 
 def test_kernel_product_formula(rule):
-    lhs, rhs = kernel_product_check(KernelParams(1.5, 0.3, -0.6), 4, rule)
+    lhs, rhs = kernel_product_check(1.5, 4, 0.3, -0.6, rule)
     assert _residual(lhs, rhs) <= 1e-9
     rng = np.random.default_rng(13)
     for lam in LAMBDAS:
         for k in range(13):
             x, y = rng.uniform(-0.9, 0.9, size=2)
-            lhs, rhs = kernel_product_check(KernelParams(lam, x, y), k, rule)
+            lhs, rhs = kernel_product_check(lam, k, x, y, rule)
             assert _residual(lhs, rhs) <= 1e-9
 
 
 def test_kernel_product_parity(rule):
     # x = y = 0: even kernel, odd polynomial integrates to zero
     for k in (1, 3, 7):
-        lhs, rhs = kernel_product_check(KernelParams(1.5, 0.0, 0.0), k, rule)
+        lhs, rhs = kernel_product_check(1.5, k, 0.0, 0.0, rule)
         assert lhs == 0.0
         assert abs(rhs) <= 1e-13
 
@@ -321,9 +323,9 @@ def test_checks_on_arrays_equal_scalar_calls(rule):
         lhs, rhs = product_formula_check(lam, k, phi, psi, rule)
         assert list(zip(lhs, rhs)) == _each(
             lambda a, b: product_formula_check(lam, k, a, b, rule), phi, psi)
-        lhs, rhs = kernel_product_check(KernelParams(lam, x, y), k, rule)
+        lhs, rhs = kernel_product_check(lam, k, x, y, rule)
         assert list(zip(lhs, rhs)) == _each(
-            lambda a, b: kernel_product_check(KernelParams(lam, a, b), k, rule), x, y)
+            lambda a, b: kernel_product_check(lam, k, a, b, rule), x, y)
         lhs, rhs = weighted_derivative_check(lam, k, x)
         assert list(zip(lhs, rhs)) == _each(lambda a: weighted_derivative_check(lam, k, a), x)
         if k >= 2:
@@ -331,10 +333,9 @@ def test_checks_on_arrays_equal_scalar_calls(rule):
                 lambda a: kink_integral_closed(lam, k, a), s)
         assert kink_integral_brute(lam, k, s, rule).tolist() == _each(
             lambda a: kink_integral_brute(lam, k, a, rule), s)
-    params = KernelParams(2.5, x[:, None], y[:, None])
     z = np.linspace(-0.99, 0.99, 7)
-    assert kernel_K(params, z).tolist() == [
-        [kernel_K(KernelParams(2.5, float(a), float(b)), float(c)) for c in z] for a, b in zip(x, y)]
+    assert kernel_K(2.5, x[:, None], y[:, None], z).tolist() == [
+        [kernel_K(2.5, float(a), float(b), float(c)) for c in z] for a, b in zip(x, y)]
     ks, ls = np.array([0, 2, 4, 5]), np.array([0, 5, 4, 11])
     assert orthogonality_integral(2.5, ks, ls, rule).tolist() == _each(
         lambda a, b: orthogonality_integral(2.5, int(a), int(b), rule), ks, ls)
@@ -345,8 +346,8 @@ def test_checks_on_scalars_return_floats(rule):
         addition_theorem_rhs(1.5, 4, 0.3, 1.2, 2.2),
         legendre_addition_rhs(4, 0.3, 1.2, 2.2),
         *product_formula_check(1.5, 4, 1.2, 2.2, rule),
-        *kernel_product_check(KernelParams(1.5, 0.3, -0.6), 4, rule),
-        kernel_K(KernelParams(1.5, 0.3, -0.6), 0.1),
+        *kernel_product_check(1.5, 4, 0.3, -0.6, rule),
+        kernel_K(1.5, 0.3, -0.6, 0.1),
         *weighted_derivative_check(2.5, 4, 0.3),
         kink_integral_closed(1.5, 4, 0.3),
         kink_integral_brute(1.5, 4, 0.3, rule),
@@ -363,7 +364,7 @@ def test_checks_on_arrays_reject_any_bad_element(rule):
     with pytest.raises(ValueError):
         legendre_addition_rhs(3, good, good, bad + math.pi)
     with pytest.raises(ValueError):
-        KernelParams(1.5, good, np.array([0.1, 1.0, 0.2, 0.3]))
+        kernel_product_check(1.5, 3, good, np.array([0.1, 1.0, 0.2, 0.3]), rule)
     with pytest.raises(ValueError):
         weighted_derivative_check(2.5, 3, np.array([0.2, 1.0 - 1e-5]))
     with pytest.raises(ValueError):
@@ -396,9 +397,9 @@ def test_kernel_product_passes_every_seed():
 def test_kernel_product_near_support_edge_converges():
     # seed 3, lam 1/2, k 7: missed by 1.6e-10 at N=64 growing to 1.6e-8 at
     # N=512 while the discriminant was recomputed from z
-    params = KernelParams(0.5, -0.9471688413332112, 0.8995745220561842)
     for order in (64, 128, 256, 512):
-        lhs, rhs = kernel_product_check(params, 7, gauss_legendre(order))
+        lhs, rhs = kernel_product_check(0.5, 7, -0.9471688413332112, 0.8995745220561842,
+                                        gauss_legendre(order))
         assert _residual(lhs, rhs) < 1e-12
 
 
@@ -423,12 +424,27 @@ def test_run_suite_lambda_domains(rule):
     # reads residuals near 1e-1; the recurrence-only checks take any lambda
     with pytest.raises(ValueError) as info:
         run_suite(lambdas=(1.5, 0.25, 2.2), **small)
-    assert str(info.value) == ("2*lambda must be an integer for kernel-mass, kernel-product, "
-                               "kink, orthogonality-diag, orthogonality-offdiag, product, got 0.25")
+    assert str(info.value) == ("2*lambda must be a positive integer for kernel-mass, "
+                               "kernel-product, kink, orthogonality-diag, orthogonality-offdiag, "
+                               "product, got 0.25")
     with pytest.raises(ValueError, match="integer for product, got 2.2"):
         run_suite(lambdas=(2.2,), checks={"product"}, **small)
     report = run_suite(lambdas=(0.25, 1.5), checks={"addition"})
     assert set(report) == {"addition"} and report["addition"]["passed"]
+
+
+def test_run_suite_refuses_lambda_zero_before_any_check(monkeypatch):
+    # at lambda = 0 the orthogonality, product and kernel checks raise their own
+    # errors; the suite refuses it first, before the checks at lambda = 1.5 run
+    def unreached(*args):
+        raise AssertionError("a check ran before the lambda rule")
+    for name in ("orthogonality_integral", "product_formula_check", "kernel_product_check",
+                 "kink_integral_brute", "addition_theorem_rhs", "weighted_derivative_check"):
+        monkeypatch.setattr(identities, name, unreached)
+    with pytest.raises(ValueError, match=r"^2\*lambda must be a positive integer for "
+                       r"kernel-mass, kernel-product, kink, orthogonality-diag, "
+                       r"orthogonality-offdiag, product, got 0.0$"):
+        run_suite(lambdas=(1.5, 0.0))
 
 
 def test_run_suite_nan_residual_fails():
