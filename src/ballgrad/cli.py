@@ -6,9 +6,8 @@ Subcommands:
     identities  -- residual suite for the polynomial identities
 
 Exit codes: 0 all checks passed, 1 a certificate or tolerance failed,
-2 usage error (one line). Each flag is declared once, by _flag; when it is
-absent, its BALLGRAD_<FLAG> variable (upper-cased, dashes to underscores:
---lambda reads BALLGRAD_LAMBDA) is parsed by the flag's own type.
+2 usage error (one line). The command line is the only input: the
+environment sets no flag, so the output depends on the arguments alone.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import functools
 import io
 import json
 import math
-import os
 import re
 import sys
 from dataclasses import asdict
@@ -44,7 +42,6 @@ from .quadrature import gauss_legendre
 
 __all__ = ["main", "console_entry"]
 
-ENV_PREFIX = "BALLGRAD_"
 # most angles a 'step:<angle>' grid may ask for
 MAX_ANGLES = 100_000
 
@@ -53,37 +50,11 @@ class UsageError(Exception):
     pass
 
 
-class _EnvText(str):
-    """The text of a flag's BALLGRAD_<FLAG> variable (named by .name), used as its default."""
-
-
 class _Parser(argparse.ArgumentParser):
-    """argparse with one-line usage errors; a BALLGRAD_<FLAG> default that fails
-    its flag's type or choices (checked only when the flag is absent) names it."""
+    """argparse whose usage errors raise UsageError, printed by main as one line."""
 
     def error(self, message):
         raise UsageError(message)
-
-    def _get_value(self, action, text):
-        try:
-            value = super()._get_value(action, text)
-            if isinstance(text, _EnvText):  # argparse checks choices only on the command line
-                self._check_value(action, value)
-            return value
-        except (argparse.ArgumentError, UsageError) as exc:
-            if not isinstance(text, _EnvText):
-                raise
-            raise UsageError(f"bad environment value {text.name}={str(text)!r}: {exc}") from None
-
-
-def _flag(parser, flag: str, help: str, type=str, default=None, **kwargs):
-    """Add --flag; BALLGRAD_<FLAG> (upper-cased, dashes to underscores), when
-    set, replaces its default and makes it optional."""
-    name = ENV_PREFIX + flag[2:].replace("-", "_").upper()
-    if name in os.environ:
-        default, kwargs["required"] = _EnvText(os.environ[name]), False
-        default.name = name
-    parser.add_argument(flag, type=type, help=help, default=default, **kwargs)
 
 
 def _parse_angle(text: str) -> float:
@@ -99,8 +70,9 @@ def _parse_angle(text: str) -> float:
 
 
 def _alphas(spec: str):
-    """Comma list of angles in [0, pi], or 'step:<angle>' for a uniform grid on [0, pi],
-    exactly symmetric about pi/2: upper half (i/count)*pi, lower half pi - its mirror."""
+    """Comma list of angles in [0, pi], or 'step:<angle>' for the grid of count = pi/step
+    steps on [0, pi] (refused unless pi/step is an integer to within rounding), exactly
+    symmetric about pi/2: upper half (i/count)*pi, lower half pi - its mirror."""
     if spec.startswith("step:"):
         step = _parse_angle(spec[len("step:"):])
         if not 0.0 < step <= math.pi:
@@ -108,6 +80,8 @@ def _alphas(spec: str):
         if math.pi / step > MAX_ANGLES - 1:  # before round(), which has no int for inf
             raise UsageError(f"alpha step {spec!r} gives more than {MAX_ANGLES} angles")
         count = int(round(math.pi / step))
+        if abs(math.pi / step - count) > 1e-9 * count:
+            raise UsageError(f"alpha step {spec!r} does not divide pi")
         upper = [i / count * math.pi for i in range((count + 1) // 2, count + 1)]
         return [math.pi - a for a in upper[::-1][:(count + 1) // 2]] + upper
     alphas = [_parse_angle(tok) for tok in spec.split(",") if tok.strip()]
@@ -137,27 +111,29 @@ def _rhos(spec: str):
         raise UsageError(str(exc)) from None
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ballgrad",
                      description="Sharp gradient-estimate constants on the unit ball")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, fmt):
-        _flag(p, "--quad-order", "Gauss-Legendre order", int, DEFAULT_QUAD_ORDER)
-        _flag(p, "--format", "output format", default=fmt, choices=("csv", "json"))
-        _flag(p, "--out", "output path ('-' for stdout)", default="-")
+        p.add_argument("--quad-order", type=int, default=DEFAULT_QUAD_ORDER,
+                       help="Gauss-Legendre order")
+        p.add_argument("--format", default=fmt, choices=("csv", "json"), help="output format")
+        p.add_argument("--out", default="-", help="output path ('-' for stdout)")
 
     def series_common(p, fmt):
-        _flag(p, "--dim", "ambient dimension n >= 3", int, required=True)
-        _flag(p, "--max-terms", "series term cap", int, SERIES_MAX_TERMS)
+        p.add_argument("--dim", type=int, required=True, help="ambient dimension n >= 3")
+        p.add_argument("--max-terms", type=int, default=SERIES_MAX_TERMS, help="series term cap")
         common(p, fmt)
-        _flag(p, "--rho", "comma-separated radii in [0, 1)", _rhos, required=True)
+        p.add_argument("--rho", type=_rhos, required=True, help="comma-separated radii in [0, 1)")
 
     p_const = sub.add_parser("constant", help="directional constant by both routes")
     p_const.set_defaults(run=cmd_constant)
     series_common(p_const, "csv")
-    _flag(p_const, "--alpha", "comma list of angles, or 'step:<angle>' (default step:pi/12)",
-          _alphas, "step:pi/12")
+    p_const.add_argument("--alpha", type=_alphas, default="step:pi/12",
+                         help="comma list of angles, or 'step:<angle>' (default step:pi/12)")
 
     p_cert = sub.add_parser("certify", help="convexity and radial-max certificates")
     p_cert.set_defaults(run=cmd_certify)
@@ -166,19 +142,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ident = sub.add_parser("identities", help="polynomial identity residual suite")
     p_ident.set_defaults(run=cmd_identities)
     common(p_ident, "csv")
-    _flag(p_ident, "--lambda", "comma-separated lambda values",
-          lambda spec: _numbers(spec, "--lambda"), DEFAULT_SUITE_LAMBDAS, dest="lambdas")
-    _flag(p_ident, "--check", "run a single identity check", choices=sorted(SUITE_TOLERANCES))
-    _flag(p_ident, "--degree-max", "largest polynomial degree sampled", int, 12)
-    _flag(p_ident, "--samples", "random samples per case", int, 20)
-    _flag(p_ident, "--seed", "sampling seed", int, 0)
+    p_ident.add_argument("--lambda", type=lambda spec: _numbers(spec, "--lambda"), dest="lambdas",
+                         default=DEFAULT_SUITE_LAMBDAS, help="comma-separated lambda values")
+    p_ident.add_argument("--check", choices=sorted(SUITE_TOLERANCES),
+                         help="run a single identity check")
+    p_ident.add_argument("--degree-max", type=int, default=12,
+                         help="largest polynomial degree sampled")
+    p_ident.add_argument("--samples", type=int, default=20, help="random samples per case")
+    p_ident.add_argument("--seed", type=int, default=0, help="sampling seed")
     return parser
-
-
-@functools.lru_cache(maxsize=8)
-def _parser_for(env: tuple) -> argparse.ArgumentParser:
-    """_build_parser's parser per set of BALLGRAD_* items (env), which it holds as defaults."""
-    return _build_parser()
 
 
 def _emit(args, header, rows, payload):
@@ -303,9 +275,7 @@ def cmd_identities(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        env = tuple(sorted((key, os.environ[key]) for key in os.environ
-                           if key.startswith(ENV_PREFIX)))
-        args = _parser_for(env).parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return args.run(args)
     except SystemExit as exc:  # --help
         return int(exc.code) if exc.code else 0

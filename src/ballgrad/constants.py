@@ -56,8 +56,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gegenbauer import (SERIES_MAX_TERMS, DimensionParams, _checked_rho, _inside, _value,
-                         eval_sequence, pair_series, pair_weights, series_cutoff)
+from .gegenbauer import (SERIES_MAX_TERMS, DimensionParams, _checked_rho, _dimension, _inside,
+                         _value, eval_sequence, pair_series, pair_weights, series_cutoff)
 from .identities import kink_integral_brute
 from .quadrature import (DEFAULT_QUAD_ORDER, QuadratureRule, composite_nodes, gauss_legendre,
                          map_panels)
@@ -124,13 +124,15 @@ def _inv_power(v: np.ndarray, e: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConstantQuery:
-    """Evaluation point: dimension, radius rho in [0, 1), direction angle alpha."""
+    """Evaluation point: dimension (an int or a DimensionParams, held as the latter),
+    radius rho in [0, 1), direction angle alpha."""
 
     dim: DimensionParams
     rho: float
     alpha: float
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", _dimension(self.dim))
         _checked_rho(self.rho)
         if not 0.0 <= self.alpha <= math.pi:
             raise ValueError(f"alpha must lie in [0, pi], got {self.alpha}")
@@ -246,7 +248,7 @@ def constant_direct(q: ConstantQuery, rule: QuadratureRule | None = None) -> flo
     return value
 
 
-def profile_parts(t, dim: DimensionParams, rho: float, max_terms: int = SERIES_MAX_TERMS,
+def profile_parts(t, dim: int | DimensionParams, rho: float, max_terms: int = SERIES_MAX_TERMS,
                   rule: QuadratureRule | None = None):
     """The three additive parts of the normalized constant profile at t = cos(alpha).
 
@@ -257,6 +259,7 @@ def profile_parts(t, dim: DimensionParams, rho: float, max_terms: int = SERIES_M
     Term k of the series part couples degree k-2 at lam_high with degree k at
     lam_low, weighted by (k-2)!/(n+2)_(k-2) rho^k; (n+2)_m = (2 lam_high)_m.
     """
+    dim = _dimension(dim)
     ta = _inside(t, 1.0, "t must lie in [-1, 1]", closed=True)
     K = series_cutoff(rho, dim.lambda_low, max_terms)  # checks rho and max_terms first
     rule = rule or gauss_legendre(DEFAULT_QUAD_ORDER)
@@ -295,7 +298,7 @@ def constant_series(q, max_terms: int = SERIES_MAX_TERMS, rule: QuadratureRule |
 
 def constant_radial(n, rho: float, rule: QuadratureRule | None = None) -> float:
     """Sharp constant in the radial direction, by the closed 1-D formula."""
-    dim = n if isinstance(n, DimensionParams) else DimensionParams(n)
+    dim = _dimension(n)
     rule = rule or gauss_legendre(DEFAULT_QUAD_ORDER)
     n, delta = dim.n, (dim.n - 2) / dim.n * _checked_rho(rho)
     total = _poisson_rows(rho, rule, np.array([(1.0 - rho) ** 2]), np.array([4.0 * rho]),
@@ -314,7 +317,7 @@ def constant_transverse(n, rho: float) -> float:
     (1-rho^2)), E = int_0^(pi/2) 2 sin^(n-3) cos^2 sqrt(cos^2 + (1-rho^2) sin^2) dphi,
     by 64 Gauss nodes per panel graded into its layer at pi/2, of width sqrt(1-rho^2).
     Never overflows."""
-    dim = n if isinstance(n, DimensionParams) else DimensionParams(n)
+    dim = _dimension(n)
     n = dim.n
     eps = math.sqrt((1.0 - _checked_rho(rho)) * (1.0 + rho))
     nodes, wts = composite_nodes(0.0, math.pi / 2, gauss_legendre(64),
@@ -327,9 +330,10 @@ def constant_transverse(n, rho: float) -> float:
 # -- second derivative of the profile ---------------------------------------
 
 
-def profile_curvature_series(t, dim: DimensionParams, rho: float,
+def profile_curvature_series(t, dim: int | DimensionParams, rho: float,
                              max_terms: int = SERIES_MAX_TERMS):
     """Second derivative of the profile by its three-series representation."""
+    dim = _dimension(dim)
     ta = _inside(t, 1.0, "t must lie in (-1, 1)")
     n = dim.n
     delta = (n - 2) / n * rho
@@ -350,7 +354,7 @@ def profile_curvature_series(t, dim: DimensionParams, rho: float,
     return _value(out.reshape(ta.shape))
 
 
-def profile_curvature_kernel(t, dim: DimensionParams, rho: float,
+def profile_curvature_kernel(t, dim: int | DimensionParams, rho: float,
                              rule: QuadratureRule | None = None):
     """Second derivative of the profile as an integral of the kernel density.
 
@@ -363,6 +367,7 @@ def profile_curvature_kernel(t, dim: DimensionParams, rho: float,
     1 - delta t^2 - w = t^2 (1-delta)^2 / (1 - delta t^2 + w). Accepts scalar
     or array t: a float for scalar t, an ndarray of the same shape otherwise.
     """
+    dim = _dimension(dim)
     ta = _inside(t, 1.0, "t must lie in (-1, 1)")
     rule = rule or gauss_legendre(DEFAULT_QUAD_ORDER)
     n, delta = dim.n, (dim.n - 2) / dim.n * _checked_rho(rho)
@@ -378,7 +383,7 @@ def profile_curvature_kernel(t, dim: DimensionParams, rho: float,
     return _value(out.reshape(ta.shape))
 
 
-def curvature_density_grid(t, z, n: int, rho: float):
+def curvature_density_grid(t, z, n, rho: float):
     """Pointwise kernel density behind the convexity certificate, vectorized.
 
     Zero off the positivity region; inside it the value is n(n-2)/(pi c_n)
@@ -387,7 +392,7 @@ def curvature_density_grid(t, z, n: int, rho: float):
     rho^2)(1 - t^2) and B = disc. Raises ValueError, naming the first bad t, else
     the first bad z, unless every t and z lies in (-1, 1).
     """
-    dim = n if isinstance(n, DimensionParams) else DimensionParams(n)
+    dim = _dimension(n)
     n = dim.n
     delta = (n - 2) / n * _checked_rho(rho)
     ta = _inside(t, 1.0, "t and z must lie in (-1, 1)")
@@ -453,14 +458,14 @@ class RadialMaxReport:
     quad_order: int
 
 
-def certify_convexity(n: int, rho: float, max_terms: int = SERIES_MAX_TERMS,
+def certify_convexity(n, rho: float, max_terms: int = SERIES_MAX_TERMS,
                       rule: QuadratureRule | None = None) -> ConvexityReport:
     """Scan the profile curvature on T_GRID and certify its sign.
 
     The series curvature is certified, and the kernel curvature must agree
     with it to ROUTE_TOL; max_route_gap reports their largest discrepancy.
     """
-    dim = DimensionParams(n)
+    dim = _dimension(n)
     rule = rule or gauss_legendre(DEFAULT_QUAD_ORDER)
     # f is even and T_GRID antisymmetric: reversed, these are the values on T_GRID[:101]
     upper = T_GRID[T_GRID.size // 2:]
@@ -527,7 +532,7 @@ def _green_profile(u, dim: DimensionParams, rho: float, rule: QuadratureRule):
     return level[j] + slope[j] * (u - edges[j]) + poly
 
 
-def certify_radial_max(n: int, rho: float, rule: QuadratureRule | None = None) -> RadialMaxReport:
+def certify_radial_max(n, rho: float, rule: QuadratureRule | None = None) -> RadialMaxReport:
     """Scan the directional constant over ALPHA_GRID, from 0 to pi.
 
     The values are the Green profile (_green_profile) at |cos(alpha)|,
@@ -536,7 +541,7 @@ def certify_radial_max(n: int, rho: float, rule: QuadratureRule | None = None) -
     tie at alpha = pi is exact, as both share |t| = 1) and that the maximum
     reproduces the closed radial formula to ROUTE_TOL.
     """
-    dim = DimensionParams(n)
+    dim = _dimension(n)
     rule = rule or gauss_legendre(DEFAULT_QUAD_ORDER)
     anchor = constant_transverse(dim, rho)
     values = anchor + dim.c_n / ((1.0 - rho) * (1.0 + rho)) * _green_profile(

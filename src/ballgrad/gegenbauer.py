@@ -93,6 +93,11 @@ class DimensionParams:
         return 2 * m * 4 ** (m - 1) / math.comb(2 * m - 2, m - 1) / math.pi
 
 
+def _dimension(n) -> DimensionParams:
+    """n as a DimensionParams: an int n is wrapped, and a bad n named, by DimensionParams."""
+    return n if isinstance(n, DimensionParams) else DimensionParams(n)
+
+
 def _checked_rho(rho: float) -> float:
     """rho; ValueError names it unless it lies in [0, 1) (NaN included)."""
     if not 0.0 <= rho < 1.0:

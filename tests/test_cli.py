@@ -210,24 +210,17 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("BALLGRAD_QUAD_ORDER", "64")
-    code, out, _ = _run(capsys, ["constant", "--dim", "3", "--rho", "0.2",
-                                 "--alpha", "0", "--format", "json"])
-    assert code == 0
-    assert json.loads(out)["quad_order"] == 64
-    # the command line wins over the environment
-    code, out, _ = _run(capsys, ["constant", "--dim", "3", "--rho", "0.2",
-                                 "--alpha", "0", "--format", "json",
-                                 "--quad-order", "32"])
-    assert json.loads(out)["quad_order"] == 32
-
-
-def test_env_dim(capsys, monkeypatch):
-    monkeypatch.setenv("BALLGRAD_DIM", "4")
-    code, out, _ = _run(capsys, ["constant", "--rho", "0", "--alpha", "0",
-                                 "--format", "json"])
-    assert code == 0
-    assert json.loads(out)["dim"] == 4
+    # no BALLGRAD_* variable overrides anything: every command prints the same bytes
+    # and exits the same with them set, good values and bad alike
+    argvs = [["constant", "--dim", "3", "--rho", "0.2", "--alpha", "0"],
+             ["certify", "--dim", "3", "--rho", "0.5"],
+             ["identities", "--check", "kink", "--samples", "2", "--degree-max", "3"]]
+    bare = [_run(capsys, argv) for argv in argvs]
+    assert [code for code, _, _ in bare] == [0, 0, 0]
+    for name, value in [("QUAD_ORDER", "64"), ("DIM", "abc"), ("FORMAT", "xml"),
+                        ("CHECK", "bogus"), ("LAMBDA", "2.5")]:
+        monkeypatch.setenv("BALLGRAD_" + name, value)
+    assert [_run(capsys, argv) for argv in argvs] == bare
 
 
 def test_missing_dim(capsys):
@@ -288,6 +281,20 @@ def test_alpha_step_grid_is_bounded(capsys, step):
                    f"{cli.MAX_ANGLES} angles\n")
 
 
+@pytest.mark.parametrize("step", ["1.0", "pi/2.5"])
+def test_alpha_step_must_divide_pi(capsys, step):
+    # round(pi / step) made 1.0 the pi/3 grid and pi/2.5 the pi/2 grid
+    code, out, err = _run(capsys, ["constant", "--dim", "3", "--rho", "0", "--alpha",
+                                   "step:" + step])
+    assert code == 2
+    assert out == ""
+    assert err == f"ballgrad: error: alpha step 'step:{step}' does not divide pi\n"
+
+
+def test_alpha_step_divides_pi_to_within_rounding():
+    assert cli._alphas("step:0.2617993877991494") == cli._alphas("step:pi/12")
+
+
 def test_alpha_step_grid_at_the_bound():
     alphas = cli._alphas(f"step:pi/{cli.MAX_ANGLES - 1}")
     assert len(alphas) == cli.MAX_ANGLES and alphas[-1] == math.pi
@@ -336,37 +343,6 @@ def test_max_terms_below_8_is_usage_error(capsys, command, cap):
     assert code == 2
     assert out == ""
     assert err == f"ballgrad: error: max_terms must be at least 8, got {cap}\n"
-
-
-def test_env_format_must_be_csv_or_json(capsys, monkeypatch):
-    monkeypatch.setenv("BALLGRAD_FORMAT", "xml")
-    code, out, err = _run(capsys, ["certify", "--dim", "3", "--rho", "0.5"])
-    assert code == 2
-    assert out == ""
-    assert "BALLGRAD_FORMAT" in err
-
-
-def test_env_change_reaches_next_call(capsys, monkeypatch):
-    # the parser is cached per set of BALLGRAD_* variables
-    argv = ["constant", "--dim", "3", "--rho", "0", "--alpha", "0"]
-    monkeypatch.setenv("BALLGRAD_FORMAT", "json")
-    code, out, _ = _run(capsys, argv)
-    assert code == 0
-    assert json.loads(out)["dim"] == 3
-    monkeypatch.setenv("BALLGRAD_FORMAT", "csv")
-    monkeypatch.setenv("BALLGRAD_DIM", "5")
-    code, out, _ = _run(capsys, argv[:1] + argv[3:])
-    assert code == 0
-    assert out.splitlines()[1].startswith("5,0,0,")
-
-
-def test_env_check_must_be_a_check(capsys, monkeypatch):
-    monkeypatch.setenv("BALLGRAD_CHECK", "bogus")
-    code, out, err = _run(capsys, ["identities"])
-    assert code == 2
-    assert out == ""
-    assert len(err.splitlines()) == 1
-    assert "BALLGRAD_CHECK" in err
 
 
 def _typed(field):
@@ -423,15 +399,11 @@ def test_identities_csv_and_json_agree(capsys):
 
 
 @pytest.mark.parametrize("case", ["missing-directory", "empty-env"])
-def test_out_write_failure_is_usage_error(tmp_path, capsys, monkeypatch, case):
-    argv = ["constant", "--dim", "3", "--rho", "0", "--alpha", "0"]
-    if case == "missing-directory":
-        target = str(tmp_path / "missing" / "table.csv")
-        argv += ["--out", target]
-    else:
-        target = ""
-        monkeypatch.setenv("BALLGRAD_OUT", target)
-    code, out, err = _run(capsys, argv)
+def test_out_write_failure_is_usage_error(tmp_path, capsys, case):
+    # empty-env: the empty path, once set through BALLGRAD_OUT, now only by the flag
+    target = str(tmp_path / "missing" / "table.csv") if case == "missing-directory" else ""
+    code, out, err = _run(capsys, ["constant", "--dim", "3", "--rho", "0", "--alpha", "0",
+                                   "--out", target])
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1
@@ -449,14 +421,17 @@ def _options(parser):
     return [a for a in parser._actions if a.option_strings and a.dest != "help"]
 
 
-# (environment text, command-line text) for a flag, by dest where the type needs
-# a particular form, else by the flag's type
+# (environment text, command-line text) for a flag, each unlike its default: two
+# other choices, else by dest where the type needs a particular form, else by type
 _FLAG_TEXTS = {"rho": ("0.5", "0.25"), "alpha": ("pi/4", "0,pi"), "lambdas": ("2.5", "1.5,3"),
-               "format": ("json", "csv"), "check": ("kink", "product")}
-_TYPE_TEXTS = {int: ("7", "9"), float: ("0.25", "0.5"), str: ("a.csv", "b.csv")}
+               "out": ("a.csv", "b.csv")}
+_TYPE_TEXTS = {int: ("7", "9")}
 
 
 def _texts(action):
+    if action.choices:
+        others = [c for c in action.choices if c != action.default]
+        return others[0], others[-1]
     return _FLAG_TEXTS.get(action.dest) or _TYPE_TEXTS[action.type]
 
 
@@ -465,39 +440,24 @@ def _texts(action):
     for command, parser in _subcommands().items() for action in _options(parser)
 ])
 def test_env_sets_every_flag(monkeypatch, command, flag):
-    # every option of every subcommand reads BALLGRAD_<FLAG>, and the flag wins
+    # with BALLGRAD_<FLAG> set, every option of every subcommand keeps its default
+    # (a required one stays required), and the flag's text is parsed by its own type
     options = _options(_subcommands()[command])
     action = next(a for a in options if flag in a.option_strings)
     others = [tok for a in options if a.required and a is not action
               for tok in (a.option_strings[0], _texts(a)[0])]
     env_text, cli_text = _texts(action)
     monkeypatch.setenv("BALLGRAD_" + flag[2:].replace("-", "_").upper(), env_text)
-    args = cli._build_parser().parse_args([command, *others])
-    assert getattr(args, action.dest) == action.type(env_text)
-    args = cli._build_parser().parse_args([command, *others, flag, cli_text])
-    assert getattr(args, action.dest) == action.type(cli_text) != action.type(env_text)
-
-
-def test_env_lambda_reaches_identities(capsys, monkeypatch):
-    monkeypatch.setenv("BALLGRAD_LAMBDA", "2.5")
-    code, out, _ = _run(capsys, ["identities", "--check", "kink", "--samples", "2",
-                                 "--degree-max", "3", "--format", "json"])
-    assert code == 0
-    assert json.loads(out)["lambdas"] == [2.5]
-
-
-def test_env_bad_value_is_one_line(capsys, monkeypatch):
-    monkeypatch.setenv("BALLGRAD_QUAD_ORDER", "abc")
-    code, out, err = _run(capsys, ["constant", "--dim", "3", "--rho", "0", "--alpha", "0"])
-    assert code == 2
-    assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("ballgrad: error: ")
-    assert "BALLGRAD_QUAD_ORDER='abc'" in err
-    # a variable of a flag the command does not have is never read
-    monkeypatch.setenv("BALLGRAD_DIM", "abc")
-    code, _, _ = _run(capsys, ["identities", "--quad-order", "64", "--check", "kink",
-                               "--samples", "2", "--degree-max", "3"])
-    assert code == 0
+    parse, convert = cli._build_parser().parse_args, action.type or str
+    if action.required:
+        with pytest.raises(cli.UsageError, match=f"required: {flag}$"):
+            parse([command, *others])
+    else:
+        default = action.default
+        expected = convert(default) if isinstance(default, str) else default
+        assert getattr(parse([command, *others]), action.dest) == expected
+        assert expected != convert(env_text)
+    assert getattr(parse([command, *others, flag, cli_text]), action.dest) == convert(cli_text)
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import math
 import pathlib
+import re
 import tracemalloc
 import warnings
 
@@ -899,6 +900,33 @@ def test_certify_convexity_validation(rule):
         certify_convexity(4, 0.5, grid_size=11, rule=rule)
     with pytest.raises(ValueError, match="dimension must be an integer, got 3.5"):
         certify_convexity(3.5, 0.5, rule=rule)
+
+
+# every public entry point that takes a dimension, as a function of it
+_DIMENSION_CALLS = {
+    "ConstantQuery": lambda n: ConstantQuery(n, 0.5, 0.3),
+    "profile_parts": lambda n: profile_parts(0.3, n, 0.5),
+    "profile_curvature_series": lambda n: profile_curvature_series(0.3, n, 0.5),
+    "profile_curvature_kernel": lambda n: profile_curvature_kernel(0.3, n, 0.5),
+    "certify_convexity": lambda n: certify_convexity(n, 0.5),
+    "certify_radial_max": lambda n: certify_radial_max(n, 0.5),
+    "constant_radial": lambda n: constant_radial(n, 0.5),
+    "constant_transverse": lambda n: constant_transverse(n, 0.5),
+    "curvature_density_grid": lambda n: curvature_density_grid(0.3, 0.2, n, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DIMENSION_CALLS))
+def test_every_entry_point_takes_int_or_dimension_params(name):
+    # one dimension rule: an int and its DimensionParams give equal results, and
+    # DimensionParams' own message names a bad value
+    call = _DIMENSION_CALLS[name]
+    assert call(4) == call(DimensionParams(4))
+    for bad, message in [("x", "dimension must be an integer, got 'x'"),
+                         (2, "dimension must be at least 3, got 2"),
+                         (3.0, "dimension must be an integer, got 3.0")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(bad)
 
 
 def test_certify_radial_max(rule):
