@@ -223,6 +223,43 @@ def test_env_override(capsys, monkeypatch):
     assert [_run(capsys, argv) for argv in argvs] == bare
 
 
+def test_env_dim(capsys, monkeypatch):
+    # BALLGRAD_DIM does not stand in for --dim: the flag stays required, and it alone
+    # sets the dimension
+    monkeypatch.setenv("BALLGRAD_DIM", "4")
+    code, out, err = _run(capsys, ["constant", "--rho", "0", "--alpha", "0",
+                                   "--format", "json"])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "--dim" in err
+    code, out, _ = _run(capsys, ["constant", "--dim", "3", "--rho", "0", "--alpha", "0",
+                                 "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["dim"] == 3
+
+
+def test_env_lambda_reaches_identities(capsys, monkeypatch):
+    # BALLGRAD_LAMBDA does not reach the identities: they run at the default lambdas
+    monkeypatch.setenv("BALLGRAD_LAMBDA", "2.5")
+    code, out, _ = _run(capsys, ["identities", "--check", "kink", "--samples", "2",
+                                 "--degree-max", "3", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["lambdas"] == list(cli.DEFAULT_SUITE_LAMBDAS) != [2.5]
+
+
+def test_env_change_reaches_next_call(capsys, monkeypatch):
+    # a BALLGRAD_* variable set or changed between calls changes nothing in the next call
+    argv = ["constant", "--dim", "3", "--rho", "0", "--alpha", "0"]
+    bare = _run(capsys, argv)
+    assert bare[0] == 0
+    assert bare[1].splitlines()[1].startswith("3,0,0,")
+    monkeypatch.setenv("BALLGRAD_FORMAT", "json")
+    assert _run(capsys, argv) == bare
+    monkeypatch.setenv("BALLGRAD_FORMAT", "csv")
+    monkeypatch.setenv("BALLGRAD_DIM", "5")
+    assert _run(capsys, argv) == bare
+
+
 def test_missing_dim(capsys):
     code, _, err = _run(capsys, ["constant", "--rho", "0.5"])
     assert code == 2
