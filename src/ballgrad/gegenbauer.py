@@ -2,9 +2,9 @@
 
 Evaluation is recurrence-based: eval_sequence runs the three-term recurrence
 for scalar or array arguments (lam broadcasts too), stepping each degree in
-place in its row of the result, and the single-degree evaluators take its
-last row. Gamma-ratio constants are computed through
-log-Gamma so they stay finite for large arguments.
+place in its row of the result, and eval_recurrence, the one single-degree
+evaluator, reads each element's degree off it. Gamma-ratio constants are
+computed through log-Gamma so they stay finite for large arguments.
 
 Every rho-power series of the package runs through one engine,
 `pair_series`: it steps the recurrence for a stack of (lam, argument) rows at
@@ -138,10 +138,9 @@ def gamma_ratio(numer, denom) -> float:
 
 
 def _clipped(x):
-    x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > 1.0 + _ARG_TOL):
-        raise ValueError("polynomial argument outside [-1, 1]")
-    return np.clip(x, -1.0, 1.0)
+    """x clipped to [-1, 1]; _inside names one beyond it by more than _ARG_TOL, or NaN."""
+    return np.clip(_inside(x, 1.0 + _ARG_TOL, "polynomial argument outside [-1, 1]", closed=True),
+                   -1.0, 1.0)
 
 
 def _value(v):
@@ -149,10 +148,16 @@ def _value(v):
     return float(v) if np.ndim(v) == 0 else v
 
 
-def eval_recurrence(lam: float, k: int, x):
-    """C_k^lam(x), the last row of eval_sequence: a scalar x gives a float,
-    an ndarray an array."""
-    return _value(eval_sequence(lam, k, x)[-1])
+def eval_recurrence(lam, k, x):
+    """C_k^lam(x) off one eval_sequence table, k a degree or an integer array of one
+    degree per element; k, lam and x broadcast. A 0-d result is a float."""
+    k = np.asarray(k)
+    if k.dtype.kind not in "iu" or k.min() < 0:  # one reduction for a valid k
+        raise ValueError(f"degree must be a nonnegative integer, got {k.min()}")
+    seq = eval_sequence(lam, int(k.max()), x)
+    k = np.broadcast_to(k, np.broadcast_shapes(k.shape, seq.shape[1:]))
+    seq = seq.reshape(seq.shape[:1] + (1,) * (k.ndim + 1 - seq.ndim) + seq.shape[1:])
+    return _value(np.take_along_axis(seq, k[None], 0)[0])
 
 
 def eval_sequence(lam, K: int, x) -> np.ndarray:
@@ -191,8 +196,8 @@ def _step(cur, prev, prev2, back, m: int, tmp) -> None:
     cur /= m
 
 
-def legendre(k: int, x):
-    """Legendre polynomial P_k(x) = C_k^{1/2}(x); x scalar or ndarray."""
+def legendre(k, x):
+    """Legendre polynomial P_k(x) = C_k^{1/2}(x); k and x as in eval_recurrence."""
     return eval_recurrence(0.5, k, x)
 
 

@@ -2,18 +2,17 @@
 the addition and product theorems, the product-formula kernel, the weighted
 derivative identity, and the kink integral with its closed form.
 
-Every check takes plain arguments, checks its domain before any work, and
-takes its sampled ones (angles, points, degrees of an inner product) as
-scalars or ndarrays: a scalar gives a float, an array an array of its shape.
-An array runs as one stacked recurrence (eval_sequence, whose lam
-broadcasts) and, for integrals, one batch of quadrature rows with the
-non-finite check of the scalar path. The addition theorems, the weighted
-derivative and the closed kink form also take one degree per sample, reading
-each sample's degree from its own row of one recurrence table; run_suite
-calls them with every degree of one lam at once. Either way a sample's value
-equals the scalar call bit for bit. For that, fractional powers of sampled
-values are taken with np.power: `**` on a numpy scalar calls the C library's
-pow, which can round differently from numpy's array loop.
+Every check takes plain arguments, checks its domain before any work, and takes
+its sampled ones (angles, points, degrees of an inner product) as scalars or
+ndarrays: a scalar gives a float, an array an array of its shape. Polynomial
+values are read off one recurrence table by gegenbauer.eval_recurrence
+(legendre on run_suite's lam = 1/2 route), integrals run as one batch of
+quadrature rows with the scalar path's non-finite check. The addition
+theorems, the weighted derivative and the closed kink form also take one
+degree per sample; run_suite calls them with every degree of one lam at once.
+Either way a sample's value equals the scalar call bit for bit, so fractional
+powers of sampled values are taken with np.power: `**` on a numpy scalar calls
+the C library's pow, which can round differently from numpy's array loop.
 
 All weighted integrals on [-1, 1] run in x = cos(theta), where the weight
 (1-x^2)^(lam-1/2) is (sin theta)^(2 lam): analytic on [0, pi] only where 2 lam
@@ -27,9 +26,8 @@ import math
 
 import numpy as np
 
-# assoc_legendre, eval_recurrence, legendre, integrate and integrate_split are
-# not called here; they stay importable from this module because
-# bench/spans.py traces calls through these names.
+# assoc_legendre, integrate and integrate_split are not called here: bench/spans.py
+# traces calls through these names in this module.
 from .gegenbauer import (  # noqa: F401
     _inside,
     _value,
@@ -69,17 +67,6 @@ __all__ = [
 _FD_STEP = 1e-5  # central-difference step for all derivative oracles
 
 
-def _gegenbauer(lam, k, x):
-    """C_k^lam(x) from one eval_sequence table; no lam guard.
-
-    k is a degree or an integer array that broadcasts against x, one degree
-    per element, each read from its own row of the table.
-    """
-    k = np.asarray(k)
-    seq = eval_sequence(lam, int(k.max()), x)
-    return np.take_along_axis(seq, np.broadcast_to(k, seq.shape[1:])[None], axis=0)[0]
-
-
 def _angles(*angles):
     """The angles as float arrays of one broadcast shape, each in [0, pi]."""
     out = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in angles))
@@ -88,18 +75,6 @@ def _angles(*angles):
         if bad.size:
             raise ValueError(f"angles must lie in [0, pi], got {bad[0]}")
     return out
-
-
-def _family(lam: float, k: np.ndarray, x):
-    """Rows C_{k-j}^{lam+j}(x), j = 0..max(k), from one recurrence with a lam per row.
-
-    k holds one degree per element of x[0]; rows j > k hold C_0 = 1. Up to
-    the factor 2^j (lam)_j, row j is the j-th derivative of C_k^lam.
-    """
-    K = int(k.max())
-    j = np.arange(K + 1).reshape((-1,) + (1,) * np.ndim(x))
-    seq = eval_sequence(lam + j, K, x)
-    return np.take_along_axis(seq, np.maximum(k - j, 0)[None], axis=0)[0]
 
 
 def _addition_sum(lam: float, k, theta, phi, coefficient, last):
@@ -117,7 +92,9 @@ def _addition_sum(lam: float, k, theta, phi, coefficient, last):
     table = np.zeros((j.size, j.size))
     for d in set(k.ravel().tolist()):
         table[d, :d + 1] = [coefficient(d, i) for i in range(d + 1)]
-    fam_theta, fam_phi = np.moveaxis(_family(lam, k, np.cos((theta, phi))), 1, 0)
+    # row j is C_{k-j}^{lam+j} (C_0 = 1 for j > k): up to 2^j (lam)_j, the j-th derivative of C_k^lam
+    family = eval_recurrence(lam + j[:, None], np.maximum(k - j, 0)[:, None], np.cos((theta, phi)))
+    fam_theta, fam_phi = np.moveaxis(family, 1, 0)
     terms = (np.moveaxis(table[k], -1, 0) * (np.sin(theta) * np.sin(phi)) ** j
              * fam_theta * fam_phi * last(j))
     return np.take_along_axis(np.cumsum(terms, axis=0), k[None], axis=0)[0]
@@ -204,17 +181,16 @@ def legendre_addition_rhs(k, theta, phi, psi):
 def product_formula_check(lam: float, k: int, phi, psi, rule: QuadratureRule):
     """(LHS, RHS) of the classical product formula for C_k^lam (lam > 0).
 
-    phi and psi may be arrays that broadcast; each sample is one quadrature row.
+    phi and psi are angles in [0, pi] that broadcast; each sample is one quadrature row.
     """
     if not lam > 0:
         raise ValueError(f"product formula needs lam > 0, got {lam}")
-    phi, psi = np.broadcast_arrays(np.asarray(phi, dtype=float), np.asarray(psi, dtype=float))
-    lhs = _gegenbauer(lam, k, np.cos(phi)) * _gegenbauer(lam, k, np.cos(psi))
+    phi, psi = _angles(phi, psi)
+    lhs = eval_recurrence(lam, k, np.cos(phi)) * eval_recurrence(lam, k, np.cos(psi))
     theta, w = composite_nodes(0.0, math.pi, rule)
     a = (np.cos(phi) * np.cos(psi))[..., None]
     b = (np.sin(phi) * np.sin(psi))[..., None]
-    arg = np.clip(a + b * np.cos(theta), -1.0, 1.0)
-    vals = _gegenbauer(lam, k, arg) * np.sin(theta) ** (2.0 * lam - 1.0)
+    vals = eval_recurrence(lam, k, a + b * np.cos(theta)) * np.sin(theta) ** (2.0 * lam - 1.0)
     pref = gamma_ratio((lam + 0.5,), (0.5, lam)) * pochhammer(2.0 * lam, k) / math.factorial(k)
     return _value(lhs), _value(pref * integrate_values(vals, w))
 
@@ -241,13 +217,13 @@ def kernel_product_check(lam: float, k: int, x, y, rule: QuadratureRule):
         raise ValueError(f"product formula needs lam > 0, got {lam}")
     x, y = np.broadcast_arrays(_inside(x, 1.0, "x and y must lie in (-1, 1)"),
                                _inside(y, 1.0, "x and y must lie in (-1, 1)"))
-    lhs = _gegenbauer(lam, k, x) * _gegenbauer(lam, k, y)
+    lhs = eval_recurrence(lam, k, x) * eval_recurrence(lam, k, y)
     theta, wq = composite_nodes(0.0, math.pi, rule)
     xs, ys = x[..., None], y[..., None]
     w = np.sqrt((1.0 - xs * xs) * (1.0 - ys * ys))
     jac = w * np.sin(theta)
     z = xs * ys + w * np.cos(theta)
-    vals = _gegenbauer(lam, k, np.clip(z, -1.0, 1.0)) * _kernel_density(lam, xs, ys, jac * jac) * jac
+    vals = eval_recurrence(lam, k, z) * _kernel_density(lam, xs, ys, jac * jac) * jac
     rhs = pochhammer(2.0 * lam, k) / math.factorial(k) * integrate_values(vals, wq)
     return _value(lhs), _value(rhs)
 
@@ -267,12 +243,12 @@ def weighted_derivative_check(lam: float, k, x):
     x = _inside(x, 1.0 - 3.0 * _FD_STEP, "x must lie safely inside (-1, 1)")
     h = _FD_STEP
     u = x + np.array([2 * h, h, -h, -2 * h]).reshape((4,) + (1,) * x.ndim)
-    wu = np.power(1.0 - u * u, lam - 0.5) * _gegenbauer(lam, k, u)
+    wu = np.power(1.0 - u * u, lam - 0.5) * eval_recurrence(lam, k, u)
     lhs = (-wu[0] + 8.0 * wu[1] - 8.0 * wu[2] + wu[3]) / (12.0 * h)
     rhs = (
         -((k + 1.0) * (k + 2.0 * lam - 1.0) / (2.0 * (lam - 1.0)))
         * np.power(1.0 - x * x, lam - 1.5)
-        * _gegenbauer(lam - 1.0, k + 1, x)
+        * eval_recurrence(lam - 1.0, k + 1, x)
     )
     return _value(lhs), _value(rhs)
 
@@ -287,7 +263,7 @@ def kink_integral_closed(lam: float, k, s):
         raise ValueError(f"closed form holds for integer k >= 2, got k={k.tolist()!r}")
     s = _inside(s, 1.0, "s must lie in (-1, 1)")
     pref = 8.0 * lam * (lam + 1.0) / (k * (k - 1.0) * (k + 2.0 * lam) * (k + 2.0 * lam + 1.0))
-    return _value(pref * np.power(1.0 - s * s, lam + 1.5) * _gegenbauer(lam + 2.0, k - 2, s))
+    return _value(pref * np.power(1.0 - s * s, lam + 1.5) * eval_recurrence(lam + 2.0, k - 2, s))
 
 
 def kink_integral_brute(lam: float, k, s, rule: QuadratureRule):
@@ -336,7 +312,7 @@ _FAMILY_CELLS = 2 ** 18
 # Near lambda = 1 the weighted derivative's finite-difference oracle is ill-conditioned.
 _LAMBDA_DOMAINS = {
     "addition": ("lambda > 1/2", lambda lam: lam > 0.5),
-    "legendre-addition": ("lambda <= 1/2", lambda lam: lam <= 0.5),
+    "legendre-addition": ("lambda = 1/2", lambda lam: lam == 0.5),
     "weighted-derivative": ("lambda outside (0.9, 1.1)", lambda lam: not 0.9 < lam < 1.1),
 }
 # the least max_degree at which a check has a case, where above 0: the kink
@@ -370,16 +346,16 @@ def run_suite(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12, samples: int 
     Returns {check name: {"max_residual", "tolerance", "passed", "cases"}}.
     A check runs at the lambdas of its _LAMBDA_DOMAINS entry and is left out
     when none qualifies, or when max_degree is below its _DEGREE_MINIMA entry
-    (0 for the others); "addition" runs the Legendre route when no lam > 1/2.
-    Raises ValueError for an unknown check, max_degree < 0, samples < 1, a
-    lam <= -1/2 or not finite, when no wanted check applies, or when one of
-    _QUADRATURE_CHECKS would run at a lam with 2 lam not a positive integer,
-    all before any check runs. "addition", "legendre-addition",
-    "weighted-derivative" and the closed side of "kink" call their public
-    check with every degree of one lam at once: the samples of all degrees
-    are drawn in one call, in the order of one draw per degree, and each
-    (degree, sample) row reads its own degree from one recurrence table, in
-    blocks of _SAMPLE_BLOCK rows (fewer for the addition family, by
+    (0 for the others); "addition" runs the Legendre route, at lam = 1/2 only,
+    when no lam > 1/2. Raises ValueError for an unknown check, max_degree < 0,
+    samples < 1, seed < 0, a lam <= -1/2 or not finite, when no wanted check
+    applies, or when one of _QUADRATURE_CHECKS would run at a lam with 2 lam
+    not a positive integer, all before any check runs. "addition",
+    "legendre-addition", "weighted-derivative" and the closed side of "kink"
+    call their public check with every degree of one lam at once: the samples
+    of all degrees are drawn in one call, in the order of one draw per degree,
+    and each (degree, sample) row reads its own degree from one recurrence
+    table, in blocks of _SAMPLE_BLOCK rows (fewer for the addition family, by
     _FAMILY_CELLS). The other checks, and the quadrature side of "kink", run
     one call per (lam, degree) per block of _SAMPLE_BLOCK samples. Every
     residual equals that of a call of the public check function at its one
@@ -387,7 +363,6 @@ def run_suite(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12, samples: int 
     fails its check.
     """
     rule = rule or gauss_legendre(DEFAULT_QUAD_ORDER)
-    rng = np.random.default_rng(seed)
     wanted = set(checks) if checks is not None else set(SUITE_TOLERANCES)
     unknown = wanted - set(SUITE_TOLERANCES)
     if unknown:
@@ -396,6 +371,8 @@ def run_suite(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12, samples: int 
         raise ValueError(f"max_degree must be at least 0, got {max_degree}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     low = [lam for lam in lambdas if not -0.5 < lam < math.inf]
     if low:
         raise ValueError(f"lambda must be finite and exceed -1/2, got {low[0]}")
@@ -417,6 +394,7 @@ def run_suite(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12, samples: int 
         raise ValueError(f"2*lambda must be a positive integer for "
                          f"{', '.join(sorted(wanted & _QUADRATURE_CHECKS))}, got {off_grid[0]}")
     worst = {name: (0.0, 0) for name in wanted}
+    rng = np.random.default_rng(seed)
 
     def record(name, res):
         res = np.asarray(res)
@@ -445,17 +423,17 @@ def run_suite(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12, samples: int 
     if {"addition", "legendre-addition"} & wanted:
         size = min(_SAMPLE_BLOCK, max(1, _FAMILY_CELLS // (2 * (max_degree + 1) ** 2)))
         for lam in lambdas:
-            legendre_route = _applies("legendre-addition", lam)
-            name = "legendre-addition" if legendre_route else "addition"
-            if name not in wanted:
+            name = "addition" if _applies("addition", lam) else "legendre-addition"
+            if name not in wanted or not _applies(name, lam):
                 continue
             angles = rng.uniform(0.05, math.pi - 0.05, size=(rows.size, 3))
             for k, theta, phi, psi in _blocks(size, rows, *angles.T):
                 arg = np.cos(theta) * np.cos(phi) + np.sin(theta) * np.sin(phi) * np.cos(psi)
-                if legendre_route:
-                    lhs, rhs = _gegenbauer(0.5, k, arg), legendre_addition_rhs(k, theta, phi, psi)
+                if name == "addition":
+                    lhs = eval_recurrence(lam, k, arg)
+                    rhs = addition_theorem_rhs(lam, k, theta, phi, psi)
                 else:
-                    lhs, rhs = _gegenbauer(lam, k, arg), addition_theorem_rhs(lam, k, theta, phi, psi)
+                    lhs, rhs = legendre(k, arg), legendre_addition_rhs(k, theta, phi, psi)
                 record(name, _residual(lhs, rhs))
 
     if "product" in wanted:

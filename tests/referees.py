@@ -51,8 +51,9 @@ def eval_explicit(lam: float, k: int, x: float) -> float:
 
 def derivative(lam: float, k: int, order: int, x):
     """order-th derivative of C_k^lam at x, 2^m (lam)_m C_{k-m}^{lam+m}(x) for
-    m = order, 0 for m > k: the identity behind the rows of identities._family,
-    read off eval_sequence. A scalar x gives a float, an ndarray an array."""
+    m = order, 0 for m > k: the identity behind the family rows of
+    identities._addition_sum, read off eval_sequence. A scalar x gives a float,
+    an ndarray an array."""
     if order < 0:
         raise ValueError(f"derivative order must be nonnegative, got {order}")
     if order > k:
@@ -182,9 +183,9 @@ def run_suite_reference(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12,
 
     if {"addition", "legendre-addition"} & wanted:
         for lam in lambdas:
-            legendre_route = applies("legendre-addition", lam)
+            legendre_route = not applies("addition", lam)
             name = "legendre-addition" if legendre_route else "addition"
-            if name not in wanted:
+            if name not in wanted or not applies(name, lam):
                 continue
             for k in degrees:
                 angles = rng.uniform(0.05, math.pi - 0.05, size=(samples, 3))

@@ -564,7 +564,26 @@ def test_identities_leaves_out_checks_outside_their_lambdas(capsys):
                                    "legendre-addition"])
     assert code == 2
     assert out == ""
-    assert "legendre-addition needs lambda <= 1/2" in err
+    assert "legendre-addition needs lambda = 1/2" in err
+
+
+def test_identities_negative_seed_is_usage_error(capsys):
+    code, out, err = _run(capsys, ["identities", "--seed", "-1", "--check", "kink",
+                                   "--samples", "2"])
+    assert code == 2
+    assert out == ""
+    assert err == "ballgrad: error: seed must be at least 0, got -1\n"
+
+
+def test_identities_legendre_addition_runs_at_lambda_half_only(capsys):
+    code, out, err = _run(capsys, ["identities", "--lambda", "-0.25", "--check", "addition"])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "legendre-addition needs lambda = 1/2" in err
+    code, out, _ = _run(capsys, ["identities", "--lambda", "0.5,0.25,-0.25", "--check",
+                                 "legendre-addition"])
+    assert code == 0
+    assert out.splitlines()[1].split(",")[3] == "260"
 
 
 def test_identities_small_degree_max_leaves_out_checks(capsys):

@@ -32,8 +32,7 @@ ROOT_NAMES = {
 # and bench/spans.py traces calls through these names in identities
 UNUSED_IMPORTS = {
     "__init__": ROOT_NAMES,
-    "identities": {"assoc_legendre", "eval_recurrence", "legendre", "integrate",
-                   "integrate_split"},
+    "identities": {"assoc_legendre", "integrate", "integrate_split"},
 }
 
 

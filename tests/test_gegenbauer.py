@@ -152,6 +152,41 @@ def test_single_degree_evaluators_bit_identical(lam, k):
     assert type(eval_recurrence(lam, k, 0.3)) is float
 
 
+@pytest.mark.parametrize("lam, k, x", [
+    (1.5, np.array([0, 1, 2, 7, 30]), 0.3),
+    (0.5, np.array([3, 0, 12, 1]), np.array([-1.0, -0.2, 0.6, 1.0])),
+    (9.0, np.array([[0], [5], [17]]), np.linspace(-1.0, 1.0, 6)),
+    (np.array([[0.5], [1.5], [-0.5]]), np.array([[4, 0, 9, 2]]), np.array([0.7, -0.4, 0.1, 0.99])),
+    (np.array([0.25, 2.5]), 6, 0.45),
+])
+def test_eval_recurrence_degree_per_element_equals_scalar_calls(lam, k, x):
+    got = eval_recurrence(lam, k, x)
+    lams, ks, xs = np.broadcast_arrays(lam, k, x)
+    assert got.shape == ks.shape
+    want = [eval_recurrence(float(a), int(d), float(b)) for a, d, b in zip(lams.flat, ks.flat, xs.flat)]
+    assert got.ravel().tolist() == want
+
+
+@pytest.mark.parametrize("k, named", [
+    (-1, "-1"), (np.array([3, -2, 0, -5]), "-5"), (1.5, "1.5"), (np.array([1.0, 2.0]), "1.0"),
+])
+def test_eval_recurrence_names_bad_degree(k, named):
+    with pytest.raises(ValueError, match=rf"^degree must be a nonnegative integer, got {named}$"):
+        eval_recurrence(1.5, k, 0.3)
+
+
+@pytest.mark.parametrize("x, named", [(1.5, "1.5"), (np.nan, "nan"), (np.array([0.2, -1.0, np.nan]), "nan"),
+                                      (np.array([0.3, -1.0 - 1e-9]), "-1.000000001")])
+def test_eval_sequence_names_bad_argument(x, named):
+    with pytest.raises(ValueError, match=rf"^polynomial argument outside \[-1, 1\], got {named}$"):
+        eval_sequence(1.0, 3, x)
+
+
+def test_eval_sequence_clips_rounding_noise():
+    assert np.array_equal(eval_sequence(1.5, 6, 1.0 + 1e-13), eval_sequence(1.5, 6, 1.0))
+    assert np.array_equal(eval_sequence(1.5, 6, [-1.0 - 1e-13]), eval_sequence(1.5, 6, [-1.0]))
+
+
 def test_eval_sequence_broadcasts_lam():
     lams = np.array([0.5, 1.5, 9.0])[:, None]
     xs = np.linspace(-1.0, 1.0, 7)

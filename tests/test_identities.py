@@ -140,6 +140,13 @@ def test_product_formula_random(rule):
                 assert _residual(lhs, rhs) <= 1e-9
 
 
+@pytest.mark.parametrize("phi, psi, named", [(np.nan, 0.4, "nan"), (0.4, 4.0, "4.0"),
+                                             (np.array([0.3, np.nan]), 1.0, "nan")])
+def test_product_formula_names_bad_angle(rule, phi, psi, named):
+    with pytest.raises(ValueError, match=rf"^angles must lie in \[0, pi\], got {named}$"):
+        product_formula_check(1.5, 3, phi, psi, rule)
+
+
 def test_product_formula_trivial(rule):
     lhs, rhs = product_formula_check(2.0, 0, 0.9, 1.4, rule)
     assert lhs == pytest.approx(1.0, abs=1e-14)
@@ -411,7 +418,7 @@ def test_run_suite_lambda_domains(rule):
     assert "weighted-derivative" not in run_suite(lambdas=(1.0,), **small)
     # with no lambda above 1/2 the addition check runs its Legendre route
     assert set(run_suite(lambdas=(0.5,), checks={"addition"}, **small)) == {"legendre-addition"}
-    with pytest.raises(ValueError, match="legendre-addition needs lambda <= 1/2"):
+    with pytest.raises(ValueError, match="legendre-addition needs lambda = 1/2"):
         run_suite(lambdas=(1.5,), checks={"legendre-addition"}, **small)
     with pytest.raises(ValueError, match="weighted-derivative needs lambda outside"):
         run_suite(lambdas=(1.0, 1.05), checks={"weighted-derivative"}, **small)
@@ -445,6 +452,21 @@ def test_run_suite_refuses_lambda_zero_before_any_check(monkeypatch):
                        r"kernel-mass, kernel-product, kink, orthogonality-diag, "
                        r"orthogonality-offdiag, product, got 0.0$"):
         run_suite(lambdas=(1.5, 0.0))
+
+
+def test_run_suite_refuses_negative_seed_before_any_check(monkeypatch):
+    monkeypatch.setattr(identities, "kink_integral_brute", None)
+    with pytest.raises(ValueError, match=r"^seed must be at least 0, got -1$"):
+        run_suite(seed=-1, checks={"kink"}, samples=2)
+
+
+def test_run_suite_legendre_route_runs_at_lambda_half_only(rule):
+    small = dict(max_degree=4, samples=3, rule=rule)
+    report = run_suite(lambdas=(0.5, 0.25, -0.25), checks={"legendre-addition"}, **small)
+    assert report["legendre-addition"]["cases"] == 15
+    assert report == run_suite(lambdas=(0.5,), checks={"legendre-addition"}, **small)
+    with pytest.raises(ValueError, match=r"\(legendre-addition needs lambda = 1/2\)$"):
+        run_suite(lambdas=(-0.25,), checks={"addition"}, **small)
 
 
 def test_run_suite_nan_residual_fails():
