@@ -40,17 +40,18 @@ recurrence over the stacked (lam, argument) rows, max(K) steps, not sum(K).
 The profile f and its curvature are even in t: C(x, l) = C(x, -l), and the
 reflection x2 -> -x2 fixes rho*e1 and maps l_alpha to -l_(pi - alpha). So
 constant_direct integrates at min(alpha, pi - alpha), one float per mirror
-pair, f'(0) = 0 and f(t) = f(0) + int_0^|t| (|t| - s) f''(s) ds. The radial-max
-certificate takes this Green profile (_green_profile): the kernel curvature,
-integrated twice in closed form, anchored at constant_transverse; it runs
-no series and no double integral. The convexity certificate runs both
-curvature routes on the upper half of T_GRID, which is exactly
-antisymmetric. Both certificate grids are constants, as the accuracy
-contracts are; the one setting of the series routes is their term cap.
+pair, f'(0) = 0 and f(t) = f(0) + int_0^|t| (|t| - s) f''(s) ds. One cached kernel
+curvature sweep per radius (_green_profile) feeds both certificates: the radial-max
+one reads this Green profile (integrated twice in closed form, anchored at
+constant_transverse; no series, no double integral), the convexity one the
+curvature on the upper half of the exactly antisymmetric T_GRID, against the
+series route. Both grids are constants, as the accuracy contracts are; the
+one setting of the series routes is their term cap.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -462,15 +463,14 @@ def certify_convexity(n, rho: float, max_terms: int = SERIES_MAX_TERMS,
                       rule: QuadratureRule | None = None) -> ConvexityReport:
     """Scan the profile curvature on T_GRID and certify its sign.
 
-    The series curvature is certified, and the kernel curvature must agree
-    with it to ROUTE_TOL; max_route_gap reports their largest discrepancy.
+    The series curvature is certified, and the kernel curvature (_green_profile)
+    must agree with it to ROUTE_TOL; max_route_gap reports their largest gap.
     """
     dim = _dimension(n)
     rule = rule or gauss_legendre(DEFAULT_QUAD_ORDER)
     # f is even and T_GRID antisymmetric: reversed, these are the values on T_GRID[:101]
-    upper = T_GRID[T_GRID.size // 2:]
-    curv = profile_curvature_series(upper, dim, rho, max_terms)[::-1]
-    kern = profile_curvature_kernel(upper, dim, rho, rule)[::-1]
+    curv = profile_curvature_series(T_GRID[100:], dim, rho, max_terms)[::-1]
+    kern = _green_profile(dim, rho, rule)[1][::-1]
     gap = float(np.max(np.abs(curv - kern)))
     imin = int(np.argmin(curv))
     routes_agree = gap <= ROUTE_TOL * max(1.0, float(np.max(np.abs(curv))))
@@ -509,27 +509,31 @@ def _legendre_integral(c):
     return np.concatenate((q[..., :1], q), -1) - np.concatenate((q[..., 1:], zero, zero), -1)
 
 
-def _green_profile(u, dim: DimensionParams, rho: float, rule: QuadratureRule):
-    """f(u) - f(0) = int_0^u (u - s) f''(s) ds for u in [0, 1], f the normalized profile.
-
-    Exact for an even f (f'(0) = 0). f'' is the kernel curvature at
-    _GREEN_ORDER Gauss nodes per _green_edges panel, expanded in Legendre
-    polynomials per panel; both integrals are closed-form on that expansion.
+@functools.lru_cache(maxsize=1)
+def _green_profile(dim: DimensionParams, rho: float, rule: QuadratureRule):
+    """(f(u) - f(0) at u = |cos(ALPHA_GRID)|, f'' on T_GRID[100:]), read-only and cached:
+    one kernel curvature sweep, Green nodes first, feeds both certificates. f is the
+    even normalized profile, f(u) - f(0) = int_0^u (u - s) f''(s) ds; f'' at _GREEN_ORDER
+    Gauss nodes per _green_edges panel is expanded in Legendre polynomials per panel,
+    and both integrals are closed-form on that expansion.
     """
-    gl = gauss_legendre(_GREEN_ORDER)
     edges = _green_edges(rho)
-    nodes, _ = map_panels(edges, gl)
+    nodes, _ = map_panels(edges, gauss_legendre(_GREEN_ORDER))
     half = 0.5 * np.diff(edges)
-    curv = profile_curvature_kernel(nodes, dim, rho, rule).reshape(-1, _GREEN_ORDER)
+    sweep = profile_curvature_kernel(np.concatenate((nodes, T_GRID[100:])), dim, rho, rule)
+    curv = sweep[:nodes.size].reshape(-1, _GREEN_ORDER)
     c1 = half[:, None] * _legendre_integral(curv @ _GREEN_TO_COEF.T)  # f'(s) - f'(a_j), panel j
     c2 = half[:, None] * _legendre_integral(c1)                       # and its integral from a_j
     # f' and f - f(0) at the left edges a_j; P_k(1) = 1 gives each panel's increments
     slope = np.concatenate(([0.0], np.cumsum(c1.sum(axis=1))))[:-1]
     level = np.concatenate(([0.0], np.cumsum(2.0 * half * slope + c2.sum(axis=1))))[:-1]
+    u = np.abs(np.cos(ALPHA_GRID))
     j = np.clip(np.searchsorted(edges, u, side="right") - 1, 0, half.size - 1)
     x = (u - edges[j]) / half[j] - 1.0
     poly = (eval_sequence(0.5, _GREEN_ORDER + 1, x) * c2[j].T).sum(axis=0)
-    return level[j] + slope[j] * (u - edges[j]) + poly
+    profile, upper = level[j] + slope[j] * (u - edges[j]) + poly, sweep[nodes.size:]
+    profile.flags.writeable = upper.flags.writeable = False
+    return profile, upper
 
 
 def certify_radial_max(n, rho: float, rule: QuadratureRule | None = None) -> RadialMaxReport:
@@ -544,8 +548,7 @@ def certify_radial_max(n, rho: float, rule: QuadratureRule | None = None) -> Rad
     dim = _dimension(n)
     rule = rule or gauss_legendre(DEFAULT_QUAD_ORDER)
     anchor = constant_transverse(dim, rho)
-    values = anchor + dim.c_n / ((1.0 - rho) * (1.0 + rho)) * _green_profile(
-        np.abs(np.cos(ALPHA_GRID)), dim, rho, rule)
+    values = anchor + dim.c_n / ((1.0 - rho) * (1.0 + rho)) * _green_profile(dim, rho, rule)[0]
     max_value = float(values.max())
     scale = max(1.0, abs(max_value))
     ties = np.nonzero(values >= max_value - TIE_TOLERANCE * scale)[0]

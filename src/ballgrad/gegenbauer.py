@@ -152,9 +152,9 @@ def eval_recurrence(lam, k, x):
     """C_k^lam(x) off one eval_sequence table, k a degree or an integer array of one
     degree per element; k, lam and x broadcast. A 0-d result is a float."""
     k = np.asarray(k)
-    if k.dtype.kind not in "iu" or k.min() < 0:  # one reduction for a valid k
+    if k.dtype.kind not in "iu" or k.min(initial=0) < 0:  # one reduction for a valid k
         raise ValueError(f"degree must be a nonnegative integer, got {k.min()}")
-    seq = eval_sequence(lam, int(k.max()), x)
+    seq = eval_sequence(lam, int(k.max(initial=0)), x)
     k = np.broadcast_to(k, np.broadcast_shapes(k.shape, seq.shape[1:]))
     seq = seq.reshape(seq.shape[:1] + (1,) * (k.ndim + 1 - seq.ndim) + seq.shape[1:])
     return _value(np.take_along_axis(seq, k[None], 0)[0])

@@ -88,7 +88,7 @@ def _addition_sum(lam: float, k, theta, phi, coefficient, last):
     past it (j > k) never enter its value.
     """
     k = np.broadcast_to(k, theta.shape)
-    j = np.arange(k.max() + 1).reshape((-1,) + (1,) * theta.ndim)
+    j = np.arange(k.max(initial=0) + 1).reshape((-1,) + (1,) * theta.ndim)
     table = np.zeros((j.size, j.size))
     for d in set(k.ravel().tolist()):
         table[d, :d + 1] = [coefficient(d, i) for i in range(d + 1)]
@@ -141,7 +141,7 @@ def orthogonality_integral(lam: float, k, l, rule: QuadratureRule):
         raise ValueError(f"lam must exceed -1/2 and be nonzero, got {lam}")
     k, l = np.broadcast_arrays(np.asarray(k), np.asarray(l))
     theta, w = composite_nodes(0.0, math.pi, rule)
-    seq = eval_sequence(lam, int(max(k.max(), l.max())), np.cos(theta))
+    seq = eval_sequence(lam, int(max(k.max(initial=0), l.max(initial=0))), np.cos(theta))
     vals = (np.sin(theta) ** (2.0 * lam)) * seq[k] * seq[l]
     return _value(integrate_values(vals, w))
 
@@ -281,7 +281,7 @@ def kink_integral_brute(lam: float, k, s, rule: QuadratureRule):
     edges = np.stack(np.broadcast_arrays(0.0, np.arccos(s), math.pi), axis=-1)
     theta, w = map_panels(edges, rule)
     c = np.cos(theta)
-    seq = eval_sequence(lam, int(k.max()), c)[k]
+    seq = eval_sequence(lam, int(k.max(initial=0)), c)[k]
     vals = np.abs(c - s[..., None]) * np.sin(theta) ** (2.0 * lam) * seq
     return _value(integrate_values(vals, w))
 

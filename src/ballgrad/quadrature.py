@@ -32,9 +32,9 @@ MAX_ORDER = 4096
 DEFAULT_QUAD_ORDER = 128
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Nodes and weights on [-1, 1]; immutable after construction."""
+    """Nodes and weights on [-1, 1]; immutable, and hashed and compared by identity."""
 
     order: int
     nodes: np.ndarray
@@ -113,7 +113,7 @@ def map_panels(edges: np.ndarray, rule: QuadratureRule):
     lo = edges[..., :-1, None]
     hi = edges[..., 1:, None]
     half = 0.5 * (hi - lo)
-    shape = edges.shape[:-1] + (-1,)
+    shape = edges.shape[:-1] + ((edges.shape[-1] - 1) * rule.order,)
     nodes = 0.5 * (lo + hi) + half * rule.nodes
     return nodes.reshape(shape), (half * rule.weights).reshape(shape)
 

@@ -76,6 +76,10 @@ identities --seed -1 --check kink --samples 2
 identities --lambda 0.5,0.25,-0.25 --check legendre-addition
 identities --lambda -0.25 --check addition
 identities --lambda 0.25 --check addition
+certify --dim 5 --rho 0.3,0.9,0.3
+certify --dim 8 --rho 0.5 --quad-order 64 --format csv
+certify --dim 21 --rho 0.95
+constant --dim 4 --rho 0.3,0.9 --alpha 0,pi/2,pi
 """
 
 CHILD = ("import sys, ballgrad.cli\n"

@@ -810,10 +810,28 @@ def _series_profile(dim, rho, t, rule):
 def test_green_profile_matches_series(rule, n, rho):
     # f(0) + int_0^|t| (|t| - s) f''(s) ds against the series profile, on the 181 radial-max angles
     dim = DimensionParams(n)
-    t = np.cos(np.linspace(0.0, math.pi, 181))
+    t = np.cos(ALPHA_GRID)
     series = _series_profile(dim, rho, t, rule)
-    green = _series_profile(dim, rho, 0.0, rule) + _green_profile(np.abs(t), dim, rho, rule)
+    green = _series_profile(dim, rho, 0.0, rule) + _green_profile(dim, rho, rule)[0]
     assert np.max(np.abs(green - series) / series) <= 1e-12
+
+
+def test_green_profile_is_read_only(rule):
+    for part in _green_profile(DimensionParams(5), 0.5, rule):
+        with pytest.raises(ValueError):
+            part[0] = 0.0
+
+
+def test_certify_sweeps_the_kernel_once_per_radius(monkeypatch):
+    # both certificates of a radius share one cached sweep; the one cache slot
+    # holds 0.9 when 0.3 comes back, so the third radius sweeps again
+    calls = []
+    kernel = constants.profile_curvature_kernel
+    monkeypatch.setattr(constants, "profile_curvature_kernel",
+                        lambda *args: calls.append(args[2]) or kernel(*args))
+    _green_profile.cache_clear()
+    assert cli.main(["certify", "--dim", "5", "--rho", "0.3,0.9,0.3"]) == 0
+    assert calls == [0.3, 0.9, 0.3]
 
 
 @pytest.mark.parametrize("rho, nodes", [(0.1, 32), (0.5, 64), (0.9, 112), (0.99, 192)])
@@ -834,14 +852,16 @@ def test_green_basis_is_a_read_only_constant():
 
 @pytest.mark.parametrize("n, rho", [(3, 0.5), (8, 0.9), (3, 0.99), (16, 0.999)])
 def test_green_profile_node_doubling(rule, monkeypatch, n, rho):
+    # the cache key leaves out the patched order: clear it around the fine profile
     dim = DimensionParams(n)
-    u = np.abs(np.cos(np.linspace(0.0, math.pi, 181)))
-    coarse = _green_profile(u, dim, rho, rule)
+    coarse = _green_profile(dim, rho, rule)[0]
     gl = gauss_legendre(32)
     monkeypatch.setattr(constants, "_GREEN_ORDER", 32)
     monkeypatch.setattr(constants, "_GREEN_TO_COEF",
                         (np.arange(32) + 0.5)[:, None] * legvander(gl.nodes, 31).T * gl.weights)
-    fine = _green_profile(u, dim, rho, rule)
+    _green_profile.cache_clear()
+    fine = _green_profile(dim, rho, rule)[0]
+    _green_profile.cache_clear()
     f0 = constant_direct(ConstantQuery(dim, rho, math.pi / 2), rule) * (1 - rho * rho) / dim.c_n
     assert np.max(np.abs(coarse - fine)) <= 1e-12 * (f0 + fine.max())
 

@@ -279,6 +279,27 @@ def test_kink_integral_stacked_degrees(rule):
             kink_integral_brute(lam, k, 0.35, rule) for k in range(3)]
 
 
+_NONE, _NO_X = np.array([], dtype=int), np.array([])
+
+
+@pytest.mark.parametrize("call, shape", [
+    (lambda rule: eval_recurrence(1.0, _NONE, _NO_X), (0,)),
+    (lambda rule: kink_integral_closed(1.0, _NONE, _NO_X), (0,)),
+    (lambda rule: weighted_derivative_check(1.5, _NONE, _NO_X)[0], (0,)),
+    (lambda rule: weighted_derivative_check(1.5, _NONE, _NO_X)[1], (0,)),
+    (lambda rule: orthogonality_integral(1.0, _NONE, 2, rule), (0,)),
+    (lambda rule: orthogonality_integral(1.0, 2, _NONE, rule), (0,)),
+    (lambda rule: kink_integral_brute(1.0, _NONE, np.array([0.3]), rule), (0, 1)),
+    (lambda rule: kink_integral_brute(1.0, 2, _NO_X, rule), (0,)),
+    (lambda rule: kink_integral_brute(1.0, np.arange(3), _NO_X, rule), (3, 0)),
+    (lambda rule: addition_theorem_rhs(1.5, _NONE, _NO_X, _NO_X, _NO_X), (0,)),
+    (lambda rule: legendre_addition_rhs(_NONE, _NO_X, _NO_X, _NO_X), (0,)),
+])
+def test_empty_batch_gives_empty_result(rule, call, shape):
+    # an array gives an array of its shape, an empty one too
+    assert call(rule).shape == shape
+
+
 @pytest.mark.parametrize("k", [-1, 2.0, 1.5, True, np.array([0, -1]), np.array([0.0, 1.0])])
 def test_kink_integral_rejects_bad_degrees(rule, k):
     # a degree of -1 would otherwise index the recurrence's rows from the end

@@ -6,6 +6,7 @@ import pytest
 from mpmath import mp
 
 from ballgrad.quadrature import (
+    QuadratureRule,
     composite_nodes,
     gauss_legendre,
     integrate,
@@ -47,6 +48,15 @@ def test_rule_structure(n):
     # symmetry about 0 is exact by construction
     assert np.all(r.nodes + r.nodes[::-1] == 0.0)
     assert np.all(r.weights == r.weights[::-1])
+
+
+def test_rule_is_hashed_and_compared_by_identity():
+    # a rule can key a cache; equal arrays in two objects do not make them equal
+    r = gauss_legendre(8)
+    twin = QuadratureRule(8, r.nodes.copy(), r.weights.copy())
+    assert hash(r) == hash(gauss_legendre(8)) and r == r and r is gauss_legendre(8)
+    assert {r: 1}[r] == 1
+    assert r != twin and not r == twin
 
 
 @pytest.mark.parametrize("n", (5, 32, 128))
