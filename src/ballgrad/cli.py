@@ -123,21 +123,22 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", default=fmt, choices=("csv", "json"), help="output format")
         p.add_argument("--out", default="-", help="output path ('-' for stdout)")
 
-    def series_common(p, fmt):
+    def query_common(p, fmt, series):
         p.add_argument("--dim", type=int, required=True, help="ambient dimension n >= 3")
-        p.add_argument("--max-terms", type=int, default=SERIES_MAX_TERMS, help="series term cap")
+        if series:  # certify runs no series
+            p.add_argument("--max-terms", type=int, default=SERIES_MAX_TERMS, help="series term cap")
         common(p, fmt)
         p.add_argument("--rho", type=_rhos, required=True, help="comma-separated radii in [0, 1)")
 
     p_const = sub.add_parser("constant", help="directional constant by both routes")
     p_const.set_defaults(run=cmd_constant)
-    series_common(p_const, "csv")
+    query_common(p_const, "csv", True)
     p_const.add_argument("--alpha", type=_alphas, default="step:pi/12",
                          help="comma list of angles, or 'step:<angle>' (default step:pi/12)")
 
     p_cert = sub.add_parser("certify", help="convexity and radial-max certificates")
     p_cert.set_defaults(run=cmd_certify)
-    series_common(p_cert, "json")
+    query_common(p_cert, "json", False)
 
     p_ident = sub.add_parser("identities", help="polynomial identity residual suite")
     p_ident.set_defaults(run=cmd_identities)
@@ -174,10 +175,11 @@ def _emit(args, header, rows, payload):
         raise UsageError(f"cannot write {args.out!r}: {exc.strerror or exc}") from None
 
 
-def _common_config(args):
+def _common_config(args, max_terms=None):
     try:
         dim = DimensionParams(args.dim)
-        series_cutoff(0.0, dim.lambda_low, args.max_terms)  # rejects a cap below 8
+        if max_terms is not None:
+            series_cutoff(0.0, dim.lambda_low, max_terms)  # rejects a cap below 8
         rule = gauss_legendre(args.quad_order)
     except ValueError as exc:
         raise UsageError(str(exc))
@@ -185,7 +187,7 @@ def _common_config(args):
 
 
 def cmd_constant(args) -> int:
-    dim, rule = _common_config(args)
+    dim, rule = _common_config(args, args.max_terms)
     rows = []
     all_ok = True
     for rho in args.rho:
@@ -220,7 +222,7 @@ def cmd_certify(args) -> int:
     results, rows = [], []
     all_ok = True
     for rho in args.rho:
-        conv = certify_convexity(dim.n, rho, args.max_terms, rule)
+        conv = certify_convexity(dim.n, rho, rule)
         rad = certify_radial_max(dim.n, rho, rule)
         all_ok &= conv.passed and rad.passed
         results.append({"rho": rho, "convexity": asdict(conv), "radial_max": asdict(rad)})
@@ -232,8 +234,6 @@ def cmd_certify(args) -> int:
         "command": "certify",
         "dim": dim.n,
         "quad_order": rule.order,
-        "max_terms": args.max_terms,
-        "tail_tol": SERIES_TAIL_TOL,
         "t_grid": T_GRID.size,
         "alpha_points": ALPHA_GRID.size,
         "results": results,
@@ -284,6 +284,9 @@ def main(argv=None) -> int:
         return 2
     except SeriesConvergenceError as exc:
         print(f"ballgrad: series did not converge: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError as exc:  # a value past the double range, such as the kernel at large n
+        print(f"ballgrad: {exc}", file=sys.stderr)
         return 1
 
 

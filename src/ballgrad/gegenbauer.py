@@ -46,7 +46,7 @@ _BLOCK = 32
 _COLUMNS = 256
 # every rho-power series stops at the first K with rho^K (K+1)^max(2 lam - 1, 0) below this
 SERIES_TAIL_TOL = 1e-14
-# default term cap of every rho-power series (the CLI's --max-terms)
+# default term cap of every rho-power series (the --max-terms of `ballgrad constant`)
 SERIES_MAX_TERMS = 8192
 
 
@@ -153,7 +153,8 @@ def eval_recurrence(lam, k, x):
     degree per element; k, lam and x broadcast. A 0-d result is a float."""
     k = np.asarray(k)
     if k.dtype.kind not in "iu" or k.min(initial=0) < 0:  # one reduction for a valid k
-        raise ValueError(f"degree must be a nonnegative integer, got {k.min()}")
+        raise ValueError("degree must be a nonnegative integer, got "
+                         f"{k.min() if k.size else k.dtype}")  # an empty array: its dtype
     seq = eval_sequence(lam, int(k.max(initial=0)), x)
     k = np.broadcast_to(k, np.broadcast_shapes(k.shape, seq.shape[1:]))
     seq = seq.reshape(seq.shape[:1] + (1,) * (k.ndim + 1 - seq.ndim) + seq.shape[1:])

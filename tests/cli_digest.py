@@ -71,6 +71,9 @@ constant --rho 0.5
 constant --dim 3 --rho 1.5
 constant --dim 2 --rho 0.5
 certify --dim 3 --rho 0.5 --max-terms 7
+constant --dim 3 --rho 0.5 --max-terms 7
+certify --dim 16 --rho 0.999
+certify --dim 128 --rho 0.999
 certify --dim 3 --rho 0.999
 identities --seed -1 --check kink --samples 2
 identities --lambda 0.5,0.25,-0.25 --check legendre-addition

@@ -13,7 +13,8 @@ import pytest
 import ballgrad
 from ballgrad import certify_convexity, certify_radial_max, cli
 from ballgrad.cli import main
-from ballgrad.constants import DEFAULT_QUAD_ORDER, ConstantQuery, constant_direct
+from ballgrad.constants import (CONVEXITY_FLOOR, DEFAULT_QUAD_ORDER, ROUTE_TOL, ConstantQuery,
+                                constant_direct)
 from ballgrad.gegenbauer import DimensionParams
 from ballgrad.quadrature import gauss_legendre
 
@@ -98,30 +99,56 @@ def test_certify_passes(capsys):
     assert entry["convexity"]["passed"] and entry["radial_max"]["passed"]
     # reproducibility metadata
     assert payload["quad_order"] == 128
-    assert entry["convexity"]["series_terms"]
+    assert entry["convexity"]["quad_order"] == 128
     assert entry["radial_max"]["quad_order"] == 128
 
 
-def test_certify_near_boundary_reports_longer_series(capsys):
+def test_certify_near_boundary_reports_no_series(capsys):
+    # certify runs no series: its JSON has no term cap, tail tolerance or term counts
     code, out, _ = _run(capsys, ["certify", "--dim", "3", "--rho", "0.99"])
     assert code == 0
     payload = json.loads(out)
     assert payload["passed"] is True
-    assert max(payload["results"][0]["convexity"]["series_terms"]) > 1000
+    assert not {"max_terms", "tail_tol"} & set(payload)
+    assert "series_terms" not in payload["results"][0]["convexity"]
+
+
+@pytest.mark.parametrize("n, rho", [(n, rho) for n in (3, 5, 8, 12, 16) for rho in (0.99, 0.995, 0.999)]
+                         + [(21, 0.95), (38, 0.95), (60, 0.9), (79, 0.9)])
+def test_certify_passes_where_the_series_failed(capsys, n, rho):
+    # the series needed more than 8192 terms at rho >= 0.99 (n > 8 at 0.99, every n
+    # from 0.995), and its rounding passed ROUTE_TOL in the four large-n cases
+    assert (ROUTE_TOL, CONVEXITY_FLOOR) == (1e-8, -1e-12)
+    code, out, err = _run(capsys, ["certify", "--dim", str(n), "--rho", str(rho)])
+    assert (code, err) == (0, "")
+    (entry,) = json.loads(out)["results"]
+    conv, rad = entry["convexity"], entry["radial_max"]
+    assert conv["passed"] and rad["passed"]
+    assert conv["min_curvature"] >= CONVEXITY_FLOOR and conv["max_route_gap"] <= ROUTE_TOL
+    assert rad["radial_residual"] <= ROUTE_TOL
 
 
 @pytest.mark.parametrize("argv", [
     ["constant", "--dim", "200", "--rho", "0.99"],
     ["certify", "--dim", "128", "--rho", "0.999"],
     ["constant", "--dim", "1024", "--rho", "0.3", "--alpha", "0"],
-], ids=["constant-200", "certify-128", "constant-1024"])
+    ["certify", "--dim", "200", "--rho", "0.99"],
+    ["certify", "--dim", "256", "--rho", "0.99"],
+    ["certify", "--dim", "1024", "--rho", "0.7"],
+], ids=["constant-200", "certify-128", "constant-1024", "certify-200", "certify-256",
+        "certify-1024"])
 def test_series_order_overflow_is_one_line(capsys, argv):
-    # the cutoff's (K+1)^(2 lam - 1) passes the double range before its bound is met
+    # constant: the cutoff's (K+1)^(2 lam - 1) passes the double range before its
+    # bound is met; certify runs no series, and its kernel curvature overflows
     code, out, err = _run(capsys, argv)
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1
-    assert err.startswith("ballgrad: series did not converge: ")
+    if argv[0] == "certify":
+        n, rho = argv[2], argv[4]
+        assert err == f"ballgrad: profile_curvature_kernel overflows at n={n}, rho={rho}\n"
+    else:
+        assert err.startswith("ballgrad: series did not converge: ")
     assert "Traceback" not in err
 
 
@@ -372,7 +399,7 @@ def test_constant_runs_direct_once_per_mirror_pair(capsys, monkeypatch, alpha, c
         assert row["c_direct"] == constant_direct(q, rule)
 
 
-@pytest.mark.parametrize("command", ["constant", "certify"])
+@pytest.mark.parametrize("command", ["constant"])
 @pytest.mark.parametrize("cap", ["7", "0"])
 def test_max_terms_below_8_is_usage_error(capsys, command, cap):
     # series_cutoff checks the cap, also at rho = 0 where no series term runs
@@ -380,6 +407,16 @@ def test_max_terms_below_8_is_usage_error(capsys, command, cap):
     assert code == 2
     assert out == ""
     assert err == f"ballgrad: error: max_terms must be at least 8, got {cap}\n"
+
+
+@pytest.mark.parametrize("cap", ["8192", "7"])
+def test_certify_takes_no_max_terms(capsys, cap):
+    # certify runs no series, so it has no term cap; constant keeps --max-terms
+    code, out, err = _run(capsys, ["certify", "--dim", "3", "--rho", "0.5", "--max-terms", cap])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("ballgrad: error: ")
+    assert "--max-terms" in err
 
 
 def _typed(field):

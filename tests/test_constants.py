@@ -1,5 +1,7 @@
 import dataclasses
 import importlib
+import inspect
+import json
 import math
 import pathlib
 import re
@@ -14,6 +16,7 @@ from numpy.polynomial.legendre import leggauss, legval, legvander
 from ballgrad import cli, constants, gegenbauer
 from ballgrad.constants import (
     ALPHA_GRID,
+    CONVEXITY_FLOOR,
     ROUTE_TOL,
     T_GRID,
     ConstantQuery,
@@ -76,9 +79,8 @@ def test_query_validation():
     lambda cap: constant_series(ConstantQuery(DimensionParams(3), 0.0, 0.0), cap),
     lambda cap: profile_parts(0.3, DimensionParams(4), 0.5, cap),
     lambda cap: profile_curvature_series(0.3, DimensionParams(4), 0.5, cap),
-    lambda cap: certify_convexity(3, 0.5, cap),
 ], ids=["cutoff", "cutoff-rho-zero", "constant-series-rho-zero", "profile-parts",
-        "curvature-series", "certify-convexity"])
+        "curvature-series"])
 def test_series_cap_validation(call):
     # series_cutoff alone checks the term cap, and every series route reaches it
     for cap in (7, 4, 0, -1):
@@ -722,14 +724,15 @@ def test_certify_convexity_passes(rule):
     rep = certify_convexity(8, 0.95, rule=rule)
     assert rep.passed
     d = dataclasses.asdict(rep)
-    assert d["n"] == 8 and len(d["series_terms"]) == 3
+    assert d["n"] == 8 and "series_terms" not in d
 
 
 def test_certify_convexity_needs_route_agreement():
-    # a 2-node rule puts the kernel curvature 0.0547 off the series, just under
-    # the 0.0548 margin: the floor alone would pass, the route contract fails it
+    # a 2-node rule leaves the kernel curvature nonnegative, so the floor passes,
+    # but puts its Green profile 0.0245 off the direct route at pi/3: the route
+    # contract fails it
     rep = certify_convexity(3, 0.5, rule=gauss_legendre(2))
-    assert rep.min_curvature > 0.05 and rep.max_route_gap > 0.05
+    assert rep.min_curvature > 0.0 and rep.max_route_gap > 0.02
     assert not rep.passed
 
 
@@ -742,13 +745,19 @@ def test_certificates_take_no_tolerance():
 
 
 def test_certify_convexity_route_gap(rule):
-    for n, rho in ((3, 0.5), (8, 0.95)):
+    # |Green - direct| / max(1, |direct|) at ALPHA_GRID[60] = pi/3, the Green value
+    # written out and anchored at constant_transverse; a 2-node rule gives a real gap
+    assert ALPHA_GRID[60] == pytest.approx(math.pi / 3, abs=1e-15)
+    for n, rho, r in ((3, 0.5, rule), (8, 0.95, rule), (3, 0.5, gauss_legendre(2))):
         dim = DimensionParams(n)
-        rep = certify_convexity(n, rho, rule=rule)
-        curv = profile_curvature_series(T_GRID, dim, rho)
-        want = max(abs(curv[i] - profile_curvature_kernel(float(t), dim, rho, rule))
-                   for i, t in enumerate(T_GRID))
-        assert rep.max_route_gap == pytest.approx(want, abs=1e-14 * np.max(np.abs(curv)))
+        rep = certify_convexity(n, rho, rule=r)
+        green = (_green_values_inline(dim, rho, ALPHA_GRID[60:61], r)[0] + constant_transverse(dim, rho)
+                 - constant_direct(ConstantQuery(dim, rho, math.pi / 2), r))
+        direct = constant_direct(ConstantQuery(dim, rho, float(ALPHA_GRID[60])), r)
+        want = abs(green - direct) / max(1.0, direct)
+        assert rep.max_route_gap == pytest.approx(want, rel=1e-9, abs=1e-14)
+        assert rep.min_curvature == pytest.approx(
+            profile_curvature_kernel(T_GRID, dim, rho, r).min(), rel=1e-14)
 
 
 @pytest.mark.parametrize("n, rho", [(3, 0.5), (8, 0.95), (3, 0.99)])
@@ -757,19 +766,16 @@ def test_certificates_match_full_grid_evaluation(rule, n, rho):
     dim = DimensionParams(n)
     conv = certify_convexity(n, rho, rule=rule)
     grid = _symmetric(-0.999, 0.999, 201)
-    curv = profile_curvature_series(grid, dim, rho)
     kern = profile_curvature_kernel(grid, dim, rho, rule)
-    scale = np.max(np.abs(curv))
-    assert conv.passed == bool(curv.min() >= -1e-12)
-    assert conv.series_terms == tuple(series_cutoff(rho, lam, SERIES_MAX_TERMS) for lam in
-                                      (dim.lambda_low, dim.lambda_mid, dim.lambda_high))
-    assert conv.min_curvature == pytest.approx(curv.min(), rel=1e-14)
-    assert abs(conv.argmin_t) == abs(grid[np.argmin(curv)])
-    assert abs(conv.max_route_gap - np.max(np.abs(curv - kern))) <= 1e-14 * scale
-
-    rad = certify_radial_max(n, rho, rule=rule)
     alphas = np.arange(181) * math.pi / 180
     values = _green_values_inline(dim, rho, alphas, rule)
+    direct = constant_direct(ConstantQuery(dim, rho, alphas[60]), rule)
+    assert conv.passed == bool(kern.min() >= -1e-12 and conv.max_route_gap <= 1e-8)
+    assert conv.min_curvature == pytest.approx(kern.min(), rel=1e-14)
+    assert abs(conv.argmin_t) == abs(grid[np.argmin(kern)])
+    assert abs(conv.max_route_gap - abs(values[60] - direct) / max(1.0, direct)) <= 1e-14
+
+    rad = certify_radial_max(n, rho, rule=rule)
     assert rad.passed == bool(values[0] >= values.max() - 1e-12 * max(1.0, values.max()))
     assert rad.value_at_zero == pytest.approx(values[0], rel=1e-14)
     assert rad.max_value == pytest.approx(values.max(), rel=1e-14)
@@ -808,11 +814,11 @@ def _series_profile(dim, rho, t, rule):
 @pytest.mark.parametrize("n, rho", [(n, rho) for n in (3, 5, 8, 16) for rho in (0.1, 0.5, 0.9, 0.95)]
                          + [(3, 0.99), (4, 0.99)])
 def test_green_profile_matches_series(rule, n, rho):
-    # f(0) + int_0^|t| (|t| - s) f''(s) ds against the series profile, on the 181 radial-max angles
+    # the constant at alpha = pi/2 plus c_n / (1 - rho^2) int_0^|t| (|t| - s) f''(s) ds
+    # against the series constant, on the 181 radial-max angles
     dim = DimensionParams(n)
-    t = np.cos(ALPHA_GRID)
-    series = _series_profile(dim, rho, t, rule)
-    green = _series_profile(dim, rho, 0.0, rule) + _green_profile(dim, rho, rule)[0]
+    series = dim.c_n / (1 - rho * rho) * _series_profile(dim, rho, np.cos(ALPHA_GRID), rule)
+    green = _green_profile(dim, rho, rule)[0]
     assert np.max(np.abs(green - series) / series) <= 1e-12
 
 
@@ -832,6 +838,42 @@ def test_certify_sweeps_the_kernel_once_per_radius(monkeypatch):
     _green_profile.cache_clear()
     assert cli.main(["certify", "--dim", "5", "--rho", "0.3,0.9,0.3"]) == 0
     assert calls == [0.3, 0.9, 0.3]
+
+
+def _kernel_scaled(monkeypatch):
+    # the kernel curvature 1e-6 too large, as from a prefactor off by 1e-6 relative
+    kernel = constants.profile_curvature_kernel
+    monkeypatch.setattr(constants, "profile_curvature_kernel",
+                        lambda *args: kernel(*args) * (1.0 + 1e-6))
+
+
+def _bracket_power_raised(monkeypatch):
+    # _poisson_rows with the kernel's bracket (p - a sin^2) raised to the power 5/2, not 2
+    source = inspect.getsource(constants._poisson_rows)
+    assert source.count("sq *= sq") == 1
+    namespace = dict(vars(constants))
+    exec(source.replace("sq *= sq", "np.abs(sq, out=sq)\n                sq **= 2.5"), namespace)
+    monkeypatch.setattr(constants, "_poisson_rows", namespace["_poisson_rows"])
+
+
+@pytest.mark.parametrize("mutate", [_kernel_scaled, _bracket_power_raised],
+                         ids=["kernel-scaled", "bracket-power"])
+@pytest.mark.parametrize("n, rho", [(n, rho) for n in (3, 8, 16) for rho in (0.5, 0.99)])
+def test_certify_fails_on_a_mutated_kernel(capsys, monkeypatch, mutate, n, rho):
+    # the referees have teeth: a wrong kernel still meets the floor, but its Green
+    # profile misses the direct route at pi/3 or the closed radial formula at 0
+    # (at (16, 0.5) the 1e-6 scale is caught by the radial-max certificate alone)
+    mutate(monkeypatch)
+    _green_profile.cache_clear()
+    try:
+        code = cli.main(["certify", "--dim", str(n), "--rho", str(rho)])
+    finally:
+        _green_profile.cache_clear()
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    (entry,) = json.loads(out)["results"]
+    assert entry["convexity"]["min_curvature"] >= CONVEXITY_FLOOR
+    assert not (entry["convexity"]["passed"] and entry["radial_max"]["passed"])
 
 
 @pytest.mark.parametrize("rho, nodes", [(0.1, 32), (0.5, 64), (0.9, 112), (0.99, 192)])
@@ -862,8 +904,8 @@ def test_green_profile_node_doubling(rule, monkeypatch, n, rho):
     _green_profile.cache_clear()
     fine = _green_profile(dim, rho, rule)[0]
     _green_profile.cache_clear()
-    f0 = constant_direct(ConstantQuery(dim, rho, math.pi / 2), rule) * (1 - rho * rho) / dim.c_n
-    assert np.max(np.abs(coarse - fine)) <= 1e-12 * (f0 + fine.max())
+    # both share the anchor constant_transverse: 1e-12 of the largest constant, as of max f
+    assert np.max(np.abs(coarse - fine)) <= 1e-12 * fine.max()
 
 
 @pytest.mark.parametrize("rho, panels", [(0.0, 1), (0.79, 1), (0.8, 2), (0.9, 3), (0.99, 4),
@@ -907,7 +949,8 @@ def test_certify_convexity_rho_zero(rule):
     rep = certify_convexity(5, 0.0, rule=rule)
     assert rep.passed
     assert rep.min_curvature == 0.0
-    assert rep.max_route_gap == 0.0
+    # the closed transverse anchor against the direct double integral at pi/3
+    assert rep.max_route_gap <= 1e-15
 
 
 def test_certify_convexity_validation(rule):
@@ -1101,7 +1144,12 @@ def test_certify_radial_max_runs_no_double_integral(rule, monkeypatch):
     monkeypatch.setattr(cli, "constant_direct", refuse)
     for n, rho in ((3, 0.5), (8, 0.95), (16, 0.999)):
         assert certify_radial_max(n, rho, rule=rule).passed
+    # the command runs one double integral a radius: the convexity referee at pi/3
+    made = []
+    monkeypatch.setattr(constants, "constant_direct",
+                        lambda q, r: made.append(q.alpha) or constant_direct(q, r))
     assert cli.main(["certify", "--dim", "3", "--rho", "0.5,0.9"]) == 0
+    assert made == [ALPHA_GRID[60]] * 2
 
 
 @pytest.mark.parametrize("route, call", [

@@ -169,6 +169,7 @@ def test_eval_recurrence_degree_per_element_equals_scalar_calls(lam, k, x):
 
 @pytest.mark.parametrize("k, named", [
     (-1, "-1"), (np.array([3, -2, 0, -5]), "-5"), (1.5, "1.5"), (np.array([1.0, 2.0]), "1.0"),
+    (np.array([]), "float64"),  # an empty array has no degree to name: its dtype
 ])
 def test_eval_recurrence_names_bad_degree(k, named):
     with pytest.raises(ValueError, match=rf"^degree must be a nonnegative integer, got {named}$"):
