@@ -28,7 +28,6 @@ from .constants import (
     ALPHA_GRID,
     DEFAULT_QUAD_ORDER,
     ROUTE_TOL,
-    T_GRID,
     ConstantQuery,
     certify_convexity,
     certify_radial_max,
@@ -222,8 +221,8 @@ def cmd_certify(args) -> int:
     results, rows = [], []
     all_ok = True
     for rho in args.rho:
-        conv = certify_convexity(dim.n, rho, rule)
-        rad = certify_radial_max(dim.n, rho, rule)
+        conv = certify_convexity(dim, rho, rule)
+        rad = certify_radial_max(dim, rho, rule)
         all_ok &= conv.passed and rad.passed
         results.append({"rho": rho, "convexity": asdict(conv), "radial_max": asdict(rad)})
         rows += [(dim.n, rho, "convexity", conv.min_curvature, conv.max_route_gap,
@@ -234,7 +233,6 @@ def cmd_certify(args) -> int:
         "command": "certify",
         "dim": dim.n,
         "quad_order": rule.order,
-        "t_grid": T_GRID.size,
         "alpha_points": ALPHA_GRID.size,
         "results": results,
         "passed": all_ok,

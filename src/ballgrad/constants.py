@@ -41,12 +41,12 @@ The profile f and its curvature are even in t: C(x, l) = C(x, -l), and the
 reflection x2 -> -x2 fixes rho*e1 and maps l_alpha to -l_(pi - alpha). So
 constant_direct integrates at min(alpha, pi - alpha), one float per mirror
 pair, f'(0) = 0 and f(t) = f(0) + int_0^|t| (|t| - s) f''(s) ds. One cached kernel
-curvature sweep per radius (_green_profile) is the only curvature route of both
-certificates: the radial-max one reads this Green profile (integrated twice in closed
-form, anchored at constant_transverse) on ALPHA_GRID, the convexity one the curvature
-on the upper half of the exactly antisymmetric T_GRID, refereed by constant_direct at
-pi/3. Both grids are constants, as the accuracy contracts are; the one setting of the
-series routes is their term cap.
+curvature sweep per radius (_green_profile), on the Green nodes in (0, 1), is the only
+curvature route of both certificates: the radial-max one reads this Green profile
+(integrated twice in closed form, anchored at constant_transverse) on ALPHA_GRID, the
+convexity one the curvature at the nodes themselves, refereed by constant_direct at
+pi/3. The nodes depend on rho alone and ALPHA_GRID is a constant, as the accuracy
+contracts are; the one setting of the series routes is their term cap.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ __all__ = [
     "RadialMaxReport",
     "DEFAULT_QUAD_ORDER",
     "ROUTE_TOL", "CONVEXITY_FLOOR", "TIE_TOLERANCE",
-    "T_GRID", "ALPHA_GRID",
+    "ALPHA_GRID",
     "constant_direct",
     "constant_series",
     "constant_radial",
@@ -86,12 +86,9 @@ __all__ = [
 ROUTE_TOL = 1e-8
 CONVEXITY_FLOOR = -1e-12
 TIE_TOLERANCE = 1e-12
-# the certificate grids: 201 t in [-0.999, 0.999], made exactly antisymmetric as
-# in gauss_legendre, and the 181 angles i*pi/180 of the radial-max scan
-T_GRID = np.linspace(-0.999, 0.999, 201)
-T_GRID = 0.5 * (T_GRID - T_GRID[::-1])
+# the 181 angles i*pi/180 of the radial-max scan
 ALPHA_GRID = np.array([i * math.pi / 180 for i in range(181)])
-T_GRID.flags.writeable = ALPHA_GRID.flags.writeable = False
+ALPHA_GRID.flags.writeable = False
 _REFEREE = 60  # the convexity certificate's referee angle: ALPHA_GRID[60] = pi/3
 # rows per block of the t-sweeps and the direct route's inner matrix; bounds temporaries
 _T_CHUNK = 32
@@ -418,9 +415,9 @@ def curvature_density_grid(t, z, n, rho: float):
 class ConvexityReport:
     """Grid certificate that the constant profile has nonnegative curvature.
 
-    The kernel curvature runs on T_GRID[100:], the |t| of the exactly antisymmetric
-    grid; argmin_t is the lower point -|t| of the mirrored pair that first attains the
-    minimum. max_route_gap is |Green profile - direct| / max(1, |direct|) at pi/3, and
+    The kernel curvature runs on the Green nodes of rho (grid_size of them, in (0, 1);
+    f'' is even in t); argmin_t is the first node that attains the minimum.
+    max_route_gap is |Green profile - direct| / max(1, |direct|) at pi/3, and
     passed needs min_curvature >= CONVEXITY_FLOOR and max_route_gap <= ROUTE_TOL.
     """
 
@@ -459,7 +456,7 @@ class RadialMaxReport:
 
 
 def certify_convexity(n, rho: float, rule: QuadratureRule | None = None) -> ConvexityReport:
-    """Scan the kernel curvature (_green_profile) on T_GRID and certify the profile.
+    """Scan the kernel curvature on the Green nodes (_green_profile) and certify the profile.
 
     The kernel curvature sums nonnegative terms with positive Gauss weights, so the
     floor always holds; the check stays. What is checked is the route: the Green
@@ -467,18 +464,16 @@ def certify_convexity(n, rho: float, rule: QuadratureRule | None = None) -> Conv
     """
     dim = _dimension(n)
     rule = rule or gauss_legendre(DEFAULT_QUAD_ORDER)
-    # f is even and T_GRID antisymmetric: reversed, these are the values on T_GRID[:101]
-    values, upper = _green_profile(dim, rho, rule)
-    curv = upper[::-1]
+    values, nodes, curv = _green_profile(dim, rho, rule)
     imin = int(np.argmin(curv))
     direct = constant_direct(ConstantQuery(dim, rho, float(ALPHA_GRID[_REFEREE])), rule)
     gap = abs(float(values[_REFEREE]) - direct) / max(1.0, abs(direct))
     return ConvexityReport(
         n=dim.n,
         rho=rho,
-        grid_size=T_GRID.size,
+        grid_size=nodes.size,
         min_curvature=float(curv[imin]),
-        argmin_t=float(T_GRID[imin]),
+        argmin_t=float(nodes[imin]),
         passed=bool(curv[imin] >= CONVEXITY_FLOOR and gap <= ROUTE_TOL),
         max_route_gap=gap,
         quad_order=rule.order,
@@ -508,19 +503,19 @@ def _legendre_integral(c):
 
 @functools.lru_cache(maxsize=1)
 def _green_profile(dim: DimensionParams, rho: float, rule: QuadratureRule):
-    """(the constant on ALPHA_GRID, f'' on T_GRID[100:]), read-only and cached: one kernel
-    curvature sweep, Green nodes first, feeds both certificates. f'' at _GREEN_ORDER Gauss
-    nodes per _green_edges panel is expanded in Legendre polynomials per panel, on which
-    the constant, constant_transverse + c_n / (1 - rho^2) int_0^u (u - s) f''(s) ds at
+    """(the constant on ALPHA_GRID, the Green nodes, f'' at them), read-only and cached:
+    one kernel curvature sweep feeds both certificates. f'' at _GREEN_ORDER Gauss nodes
+    per _green_edges panel is expanded in Legendre polynomials per panel, on which the
+    constant, constant_transverse + c_n / (1 - rho^2) int_0^u (u - s) f''(s) ds at
     u = |cos(alpha)|, is closed-form (f the even normalized profile).
     """
     edges = _green_edges(rho)
     nodes, _ = map_panels(edges, gauss_legendre(_GREEN_ORDER))
     half = 0.5 * np.diff(edges)
-    sweep = profile_curvature_kernel(np.concatenate((nodes, T_GRID[100:])), dim, rho, rule)
-    curv = sweep[:nodes.size].reshape(-1, _GREEN_ORDER)
-    c1 = half[:, None] * _legendre_integral(curv @ _GREEN_TO_COEF.T)  # f'(s) - f'(a_j), panel j
-    c2 = half[:, None] * _legendre_integral(c1)                       # and its integral from a_j
+    curv = profile_curvature_kernel(nodes, dim, rho, rule)
+    # Legendre coefficients of f'(s) - f'(a_j) on panel j, and of its integral from a_j
+    c1 = half[:, None] * _legendre_integral(curv.reshape(-1, _GREEN_ORDER) @ _GREEN_TO_COEF.T)
+    c2 = half[:, None] * _legendre_integral(c1)
     # f' and f - f(0) at the left edges a_j; P_k(1) = 1 gives each panel's increments
     slope = np.concatenate(([0.0], np.cumsum(c1.sum(axis=1))))[:-1]
     level = np.concatenate(([0.0], np.cumsum(2.0 * half * slope + c2.sum(axis=1))))[:-1]
@@ -528,10 +523,10 @@ def _green_profile(dim: DimensionParams, rho: float, rule: QuadratureRule):
     j = np.clip(np.searchsorted(edges, u, side="right") - 1, 0, half.size - 1)
     x = (u - edges[j]) / half[j] - 1.0
     poly = (eval_sequence(0.5, _GREEN_ORDER + 1, x) * c2[j].T).sum(axis=0)
-    profile, upper = level[j] + slope[j] * (u - edges[j]) + poly, sweep[nodes.size:]
+    profile = level[j] + slope[j] * (u - edges[j]) + poly
     values = constant_transverse(dim, rho) + dim.c_n / ((1.0 - rho) * (1.0 + rho)) * profile
-    values.flags.writeable = upper.flags.writeable = False
-    return values, upper
+    values.flags.writeable = nodes.flags.writeable = curv.flags.writeable = False
+    return values, nodes, curv
 
 
 def certify_radial_max(n, rho: float, rule: QuadratureRule | None = None) -> RadialMaxReport:

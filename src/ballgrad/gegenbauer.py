@@ -83,10 +83,11 @@ class DimensionParams:
     def lambda_high(self) -> float:
         return (self.n + 2) / 2.0
 
-    @property
+    @functools.cached_property
     def c_n(self) -> float:
         """Normalization 2*Gamma((n+2)/2) / (Gamma(1/2)*Gamma((n-1)/2)), rounded once
-        from (2m+1) m C(2m, m) / 4^m at n = 2m+1, then / pi from 2m 4^(m-1) / C(2m-2, m-1)."""
+        from (2m+1) m C(2m, m) / 4^m at n = 2m+1, then / pi from 2m 4^(m-1) / C(2m-2, m-1),
+        on first access; cached_property keeps it on the frozen instance."""
         n, m = int(self.n), int(self.n) // 2
         if n % 2:
             return n * m * math.comb(2 * m, m) / 4 ** m

@@ -83,6 +83,8 @@ certify --dim 5 --rho 0.3,0.9,0.3
 certify --dim 8 --rho 0.5 --quad-order 64 --format csv
 certify --dim 21 --rho 0.95
 constant --dim 4 --rho 0.3,0.9 --alpha 0,pi/2,pi
+certify --dim 5 --rho 0
+certify --dim 100001 --rho 0
 """
 
 CHILD = ("import sys, ballgrad.cli\n"

@@ -28,6 +28,12 @@ from ballgrad.identities import (
 )
 from ballgrad.quadrature import DEFAULT_QUAD_ORDER, gauss_legendre
 
+# a fixed t-grid on which tests sample the curvature routes: 201 t in [-0.999, 0.999],
+# made exactly antisymmetric as in gauss_legendre
+T_GRID = np.linspace(-0.999, 0.999, 201)
+T_GRID = 0.5 * (T_GRID - T_GRID[::-1])
+T_GRID.flags.writeable = False
+
 
 def eval_explicit(lam: float, k: int, x: float) -> float:
     """Finite-sum form of C_k^lam(x), as an independent oracle for the recurrence.

@@ -560,6 +560,20 @@ def test_certify_json_is_the_library_reports(capsys):
     assert entry == json.loads(json.dumps(expected))
 
 
+@pytest.mark.parametrize("n, rhos, code, err", [
+    ("5", "0.1,0.3,0.5,0.7", 0, ""),
+    ("100001", "0,0.1,0.2", 1, "ballgrad: profile_curvature_kernel overflows at n=100001, rho=0.1\n"),
+])
+def test_certify_computes_c_n_once(capsys, monkeypatch, n, rhos, code, err):
+    # c_n is one exact big-integer ratio, slow at large n, cached on its
+    # DimensionParams, which cmd_certify hands to both certificates of every radius
+    calls = []
+    comb = math.comb
+    monkeypatch.setattr(math, "comb", lambda *args: calls.append(args) or comb(*args))
+    assert _run(capsys, ["certify", "--dim", n, "--rho", rhos])[::2] == (code, err)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("command", ["constant", "certify"])
 @pytest.mark.parametrize("flag", ["--tol", "--tail-tol"])
 def test_contract_flags_are_gone(capsys, command, flag):

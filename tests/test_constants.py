@@ -18,7 +18,6 @@ from ballgrad.constants import (
     ALPHA_GRID,
     CONVEXITY_FLOOR,
     ROUTE_TOL,
-    T_GRID,
     ConstantQuery,
     _T_CHUNK,
     _graded_panels,
@@ -47,6 +46,7 @@ from ballgrad.gegenbauer import (
     series_cutoff,
 )
 from ballgrad.quadrature import gauss_legendre, map_panels
+from referees import T_GRID
 
 DIMS = (3, 4, 5, 8)
 
@@ -720,7 +720,7 @@ def test_certify_convexity_passes(rule):
     rep = certify_convexity(3, 0.5, rule=rule)
     assert rep.passed and rep.min_curvature >= -1e-12
     assert rep.max_route_gap <= 1e-8
-    assert rep.grid_size == 201
+    assert rep.grid_size == _green_kernel(DimensionParams(3), 0.5, rule)[0].size == 64
     rep = certify_convexity(8, 0.95, rule=rule)
     assert rep.passed
     d = dataclasses.asdict(rep)
@@ -756,23 +756,22 @@ def test_certify_convexity_route_gap(rule):
         direct = constant_direct(ConstantQuery(dim, rho, float(ALPHA_GRID[60])), r)
         want = abs(green - direct) / max(1.0, direct)
         assert rep.max_route_gap == pytest.approx(want, rel=1e-9, abs=1e-14)
-        assert rep.min_curvature == pytest.approx(
-            profile_curvature_kernel(T_GRID, dim, rho, r).min(), rel=1e-14)
+        assert rep.min_curvature == _green_kernel(dim, rho, r)[1].min()
 
 
 @pytest.mark.parametrize("n, rho", [(3, 0.5), (8, 0.95), (3, 0.99)])
 def test_certificates_match_full_grid_evaluation(rule, n, rho):
-    # the reports evaluate once per distinct |t|; here every grid point is evaluated
+    # the reports read one cached sweep; here every Green node and angle is evaluated
     dim = DimensionParams(n)
     conv = certify_convexity(n, rho, rule=rule)
-    grid = _symmetric(-0.999, 0.999, 201)
-    kern = profile_curvature_kernel(grid, dim, rho, rule)
+    nodes, kern = _green_kernel(dim, rho, rule)
     alphas = np.arange(181) * math.pi / 180
     values = _green_values_inline(dim, rho, alphas, rule)
     direct = constant_direct(ConstantQuery(dim, rho, alphas[60]), rule)
     assert conv.passed == bool(kern.min() >= -1e-12 and conv.max_route_gap <= 1e-8)
-    assert conv.min_curvature == pytest.approx(kern.min(), rel=1e-14)
-    assert abs(conv.argmin_t) == abs(grid[np.argmin(kern)])
+    assert conv.grid_size == nodes.size
+    assert conv.min_curvature == kern.min()
+    assert conv.argmin_t == nodes[np.argmin(kern)] and 0.0 < conv.argmin_t < 1.0
     assert abs(conv.max_route_gap - abs(values[60] - direct) / max(1.0, direct)) <= 1e-14
 
     rad = certify_radial_max(n, rho, rule=rule)
@@ -784,6 +783,13 @@ def test_certificates_match_full_grid_evaluation(rule, n, rho):
     assert rad.max_value == pytest.approx(series.max(), rel=1e-12)
     assert rad.argmax_alphas == (0.0, math.pi)
     assert rad.value_at_zero == rad.max_value
+
+
+def _green_kernel(dim, rho, rule):
+    """The Green nodes, 16 Gauss nodes on each _green_edges panel, and the kernel
+    curvature at them: the convexity certificate's sample set, written out."""
+    nodes = map_panels(_green_edges(rho), gauss_legendre(16))[0]
+    return nodes, profile_curvature_kernel(nodes, dim, rho, rule)
 
 
 def _green_values_inline(dim, rho, alphas, rule):
@@ -829,15 +835,16 @@ def test_green_profile_is_read_only(rule):
 
 
 def test_certify_sweeps_the_kernel_once_per_radius(monkeypatch):
-    # both certificates of a radius share one cached sweep; the one cache slot
-    # holds 0.9 when 0.3 comes back, so the third radius sweeps again
+    # both certificates of a radius share one cached sweep, on the Green nodes alone;
+    # the one cache slot holds 0.9 when 0.3 comes back, so the third radius sweeps again
     calls = []
     kernel = constants.profile_curvature_kernel
     monkeypatch.setattr(constants, "profile_curvature_kernel",
-                        lambda *args: calls.append(args[2]) or kernel(*args))
+                        lambda *args: calls.append((args[2], np.size(args[0]))) or kernel(*args))
     _green_profile.cache_clear()
     assert cli.main(["certify", "--dim", "5", "--rho", "0.3,0.9,0.3"]) == 0
-    assert calls == [0.3, 0.9, 0.3]
+    assert calls == [(rho, 16 * (_green_edges(rho).size - 1)) for rho in (0.3, 0.9, 0.3)]
+    assert calls == [(0.3, 48), (0.9, 112), (0.3, 48)]
 
 
 def _kernel_scaled(monkeypatch):
@@ -954,11 +961,7 @@ def test_certify_convexity_rho_zero(rule):
 
 
 def test_certify_convexity_validation(rule):
-    # the t-grid is a constant: 201 points in (-1, 1), exactly antisymmetric
-    assert T_GRID.shape == (201,) and np.all(np.diff(T_GRID) > 0.0)
-    assert T_GRID[0] == -0.999 and np.array_equal(T_GRID, -T_GRID[::-1])
-    with pytest.raises(ValueError):
-        T_GRID[0] = 0.0
+    # the sample set is fixed by rho: no grid size is taken
     with pytest.raises(TypeError):
         certify_convexity(4, 0.5, grid_size=11, rule=rule)
     with pytest.raises(ValueError, match="dimension must be an integer, got 3.5"):

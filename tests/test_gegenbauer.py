@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -285,6 +286,22 @@ def test_dimension_params():
         with pytest.raises(ValueError, match="dimension must be an integer"):
             DimensionParams(n)
     assert DimensionParams(np.int64(4)).lambda_low == 1.0
+
+
+def test_c_n_is_computed_once_per_instance(monkeypatch):
+    # c_n is an exact big-integer ratio, slow at large n: the first access
+    # computes it, later ones read the same float; the frozen fields, equality and hash stay
+    calls = []
+    comb = math.comb
+    monkeypatch.setattr(math, "comb", lambda *args: calls.append(args) or comb(*args))
+    for n in (7, 8):
+        d = DimensionParams(n)
+        first = d.c_n
+        assert d.c_n is first and d.c_n == DimensionParams.c_n.func(DimensionParams(n))
+        assert d == DimensionParams(n) and hash(d) == hash(DimensionParams(n))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.n = 9
+    assert len(calls) == 4  # one per first access: d.c_n, then the fresh instance of .func
 
 
 @pytest.mark.parametrize("n", list(range(3, 40)) + [64, 128, 256, 1024, 4096])
