@@ -20,17 +20,16 @@ nonnegative kernel density behind the convexity proof, and the two
 certification sweeps (convexity of the profile, maximality of the radial
 direction).
 
-Every integrand is integrated in angle variables (x = cos(theta)), which
-keeps all weight factors analytic; integrals with a (1 - 2*rho*z + rho^2)
-denominator additionally get panels graded geometrically around the peak of
-that Poisson denominator once rho >= 0.8, where the peak sharpens toward the
-boundary: edges at peak +- m (1 - rho), m = 1, 16, 256, 4096 (_graded_panels).
-Each such denominator is written (1 - rho)^2 + 2 rho (1 - z), with
-1 - z built from half-angle sines, so that no term cancels as rho -> 1 and
-the denominator is never below (1 - rho)^2. One function, _poisson_rows,
-integrates every power of it (the inner integral of constant_direct,
-constant_radial and the kernel curvature): _T_CHUNK rows at a time in one
-reused buffer, raised by _inv_power (a reciprocal and squarings) in place.
+Every integrand is integrated in angle variables (x = cos(theta)), which keeps all
+weight factors analytic. Each (1 - 2*rho*z + rho^2) Poisson denominator is written
+(1 - rho)^2 + 2 rho (1 - z), with 1 - z built from half-angle sines, so that no term
+cancels as rho -> 1 and it is never below (1 - rho)^2. One function, _poisson_rows,
+integrates every power of it (the inner integral of constant_direct, constant_radial
+and the kernel curvature), a row c0 + c1 sin^2(psi/2) on one plain panel per kink
+piece if its pole psi = i arccosh(1 + 2 c0/c1) is far (c0 >= tau c1, tau from a
+Bernstein-ellipse bound, _far_ratio), else, once rho >= 0.8, on panels graded around
+the peak, edges +- m (1 - rho), m = 1, 16, 256, 4096 (_graded_panels): _T_CHUNK rows
+of one rule at a time in one buffer, raised by _inv_power in place.
 The profile's kink integrals (the identity suite's kink_integral_brute,
 degrees 0 and 1 stacked) also run in _T_CHUNK-row blocks. Every
 rho-power series (the three curvature pair sums and the lagged series part of
@@ -147,9 +146,9 @@ class ConstantQuery:
 
 
 def _graded_panels(rho: float, rule: QuadratureRule, peak: float = 0.0, kinks=()):
-    """Nodes and weights over [0, pi], split at the kinks and, once rho >= 0.8,
-    graded around the peak at theta = peak of
-    1/(1 - 2*rho*cos(theta - peak) + rho^2), whose width is about 1 - rho.
+    """Nodes and weights over [0, pi] (the outer rule of constant_direct and that of the near
+    Poisson rows), split at the kinks and, once rho >= 0.8, graded around the peak at
+    theta = peak of 1/(1 - 2*rho*cos(theta - peak) + rho^2), whose width is about 1 - rho.
     composite_nodes sorts the edges and drops those outside (0, pi).
 
     The edges are peak +- m (1 - rho), m = 1, 16, 256, 4096. The poles sit
@@ -175,36 +174,63 @@ def _graded_panels(rho: float, rule: QuadratureRule, peak: float = 0.0, kinks=()
 # -- the Poisson-power quadrature of every route -----------------------------
 
 
-def _poisson_rows(rho: float, rule: QuadratureRule, c0, c1, e: float, weight, kinks=(), a=None):
-    """For every row r, sum_i w_i weight(theta_i) p_ri^-e (p_ri - a_r sin^2 theta_i)^2,
-    the bracket only if a is given, p_ri = c0_r + c1_r sin^2(theta_i/2), over the
-    nodes theta_i and weights w_i of _graded_panels(rho, rule, 0, kinks).
+@functools.lru_cache(maxsize=None)
+def _far_ratio(order: int, m: int, e: float) -> float:
+    """tau: the least c0/c1 of a grid from 1e-6 to 1e4 (inf if none) from which one plain
+    order-N panel integrates sin^m |p|^-e, p = c0 + c1 sin^2(psi/2), over [0, pi] to 2^-52 of
+    its maximum, by the Gauss bound 64 h M / (15 (r^2 - 1) r^(2N)), h = pi/2 (Trefethen, ATAP,
+    Thm 19.3). The pole i arccosh(1 + 2 c0/c1) sets r_pole; M, with the growth of |sin|^m and
+    |p|^-e, is sampled on the upper halves (|f| is even in Im psi) of r = 1 + k (r_pole - 1),
+    the best of k = 1/8..3/4 counting (k = 0: [0, pi] itself)."""
+    s = np.logspace(-6.0, 4.0, 41)[:, None, None]
+    u = -1.0 + 2j / math.pi * np.arccosh(1.0 + 2.0 * s)  # the pole, [0, pi] mapped to [-1, 1]
+    r = 1.0 + (abs(u + np.sqrt(u - 1.0) * np.sqrt(u + 1.0)) - 1.0) * np.c_[[0, 1, 2, 4, 6]] / 8
+    z = 0.5 * math.pi * (1.0 + np.cosh(np.log(r) + 1j * (np.arange(128) + 0.5) * math.pi / 128))
+    log_f = (m * np.log(abs(np.sin(z))) - e * np.log(abs(s + np.sin(0.5 * z) ** 2))).max(-1)
+    r = r[:, 1:, 0]
+    bound = math.log(32 * math.pi / 15) + log_f[:, 1:] - np.log(r * r - 1) - 2 * order * np.log(r)
+    ok = np.logical_and.accumulate((bound.min(1) <= log_f[:, 0] - 52 * math.log(2))[::-1])[::-1]
+    return float(s.flat[ok.argmax()]) if ok[-1] else math.inf  # ok[i]: s_i and every larger s
 
-    _T_CHUNK rows run at a time in one reused buffer by the one-matrix
+
+@np.errstate(over="ignore", invalid="ignore")  # callers raise; tau * c1 = inf * 0 is nan: near
+def _poisson_rows(rho: float, rule: QuadratureRule, c0, c1, e: float, m: int, kinks=(), a=None,
+                  extra=None):
+    """For every row r, sum_i w_i sin(t_i)^m extra(t_i) p_ri^-e (p_ri - a_r sin(t_i)^2)^2,
+    extra and the bracket only if given, p_ri = c0_r + c1_r sin(t_i/2)^2, on the plain rule
+    composite_nodes(0, pi, rule, kinks) if the row's pole is far, c0_r >= tau c1_r (c1_r = 0
+    too; tau = _far_ratio, the bracket as sin^4), else on _graded_panels(rho, rule, 0, kinks).
+
+    _T_CHUNK rows of one rule run at a time in one reused buffer by the one-matrix
     expression's operations in its order: bit-identical to it. Overflow gives
     inf or nan silently; each caller raises its own OverflowError.
     """
-    nodes, wts = _graded_panels(rho, rule, kinks=kinks)
-    half_sq, sin_sq = np.sin(0.5 * nodes) ** 2, None if a is None else np.sin(nodes) ** 2
-    wts = wts * weight(nodes)
-    out = np.empty(c0.size)
-    # numpy takes a one-row product as a dot, whose sum order differs from the
-    # matrix-vector product's, so a lone last row joins the block before it
-    starts = list(range(0, out.size - 1, _T_CHUNK)) or [0]
-    buf = np.empty((1 if a is None else 2, min(_T_CHUNK + 1, out.size), nodes.size))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi in zip(starts, starts[1:] + [out.size]):
+    tau = _far_ratio(rule.order, m + 4 * (a is not None), e) if rho >= 0.8 else math.inf
+    far, out = c0 >= tau * c1, np.empty(c0.size)  # below 0.8 both rules are one
+    for rows, graded in (((~far).nonzero()[0], True), (far.nonzero()[0], False)):
+        if rows.size == 0:
+            continue
+        nodes, wts = (_graded_panels(rho, rule, kinks=kinks) if graded
+                      else composite_nodes(0.0, math.pi, rule, kinks))
+        half_sq, sin_sq = np.sin(0.5 * nodes) ** 2, None if a is None else np.sin(nodes) ** 2
+        wts = wts * (np.sin(nodes) ** m * (1.0 if extra is None else extra(nodes)))
+        buf = np.empty((1 if a is None else 2, min(_T_CHUNK + 1, rows.size), nodes.size))
+        # numpy takes a one-row product as a dot, whose sum order differs from the
+        # matrix-vector product's, so a lone last row joins the block before it
+        starts = list(range(0, rows.size - 1, _T_CHUNK)) or [0]
+        for lo, hi in zip(starts, starts[1:] + [rows.size]):
+            r = slice(lo, hi) if rows.size == out.size else rows[lo:hi]  # one rule: no gathers
             v = buf[0, :hi - lo]
-            np.multiply(c1[lo:hi, None], half_sq, out=v)
-            v += c0[lo:hi, None]
+            np.multiply(c1[r, None], half_sq, out=v)
+            v += c0[r, None]
             if a is not None:  # the squared bracket, taken before v is raised in place
                 sq = buf[1, :hi - lo]
-                np.subtract(v, np.multiply(a[lo:hi, None], sin_sq, out=sq), out=sq)
+                np.subtract(v, np.multiply(a[r, None], sin_sq, out=sq), out=sq)
                 sq *= sq
             _inv_power(v, e)
             if a is not None:
                 v *= sq
-            out[lo:hi] = v @ wts
+            out[r] = v @ wts
     return out
 
 
@@ -219,7 +245,7 @@ def _inner_smooth(dim: DimensionParams, rho: float, alpha: float, theta, rule: Q
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     c0 = (1.0 - rho) ** 2 + 4.0 * rho * np.sin(0.5 * (th - alpha)) ** 2
     c1 = 4.0 * rho * np.sin(th) * math.sin(alpha)
-    return _poisson_rows(rho, rule, c0, c1, dim.n / 2.0 - 1.0, lambda x: np.sin(x) ** (dim.n - 3))
+    return _poisson_rows(rho, rule, c0, c1, dim.n / 2.0 - 1.0, dim.n - 3)
 
 
 # -- the three constant routes ----------------------------------------------
@@ -301,8 +327,8 @@ def constant_radial(n, rho: float, rule: QuadratureRule | None = None) -> float:
     rule = rule or gauss_legendre(DEFAULT_QUAD_ORDER)
     n, delta = dim.n, (dim.n - 2) / dim.n * _checked_rho(rho)
     total = _poisson_rows(rho, rule, np.array([(1.0 - rho) ** 2]), np.array([4.0 * rho]),
-                          (n - 2) / 2.0, lambda x: np.sin(x) ** (n - 2) * np.abs(np.cos(x) - delta),
-                          kinks=(math.acos(delta),))
+                          (n - 2) / 2.0, n - 2, kinks=(math.acos(delta),),
+                          extra=lambda x: np.abs(np.cos(x) - delta))
     value = dim.c_n / ((1.0 - rho) * (1.0 + rho)) * float(total[0])
     if not math.isfinite(value):
         raise OverflowError(f"constant_radial overflows at n={dim.n}, rho={rho}")
@@ -374,8 +400,7 @@ def profile_curvature_kernel(t, dim: int | DimensionParams, rho: float,
     g = 1.0 - (delta * tv) ** 2
     w = np.sqrt(g * (1.0 - tv * tv))
     c0 = (1.0 - rho) ** 2 + 2.0 * rho * (tv * (1.0 - delta)) ** 2 / (1.0 - delta * tv * tv + w)
-    sums = _poisson_rows(rho, rule, c0, 4.0 * rho * w, (n + 2) / 2.0,
-                         lambda x: np.sin(x) ** (n - 3), a=n / (n - 2.0) * g)
+    sums = _poisson_rows(rho, rule, c0, 4.0 * rho * w, (n + 2) / 2.0, n - 3, a=n / (n - 2.0) * g)
     out = n * (n - 2.0) / (math.pi * dim.c_n) * delta * delta * g ** ((n - 3) / 2.0) * sums
     if not np.all(np.isfinite(out)):
         raise OverflowError(f"profile_curvature_kernel overflows at n={n}, rho={rho}")

@@ -20,6 +20,7 @@ from ballgrad.constants import (
     ROUTE_TOL,
     ConstantQuery,
     _T_CHUNK,
+    _far_ratio,
     _graded_panels,
     _green_edges,
     _green_profile,
@@ -45,7 +46,7 @@ from ballgrad.gegenbauer import (
     pair_weights,
     series_cutoff,
 )
-from ballgrad.quadrature import gauss_legendre, map_panels
+from ballgrad.quadrature import composite_nodes, gauss_legendre, map_panels
 from referees import T_GRID
 
 DIMS = (3, 4, 5, 8)
@@ -163,20 +164,56 @@ def test_inner_integral_cross_route(rule):
                     assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
 
 
-def _inner_one_matrix(dim, rho, alpha, theta, rule):
-    """Reference: _inner_smooth as one (theta, psi) matrix expression."""
-    n = dim.n
-    nodes, wts = _graded_panels(rho, rule)
+def _inner_rows(theta, rho, alpha):
+    """(c0, c1) of _inner_smooth's rows at the outer angles theta, as it computes them."""
     c0 = (1.0 - rho) ** 2 + 4.0 * rho * np.sin(0.5 * (theta - alpha)) ** 2
-    c1 = 4.0 * rho * np.sin(theta) * math.sin(alpha)
-    denom = c0[:, None] + c1[:, None] * np.sin(0.5 * nodes)[None, :] ** 2
-    return _inv_power(denom, n / 2.0 - 1.0) @ (wts * np.sin(nodes) ** (n - 3))
+    return c0, 4.0 * rho * np.sin(theta) * math.sin(alpha)
+
+
+def _kernel_rows(t, n, rho):
+    """(c0, c1, g) of profile_curvature_kernel's rows at t; its bracket takes a = n g / (n - 2)."""
+    delta = (n - 2) / n * rho
+    g = 1.0 - (delta * t) ** 2
+    w = np.sqrt(g * (1.0 - t * t))
+    c0 = (1.0 - rho) ** 2 + 2.0 * rho * (t * (1.0 - delta)) ** 2 / (1.0 - delta * t * t + w)
+    return c0, 4.0 * rho * w, g
+
+
+def _rule_groups(rho, rule, c0, c1, m, e):
+    """Reference: _poisson_rows' split, (rows, nodes, weights) for the near rows on
+    _graded_panels and the far ones, c0 >= tau c1, on one plain panel [0, pi]."""
+    tau = _far_ratio(rule.order, m, e) if rho >= 0.8 else math.inf
+    with np.errstate(invalid="ignore"):
+        far = c0 >= tau * c1
+    return [(~far,) + _graded_panels(rho, rule), (far,) + composite_nodes(0.0, math.pi, rule)]
+
+
+def _inner_one_matrix(dim, rho, alpha, theta, rule):
+    """Reference: _inner_smooth as one (theta, psi) matrix expression per rule."""
+    n = dim.n
+    c0, c1 = _inner_rows(theta, rho, alpha)
+    out = np.full(theta.size, np.nan)
+    for rows, nodes, wts in _rule_groups(rho, rule, c0, c1, n - 3, n / 2.0 - 1.0):
+        denom = c0[rows, None] + c1[rows, None] * np.sin(0.5 * nodes)[None, :] ** 2
+        out[rows] = _inv_power(denom, n / 2.0 - 1.0) @ (wts * np.sin(nodes) ** (n - 3))
+    return out
+
+
+def _mixed_rows(near, far, sizes, seed):
+    """Rows drawn from a near and a far band, sizes[0] and sizes[1] of them, shuffled."""
+    rows = np.concatenate((np.linspace(*near, sizes[0]), np.linspace(*far, sizes[1])))
+    return np.random.default_rng(seed).permutation(rows)
+
+
+# (near, far) rows: lone last rows in both rules, a lone row each, full blocks, one rule only
+_MIXED_SIZES = [(_T_CHUNK + 1, 2 * _T_CHUNK + 1), (1, 1), (_T_CHUNK, _T_CHUNK - 1),
+                (3 * _T_CHUNK + 5, 0), (0, _T_CHUNK + 1)]
 
 
 @pytest.mark.parametrize("order", [7, 128])
 @pytest.mark.parametrize("n", [3, 4, 7, 12])
 def test_inner_integral_blocks_bit_identical(order, n):
-    # _T_CHUNK + 1 leaves a lone last row, which numpy would take as a dot
+    # each rule's _T_CHUNK + 1 rows leave a lone last row, which numpy would take as a dot
     rule = gauss_legendre(order)
     dim = DimensionParams(n)
     for size in (1, _T_CHUNK - 1, _T_CHUNK, _T_CHUNK + 1, 3 * _T_CHUNK + 5):
@@ -185,28 +222,38 @@ def test_inner_integral_blocks_bit_identical(order, n):
             for alpha in (0.0, math.pi / 3, math.pi):
                 want = _inner_one_matrix(dim, rho, alpha, theta, rule)
                 assert np.array_equal(_inner_smooth(dim, rho, alpha, theta, rule), want)
+    # at rho = 0.99 the rows within 1e-3 of alpha = pi/3 are near, those below 0.5 far
+    # (at order 7 every row is near: its bound never holds)
+    for sizes in _MIXED_SIZES:
+        theta = _mixed_rows((math.pi / 3 - 1e-3, math.pi / 3 + 1e-3), (0.0, 0.5), sizes, n)
+        want = _inner_one_matrix(dim, 0.99, math.pi / 3, theta, rule)
+        got = _inner_smooth(dim, 0.99, math.pi / 3, theta, rule)
+        assert np.array_equal(got, want), sizes
+        c0, c1 = _inner_rows(theta, 0.99, math.pi / 3)
+        far = _rule_groups(0.99, rule, c0, c1, n - 3, n / 2.0 - 1.0)[1][0]
+        assert np.count_nonzero(far) == (sizes[1] if order == 128 else 0)
 
 
 def _kernel_one_matrix(t, dim, rho, rule):
-    """Reference: profile_curvature_kernel as one (t, theta) matrix expression."""
+    """Reference: profile_curvature_kernel as one (t, theta) matrix expression per rule."""
     n = dim.n
     delta = (n - 2) / n * rho
-    nodes, wts = _graded_panels(rho, rule)
-    tc = t[:, None]
-    g = 1.0 - (delta * tc) ** 2
-    w = np.sqrt(g * (1.0 - tc * tc))
-    c0 = (1.0 - rho) ** 2 + 2.0 * rho * (tc * (1.0 - delta)) ** 2 / (1.0 - delta * tc * tc + w)
-    p = 4.0 * rho * w * np.sin(0.5 * nodes) ** 2 + c0
-    bracket = (p - n / (n - 2.0) * g * np.sin(nodes) ** 2) ** 2
-    vals = _inv_power(p, (n + 2) / 2.0) * bracket
+    c0, c1, g = _kernel_rows(t, n, rho)
+    sums = np.full(t.size, np.nan)
+    for rows, nodes, wts in _rule_groups(rho, rule, c0, c1, n + 1, (n + 2) / 2.0):
+        p = c1[rows, None] * np.sin(0.5 * nodes) ** 2 + c0[rows, None]
+        bracket = (p - n / (n - 2.0) * g[rows, None] * np.sin(nodes) ** 2) ** 2
+        vals = _inv_power(p, (n + 2) / 2.0) * bracket
+        sums[rows] = vals @ (wts * np.sin(nodes) ** (n - 3))
     scale = n * (n - 2.0) / (math.pi * dim.c_n) * delta * delta
-    return scale * g[:, 0] ** ((n - 3) / 2.0) * (vals @ (wts * np.sin(nodes) ** (n - 3)))
+    return scale * g ** ((n - 3) / 2.0) * sums
 
 
 @pytest.mark.parametrize("order", [7, 128])
 @pytest.mark.parametrize("n", [3, 4, 7, 12])
 def test_curvature_kernel_blocks_bit_identical(order, n):
-    # the kernel shares the inner integral's blocks, lone last row included
+    # the kernel shares the inner integral's blocks, lone last rows included; the
+    # bracket counts as sin^4 in the kernel's tau, so m = (n - 3) + 4
     rule = gauss_legendre(order)
     dim = DimensionParams(n)
     for size in (1, _T_CHUNK - 1, _T_CHUNK, _T_CHUNK + 1, 3 * _T_CHUNK + 5):
@@ -214,6 +261,14 @@ def test_curvature_kernel_blocks_bit_identical(order, n):
         for rho in (0.5, 0.9, 0.99):
             want = _kernel_one_matrix(t, dim, rho, rule)
             assert np.array_equal(profile_curvature_kernel(t, dim, rho, rule), want), (size, rho)
+    # at rho = 0.99 the rows t <= 0.01 are near and those in [0.5, 0.999] far
+    for sizes in _MIXED_SIZES:
+        t = _mixed_rows((0.0, 0.01), (0.5, 0.999), sizes, n)
+        want = _kernel_one_matrix(t, dim, 0.99, rule)
+        assert np.array_equal(profile_curvature_kernel(t, dim, 0.99, rule), want), sizes
+        c0, c1, _ = _kernel_rows(t, n, 0.99)
+        far = _rule_groups(0.99, rule, c0, c1, n + 1, (n + 2) / 2.0)[1][0]
+        assert np.count_nonzero(far) == (sizes[1] if order == 128 else 0)
 
 
 @pytest.mark.parametrize("e", [0.5, 1, 1.5, 2.5, 3, 5, 9, 511])
@@ -232,37 +287,45 @@ def test_inv_power_matches_numpy(e):
 
 
 def _direct_longdouble(q, rule):
-    """constant_direct's double integral on its own nodes, in np.longdouble and
-    with the Poisson denominator as 1 - 2 rho z + rho^2."""
+    """constant_direct's double integral on its own nodes (each inner row on the rule
+    _poisson_rows takes for it), in np.longdouble and with the Poisson denominator as
+    1 - 2 rho z + rho^2."""
     L, n = np.longdouble, q.dim.n
     dt = q.delta * q.t
-    th, wo = (a.astype(L) for a in _graded_panels(q.rho, rule, q.alpha, (math.acos(dt),)))
-    ps, wi = (a.astype(L) for a in _graded_panels(q.rho, rule))
+    outer = _graded_panels(q.rho, rule, q.alpha, (math.acos(dt),))
+    groups = _rule_groups(q.rho, rule, *_inner_rows(outer[0], q.rho, q.alpha), n - 3, n / 2 - 1)
+    th, wo = (a.astype(L) for a in outer)
     rho, alpha = L(q.rho), L(q.alpha)
     inner = np.empty_like(th)
-    for lo in range(0, th.size, 256):
-        tr = th[lo:lo + 256, None]
-        z = np.cos(tr) * np.cos(alpha) + np.sin(tr) * np.sin(alpha) * np.cos(ps)
-        inner[lo:lo + 256] = (np.sin(ps) ** (n - 3) * (1 - 2 * rho * z + rho * rho)
-                              ** (1 - L(n) / 2)) @ wi
+    for rows, ps, wi in groups:
+        ps, wi, rows = ps.astype(L), wi.astype(L), np.flatnonzero(rows)
+        for lo in range(0, rows.size, 256):
+            tr = th[rows[lo:lo + 256], None]
+            z = np.cos(tr) * np.cos(alpha) + np.sin(tr) * np.sin(alpha) * np.cos(ps)
+            inner[rows[lo:lo + 256]] = (np.sin(ps) ** (n - 3) * (1 - 2 * rho * z + rho * rho)
+                                        ** (1 - L(n) / 2)) @ wi
     total = wo @ (np.abs(L(dt) - np.cos(th)) * np.sin(th) ** (n - 2) * inner)
     return L(n * (n - 2)) / (2 * L(math.pi)) / (1 - rho * rho) * total
 
 
 def _kernel_longdouble(t, n, rho, rule):
-    """profile_curvature_kernel on its own nodes, in np.longdouble and with the
-    Poisson denominator as 1 - 2 rho z + rho^2, z = delta t^2 + w cos(theta)."""
+    """profile_curvature_kernel on its own nodes (each t on the rule _poisson_rows takes
+    for it), in np.longdouble and with the Poisson denominator as 1 - 2 rho z + rho^2,
+    z = delta t^2 + w cos(theta)."""
     L = np.longdouble
-    th, wts = (a.astype(L) for a in _graded_panels(rho, rule))
-    tc, r = np.asarray(t, dtype=L)[:, None], L(rho)
+    r, sums = L(rho), np.empty(len(t), dtype=L)
     delta = L(n - 2) / n * r
-    g = 1 - (delta * tc) ** 2
-    w = np.sqrt(g * (1 - tc * tc))
-    p = 1 - 2 * r * (delta * tc * tc + w * np.cos(th)) + r * r
-    s = np.sin(th)
-    vals = s ** (n - 3) * (p - L(n) / (n - 2) * g * s * s) ** 2 * p ** (-L(n + 2) / 2)
+    for rows, th, wts in _rule_groups(rho, rule, *_kernel_rows(t, n, rho)[:2], n + 1, (n + 2) / 2):
+        th, wts, tc = th.astype(L), wts.astype(L), np.asarray(t, dtype=L)[rows, None]
+        g = 1 - (delta * tc) ** 2
+        w = np.sqrt(g * (1 - tc * tc))
+        p = 1 - 2 * r * (delta * tc * tc + w * np.cos(th)) + r * r
+        s = np.sin(th)
+        vals = s ** (n - 3) * (p - L(n) / (n - 2) * g * s * s) ** 2 * p ** (-L(n + 2) / 2)
+        sums[rows] = vals @ wts
+    g = 1 - (delta * np.asarray(t, dtype=L)) ** 2
     scale = 2 * L(gamma_ratio(((n - 1) / 2.0,), ((n - 2) / 2.0, 0.5))) * delta * delta
-    return scale * g[:, 0] ** (L(n - 3) / 2) * (vals @ wts)
+    return scale * g ** (L(n - 3) / 2) * sums
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="longdouble is double here")
@@ -940,6 +1003,91 @@ def test_graded_routes_node_doubling(n, rho):
         assert abs(constant_radial(dim, rho, rule) - radial) <= 1e-13 * radial
         got = profile_curvature_kernel(T_GRID[100:], dim, rho, rule)
         assert np.max(np.abs(got - kernel)) <= 1e-13 * np.max(np.abs(kernel))
+
+
+def _poisson_candidates(n, rho, bracket):
+    """(c0, c1, a) of real rows: the direct route's inner rows at five angles, or the
+    kernel's rows on 2,001 t in [0, 1) that reach the last Green nodes (a None if no bracket)."""
+    if not bracket:
+        theta = np.linspace(0.0, math.pi, 2001)
+        rows = [_inner_rows(theta, rho, k * math.pi / 12) for k in (1, 2, 4, 5, 6)]
+        return tuple(np.concatenate(v) for v in zip(*rows)) + (None,)
+    t = np.concatenate((np.linspace(0.0, 0.999, 1961), 1.0 - np.logspace(-3.0, -11.0, 40)))
+    c0, c1, g = _kernel_rows(t, n, rho)
+    return c0, c1, n / (n - 2.0) * g
+
+
+def _poisson_sum_ld(c0, c1, e, m, a, nodes, wts):
+    """Reference: the rows on the given nodes, in np.longdouble."""
+    L = np.longdouble
+    nodes, wts, c0, c1 = (np.asarray(v, dtype=L) for v in (nodes, wts, c0, c1))
+    p = c0[:, None] + c1[:, None] * np.sin(nodes / 2) ** 2
+    vals = p ** -L(e) * (1 if a is None else (p - a.astype(L)[:, None] * np.sin(nodes) ** 2) ** 2)
+    return vals @ (wts * np.sin(nodes) ** m)
+
+
+def _nearest_far_rows(c0, c1, tau, count):
+    """The far rows (c0 >= tau c1, as _poisson_rows splits) with the smallest c0/c1."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        far, ratio = c0 >= tau * c1, c0 / c1
+    return np.flatnonzero(far)[np.argsort(ratio[far])[:count]]
+
+
+@pytest.mark.parametrize("bracket", [False, True], ids=["direct", "kernel"])
+@pytest.mark.parametrize("rho", [0.8, 0.9, 0.99, 0.999])
+@pytest.mark.parametrize("n", [3, 8, 32, 64])
+def test_far_rows_meet_the_graded_value(n, rho, bracket):
+    # the far rows nearest the cut, c0/c1 just above tau, lose nothing on one plain panel:
+    # in longdouble on both rules, the plain panel meets 512 nodes a graded panel to 1e-14;
+    # the double rows of _poisson_rows add the rounding of p^-e (test_inv_power_matches_numpy)
+    m, e = n - 3, ((n + 2) / 2.0 if bracket else n / 2.0 - 1.0)
+    c0, c1, a = _poisson_candidates(n, rho, bracket)
+    graded = _graded_panels(rho, gauss_legendre(512))
+    for order in (16, 32, 64, 128):
+        rule = gauss_legendre(order)
+        rows = _nearest_far_rows(c0, c1, _far_ratio(order, m + 4 * bracket, e), 8)
+        if rows.size == 0:  # no bound holds (tau = inf): every row stays graded
+            continue
+        sub = (c0[rows], c1[rows], e, m, None if a is None else a[rows])
+        want = _poisson_sum_ld(*sub, *graded)
+        quad = _poisson_sum_ld(*sub, *composite_nodes(0.0, math.pi, rule))
+        assert float(np.max(np.abs(quad / want - 1))) <= 1e-14, (order, c0[rows] / c1[rows])
+        got = constants._poisson_rows(rho, rule, *sub[:4], a=sub[4])
+        assert float(np.max(np.abs(got / want - 1))) <= 1e-14 + (e + 2) * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("n, rho, bracket", [(3, 0.99, False), (8, 0.999, True)],
+                         ids=["direct", "kernel"])
+def test_far_rows_meet_mpmath(n, rho, bracket):
+    # the nearest far row of the default rule against mp.quad, split across the peak width
+    m, e = n - 3, ((n + 2) / 2.0 if bracket else n / 2.0 - 1.0)
+    c0, c1, a = _poisson_candidates(n, rho, bracket)
+    (r,) = _nearest_far_rows(c0, c1, _far_ratio(128, m + 4 * bracket, e), 1)
+    got = constants._poisson_rows(rho, gauss_legendre(128), c0[r:r + 1], c1[r:r + 1], e, m,
+                                  a=None if a is None else a[r:r + 1])
+    with mp.workdps(30):
+        def f(x):
+            p = mp.mpf(c0[r]) + mp.mpf(c1[r]) * mp.sin(x / 2) ** 2
+            bracket = 1 if a is None else (p - mp.mpf(a[r]) * mp.sin(x) ** 2) ** 2
+            return mp.sin(x) ** m * p ** -mp.mpf(e) * bracket
+
+        width = 2 * math.sqrt(c0[r] / c1[r])
+        want = mp.quad(f, [0, width, 4 * width, 16 * width, mp.pi])
+    assert abs(float(got[0] / want) - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("order", [7, 16, 128])
+@pytest.mark.parametrize("n, rho", [(3, 0.9), (32, 0.99), (8, 0.999)])
+def test_far_split_warns_nothing(order, n, rho):
+    # c1 = 0 on every row at alpha = 0 and pi, where an infinite tau (no bound holds)
+    # meets it as inf * 0; and the kernel at t = 0.999 (large c0/c1)
+    rule = gauss_legendre(order)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in (0.0, math.pi):
+            q = ConstantQuery(DimensionParams(n), rho, alpha)
+            assert math.isfinite(constant_direct(q, rule))
+        assert math.isfinite(profile_curvature_kernel(0.999, DimensionParams(n), rho, rule))
 
 
 @pytest.mark.parametrize("rho", [0.995, 0.999])
