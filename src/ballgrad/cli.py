@@ -118,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, fmt):
         p.add_argument("--quad-order", type=int, default=DEFAULT_QUAD_ORDER,
-                       help="Gauss-Legendre order")
+                       help="largest Gauss order per panel")
         p.add_argument("--format", default=fmt, choices=("csv", "json"), help="output format")
         p.add_argument("--out", default="-", help="output path ('-' for stdout)")
 

@@ -25,11 +25,12 @@ weight factors analytic. Each (1 - 2*rho*z + rho^2) Poisson denominator is writt
 (1 - rho)^2 + 2 rho (1 - z), with 1 - z built from half-angle sines, so that no term
 cancels as rho -> 1 and it is never below (1 - rho)^2. One function, _poisson_rows,
 integrates every power of it (the inner integral of constant_direct, constant_radial
-and the kernel curvature), a row c0 + c1 sin^2(psi/2) on one plain panel per kink
-piece if its pole psi = i arccosh(1 + 2 c0/c1) is far (c0 >= tau c1, tau from a
-Bernstein-ellipse bound, _far_ratio), else, once rho >= 0.8, on panels graded around
-the peak, edges +- m (1 - rho), m = 1, 16, 256, 4096 (_graded_panels): _T_CHUNK rows
-of one rule at a time in one buffer, raised by _inv_power in place.
+and the kernel curvature). Its pole psi = i arccosh(1 + 2 c0/c1) gives each row c0 + c1
+sin^2(psi/2) the fewest Gauss nodes a Bernstein-ellipse bound allows (c0 >= tau_N c1,
+_far_ratio): one plain panel of order N = order/8, /4 or /2 (rows without kinks, a cached
+table), or of the full order per kink piece, or, once rho >= 0.8, panels graded around the
+peak, edges +- m (1 - rho), m = 1, 16, 256, 4096 (_graded_panels); the rows of one rule in
+blocks of about _CELLS entries in one buffer, raised by _inv_power in place.
 The profile's kink integrals (the identity suite's kink_integral_brute,
 degrees 0 and 1 stacked) also run in _T_CHUNK-row blocks. Every
 rho-power series (the three curvature pair sums and the lagged series part of
@@ -89,8 +90,9 @@ TIE_TOLERANCE = 1e-12
 ALPHA_GRID = np.array([i * math.pi / 180 for i in range(181)])
 ALPHA_GRID.flags.writeable = False
 _REFEREE = 60  # the convexity certificate's referee angle: ALPHA_GRID[60] = pi/3
-# rows per block of the t-sweeps and the direct route's inner matrix; bounds temporaries
+# rows per block of the t-sweeps and the least of a _poisson_rows block; bounds temporaries
 _T_CHUNK = 32
+_CELLS = 2 ** 14  # about the entries (rows times nodes) of one _poisson_rows block
 # Gauss nodes per panel of the Green profile (_green_profile), and its map from
 # Gauss values to Legendre coefficients: c_k = (k + 1/2) sum_i w_i P_k(x_i) f_i
 _GREEN_ORDER = 16
@@ -175,51 +177,79 @@ def _graded_panels(rho: float, rule: QuadratureRule, peak: float = 0.0, kinks=()
 
 
 @functools.lru_cache(maxsize=None)
-def _far_ratio(order: int, m: int, e: float) -> float:
-    """tau: the least c0/c1 of a grid from 1e-6 to 1e4 (inf if none) from which one plain
-    order-N panel integrates sin^m |p|^-e, p = c0 + c1 sin^2(psi/2), over [0, pi] to 2^-52 of
-    its maximum, by the Gauss bound 64 h M / (15 (r^2 - 1) r^(2N)), h = pi/2 (Trefethen, ATAP,
-    Thm 19.3). The pole i arccosh(1 + 2 c0/c1) sets r_pole; M, with the growth of |sin|^m and
-    |p|^-e, is sampled on the upper halves (|f| is even in Im psi) of r = 1 + k (r_pole - 1),
-    the best of k = 1/8..3/4 counting (k = 0: [0, pi] itself)."""
+def _far_ratio(order: int, m: int, e: float) -> np.ndarray:
+    """tau_N, read-only, for N = order // 8, // 4, // 2 (inf below 16) and order: the least
+    c0/c1 of a grid from 1e-6 to 1e4 (inf if none) from which one plain order-N panel
+    integrates sin^m |p|^-e, p = c0 + c1 sin^2(psi/2), over [0, pi] to 2^-52 of its maximum, by
+    the Gauss bound 64 h M / (15 (r^2 - 1) r^(2N)), h = pi/2 (Trefethen, ATAP, Thm 19.3). The
+    pole i arccosh(1 + 2 c0/c1) sets r_pole; M, with the growth of |sin|^m and |p|^-e, is
+    sampled on the upper halves (|f| is even in Im psi) of r = 1 + k (r_pole - 1), the best of
+    k = 1/8..3/4 counting (k = 0: [0, pi] itself); only r^(2N) depends on N."""
     s = np.logspace(-6.0, 4.0, 41)[:, None, None]
     u = -1.0 + 2j / math.pi * np.arccosh(1.0 + 2.0 * s)  # the pole, [0, pi] mapped to [-1, 1]
     r = 1.0 + (abs(u + np.sqrt(u - 1.0) * np.sqrt(u + 1.0)) - 1.0) * np.c_[[0, 1, 2, 4, 6]] / 8
-    z = 0.5 * math.pi * (1.0 + np.cosh(np.log(r) + 1j * (np.arange(128) + 0.5) * math.pi / 128))
-    log_f = (m * np.log(abs(np.sin(z))) - e * np.log(abs(s + np.sin(0.5 * z) ** 2))).max(-1)
-    r = r[:, 1:, 0]
-    bound = math.log(32 * math.pi / 15) + log_f[:, 1:] - np.log(r * r - 1) - 2 * order * np.log(r)
-    ok = np.logical_and.accumulate((bound.min(1) <= log_f[:, 0] - 52 * math.log(2))[::-1])[::-1]
-    return float(s.flat[ok.argmax()]) if ok[-1] else math.inf  # ok[i]: s_i and every larger s
+    th = (np.arange(128) + 0.5) * math.pi / 128  # z = x + iy = pi/2 (1 + cosh(log r + i th))
+    x = 0.25 * math.pi * (2.0 + (r + 1.0 / r) * np.cos(th))
+    y = 0.25 * math.pi * (r - 1.0 / r) * np.sin(th)
+    sx, shy = np.sin(x), np.sinh(y)
+    # |sin z|^2 = sx^2 + shy^2, and 2 sin^2(z/2) = 1 - cos z = 1 - cos x cosh y + i sx shy
+    log_f = (0.5 * m * np.log(sx * sx + shy * shy) - 0.5 * e * np.log(
+        (s + 0.5 - 0.5 * np.cos(x) * np.cosh(y)) ** 2 + (0.5 * sx * shy) ** 2)).max(-1)
+    r, n = r[:, 1:, 0], order // np.c_[[8, 4, 2, 1]][:, :, None]
+    bound = math.log(32 * math.pi / 15) + log_f[:, 1:] - np.log(r * r - 1) - 2 * n * np.log(r)
+    # ok[N, j]: the j + 1 largest s all meet the bound
+    ok = np.logical_and.accumulate((bound.min(2) <= log_f[:, 0] - 52 * math.log(2))[:, ::-1], 1)
+    taus = np.where(ok[:, 0] & (n.ravel() >= min(16, order)), s.ravel()[-ok.sum(1)], math.inf)
+    taus.flags.writeable = False
+    return taus
 
 
-@np.errstate(over="ignore", invalid="ignore")  # callers raise; tau * c1 = inf * 0 is nan: near
+@functools.lru_cache(maxsize=None)
+def _plain_table(rule: QuadratureRule, m: int):
+    """sin^2(t/2), sin^2 t and w sin^m t at the nodes t of one plain panel [0, pi], read-only."""
+    t, w = composite_nodes(0.0, math.pi, rule)
+    table = np.stack((np.sin(0.5 * t) ** 2, np.sin(t) ** 2, w * np.sin(t) ** m))
+    table.flags.writeable = False
+    return table
+
+
+@np.errstate(over="ignore", invalid="ignore")  # callers raise; tau * c1 = inf * 0 is nan: not met
 def _poisson_rows(rho: float, rule: QuadratureRule, c0, c1, e: float, m: int, kinks=(), a=None,
                   extra=None):
     """For every row r, sum_i w_i sin(t_i)^m extra(t_i) p_ri^-e (p_ri - a_r sin(t_i)^2)^2,
-    extra and the bracket only if given, p_ri = c0_r + c1_r sin(t_i/2)^2, on the plain rule
-    composite_nodes(0, pi, rule, kinks) if the row's pole is far, c0_r >= tau c1_r (c1_r = 0
-    too; tau = _far_ratio, the bracket as sin^4), else on _graded_panels(rho, rule, 0, kinks).
+    extra and the bracket only if given, p_ri = c0_r + c1_r sin(t_i/2)^2, on the first rule
+    whose pole test c0_r >= tau_N c1_r the row meets (tau_N = _far_ratio, the bracket as sin^4;
+    c1_r = 0 meets a finite tau_N): without kinks and extra, one plain panel [0, pi] of order
+    N = rule.order // 8, // 4, // 2 (its table cached, _plain_table); composite_nodes(0, pi,
+    rule, kinks), tested once rho >= 0.8 and else taken; else _graded_panels(rho, rule, 0, kinks).
 
-    _T_CHUNK rows of one rule run at a time in one reused buffer by the one-matrix
-    expression's operations in its order: bit-identical to it. Overflow gives
-    inf or nan silently; each caller raises its own OverflowError.
-    """
-    tau = _far_ratio(rule.order, m + 4 * (a is not None), e) if rho >= 0.8 else math.inf
-    far, out = c0 >= tau * c1, np.empty(c0.size)  # below 0.8 both rules are one
-    for rows, graded in (((~far).nonzero()[0], True), (far.nonzero()[0], False)):
-        if rows.size == 0:
+    The rows of one rule run in blocks of about _CELLS entries (a multiple of _T_CHUNK rows) in
+    one reused buffer, by the one-matrix expression's operations in its order: bit-identical to
+    it. Overflow gives inf or nan silently; each caller raises its own OverflowError."""
+    plain = not kinks and extra is None
+    tests = slice(3 * (not plain), 3 + (rho >= 0.8))  # rules 0-2 ladder, 3 plain, 4 graded
+    group, out = np.full(c0.size, tests.stop), np.empty(c0.size)  # group: each row's rule
+    if tests.start < tests.stop:  # tau_N falls with N: a row meets each test after its first
+        group -= (c0 >= _far_ratio(rule.order, m + 4 * (a is not None), e)[tests, None] * c1).sum(0)
+    for k, count in enumerate(np.bincount(group)):
+        if count == 0:
             continue
-        nodes, wts = (_graded_panels(rho, rule, kinks=kinks) if graded
-                      else composite_nodes(0.0, math.pi, rule, kinks))
-        half_sq, sin_sq = np.sin(0.5 * nodes) ** 2, None if a is None else np.sin(nodes) ** 2
-        wts = wts * (np.sin(nodes) ** m * (1.0 if extra is None else extra(nodes)))
-        buf = np.empty((1 if a is None else 2, min(_T_CHUNK + 1, rows.size), nodes.size))
-        # numpy takes a one-row product as a dot, whose sum order differs from the
-        # matrix-vector product's, so a lone last row joins the block before it
-        starts = list(range(0, rows.size - 1, _T_CHUNK)) or [0]
-        for lo, hi in zip(starts, starts[1:] + [rows.size]):
-            r = slice(lo, hi) if rows.size == out.size else rows[lo:hi]  # one rule: no gathers
+        if k < 3 + plain:
+            half_sq, sin_sq, wts = _plain_table(gauss_legendre(rule.order // 2 ** (3 - k))
+                                                if k < 3 else rule, m)
+        else:
+            nodes, wts = (_graded_panels(rho, rule, kinks=kinks) if k > 3
+                          else composite_nodes(0.0, math.pi, rule, kinks))
+            half_sq, sin_sq = np.sin(0.5 * nodes) ** 2, None if a is None else np.sin(nodes) ** 2
+            wts = wts * (np.sin(nodes) ** m * (1.0 if extra is None else extra(nodes)))
+        rows = np.flatnonzero(group == k) if count < out.size else None
+        block = _T_CHUNK * max(1, _CELLS // (_T_CHUNK * wts.size))
+        buf = np.empty((1 if a is None else 2, min(block + 1, count), wts.size))
+        # BLAS sums rows four at a time and the rest apart, so blocks of a multiple of four rows
+        # sum as one matrix does; a lone last row, which numpy takes as a dot, joins the one before
+        starts = list(range(0, count - 1, block)) or [0]
+        for lo, hi in zip(starts, starts[1:] + [count]):
+            r = slice(lo, hi) if count == out.size else rows[lo:hi]  # one rule: no gathers
             v = buf[0, :hi - lo]
             np.multiply(c1[r, None], half_sq, out=v)
             v += c0[r, None]

@@ -180,12 +180,35 @@ def _kernel_rows(t, n, rho):
 
 
 def _rule_groups(rho, rule, c0, c1, m, e):
-    """Reference: _poisson_rows' split, (rows, nodes, weights) for the near rows on
-    _graded_panels and the far ones, c0 >= tau c1, on one plain panel [0, pi]."""
-    tau = _far_ratio(rule.order, m, e) if rho >= 0.8 else math.inf
+    """Reference: _poisson_rows' rules, (rows, nodes, weights) in order: the plain panel [0, pi]
+    of each ladder order N (rule.order // 8, // 4, // 2, none below 16), then of rule itself,
+    for the rows whose first met pole test c0 >= tau_N c1 is N's (the last test is met by
+    every row below rho = 0.8), then _graded_panels for the rows that meet none."""
+    ladder = [k for k, d in enumerate((8, 4, 2)) if rule.order // d >= 16]
+    taus = _far_ratio(rule.order, m, e)[ladder + [3]]  # a copy
+    if rho < 0.8:
+        taus[-1] = 0.0
     with np.errstate(invalid="ignore"):
-        far = c0 >= tau * c1
-    return [(~far,) + _graded_panels(rho, rule), (far,) + composite_nodes(0.0, math.pi, rule)]
+        met = c0 >= taus[:, None] * c1
+    first = np.where(met.any(axis=0), met.argmax(axis=0), taus.size)
+    rules = [gauss_legendre(rule.order // 2 ** (3 - k)) for k in ladder] + [rule]
+    return ([(first == k,) + composite_nodes(0.0, math.pi, r) for k, r in enumerate(rules)]
+            + [(first == len(rules),) + _graded_panels(rho, rule)])
+
+
+def test_far_ratio_rungs():
+    # tau_N of the ladder N = order // 8, // 4, // 2 and of order itself, from one sampling of
+    # M: each as _far_ratio of that order alone gives it, falling with N, inf below N = 16
+    for m, e in ((0, 0.5), (5, 5.0), (13, 7.5), (29, 15.5)):
+        taus = _far_ratio(128, m, e)
+        assert taus.size == 4 and np.all(np.diff(taus[np.isfinite(taus)]) <= 0.0)
+        assert np.all(np.isfinite(taus[1:]) >= np.isfinite(taus[:-1]))
+        for k, order in enumerate((16, 32, 64)):
+            assert _far_ratio(order, m, e)[3] == taus[k]
+        assert np.isinf(_far_ratio(16, m, e)[:3]).all() and np.isinf(_far_ratio(7, m, e)[:3]).all()
+        assert np.isinf(_far_ratio(32, m, e)[:2]).all() and _far_ratio(32, m, e)[2] == taus[0]
+        with pytest.raises(ValueError):
+            taus[0] = 1.0
 
 
 def _inner_one_matrix(dim, rho, alpha, theta, rule):
@@ -199,21 +222,35 @@ def _inner_one_matrix(dim, rho, alpha, theta, rule):
     return out
 
 
-def _mixed_rows(near, far, sizes, seed):
-    """Rows drawn from a near and a far band, sizes[0] and sizes[1] of them, shuffled."""
-    rows = np.concatenate((np.linspace(*near, sizes[0]), np.linspace(*far, sizes[1])))
-    return np.random.default_rng(seed).permutation(rows)
+def _reachable(order, m, e):
+    """Which of _rule_groups' rules a row can take: those whose tau_N is finite, and graded."""
+    taus = _far_ratio(order, m, e)
+    kept = [np.isfinite(t) for t, d in zip(taus, (8, 4, 2, 1)) if order // d >= min(16, order)]
+    return kept + [True]
 
 
-# (near, far) rows: lone last rows in both rules, a lone row each, full blocks, one rule only
-_MIXED_SIZES = [(_T_CHUNK + 1, 2 * _T_CHUNK + 1), (1, 1), (_T_CHUNK, _T_CHUNK - 1),
-                (3 * _T_CHUNK + 5, 0), (0, _T_CHUNK + 1)]
+def _mixed_picks(groups, seed):
+    """Shuffled index sets into a pool of rows split by _rule_groups, with these row counts
+    per populated rule: a full block and a lone last row; one row; a full block and two rows
+    (a block boundary); and that last for the first and for the last populated rule alone."""
+    rng = np.random.default_rng(seed)
+    pools = [np.flatnonzero(rows) for rows, *_ in groups]
+    blocks = [_T_CHUNK * max(1, constants._CELLS // (_T_CHUNK * nodes.size))
+              for _, nodes, _ in groups]
+    filled = [k for k, pool in enumerate(pools) if pool.size]
+    counts = [lambda k: blocks[k] + 1, lambda k: 1, lambda k: blocks[k] + 2,
+              lambda k: (blocks[k] + 2) * (k == filled[0]),
+              lambda k: (blocks[k] + 2) * (k == filled[-1])]
+    for count in counts:
+        sizes = {k: count(k) for k in filled}
+        picks = [rng.choice(pools[k], size) for k, size in sizes.items()]
+        yield rng.permutation(np.concatenate(picks)), sizes
 
 
-@pytest.mark.parametrize("order", [7, 128])
+@pytest.mark.parametrize("order", [7, 64, 128])
 @pytest.mark.parametrize("n", [3, 4, 7, 12])
 def test_inner_integral_blocks_bit_identical(order, n):
-    # each rule's _T_CHUNK + 1 rows leave a lone last row, which numpy would take as a dot
+    # one one-matrix reference per rule; a lone last row would be taken as a dot by numpy
     rule = gauss_legendre(order)
     dim = DimensionParams(n)
     for size in (1, _T_CHUNK - 1, _T_CHUNK, _T_CHUNK + 1, 3 * _T_CHUNK + 5):
@@ -222,16 +259,16 @@ def test_inner_integral_blocks_bit_identical(order, n):
             for alpha in (0.0, math.pi / 3, math.pi):
                 want = _inner_one_matrix(dim, rho, alpha, theta, rule)
                 assert np.array_equal(_inner_smooth(dim, rho, alpha, theta, rule), want)
-    # at rho = 0.99 the rows within 1e-3 of alpha = pi/3 are near, those below 0.5 far
-    # (at order 7 every row is near: its bound never holds)
-    for sizes in _MIXED_SIZES:
-        theta = _mixed_rows((math.pi / 3 - 1e-3, math.pi / 3 + 1e-3), (0.0, 0.5), sizes, n)
+    # at rho = 0.99 the pool reaches every rule whose tau is finite, and the graded panels
+    pool = np.linspace(0.0, math.pi, 4001)
+    c0, c1 = _inner_rows(pool, 0.99, math.pi / 3)
+    groups = _rule_groups(0.99, rule, c0, c1, n - 3, n / 2.0 - 1.0)
+    assert [rows.any() for rows, *_ in groups] == _reachable(order, n - 3, n / 2.0 - 1.0)
+    for picks, sizes in _mixed_picks(groups, n):
+        theta = pool[picks]
         want = _inner_one_matrix(dim, 0.99, math.pi / 3, theta, rule)
         got = _inner_smooth(dim, 0.99, math.pi / 3, theta, rule)
         assert np.array_equal(got, want), sizes
-        c0, c1 = _inner_rows(theta, 0.99, math.pi / 3)
-        far = _rule_groups(0.99, rule, c0, c1, n - 3, n / 2.0 - 1.0)[1][0]
-        assert np.count_nonzero(far) == (sizes[1] if order == 128 else 0)
 
 
 def _kernel_one_matrix(t, dim, rho, rule):
@@ -249,7 +286,7 @@ def _kernel_one_matrix(t, dim, rho, rule):
     return scale * g ** ((n - 3) / 2.0) * sums
 
 
-@pytest.mark.parametrize("order", [7, 128])
+@pytest.mark.parametrize("order", [7, 64, 128])
 @pytest.mark.parametrize("n", [3, 4, 7, 12])
 def test_curvature_kernel_blocks_bit_identical(order, n):
     # the kernel shares the inner integral's blocks, lone last rows included; the
@@ -261,14 +298,14 @@ def test_curvature_kernel_blocks_bit_identical(order, n):
         for rho in (0.5, 0.9, 0.99):
             want = _kernel_one_matrix(t, dim, rho, rule)
             assert np.array_equal(profile_curvature_kernel(t, dim, rho, rule), want), (size, rho)
-    # at rho = 0.99 the rows t <= 0.01 are near and those in [0.5, 0.999] far
-    for sizes in _MIXED_SIZES:
-        t = _mixed_rows((0.0, 0.01), (0.5, 0.999), sizes, n)
-        want = _kernel_one_matrix(t, dim, 0.99, rule)
-        assert np.array_equal(profile_curvature_kernel(t, dim, 0.99, rule), want), sizes
-        c0, c1, _ = _kernel_rows(t, n, 0.99)
-        far = _rule_groups(0.99, rule, c0, c1, n + 1, (n + 2) / 2.0)[1][0]
-        assert np.count_nonzero(far) == (sizes[1] if order == 128 else 0)
+    # at rho = 0.99 the t near 0 are graded and those near 1 reach the first finite tau
+    pool = np.concatenate((np.linspace(0.0, 0.999, 2001), 1.0 - np.logspace(-3.0, -11.0, 40)))
+    c0, c1, _ = _kernel_rows(pool, n, 0.99)
+    groups = _rule_groups(0.99, rule, c0, c1, n + 1, (n + 2) / 2.0)
+    assert [rows.any() for rows, *_ in groups] == _reachable(order, n + 1, (n + 2) / 2.0)
+    for picks, sizes in _mixed_picks(groups, n):
+        want = _kernel_one_matrix(pool[picks], dim, 0.99, rule)
+        assert np.array_equal(profile_curvature_kernel(pool[picks], dim, 0.99, rule), want), sizes
 
 
 @pytest.mark.parametrize("e", [0.5, 1, 1.5, 2.5, 3, 5, 9, 511])
@@ -1026,44 +1063,55 @@ def _poisson_sum_ld(c0, c1, e, m, a, nodes, wts):
     return vals @ (wts * np.sin(nodes) ** m)
 
 
-def _nearest_far_rows(c0, c1, tau, count):
-    """The far rows (c0 >= tau c1, as _poisson_rows splits) with the smallest c0/c1."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        far, ratio = c0 >= tau * c1, c0 / c1
-    return np.flatnonzero(far)[np.argsort(ratio[far])[:count]]
+def _nearest_rows(c0, c1, rows, count):
+    """The rows of a mask with the smallest c0/c1: the nearest to their rule's pole test."""
+    idx = np.flatnonzero(rows)
+    with np.errstate(divide="ignore"):
+        return idx[np.argsort(c0[idx] / c1[idx])[:count]]
 
 
 @pytest.mark.parametrize("bracket", [False, True], ids=["direct", "kernel"])
-@pytest.mark.parametrize("rho", [0.8, 0.9, 0.99, 0.999])
+@pytest.mark.parametrize("rho", [0.1, 0.5, 0.7, 0.8, 0.9, 0.99, 0.999])
 @pytest.mark.parametrize("n", [3, 8, 32, 64])
 def test_far_rows_meet_the_graded_value(n, rho, bracket):
-    # the far rows nearest the cut, c0/c1 just above tau, lose nothing on one plain panel:
-    # in longdouble on both rules, the plain panel meets 512 nodes a graded panel to 1e-14;
-    # the double rows of _poisson_rows add the rounding of p^-e (test_inv_power_matches_numpy)
+    # on each plain rule a pole test chose (every ladder order; the rule's own order once
+    # rho >= 0.8), the rows nearest the test lose nothing: in longdouble on both rules, the
+    # plain panel meets 512 nodes a graded panel to 1e-14; the double rows of _poisson_rows
+    # add the rounding of p^-e (test_inv_power_matches_numpy)
     m, e = n - 3, ((n + 2) / 2.0 if bracket else n / 2.0 - 1.0)
     c0, c1, a = _poisson_candidates(n, rho, bracket)
     graded = _graded_panels(rho, gauss_legendre(512))
+    tested = 0
     for order in (16, 32, 64, 128):
         rule = gauss_legendre(order)
-        rows = _nearest_far_rows(c0, c1, _far_ratio(order, m + 4 * bracket, e), 8)
-        if rows.size == 0:  # no bound holds (tau = inf): every row stays graded
-            continue
-        sub = (c0[rows], c1[rows], e, m, None if a is None else a[rows])
-        want = _poisson_sum_ld(*sub, *graded)
-        quad = _poisson_sum_ld(*sub, *composite_nodes(0.0, math.pi, rule))
-        assert float(np.max(np.abs(quad / want - 1))) <= 1e-14, (order, c0[rows] / c1[rows])
-        got = constants._poisson_rows(rho, rule, *sub[:4], a=sub[4])
-        assert float(np.max(np.abs(got / want - 1))) <= 1e-14 + (e + 2) * np.finfo(float).eps
+        groups = _rule_groups(rho, rule, c0, c1, m + 4 * bracket, e)
+        for rows, nodes, wts in groups[:len(groups) - 1 - (rho < 0.8)]:
+            rows = _nearest_rows(c0, c1, rows, 8)
+            if rows.size == 0:  # no row takes this rule (tau_N = inf, or a smaller order's)
+                continue
+            sub = (c0[rows], c1[rows], e, m, None if a is None else a[rows])
+            want = _poisson_sum_ld(*sub, *graded)
+            quad = _poisson_sum_ld(*sub, nodes, wts)
+            assert float(np.max(np.abs(quad / want - 1))) <= 1e-14, (order, nodes.size)
+            got = constants._poisson_rows(rho, rule, *sub[:4], a=sub[4])
+            assert float(np.max(np.abs(got / want - 1))) <= 1e-14 + (e + 2) * np.finfo(float).eps
+            tested += 1
+    assert tested  # in every case some row takes a rule a pole test chose
 
 
-@pytest.mark.parametrize("n, rho, bracket", [(3, 0.99, False), (8, 0.999, True)],
-                         ids=["direct", "kernel"])
-def test_far_rows_meet_mpmath(n, rho, bracket):
-    # the nearest far row of the default rule against mp.quad, split across the peak width
+@pytest.mark.parametrize("n, rho, bracket, order", [
+    (3, 0.99, False, 128), (8, 0.999, True, 128), (3, 0.5, False, 16), (4, 0.9, True, 16),
+], ids=["direct", "kernel", "direct-rung-16", "kernel-rung-16"])
+def test_far_rows_meet_mpmath(n, rho, bracket, order):
+    # the row nearest the pole test of one plain rule of the default rule against mp.quad,
+    # split across the peak width
     m, e = n - 3, ((n + 2) / 2.0 if bracket else n / 2.0 - 1.0)
     c0, c1, a = _poisson_candidates(n, rho, bracket)
-    (r,) = _nearest_far_rows(c0, c1, _far_ratio(128, m + 4 * bracket, e), 1)
-    got = constants._poisson_rows(rho, gauss_legendre(128), c0[r:r + 1], c1[r:r + 1], e, m,
+    rule = gauss_legendre(128)
+    groups = _rule_groups(rho, rule, c0, c1, m + 4 * bracket, e)
+    (rows, nodes, _), = [g for g in groups[:-1] if g[1].size == order]
+    (r,) = _nearest_rows(c0, c1, rows, 1)
+    got = constants._poisson_rows(rho, rule, c0[r:r + 1], c1[r:r + 1], e, m,
                                   a=None if a is None else a[r:r + 1])
     with mp.workdps(30):
         def f(x):
@@ -1072,14 +1120,15 @@ def test_far_rows_meet_mpmath(n, rho, bracket):
             return mp.sin(x) ** m * p ** -mp.mpf(e) * bracket
 
         width = 2 * math.sqrt(c0[r] / c1[r])
-        want = mp.quad(f, [0, width, 4 * width, 16 * width, mp.pi])
+        cuts = [k * width for k in (1, 4, 16) if k * width < math.pi]
+        want = mp.quad(f, [0] + cuts + [mp.pi])
     assert abs(float(got[0] / want) - 1.0) <= 1e-14
 
 
-@pytest.mark.parametrize("order", [7, 16, 128])
-@pytest.mark.parametrize("n, rho", [(3, 0.9), (32, 0.99), (8, 0.999)])
+@pytest.mark.parametrize("order", [7, 16, 32, 64, 128])
+@pytest.mark.parametrize("n, rho", [(3, 0.5), (32, 0.5), (3, 0.9), (32, 0.99), (8, 0.999)])
 def test_far_split_warns_nothing(order, n, rho):
-    # c1 = 0 on every row at alpha = 0 and pi, where an infinite tau (no bound holds)
+    # c1 = 0 on every row at alpha = 0 and pi, where an infinite tau_N (no bound holds)
     # meets it as inf * 0; and the kernel at t = 0.999 (large c0/c1)
     rule = gauss_legendre(order)
     with warnings.catch_warnings():
