@@ -29,6 +29,7 @@ from .constants import (
     DEFAULT_QUAD_ORDER,
     ROUTE_TOL,
     ConstantQuery,
+    _outer_rules,
     certify_convexity,
     certify_radial_max,
     constant_direct,
@@ -193,6 +194,8 @@ def cmd_constant(args) -> int:
         queries = [ConstantQuery(dim, rho, alpha) for alpha in args.alpha]
         series = constant_series(queries, args.max_terms, rule)
         direct = {}  # by folded angle: constant_direct runs once per exact pair alpha, pi - alpha
+        # the outer panels' bounds of every folded angle in one batch; constant_direct reads them
+        _outer_rules(dim.n, rho, [min(a, math.pi - a) for a in args.alpha], rule)
         for alpha, q, c_ser in zip(args.alpha, queries, series.tolist()):
             fold = min(alpha, math.pi - alpha)
             if fold not in direct:

@@ -25,12 +25,13 @@ weight factors analytic. Each (1 - 2*rho*z + rho^2) Poisson denominator is writt
 (1 - rho)^2 + 2 rho (1 - z), with 1 - z built from half-angle sines, so that no term
 cancels as rho -> 1 and it is never below (1 - rho)^2. One function, _poisson_rows,
 integrates every power of it (the inner integral of constant_direct, constant_radial
-and the kernel curvature). Its pole psi = i arccosh(1 + 2 c0/c1) gives each row c0 + c1
-sin^2(psi/2) the fewest Gauss nodes a Bernstein-ellipse bound allows (c0 >= tau_N c1,
-_far_ratio): one plain panel of order N = order/8, /4 or /2 (rows without kinks, a cached
-table), or of the full order per kink piece, or, once rho >= 0.8, panels graded around the
-peak, edges +- m (1 - rho), m = 1, 16, 256, 4096 (_graded_panels); the rows of one rule in
-blocks of about _CELLS entries in one buffer, raised by _inv_power in place.
+and the kernel curvature), the rows of one rule in blocks of about _CELLS entries in one
+buffer, raised by _inv_power in place. Every panel, of these rows and of constant_direct's
+outer integral, takes the fewest Gauss nodes of the ladder order/8, /4, /2, order that the
+Bernstein-ellipse bound of its integrand allows (_panel_bounds): the pole psi = i arccosh(1 +
+2 c0/c1) of a row c0 + c1 sin^2(psi/2) sends it to one plain panel (c0 >= tau_N c1,
+_far_ratio) or, once rho >= 0.8, to panels graded around the peak (_graded_edges); the outer
+integrand's singular curve sets the orders of its panels (_outer_bounds).
 The profile's kink integrals (the identity suite's kink_integral_brute,
 degrees 0 and 1 stacked) also run in _T_CHUNK-row blocks. Every
 rho-power series (the three curvature pair sums and the lagged series part of
@@ -61,7 +62,7 @@ from .gegenbauer import (SERIES_MAX_TERMS, DimensionParams, _checked_rho, _dimen
                          _value, eval_sequence, pair_series, pair_weights, series_cutoff)
 from .identities import kink_integral_brute
 from .quadrature import (DEFAULT_QUAD_ORDER, QuadratureRule, composite_nodes, gauss_legendre,
-                         map_panels)
+                         map_panels, panel_edges)
 
 __all__ = [
     "ConstantQuery",
@@ -147,86 +148,139 @@ class ConstantQuery:
         return math.cos(self.alpha)
 
 
-def _graded_panels(rho: float, rule: QuadratureRule, peak: float = 0.0, kinks=()):
-    """Nodes and weights over [0, pi] (the outer rule of constant_direct and that of the near
-    Poisson rows), split at the kinks and, once rho >= 0.8, graded around the peak at
-    theta = peak of 1/(1 - 2*rho*cos(theta - peak) + rho^2), whose width is about 1 - rho.
-    composite_nodes sorts the edges and drops those outside (0, pi).
-
-    The edges are peak +- m (1 - rho), m = 1, 16, 256, 4096. The poles sit
-    about 1 - rho off the real axis, so on [m h, 16 m h] (h = 1 - rho) the
-    nearest one lies 1/15 of the panel's length beyond its end: the Bernstein
-    ellipse of ratio about 1 + 2/sqrt(15) = 1.5, and N Gauss nodes err like
-    1.5^(-2N) (Trefethen, Approximation Theory and Approximation Practice,
-    Thm 19.3). For n <= 64 and rho in [0.8, 0.999], every route at orders 64
-    to 256 stays within 1.6e-14 of 1024 nodes per panel on the edges
-    m = 1, 4, 16, 64, and order 48 within 4.3e-15 (direct route) and 1.5e-12
-    (kernel curvature, of max |f''|). Past n = 64 the sin^(n-3) weight, of
-    width about 1/sqrt(n), needs more nodes on the long outer panels: at
-    rho = 0.8 and n = 200, order 64 is off by 3.2e-9 (direct) and 1.0e-6
-    (kernel)."""
-    edges = list(kinks)
-    if rho >= 0.8:
-        h = 1.0 - rho
-        for m in (1.0, 16.0, 256.0, 4096.0):
-            edges += (peak - m * h, peak + m * h)
-    return composite_nodes(0.0, math.pi, rule, edges)
+def _graded_edges(rho: float, peak: float = 0.0, kinks=()) -> np.ndarray:
+    """Panel edges over [0, pi]: the kinks and, once rho >= 0.8, peak +- m (1 - rho), m = 1, 16,
+    256, 4096, around the peak of 1/(1 - 2 rho cos(theta - peak) + rho^2), whose poles lie about
+    1 - rho off the axis (panel_edges drops the edges outside (0, pi))."""
+    grading = [peak + s * m * (1.0 - rho) for m in (1, 16, 256, 4096) for s in (-1, 1)]
+    return panel_edges(0.0, math.pi, list(kinks) + (grading if rho >= 0.8 else []))
 
 
 # -- the Poisson-power quadrature of every route -----------------------------
 
+_LADDER = np.array([8, 4, 2, 1])  # a panel of a rule of order N takes N // 8, // 4, // 2 or N
+_ELLIPSES = np.array([0.0, 1.0, 2.0, 4.0, 6.0]) / 8.0  # k of r = 1 + k (r_pole - 1); 0: the panel
+_PSI = np.linspace(0.0, math.pi, 33)  # where the outer integrand's singular curve is sampled
+
+
+def _panel_bounds(lo, hi, poles, log_upper, order: int, log_lower=None, points: int = 128):
+    """(bound, low): the log of the Gauss error bound 64 h M / (15 (r^2 - 1) r^(2N - 2)) of N nodes
+    (Trefethen, ATAP, Thm 19.3) on each panel [lo_j, hi_j] (last axis) at N = order // 8, // 4, // 2
+    and order (first axis), and the log of the largest exp(log_lower) (log_upper if not given) on
+    it. The nearest of its poles (..., P or 1, Q; f is real on the axis) sets r_pole; log M, the
+    largest log_upper(x, y) >= log |f(x + iy)| on the upper half of r = 1 + k (r_pole - 1), counts
+    the growth of f off the axis: the best of k = 1/8, 1/4, 1/2, 3/4."""
+    h, c = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    # on the ellipse of [a, b] through z, r + 1/r = (|z - a| + |z - b|) / h
+    q = (np.abs(poles - lo[:, None]) + np.abs(poles - hi[:, None])).min(-1) / (2.0 * h)
+    r = 1.0 + (q + np.sqrt((q - 1.0) * (q + 1.0)) - 1.0)[..., None] * _ELLIPSES
+    th = (np.arange(points) + 0.5) * math.pi / points
+    x = c[:, None, None] + 0.5 * h[:, None, None] * (r + 1.0 / r)[..., None] * np.cos(th)
+    y = 0.5 * h[:, None, None] * (r - 1.0 / r)[..., None] * np.sin(th)
+    r, n = r[..., 1:], (order // _LADDER).reshape((4,) + (1,) * r.ndim)
+    with np.errstate(divide="ignore"):  # a pole on the panel (r = 1): an infinite bound
+        log_f = log_upper(x, y)
+        low = log_f[..., :1, :] if log_lower is None else log_lower(x[..., :1, :])
+        bound = np.log(64.0 * h / 15.0)[:, None] + log_f[..., 1:, :].max(-1) - np.log(r * r - 1)
+    return (bound - 2 * (n - 1) * np.log(r)).min(-1), low.max((-2, -1))
+
+
+def _panel_orders(bound, scale, order: int) -> np.ndarray:
+    """Each panel's (last axis) first order of the ladder, none below 16 but order itself, whose
+    bound is at most 2^-52 of the scale at every other index."""
+    ok = (bound <= scale - 52 * math.log(2)).reshape(4, -1, bound.shape[-1]).all(1)
+    ok[:-1] &= (order // _LADDER[:-1] >= 16)[:, None]
+    ok[-1] = True
+    return (order // _LADDER)[ok.argmax(0)]
+
+
+def _mapped(edges, orders):
+    """Nodes and weights of one Gauss panel of order orders[j] on [edges[j], edges[j + 1]]."""
+    rules, j = [gauss_legendre(int(k)) for k in orders], np.repeat(np.arange(orders.size), orders)
+    h, c = 0.5 * np.diff(edges)[j], 0.5 * (edges[1:] + edges[:-1])[j]
+    return (c + h * np.concatenate([r.nodes for r in rules]),
+            h * np.concatenate([r.weights for r in rules]))
+
+
+def _row_bounds(edges, s, m: int, e: float, order: int, delta=None):
+    """_panel_bounds, the largest low taken over the panels (a column), of the rows sin^m (s +
+    sin^2(z/2))^-e |cos z - delta| (the last factor if delta is given), one per c0/c1 = s (first
+    axis), whose pole is i arccosh(1 + 2s) = 2i arcsinh(sqrt(s))."""
+    s = np.asarray(s, dtype=float)[:, None, None, None]
+
+    def log_f(x, y):  # |sin z|^2 = sx^2 + shy^2, 2 sin^2(z/2) = 1 - cos x cosh y + i sx shy
+        sx, shy, cx, chy = np.sin(x), np.sinh(y), np.cos(x), np.cosh(y)
+        out = 0.5 * m * np.log(sx * sx + shy * shy) - 0.5 * e * np.log(
+            (s + 0.5 - 0.5 * cx * chy) ** 2 + (0.5 * sx * shy) ** 2)
+        if delta is not None:
+            out += 0.5 * np.log((cx * chy - delta) ** 2 + (sx * shy) ** 2)
+        return out
+
+    bound, low = _panel_bounds(edges[:-1], edges[1:], 2j * np.arcsinh(np.sqrt(s[..., 0])), log_f,
+                               order)
+    return bound, low.max(-1, keepdims=True)
+
 
 @functools.lru_cache(maxsize=None)
 def _far_ratio(order: int, m: int, e: float) -> np.ndarray:
-    """tau_N, read-only, for N = order // 8, // 4, // 2 (inf below 16) and order: the least
-    c0/c1 of a grid from 1e-6 to 1e4 (inf if none) from which one plain order-N panel
-    integrates sin^m |p|^-e, p = c0 + c1 sin^2(psi/2), over [0, pi] to 2^-52 of its maximum, by
-    the Gauss bound 64 h M / (15 (r^2 - 1) r^(2N)), h = pi/2 (Trefethen, ATAP, Thm 19.3). The
-    pole i arccosh(1 + 2 c0/c1) sets r_pole; M, with the growth of |sin|^m and |p|^-e, is
-    sampled on the upper halves (|f| is even in Im psi) of r = 1 + k (r_pole - 1), the best of
-    k = 1/8..3/4 counting (k = 0: [0, pi] itself); only r^(2N) depends on N."""
-    s = np.logspace(-6.0, 4.0, 41)[:, None, None]
-    u = -1.0 + 2j / math.pi * np.arccosh(1.0 + 2.0 * s)  # the pole, [0, pi] mapped to [-1, 1]
-    r = 1.0 + (abs(u + np.sqrt(u - 1.0) * np.sqrt(u + 1.0)) - 1.0) * np.c_[[0, 1, 2, 4, 6]] / 8
-    th = (np.arange(128) + 0.5) * math.pi / 128  # z = x + iy = pi/2 (1 + cosh(log r + i th))
-    x = 0.25 * math.pi * (2.0 + (r + 1.0 / r) * np.cos(th))
-    y = 0.25 * math.pi * (r - 1.0 / r) * np.sin(th)
-    sx, shy = np.sin(x), np.sinh(y)
-    # |sin z|^2 = sx^2 + shy^2, and 2 sin^2(z/2) = 1 - cos z = 1 - cos x cosh y + i sx shy
-    log_f = (0.5 * m * np.log(sx * sx + shy * shy) - 0.5 * e * np.log(
-        (s + 0.5 - 0.5 * np.cos(x) * np.cosh(y)) ** 2 + (0.5 * sx * shy) ** 2)).max(-1)
-    r, n = r[:, 1:, 0], order // np.c_[[8, 4, 2, 1]][:, :, None]
-    bound = math.log(32 * math.pi / 15) + log_f[:, 1:] - np.log(r * r - 1) - 2 * n * np.log(r)
+    """tau_N, read-only, for N = order // 8, // 4, // 2 (inf below 16) and order: the least c0/c1
+    of a grid from 1e-6 to 1e4 (inf if none) from which one order-N panel [0, pi] integrates sin^m
+    |p|^-e, p = c0 + c1 sin^2(psi/2), to 2^-52 of its maximum (_row_bounds)."""
+    s = np.logspace(-6.0, 4.0, 41)
+    bound, low = _row_bounds(np.array([0.0, math.pi]), s, m, e, order)
     # ok[N, j]: the j + 1 largest s all meet the bound
-    ok = np.logical_and.accumulate((bound.min(2) <= log_f[:, 0] - 52 * math.log(2))[:, ::-1], 1)
-    taus = np.where(ok[:, 0] & (n.ravel() >= min(16, order)), s.ravel()[-ok.sum(1)], math.inf)
+    ok = np.logical_and.accumulate((bound[..., 0] <= low[:, 0] - 52 * math.log(2))[:, ::-1], 1)
+    taus = np.where(ok[:, 0] & (order // _LADDER >= min(16, order)), s[-ok.sum(1)], math.inf)
     taus.flags.writeable = False
     return taus
 
 
 @functools.lru_cache(maxsize=None)
 def _plain_table(rule: QuadratureRule, m: int):
-    """sin^2(t/2), sin^2 t and w sin^m t at the nodes t of one plain panel [0, pi], read-only."""
-    t, w = composite_nodes(0.0, math.pi, rule)
-    table = np.stack((np.sin(0.5 * t) ** 2, np.sin(t) ** 2, w * np.sin(t) ** m))
+    """_table on one plain panel [0, pi]."""
+    return _table(*composite_nodes(0.0, math.pi, rule), m)
+
+
+def _table(t, w, m: int, delta=None):
+    """sin^2(t/2), sin^2 t and w sin^m t |cos t - delta| (the last factor if delta is given),
+    read-only: in np.longdouble, rounded once, so that sin's rounding does not enter m-fold."""
+    t, w = t.astype(np.longdouble), w.astype(np.longdouble)
+    extra = 1.0 if delta is None else np.abs(np.cos(t) - np.longdouble(delta))
+    table = np.stack((np.sin(t / 2) ** 2, np.sin(t) ** 2, w * np.sin(t) ** m * extra)).astype(float)
     table.flags.writeable = False
     return table
 
 
-@np.errstate(over="ignore", invalid="ignore")  # callers raise; tau * c1 = inf * 0 is nan: not met
-def _poisson_rows(rho: float, rule: QuadratureRule, c0, c1, e: float, m: int, kinks=(), a=None,
-                  extra=None):
-    """For every row r, sum_i w_i sin(t_i)^m extra(t_i) p_ri^-e (p_ri - a_r sin(t_i)^2)^2,
-    extra and the bracket only if given, p_ri = c0_r + c1_r sin(t_i/2)^2, on the first rule
-    whose pole test c0_r >= tau_N c1_r the row meets (tau_N = _far_ratio, the bracket as sin^4;
-    c1_r = 0 meets a finite tau_N): without kinks and extra, one plain panel [0, pi] of order
-    N = rule.order // 8, // 4, // 2 (its table cached, _plain_table); composite_nodes(0, pi,
-    rule, kinks), tested once rho >= 0.8 and else taken; else _graded_panels(rho, rule, 0, kinks).
+@functools.lru_cache(maxsize=1024)
+def _panel_table(rho: float, rule: QuadratureRule, m: int, e: float, lo: int, hi: int,
+                 bracket: bool, delta, graded: bool):
+    """_table on [0, pi], split at arccos(delta) if given and graded (_graded_edges) if graded,
+    each panel on the first order whose bound meets 2^-52 of the maximum at every c0/c1 = 2^k,
+    k = lo..hi, of the row group (_row_bounds, eight ratios at a time; the bracket as sin^4): the
+    nearest pole sets the orders at the peak, the farthest, whose maximum is the least, often
+    those of the other panels."""
+    kinks = () if delta is None else (math.acos(delta),)
+    edges = _graded_edges(rho if graded else 0.0, 0.0, kinks)
+    orders = np.max([_panel_orders(*_row_bounds(edges, 2.0 ** np.arange(k, min(k + 8, hi + 1)),
+                                                m + 4 * bracket, e, rule.order, delta), rule.order)
+                     for k in range(lo, hi + 1, 8)], 0)
+    return _table(*_mapped(edges, orders), m, delta)
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # callers raise; tau * c1 = inf * 0
+def _poisson_rows(rho: float, rule: QuadratureRule, c0, c1, e: float, m: int, a=None, delta=None):
+    """For every row r, sum_i w_i sin(t_i)^m |cos t_i - delta| p_ri^-e (p_ri - a_r sin(t_i)^2)^2,
+    the delta factor and the bracket only if given, p_ri = c0_r + c1_r sin(t_i/2)^2, on the first
+    rule whose pole test c0_r >= tau_N c1_r the row meets (tau_N = _far_ratio, the bracket as
+    sin^4; c1_r = 0 meets a finite tau_N): without delta, one plain panel [0, pi] of order N =
+    rule.order // 8, // 4, // 2 (_plain_table) or rule.order; [0, pi] split at arccos(delta), its
+    test from rho = 0.8 on; else the graded panels. Split and graded panels take their orders
+    from the bound over the c0/c1 of the group's rows (_panel_table).
 
     The rows of one rule run in blocks of about _CELLS entries (a multiple of _T_CHUNK rows) in
     one reused buffer, by the one-matrix expression's operations in its order: bit-identical to
     it. Overflow gives inf or nan silently; each caller raises its own OverflowError."""
-    plain = not kinks and extra is None
+    plain = delta is None
     tests = slice(3 * (not plain), 3 + (rho >= 0.8))  # rules 0-2 ladder, 3 plain, 4 graded
     group, out = np.full(c0.size, tests.stop), np.empty(c0.size)  # group: each row's rule
     if tests.start < tests.stop:  # tau_N falls with N: a row meets each test after its first
@@ -234,15 +288,14 @@ def _poisson_rows(rho: float, rule: QuadratureRule, c0, c1, e: float, m: int, ki
     for k, count in enumerate(np.bincount(group)):
         if count == 0:
             continue
+        rows = np.flatnonzero(group == k) if count < out.size else slice(None)
         if k < 3 + plain:
             half_sq, sin_sq, wts = _plain_table(gauss_legendre(rule.order // 2 ** (3 - k))
                                                 if k < 3 else rule, m)
         else:
-            nodes, wts = (_graded_panels(rho, rule, kinks=kinks) if k > 3
-                          else composite_nodes(0.0, math.pi, rule, kinks))
-            half_sq, sin_sq = np.sin(0.5 * nodes) ** 2, None if a is None else np.sin(nodes) ** 2
-            wts = wts * (np.sin(nodes) ** m * (1.0 if extra is None else extra(nodes)))
-        rows = np.flatnonzero(group == k) if count < out.size else None
+            s = np.log2(np.clip(c0[rows] / c1[rows], 2.0 ** -60, 2.0 ** 14))
+            half_sq, sin_sq, wts = _panel_table(rho, rule, m, e, math.floor(s.min()),
+                                                math.ceil(s.max()), a is not None, delta, k > 3)
         block = _T_CHUNK * max(1, _CELLS // (_T_CHUNK * wts.size))
         buf = np.empty((1 if a is None else 2, min(block + 1, count), wts.size))
         # BLAS sums rows four at a time and the rest apart, so blocks of a multiple of four rows
@@ -278,6 +331,73 @@ def _inner_smooth(dim: DimensionParams, rho: float, alpha: float, theta, rule: Q
     return _poisson_rows(rho, rule, c0, c1, dim.n / 2.0 - 1.0, dim.n - 3)
 
 
+def _outer_bounds(n: int, rho: float, alphas, order: int):
+    """(edges, bound, scale, which): the edges _graded_edges(rho, alpha, (arccos(dt),)) of
+    constant_direct's outer integral at each folded alpha, and the _panel_bounds (16 points an
+    ellipse) and scale of each panel, of alphas[which]. Its integrand |dt - cos| sin^(n-2) I, I =
+    int_0^pi sin^(n-3) p^-e (_inner_smooth), is singular only where p = 0: theta = phi(psi) +-
+    i arccosh(kappa / R(psi)) + 2 pi k, kappa = (1 + rho^2)/(2 rho), R cos(theta - phi) =
+    cos(alpha) cos(theta) + sin(alpha) cos(psi) sin(theta), psi in _PSI (depths past 3 count as
+    3). Off it |I| <= W dist(0, [c0, c0 + c1])^-e; on [0, pi] I >= W (c0 + c1)^-e and I >= W/2
+    (c0 + c1/2)^-e, whose largest value is the scale; W = int_0^pi sin^(n-3) cancels."""
+    e, al = n / 2.0 - 1.0, np.array(alphas)[:, None]
+    sa, ca = np.sin(al), np.cos(al)
+    dt = (n - 2) / n * rho * ca
+    edges = [_graded_edges(rho, a, (math.acos(d),)) for a, d in zip(alphas, dt[:, 0])]
+    which = np.repeat(np.arange(len(edges)), [v.size - 1 for v in edges])
+    big_r = np.hypot(ca, sa * np.cos(_PSI))
+    # arccosh(kappa / R) = 2 arcsinh(sqrt((kappa - R) / 2R)), kappa - 1 = (1 - rho)^2 / (2 rho)
+    gap = ((1.0 - rho) ** 2 / (2.0 * rho) if rho > 0.0 else math.inf) + (sa * np.sin(_PSI)) ** 2 / (
+        1.0 + big_r)
+    depth = np.minimum(2.0 * np.arcsinh(np.sqrt(0.5 * gap / big_r)), 3.0)
+    poles = np.arctan2(sa * np.cos(_PSI), ca) + 1j * depth
+    al, sa, ca, dt = (v[which][:, :, None] for v in (al, sa, ca, dt))
+
+    def upper(x, y):  # c0(z) = a, c1(z) = b, by cos(z - alpha) and sin z in real parts
+        sx, cx, ey = np.sin(x), np.cos(x), np.exp(y)
+        chy, shy = 0.5 * (ey + 1.0 / ey), 0.5 * (ey - 1.0 / ey)
+        a_re = (1.0 - rho) ** 2 + 2.0 * rho * (1.0 - (cx * ca + sx * sa) * chy)
+        a_im = 2.0 * rho * (sx * ca - cx * sa) * shy
+        b_re, b_im = 4.0 * rho * sa * sx * chy, 4.0 * rho * sa * cx * shy
+        t = np.clip(-(a_re * b_re + a_im * b_im) / (b_re * b_re + b_im * b_im + 1e-300), 0.0, 1.0)
+        return 0.5 * (np.log((dt - cx * chy) ** 2 + (sx * shy) ** 2) + (n - 2) * np.log(
+            sx * sx + shy * shy) - e * np.log((a_re + t * b_re) ** 2 + (a_im + t * b_im) ** 2))
+
+    def lower(x):  # p <= c0 + c1, and p <= c0 + c1/2 for psi <= pi/2, where sin^(n-3) holds W/2
+        c0 = (1.0 - rho) ** 2 + 4.0 * rho * np.sin(0.5 * (x - al)) ** 2
+        c1 = 4.0 * rho * sa * np.sin(x)
+        return (np.log(np.abs(dt - np.cos(x))) + (n - 2) * np.log(np.abs(np.sin(x))) - e * np.log(
+            np.minimum(c0 + c1, 2.0 ** (1.0 / e) * (c0 + 0.5 * c1))))
+
+    bound, low = _panel_bounds(np.concatenate([v[:-1] for v in edges]), np.concatenate(
+        [v[1:] for v in edges]), np.concatenate((poles, poles + 2.0 * math.pi), 1)[which], upper,
+        order, lower, 16)
+    first = np.flatnonzero(np.diff(which, prepend=-1))
+    return edges, bound, np.maximum.reduceat(low, first)[which], which
+
+
+_OUTER = {}  # the outer rules by (n, rho, folded alpha, rule), emptied past 256 entries
+
+
+def _outer_rules(n: int, rho: float, alphas, rule: QuadratureRule) -> list:
+    """(nodes, weights times |dt - cos| sin^(n-2)), read-only, of constant_direct's outer integral
+    at each folded alpha: each panel of _outer_bounds on the first order of the rule's ladder whose
+    bound meets 2^-52 of the scale. The alphas not yet in _OUTER are bounded in batches of 64."""
+    if len(_OUTER) + len(alphas) > 256:
+        _OUTER.clear()
+    new = [a for a in dict.fromkeys(alphas) if (n, rho, a, rule) not in _OUTER]
+    for i in range(0, len(new), 64):
+        edges, bound, scale, which = _outer_bounds(n, rho, new[i:i + 64], rule.order)
+        orders = _panel_orders(bound, scale, rule.order)
+        for k, alpha in enumerate(new[i:i + 64]):
+            nodes, wts = _mapped(edges[k], orders[which == k])
+            wts *= np.abs((n - 2) / n * rho * math.cos(alpha) - np.cos(nodes)) * np.sin(
+                nodes) ** (n - 2)
+            nodes.flags.writeable = wts.flags.writeable = False
+            _OUTER[n, rho, alpha, rule] = nodes, wts
+    return [_OUTER[n, rho, a, rule] for a in alphas]
+
+
 # -- the three constant routes ----------------------------------------------
 
 
@@ -287,16 +407,14 @@ def constant_direct(q: ConstantQuery, rule: QuadratureRule | None = None) -> flo
     Both integrals run in angle variables at a = min(alpha, pi - alpha), as the
     constant is even in t (pi - alpha is exact for alpha >= pi/2, so the pair
     gives one float); the outer one is split at the kink arccos(delta * cos(a))
-    and graded around its peak at theta = a, the inner one graded around psi = 0.
+    and graded around its peak at theta = a, the inner one graded around psi = 0,
+    each panel on the fewest nodes its bound allows (_outer_rules, _poisson_rows).
     """
     rule = rule or gauss_legendre(DEFAULT_QUAD_ORDER)
     n, rho = q.dim.n, q.rho
     alpha = min(q.alpha, math.pi - q.alpha)
-    dt = q.delta * math.cos(alpha)
-    nodes, wts = _graded_panels(rho, rule, alpha, (math.acos(dt),))
-    inner = _inner_smooth(q.dim, rho, alpha, nodes, rule)
-    outer_vals = np.abs(dt - np.cos(nodes)) * np.sin(nodes) ** (n - 2) * inner
-    total = float(wts @ outer_vals)
+    (nodes, wts), = _outer_rules(n, rho, (alpha,), rule)
+    total = float(wts @ _inner_smooth(q.dim, rho, alpha, nodes, rule))
     value = n * (n - 2) / (2.0 * math.pi) / ((1.0 - rho) * (1.0 + rho)) * total
     if not math.isfinite(value):
         raise OverflowError(f"constant_direct overflows at n={n}, rho={rho}")
@@ -357,8 +475,7 @@ def constant_radial(n, rho: float, rule: QuadratureRule | None = None) -> float:
     rule = rule or gauss_legendre(DEFAULT_QUAD_ORDER)
     n, delta = dim.n, (dim.n - 2) / dim.n * _checked_rho(rho)
     total = _poisson_rows(rho, rule, np.array([(1.0 - rho) ** 2]), np.array([4.0 * rho]),
-                          (n - 2) / 2.0, n - 2, kinks=(math.acos(delta),),
-                          extra=lambda x: np.abs(np.cos(x) - delta))
+                          (n - 2) / 2.0, n - 2, delta=delta)
     value = dim.c_n / ((1.0 - rho) * (1.0 + rho)) * float(total[0])
     if not math.isfinite(value):
         raise OverflowError(f"constant_radial overflows at n={dim.n}, rho={rho}")

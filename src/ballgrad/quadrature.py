@@ -21,6 +21,7 @@ __all__ = [
     "QuadratureRule",
     "gauss_legendre",
     "composite_nodes",
+    "panel_edges",
     "map_panels",
     "integrate",
     "integrate_split",
@@ -94,6 +95,12 @@ def composite_nodes(a: float, b: float, rule: QuadratureRule, breakpoints=()):
 
     Breakpoints outside (a, b) are dropped; near-duplicate edges are merged.
     """
+    return map_panels(panel_edges(a, b, breakpoints), rule)
+
+
+def panel_edges(a: float, b: float, breakpoints=()) -> np.ndarray:
+    """The panel edges of composite_nodes: a, the sorted breakpoints inside (a, b) less
+    those within 1e-12 of the edge before, and b."""
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
     edges = [a]
@@ -101,7 +108,7 @@ def composite_nodes(a: float, b: float, rule: QuadratureRule, breakpoints=()):
         if a < s < b and s - edges[-1] > 1e-12:
             edges.append(float(s))
     edges.append(b)
-    return map_panels(np.array(edges), rule)
+    return np.array(edges)
 
 
 def map_panels(edges: np.ndarray, rule: QuadratureRule):

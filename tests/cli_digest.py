@@ -85,6 +85,15 @@ certify --dim 21 --rho 0.95
 constant --dim 4 --rho 0.3,0.9 --alpha 0,pi/2,pi
 certify --dim 5 --rho 0
 certify --dim 100001 --rho 0
+constant --dim 64 --rho 0.7
+certify --dim 64 --rho 0.7
+certify --dim 100 --rho 0.5
+certify --dim 128 --rho 0.5
+certify --dim 128 --rho 0.7
+certify --dim 96 --rho 0.8 --quad-order 48
+certify --dim 96 --rho 0.8 --quad-order 64
+certify --dim 128 --rho 0.8 --quad-order 48
+certify --dim 128 --rho 0.8 --quad-order 64
 """
 
 CHILD = ("import sys, ballgrad.cli\n"

@@ -565,13 +565,13 @@ def test_certify_json_is_the_library_reports(capsys):
     ("100001", "0,0.1,0.2", 1, "ballgrad: profile_curvature_kernel overflows at n=100001, rho=0.1\n"),
 ])
 def test_certify_computes_c_n_once(capsys, monkeypatch, n, rhos, code, err):
-    # c_n is one exact big-integer ratio, slow at large n, cached on its
-    # DimensionParams, which cmd_certify hands to both certificates of every radius
+    # c_n is computed once, on first access, and cached on its DimensionParams, which
+    # cmd_certify hands to both certificates of every radius
     calls = []
-    comb = math.comb
-    monkeypatch.setattr(math, "comb", lambda *args: calls.append(args) or comb(*args))
+    func = DimensionParams.c_n.func
+    monkeypatch.setattr(DimensionParams.c_n, "func", lambda dim: calls.append(dim.n) or func(dim))
     assert _run(capsys, ["certify", "--dim", n, "--rho", rhos])[::2] == (code, err)
-    assert len(calls) == 1
+    assert calls == [int(n)]
 
 
 @pytest.mark.parametrize("command", ["constant", "certify"])

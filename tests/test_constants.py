@@ -21,11 +21,15 @@ from ballgrad.constants import (
     ConstantQuery,
     _T_CHUNK,
     _far_ratio,
-    _graded_panels,
+    _graded_edges,
     _green_edges,
     _green_profile,
     _inner_smooth,
     _inv_power,
+    _outer_bounds,
+    _outer_rules,
+    _panel_orders,
+    _row_bounds,
     certify_convexity,
     certify_radial_max,
     constant_direct,
@@ -183,7 +187,7 @@ def _rule_groups(rho, rule, c0, c1, m, e):
     """Reference: _poisson_rows' rules, (rows, nodes, weights) in order: the plain panel [0, pi]
     of each ladder order N (rule.order // 8, // 4, // 2, none below 16), then of rule itself,
     for the rows whose first met pole test c0 >= tau_N c1 is N's (the last test is met by
-    every row below rho = 0.8), then _graded_panels for the rows that meet none."""
+    every row below rho = 0.8), then the graded panels for the rows that meet none."""
     ladder = [k for k, d in enumerate((8, 4, 2)) if rule.order // d >= 16]
     taus = _far_ratio(rule.order, m, e)[ladder + [3]]  # a copy
     if rho < 0.8:
@@ -192,8 +196,40 @@ def _rule_groups(rho, rule, c0, c1, m, e):
         met = c0 >= taus[:, None] * c1
     first = np.where(met.any(axis=0), met.argmax(axis=0), taus.size)
     rules = [gauss_legendre(rule.order // 2 ** (3 - k)) for k in ladder] + [rule]
+    near = first == len(rules)
     return ([(first == k,) + composite_nodes(0.0, math.pi, r) for k, r in enumerate(rules)]
-            + [(first == len(rules),) + _graded_panels(rho, rule)])
+            + [(near,) + _graded_rule(rho, rule, c0[near], c1[near], m, e)])
+
+
+def _ratio_grid(c0, c1):
+    """The ratios 2^k, k from the floor of log2 of the least c0/c1 to the ceiling of that of the
+    largest, each ratio taken into [2^-60, 2^14] first."""
+    with np.errstate(divide="ignore"):
+        s = np.log2(np.clip(c0 / c1, 2.0 ** -60, 2.0 ** 14))
+    return 2.0 ** np.arange(math.floor(s.min()), math.ceil(s.max()) + 1)
+
+
+def _graded_rule(rho, rule, c0, c1, m, e):
+    """Reference: the near rows' graded panels (_graded_edges), each on the first ladder order
+    whose bound meets 2^-52 of the integrand's maximum at every ratio of _ratio_grid."""
+    edges = _graded_edges(rho)
+    if c0.size == 0:
+        return map_panels(edges, rule)
+    bound, scale = _row_bounds(edges, _ratio_grid(c0, c1), m, e, rule.order)
+    return _panels_mapped(edges, _panel_orders(bound, scale, rule.order))
+
+
+def _panels_mapped(edges, orders):
+    """Reference: one Gauss panel of order orders[j] on each [edges[j], edges[j + 1]]."""
+    parts = [map_panels(edges[j:j + 2], gauss_legendre(int(k))) for j, k in enumerate(orders)]
+    return tuple(np.concatenate(v) for v in zip(*parts))
+
+
+def _outer_gauss(n, rho, alpha, rule):
+    """Reference: constant_direct's outer nodes and their Gauss weights, without its factor
+    |dt - cos| sin^(n-2): each panel of _outer_bounds on the order its bound allows."""
+    (edges,), bound, scale, _ = _outer_bounds(n, rho, (alpha,), rule.order)
+    return _panels_mapped(edges, _panel_orders(bound, scale, rule.order))
 
 
 def test_far_ratio_rungs():
@@ -211,14 +247,22 @@ def test_far_ratio_rungs():
             taus[0] = 1.0
 
 
+def _node_rows(nodes, wts, m):
+    """Reference: sin^2(t/2), sin^2 t and w sin^m t at the nodes t, each in np.longdouble and
+    rounded once to double."""
+    t, w = nodes.astype(np.longdouble), wts.astype(np.longdouble)
+    return [v.astype(float) for v in (np.sin(t / 2) ** 2, np.sin(t) ** 2, w * np.sin(t) ** m)]
+
+
 def _inner_one_matrix(dim, rho, alpha, theta, rule):
     """Reference: _inner_smooth as one (theta, psi) matrix expression per rule."""
     n = dim.n
     c0, c1 = _inner_rows(theta, rho, alpha)
     out = np.full(theta.size, np.nan)
     for rows, nodes, wts in _rule_groups(rho, rule, c0, c1, n - 3, n / 2.0 - 1.0):
-        denom = c0[rows, None] + c1[rows, None] * np.sin(0.5 * nodes)[None, :] ** 2
-        out[rows] = _inv_power(denom, n / 2.0 - 1.0) @ (wts * np.sin(nodes) ** (n - 3))
+        half_sq, _, weights = _node_rows(nodes, wts, n - 3)
+        denom = c0[rows, None] + c1[rows, None] * half_sq[None, :]
+        out[rows] = _inv_power(denom, n / 2.0 - 1.0) @ weights
     return out
 
 
@@ -229,21 +273,28 @@ def _reachable(order, m, e):
     return kept + [True]
 
 
-def _mixed_picks(groups, seed):
+def _mixed_picks(groups, seed, c0, c1):
     """Shuffled index sets into a pool of rows split by _rule_groups, with these row counts
     per populated rule: a full block and a lone last row; one row; a full block and two rows
-    (a block boundary); and that last for the first and for the last populated rule alone."""
+    (a block boundary); and that last for the first and for the last populated rule alone.
+    The graded rows picked hold the pool's least and largest c0/c1, so that they take the
+    pool's graded table and block."""
     rng = np.random.default_rng(seed)
     pools = [np.flatnonzero(rows) for rows, *_ in groups]
     blocks = [_T_CHUNK * max(1, constants._CELLS // (_T_CHUNK * nodes.size))
               for _, nodes, _ in groups]
     filled = [k for k, pool in enumerate(pools) if pool.size]
+    with np.errstate(divide="ignore"):
+        ratio = c0[pools[-1]] / c1[pools[-1]]
+    ends = pools[-1][[np.argmin(ratio), np.argmax(ratio)]] if ratio.size else None
     counts = [lambda k: blocks[k] + 1, lambda k: 1, lambda k: blocks[k] + 2,
               lambda k: (blocks[k] + 2) * (k == filled[0]),
               lambda k: (blocks[k] + 2) * (k == filled[-1])]
     for count in counts:
         sizes = {k: count(k) for k in filled}
         picks = [rng.choice(pools[k], size) for k, size in sizes.items()]
+        if filled[-1] == len(groups) - 1:
+            picks[-1][:2] = ends[:sizes[filled[-1]]]
         yield rng.permutation(np.concatenate(picks)), sizes
 
 
@@ -264,7 +315,7 @@ def test_inner_integral_blocks_bit_identical(order, n):
     c0, c1 = _inner_rows(pool, 0.99, math.pi / 3)
     groups = _rule_groups(0.99, rule, c0, c1, n - 3, n / 2.0 - 1.0)
     assert [rows.any() for rows, *_ in groups] == _reachable(order, n - 3, n / 2.0 - 1.0)
-    for picks, sizes in _mixed_picks(groups, n):
+    for picks, sizes in _mixed_picks(groups, n, c0, c1):
         theta = pool[picks]
         want = _inner_one_matrix(dim, 0.99, math.pi / 3, theta, rule)
         got = _inner_smooth(dim, 0.99, math.pi / 3, theta, rule)
@@ -278,10 +329,11 @@ def _kernel_one_matrix(t, dim, rho, rule):
     c0, c1, g = _kernel_rows(t, n, rho)
     sums = np.full(t.size, np.nan)
     for rows, nodes, wts in _rule_groups(rho, rule, c0, c1, n + 1, (n + 2) / 2.0):
-        p = c1[rows, None] * np.sin(0.5 * nodes) ** 2 + c0[rows, None]
-        bracket = (p - n / (n - 2.0) * g[rows, None] * np.sin(nodes) ** 2) ** 2
+        half_sq, sin_sq, weights = _node_rows(nodes, wts, n - 3)
+        p = c1[rows, None] * half_sq + c0[rows, None]
+        bracket = (p - n / (n - 2.0) * g[rows, None] * sin_sq) ** 2
         vals = _inv_power(p, (n + 2) / 2.0) * bracket
-        sums[rows] = vals @ (wts * np.sin(nodes) ** (n - 3))
+        sums[rows] = vals @ weights
     scale = n * (n - 2.0) / (math.pi * dim.c_n) * delta * delta
     return scale * g ** ((n - 3) / 2.0) * sums
 
@@ -303,7 +355,7 @@ def test_curvature_kernel_blocks_bit_identical(order, n):
     c0, c1, _ = _kernel_rows(pool, n, 0.99)
     groups = _rule_groups(0.99, rule, c0, c1, n + 1, (n + 2) / 2.0)
     assert [rows.any() for rows, *_ in groups] == _reachable(order, n + 1, (n + 2) / 2.0)
-    for picks, sizes in _mixed_picks(groups, n):
+    for picks, sizes in _mixed_picks(groups, n, c0, c1):
         want = _kernel_one_matrix(pool[picks], dim, 0.99, rule)
         assert np.array_equal(profile_curvature_kernel(pool[picks], dim, 0.99, rule), want), sizes
 
@@ -329,7 +381,8 @@ def _direct_longdouble(q, rule):
     1 - 2 rho z + rho^2."""
     L, n = np.longdouble, q.dim.n
     dt = q.delta * q.t
-    outer = _graded_panels(q.rho, rule, q.alpha, (math.acos(dt),))
+    outer = _outer_gauss(n, q.rho, q.alpha, rule)
+    assert np.array_equal(outer[0], _outer_rules(n, q.rho, (q.alpha,), rule)[0][0])
     groups = _rule_groups(q.rho, rule, *_inner_rows(outer[0], q.rho, q.alpha), n - 3, n / 2 - 1)
     th, wo = (a.astype(L) for a in outer)
     rho, alpha = L(q.rho), L(q.alpha)
@@ -1019,8 +1072,7 @@ def test_green_profile_node_doubling(rule, monkeypatch, n, rho):
                                          (0.999, 4)])
 def test_graded_panel_counts(rho, panels):
     # edges at +-(1 - rho) * (1, 16, 256, 4096) inside (0, pi): a denser grading fails here
-    nodes, _ = _graded_panels(rho, gauss_legendre(128))
-    assert nodes.size == 128 * panels
+    assert _graded_edges(rho).size - 1 == panels
 
 
 @pytest.mark.parametrize("rho", [0.8, 0.9, 0.99, 0.999])
@@ -1040,6 +1092,80 @@ def test_graded_routes_node_doubling(n, rho):
         assert abs(constant_radial(dim, rho, rule) - radial) <= 1e-13 * radial
         got = profile_curvature_kernel(T_GRID[100:], dim, rho, rule)
         assert np.max(np.abs(got - kernel)) <= 1e-13 * np.max(np.abs(kernel))
+
+
+def _panel_errors(edges, f, dtype=np.longdouble):
+    """(|Q_N - Q_1024| of each order N = 16, 32, 64, 128 on each panel, sum |w f| at 1024 nodes)
+    for f of the nodes as dtype."""
+    errs, mass = np.empty((4, edges.size - 1), dtype=dtype), np.empty(edges.size - 1, dtype=dtype)
+    for j in range(edges.size - 1):
+        terms = [f(x.astype(dtype)) * w.astype(dtype) for x, w in
+                 (map_panels(edges[j:j + 2], gauss_legendre(N)) for N in (16, 32, 64, 128, 1024))]
+        mass[j] = np.sum(np.abs(terms[-1]))
+        errs[:, j] = [abs(np.sum(t) - np.sum(terms[-1])) for t in terms[:-1]]
+    return errs, mass
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="longdouble is double here")
+@pytest.mark.parametrize("rho", [0.0, 0.5, 0.8, 0.9, 0.99, 0.999])
+@pytest.mark.parametrize("n", [3, 8, 16, 64, 128, 200])
+def test_panel_bounds_cover_the_error(n, rho):
+    # on every panel of the Poisson rows and of the outer integral, the bound of each order 16 to
+    # 128 is at least the error against 1024 nodes, short of the rounding (the rules' nodes and
+    # weights are doubles: some (m + e) eps of the panel's mass): in longdouble for the
+    # rows (sin^m p^-e, for the direct route, for the kernel with its bracket as sin^4, and for
+    # the radial row with its |cos - delta|), at the direct route's nearest ratio at pi/3 and
+    # three 16-fold larger ones; in double for the outer integrand at three angles, its inner
+    # rows scaled by (1 - rho)^2 (no overflow), so its rounding is that of the default rule
+    L, eps = np.longdouble, np.finfo(float).eps
+    near = (1 - rho) ** 2 / (3 * rho) if rho else math.inf
+    ratios = sorted({min(near * 16.0 ** k, 2.0 ** 14) for k in range(4)})
+    for m, e, delta in ((n - 3, n / 2 - 1, None), (n + 1, (n + 2) / 2, None),
+                        (n - 2, (n - 2) / 2, (n - 2) / n * rho)):
+        edges = _graded_edges(rho, 0.0, () if delta is None else (math.acos(delta),))
+        bound, _ = _row_bounds(edges, ratios, m, e, 128, delta)
+        for i, ratio in enumerate(ratios):
+            def row(x):
+                v = np.sin(x) ** m * (L(ratio) + np.sin(x / 2) ** 2) ** -L(e)
+                return v if delta is None else v * np.abs(np.cos(x) - L(delta))
+
+            errs, mass = _panel_errors(edges, row)
+            floor = (m + e + 4) * 8 * eps * mass  # the rules' nodes and weights are doubles
+            with np.errstate(divide="ignore"):
+                assert np.all(np.log(errs) <= np.maximum(bound[:, i], np.log(floor))), (m, ratio)
+    e = n / 2 - 1
+    log_w = 0.5 * math.log(math.pi) + math.lgamma((n - 2) / 2) - math.lgamma((n - 1) / 2)
+    for alpha in (math.pi / 12, math.pi / 3, math.pi / 2):
+        (edges,), bound, _, _ = _outer_bounds(n, rho, (alpha,), 128)
+        dt, ref = (n - 2) / n * rho * math.cos(alpha), (1 - rho) ** 2
+
+        def outer(x):
+            c0, c1 = _inner_rows(x, rho, alpha)
+            inner = constants._poisson_rows(rho, gauss_legendre(128), c0 / ref, c1 / ref, e, n - 3)
+            return np.abs(dt - np.cos(x)) * np.sin(x) ** (n - 2) * inner
+
+        errs, mass = _panel_errors(edges, outer, float)
+        with np.errstate(divide="ignore"):
+            assert np.all(np.log(errs) <= np.maximum(bound + log_w + e * math.log(ref),
+                                                     np.log((n + 8) * 8 * eps * mass))), alpha
+
+
+@pytest.mark.parametrize("n, rho", [(16, 0.99), (64, 0.7), (100, 0.5), (128, 0.5), (128, 0.7)])
+def test_direct_meets_512_nodes(n, rho):
+    # the default rule's outer and inner panels take the orders their bounds allow: within 1e-14
+    # of 512 nodes on every outer panel and the order-512 inner rule, at the seven folded angles
+    # of a constant table. Fixed orders (outer order // 4, graded inner // 2) missed it by 2.8e-14
+    # to 5.9e-11 at large n; outer orders against the upper bound's maximum, not a lower bound's,
+    # by 5.1e-9 at (16, 0.99)
+    dim, fine = DimensionParams(n), gauss_legendre(512)
+    for k in range(7):
+        q = ConstantQuery(dim, rho, k * math.pi / 12)
+        dt = q.delta * q.t
+        nodes, wts = map_panels(_graded_edges(rho, q.alpha, (math.acos(dt),)), fine)
+        inner = _inner_smooth(dim, rho, q.alpha, nodes, fine)
+        want = n * (n - 2) / (2 * math.pi) / ((1 - rho) * (1 + rho)) * float(
+            wts @ (np.abs(dt - np.cos(nodes)) * np.sin(nodes) ** (n - 2) * inner))
+        assert abs(constant_direct(q) - want) <= 1e-14 * max(1.0, abs(want)), k
 
 
 def _poisson_candidates(n, rho, bracket):
@@ -1080,7 +1206,7 @@ def test_far_rows_meet_the_graded_value(n, rho, bracket):
     # add the rounding of p^-e (test_inv_power_matches_numpy)
     m, e = n - 3, ((n + 2) / 2.0 if bracket else n / 2.0 - 1.0)
     c0, c1, a = _poisson_candidates(n, rho, bracket)
-    graded = _graded_panels(rho, gauss_legendre(512))
+    graded = map_panels(_graded_edges(rho), gauss_legendre(512))
     tested = 0
     for order in (16, 32, 64, 128):
         rule = gauss_legendre(order)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -314,6 +315,30 @@ def test_c_n_matches_mpmath(n):
         pref = 2 * mp.gamma(mp.mpf(n - 1) / 2) / (mp.gamma(mp.mpf(n - 2) / 2) * mp.sqrt(mp.pi))
         assert abs(c_n / want - 1) <= 3e-16
         assert abs(n * (n - 2.0) / (math.pi * c_n) / pref - 1) <= 3e-16
+
+
+@pytest.mark.parametrize("n", [4097, 4098, 10001, 100001])
+def test_c_n_past_4096_meets_the_exact_ratio(n):
+    # past n = 4096 c_n comes in O(1) from the series of Gamma(x + 1/2) / Gamma(x):
+    # within 4e-16 of the exact big-integer ratio (divided by pi at even n)
+    m = n // 2
+    with mp.workdps(40):
+        if n % 2:
+            want = mp.mpf(n * m * math.comb(2 * m, m)) / mp.mpf(4) ** m
+        else:
+            want = mp.mpf(2 * m * 4 ** (m - 1)) / math.comb(2 * m - 2, m - 1) / mp.pi
+        assert abs(DimensionParams(n).c_n / want - 1) <= 4e-16
+
+
+def test_c_n_takes_constant_time_at_large_n():
+    # one first access at n = 1,000,001 (11 s as the exact ratio), best of three instances
+    seconds = []
+    for _ in range(3):
+        d = DimensionParams(1_000_001)
+        t0 = time.perf_counter()
+        d.c_n
+        seconds.append(time.perf_counter() - t0)
+    assert min(seconds) < 1e-3
 
 
 def test_gamma_ratio():
