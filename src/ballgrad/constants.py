@@ -31,7 +31,9 @@ outer integral, takes the fewest Gauss nodes of the ladder order/8, /4, /2, orde
 Bernstein-ellipse bound of its integrand allows (_panel_bounds): the pole psi = i arccosh(1 +
 2 c0/c1) of a row c0 + c1 sin^2(psi/2) sends it to one plain panel (c0 >= tau_N c1,
 _far_ratio) or, once rho >= 0.8, to panels graded around the peak (_graded_edges); the outer
-integrand's singular curve sets the orders of its panels (_outer_bounds).
+integrand's singular curve sets the orders of its panels (_outer_bounds). A graded or outer
+panel also keeps enough nodes to average the rounding of a large power (_panel_orders), and
+the radial row takes the rule itself on every panel.
 The profile's kink integrals (the identity suite's kink_integral_brute,
 degrees 0 and 1 stacked) also run in _T_CHUNK-row blocks. Every
 rho-power series (the three curvature pair sums and the lagged series part of
@@ -159,8 +161,9 @@ def _graded_edges(rho: float, peak: float = 0.0, kinks=()) -> np.ndarray:
 # -- the Poisson-power quadrature of every route -----------------------------
 
 _LADDER = np.array([8, 4, 2, 1])  # a panel of a rule of order N takes N // 8, // 4, // 2 or N
-_ELLIPSES = np.array([0.0, 1.0, 2.0, 4.0, 6.0]) / 8.0  # k of r = 1 + k (r_pole - 1); 0: the panel
+_ELLIPSES = np.array([0, 1, 2, 4, 6, 7]) / 8.0  # k of r = 1 + k (r_pole - 1); 0: the panel
 _PSI = np.linspace(0.0, math.pi, 33)  # where the outer integrand's singular curve is sampled
+_ROUND_EPS = 8.0  # the rounding a panel may add, in eps (_panel_orders)
 
 
 def _panel_bounds(lo, hi, poles, log_upper, order: int, log_lower=None, points: int = 128):
@@ -169,7 +172,7 @@ def _panel_bounds(lo, hi, poles, log_upper, order: int, log_lower=None, points: 
     and order (first axis), and the log of the largest exp(log_lower) (log_upper if not given) on
     it. The nearest of its poles (..., P or 1, Q; f is real on the axis) sets r_pole; log M, the
     largest log_upper(x, y) >= log |f(x + iy)| on the upper half of r = 1 + k (r_pole - 1), counts
-    the growth of f off the axis: the best of k = 1/8, 1/4, 1/2, 3/4."""
+    the growth of f off the axis: the best of k = 1/8, 1/4, 1/2, 3/4, 7/8."""
     h, c = 0.5 * (hi - lo), 0.5 * (hi + lo)
     # on the ellipse of [a, b] through z, r + 1/r = (|z - a| + |z - b|) / h
     q = (np.abs(poles - lo[:, None]) + np.abs(poles - hi[:, None])).min(-1) / (2.0 * h)
@@ -185,13 +188,16 @@ def _panel_bounds(lo, hi, poles, log_upper, order: int, log_lower=None, points: 
     return (bound - 2 * (n - 1) * np.log(r)).min(-1), low.max((-2, -1))
 
 
-def _panel_orders(bound, scale, order: int) -> np.ndarray:
-    """Each panel's (last axis) first order of the ladder, none below 16 but order itself, whose
-    bound is at most 2^-52 of the scale at every other index."""
+def _panel_orders(bound, scale, order: int, power: float) -> np.ndarray:
+    """Each panel's (last axis) first order N of the ladder, none below 16 but order itself, whose
+    bound is at most 2^-52 of the scale at every other index and whose rounding is at most
+    _ROUND_EPS eps: an integrand sin^m p^-e of power m + e turns the rounding of each double (node,
+    weight, p) into about (m + e) eps, and N nodes average it to power eps / sqrt(N)."""
+    n = order // _LADDER
     ok = (bound <= scale - 52 * math.log(2)).reshape(4, -1, bound.shape[-1]).all(1)
-    ok[:-1] &= (order // _LADDER[:-1] >= 16)[:, None]
+    ok &= ((n >= 16) & (power <= _ROUND_EPS * np.sqrt(n)))[:, None]
     ok[-1] = True
-    return (order // _LADDER)[ok.argmax(0)]
+    return n[ok.argmax(0)]
 
 
 def _mapped(edges, orders):
@@ -202,19 +208,16 @@ def _mapped(edges, orders):
             h * np.concatenate([r.weights for r in rules]))
 
 
-def _row_bounds(edges, s, m: int, e: float, order: int, delta=None):
+def _row_bounds(edges, s, m: int, e: float, order: int):
     """_panel_bounds, the largest low taken over the panels (a column), of the rows sin^m (s +
-    sin^2(z/2))^-e |cos z - delta| (the last factor if delta is given), one per c0/c1 = s (first
-    axis), whose pole is i arccosh(1 + 2s) = 2i arcsinh(sqrt(s))."""
+    sin^2(z/2))^-e, one per c0/c1 = s (first axis), whose pole is i arccosh(1 + 2s) =
+    2i arcsinh(sqrt(s))."""
     s = np.asarray(s, dtype=float)[:, None, None, None]
 
     def log_f(x, y):  # |sin z|^2 = sx^2 + shy^2, 2 sin^2(z/2) = 1 - cos x cosh y + i sx shy
-        sx, shy, cx, chy = np.sin(x), np.sinh(y), np.cos(x), np.cosh(y)
-        out = 0.5 * m * np.log(sx * sx + shy * shy) - 0.5 * e * np.log(
-            (s + 0.5 - 0.5 * cx * chy) ** 2 + (0.5 * sx * shy) ** 2)
-        if delta is not None:
-            out += 0.5 * np.log((cx * chy - delta) ** 2 + (sx * shy) ** 2)
-        return out
+        sx, shy = np.sin(x), np.sinh(y)
+        return 0.5 * m * np.log(sx * sx + shy * shy) - 0.5 * e * np.log(
+            (s + 0.5 - 0.5 * np.cos(x) * np.cosh(y)) ** 2 + (0.5 * sx * shy) ** 2)
 
     bound, low = _panel_bounds(edges[:-1], edges[1:], 2j * np.arcsinh(np.sqrt(s[..., 0])), log_f,
                                order)
@@ -235,36 +238,36 @@ def _far_ratio(order: int, m: int, e: float) -> np.ndarray:
     return taus
 
 
-@functools.lru_cache(maxsize=None)
-def _plain_table(rule: QuadratureRule, m: int):
-    """_table on one plain panel [0, pi]."""
-    return _table(*composite_nodes(0.0, math.pi, rule), m)
-
-
 def _table(t, w, m: int, delta=None):
     """sin^2(t/2), sin^2 t and w sin^m t |cos t - delta| (the last factor if delta is given),
-    read-only: in np.longdouble, rounded once, so that sin's rounding does not enter m-fold."""
-    t, w = t.astype(np.longdouble), w.astype(np.longdouble)
-    extra = 1.0 if delta is None else np.abs(np.cos(t) - np.longdouble(delta))
-    table = np.stack((np.sin(t / 2) ** 2, np.sin(t) ** 2, w * np.sin(t) ** m * extra)).astype(float)
+    read-only."""
+    extra = 1.0 if delta is None else np.abs(np.cos(t) - delta)
+    table = np.stack((np.sin(0.5 * t) ** 2, np.sin(t) ** 2, w * (np.sin(t) ** m * extra)))
     table.flags.writeable = False
     return table
 
 
-@functools.lru_cache(maxsize=1024)
-def _panel_table(rho: float, rule: QuadratureRule, m: int, e: float, lo: int, hi: int,
-                 bracket: bool, delta, graded: bool):
-    """_table on [0, pi], split at arccos(delta) if given and graded (_graded_edges) if graded,
-    each panel on the first order whose bound meets 2^-52 of the maximum at every c0/c1 = 2^k,
-    k = lo..hi, of the row group (_row_bounds, eight ratios at a time; the bracket as sin^4): the
-    nearest pole sets the orders at the peak, the farthest, whose maximum is the least, often
-    those of the other panels."""
-    kinks = () if delta is None else (math.acos(delta),)
-    edges = _graded_edges(rho if graded else 0.0, 0.0, kinks)
+@functools.lru_cache(maxsize=256)
+def _panel_table(rho: float, rule: QuadratureRule, m: int, e: float, lo: int, bracket: bool):
+    """_table on the graded panels (_graded_edges), each on the first order whose bound meets
+    2^-52 of the maximum at every c0/c1 = 2^k from 2^lo to the rule's own tau_N, above which no
+    row is near (_row_bounds, eight ratios at a time; the bracket as sin^4): the nearest pole sets
+    the orders at the peak, the farthest, whose maximum is the least, often those of the other
+    panels."""
+    edges, mb = _graded_edges(rho), m + 4 * bracket
+    hi = math.ceil(math.log2(min(_far_ratio(rule.order, mb, e)[3], 2.0 ** 14)))
     orders = np.max([_panel_orders(*_row_bounds(edges, 2.0 ** np.arange(k, min(k + 8, hi + 1)),
-                                                m + 4 * bracket, e, rule.order, delta), rule.order)
+                                                mb, e, rule.order), rule.order, mb + e)
                      for k in range(lo, hi + 1, 8)], 0)
-    return _table(*_mapped(edges, orders), m, delta)
+    return _table(*_mapped(edges, orders), m)
+
+
+@functools.lru_cache(maxsize=256)
+def _rule_table(rho: float, rule: QuadratureRule, m: int, delta=None):
+    """_table on the panels _graded_edges(rho, 0, (arccos(delta),)) (the kink if delta is given),
+    every panel on the rule itself: one plain panel [0, pi] at rho = 0 without delta."""
+    edges = _graded_edges(rho, 0.0, () if delta is None else (math.acos(delta),))
+    return _table(*map_panels(edges, rule), m, delta)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # callers raise; tau * c1 = inf * 0
@@ -273,9 +276,10 @@ def _poisson_rows(rho: float, rule: QuadratureRule, c0, c1, e: float, m: int, a=
     the delta factor and the bracket only if given, p_ri = c0_r + c1_r sin(t_i/2)^2, on the first
     rule whose pole test c0_r >= tau_N c1_r the row meets (tau_N = _far_ratio, the bracket as
     sin^4; c1_r = 0 meets a finite tau_N): without delta, one plain panel [0, pi] of order N =
-    rule.order // 8, // 4, // 2 (_plain_table) or rule.order; [0, pi] split at arccos(delta), its
-    test from rho = 0.8 on; else the graded panels. Split and graded panels take their orders
-    from the bound over the c0/c1 of the group's rows (_panel_table).
+    rule.order // 8, // 4, // 2 or rule.order, else the graded panels, their orders from the
+    bound over the c0/c1 of the near rows (_panel_table); with delta, [0, pi] split at
+    arccos(delta), its test from rho = 0.8 on, else graded, every panel on the rule itself
+    (_rule_table).
 
     The rows of one rule run in blocks of about _CELLS entries (a multiple of _T_CHUNK rows) in
     one reused buffer, by the one-matrix expression's operations in its order: bit-identical to
@@ -289,13 +293,14 @@ def _poisson_rows(rho: float, rule: QuadratureRule, c0, c1, e: float, m: int, a=
         if count == 0:
             continue
         rows = np.flatnonzero(group == k) if count < out.size else slice(None)
-        if k < 3 + plain:
-            half_sq, sin_sq, wts = _plain_table(gauss_legendre(rule.order // 2 ** (3 - k))
-                                                if k < 3 else rule, m)
+        if k < 4 or not plain:
+            half_sq, sin_sq, wts = _rule_table(rho if k > 3 else 0.0, gauss_legendre(
+                rule.order // 2 ** (3 - k)) if k < 3 else rule, m, delta)
         else:
-            s = np.log2(np.clip(c0[rows] / c1[rows], 2.0 ** -60, 2.0 ** 14))
-            half_sq, sin_sq, wts = _panel_table(rho, rule, m, e, math.floor(s.min()),
-                                                math.ceil(s.max()), a is not None, delta, k > 3)
+            # a route's rows have c0/c1 >= (1 - rho)^2 / (4 rho): one table serves them all
+            s = min(np.min(c0[rows] / c1[rows]), (1.0 - rho) ** 2 / (4.0 * rho))
+            half_sq, sin_sq, wts = _panel_table(rho, rule, m, e, math.floor(math.log2(max(
+                s, 2.0 ** -60))), a is not None)
         block = _T_CHUNK * max(1, _CELLS // (_T_CHUNK * wts.size))
         buf = np.empty((1 if a is None else 2, min(block + 1, count), wts.size))
         # BLAS sums rows four at a time and the rest apart, so blocks of a multiple of four rows
@@ -376,26 +381,26 @@ def _outer_bounds(n: int, rho: float, alphas, order: int):
     return edges, bound, np.maximum.reduceat(low, first)[which], which
 
 
-_OUTER = {}  # the outer rules by (n, rho, folded alpha, rule), emptied past 256 entries
+_OUTER = {}  # the outer rules by (n, rho, folded alpha, rule): emptied before new ones pass 256
 
 
 def _outer_rules(n: int, rho: float, alphas, rule: QuadratureRule) -> list:
-    """(nodes, weights times |dt - cos| sin^(n-2)), read-only, of constant_direct's outer integral
-    at each folded alpha: each panel of _outer_bounds on the first order of the rule's ladder whose
-    bound meets 2^-52 of the scale. The alphas not yet in _OUTER are bounded in batches of 64."""
-    if len(_OUTER) + len(alphas) > 256:
+    """(nodes, weights), read-only, of constant_direct's outer integral at each folded alpha: each
+    panel of _outer_bounds on the first order of the rule's ladder whose bound meets 2^-52 of the
+    scale (_panel_orders, power n - 2 + e). The alphas not yet in _OUTER are bounded together, 64
+    at a time, so that a long grid keeps its temporaries to a few MB."""
+    got = {a: _OUTER.get((n, rho, a, rule)) for a in alphas}
+    new = [a for a, kept in got.items() if kept is None]
+    if new and len(_OUTER) + len(new) > 256:
         _OUTER.clear()
-    new = [a for a in dict.fromkeys(alphas) if (n, rho, a, rule) not in _OUTER]
     for i in range(0, len(new), 64):
         edges, bound, scale, which = _outer_bounds(n, rho, new[i:i + 64], rule.order)
-        orders = _panel_orders(bound, scale, rule.order)
+        orders = _panel_orders(bound, scale, rule.order, 1.5 * n - 3.0)
         for k, alpha in enumerate(new[i:i + 64]):
             nodes, wts = _mapped(edges[k], orders[which == k])
-            wts *= np.abs((n - 2) / n * rho * math.cos(alpha) - np.cos(nodes)) * np.sin(
-                nodes) ** (n - 2)
             nodes.flags.writeable = wts.flags.writeable = False
-            _OUTER[n, rho, alpha, rule] = nodes, wts
-    return [_OUTER[n, rho, a, rule] for a in alphas]
+            got[alpha] = _OUTER[n, rho, alpha, rule] = nodes, wts
+    return [got[a] for a in alphas]
 
 
 # -- the three constant routes ----------------------------------------------
@@ -414,7 +419,9 @@ def constant_direct(q: ConstantQuery, rule: QuadratureRule | None = None) -> flo
     n, rho = q.dim.n, q.rho
     alpha = min(q.alpha, math.pi - q.alpha)
     (nodes, wts), = _outer_rules(n, rho, (alpha,), rule)
-    total = float(wts @ _inner_smooth(q.dim, rho, alpha, nodes, rule))
+    dt = q.delta * math.cos(alpha)
+    inner = _inner_smooth(q.dim, rho, alpha, nodes, rule)
+    total = float(wts @ (np.abs(dt - np.cos(nodes)) * np.sin(nodes) ** (n - 2) * inner))
     value = n * (n - 2) / (2.0 * math.pi) / ((1.0 - rho) * (1.0 + rho)) * total
     if not math.isfinite(value):
         raise OverflowError(f"constant_direct overflows at n={n}, rho={rho}")

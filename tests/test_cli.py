@@ -11,7 +11,7 @@ from dataclasses import asdict
 import pytest
 
 import ballgrad
-from ballgrad import certify_convexity, certify_radial_max, cli
+from ballgrad import certify_convexity, certify_radial_max, cli, constants
 from ballgrad.cli import main
 from ballgrad.constants import (CONVEXITY_FLOOR, DEFAULT_QUAD_ORDER, ROUTE_TOL, ConstantQuery,
                                 constant_direct)
@@ -397,6 +397,23 @@ def test_constant_runs_direct_once_per_mirror_pair(capsys, monkeypatch, alpha, c
     for row in json.loads(out)["rows"]:
         q = ConstantQuery(DimensionParams(5), 0.9, row["alpha"])
         assert row["c_direct"] == constant_direct(q, rule)
+
+
+def test_constant_bounds_each_folded_angle_once(capsys, monkeypatch):
+    # 601 angles fold to 301, more than the 256 outer rules kept: each is bounded once, and the
+    # direct route of every angle reads the rules of the call's batch
+    bounds, bounded = constants._outer_bounds, []
+
+    def counted(n, rho, alphas, order):
+        bounded.extend(alphas)
+        return bounds(n, rho, alphas, order)
+
+    monkeypatch.setattr(constants, "_outer_bounds", counted)
+    monkeypatch.setattr(constants, "_OUTER", {})
+    code, _, _ = _run(capsys, ["constant", "--dim", "3", "--rho", "0.7", "--alpha", "step:pi/600"])
+    assert code == 0 and len(bounded) == len(set(bounded)) == 301
+    constants.constant_direct(ConstantQuery(DimensionParams(3), 0.7, 1.0))
+    assert len(bounded) == 302 and len(constants._OUTER) == 1
 
 
 @pytest.mark.parametrize("command", ["constant"])

@@ -201,12 +201,13 @@ def _rule_groups(rho, rule, c0, c1, m, e):
             + [(near,) + _graded_rule(rho, rule, c0[near], c1[near], m, e)])
 
 
-def _ratio_grid(c0, c1):
-    """The ratios 2^k, k from the floor of log2 of the least c0/c1 to the ceiling of that of the
-    largest, each ratio taken into [2^-60, 2^14] first."""
+def _ratio_grid(rho, order, c0, c1, m, e):
+    """The ratios 2^k, k from the floor of log2 of the least of (1 - rho)^2 / (4 rho) and the
+    rows' c0/c1 (at least 2^-60) to the ceiling of that of the rule's own tau_N (at most 2^14)."""
     with np.errstate(divide="ignore"):
-        s = np.log2(np.clip(c0 / c1, 2.0 ** -60, 2.0 ** 14))
-    return 2.0 ** np.arange(math.floor(s.min()), math.ceil(s.max()) + 1)
+        least = max(min(np.min(c0 / c1), (1 - rho) ** 2 / (4 * rho)), 2.0 ** -60)
+    top = min(_far_ratio(order, m, e)[3], 2.0 ** 14)
+    return 2.0 ** np.arange(math.floor(math.log2(least)), math.ceil(math.log2(top)) + 1)
 
 
 def _graded_rule(rho, rule, c0, c1, m, e):
@@ -215,8 +216,8 @@ def _graded_rule(rho, rule, c0, c1, m, e):
     edges = _graded_edges(rho)
     if c0.size == 0:
         return map_panels(edges, rule)
-    bound, scale = _row_bounds(edges, _ratio_grid(c0, c1), m, e, rule.order)
-    return _panels_mapped(edges, _panel_orders(bound, scale, rule.order))
+    bound, scale = _row_bounds(edges, _ratio_grid(rho, rule.order, c0, c1, m, e), m, e, rule.order)
+    return _panels_mapped(edges, _panel_orders(bound, scale, rule.order, m + e))
 
 
 def _panels_mapped(edges, orders):
@@ -226,10 +227,10 @@ def _panels_mapped(edges, orders):
 
 
 def _outer_gauss(n, rho, alpha, rule):
-    """Reference: constant_direct's outer nodes and their Gauss weights, without its factor
-    |dt - cos| sin^(n-2): each panel of _outer_bounds on the order its bound allows."""
+    """Reference: constant_direct's outer nodes and Gauss weights: each panel of _outer_bounds
+    on the order its bound allows."""
     (edges,), bound, scale, _ = _outer_bounds(n, rho, (alpha,), rule.order)
-    return _panels_mapped(edges, _panel_orders(bound, scale, rule.order))
+    return _panels_mapped(edges, _panel_orders(bound, scale, rule.order, 1.5 * n - 3))
 
 
 def test_far_ratio_rungs():
@@ -247,11 +248,20 @@ def test_far_ratio_rungs():
             taus[0] = 1.0
 
 
+def test_panel_orders_keep_rounding_within_eight_eps():
+    # a panel whose bound every order meets takes the first ladder order N >= 16 at which the
+    # power m + e of its integrand is at most 8 sqrt(N), else the rule itself: at n > 32 the
+    # direct route's panels keep the rule's order, and its rounding
+    met = np.full((4, 1, 3), -np.inf)
+    for order, power, want in ((128, 32.0, 16), (128, 32.5, 32), (128, 64.0, 64),
+                               (128, 64.5, 128), (64, 32.5, 32), (64, 1e3, 64), (7, 1.0, 7)):
+        assert np.array_equal(_panel_orders(met, 0.0, order, power), [want] * 3)
+    assert np.array_equal(_panel_orders(np.full((4, 1, 3), np.inf), 0.0, 128, 1.0), [128] * 3)
+
+
 def _node_rows(nodes, wts, m):
-    """Reference: sin^2(t/2), sin^2 t and w sin^m t at the nodes t, each in np.longdouble and
-    rounded once to double."""
-    t, w = nodes.astype(np.longdouble), wts.astype(np.longdouble)
-    return [v.astype(float) for v in (np.sin(t / 2) ** 2, np.sin(t) ** 2, w * np.sin(t) ** m)]
+    """Reference: sin^2(t/2), sin^2 t and w sin^m t at the nodes t."""
+    return np.sin(0.5 * nodes) ** 2, np.sin(nodes) ** 2, wts * np.sin(nodes) ** m
 
 
 def _inner_one_matrix(dim, rho, alpha, theta, rule):
@@ -273,28 +283,21 @@ def _reachable(order, m, e):
     return kept + [True]
 
 
-def _mixed_picks(groups, seed, c0, c1):
+def _mixed_picks(groups, seed):
     """Shuffled index sets into a pool of rows split by _rule_groups, with these row counts
     per populated rule: a full block and a lone last row; one row; a full block and two rows
-    (a block boundary); and that last for the first and for the last populated rule alone.
-    The graded rows picked hold the pool's least and largest c0/c1, so that they take the
-    pool's graded table and block."""
+    (a block boundary); and that last for the first and for the last populated rule alone."""
     rng = np.random.default_rng(seed)
     pools = [np.flatnonzero(rows) for rows, *_ in groups]
     blocks = [_T_CHUNK * max(1, constants._CELLS // (_T_CHUNK * nodes.size))
               for _, nodes, _ in groups]
     filled = [k for k, pool in enumerate(pools) if pool.size]
-    with np.errstate(divide="ignore"):
-        ratio = c0[pools[-1]] / c1[pools[-1]]
-    ends = pools[-1][[np.argmin(ratio), np.argmax(ratio)]] if ratio.size else None
     counts = [lambda k: blocks[k] + 1, lambda k: 1, lambda k: blocks[k] + 2,
               lambda k: (blocks[k] + 2) * (k == filled[0]),
               lambda k: (blocks[k] + 2) * (k == filled[-1])]
     for count in counts:
         sizes = {k: count(k) for k in filled}
         picks = [rng.choice(pools[k], size) for k, size in sizes.items()]
-        if filled[-1] == len(groups) - 1:
-            picks[-1][:2] = ends[:sizes[filled[-1]]]
         yield rng.permutation(np.concatenate(picks)), sizes
 
 
@@ -315,7 +318,7 @@ def test_inner_integral_blocks_bit_identical(order, n):
     c0, c1 = _inner_rows(pool, 0.99, math.pi / 3)
     groups = _rule_groups(0.99, rule, c0, c1, n - 3, n / 2.0 - 1.0)
     assert [rows.any() for rows, *_ in groups] == _reachable(order, n - 3, n / 2.0 - 1.0)
-    for picks, sizes in _mixed_picks(groups, n, c0, c1):
+    for picks, sizes in _mixed_picks(groups, n):
         theta = pool[picks]
         want = _inner_one_matrix(dim, 0.99, math.pi / 3, theta, rule)
         got = _inner_smooth(dim, 0.99, math.pi / 3, theta, rule)
@@ -355,7 +358,7 @@ def test_curvature_kernel_blocks_bit_identical(order, n):
     c0, c1, _ = _kernel_rows(pool, n, 0.99)
     groups = _rule_groups(0.99, rule, c0, c1, n + 1, (n + 2) / 2.0)
     assert [rows.any() for rows, *_ in groups] == _reachable(order, n + 1, (n + 2) / 2.0)
-    for picks, sizes in _mixed_picks(groups, n, c0, c1):
+    for picks, sizes in _mixed_picks(groups, n):
         want = _kernel_one_matrix(pool[picks], dim, 0.99, rule)
         assert np.array_equal(profile_curvature_kernel(pool[picks], dim, 0.99, rule), want), sizes
 
@@ -382,7 +385,7 @@ def _direct_longdouble(q, rule):
     L, n = np.longdouble, q.dim.n
     dt = q.delta * q.t
     outer = _outer_gauss(n, q.rho, q.alpha, rule)
-    assert np.array_equal(outer[0], _outer_rules(n, q.rho, (q.alpha,), rule)[0][0])
+    assert all(map(np.array_equal, outer, _outer_rules(n, q.rho, (q.alpha,), rule)[0]))
     groups = _rule_groups(q.rho, rule, *_inner_rows(outer[0], q.rho, q.alpha), n - 3, n / 2 - 1)
     th, wo = (a.astype(L) for a in outer)
     rho, alpha = L(q.rho), L(q.alpha)
@@ -1113,23 +1116,19 @@ def test_panel_bounds_cover_the_error(n, rho):
     # on every panel of the Poisson rows and of the outer integral, the bound of each order 16 to
     # 128 is at least the error against 1024 nodes, short of the rounding (the rules' nodes and
     # weights are doubles: some (m + e) eps of the panel's mass): in longdouble for the
-    # rows (sin^m p^-e, for the direct route, for the kernel with its bracket as sin^4, and for
-    # the radial row with its |cos - delta|), at the direct route's nearest ratio at pi/3 and
-    # three 16-fold larger ones; in double for the outer integrand at three angles, its inner
-    # rows scaled by (1 - rho)^2 (no overflow), so its rounding is that of the default rule
+    # rows (sin^m p^-e, for the direct route and for the kernel with its bracket as sin^4), at
+    # the direct route's nearest ratio at pi/3 and three 16-fold larger ones; in double for the
+    # outer integrand at three angles, its inner rows scaled by (1 - rho)^2 (no overflow), so its
+    # rounding is that of the default rule
     L, eps = np.longdouble, np.finfo(float).eps
     near = (1 - rho) ** 2 / (3 * rho) if rho else math.inf
     ratios = sorted({min(near * 16.0 ** k, 2.0 ** 14) for k in range(4)})
-    for m, e, delta in ((n - 3, n / 2 - 1, None), (n + 1, (n + 2) / 2, None),
-                        (n - 2, (n - 2) / 2, (n - 2) / n * rho)):
-        edges = _graded_edges(rho, 0.0, () if delta is None else (math.acos(delta),))
-        bound, _ = _row_bounds(edges, ratios, m, e, 128, delta)
+    edges = _graded_edges(rho)
+    for m, e in ((n - 3, n / 2 - 1), (n + 1, (n + 2) / 2)):
+        bound, _ = _row_bounds(edges, ratios, m, e, 128)
         for i, ratio in enumerate(ratios):
-            def row(x):
-                v = np.sin(x) ** m * (L(ratio) + np.sin(x / 2) ** 2) ** -L(e)
-                return v if delta is None else v * np.abs(np.cos(x) - L(delta))
-
-            errs, mass = _panel_errors(edges, row)
+            errs, mass = _panel_errors(edges, lambda x: np.sin(x) ** m * (
+                L(ratio) + np.sin(x / 2) ** 2) ** -L(e))
             floor = (m + e + 4) * 8 * eps * mass  # the rules' nodes and weights are doubles
             with np.errstate(divide="ignore"):
                 assert np.all(np.log(errs) <= np.maximum(bound[:, i], np.log(floor))), (m, ratio)
