@@ -38,7 +38,8 @@ The profile's kink integrals (the identity suite's kink_integral_brute,
 degrees 0 and 1 stacked) also run in _T_CHUNK-row blocks. Every
 rho-power series (the three curvature pair sums and the lagged series part of
 the profile) is one call of gegenbauer.pair_series: a single blocked
-recurrence over the stacked (lam, argument) rows, max(K) steps, not sum(K).
+recurrence over the stacked (lam, argument) rows, max(K) steps, not sum(K), in
+windows whose segments step together: O(sqrt(K)) numpy calls a series of few t.
 
 The profile f and its curvature are even in t: C(x, l) = C(x, -l), and the
 reflection x2 -> -x2 fixes rho*e1 and maps l_alpha to -l_(pi - alpha). So

@@ -8,9 +8,9 @@ computed through log-Gamma so they stay finite for large arguments.
 
 Every rho-power series of the package runs through one engine,
 `pair_series`: it steps the recurrence for a stack of (lam, argument) rows at
-once from the seed D_(-2) = -1, D_(-1) = 0, in blocks of degrees, scaled to
-D_k = C_k^lam / s_k so that a step is one multiply and one subtract, and sums
-weighted products of two rows per block with one einsum, scales in the weights.
+once from the seed D_(-2) = -1, D_(-1) = 0, scaled to D_k = C_k^lam / s_k so
+that a step is one multiply and one subtract, W degrees in O(sqrt(W)) numpy calls
+(stitched segments), and sums weighted products of two rows with einsum.
 """
 
 from __future__ import annotations
@@ -40,9 +40,10 @@ __all__ = [
 # slack for arguments that should lie in [-1, 1] but carry rounding noise
 # (e.g. cos*cos + sin*sin*cos combinations)
 _ARG_TOL = 1e-12
-# degrees per block of the stacked recurrence, and argument columns per chunk:
-# the block buffers stay near 1 MB for a handful of rows
+# windows of the stacked recurrence (see pair_series); argument columns per chunk
 _BLOCK = 32
+_WINDOW = 1 << 14
+_SEGMENTED = 160
 _COLUMNS = 256
 # every rho-power series stops at the first K with rho^K (K+1)^max(2 lam - 1, 0) below this
 SERIES_TAIL_TOL = 1e-14
@@ -284,6 +285,41 @@ def _scales(lam: float, K: int) -> np.ndarray:
     return s
 
 
+def _steps(rows, ax) -> None:
+    """rows[j + 2] = ax[j] rows[j + 1] - rows[j] in place, two ufunc calls a degree."""
+    r = list(rows)
+    for j, axj in enumerate(list(ax)):
+        np.multiply(axj, r[j + 1], out=r[j + 2])
+        np.subtract(r[j + 2], r[j], out=r[j + 2])
+
+
+def _stitched(rows, carry) -> np.ndarray:
+    """Steps a window in place; returns its carry out. rows[j + 2, s] holds a_m x,
+    m = m_s + j, of segment s and takes D_m; rows[:2, s] take D_(m_s-2), D_(m_s-1).
+    Pass 1's unit-seeded pair chains estimates c_s of the carries, pass 2 steps from
+    them, and d_s = true carry - c_s times the pair corrects it: the pair cancels near
+    |x| = 1, but d_s is small, so the error is the degree-by-degree loop's."""
+    rows[:2, 0] = carry
+    P = rows.shape[1]
+    if P == 1:
+        _steps(rows, rows[2:])
+        return rows[-2:, 0]
+    uv = np.zeros((len(rows), 2) + rows.shape[1:])  # (degree, seed, segment, row, column)
+    uv[0, 0] = uv[1, 1] = 1.0
+    _steps(uv, rows[2:, None])
+    for s in range(1, P):  # uv[-2:, i, s]: the carry out of segment s from seed i
+        np.einsum("i...,di...->d...", rows[:2, s - 1], uv[-2:, :, s - 1], out=rows[:2, s])
+    c = np.concatenate([rows[:2], np.zeros_like(rows[:2, :1])], axis=1)  # c_P = 0
+    _steps(rows, rows[2:])
+    d = np.concatenate([np.zeros_like(c[:, :1]), rows[-2:] - c[:, 1:]], axis=1)
+    for s in range(1, P + 1):  # d_s: the true carry into segment s less c_s; d_P: the carry out
+        d[:, s] += np.einsum("di...,i...->d...", uv[-2:, :, s - 1], d[:, s - 1])
+    uv *= d[:, :P]
+    rows += uv[:, 0]
+    rows += uv[:, 1]
+    return d[:, P]
+
+
 def pair_series(pairs, weights, lag: int = 0) -> np.ndarray:
     """Weighted sums of products of two Gegenbauer sequences, one per pair.
 
@@ -292,16 +328,15 @@ def pair_series(pairs, weights, lag: int = 0) -> np.ndarray:
     elementwise over the arguments, which broadcast to one common shape.
     Needs 0 <= lag <= 2 and positive lam.
 
-    All rows run as one stacked three-term recurrence of max(K) steps, in
-    chunks of _COLUMNS argument columns and blocks of _BLOCK degrees, longest
-    series first so that the active rows are a prefix; a pair stops adding
-    terms at its own K. The rows are D_k = C_k^lam / s_k (s_k from _scales),
-    so a step D_m = a_m x D_(m-1) - D_(m-2), a_m = 2(m + lam - 1)/m s_(m-1)/s_m,
-    is one multiply and one subtract, and the weights take the scales,
-    w_k s_(k-lag)(lam_a) s_k(lam_b), as prefixes of one s table per distinct
-    lam, which also gives that lam's a_m table. One einsum sums each block.
-    Each block steps all its degrees from two carry rows, the first block from
-    the seed D_(-2) = -1, D_(-1) = 0, whose step a_0 = 0 gives D_0 = 1 exactly.
+    All rows run as one stacked three-term recurrence of max(K) steps, in chunks of
+    _COLUMNS argument columns, longest series first so that the active rows are a prefix;
+    a pair stops adding terms at its own K. The rows are D_k = C_k^lam / s_k, so a step
+    D_m = a_m x D_(m-1) - D_(m-2), a_m = 2(m + lam - 1)/m s_(m-1)/s_m, is one multiply
+    and one subtract; the weights take the scales. From the seed D_(-2) = -1, D_(-1) = 0
+    the degrees run in windows of W >= _BLOCK degrees, about _WINDOW entries; from
+    _SEGMENTED degrees (measured no faster below 128-192) a window steps in P = isqrt(W/2)
+    segments of L = W // P at once (_stitched: about 4L + 3P numpy calls, not 2W). At
+    x = +-1 the rows are (+-1)^k C_k^lam(1) / s_k, C_k^lam(1) = (2 lam)_k / k!.
     """
     if not 0 <= lag <= 2:
         raise ValueError(f"lag must lie in [0, 2], got {lag}")
@@ -324,31 +359,35 @@ def pair_series(pairs, weights, lag: int = 0) -> np.ndarray:
         k, s_a, s_b = K[col], scales[lams[2 * col]], scales[lams[2 * col + 1]]
         w[lag:k + 1, col] = weights[p][lag:] * s_a[:k + 1 - lag] * s_b[lag:k + 1]
     a, m = np.zeros((len(distinct), top + 1)), np.arange(1.0, top + 1)
+    at_one = np.ones((len(distinct), top + 3))  # D_k(1) at k + 2; k < 0 meets zero weights
     for i, lam in enumerate(distinct):
         a[i, 1:] = 2.0 * ((m - 1.0) + lam) / m * (scales[lam][:-1] / scales[lam][1:])
+        at_one[i, 3:] = np.cumprod((m + 2.0 * lam - 1.0) / m) / scales[lam][1:]
     del scales
     row_lam = np.array([distinct.index(lam) for lam in lams])
     total = np.zeros((len(order), x.shape[1]))
     for lo in range(0, x.shape[1], _COLUMNS):
         xc = x[:, lo:lo + _COLUMNS]
         acc = total[:, lo:lo + _COLUMNS]
-        buf = np.zeros((_BLOCK + 2,) + xc.shape)
-        buf[_BLOCK] = -1.0  # the carry into degree 0: D_(-2) = -1, D_(-1) = 0
-        ax = np.empty((_BLOCK,) + xc.shape)  # a_m x for every step of a block
-        for m0 in range(0, top + 1, _BLOCK):
-            nb = min(_BLOCK, top + 1 - m0)
-            npair = int(np.count_nonzero(K >= m0))
-            act = 2 * npair
-            rows = buf[:nb + 2, :act]
-            rows[:2] = buf[_BLOCK:, :act]
-            np.multiply(a[row_lam[:act], m0:m0 + nb].T[:, :, None], xc[:act], out=ax[:nb, :act])
-            c, axs = list(rows), list(ax[:nb, :act])
-            for j in range(nb):
-                cur = c[j + 2]
-                np.multiply(axs[j], c[j + 1], out=cur)
-                np.subtract(cur, c[j], out=cur)
-            acc[:npair] += np.einsum("kp,kpt,kpt->pt", w[m0:m0 + nb, :npair],
-                                     rows[2 - lag:2 - lag + nb, 0::2], rows[2:, 1::2])
+        carry, m0 = np.stack([-np.ones(xc.shape), np.zeros(xc.shape)]), 0  # D_(-2), D_(-1)
+        while m0 <= top:
+            act = 2 * (npair := int(np.count_nonzero(K >= m0)))
+            n = min(max(_BLOCK, _WINDOW // (act * xc.shape[1])), top + 1 - m0)
+            seg = math.isqrt(n // 2) if n >= _SEGMENTED else 1
+            n -= n % seg
+            rows = np.empty((n // seg + 2, seg, act, xc.shape[1]))
+            ax = a[row_lam[:act], m0:m0 + n].T.reshape(seg, -1, act).swapaxes(0, 1)
+            np.multiply(ax[..., None], xc[:act], out=rows[2:])
+            end = _stitched(rows, carry[:, :act])
+            r, c = np.nonzero(np.abs(xc[:act]) == 1.0)
+            if r.size:
+                j = np.add.outer(np.arange(len(rows)), n // seg * np.arange(seg))[..., None]
+                rows[:, :, r, c] = at_one[row_lam[r], m0 + j] * xc[r, c] ** (m0 - 2 + j)
+            wk = w[m0:m0 + n, :npair].reshape(seg, -1, npair).swapaxes(0, 1)
+            ra, rb = rows[2 - lag:len(rows) - lag, :, 0::2], rows[2:, :, 1::2]
+            acc[:npair] += np.einsum("ksp,kspt,kspt->spt", wk, ra, rb).sum(0)
+            carry[:, :act], m0 = end, m0 + n
+            del rows, ra, rb, end  # free this window before the next one is allocated
     out = np.empty_like(total)
     out[order] = total
     return out.reshape((len(pairs),) + shape)

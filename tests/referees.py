@@ -102,6 +102,16 @@ def eval_sequence_longdouble(lam: float, K: int, x) -> np.ndarray:
     return out
 
 
+def pair_sum_longdouble(lam_a, xa, lam_b, xb, w, lag):
+    """(sum, sum of |terms|) of sum_k w_k C_(k-lag)^lam_a(xa) C_k^lam_b(xb), k = lag..K,
+    K = len(w) - 1: the truncated sum of pair_series, in np.longdouble."""
+    K = len(w) - 1
+    a = eval_sequence_longdouble(lam_a, K - lag, xa)
+    b = eval_sequence_longdouble(lam_b, K, xb)
+    terms = np.asarray(w[lag:], dtype=np.longdouble)[:, None] * a * b[lag:]
+    return terms.sum(axis=0), np.abs(terms).sum(axis=0)
+
+
 def eval_sequence_reference(lam, K: int, x) -> np.ndarray:
     """eval_sequence as one allocating expression per degree, the form the
     in-place step must reproduce bit for bit."""

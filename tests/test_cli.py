@@ -65,6 +65,19 @@ def test_constant_near_boundary_off_radial(capsys):
     assert float(fields[5]) <= 1e-8 * float(fields[3])
 
 
+@pytest.mark.parametrize("n, rho", [(3, 0.996), (4, 0.99)])
+def test_constant_near_the_term_cap(capsys, n, rho):
+    # the longest default series (K = 8,043 and 4,034 terms): both routes agree on
+    # every default angle
+    code, out, err = _run(capsys, ["constant", "--dim", str(n), "--rho", str(rho),
+                                   "--format", "json"])
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 13
+    for row in rows:
+        assert row["abs_diff"] <= ROUTE_TOL * max(1.0, abs(row["c_series"]))
+
+
 def test_constant_rejects_bad_rho(capsys):
     code, _, err = _run(capsys, ["constant", "--dim", "3", "--rho", "1.0"])
     assert code == 2

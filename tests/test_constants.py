@@ -679,6 +679,22 @@ def test_profile_parts_memory(rule):
     assert peak < 4e6
 
 
+def test_profile_parts_series_memory(rule):
+    # the longest default series (K = 8,043) on the 13 default angles, 26 entries a
+    # degree: a stitched window holds its a_m x table and the unit-seeded pair, about
+    # 3 x 2^14 entries. Measured 1.10 MB (0.65 MB stepping 32-degree blocks; windows of
+    # 2^15 entries, whose pair took 2^16 more, peaked at 1.65 MB)
+    t = np.cos(np.linspace(0.0, math.pi, 13))
+    profile_parts(t, 3, 0.996, rule=rule)
+    tracemalloc.start()
+    try:
+        profile_parts(t, 3, 0.996, rule=rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2e6
+
+
 @pytest.mark.parametrize("rho", [math.nan, -0.5, 5.0, 1.0, 1.5])
 def test_series_routes_name_the_bad_rho(rho):
     # the rho check comes before any quadrature, whose own domain error would hide
@@ -764,8 +780,10 @@ def _curvature_series_longdouble(t, n, rho):
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="longdouble is double here")
 @pytest.mark.parametrize("n, rho, bound", [
-    (8, 0.95, 5e-12),    # measured 1.1e-12 relative to max |curvature|
-    (16, 0.95, 2e-8),    # measured 6.3e-9: the pair sums cancel by ~1e6 at lam = 9
+    # measured relative to max |curvature|, with 32-degree blocks and with the windows of
+    # gegenbauer.pair_series (66 degrees, stepped degree by degree: 246 entries a degree)
+    (8, 0.95, 5e-12),    # 2.6e-12 and 1.8e-12
+    (16, 0.95, 2e-8),    # 1.07e-8 and 9.6e-9: the pair sums cancel by ~1e6 at lam = 9
 ])
 def test_curvature_series_vs_longdouble(n, rho, bound):
     grid = np.linspace(-0.999, 0.999, 41)

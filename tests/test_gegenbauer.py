@@ -23,7 +23,8 @@ from ballgrad.gegenbauer import (
     pochhammer,
     series_cutoff,
 )
-from referees import derivative, eval_explicit, eval_sequence_longdouble, eval_sequence_reference
+from referees import (derivative, eval_explicit, eval_sequence_longdouble, eval_sequence_reference,
+                      pair_sum_longdouble)
 
 LAMBDAS = (0.5, 1.0, 1.5, 2.0, 3.0)
 XS = (-0.9, -0.5, 0.0, 0.3, 0.7, 0.99)
@@ -436,13 +437,17 @@ def test_recurrence_blocks_bit_identical(lam, K):
 
 
 def test_recurrence_blocks_mixed_orders():
-    # pairs stop at their own order; longer ones keep stepping past it
+    # pairs stop at their own order; longer ones keep stepping past it. Then three
+    # pairs a call on six columns, 36 entries a degree: from order 160 on, a call
+    # steps windows of up to 15 segments of 30 degrees, so the degrees up to 1,400 are
+    # read off segment interiors, segment starts, window ends and the plain tails
     lams = (9.0, 0.5, 1.5, 1.5, 0.5)
     orders = (3 * _BLOCK + 5, _BLOCK + 1, _BLOCK, 2, 0)
     xs = np.random.default_rng(3).uniform(-1.0, 1.0, size=(len(lams), 6))
-    got = _collect_blocks(lams, xs, orders)
-    for r, (lam, K) in enumerate(zip(lams, orders)):
-        _assert_near_longdouble(got, r, lam, K, xs[r], _BLOCKS_BOUND)
+    for lams, xs, orders, group in ((lams, xs, orders, 256), ((1.5, 0.5), xs[:2], (1400, 902), 3)):
+        got = _collect_blocks(lams, xs, orders, group)
+        for r, (lam, K) in enumerate(zip(lams, orders)):
+            _assert_near_longdouble(got, r, lam, K, xs[r], _BLOCKS_BOUND)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="longdouble is double here")
@@ -458,6 +463,40 @@ def test_recurrence_blocks_long(lam, bound):
     draws = np.random.default_rng(5).uniform(-1.0, 1.0, size=64)
     xs = draws[np.argsort(-np.abs(draws))[:16]][None, :]
     _assert_near_longdouble(_collect_blocks([lam], xs, [K]), 0, lam, K, xs[0], bound)
+
+
+# argument sets with x = +-1, where the recurrence's two solutions stop separating: one
+# column, seven up to +-0.9999, and 9 and 13 angles from 0 to pi, t = cos(alpha), as
+# profile_parts gets `constant`'s default grid
+_ENDS = {
+    1: np.array([-1.0]),
+    7: np.array([-1.0, 1.0, -0.9999, 0.9999, -0.999, 0.999, 0.3]),
+    9: np.cos(np.linspace(0.0, math.pi, 9)),
+    13: np.cos(np.linspace(0.0, math.pi, 13)),
+}
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="longdouble is double here")
+@pytest.mark.parametrize("lag", (0, 2))
+@pytest.mark.parametrize("lam, columns, inside", [
+    # inside (-1, 1): 2x the worst of 32-degree blocks stepped degree by degree, over
+    # both lags; measured 1.03e-14, 9.7e-16, 1.29e-15, 2.60e-13, 2.70e-15 and 8.54e-15
+    (0.5, 1, 0.0), (0.5, 7, 2 * 1.33e-14), (0.5, 9, 2 * 1.27e-15), (0.5, 13, 2 * 1.41e-15),
+    (9.0, 1, 0.0), (9.0, 7, 2 * 2.35e-13), (9.0, 9, 2 * 1.86e-15), (9.0, 13, 2 * 7.32e-15),
+])
+def test_pair_series_long_at_the_ends(lam, columns, inside, lag):
+    # the term cap up to |x| = 1 in one call of linear cost (windows of 17 to 64
+    # segments), relative to the sum of |terms|. At x = +-1 the blocks erred by 1.14e-13
+    # (lam 0.5) and 5.42e-12 (lam 9) on every set, the closed form by at most 6e-16 and
+    # 7e-15. Values from pass 1's unit-seeded pair alone err by 2.1e-13 and 2.4e-12 at
+    # +-0.9999, and by 3.0e-14 on the 13 angles at lam 9
+    x = _ENDS[columns]
+    w = pair_weights(lam, 0.996, SERIES_MAX_TERMS, lag)
+    got = pair_series([(lam, x, lam, x)], [w], lag)[0]
+    want, size = pair_sum_longdouble(lam, x, lam, x, w, lag)
+    err, ends = np.abs(got - want) / size, np.abs(x) == 1.0
+    assert np.max(err[ends]) <= 2 * {0.5: 1.14e-13, 9.0: 5.42e-12}[lam]
+    assert np.max(err[~ends], initial=0.0) <= inside
 
 
 @pytest.mark.parametrize("lam", (0.0, -0.5, math.nan))
@@ -492,38 +531,38 @@ def test_pair_weights():
         assert lagged[k] == pytest.approx(want, rel=1e-14)
 
 
-@pytest.mark.parametrize("lag", (0, 2))
+@pytest.mark.parametrize("lag", (0, 1, 2))
 def test_pair_series_matches_explicit(lag):
     # more columns than one chunk, pairs of different lengths and lambdas, and
-    # series as short as the lag allows, whose terms come from the seeded carry
+    # series as short as the lag allows, whose terms come from the seeded carry.
+    # Then one column: four pairs are 8 entries a degree, so degrees 0..2,047 step
+    # in 32 segments of 64 and the order 2,047 ends at that window's last degree;
+    # 4,094 ends inside a segment of the next window (36 segments of 75), 5,000
+    # inside one of the third (45 of 91), and 9,000 in a short tail stepped plainly
     t = np.linspace(-0.999, 0.999, _COLUMNS + 45)
     x1 = 0.6 * t
-    short = {0: [0, 1], 2: [2]}[lag]
+    short = {0: [0, 1], 1: [1], 2: [2]}[lag]
     pairs = [(0.5, x1, 0.5, t), (2.5, x1, 1.5, t), (4.0, t, 4.0, 0.3)]
     pairs += [(1.5, x1, 2.5, 0.3)] * len(short)
     orders = [120, 2 * _BLOCK + 3, 300] + short
-    weights = [pair_weights(lam_a, 0.9, K, lag) for (lam_a, *_), K in zip(pairs, orders)]
-    got = pair_series(pairs, weights, lag)
-    assert got.shape == (len(pairs), t.size)
-    for p, ((lam_a, xa, lam_b, xb), w) in enumerate(zip(pairs, weights)):
-        K = len(w) - 1
-        xa, xb = np.broadcast_arrays(xa, xb)
-        a, b = eval_sequence(lam_a, K, xa), eval_sequence(lam_b, K, xb)
-        terms = np.array([w[k] * a[k - lag] * b[k] for k in range(lag, K + 1)])
-        # relative to the sum of |terms|, the conditioning of the sum
-        err = np.abs(got[p] - terms.sum(axis=0)) / np.abs(terms).sum(axis=0)
-        assert np.max(err) <= 1e-14
+    one = [(0.5, 0.3, 0.5, -0.7), (1.5, 0.6, 0.5, 0.2), (0.5, -0.95, 1.0, 0.9),
+           (0.5, 0.1, 2.5, 0.5)]
+    for pairs, orders, rho in ((pairs, orders, 0.9), (one, [9000, 5000, 4094, 2047], 0.999)):
+        weights = [pair_weights(lam_a, rho, K, lag) for (lam_a, *_), K in zip(pairs, orders)]
+        got = pair_series(pairs, weights, lag)
+        assert got.shape == (len(pairs),) + np.shape(pairs[0][1])
+        for p, ((lam_a, xa, lam_b, xb), w) in enumerate(zip(pairs, weights)):
+            K = len(w) - 1
+            xa, xb = np.broadcast_arrays(xa, xb)
+            a, b = eval_sequence(lam_a, K, xa), eval_sequence(lam_b, K, xb)
+            terms = w[lag:].reshape((-1,) + (1,) * xa.ndim) * a[:K + 1 - lag] * b[lag:]
+            # relative to the sum of |terms|, the conditioning of the sum (at lag 1 every
+            # term at t = 0 is 0)
+            size = np.maximum(np.abs(terms).sum(axis=0), np.finfo(float).tiny)
+            err = np.abs(got[p] - terms.sum(axis=0)) / size
+            assert np.max(err) <= 1e-14, (K, float(np.max(err)))
     scalar = pair_series([(1.5, 0.2, 1.5, -0.4)], [pair_weights(1.5, 0.5, 40)])
     assert scalar.shape == (1,)
-
-
-def _pair_sum_longdouble(lam_a, xa, lam_b, xb, w, lag):
-    """(sum, sum of |terms|) of sum_k w_k C_(k-lag)^lam_a(xa) C_k^lam_b(xb) in longdouble."""
-    K = len(w) - 1
-    a = eval_sequence_longdouble(lam_a, K - lag, xa)
-    b = eval_sequence_longdouble(lam_b, K, xb)
-    terms = np.asarray(w[lag:], dtype=np.longdouble)[:, None] * a * b[lag:]
-    return terms.sum(axis=0), np.abs(terms).sum(axis=0)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="longdouble is double here")
@@ -537,7 +576,7 @@ def test_pair_series_lagged_mixed_lambdas(n, rho):
     s = (n - 2) / n * rho * t
     w = pair_weights(dim.lambda_high, rho, K, lag=2)
     got = pair_series([(dim.lambda_high, s, dim.lambda_low, t)], [w], lag=2)[0]
-    want, size = _pair_sum_longdouble(dim.lambda_high, s, dim.lambda_low, t, w, 2)
+    want, size = pair_sum_longdouble(dim.lambda_high, s, dim.lambda_low, t, w, 2)
     assert np.max(np.abs(got - want) / size) <= 1e-14
 
 
@@ -553,6 +592,6 @@ def test_pair_series_large_lambda(n, rho):
     for lam in (dim.lambda_low, dim.lambda_mid, dim.lambda_high):
         w = pair_weights(lam, rho, series_cutoff(rho, lam, SERIES_MAX_TERMS))
         got = pair_series([(lam, x1, lam, t)], [w])[0]
-        want, size = _pair_sum_longdouble(lam, x1, lam, t, w, 0)
+        want, size = pair_sum_longdouble(lam, x1, lam, t, w, 0)
         assert np.all(np.isfinite(got))
         assert np.max(np.abs(got - want) / size) <= 1e-14
