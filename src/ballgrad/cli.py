@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands:
-    constant    -- table of the directional constant by both routes
+    constant    -- table of the directional constant by both routes, one batch a radius each
     certify     -- convexity and radial-maximality certification sweeps
     identities  -- residual suite for the polynomial identities
 
@@ -29,7 +29,6 @@ from .constants import (
     DEFAULT_QUAD_ORDER,
     ROUTE_TOL,
     ConstantQuery,
-    _outer_rules,
     certify_convexity,
     certify_radial_max,
     constant_direct,
@@ -193,14 +192,8 @@ def cmd_constant(args) -> int:
     for rho in args.rho:
         queries = [ConstantQuery(dim, rho, alpha) for alpha in args.alpha]
         series = constant_series(queries, args.max_terms, rule)
-        direct = {}  # by folded angle: constant_direct runs once per exact pair alpha, pi - alpha
-        # the outer panels' bounds of every folded angle in one batch; constant_direct reads them
-        _outer_rules(dim.n, rho, [min(a, math.pi - a) for a in args.alpha], rule)
-        for alpha, q, c_ser in zip(args.alpha, queries, series.tolist()):
-            fold = min(alpha, math.pi - alpha)
-            if fold not in direct:
-                direct[fold] = constant_direct(q, rule)
-            c_dir = direct[fold]
+        direct = constant_direct(queries, rule)
+        for alpha, c_ser, c_dir in zip(args.alpha, series.tolist(), direct.tolist()):
             diff = abs(c_ser - c_dir)
             all_ok &= diff <= ROUTE_TOL * max(1.0, abs(c_ser))
             rows.append((dim.n, rho, alpha, c_ser, c_dir, diff))

@@ -42,9 +42,9 @@ recurrence over the stacked (lam, argument) rows, max(K) steps, not sum(K), in
 windows whose segments step together: O(sqrt(K)) numpy calls a series of few t.
 
 The profile f and its curvature are even in t: C(x, l) = C(x, -l), and the
-reflection x2 -> -x2 fixes rho*e1 and maps l_alpha to -l_(pi - alpha). So
-constant_direct integrates at min(alpha, pi - alpha), one float per mirror
-pair, f'(0) = 0 and f(t) = f(0) + int_0^|t| (|t| - s) f''(s) ds. One cached kernel
+reflection x2 -> -x2 fixes rho*e1 and maps l_alpha to -l_(pi - alpha). So constant_direct,
+given one query or a batch at one (n, rho) as constant_series is, integrates once per distinct
+min(alpha, pi - alpha), f'(0) = 0 and f(t) = f(0) + int_0^|t| (|t| - s) f''(s) ds. One cached kernel
 curvature sweep per radius (_green_profile), on the Green nodes in (0, 1), is the only
 curvature route of both certificates: the radial-max one reads this Green profile
 (integrated twice in closed form, anchored at constant_transverse) on ALPHA_GRID, the
@@ -97,6 +97,7 @@ _REFEREE = 60  # the convexity certificate's referee angle: ALPHA_GRID[60] = pi/
 # rows per block of the t-sweeps and the least of a _poisson_rows block; bounds temporaries
 _T_CHUNK = 32
 _CELLS = 2 ** 14  # about the entries (rows times nodes) of one _poisson_rows block
+_OUTER_CHUNK = 8  # folded angles whose outer rules are bounded together (_outer_rules)
 # Gauss nodes per panel of the Green profile (_green_profile), and its map from
 # Gauss values to Legendre coefficients: c_k = (k + 1/2) sum_i w_i P_k(x_i) f_i
 _GREEN_ORDER = 16
@@ -249,13 +250,15 @@ def _table(t, w, m: int, delta=None):
 
 
 @functools.lru_cache(maxsize=256)
-def _panel_table(rho: float, rule: QuadratureRule, m: int, e: float, lo: int, bracket: bool):
+def _panel_table(rho: float, rule: QuadratureRule, m: int, e: float, bracket: bool):
     """_table on the graded panels (_graded_edges), each on the first order whose bound meets
     2^-52 of the maximum at every c0/c1 = 2^k from 2^lo to the rule's own tau_N, above which no
     row is near (_row_bounds, eight ratios at a time; the bracket as sin^4): the nearest pole sets
     the orders at the peak, the farthest, whose maximum is the least, often those of the other
-    panels."""
+    panels. lo is log2((1 - rho)^2 / (4 rho)), the least c0/c1 of every route's rows, rounded
+    down (not below -60)."""
     edges, mb = _graded_edges(rho), m + 4 * bracket
+    lo = math.floor(math.log2(max((1.0 - rho) ** 2 / (4.0 * rho), 2.0 ** -60)))
     hi = math.ceil(math.log2(min(_far_ratio(rule.order, mb, e)[3], 2.0 ** 14)))
     orders = np.max([_panel_orders(*_row_bounds(edges, 2.0 ** np.arange(k, min(k + 8, hi + 1)),
                                                 mb, e, rule.order), rule.order, mb + e)
@@ -278,7 +281,7 @@ def _poisson_rows(rho: float, rule: QuadratureRule, c0, c1, e: float, m: int, a=
     rule whose pole test c0_r >= tau_N c1_r the row meets (tau_N = _far_ratio, the bracket as
     sin^4; c1_r = 0 meets a finite tau_N): without delta, one plain panel [0, pi] of order N =
     rule.order // 8, // 4, // 2 or rule.order, else the graded panels, their orders from the
-    bound over the c0/c1 of the near rows (_panel_table); with delta, [0, pi] split at
+    bound over every c0/c1 a near row can take (_panel_table); with delta, [0, pi] split at
     arccos(delta), its test from rho = 0.8 on, else graded, every panel on the rule itself
     (_rule_table).
 
@@ -298,10 +301,7 @@ def _poisson_rows(rho: float, rule: QuadratureRule, c0, c1, e: float, m: int, a=
             half_sq, sin_sq, wts = _rule_table(rho if k > 3 else 0.0, gauss_legendre(
                 rule.order // 2 ** (3 - k)) if k < 3 else rule, m, delta)
         else:
-            # a route's rows have c0/c1 >= (1 - rho)^2 / (4 rho): one table serves them all
-            s = min(np.min(c0[rows] / c1[rows]), (1.0 - rho) ** 2 / (4.0 * rho))
-            half_sq, sin_sq, wts = _panel_table(rho, rule, m, e, math.floor(math.log2(max(
-                s, 2.0 ** -60))), a is not None)
+            half_sq, sin_sq, wts = _panel_table(rho, rule, m, e, a is not None)
         block = _T_CHUNK * max(1, _CELLS // (_T_CHUNK * wts.size))
         buf = np.empty((1 if a is None else 2, min(block + 1, count), wts.size))
         # BLAS sums rows four at a time and the rest apart, so blocks of a multiple of four rows
@@ -382,32 +382,35 @@ def _outer_bounds(n: int, rho: float, alphas, order: int):
     return edges, bound, np.maximum.reduceat(low, first)[which], which
 
 
-_OUTER = {}  # the outer rules by (n, rho, folded alpha, rule): emptied before new ones pass 256
-
-
-def _outer_rules(n: int, rho: float, alphas, rule: QuadratureRule) -> list:
-    """(nodes, weights), read-only, of constant_direct's outer integral at each folded alpha: each
-    panel of _outer_bounds on the first order of the rule's ladder whose bound meets 2^-52 of the
-    scale (_panel_orders, power n - 2 + e). The alphas not yet in _OUTER are bounded together, 64
-    at a time, so that a long grid keeps its temporaries to a few MB."""
-    got = {a: _OUTER.get((n, rho, a, rule)) for a in alphas}
-    new = [a for a, kept in got.items() if kept is None]
-    if new and len(_OUTER) + len(new) > 256:
-        _OUTER.clear()
-    for i in range(0, len(new), 64):
-        edges, bound, scale, which = _outer_bounds(n, rho, new[i:i + 64], rule.order)
-        orders = _panel_orders(bound, scale, rule.order, 1.5 * n - 3.0)
-        for k, alpha in enumerate(new[i:i + 64]):
-            nodes, wts = _mapped(edges[k], orders[which == k])
-            nodes.flags.writeable = wts.flags.writeable = False
-            got[alpha] = _OUTER[n, rho, alpha, rule] = nodes, wts
-    return [got[a] for a in alphas]
+@functools.lru_cache(maxsize=256 // _OUTER_CHUNK)  # at most 256 rules
+def _outer_rules(n: int, rho: float, alphas: tuple, rule: QuadratureRule) -> tuple:
+    """(nodes, weights), read-only, of constant_direct's outer integral at each folded alpha, all
+    bounded together: each panel of _outer_bounds on the first order of the rule's ladder whose
+    bound meets 2^-52 of the scale (_panel_orders, power n - 2 + e). constant_direct passes at
+    most _OUTER_CHUNK alphas, so a long grid keeps its temporaries to a few MB."""
+    edges, bound, scale, which = _outer_bounds(n, rho, alphas, rule.order)
+    orders = _panel_orders(bound, scale, rule.order, 1.5 * n - 3.0)
+    rules = tuple(_mapped(edges[k], orders[which == k]) for k in range(len(alphas)))
+    for nodes, wts in rules:
+        nodes.flags.writeable = wts.flags.writeable = False
+    return rules
 
 
 # -- the three constant routes ----------------------------------------------
 
 
-def constant_direct(q: ConstantQuery, rule: QuadratureRule | None = None) -> float:
+def _batch(q):
+    """(queries, dim, rho) of one ConstantQuery or a nonempty sequence at one dimension and rho."""
+    queries = [q] if isinstance(q, ConstantQuery) else list(q)
+    if not queries:
+        raise ValueError("no queries given")
+    dim, rho = queries[0].dim, queries[0].rho
+    if any(p.dim != dim or p.rho != rho for p in queries):
+        raise ValueError("queries must share one dimension and rho")
+    return queries, dim, rho
+
+
+def constant_direct(q, rule: QuadratureRule | None = None):
     """Directional constant via the double-integral representation.
 
     Both integrals run in angle variables at a = min(alpha, pi - alpha), as the
@@ -415,18 +418,26 @@ def constant_direct(q: ConstantQuery, rule: QuadratureRule | None = None) -> flo
     gives one float); the outer one is split at the kink arccos(delta * cos(a))
     and graded around its peak at theta = a, the inner one graded around psi = 0,
     each panel on the fewest nodes its bound allows (_outer_rules, _poisson_rows).
+    `q` is one ConstantQuery (float result) or a sequence at one dimension and rho
+    (ndarray result), as for constant_series: each distinct a is integrated once.
     """
+    queries, dim, rho = _batch(q)
     rule = rule or gauss_legendre(DEFAULT_QUAD_ORDER)
-    n, rho = q.dim.n, q.rho
-    alpha = min(q.alpha, math.pi - q.alpha)
-    (nodes, wts), = _outer_rules(n, rho, (alpha,), rule)
-    dt = q.delta * math.cos(alpha)
-    inner = _inner_smooth(q.dim, rho, alpha, nodes, rule)
-    total = float(wts @ (np.abs(dt - np.cos(nodes)) * np.sin(nodes) ** (n - 2) * inner))
-    value = n * (n - 2) / (2.0 * math.pi) / ((1.0 - rho) * (1.0 + rho)) * total
-    if not math.isfinite(value):
+    n, delta = dim.n, queries[0].delta
+    folds = list(dict.fromkeys(min(p.alpha, math.pi - p.alpha) for p in queries))
+    scale = n * (n - 2) / (2.0 * math.pi) / ((1.0 - rho) * (1.0 + rho))
+    values = {}  # by folded angle
+    for lo in range(0, len(folds), _OUTER_CHUNK):
+        chunk = tuple(folds[lo:lo + _OUTER_CHUNK])
+        for alpha, (nodes, wts) in zip(chunk, _outer_rules(n, rho, chunk, rule)):
+            inner = _inner_smooth(dim, rho, alpha, nodes, rule)
+            with np.errstate(over="ignore", invalid="ignore"):  # inf * 0: raised below
+                values[alpha] = scale * float(wts @ (np.abs(delta * math.cos(alpha) - np.cos(nodes))
+                                                     * np.sin(nodes) ** (n - 2) * inner))
+    out = [values[min(p.alpha, math.pi - p.alpha)] for p in queries]
+    if not all(map(math.isfinite, values.values())):
         raise OverflowError(f"constant_direct overflows at n={n}, rho={rho}")
-    return value
+    return out[0] if isinstance(q, ConstantQuery) else np.array(out)
 
 
 def profile_parts(t, dim: int | DimensionParams, rho: float, max_terms: int = SERIES_MAX_TERMS,
@@ -465,12 +476,7 @@ def constant_series(q, max_terms: int = SERIES_MAX_TERMS, rule: QuadratureRule |
     vector profile_parts call over their t = cos(alpha) (ndarray result), or
     one ConstantQuery, run as the batch [q] (float result, out[0]).
     """
-    queries = [q] if isinstance(q, ConstantQuery) else list(q)
-    if not queries:
-        raise ValueError("no queries given")
-    dim, rho = queries[0].dim, queries[0].rho
-    if any(p.dim != dim or p.rho != rho for p in queries):
-        raise ValueError("queries must share one dimension and rho")
+    queries, dim, rho = _batch(q)
     t = np.array([p.t for p in queries])
     plain, weighted, tail = profile_parts(t, dim, rho, max_terms, rule)
     out = dim.c_n / ((1.0 - rho) * (1.0 + rho)) * (plain + weighted + tail)

@@ -395,38 +395,55 @@ def test_alpha_step_grid_ends_at_pi(capsys):
 
 @pytest.mark.parametrize("alpha, calls", [(None, 7), ("0,pi", 1), ("pi/3,2*pi/3", 2)])
 def test_constant_runs_direct_once_per_mirror_pair(capsys, monkeypatch, alpha, calls):
-    # pi - fl(2 pi/3) != fl(pi/3): only exact mirrors share the direct route
-    made = []
+    # pi - fl(2 pi/3) != fl(pi/3): only exact mirrors share one inner integral of the direct route
+    inner, made = constants._inner_smooth, []
 
-    def counted(q, rule):
-        made.append(q.alpha)
-        return constant_direct(q, rule)
+    def counted(dim, rho, fold, theta, rule):
+        made.append(fold)
+        return inner(dim, rho, fold, theta, rule)
 
-    monkeypatch.setattr(cli, "constant_direct", counted)
+    monkeypatch.setattr(constants, "_inner_smooth", counted)
     argv = ["constant", "--dim", "5", "--rho", "0.9", "--format", "json"]
     code, out, _ = _run(capsys, argv + ([] if alpha is None else ["--alpha", alpha]))
-    assert code == 0 and len(made) == calls
+    assert code == 0 and len(made) == len(set(made)) == calls
     rule = gauss_legendre(DEFAULT_QUAD_ORDER)
     for row in json.loads(out)["rows"]:
         q = ConstantQuery(DimensionParams(5), 0.9, row["alpha"])
         assert row["c_direct"] == constant_direct(q, rule)
 
 
-def test_constant_bounds_each_folded_angle_once(capsys, monkeypatch):
-    # 601 angles fold to 301, more than the 256 outer rules kept: each is bounded once, and the
-    # direct route of every angle reads the rules of the call's batch
-    bounds, bounded = constants._outer_bounds, []
+def _count_outer_bounds(monkeypatch):
+    """The folded angles of each _outer_bounds call, from an empty outer-rule cache on."""
+    bounds, calls = constants._outer_bounds, []
 
     def counted(n, rho, alphas, order):
-        bounded.extend(alphas)
+        calls.append(alphas)
         return bounds(n, rho, alphas, order)
 
     monkeypatch.setattr(constants, "_outer_bounds", counted)
-    monkeypatch.setattr(constants, "_OUTER", {})
+    constants._outer_rules.cache_clear()
+    return calls
+
+
+def test_constant_bounds_each_folded_angle_once(capsys, monkeypatch):
+    # 601 angles fold to 301, more than the 256 outer rules kept: each is bounded once, and a
+    # single query at a new angle is bounded on its own
+    calls = _count_outer_bounds(monkeypatch)
     code, _, _ = _run(capsys, ["constant", "--dim", "3", "--rho", "0.7", "--alpha", "step:pi/600"])
+    bounded = [a for alphas in calls for a in alphas]
     assert code == 0 and len(bounded) == len(set(bounded)) == 301
     constants.constant_direct(ConstantQuery(DimensionParams(3), 0.7, 1.0))
-    assert len(bounded) == 302 and len(constants._OUTER) == 1
+    assert sum(map(len, calls)) == 302 and calls[-1] == (1.0,)
+
+
+def test_constant_caches_at_most_256_outer_rules(capsys, monkeypatch):
+    # 4,001 angles fold to 2,001: bounded _OUTER_CHUNK at a time, of which 256 // _OUTER_CHUNK
+    # batches stay cached
+    calls = _count_outer_bounds(monkeypatch)
+    code, _, _ = _run(capsys, ["constant", "--dim", "3", "--rho", "0.7", "--alpha", "step:pi/4000"])
+    assert code == 0 and sum(map(len, calls)) == 2001
+    assert max(map(len, calls)) == constants._OUTER_CHUNK
+    assert constants._outer_rules.cache_info().currsize * constants._OUTER_CHUNK <= 256
 
 
 @pytest.mark.parametrize("command", ["constant"])

@@ -553,25 +553,32 @@ def test_direct_route_near_boundary(rule, n, rho, alpha):
 
 
 def test_constant_series_query_sequence(rule):
+    # both routes take the batch; the direct route integrates each query as a single call does
     dim = DimensionParams(5)
     queries = [ConstantQuery(dim, 0.9, a) for a in np.linspace(0.0, math.pi, 13)]
-    vec = constant_series(queries, rule=rule)
-    assert vec.shape == (13,)
-    for q, v in zip(queries, vec):
-        assert v == pytest.approx(constant_series(q, rule=rule), rel=1e-14)
-    with pytest.raises(ValueError):
-        constant_series(queries + [ConstantQuery(dim, 0.5, 0.0)], rule=rule)
-    with pytest.raises(ValueError):
-        constant_series([], rule=rule)
+    for route in (constant_series, constant_direct):
+        vec = route(queries, rule=rule)
+        assert vec.shape == (13,)
+        single = [route(q, rule=rule) for q in queries]
+        if route is constant_direct:
+            assert np.array_equal(vec, single)
+        else:
+            assert vec == pytest.approx(single, rel=1e-14)
+        with pytest.raises(ValueError, match="queries must share one dimension and rho"):
+            route(queries + [ConstantQuery(dim, 0.5, 0.0)], rule=rule)
+        with pytest.raises(ValueError, match="no queries given"):
+            route([], rule=rule)
 
 
 @pytest.mark.parametrize("n, rho", [(3, 0.5), (5, 0.9), (8, 0.0)])
 def test_constant_series_single_query_is_the_batch(rule, n, rho):
-    # one query runs as the batch [q]: the same bits as the first entry of a longer batch
+    # one query runs as the batch [q], by either route: the same bits as the first entry of a
+    # longer batch
     dim = DimensionParams(n)
     q, q2 = ConstantQuery(dim, rho, math.pi / 5), ConstantQuery(dim, rho, 2.0)
-    got = constant_series(q, rule=rule)
-    assert type(got) is float and got == constant_series([q, q2], rule=rule)[0]
+    for route in (constant_series, constant_direct):
+        got = route(q, rule=rule)
+        assert type(got) is float and got == route([q, q2], rule=rule)[0]
 
 
 def test_radial_specialization(rule):
@@ -1493,6 +1500,16 @@ def test_certify_radial_max_runs_no_double_integral(rule, monkeypatch):
                         lambda q, r: made.append(q.alpha) or constant_direct(q, r))
     assert cli.main(["certify", "--dim", "3", "--rho", "0.5,0.9"]) == 0
     assert made == [ALPHA_GRID[60]] * 2
+
+
+@pytest.mark.parametrize("alpha", [0.0, math.pi])
+def test_constant_direct_overflow_is_its_only_signal(alpha):
+    # the inner integral is inf and a sin^(n-2) factor 0 at the outer nodes: inf * 0 in the outer
+    # product is computed silently, and the route's own OverflowError is what the caller sees
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="constant_direct overflows at n=64, rho=0.9999999"):
+            constant_direct(ConstantQuery(DimensionParams(64), 0.9999999, alpha))
 
 
 @pytest.mark.parametrize("route, call", [
