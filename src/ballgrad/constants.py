@@ -23,17 +23,17 @@ direction).
 Every integrand is integrated in angle variables (x = cos(theta)), which keeps all
 weight factors analytic. Each (1 - 2*rho*z + rho^2) Poisson denominator is written
 (1 - rho)^2 + 2 rho (1 - z), with 1 - z built from half-angle sines, so that no term
-cancels as rho -> 1 and it is never below (1 - rho)^2. One function, _poisson_rows,
-integrates every power of it (the inner integral of constant_direct, constant_radial
-and the kernel curvature), the rows of one rule in blocks of about _CELLS entries in one
-buffer, raised by _inv_power in place. Every panel, of these rows and of constant_direct's
-outer integral, takes the fewest Gauss nodes of the ladder order/8, /4, /2, order that the
-Bernstein-ellipse bound of its integrand allows (_panel_bounds): the pole psi = i arccosh(1 +
-2 c0/c1) of a row c0 + c1 sin^2(psi/2) sends it to one plain panel (c0 >= tau_N c1,
-_far_ratio) or, once rho >= 0.8, to panels graded around the peak (_graded_edges); the outer
-integrand's singular curve sets the orders of its panels (_outer_bounds). A graded or outer
-panel also keeps enough nodes to average the rounding of a large power (_panel_orders), and
-the radial row takes the rule itself on every panel.
+cancels as rho -> 1 and it is never below (1 - rho)^2; _inv_power raises it in place. One
+function, _poisson_rows, integrates the rows of the inner integral of constant_direct and of
+the kernel curvature, each rule's rows as one (rows, nodes) matrix. Every panel, of these rows
+and of constant_direct's outer integral, takes the fewest Gauss nodes of the ladder order/8,
+/4, /2, order that the Bernstein-ellipse bound of its integrand allows (_panel_bounds): the
+pole psi = i arccosh(1 + 2 c0/c1) of a row c0 + c1 sin^2(psi/2) sends it to one plain panel
+(c0 >= tau_N c1, _far_ratio) or, once rho >= 0.8, to panels graded around the peak
+(_graded_edges); the outer integrand's singular curve sets the orders of its panels
+(_outer_bounds). A graded or outer panel also keeps enough nodes to average the rounding of a
+large power (_panel_orders). constant_radial integrates its one kinked row itself, on the rule
+itself on every panel, graded by the same full-order pole test.
 The profile's kink integrals (the identity suite's kink_integral_brute,
 degrees 0 and 1 stacked) also run in _T_CHUNK-row blocks. Every
 rho-power series (the three curvature pair sums and the lagged series part of
@@ -94,9 +94,7 @@ TIE_TOLERANCE = 1e-12
 ALPHA_GRID = np.array([i * math.pi / 180 for i in range(181)])
 ALPHA_GRID.flags.writeable = False
 _REFEREE = 60  # the convexity certificate's referee angle: ALPHA_GRID[60] = pi/3
-# rows per block of the t-sweeps and the least of a _poisson_rows block; bounds temporaries
-_T_CHUNK = 32
-_CELLS = 2 ** 14  # about the entries (rows times nodes) of one _poisson_rows block
+_T_CHUNK = 32  # rows per block of the kink integrals (profile_parts); bounds temporaries
 _OUTER_CHUNK = 8  # folded angles whose outer rules are bounded together (_outer_rules)
 # Gauss nodes per panel of the Green profile (_green_profile), and its map from
 # Gauss values to Legendre coefficients: c_k = (k + 1/2) sum_i w_i P_k(x_i) f_i
@@ -240,11 +238,9 @@ def _far_ratio(order: int, m: int, e: float) -> np.ndarray:
     return taus
 
 
-def _table(t, w, m: int, delta=None):
-    """sin^2(t/2), sin^2 t and w sin^m t |cos t - delta| (the last factor if delta is given),
-    read-only."""
-    extra = 1.0 if delta is None else np.abs(np.cos(t) - delta)
-    table = np.stack((np.sin(0.5 * t) ** 2, np.sin(t) ** 2, w * (np.sin(t) ** m * extra)))
+def _table(t, w, m: int):
+    """sin^2(t/2), sin^2 t and w sin^m t, read-only."""
+    table = np.stack((np.sin(0.5 * t) ** 2, np.sin(t) ** 2, w * np.sin(t) ** m))
     table.flags.writeable = False
     return table
 
@@ -267,59 +263,37 @@ def _panel_table(rho: float, rule: QuadratureRule, m: int, e: float, bracket: bo
 
 
 @functools.lru_cache(maxsize=256)
-def _rule_table(rho: float, rule: QuadratureRule, m: int, delta=None):
-    """_table on the panels _graded_edges(rho, 0, (arccos(delta),)) (the kink if delta is given),
-    every panel on the rule itself: one plain panel [0, pi] at rho = 0 without delta."""
-    edges = _graded_edges(rho, 0.0, () if delta is None else (math.acos(delta),))
-    return _table(*map_panels(edges, rule), m, delta)
+def _plain_table(rule: QuadratureRule, m: int):
+    """_table on one plain panel [0, pi] of the rule."""
+    return _table(*map_panels(panel_edges(0.0, math.pi), rule), m)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # callers raise; tau * c1 = inf * 0
-def _poisson_rows(rho: float, rule: QuadratureRule, c0, c1, e: float, m: int, a=None, delta=None):
-    """For every row r, sum_i w_i sin(t_i)^m |cos t_i - delta| p_ri^-e (p_ri - a_r sin(t_i)^2)^2,
-    the delta factor and the bracket only if given, p_ri = c0_r + c1_r sin(t_i/2)^2, on the first
-    rule whose pole test c0_r >= tau_N c1_r the row meets (tau_N = _far_ratio, the bracket as
-    sin^4; c1_r = 0 meets a finite tau_N): without delta, one plain panel [0, pi] of order N =
-    rule.order // 8, // 4, // 2 or rule.order, else the graded panels, their orders from the
-    bound over every c0/c1 a near row can take (_panel_table); with delta, [0, pi] split at
-    arccos(delta), its test from rho = 0.8 on, else graded, every panel on the rule itself
-    (_rule_table).
+def _poisson_rows(rho: float, rule: QuadratureRule, c0, c1, e: float, m: int, a=None):
+    """For every row r, sum_i w_i sin(t_i)^m p_ri^-e (p_ri - a_r sin(t_i)^2)^2, the bracket only
+    if a is given, p_ri = c0_r + c1_r sin(t_i/2)^2, on the first rule whose pole test c0_r >= tau_N
+    c1_r the row meets (tau_N = _far_ratio, the bracket as sin^4; c1_r = 0 meets a finite tau_N):
+    one plain panel [0, pi] of order N = rule.order // 8, // 4, // 2 or rule.order (the last also
+    for the rows that meet no test below rho = 0.8), else the graded panels, their orders from the
+    bound over every c0/c1 a near row can take (_panel_table).
 
-    The rows of one rule run in blocks of about _CELLS entries (a multiple of _T_CHUNK rows) in
-    one reused buffer, by the one-matrix expression's operations in its order: bit-identical to
-    it. Overflow gives inf or nan silently; each caller raises its own OverflowError."""
-    plain = delta is None
-    tests = slice(3 * (not plain), 3 + (rho >= 0.8))  # rules 0-2 ladder, 3 plain, 4 graded
-    group, out = np.full(c0.size, tests.stop), np.empty(c0.size)  # group: each row's rule
-    if tests.start < tests.stop:  # tau_N falls with N: a row meets each test after its first
-        group -= (c0 >= _far_ratio(rule.order, m + 4 * (a is not None), e)[tests, None] * c1).sum(0)
-    for k, count in enumerate(np.bincount(group)):
-        if count == 0:
-            continue
-        rows = np.flatnonzero(group == k) if count < out.size else slice(None)
-        if k < 4 or not plain:
-            half_sq, sin_sq, wts = _rule_table(rho if k > 3 else 0.0, gauss_legendre(
-                rule.order // 2 ** (3 - k)) if k < 3 else rule, m, delta)
-        else:
-            half_sq, sin_sq, wts = _panel_table(rho, rule, m, e, a is not None)
-        block = _T_CHUNK * max(1, _CELLS // (_T_CHUNK * wts.size))
-        buf = np.empty((1 if a is None else 2, min(block + 1, count), wts.size))
-        # BLAS sums rows four at a time and the rest apart, so blocks of a multiple of four rows
-        # sum as one matrix does; a lone last row, which numpy takes as a dot, joins the one before
-        starts = list(range(0, count - 1, block)) or [0]
-        for lo, hi in zip(starts, starts[1:] + [count]):
-            r = slice(lo, hi) if count == out.size else rows[lo:hi]  # one rule: no gathers
-            v = buf[0, :hi - lo]
-            np.multiply(c1[r, None], half_sq, out=v)
-            v += c0[r, None]
-            if a is not None:  # the squared bracket, taken before v is raised in place
-                sq = buf[1, :hi - lo]
-                np.subtract(v, np.multiply(a[r, None], sin_sq, out=sq), out=sq)
-                sq *= sq
-            _inv_power(v, e)
-            if a is not None:
-                v *= sq
-            out[r] = v @ wts
+    Each rule's rows are one (rows, nodes) matrix. Overflow gives inf or nan silently; each caller
+    raises its own OverflowError."""
+    tau = _far_ratio(rule.order, m + 4 * (a is not None), e)[:3 + (rho >= 0.8), None]
+    group = tau.size - (c0 >= tau * c1).sum(0)  # 0-2 ladder, 3 plain, 4 graded: tau_N falls with N
+    out = np.empty(c0.size)
+    for k in np.flatnonzero(np.bincount(group)).tolist():  # an np.int64 is a new cache key
+        rows = group == k
+        half_sq, sin_sq, wts = _panel_table(rho, rule, m, e, a is not None) if k == 4 else (
+            _plain_table(rule if k == 3 else gauss_legendre(rule.order // 2 ** (3 - k)), m))
+        v = c1[rows, None] * half_sq
+        v += c0[rows, None]
+        if a is not None:  # the squared bracket, taken before v is raised in place
+            sq = a[rows, None] * sin_sq
+            np.subtract(v, sq, out=sq)
+            sq *= sq
+        _inv_power(v, e)
+        out[rows] = (v if a is None else v * sq) @ wts
     return out
 
 
@@ -355,7 +329,8 @@ def _outer_bounds(n: int, rho: float, alphas, order: int):
     # arccosh(kappa / R) = 2 arcsinh(sqrt((kappa - R) / 2R)), kappa - 1 = (1 - rho)^2 / (2 rho)
     gap = ((1.0 - rho) ** 2 / (2.0 * rho) if rho > 0.0 else math.inf) + (sa * np.sin(_PSI)) ** 2 / (
         1.0 + big_r)
-    depth = np.minimum(2.0 * np.arcsinh(np.sqrt(0.5 * gap / big_r)), 3.0)
+    with np.errstate(over="ignore"):  # gap / R passes the double range as rho -> 0: depth 3
+        depth = np.minimum(2.0 * np.arcsinh(np.sqrt(0.5 * gap / big_r)), 3.0)
     poles = np.arctan2(sa * np.cos(_PSI), ca) + 1j * depth
     al, sa, ca, dt = (v[which][:, :, None] for v in (al, sa, ca, dt))
 
@@ -484,13 +459,18 @@ def constant_series(q, max_terms: int = SERIES_MAX_TERMS, rule: QuadratureRule |
 
 
 def constant_radial(n, rho: float, rule: QuadratureRule | None = None) -> float:
-    """Sharp constant in the radial direction, by the closed 1-D formula."""
+    """Sharp constant in the radial direction, by the closed 1-D formula c_n / (1 - rho^2) int_0^pi
+    sin^(n-2) |cos - delta| p^-(n-2)/2, p = (1 - rho)^2 + 4 rho sin^2(theta/2): the rule on each
+    panel, split at arccos(delta), graded from rho = 0.8 on where the rule's pole test fails."""
     dim = _dimension(n)
     rule = rule or gauss_legendre(DEFAULT_QUAD_ORDER)
     n, delta = dim.n, (dim.n - 2) / dim.n * _checked_rho(rho)
-    total = _poisson_rows(rho, rule, np.array([(1.0 - rho) ** 2]), np.array([4.0 * rho]),
-                          (n - 2) / 2.0, n - 2, delta=delta)
-    value = dim.c_n / ((1.0 - rho) * (1.0 + rho)) * float(total[0])
+    near = rho >= 0.8 and (1.0 - rho) ** 2 < _far_ratio(rule.order, n - 2, n / 2 - 1)[3] * (4 * rho)
+    t, w = map_panels(_graded_edges(rho if near else 0.0, 0.0, (math.acos(delta),)), rule)
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        p = _inv_power(4.0 * rho * np.sin(0.5 * t) ** 2 + (1.0 - rho) ** 2, (n - 2) / 2.0)
+        total = p @ (w * (np.sin(t) ** (n - 2) * np.abs(np.cos(t) - delta)))
+    value = dim.c_n / ((1.0 - rho) * (1.0 + rho)) * float(total)
     if not math.isfinite(value):
         raise OverflowError(f"constant_radial overflows at n={dim.n}, rho={rho}")
     return value

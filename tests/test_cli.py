@@ -306,18 +306,27 @@ def test_missing_dim(capsys):
     assert "--dim" in err
 
 
-def test_module_entry_point():
-    # the child imports the same ballgrad as this process, installed or not
+def _module_run(*argv):
+    """`python -m ballgrad.cli argv` in a child that imports the same ballgrad as this
+    process, installed or not."""
     src = str(pathlib.Path(ballgrad.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ballgrad.cli", "constant", "--dim", "3",
-         "--rho", "0", "--alpha", "0"],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    return subprocess.run([sys.executable, "-m", "ballgrad.cli", *argv], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_module_entry_point():
+    proc = _module_run("constant", "--dim", "3", "--rho", "0", "--alpha", "0")
     assert proc.returncode == 0
     assert proc.stdout.startswith("n,rho,alpha,")
+
+
+def test_constant_at_tiny_rho_prints_nothing_on_stderr():
+    # from rho ~ 1e-293 down, the outer pole depth passes the double range at alpha = pi/2
+    # before its cap of 3; the values never moved, and no RuntimeWarning is printed
+    proc = _module_run("constant", "--dim", "3", "--rho", "1e-300")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(proc.stdout.splitlines()) == 14
 
 
 @pytest.mark.parametrize("argv", [

@@ -285,16 +285,15 @@ def _reachable(order, m, e):
 
 def _mixed_picks(groups, seed):
     """Shuffled index sets into a pool of rows split by _rule_groups, with these row counts
-    per populated rule: a full block and a lone last row; one row; a full block and two rows
-    (a block boundary); and that last for the first and for the last populated rule alone."""
+    per populated rule: a multiple of four rows and a lone last row (BLAS sums rows four at a
+    time and the rest apart); one row; a multiple of four and two rows; and that last for the
+    first and for the last populated rule alone."""
     rng = np.random.default_rng(seed)
     pools = [np.flatnonzero(rows) for rows, *_ in groups]
-    blocks = [_T_CHUNK * max(1, constants._CELLS // (_T_CHUNK * nodes.size))
-              for _, nodes, _ in groups]
     filled = [k for k, pool in enumerate(pools) if pool.size]
-    counts = [lambda k: blocks[k] + 1, lambda k: 1, lambda k: blocks[k] + 2,
-              lambda k: (blocks[k] + 2) * (k == filled[0]),
-              lambda k: (blocks[k] + 2) * (k == filled[-1])]
+    many = 4 * _T_CHUNK
+    counts = [lambda k: many + 1, lambda k: 1, lambda k: many + 2,
+              lambda k: (many + 2) * (k == filled[0]), lambda k: (many + 2) * (k == filled[-1])]
     for count in counts:
         sizes = {k: count(k) for k in filled}
         picks = [rng.choice(pools[k], size) for k, size in sizes.items()]
@@ -304,12 +303,13 @@ def _mixed_picks(groups, seed):
 @pytest.mark.parametrize("order", [7, 64, 128])
 @pytest.mark.parametrize("n", [3, 4, 7, 12])
 def test_inner_integral_blocks_bit_identical(order, n):
-    # one one-matrix reference per rule; a lone last row would be taken as a dot by numpy
+    # one one-matrix reference per rule, rows gathered from anywhere in the call; at order 7
+    # (and at rho = 1e-300) every pole test is infinite, and the rows keep the plain panel
     rule = gauss_legendre(order)
     dim = DimensionParams(n)
     for size in (1, _T_CHUNK - 1, _T_CHUNK, _T_CHUNK + 1, 3 * _T_CHUNK + 5):
         theta = np.linspace(0.0, math.pi, size)
-        for rho in (0.0, 0.5, 0.9, 0.99):
+        for rho in (0.0, 1e-300, 0.5, 0.9, 0.99):
             for alpha in (0.0, math.pi / 3, math.pi):
                 want = _inner_one_matrix(dim, rho, alpha, theta, rule)
                 assert np.array_equal(_inner_smooth(dim, rho, alpha, theta, rule), want)
@@ -344,13 +344,13 @@ def _kernel_one_matrix(t, dim, rho, rule):
 @pytest.mark.parametrize("order", [7, 64, 128])
 @pytest.mark.parametrize("n", [3, 4, 7, 12])
 def test_curvature_kernel_blocks_bit_identical(order, n):
-    # the kernel shares the inner integral's blocks, lone last rows included; the
-    # bracket counts as sin^4 in the kernel's tau, so m = (n - 3) + 4
+    # the kernel shares the inner integral's rules and matrices, lone last rows included;
+    # the bracket counts as sin^4 in the kernel's tau, so m = (n - 3) + 4
     rule = gauss_legendre(order)
     dim = DimensionParams(n)
     for size in (1, _T_CHUNK - 1, _T_CHUNK, _T_CHUNK + 1, 3 * _T_CHUNK + 5):
         t = np.linspace(0.0, 0.999, size)
-        for rho in (0.5, 0.9, 0.99):
+        for rho in (0.0, 1e-300, 0.5, 0.9, 0.99):
             want = _kernel_one_matrix(t, dim, rho, rule)
             assert np.array_equal(profile_curvature_kernel(t, dim, rho, rule), want), (size, rho)
     # at rho = 0.99 the t near 0 are graded and those near 1 reach the first finite tau
@@ -461,7 +461,8 @@ def test_folded_direct_meets_series(rule, n, rho):
 
 
 def test_direct_route_memory(rule):
-    # the inner matrix is built in row blocks: the one-matrix form peaked at 19.8 MB
+    # one (rows, nodes) matrix per rule over the 240 outer nodes of its one folded angle: a
+    # 0.33 MB peak (one outer x inner matrix of the whole integral peaked at 19.8 MB)
     q = ConstantQuery(DimensionParams(3), 0.99, math.pi / 3)
     constant_direct(q, rule)
     tracemalloc.start()
@@ -589,6 +590,14 @@ def test_radial_specialization(rule):
             a = constant_direct(q, rule)
             b = constant_radial(n, rho, rule)
             assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
+    # at orders 1 and 7 the pole test is infinite: the kinked row keeps the plain panels below
+    # rho = 0.8 and is graded from 0.8 on (values pinned bit for bit)
+    for order, n, rho, want in (
+            (1, 3, 1e-300, "0x1.2d97c7f3321d2p+1"), (1, 3, 0.5, "0x1.8f0fe8b626be7p+1"),
+            (1, 3, 0.9, "0x1.3913f531212d0p+3"), (1, 8, 0.99, "0x1.ba8736e170737p+6"),
+            (7, 3, 1e-300, "0x1.80000000017a0p+0"), (7, 3, 0.5, "0x1.01c0f9896adb0p+1"),
+            (7, 3, 0.9, "0x1.021547ab1a452p+3"), (7, 8, 0.99, "0x1.6d4ad8272a376p+6")):
+        assert constant_radial(n, rho, gauss_legendre(order)) == float.fromhex(want)
 
 
 def test_endpoint_equality(rule):
@@ -1039,8 +1048,9 @@ def _bracket_power_raised(monkeypatch):
     # _poisson_rows with the kernel's bracket (p - a sin^2) raised to the power 5/2, not 2
     source = inspect.getsource(constants._poisson_rows)
     assert source.count("sq *= sq") == 1
+    indent = re.search(r"^( *)sq \*= sq$", source, re.M).group(1)
     namespace = dict(vars(constants))
-    exec(source.replace("sq *= sq", "np.abs(sq, out=sq)\n                sq **= 2.5"), namespace)
+    exec(source.replace("sq *= sq", f"np.abs(sq, out=sq)\n{indent}sq **= 2.5"), namespace)
     monkeypatch.setattr(constants, "_poisson_rows", namespace["_poisson_rows"])
 
 
