@@ -420,7 +420,7 @@ def profile_parts(t, dim: int | DimensionParams, rho: float, max_terms: int = SE
     """The three additive parts of the normalized constant profile at t = cos(alpha).
 
     Returns (plain kink integral, weighted kink integral, series part); each
-    entry is a float for scalar t and an ndarray for vector t. The kink
+    entry is a float for scalar t and an ndarray of t's shape otherwise. The kink
     integrals are kink_integral_brute at lam = (n-2)/2, s = delta*t and degrees
     0 and 1, the second times rho*t (C_1^lam(x) = (n-2) x), _T_CHUNK rows a call.
     Term k of the series part couples degree k-2 at lam_high with degree k at
@@ -430,7 +430,7 @@ def profile_parts(t, dim: int | DimensionParams, rho: float, max_terms: int = SE
     ta = _inside(t, 1.0, "t must lie in [-1, 1]", closed=True)
     K = series_cutoff(rho, dim.lambda_low, max_terms)  # checks rho and max_terms first
     rule = rule or gauss_legendre(DEFAULT_QUAD_ORDER)
-    n, tv = dim.n, np.atleast_1d(ta)
+    n, tv = dim.n, ta.ravel()
     s = (n - 2) / n * rho * tv
     kink = np.empty((2, tv.size))
     for lo in range(0, tv.size, _T_CHUNK):

@@ -329,14 +329,15 @@ def pair_series(pairs, weights, lag: int = 0) -> np.ndarray:
     Needs 0 <= lag <= 2 and positive lam.
 
     All rows run as one stacked three-term recurrence of max(K) steps, in chunks of
-    _COLUMNS argument columns, longest series first so that the active rows are a prefix;
-    a pair stops adding terms at its own K. The rows are D_k = C_k^lam / s_k, so a step
-    D_m = a_m x D_(m-1) - D_(m-2), a_m = 2(m + lam - 1)/m s_(m-1)/s_m, is one multiply
-    and one subtract; the weights take the scales. From the seed D_(-2) = -1, D_(-1) = 0
-    the degrees run in windows of W >= _BLOCK degrees, about _WINDOW entries; from
-    _SEGMENTED degrees (measured no faster below 128-192) a window steps in P = isqrt(W/2)
-    segments of L = W // P at once (_stitched: about 4L + 3P numpy calls, not 2W). At
-    x = +-1 the rows are (+-1)^k C_k^lam(1) / s_k, C_k^lam(1) = (2 lam)_k / k!.
+    _COLUMNS argument columns; every pair runs to the call's longest cutoff, with zero
+    weights past its own K (a row overflowing before then, lam above about 170 at K = 8,192,
+    70 at x = +-1, beyond any cutoff series_cutoff grants, makes its pair's sum nan). Rows
+    D_k = C_k^lam / s_k make a step D_m = a_m x D_(m-1) - D_(m-2), a_m = 2(m + lam - 1)/m
+    s_(m-1)/s_m, one multiply and one subtract; the weights take the scales. From the
+    seed D_(-2) = -1, D_(-1) = 0 the degrees run in windows of W >= _BLOCK degrees, about
+    _WINDOW entries; from _SEGMENTED degrees (measured no faster below 128-192) a window
+    steps in P = isqrt(W/2) segments of L = W // P at once (_stitched: about 4L + 3P numpy
+    calls, not 2W). At x = +-1 the rows are (+-1)^k C_k^lam(1) / s_k, C_k^lam(1) = (2 lam)_k / k!.
     """
     if not 0 <= lag <= 2:
         raise ValueError(f"lag must lie in [0, 2], got {lag}")
@@ -345,19 +346,16 @@ def pair_series(pairs, weights, lag: int = 0) -> np.ndarray:
                          f"and {len(weights)} weight rows")
     args = np.broadcast_arrays(*(np.asarray(v, dtype=float)
                                  for lam_a, xa, lam_b, xb in pairs for v in (xa, xb)))
-    shape = args[0].shape
-    order = sorted(range(len(pairs)), key=lambda p: -len(weights[p]))
-    lams = [float(lam) for p in order for lam in (pairs[p][0], pairs[p][2])]
+    lams = [float(lam) for pair in pairs for lam in (pair[0], pair[2])]
     if not all(lam > 0.0 for lam in lams):  # s_2 = lam
         raise ValueError(f"lam must be positive, got {lams}")
-    x = np.stack([args[2 * p + i].ravel() for p in order for i in (0, 1)])
-    K = np.array([len(weights[p]) - 1 for p in order])
-    top, distinct = int(K[0]), sorted(set(lams))
+    x = np.stack([v.ravel() for v in args])
+    top, distinct = max(len(wp) for wp in weights) - 1, sorted(set(lams))
     scales = {lam: _scales(lam, top) for lam in distinct}
-    w = np.zeros((top + 1, len(order)))
-    for col, p in enumerate(order):
-        k, s_a, s_b = K[col], scales[lams[2 * col]], scales[lams[2 * col + 1]]
-        w[lag:k + 1, col] = weights[p][lag:] * s_a[:k + 1 - lag] * s_b[lag:k + 1]
+    w = np.zeros((top + 1, len(pairs)))
+    for p, wp in enumerate(weights):
+        k, s_a, s_b = len(wp) - 1, scales[lams[2 * p]], scales[lams[2 * p + 1]]
+        w[lag:k + 1, p] = wp[lag:] * s_a[:k + 1 - lag] * s_b[lag:k + 1]
     a, m = np.zeros((len(distinct), top + 1)), np.arange(1.0, top + 1)
     at_one = np.ones((len(distinct), top + 3))  # D_k(1) at k + 2; k < 0 meets zero weights
     for i, lam in enumerate(distinct):
@@ -365,29 +363,25 @@ def pair_series(pairs, weights, lag: int = 0) -> np.ndarray:
         at_one[i, 3:] = np.cumprod((m + 2.0 * lam - 1.0) / m) / scales[lam][1:]
     del scales
     row_lam = np.array([distinct.index(lam) for lam in lams])
-    total = np.zeros((len(order), x.shape[1]))
+    out = np.zeros((len(pairs), x.shape[1]))
     for lo in range(0, x.shape[1], _COLUMNS):
         xc = x[:, lo:lo + _COLUMNS]
-        acc = total[:, lo:lo + _COLUMNS]
         carry, m0 = np.stack([-np.ones(xc.shape), np.zeros(xc.shape)]), 0  # D_(-2), D_(-1)
         while m0 <= top:
-            act = 2 * (npair := int(np.count_nonzero(K >= m0)))
-            n = min(max(_BLOCK, _WINDOW // (act * xc.shape[1])), top + 1 - m0)
+            n = min(max(_BLOCK, _WINDOW // xc.size), top + 1 - m0)
             seg = math.isqrt(n // 2) if n >= _SEGMENTED else 1
             n -= n % seg
-            rows = np.empty((n // seg + 2, seg, act, xc.shape[1]))
-            ax = a[row_lam[:act], m0:m0 + n].T.reshape(seg, -1, act).swapaxes(0, 1)
-            np.multiply(ax[..., None], xc[:act], out=rows[2:])
-            end = _stitched(rows, carry[:, :act])
-            r, c = np.nonzero(np.abs(xc[:act]) == 1.0)
+            rows = np.empty((n // seg + 2, seg) + xc.shape)
+            ax = a[row_lam, m0:m0 + n].T.reshape(seg, -1, len(lams)).swapaxes(0, 1)
+            np.multiply(ax[..., None], xc, out=rows[2:])
+            carry[:] = _stitched(rows, carry)
+            r, c = np.nonzero(np.abs(xc) == 1.0)
             if r.size:
                 j = np.add.outer(np.arange(len(rows)), n // seg * np.arange(seg))[..., None]
                 rows[:, :, r, c] = at_one[row_lam[r], m0 + j] * xc[r, c] ** (m0 - 2 + j)
-            wk = w[m0:m0 + n, :npair].reshape(seg, -1, npair).swapaxes(0, 1)
+            wk = w[m0:m0 + n].reshape(seg, -1, len(pairs)).swapaxes(0, 1)
             ra, rb = rows[2 - lag:len(rows) - lag, :, 0::2], rows[2:, :, 1::2]
-            acc[:npair] += np.einsum("ksp,kspt,kspt->spt", wk, ra, rb).sum(0)
-            carry[:, :act], m0 = end, m0 + n
-            del rows, ra, rb, end  # free this window before the next one is allocated
-    out = np.empty_like(total)
-    out[order] = total
-    return out.reshape((len(pairs),) + shape)
+            out[:, lo:lo + _COLUMNS] += np.einsum("ksp,kspt,kspt->spt", wk, ra, rb).sum(0)
+            m0 += n
+            del rows, ra, rb  # free this window before the next one is allocated
+    return out.reshape((len(pairs),) + args[0].shape)

@@ -668,6 +668,13 @@ def test_profile_parts_vectorized(rule):
             assert plain[i] == pytest.approx(p, rel=1e-14)
             assert weighted[i] == pytest.approx(w, rel=1e-14, abs=1e-15)
             assert tail[i] == pytest.approx(h, rel=1e-14, abs=1e-15)
+    # a t of two or more dimensions runs as its flat copy: parts of t's shape, bit for bit
+    for shape in ((2, 3), (1, 40), (40, 1), (2, 1, 40)):
+        ts = np.full(shape, 0.3)
+        ts.flat[-1] = 1.0
+        flat = profile_parts(ts.ravel(), dim, 0.5, rule=rule)
+        for got, want in zip(profile_parts(ts, dim, 0.5, rule=rule), flat):
+            assert got.shape == shape and np.array_equal(got, want.reshape(shape))
 
 
 @pytest.mark.parametrize("rho", [0.5, 0.95])

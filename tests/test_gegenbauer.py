@@ -437,14 +437,18 @@ def test_recurrence_blocks_bit_identical(lam, K):
 
 
 def test_recurrence_blocks_mixed_orders():
-    # pairs stop at their own order; longer ones keep stepping past it. Then three
+    # every pair of a call steps to the call's longest order, past its own. Then three
     # pairs a call on six columns, 36 entries a degree: from order 160 on, a call
     # steps windows of up to 15 segments of 30 degrees, so the degrees up to 1,400 are
-    # read off segment interiors, segment starts, window ends and the plain tails
+    # read off segment interiors, segment starts, window ends and the plain tails. In
+    # the last set the calls that straddle the two rows step pairs of order 0, 2 and 4
+    # through 1,400 degrees of stitched windows and the closed form at x = +-1
     lams = (9.0, 0.5, 1.5, 1.5, 0.5)
     orders = (3 * _BLOCK + 5, _BLOCK + 1, _BLOCK, 2, 0)
     xs = np.random.default_rng(3).uniform(-1.0, 1.0, size=(len(lams), 6))
-    for lams, xs, orders, group in ((lams, xs, orders, 256), ((1.5, 0.5), xs[:2], (1400, 902), 3)):
+    ends = np.array([[-1.0, -0.6, 0.0, 0.35, 0.9, 1.0], [1.0, 0.2, -0.999, -1.0, 0.5, 0.75]])
+    for lams, xs, orders, group in ((lams, xs, orders, 256), ((1.5, 0.5), xs[:2], (1400, 902), 3),
+                                    ((1.5, 9.0), ends, (1400, 9), 3)):
         got = _collect_blocks(lams, xs, orders, group)
         for r, (lam, K) in enumerate(zip(lams, orders)):
             _assert_near_longdouble(got, r, lam, K, xs[r], _BLOCKS_BOUND)
