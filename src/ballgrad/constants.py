@@ -35,7 +35,8 @@ pole psi = i arccosh(1 + 2 c0/c1) of a row c0 + c1 sin^2(psi/2) sends it to one 
 large power (_panel_orders). constant_radial integrates its one kinked row itself, on the rule
 itself on every panel, graded by the same full-order pole test.
 The profile's kink integrals (the identity suite's kink_integral_brute,
-degrees 0 and 1 stacked) also run in _T_CHUNK-row blocks. Every
+degrees 0 and 1 stacked, each degree on the fewest nodes of the same ladder that
+a closed-form bound of its entire integrand allows) run in _T_CHUNK-row blocks. Every
 rho-power series (the three curvature pair sums and the lagged series part of
 the profile) is one call of gegenbauer.pair_series: a single blocked
 recurrence over the stacked (lam, argument) rows, max(K) steps, not sum(K), in
@@ -64,8 +65,8 @@ import numpy as np
 from .gegenbauer import (SERIES_MAX_TERMS, DimensionParams, _checked_rho, _dimension, _inside,
                          _value, eval_sequence, pair_series, pair_weights, series_cutoff)
 from .identities import kink_integral_brute
-from .quadrature import (DEFAULT_QUAD_ORDER, QuadratureRule, composite_nodes, gauss_legendre,
-                         map_panels, panel_edges)
+from .quadrature import (DEFAULT_QUAD_ORDER, QuadratureRule, _first_rung, _ladder, composite_nodes,
+                         gauss_legendre, map_panels, panel_edges)
 
 __all__ = [
     "ConstantQuery",
@@ -160,7 +161,6 @@ def _graded_edges(rho: float, peak: float = 0.0, kinks=()) -> np.ndarray:
 
 # -- the Poisson-power quadrature of every route -----------------------------
 
-_LADDER = np.array([8, 4, 2, 1])  # a panel of a rule of order N takes N // 8, // 4, // 2 or N
 _ELLIPSES = np.array([0, 1, 2, 4, 6, 7]) / 8.0  # k of r = 1 + k (r_pole - 1); 0: the panel
 _PSI = np.linspace(0.0, math.pi, 33)  # where the outer integrand's singular curve is sampled
 _ROUND_EPS = 8.0  # the rounding a panel may add, in eps (_panel_orders)
@@ -180,7 +180,7 @@ def _panel_bounds(lo, hi, poles, log_upper, order: int, log_lower=None, points: 
     th = (np.arange(points) + 0.5) * math.pi / points
     x = c[:, None, None] + 0.5 * h[:, None, None] * (r + 1.0 / r)[..., None] * np.cos(th)
     y = 0.5 * h[:, None, None] * (r - 1.0 / r)[..., None] * np.sin(th)
-    r, n = r[..., 1:], (order // _LADDER).reshape((4,) + (1,) * r.ndim)
+    r, n = r[..., 1:], _ladder(order)[0].reshape((4,) + (1,) * r.ndim)
     with np.errstate(divide="ignore"):  # a pole on the panel (r = 1): an infinite bound
         log_f = log_upper(x, y)
         low = log_f[..., :1, :] if log_lower is None else log_lower(x[..., :1, :])
@@ -193,11 +193,8 @@ def _panel_orders(bound, scale, order: int, power: float) -> np.ndarray:
     bound is at most 2^-52 of the scale at every other index and whose rounding is at most
     _ROUND_EPS eps: an integrand sin^m p^-e of power m + e turns the rounding of each double (node,
     weight, p) into about (m + e) eps, and N nodes average it to power eps / sqrt(N)."""
-    n = order // _LADDER
     ok = (bound <= scale - 52 * math.log(2)).reshape(4, -1, bound.shape[-1]).all(1)
-    ok &= ((n >= 16) & (power <= _ROUND_EPS * np.sqrt(n)))[:, None]
-    ok[-1] = True
-    return n[ok.argmax(0)]
+    return _first_rung(ok & (power <= _ROUND_EPS * np.sqrt(_ladder(order)[0]))[:, None], order)
 
 
 def _mapped(edges, orders):
@@ -233,7 +230,7 @@ def _far_ratio(order: int, m: int, e: float) -> np.ndarray:
     bound, low = _row_bounds(np.array([0.0, math.pi]), s, m, e, order)
     # ok[N, j]: the j + 1 largest s all meet the bound
     ok = np.logical_and.accumulate((bound[..., 0] <= low[:, 0] - 52 * math.log(2))[:, ::-1], 1)
-    taus = np.where(ok[:, 0] & (order // _LADDER >= min(16, order)), s[-ok.sum(1)], math.inf)
+    taus = np.where(ok[:, 0] & _ladder(order)[1], s[-ok.sum(1)], math.inf)
     taus.flags.writeable = False
     return taus
 
@@ -285,7 +282,7 @@ def _poisson_rows(rho: float, rule: QuadratureRule, c0, c1, e: float, m: int, a=
     for k in np.flatnonzero(np.bincount(group)).tolist():  # an np.int64 is a new cache key
         rows = group == k
         half_sq, sin_sq, wts = _panel_table(rho, rule, m, e, a is not None) if k == 4 else (
-            _plain_table(rule if k == 3 else gauss_legendre(rule.order // 2 ** (3 - k)), m))
+            _plain_table(rule if k == 3 else gauss_legendre(int(_ladder(rule.order)[0][k])), m))
         v = c1[rows, None] * half_sq
         v += c0[rows, None]
         if a is not None:  # the squared bracket, taken before v is raised in place

@@ -8,8 +8,11 @@ ndarrays: a scalar gives a float, an array an array of its shape. Polynomial
 values are read off one recurrence table by gegenbauer.eval_recurrence
 (legendre on run_suite's lam = 1/2 route), integrals run as one batch of
 quadrature rows with the scalar path's non-finite check. The addition
-theorems, the weighted derivative and the closed kink form also take one
-degree per sample; run_suite calls them with every degree of one lam at once.
+theorems, the weighted derivative and both kink forms also take one degree per
+sample; run_suite calls them with every degree of one lam at once, the brute
+kink form once per Gauss order: each degree takes the fewest nodes of the
+rule's ladder (order // 8, // 4, // 2, order) that a closed-form
+Bernstein-ellipse bound allows, a function of (lam, degree, order) alone.
 Either way a sample's value equals the scalar call bit for bit, so fractional
 powers of sampled values are taken with np.power: `**` on a numpy scalar calls
 the C library's pow, which can round differently from numpy's array loop.
@@ -17,11 +20,13 @@ the C library's pow, which can round differently from numpy's array loop.
 All weighted integrals on [-1, 1] run in x = cos(theta), where the weight
 (1-x^2)^(lam-1/2) is (sin theta)^(2 lam): analytic on [0, pi] only where 2 lam
 is an integer; at lam = 0, C_k^0 vanishes for k >= 1 in this normalisation.
-So run_suite refuses the quadrature checks unless 2 lam is a positive integer.
+So run_suite refuses the quadrature checks unless 2 lam is a positive integer,
+and kink_integral_brute refuses such a lam itself.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -41,6 +46,8 @@ from .gegenbauer import (  # noqa: F401
 from .quadrature import (  # noqa: F401
     DEFAULT_QUAD_ORDER,
     QuadratureRule,
+    _first_rung,
+    _ladder,
     composite_nodes,
     gauss_legendre,
     integrate,
@@ -266,24 +273,76 @@ def kink_integral_closed(lam: float, k, s):
     return _value(pref * np.power(1.0 - s * s, lam + 1.5) * eval_recurrence(lam + 2.0, k - 2, s))
 
 
+@functools.lru_cache(maxsize=None)
+def _kink_order(lam: float, k: int, order: int) -> int:
+    """The Gauss order of both kink panels of degree k: the first rung of the rule's ladder whose
+    bound 64 h M / (15 (r^2 - 1) r^(2N - 2)) (Trefethen, ATAP, Thm 19.3) on the worst panel, half-width
+    h = pi/2 (|s| -> 1), meets 2^-52 of M's value on the axis, 2 C_k^lam(1), on one ellipse of a
+    grid of r. For 2 lam a positive integer the integrand |cos z - s| sin^(2 lam) z C_k^lam(cos z)
+    is entire; on the ellipse |Im z| <= y = h (r - 1/r) / 2, |cos z| and |sin z| are at most
+    cosh y, and |C_k^lam(cos z)| is at most C_k^lam(1) e^(k y), as the cosine expansion of
+    C_k^lam(cos theta) has positive coefficients: M = (cosh y + 1) cosh^(2 lam) y C_k^lam(1) e^(k y).
+    A shorter panel has a smaller bound, and the two panels' sum at most this one's."""
+    u = np.geomspace(1e-2, 12.0, 128)  # log r
+    h = 0.5 * math.pi
+    y = h * np.sinh(u)
+
+    def log_cosh(v):
+        return np.logaddexp(v, -v) - math.log(2.0)
+
+    # log(M / (2 C_k^lam(1))), by cosh y + 1 = 2 cosh^2(y/2)
+    log_m = 2.0 * log_cosh(0.5 * y) + 2.0 * lam * log_cosh(y) + k * y
+    n = _ladder(order)[0][:, None]
+    bound = math.log(64.0 * h / 15.0) + log_m - np.log(np.expm1(2.0 * u)) - (2 * n - 2) * u
+    return int(_first_rung(bound.min(1) <= -52 * math.log(2.0), order))
+
+
+def _kink_groups(lam: float, k, rule: QuadratureRule):
+    """(rule, rows) for each Gauss order _kink_order gives the degrees k (1-D): the rule itself or
+    gauss_legendre of a smaller rung, and the rows of k it takes. One lookup a distinct degree."""
+    degrees = sorted(set(k.tolist()))
+    table = np.zeros(max(degrees, default=-1) + 1, dtype=int)
+    table[degrees] = [_kink_order(lam, d, rule.order) for d in degrees]
+    for n in sorted(set(table[degrees].tolist())):
+        yield (rule if n == rule.order else gauss_legendre(n)), table[k] == n
+
+
+def _kink_sums(lam: float, k, s, rule: QuadratureRule):
+    """The kink integrals on the panels [0, arccos s_i] and [arccos s_i, pi] of the rule, s 1-D:
+    k broadcasts against the index of s, so k[:, None] stacks a row a degree and a k of s's
+    shape gives each sample its own degree, all read off one eval_sequence table."""
+    edges = np.stack(np.broadcast_arrays(0.0, np.arccos(s), math.pi), axis=-1)
+    theta, w = map_panels(edges, rule)
+    c = np.cos(theta)
+    seq = eval_sequence(lam, int(k.max(initial=0)), c)[k, np.arange(s.size)]
+    vals = np.abs(c - s[:, None]) * np.sin(theta) ** (2.0 * lam) * seq
+    return integrate_values(vals, w)
+
+
 def kink_integral_brute(lam: float, k, s, rule: QuadratureRule):
     """Quadrature value of the kink integral, split at the kink x = s.
 
     s may be an array: sample i integrates over its own panels
     [0, arccos s_i] and [arccos s_i, pi], all mapped in one map_panels call.
-    k may be an integer array of degrees: the result stacks one row per
-    degree along a new leading axis, all from one eval_sequence pass.
+    Both panels of degree k take _kink_order(lam, k, rule.order) nodes, the
+    fewest of the rule's ladder its closed-form bound allows; as no sample sets
+    it, a batch equals the per-sample calls bit for bit. k may be an integer
+    array of degrees: the result stacks one row per degree along a new leading
+    axis, the degrees of one order from one eval_sequence pass. Raises
+    ValueError unless 2 lam is a positive integer: elsewhere the weight
+    sin^(2 lam) branches at the panel ends, and the rule misses its target.
     """
+    if not lam > 0 or (2.0 * lam) % 1.0:
+        raise ValueError(f"2*lambda must be a positive integer for kink, got {lam}")
     k = np.asarray(k)
     if k.dtype.kind not in "iu" or np.any(k < 0):
         raise ValueError(f"k must be nonnegative integer degrees, got {k.tolist()}")
     s = _inside(s, 1.0, "s must lie in (-1, 1)")
-    edges = np.stack(np.broadcast_arrays(0.0, np.arccos(s), math.pi), axis=-1)
-    theta, w = map_panels(edges, rule)
-    c = np.cos(theta)
-    seq = eval_sequence(lam, int(k.max(initial=0)), c)[k]
-    vals = np.abs(c - s[..., None]) * np.sin(theta) ** (2.0 * lam) * seq
-    return _value(integrate_values(vals, w))
+    degrees, samples = k.ravel(), s.ravel()
+    out = np.empty((degrees.size, samples.size))
+    for order_rule, rows in _kink_groups(lam, degrees, rule):
+        out[rows] = _kink_sums(lam, degrees[rows, None], samples, order_rule)
+    return _value(out.reshape(k.shape + s.shape))
 
 
 # -- residual suite ---------------------------------------------------------
@@ -308,6 +367,8 @@ _SAMPLE_BLOCK = 256
 # cells of the addition family's (degree, j, angle, row) table per call (2 MB),
 # which holds a call to fewer than _SAMPLE_BLOCK rows from max_degree 22 on
 _FAMILY_CELLS = 2 ** 18
+# entries of the kink check's (degree, row, node) table per quadrature call (0.5 MB)
+_KINK_CELLS = 2 ** 16
 # the lambdas a check applies to, as (rule, test); other checks take every lambda.
 # Near lambda = 1 the weighted derivative's finite-difference oracle is ill-conditioned.
 _LAMBDA_DOMAINS = {
@@ -351,13 +412,15 @@ def run_suite(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12, samples: int 
     samples < 1, seed < 0, a lam <= -1/2 or not finite, when no wanted check
     applies, or when one of _QUADRATURE_CHECKS would run at a lam with 2 lam
     not a positive integer, all before any check runs. "addition",
-    "legendre-addition", "weighted-derivative" and the closed side of "kink"
-    call their public check with every degree of one lam at once: the samples
-    of all degrees are drawn in one call, in the order of one draw per degree,
-    and each (degree, sample) row reads its own degree from one recurrence
-    table, in blocks of _SAMPLE_BLOCK rows (fewer for the addition family, by
-    _FAMILY_CELLS). The other checks, and the quadrature side of "kink", run
-    one call per (lam, degree) per block of _SAMPLE_BLOCK samples. Every
+    "legendre-addition", "weighted-derivative" and "kink" run every degree of
+    one lam at once: the samples of all degrees are drawn in one call, in the
+    order of one draw per degree, and each (degree, sample) row reads its own
+    degree from one recurrence table, in blocks of _SAMPLE_BLOCK rows (fewer
+    for the addition family, by _FAMILY_CELLS). The quadrature side of "kink"
+    makes one call per Gauss order its degrees take (_kink_order), in blocks
+    whose (degree, row, node) table holds at most _KINK_CELLS entries. The
+    other checks run one call per (lam, degree) per block of _SAMPLE_BLOCK
+    samples. Every
     residual equals that of a call of the public check function at its one
     degree, bit for bit. A non-finite residual records max_residual nan and
     fails its check.
@@ -458,12 +521,13 @@ def run_suite(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12, samples: int 
         kinks = rows[2 * samples:]
         for lam in lambdas:
             s = rng.uniform(-0.9, 0.9, size=kinks.size)
-            for k, sb in _blocks(_SAMPLE_BLOCK, kinks, s):
-                # one degree per quadrature call: a degree per row would build
-                # a (degree, row, node) table
-                brute = [kink_integral_brute(lam, d, sb[k == d], rule)
-                         for d in sorted(set(k.tolist()))]
-                record("kink", _residual(kink_integral_closed(lam, k, sb), np.concatenate(brute)))
+            for order_rule, group in _kink_groups(lam, kinks, rule):
+                # each row reads its own degree off one (degree, row, node) table
+                # of at most _KINK_CELLS entries a call
+                size = max(1, _KINK_CELLS // (2 * order_rule.order * (max_degree + 1)))
+                for k, sb in _blocks(size, kinks[group], s[group]):
+                    record("kink", _residual(kink_integral_closed(lam, k, sb),
+                                             _kink_sums(lam, k, sb, order_rule)))
 
     if "weighted-derivative" in wanted:
         for lam in lambdas:

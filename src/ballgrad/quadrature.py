@@ -31,6 +31,7 @@ __all__ = [
 MAX_ORDER = 4096
 # Gauss-Legendre order of every route, certificate and identity check by default
 DEFAULT_QUAD_ORDER = 128
+_LADDER = np.array([8, 4, 2, 1])  # a panel of a rule of order N takes N // 8, // 4, // 2 or N nodes
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,6 +139,25 @@ def integrate_values(vals, w: np.ndarray) -> np.ndarray:
     # a stack of (1, N) @ (N, 1) products: each row is the dot product of a
     # single integral, so a batch sums in the same order as one integral
     return (vals[..., None, :] @ w[..., :, None])[..., 0, 0]
+
+
+@functools.lru_cache(maxsize=None)
+def _ladder(order: int):
+    """(rungs, allowed), read-only: the Gauss orders order // 8, // 4, // 2 and order that a panel
+    of a rule of this order may take, and which of them it may: none below 16 but order itself."""
+    rungs = order // _LADDER
+    allowed = (rungs >= 16) | (rungs == order)
+    rungs.flags.writeable = allowed.flags.writeable = False
+    return rungs, allowed
+
+
+def _first_rung(ok, order: int):
+    """The first allowed rung of _ladder(order) that ok admits (its first axis: the four rungs),
+    else order itself, for every column of ok."""
+    rungs, allowed = _ladder(order)
+    ok = ok & allowed.reshape((4,) + (1,) * (np.ndim(ok) - 1))
+    ok[-1] = True
+    return rungs[ok.argmax(0)]
 
 
 def integrate(f, a: float, b: float, rule: QuadratureRule) -> float:

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from ballgrad import identities
-from ballgrad.gegenbauer import eval_recurrence, legendre, pochhammer
+from ballgrad.gegenbauer import eval_recurrence, eval_sequence, legendre, pochhammer
 from ballgrad.identities import (
     DEFAULT_SUITE_LAMBDAS,
     SUITE_TOLERANCES,
@@ -20,7 +21,7 @@ from ballgrad.identities import (
     run_suite,
     weighted_derivative_check,
 )
-from ballgrad.quadrature import gauss_legendre
+from ballgrad.quadrature import gauss_legendre, map_panels
 from referees import addition_rhs_reference, kernel_K, kernel_support, run_suite_reference
 
 LAMBDAS = (0.5, 1.0, 1.5, 2.5)
@@ -267,16 +268,65 @@ def test_kink_integral_domain(rule):
 
 
 def test_kink_integral_stacked_degrees(rule):
-    # one row per degree along a new leading axis, bit for bit the per-degree calls
+    # one row per degree along a new leading axis, bit for bit the per-degree calls; at
+    # lam = 5 the degrees 0..12 take two rungs of the ladder (32 and 64 nodes), and on a
+    # rule of order 32 the rung order // 4 = 8 falls below 16
     s = np.array([-0.7, 0.0, 0.35, 0.9])
-    for lam in (0.5, 2.5):
-        for ks in (np.arange(2), np.array([5, 0, 3, 3]), np.array([[1, 4], [2, 0]])):
-            stacked = kink_integral_brute(lam, ks, s, rule)
+    assert {identities._kink_order(5.0, k, 128) for k in range(13)} == {32, 64}
+    assert {identities._kink_order(lam, k, 32) for lam in (0.5, 5.0) for k in range(13)} == {
+        16, 32}
+    for lam, order in ((0.5, 128), (2.5, 128), (5.0, 128), (0.5, 32), (5.0, 32)):
+        grid = gauss_legendre(order)
+        for ks in (np.arange(2), np.array([5, 0, 3, 3]), np.array([[1, 4], [2, 0]]),
+                   np.arange(13), np.arange(13)[::-1]):
+            stacked = kink_integral_brute(lam, ks, s, grid)
             assert stacked.shape == ks.shape + s.shape
             for idx, k in np.ndenumerate(ks):
-                assert stacked[idx].tolist() == kink_integral_brute(lam, int(k), s, rule).tolist()
-        assert kink_integral_brute(lam, np.arange(3), 0.35, rule).tolist() == [
-            kink_integral_brute(lam, k, 0.35, rule) for k in range(3)]
+                assert stacked[idx].tolist() == kink_integral_brute(lam, int(k), s, grid).tolist()
+        assert kink_integral_brute(lam, np.arange(3), 0.35, grid).tolist() == [
+            kink_integral_brute(lam, k, 0.35, grid) for k in range(3)]
+
+
+@pytest.mark.parametrize("lam", [0.25, 0.75, 1.2, -0.25])
+def test_kink_integral_brute_refuses_off_grid_lambda(rule, lam):
+    # sin^(2 lam) branches at the panel ends unless 2 lam is a positive integer: the
+    # brute form read 9.4e-6 relative off the closed one at lam = 0.25 (k = 4), 8-20%
+    # at -0.25. The refusal comes first, before the degree and the sample are checked
+    with pytest.raises(ValueError, match=rf"^2\*lambda must be a positive integer for kink, "
+                                         rf"got {lam}$"):
+        kink_integral_brute(lam, -1, np.array([-0.5, 0.3, 1.5]), rule)
+
+
+def _kink_terms(lam, k, s, rule):
+    """(the kink integrals at s on one rule panel each side of the kink, the sums of |w f|)."""
+    theta, w = map_panels(np.stack(np.broadcast_arrays(0.0, np.arccos(s), math.pi), -1), rule)
+    f = (np.abs(np.cos(theta) - s[:, None]) * np.sin(theta) ** (2.0 * lam)
+         * eval_recurrence(lam, k, np.cos(theta)))
+    return (w * f).sum(-1), (w * np.abs(f)).sum(-1)
+
+
+def test_kink_orders_cover_the_error(rule):
+    # the order of each degree meets its target, 2^-52 of 2 C_k^lam(1) (the integrand's
+    # bound on the axis), against a 1024-node rule and, for a few cases, mpmath, up to
+    # the rounding of the sums: twice eps times their sums of |w f|
+    eps, fine = 2.0 ** -52, gauss_legendre(1024)
+    s = np.array([-0.999, -0.9, -0.3, 0.0, 0.4, 0.9, 0.999])
+    for lam in (0.5, 1.0, 1.5, 2.5, 3.0, 5.0, 7.0, 15.0, 31.0):
+        target = 2.0 * eps * eval_sequence(lam, 12, 1.0)
+        for k in range(13):
+            got = kink_integral_brute(lam, k, s, rule)
+            nodes = gauss_legendre(identities._kink_order(lam, k, rule.order))
+            want, size = _kink_terms(lam, k, s, fine)
+            slack = 2.0 * eps * (_kink_terms(lam, k, s, nodes)[1] + size)
+            assert np.all(np.abs(got - want) <= target[k] + slack), (lam, k)
+    for lam, k, x in ((0.5, 3, 0.999), (2.5, 12, -0.9), (7.0, 6, 0.4), (31.0, 0, -0.3)):
+        with mp.workdps(30):
+            want = float(mp.quad(lambda theta: abs(mp.cos(theta) - x) * mp.sin(theta) ** (2 * lam)
+                                 * mp.gegenbauer(k, lam, mp.cos(theta)), [0, mp.acos(x), mp.pi]))
+        nodes = gauss_legendre(identities._kink_order(lam, k, rule.order))
+        size = _kink_terms(lam, k, np.array([x]), nodes)[1][0]
+        assert abs(kink_integral_brute(lam, k, x, rule) - want) <= 2.0 * eps * (
+            eval_sequence(lam, k, 1.0)[k] + size), (lam, k, x)
 
 
 _NONE, _NO_X = np.array([], dtype=int), np.array([])
@@ -467,7 +517,8 @@ def test_run_suite_refuses_lambda_zero_before_any_check(monkeypatch):
     def unreached(*args):
         raise AssertionError("a check ran before the lambda rule")
     for name in ("orthogonality_integral", "product_formula_check", "kernel_product_check",
-                 "kink_integral_brute", "addition_theorem_rhs", "weighted_derivative_check"):
+                 "kink_integral_brute", "_kink_sums", "addition_theorem_rhs",
+                 "weighted_derivative_check"):
         monkeypatch.setattr(identities, name, unreached)
     with pytest.raises(ValueError, match=r"^2\*lambda must be a positive integer for "
                        r"kernel-mass, kernel-product, kink, orthogonality-diag, "
