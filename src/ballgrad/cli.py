@@ -20,7 +20,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -220,7 +219,7 @@ def cmd_certify(args) -> int:
         conv = certify_convexity(dim, rho, rule)
         rad = certify_radial_max(dim, rho, rule)
         all_ok &= conv.passed and rad.passed
-        results.append({"rho": rho, "convexity": asdict(conv), "radial_max": asdict(rad)})
+        results.append({"rho": rho, "convexity": dict(vars(conv)), "radial_max": dict(vars(rad))})
         rows += [(dim.n, rho, "convexity", conv.min_curvature, conv.max_route_gap,
                   "pass" if conv.passed else "fail"),
                  (dim.n, rho, "radial-max", rad.interior_gap, rad.radial_residual,

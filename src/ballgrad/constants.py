@@ -47,11 +47,12 @@ reflection x2 -> -x2 fixes rho*e1 and maps l_alpha to -l_(pi - alpha). So consta
 given one query or a batch at one (n, rho) as constant_series is, integrates once per distinct
 min(alpha, pi - alpha), f'(0) = 0 and f(t) = f(0) + int_0^|t| (|t| - s) f''(s) ds. One cached kernel
 curvature sweep per radius (_green_profile), on the Green nodes in (0, 1), is the only
-curvature route of both certificates: the radial-max one reads this Green profile
-(integrated twice in closed form, anchored at constant_transverse) on ALPHA_GRID, the
-convexity one the curvature at the nodes themselves, refereed by constant_direct at
-pi/3. The nodes depend on rho alone and ALPHA_GRID is a constant, as the accuracy
-contracts are; the one setting of the series routes is their term cap.
+curvature route of both certificates: the radial-max one reads this Green profile on
+ALPHA_GRID, constant_transverse plus one matvec of f'' with the linear map that integrates it
+twice in closed form, cached per panel set (_green_map); the convexity one the curvature at the
+nodes themselves, refereed by constant_direct at pi/3. The panels depend on rho alone and
+ALPHA_GRID is a constant, as the accuracy contracts are; the series routes' one setting is their
+term cap.
 """
 
 from __future__ import annotations
@@ -104,6 +105,8 @@ _GREEN_TO_COEF = ((np.arange(_GREEN_ORDER) + 0.5)[:, None]
                   * eval_sequence(0.5, _GREEN_ORDER - 1, gauss_legendre(_GREEN_ORDER).nodes)
                   * gauss_legendre(_GREEN_ORDER).weights)
 _GREEN_TO_COEF.flags.writeable = False
+# the distinct |cos(alpha)| of ALPHA_GRID, the rows of _green_map, and each angle's row
+_GREEN_U, _GREEN_ROW = np.unique(np.abs(np.cos(ALPHA_GRID)), return_inverse=True)
 
 
 def _inv_power(v: np.ndarray, e: float) -> np.ndarray:
@@ -664,31 +667,37 @@ def _legendre_integral(c):
     return np.concatenate((q[..., :1], q), -1) - np.concatenate((q[..., 1:], zero, zero), -1)
 
 
+@functools.lru_cache(maxsize=8)  # 8 panel sets; the most panels, 40, take 0.79 MB
+def _green_map(edges: tuple, order: int):
+    """(the Green nodes of these panel edges, L), read-only: L @ f'' is int_0^u (u - s) p(s) ds
+    at each u of _GREEN_U, p the Legendre interpolant of f'' per panel (_GREEN_TO_COEF, this order).
+    With h a panel's half-width, a panel below u adds h w_k (u - s_k), exact as (u - s) p has degree
+    order; the one that holds u, h^2 P_k(x(u)) times the basis integrated twice; those above, none.
+    The edges depend on rho only through how far they grade toward t = 0 and toward t = 1."""
+    edges, u = np.array(edges), _GREEN_U[:, None]
+    nodes, weights = map_panels(edges, gauss_legendre(order))
+    half = 0.5 * np.diff(edges)
+    j = np.clip(np.searchsorted(edges, u, side="right") - 1, 0, half.size - 1)
+    lmap = np.where(np.arange(nodes.size) < order * j, weights * (u - nodes), 0.0)
+    held = (_legendre_integral(_legendre_integral(_GREEN_TO_COEF.T))
+            @ eval_sequence(0.5, order + 1, ((u - edges[j]) / half[j]).ravel() - 1.0))
+    np.put_along_axis(lmap, order * j + np.arange(order), half[j] ** 2 * held.T, 1)
+    lmap.flags.writeable = nodes.flags.writeable = False
+    return nodes, lmap
+
+
 @functools.lru_cache(maxsize=1)
 def _green_profile(dim: DimensionParams, rho: float, rule: QuadratureRule):
     """(the constant on ALPHA_GRID, the Green nodes, f'' at them), read-only and cached:
-    one kernel curvature sweep feeds both certificates. f'' at _GREEN_ORDER Gauss nodes
-    per _green_edges panel is expanded in Legendre polynomials per panel, on which the
-    constant, constant_transverse + c_n / (1 - rho^2) int_0^u (u - s) f''(s) ds at
-    u = |cos(alpha)|, is closed-form (f the even normalized profile).
+    one kernel curvature sweep feeds both certificates. The constant is constant_transverse
+    + c_n / (1 - rho^2) int_0^u (u - s) f''(s) ds at u = |cos(alpha)| (f the even normalized
+    profile), one matvec of the panel set's cached linear map (_green_map) with f''.
     """
-    edges = _green_edges(rho)
-    nodes, _ = map_panels(edges, gauss_legendre(_GREEN_ORDER))
-    half = 0.5 * np.diff(edges)
+    nodes, lmap = _green_map(tuple(_green_edges(rho).tolist()), _GREEN_ORDER)
     curv = profile_curvature_kernel(nodes, dim, rho, rule)
-    # Legendre coefficients of f'(s) - f'(a_j) on panel j, and of its integral from a_j
-    c1 = half[:, None] * _legendre_integral(curv.reshape(-1, _GREEN_ORDER) @ _GREEN_TO_COEF.T)
-    c2 = half[:, None] * _legendre_integral(c1)
-    # f' and f - f(0) at the left edges a_j; P_k(1) = 1 gives each panel's increments
-    slope = np.concatenate(([0.0], np.cumsum(c1.sum(axis=1))))[:-1]
-    level = np.concatenate(([0.0], np.cumsum(2.0 * half * slope + c2.sum(axis=1))))[:-1]
-    u = np.abs(np.cos(ALPHA_GRID))
-    j = np.clip(np.searchsorted(edges, u, side="right") - 1, 0, half.size - 1)
-    x = (u - edges[j]) / half[j] - 1.0
-    poly = (eval_sequence(0.5, _GREEN_ORDER + 1, x) * c2[j].T).sum(axis=0)
-    profile = level[j] + slope[j] * (u - edges[j]) + poly
+    profile = (lmap @ curv)[_GREEN_ROW]
     values = constant_transverse(dim, rho) + dim.c_n / ((1.0 - rho) * (1.0 + rho)) * profile
-    values.flags.writeable = nodes.flags.writeable = curv.flags.writeable = False
+    values.flags.writeable = curv.flags.writeable = False
     return values, nodes, curv
 
 

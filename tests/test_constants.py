@@ -23,6 +23,7 @@ from ballgrad.constants import (
     _far_ratio,
     _graded_edges,
     _green_edges,
+    _green_map,
     _green_profile,
     _inner_smooth,
     _inv_power,
@@ -991,7 +992,13 @@ def _green_kernel(dim, rho, rule):
 
 def _green_values_inline(dim, rho, alphas, rule):
     """The radial certificate's values, written out at every alpha: the direct
-    route at pi/2 plus int_0^u (u - s) p(s) ds, u = |cos(alpha)|, p the
+    route at pi/2 plus _green_integral_inline."""
+    anchor = constant_direct(ConstantQuery(dim, rho, math.pi / 2), rule)
+    return anchor + _green_integral_inline(dim, rho, alphas, rule)
+
+
+def _green_integral_inline(dim, rho, alphas, rule):
+    """c_n / (1 - rho^2) int_0^u (u - s) p(s) ds, u = |cos(alpha)|, p the
     16-node Legendre interpolant of the kernel curvature on each Green panel,
     integrated panel by panel by a 16-node Gauss rule on the part below u."""
     x, w = leggauss(16)
@@ -1006,8 +1013,7 @@ def _green_values_inline(dim, rho, alphas, rule):
                 top = min(u, b)
                 s = 0.5 * (a + top) + 0.5 * (top - a) * x
                 total[i] += 0.5 * (top - a) * w @ ((u - s) * legval((s - mid) / half, coef))
-    anchor = constant_direct(ConstantQuery(dim, rho, math.pi / 2), rule)
-    return anchor + dim.c_n / (1 - rho * rho) * total
+    return dim.c_n / (1 - rho * rho) * total
 
 
 def _series_profile(dim, rho, t, rule):
@@ -1031,17 +1037,56 @@ def test_green_profile_is_read_only(rule):
             part[0] = 0.0
 
 
+@pytest.mark.parametrize("n, rho", [(n, rho) for n in (3, 8, 16) for rho in (0.1, 0.9, 0.99)])
+def test_green_map_meets_the_inline_profile(rule, n, rho):
+    # L @ f'' against int_0^u (u - s) p(s) ds written out panel by panel, relative to its
+    # largest value (the integral is 0 at alpha = pi/2); both read 1e-15 or less
+    dim = DimensionParams(n)
+    nodes, lmap = _green_map(tuple(_green_edges(rho).tolist()), 16)
+    inline = _green_integral_inline(dim, rho, ALPHA_GRID, rule)
+    got = dim.c_n / (1 - rho * rho) * (lmap @ profile_curvature_kernel(nodes, dim, rho, rule))
+    got = got[constants._GREEN_ROW]
+    assert np.max(np.abs(got - inline)) <= 1e-13 * np.max(np.abs(inline))
+
+
+def test_green_map_shares_the_row_of_alpha_zero_and_pi(rule):
+    # one row a distinct |cos(alpha)|: alpha = 0 and alpha = pi read the same one, so
+    # their tie is exact whatever order the matvec sums in
+    row = constants._GREEN_ROW
+    assert row[0] == row[180] and np.array_equal(constants._GREEN_U[row], np.abs(np.cos(ALPHA_GRID)))
+    for n, rho in ((3, 0.5), (8, 0.99), (16, 0.9)):
+        values = _green_profile(DimensionParams(n), rho, rule)[0]
+        assert values[0] == values[180]
+
+
+def test_green_map_is_read_only_and_bounded():
+    # at most 8 entries; the most panels a rho takes, 40 (once 1 - rho <= 2^-37, when both
+    # gradings stop at 2^-39 from their end), make 640 nodes and a 0.79 MB map
+    assert 0 < _green_map.cache_info().maxsize <= 8
+    edges = _green_edges(1 - 1e-13)
+    nodes, lmap = _green_map(tuple(edges.tolist()), 16)
+    assert edges.size - 1 == 40 and nodes.size == 640 and lmap.shape == (154, 640)
+    assert lmap.nbytes <= 0.79e6
+    for part in (nodes, lmap):
+        with pytest.raises(ValueError):
+            part[0] = 0.0
+
+
 def test_certify_sweeps_the_kernel_once_per_radius(monkeypatch):
     # both certificates of a radius share one cached sweep, on the Green nodes alone;
-    # the one cache slot holds 0.9 when 0.3 comes back, so the third radius sweeps again
+    # the one cache slot holds 0.9 when 0.3 comes back, so the third radius sweeps again,
+    # but it reads the Green map the first 0.3 built: two maps, not three
     calls = []
     kernel = constants.profile_curvature_kernel
     monkeypatch.setattr(constants, "profile_curvature_kernel",
                         lambda *args: calls.append((args[2], np.size(args[0]))) or kernel(*args))
     _green_profile.cache_clear()
+    _green_map.cache_clear()
     assert cli.main(["certify", "--dim", "5", "--rho", "0.3,0.9,0.3"]) == 0
     assert calls == [(rho, 16 * (_green_edges(rho).size - 1)) for rho in (0.3, 0.9, 0.3)]
     assert calls == [(0.3, 48), (0.9, 112), (0.3, 48)]
+    info = _green_map.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
 
 
 def _kernel_scaled(monkeypatch):
@@ -1099,7 +1144,7 @@ def test_green_basis_is_a_read_only_constant():
 
 @pytest.mark.parametrize("n, rho", [(3, 0.5), (8, 0.9), (3, 0.99), (16, 0.999)])
 def test_green_profile_node_doubling(rule, monkeypatch, n, rho):
-    # the cache key leaves out the patched order: clear it around the fine profile
+    # _green_map's key holds the order; _green_profile's does not: clear it around the fine profile
     dim = DimensionParams(n)
     coarse = _green_profile(dim, rho, rule)[0]
     gl = gauss_legendre(32)
@@ -1107,8 +1152,9 @@ def test_green_profile_node_doubling(rule, monkeypatch, n, rho):
     monkeypatch.setattr(constants, "_GREEN_TO_COEF",
                         (np.arange(32) + 0.5)[:, None] * legvander(gl.nodes, 31).T * gl.weights)
     _green_profile.cache_clear()
-    fine = _green_profile(dim, rho, rule)[0]
+    fine, nodes, _ = _green_profile(dim, rho, rule)
     _green_profile.cache_clear()
+    assert nodes.size == 32 * (_green_edges(rho).size - 1)
     # both share the anchor constant_transverse: 1e-12 of the largest constant, as of max f
     assert np.max(np.abs(coarse - fine)) <= 1e-12 * fine.max()
 
