@@ -107,6 +107,7 @@ _GREEN_TO_COEF = ((np.arange(_GREEN_ORDER) + 0.5)[:, None]
 _GREEN_TO_COEF.flags.writeable = False
 # the distinct |cos(alpha)| of ALPHA_GRID, the rows of _green_map, and each angle's row
 _GREEN_U, _GREEN_ROW = np.unique(np.abs(np.cos(ALPHA_GRID)), return_inverse=True)
+_GREEN_U.flags.writeable = _GREEN_ROW.flags.writeable = False
 
 
 def _inv_power(v: np.ndarray, e: float) -> np.ndarray:

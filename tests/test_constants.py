@@ -1067,7 +1067,7 @@ def test_green_map_is_read_only_and_bounded():
     nodes, lmap = _green_map(tuple(edges.tolist()), 16)
     assert edges.size - 1 == 40 and nodes.size == 640 and lmap.shape == (154, 640)
     assert lmap.nbytes <= 0.79e6
-    for part in (nodes, lmap):
+    for part in (nodes, lmap, constants._GREEN_U, constants._GREEN_ROW):
         with pytest.raises(ValueError):
             part[0] = 0.0
 
