@@ -24,9 +24,10 @@ Every integrand is integrated in angle variables (x = cos(theta)), which keeps a
 weight factors analytic. Each (1 - 2*rho*z + rho^2) Poisson denominator is written
 (1 - rho)^2 + 2 rho (1 - z), with 1 - z built from half-angle sines, so that no term
 cancels as rho -> 1 and it is never below (1 - rho)^2; _inv_power raises it in place. One
-function, _poisson_rows, integrates the rows of the inner integral of constant_direct and of
-the kernel curvature, each rule's rows as one (rows, nodes) matrix. Every panel, of these rows
-and of constant_direct's outer integral, takes the fewest Gauss nodes of the ladder order/8,
+function, _poisson_rows, integrates the rows of the inner integral of constant_direct (those of
+every folded angle of a chunk stacked into one row set) and of the kernel curvature, each rule's
+rows in blocks of about _CELLS cells, bit-identical to one matrix per rule. Every panel, of these
+rows and of constant_direct's outer integral, takes the fewest Gauss nodes of the ladder order/8,
 /4, /2, order that the Bernstein-ellipse bound of its integrand allows (_panel_bounds): the
 pole psi = i arccosh(1 + 2 c0/c1) of a row c0 + c1 sin^2(psi/2) sends it to one plain panel
 (c0 >= tau_N c1, _far_ratio) or, once rho >= 0.8, to panels graded around the peak
@@ -58,6 +59,7 @@ term cap.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -97,7 +99,8 @@ ALPHA_GRID = np.array([i * math.pi / 180 for i in range(181)])
 ALPHA_GRID.flags.writeable = False
 _REFEREE = 60  # the convexity certificate's referee angle: ALPHA_GRID[60] = pi/3
 _T_CHUNK = 32  # rows per block of the kink integrals (profile_parts); bounds temporaries
-_OUTER_CHUNK = 8  # folded angles whose outer rules are bounded together (_outer_rules)
+_OUTER_CHUNK = 8  # folded angles bounded together and integrated as one row set (_outer_rules)
+_CELLS = 2 ** 14  # about the cells (rows x nodes) of one _poisson_rows block: a few in L2
 # Gauss nodes per panel of the Green profile (_green_profile), and its map from
 # Gauss values to Legendre coefficients: c_k = (k + 1/2) sum_i w_i P_k(x_i) f_i
 _GREEN_ORDER = 16
@@ -278,23 +281,32 @@ def _poisson_rows(rho: float, rule: QuadratureRule, c0, c1, e: float, m: int, a=
     for the rows that meet no test below rho = 0.8), else the graded panels, their orders from the
     bound over every c0/c1 a near row can take (_panel_table).
 
-    Each rule's rows are one (rows, nodes) matrix. Overflow gives inf or nan silently; each caller
-    raises its own OverflowError."""
+    Each rule's rows run in blocks of max(1, _CELLS // (32 nodes)) times 32 rows, a last block of
+    fewer than four rows joined to the one before, each block a (rows, nodes) matrix; a rule whose
+    rows fit in one block is one matrix. This is bit-identical to one matrix per rule: BLAS's
+    matrix-vector product sums rows four at a time and the rest apart, and numpy takes a lone row
+    as a dot, so only where a block ends may move a row's sum. Overflow gives inf or nan silently;
+    each caller raises its own OverflowError."""
     tau = _far_ratio(rule.order, m + 4 * (a is not None), e)[:3 + (rho >= 0.8), None]
     group = tau.size - (c0 >= tau * c1).sum(0)  # 0-2 ladder, 3 plain, 4 graded: tau_N falls with N
     out = np.empty(c0.size)
-    for k in np.flatnonzero(np.bincount(group)).tolist():  # an np.int64 is a new cache key
-        rows = group == k
+    for k, count in enumerate(np.bincount(group).tolist()):  # an np.int64 is a new cache key
+        if count == 0:
+            continue
         half_sq, sin_sq, wts = _panel_table(rho, rule, m, e, a is not None) if k == 4 else (
             _plain_table(rule if k == 3 else gauss_legendre(int(_ladder(rule.order)[0][k])), m))
-        v = c1[rows, None] * half_sq
-        v += c0[rows, None]
-        if a is not None:  # the squared bracket, taken before v is raised in place
-            sq = a[rows, None] * sin_sq
-            np.subtract(v, sq, out=sq)
-            sq *= sq
-        _inv_power(v, e)
-        out[rows] = (v if a is None else v * sq) @ wts
+        block = 32 * max(1, _CELLS // (32 * wts.size))
+        rows = group == k
+        for r in [rows] if count < block + 4 else np.split(np.flatnonzero(rows),
+                                                             range(block, count - 3, block)):
+            v = c1[r, None] * half_sq
+            v += c0[r, None]
+            if a is not None:  # the squared bracket, taken before v is raised in place
+                sq = a[r, None] * sin_sq
+                np.subtract(v, sq, out=sq)
+                sq *= sq
+            _inv_power(v, e)
+            out[r] = (v if a is None else v * sq) @ wts
     return out
 
 
@@ -305,6 +317,8 @@ def _inner_smooth(dim: DimensionParams, rho: float, alpha: float, theta, rule: Q
     D = 1 - 2 rho (cos(theta) cos(alpha) + sin(theta) sin(alpha) cos(psi)) + rho^2
       = c0 + c1 sin^2(psi/2), c0 = (1-rho)^2 + 4 rho sin^2((theta-alpha)/2),
     c1 = 4 rho sin(theta) sin(alpha), for all outer angles theta at once (_poisson_rows).
+    constant_direct stacks these rows over the folded angles of a chunk; this is their
+    one-angle form.
     """
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     c0 = (1.0 - rho) ** 2 + 4.0 * rho * np.sin(0.5 * (th - alpha)) ** 2
@@ -360,16 +374,21 @@ def _outer_bounds(n: int, rho: float, alphas, order: int):
 
 @functools.lru_cache(maxsize=256 // _OUTER_CHUNK)  # at most 256 rules
 def _outer_rules(n: int, rho: float, alphas: tuple, rule: QuadratureRule) -> tuple:
-    """(nodes, weights), read-only, of constant_direct's outer integral at each folded alpha, all
-    bounded together: each panel of _outer_bounds on the first order of the rule's ladder whose
-    bound meets 2^-52 of the scale (_panel_orders, power n - 2 + e). constant_direct passes at
-    most _OUTER_CHUNK alphas, so a long grid keeps its temporaries to a few MB."""
+    """(nodes, weights, fold, ends) of constant_direct's outer integral at every folded alpha, all
+    bounded together and stacked as read-only arrays: alphas[k]'s nodes and weights are
+    [ends[k]:ends[k + 1]] (ends a tuple of ints) and fold holds each node's k. Each panel of
+    _outer_bounds takes the first order of the rule's ladder whose bound meets 2^-52 of the scale
+    (_panel_orders, power n - 2 + e). constant_direct passes at most _OUTER_CHUNK alphas, so a
+    long grid keeps its temporaries to a few MB; the cache holds the rules only, never integrand
+    values."""
     edges, bound, scale, which = _outer_bounds(n, rho, alphas, rule.order)
     orders = _panel_orders(bound, scale, rule.order, 1.5 * n - 3.0)
-    rules = tuple(_mapped(edges[k], orders[which == k]) for k in range(len(alphas)))
-    for nodes, wts in rules:
-        nodes.flags.writeable = wts.flags.writeable = False
-    return rules
+    rules = [_mapped(edges[k], orders[which == k]) for k in range(len(alphas))]
+    sizes = [nodes.size for nodes, _ in rules]
+    stacked = (*map(np.concatenate, zip(*rules)), np.repeat(np.arange(len(alphas)), sizes))
+    for v in stacked:
+        v.flags.writeable = False
+    return (*stacked, tuple(itertools.accumulate(sizes, initial=0)))
 
 
 # -- the three constant routes ----------------------------------------------
@@ -396,6 +415,10 @@ def constant_direct(q, rule: QuadratureRule | None = None):
     each panel on the fewest nodes its bound allows (_outer_rules, _poisson_rows).
     `q` is one ConstantQuery (float result) or a sequence at one dimension and rho
     (ndarray result), as for constant_series: each distinct a is integrated once.
+    The folded angles of each _OUTER_CHUNK are one stacked row set: one _poisson_rows
+    call over the outer nodes of them all (the inner rows of _inner_smooth, sin(a)
+    and cos(a) by math, repeated per node) and one outer integrand, each angle's
+    outer sum over its own slice.
     """
     queries, dim, rho = _batch(q)
     rule = rule or gauss_legendre(DEFAULT_QUAD_ORDER)
@@ -405,11 +428,18 @@ def constant_direct(q, rule: QuadratureRule | None = None):
     values = {}  # by folded angle
     for lo in range(0, len(folds), _OUTER_CHUNK):
         chunk = tuple(folds[lo:lo + _OUTER_CHUNK])
-        for alpha, (nodes, wts) in zip(chunk, _outer_rules(n, rho, chunk, rule)):
-            inner = _inner_smooth(dim, rho, alpha, nodes, rule)
-            with np.errstate(over="ignore", invalid="ignore"):  # inf * 0: raised below
-                values[alpha] = scale * float(wts @ (np.abs(delta * math.cos(alpha) - np.cos(nodes))
-                                                     * np.sin(nodes) ** (n - 2) * inner))
+        nodes, wts, fold, ends = _outer_rules(n, rho, chunk, rule)
+        # each node's alpha, sin(alpha) and delta cos(alpha), by math once per folded angle (one
+        # folded angle's broadcast as scalars)
+        trig = [(a, math.sin(a), delta * math.cos(a)) for a in chunk]
+        at, sin_a, dt = trig[0] if len(chunk) == 1 else (np.array(v)[fold] for v in zip(*trig))
+        sin_t = np.sin(nodes)
+        c0 = (1.0 - rho) ** 2 + 4.0 * rho * np.sin(0.5 * (nodes - at)) ** 2
+        inner = _poisson_rows(rho, rule, c0, 4.0 * rho * sin_t * sin_a, n / 2.0 - 1.0, n - 3)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0: raised below
+            vals = np.abs(dt - np.cos(nodes)) * sin_t ** (n - 2) * inner
+        for alpha, i, j in zip(chunk, ends, ends[1:]):
+            values[alpha] = scale * float(wts[i:j] @ vals[i:j])
     out = [values[min(p.alpha, math.pi - p.alpha)] for p in queries]
     if not all(map(math.isfinite, values.values())):
         raise OverflowError(f"constant_direct overflows at n={n}, rho={rho}")

@@ -404,14 +404,15 @@ def test_alpha_step_grid_ends_at_pi(capsys):
 
 @pytest.mark.parametrize("alpha, calls", [(None, 7), ("0,pi", 1), ("pi/3,2*pi/3", 2)])
 def test_constant_runs_direct_once_per_mirror_pair(capsys, monkeypatch, alpha, calls):
-    # pi - fl(2 pi/3) != fl(pi/3): only exact mirrors share one inner integral of the direct route
-    inner, made = constants._inner_smooth, []
+    # pi - fl(2 pi/3) != fl(pi/3): only exact mirrors share one folded angle of the direct route,
+    # whose outer rules and stacked inner rows are those of the folded angles it passes
+    rules, made = constants._outer_rules, []
 
-    def counted(dim, rho, fold, theta, rule):
-        made.append(fold)
-        return inner(dim, rho, fold, theta, rule)
+    def counted(n, rho, folds, rule):
+        made.extend(folds)
+        return rules(n, rho, folds, rule)
 
-    monkeypatch.setattr(constants, "_inner_smooth", counted)
+    monkeypatch.setattr(constants, "_outer_rules", counted)
     argv = ["constant", "--dim", "5", "--rho", "0.9", "--format", "json"]
     code, out, _ = _run(capsys, argv + ([] if alpha is None else ["--alpha", alpha]))
     assert code == 0 and len(made) == len(set(made)) == calls

@@ -3,8 +3,11 @@ import importlib
 import inspect
 import json
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -386,7 +389,7 @@ def _direct_longdouble(q, rule):
     L, n = np.longdouble, q.dim.n
     dt = q.delta * q.t
     outer = _outer_gauss(n, q.rho, q.alpha, rule)
-    assert all(map(np.array_equal, outer, _outer_rules(n, q.rho, (q.alpha,), rule)[0]))
+    assert all(map(np.array_equal, outer, _outer_rules(n, q.rho, (q.alpha,), rule)[:2]))
     groups = _rule_groups(q.rho, rule, *_inner_rows(outer[0], q.rho, q.alpha), n - 3, n / 2 - 1)
     th, wo = (a.astype(L) for a in outer)
     rho, alpha = L(q.rho), L(q.alpha)
@@ -461,18 +464,75 @@ def test_folded_direct_meets_series(rule, n, rho):
         assert abs(constant_direct(q, rule) - series) <= ROUTE_TOL * max(1.0, abs(series))
 
 
-def test_direct_route_memory(rule):
-    # one (rows, nodes) matrix per rule over the 240 outer nodes of its one folded angle: a
-    # 0.33 MB peak (one outer x inner matrix of the whole integral peaked at 19.8 MB)
-    q = ConstantQuery(DimensionParams(3), 0.99, math.pi / 3)
-    constant_direct(q, rule)
+def _warm_peak(call):
+    """The tracemalloc peak, in bytes, of call() after one untraced call has filled the caches."""
+    call()
     tracemalloc.start()
     try:
-        constant_direct(q, rule)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2e6
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.9, 0.99])
+@pytest.mark.parametrize("n", [3, 8, 64])
+def test_stacked_direct_meets_one_angle_calls(rule, n, rho):
+    # the seven folded angles of the default 13 are one stacked row set, each outer sum over
+    # its own slice: only where BLAS groups a row's sum may move, within 1e-15 of one call per
+    # angle; alpha and pi - alpha are one folded angle and still tie exactly
+    dim = DimensionParams(n)
+    table = [ConstantQuery(dim, rho, a) for a in cli._alphas("step:pi/12")]
+    got = constant_direct(table, rule)
+    one = np.array([constant_direct(q, rule) for q in table])
+    assert np.all(np.abs(got - one) <= 1e-15 * np.abs(one))
+    assert np.array_equal(got, got[::-1])
+
+
+def test_direct_route_memory(rule):
+    # the 240 outer nodes of one folded angle: a 0.33 MB peak (one outer x inner matrix of the
+    # whole integral peaked at 19.8 MB); the default 13 angles at (128, 0.99), 5,504 stacked
+    # rows in blocks of about 2^14 cells: 0.78 MB (3.87 MB as one matrix per angle and rule)
+    q = ConstantQuery(DimensionParams(3), 0.99, math.pi / 3)
+    assert _warm_peak(lambda: constant_direct(q, rule)) < 2e6
+    table = [ConstantQuery(DimensionParams(128), 0.99, a) for a in cli._alphas("step:pi/12")]
+    assert _warm_peak(lambda: constant_direct(table, rule)) < 2e6
+
+
+_ONE_THREAD = {v: "1" for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")}
+
+
+def _kernel_block_mismatches():
+    """How many kernel values at (16, 0.99) differ from one matrix per rule: on 10^4 t, and on
+    rows of each rule two _poisson_rows blocks and one to four rows long (a last block of fewer
+    than four rows joins the one before)."""
+    dim, rule = DimensionParams(16), gauss_legendre(128)
+    pool = np.concatenate((np.linspace(0.0, 0.999, 2001), 1.0 - np.logspace(-3.0, -11.0, 40)))
+    groups = _rule_groups(0.99, rule, *_kernel_rows(pool, 16, 0.99)[:2], 17, 9.0)
+    rng, sets = np.random.default_rng(16), [np.linspace(0.0, 0.999, 10 ** 4)]
+    for extra in (1, 2, 3, 4):
+        picks = [rng.choice(np.flatnonzero(rows),
+                            64 * max(1, constants._CELLS // (32 * nodes.size)) + extra)
+                 for rows, nodes, _ in groups if rows.any()]
+        sets.append(pool[rng.permutation(np.concatenate(picks))])
+    return sum(int(np.sum(profile_curvature_kernel(t, dim, 0.99, rule)
+                          != _kernel_one_matrix(t, dim, 0.99, rule))) for t in sets)
+
+
+def test_curvature_kernel_memory(rule):
+    # 10^4 t at (16, 0.99): 1.1 MB in blocks of about 2^14 cells, 21.4 MB as one matrix per
+    # rule; and bit-identical to that one matrix. A threaded BLAS splits the rows of one large
+    # matrix between its threads, so the two are compared in a child on one BLAS thread
+    t, dim = np.linspace(0.0, 0.999, 10 ** 4), DimensionParams(16)
+    assert _warm_peak(lambda: profile_curvature_kernel(t, dim, 0.99, rule)) < 2e6
+    here = pathlib.Path(__file__).resolve().parent
+    src = pathlib.Path(constants.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, (str(src), str(here), os.environ.get("PYTHONPATH"))))
+    child = "from test_constants import _kernel_block_mismatches as f; print(f())"
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, **_ONE_THREAD, "PYTHONPATH": path})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
 
 def test_curvature_series_memory():
