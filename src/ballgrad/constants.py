@@ -310,19 +310,20 @@ def _poisson_rows(rho: float, rule: QuadratureRule, c0, c1, e: float, m: int, a=
     return out
 
 
-def _inner_smooth(dim: DimensionParams, rho: float, alpha: float, theta, rule: QuadratureRule):
+def _inner_smooth(dim: DimensionParams, rho: float, alpha, theta, rule: QuadratureRule,
+                  sin_alpha=None):
     """Angular form of the inner integral with its (sin theta)^(n-3) factored out.
 
     Returns the integral over psi in [0, pi] of (sin psi)^(n-3) / D^(n/2-1),
     D = 1 - 2 rho (cos(theta) cos(alpha) + sin(theta) sin(alpha) cos(psi)) + rho^2
       = c0 + c1 sin^2(psi/2), c0 = (1-rho)^2 + 4 rho sin^2((theta-alpha)/2),
     c1 = 4 rho sin(theta) sin(alpha), for all outer angles theta at once (_poisson_rows).
-    constant_direct stacks these rows over the folded angles of a chunk; this is their
-    one-angle form.
+    alpha and sin_alpha (math.sin(alpha) if not given) are scalars or one per theta:
+    constant_direct stacks the rows of the folded angles of a chunk in one call.
     """
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     c0 = (1.0 - rho) ** 2 + 4.0 * rho * np.sin(0.5 * (th - alpha)) ** 2
-    c1 = 4.0 * rho * np.sin(th) * math.sin(alpha)
+    c1 = 4.0 * rho * np.sin(th) * (math.sin(alpha) if sin_alpha is None else sin_alpha)
     return _poisson_rows(rho, rule, c0, c1, dim.n / 2.0 - 1.0, dim.n - 3)
 
 
@@ -415,10 +416,9 @@ def constant_direct(q, rule: QuadratureRule | None = None):
     each panel on the fewest nodes its bound allows (_outer_rules, _poisson_rows).
     `q` is one ConstantQuery (float result) or a sequence at one dimension and rho
     (ndarray result), as for constant_series: each distinct a is integrated once.
-    The folded angles of each _OUTER_CHUNK are one stacked row set: one _poisson_rows
-    call over the outer nodes of them all (the inner rows of _inner_smooth, sin(a)
-    and cos(a) by math, repeated per node) and one outer integrand, each angle's
-    outer sum over its own slice.
+    The folded angles of each _OUTER_CHUNK are one stacked row set: one _inner_smooth
+    call over the outer nodes of them all (a, sin(a) and cos(a) by math, repeated per
+    node) and one outer integrand, each angle's outer sum over its own slice.
     """
     queries, dim, rho = _batch(q)
     rule = rule or gauss_legendre(DEFAULT_QUAD_ORDER)
@@ -433,11 +433,9 @@ def constant_direct(q, rule: QuadratureRule | None = None):
         # folded angle's broadcast as scalars)
         trig = [(a, math.sin(a), delta * math.cos(a)) for a in chunk]
         at, sin_a, dt = trig[0] if len(chunk) == 1 else (np.array(v)[fold] for v in zip(*trig))
-        sin_t = np.sin(nodes)
-        c0 = (1.0 - rho) ** 2 + 4.0 * rho * np.sin(0.5 * (nodes - at)) ** 2
-        inner = _poisson_rows(rho, rule, c0, 4.0 * rho * sin_t * sin_a, n / 2.0 - 1.0, n - 3)
+        inner = _inner_smooth(dim, rho, at, nodes, rule, sin_a)
         with np.errstate(over="ignore", invalid="ignore"):  # inf * 0: raised below
-            vals = np.abs(dt - np.cos(nodes)) * sin_t ** (n - 2) * inner
+            vals = np.abs(dt - np.cos(nodes)) * np.sin(nodes) ** (n - 2) * inner
         for alpha, i, j in zip(chunk, ends, ends[1:]):
             values[alpha] = scale * float(wts[i:j] @ vals[i:j])
     out = [values[min(p.alpha, math.pi - p.alpha)] for p in queries]

@@ -490,9 +490,8 @@ def test_stacked_direct_meets_one_angle_calls(rule, n, rho):
 
 
 def test_direct_route_memory(rule):
-    # the 240 outer nodes of one folded angle: a 0.33 MB peak (one outer x inner matrix of the
-    # whole integral peaked at 19.8 MB); the default 13 angles at (128, 0.99), 5,504 stacked
-    # rows in blocks of about 2^14 cells: 0.78 MB (3.87 MB as one matrix per angle and rule)
+    # the 240 outer nodes of one folded angle peak at 0.33 MB; the default 13 angles at
+    # (128, 0.99), 5,504 stacked rows in blocks of about 2^14 cells, at 0.78 MB
     q = ConstantQuery(DimensionParams(3), 0.99, math.pi / 3)
     assert _warm_peak(lambda: constant_direct(q, rule)) < 2e6
     table = [ConstantQuery(DimensionParams(128), 0.99, a) for a in cli._alphas("step:pi/12")]
@@ -521,9 +520,9 @@ def _kernel_block_mismatches():
 
 
 def test_curvature_kernel_memory(rule):
-    # 10^4 t at (16, 0.99): 1.1 MB in blocks of about 2^14 cells, 21.4 MB as one matrix per
-    # rule; and bit-identical to that one matrix. A threaded BLAS splits the rows of one large
-    # matrix between its threads, so the two are compared in a child on one BLAS thread
+    # 10^4 t at (16, 0.99) peak at 1.1 MB in blocks of about 2^14 cells, bit-identical to one
+    # matrix per rule. A threaded BLAS splits the rows of a matrix that large (not of a block)
+    # between its threads, so the two are compared in a child on one BLAS thread
     t, dim = np.linspace(0.0, 0.999, 10 ** 4), DimensionParams(16)
     assert _warm_peak(lambda: profile_curvature_kernel(t, dim, 0.99, rule)) < 2e6
     here = pathlib.Path(__file__).resolve().parent
