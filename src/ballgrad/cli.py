@@ -190,7 +190,7 @@ def cmd_constant(args) -> int:
     all_ok = True
     for rho in args.rho:
         queries = [ConstantQuery(dim, rho, alpha) for alpha in args.alpha]
-        series = constant_series(queries, args.max_terms, rule)
+        series = constant_series(queries, args.max_terms)
         direct = constant_direct(queries, rule)
         for alpha, c_ser, c_dir in zip(args.alpha, series.tolist(), direct.tolist()):
             diff = abs(c_ser - c_dir)

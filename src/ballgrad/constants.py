@@ -7,8 +7,8 @@ routes that cross-validate each other, and in closed form at alpha = pi/2:
 * constant_direct   -- the double-integral representation, by nested
                        Gauss-Legendre quadrature after trigonometric
                        substitution;
-* constant_series   -- the ultraspherical-expansion representation: two kink
-                       integrals plus a rho-power series;
+* constant_series   -- the ultraspherical-expansion representation: the two
+                       kink integrals, in closed form, plus a rho-power series;
 * constant_radial   -- the closed one-dimensional formula for the radial
                        direction (alpha = 0);
 * constant_transverse -- the closed form at alpha = pi/2, a 2F1 in rho^2
@@ -35,13 +35,11 @@ pole psi = i arccosh(1 + 2 c0/c1) of a row c0 + c1 sin^2(psi/2) sends it to one 
 (_outer_bounds). A graded or outer panel also keeps enough nodes to average the rounding of a
 large power (_panel_orders). constant_radial integrates its one kinked row itself, on the rule
 itself on every panel, graded by the same full-order pole test.
-The profile's kink integrals (the identity suite's kink_integral_brute,
-degrees 0 and 1 stacked, each degree on the fewest nodes of the same ladder that
-a closed-form bound of its entire integrand allows) run in _T_CHUNK-row blocks. Every
-rho-power series (the three curvature pair sums and the lagged series part of
-the profile) is one call of gegenbauer.pair_series: a single blocked
-recurrence over the stacked (lam, argument) rows, max(K) steps, not sum(K), in
-windows whose segments step together: O(sqrt(K)) numpy calls a series of few t.
+The profile's kink integrals, at degrees 0 and 1, sum to 2 (1 - s^2)^((n+1)/2) / (n - 1),
+s = delta t (profile_parts): no quadrature. Every rho-power series (the three curvature pair
+sums and the lagged series part of the profile) is one call of gegenbauer.pair_series: a single
+blocked recurrence over the stacked (lam, argument) rows, max(K) steps, not sum(K), in windows
+whose segments step together: O(sqrt(K)) numpy calls a series of few t.
 
 The profile f and its curvature are even in t: C(x, l) = C(x, -l), and the
 reflection x2 -> -x2 fixes rho*e1 and maps l_alpha to -l_(pi - alpha). So constant_direct,
@@ -67,7 +65,6 @@ import numpy as np
 
 from .gegenbauer import (SERIES_MAX_TERMS, DimensionParams, _checked_rho, _dimension, _inside,
                          _value, eval_sequence, pair_series, pair_weights, series_cutoff)
-from .identities import kink_integral_brute
 from .quadrature import (DEFAULT_QUAD_ORDER, QuadratureRule, _first_rung, _ladder, composite_nodes,
                          gauss_legendre, map_panels, panel_edges)
 
@@ -98,7 +95,6 @@ TIE_TOLERANCE = 1e-12
 ALPHA_GRID = np.array([i * math.pi / 180 for i in range(181)])
 ALPHA_GRID.flags.writeable = False
 _REFEREE = 60  # the convexity certificate's referee angle: ALPHA_GRID[60] = pi/3
-_T_CHUNK = 32  # rows per block of the kink integrals (profile_parts); bounds temporaries
 _OUTER_CHUNK = 8  # folded angles bounded together and integrated as one row set (_outer_rules)
 _CELLS = 2 ** 14  # about the cells (rows x nodes) of one _poisson_rows block: a few in L2
 # Gauss nodes per panel of the Green profile (_green_profile), and its map from
@@ -444,36 +440,33 @@ def constant_direct(q, rule: QuadratureRule | None = None):
     return out[0] if isinstance(q, ConstantQuery) else np.array(out)
 
 
-def profile_parts(t, dim: int | DimensionParams, rho: float, max_terms: int = SERIES_MAX_TERMS,
-                  rule: QuadratureRule | None = None):
-    """The three additive parts of the normalized constant profile at t = cos(alpha).
+def profile_parts(t, dim: int | DimensionParams, rho: float, max_terms: int = SERIES_MAX_TERMS):
+    """The two additive parts of the normalized constant profile at t = cos(alpha).
 
-    Returns (plain kink integral, weighted kink integral, series part); each
-    entry is a float for scalar t and an ndarray of t's shape otherwise. The kink
-    integrals are kink_integral_brute at lam = (n-2)/2, s = delta*t and degrees
-    0 and 1, the second times rho*t (C_1^lam(x) = (n-2) x), _T_CHUNK rows a call.
-    Term k of the series part couples degree k-2 at lam_high with degree k at
-    lam_low, weighted by (k-2)!/(n+2)_(k-2) rho^k; (n+2)_m = (2 lam_high)_m.
+    Returns (kink part, series part); each entry is a float for scalar t and an
+    ndarray of t's shape otherwise. The kink part is the kink integrals at lam =
+    (n-2)/2, s = delta*t and degrees 0 and 1, the second times rho*t (C_1^lam(x) =
+    (n-2) x): with W = int_0^arcsin(s) cos^(n-2), they are 2 g/(n-1) + 2 s W and
+    -2 s W - 2 s^2 g/(n-1), g = (1 - s^2)^((n-1)/2), as rho t = n s/(n-2), so
+    their sum is 2 (1 - s^2)^((n+1)/2) / (n-1). Term k of the series part
+    couples degree k-2 at lam_high with degree k at lam_low, weighted by
+    (k-2)!/(n+2)_(k-2) rho^k; (n+2)_m = (2 lam_high)_m.
     """
     dim = _dimension(dim)
     ta = _inside(t, 1.0, "t must lie in [-1, 1]", closed=True)
     K = series_cutoff(rho, dim.lambda_low, max_terms)  # checks rho and max_terms first
-    rule = rule or gauss_legendre(DEFAULT_QUAD_ORDER)
     n, tv = dim.n, ta.ravel()
     s = (n - 2) / n * rho * tv
-    kink = np.empty((2, tv.size))
-    for lo in range(0, tv.size, _T_CHUNK):
-        rows = slice(lo, lo + _T_CHUNK)
-        kink[:, rows] = kink_integral_brute(dim.lambda_low, np.arange(2), s[rows], rule)
+    power = (1.0 - s ** 2) ** ((n + 1) / 2.0)
     tail = np.zeros_like(tv)
     if K > 0:  # K = 0 at rho = 0
-        pref = (2.0 / (n * n - 1.0)) * (1.0 - s ** 2) ** ((n + 1) / 2.0)
-        tail = pref * pair_series([(dim.lambda_high, s, dim.lambda_low, tv)],
-                                  [pair_weights(dim.lambda_high, rho, K, lag=2)], lag=2)[0]
-    return tuple(_value(v.reshape(ta.shape)) for v in (kink[0], rho * tv * kink[1], tail))
+        tail = (2.0 / (n * n - 1.0)) * power * pair_series(
+            [(dim.lambda_high, s, dim.lambda_low, tv)],
+            [pair_weights(dim.lambda_high, rho, K, lag=2)], lag=2)[0]
+    return tuple(_value(v.reshape(ta.shape)) for v in (2.0 / (n - 1.0) * power, tail))
 
 
-def constant_series(q, max_terms: int = SERIES_MAX_TERMS, rule: QuadratureRule | None = None):
+def constant_series(q, max_terms: int = SERIES_MAX_TERMS):
     """Directional constant via the ultraspherical-expansion representation.
 
     `q` is a sequence of queries at one dimension and rho, evaluated in one
@@ -482,8 +475,8 @@ def constant_series(q, max_terms: int = SERIES_MAX_TERMS, rule: QuadratureRule |
     """
     queries, dim, rho = _batch(q)
     t = np.array([p.t for p in queries])
-    plain, weighted, tail = profile_parts(t, dim, rho, max_terms, rule)
-    out = dim.c_n / ((1.0 - rho) * (1.0 + rho)) * (plain + weighted + tail)
+    kink, tail = profile_parts(t, dim, rho, max_terms)
+    out = dim.c_n / ((1.0 - rho) * (1.0 + rho)) * (kink + tail)
     return float(out[0]) if isinstance(q, ConstantQuery) else out
 
 

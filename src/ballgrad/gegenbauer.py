@@ -381,7 +381,10 @@ def pair_series(pairs, weights, lag: int = 0) -> np.ndarray:
                 rows[:, :, r, c] = at_one[row_lam[r], m0 + j] * xc[r, c] ** (m0 - 2 + j)
             wk = w[m0:m0 + n].reshape(seg, -1, len(pairs)).swapaxes(0, 1)
             ra, rb = rows[2 - lag:len(rows) - lag, :, 0::2], rows[2:, :, 1::2]
-            out[:, lo:lo + _COLUMNS] += np.einsum("ksp,kspt,kspt->spt", wk, ra, rb).sum(0)
+            # the segments in turn (cumsum), as sum(0) adds them for two or more columns: for
+            # one it adds them pairwise, and a query's bits would depend on its batch
+            out[:, lo:lo + _COLUMNS] += np.cumsum(np.einsum("ksp,kspt,kspt->spt", wk, ra, rb),
+                                                  0)[-1]
             m0 += n
             del rows, ra, rb  # free this window before the next one is allocated
     return out.reshape((len(pairs),) + args[0].shape)

@@ -9,10 +9,12 @@ values are read off one recurrence table by gegenbauer.eval_recurrence
 (legendre on run_suite's lam = 1/2 route), integrals run as one batch of
 quadrature rows with the scalar path's non-finite check. The addition
 theorems, the weighted derivative and both kink forms also take one degree per
-sample; run_suite calls them with every degree of one lam at once, the brute
-kink form once per Gauss order: each degree takes the fewest nodes of the
-rule's ladder (order // 8, // 4, // 2, order) that a closed-form
-Bernstein-ellipse bound allows, a function of (lam, degree, order) alone.
+sample; run_suite calls them with every degree of one lam at once. The brute
+kink form integrates the degrees of one Gauss order together: each degree
+takes the fewest nodes of the rule's ladder (order // 8, // 4, // 2, order)
+that a closed-form Bernstein-ellipse bound allows, a function of (lam, degree,
+order) alone. It is the identity suite's oracle only: the constant profile
+takes its kink part in closed form (constants.profile_parts).
 Either way a sample's value equals the scalar call bit for bit, so fractional
 powers of sampled values are taken with np.power: `**` on a numpy scalar calls
 the C library's pow, which can round differently from numpy's array loop.
@@ -297,20 +299,9 @@ def _kink_order(lam: float, k: int, order: int) -> int:
     return int(_first_rung(bound.min(1) <= -52 * math.log(2.0), order))
 
 
-def _kink_groups(lam: float, k, rule: QuadratureRule):
-    """(rule, rows) for each Gauss order _kink_order gives the degrees k (1-D): the rule itself or
-    gauss_legendre of a smaller rung, and the rows of k it takes. One lookup a distinct degree."""
-    degrees = sorted(set(k.tolist()))
-    table = np.zeros(max(degrees, default=-1) + 1, dtype=int)
-    table[degrees] = [_kink_order(lam, d, rule.order) for d in degrees]
-    for n in sorted(set(table[degrees].tolist())):
-        yield (rule if n == rule.order else gauss_legendre(n)), table[k] == n
-
-
 def _kink_sums(lam: float, k, s, rule: QuadratureRule):
-    """The kink integrals on the panels [0, arccos s_i] and [arccos s_i, pi] of the rule, s 1-D:
-    k broadcasts against the index of s, so k[:, None] stacks a row a degree and a k of s's
-    shape gives each sample its own degree, all read off one eval_sequence table."""
+    """The kink integrals on the panels [0, arccos s_i] and [arccos s_i, pi] of the rule, s 1-D
+    and k one degree per sample, all read off one eval_sequence table."""
     edges = np.stack(np.broadcast_arrays(0.0, np.arccos(s), math.pi), axis=-1)
     theta, w = map_panels(edges, rule)
     c = np.cos(theta)
@@ -324,25 +315,32 @@ def kink_integral_brute(lam: float, k, s, rule: QuadratureRule):
 
     s may be an array: sample i integrates over its own panels
     [0, arccos s_i] and [arccos s_i, pi], all mapped in one map_panels call.
-    Both panels of degree k take _kink_order(lam, k, rule.order) nodes, the
-    fewest of the rule's ladder its closed-form bound allows; as no sample sets
-    it, a batch equals the per-sample calls bit for bit. k may be an integer
-    array of degrees: the result stacks one row per degree along a new leading
-    axis, the degrees of one order from one eval_sequence pass. Raises
-    ValueError unless 2 lam is a positive integer: elsewhere the weight
-    sin^(2 lam) branches at the panel ends, and the rule misses its target.
+    k is a degree or one degree per sample, broadcast with s. Both panels of
+    degree k take _kink_order(lam, k, rule.order) nodes, the fewest of the
+    rule's ladder its closed-form bound allows; the samples of one order run in
+    blocks whose (degree, row, node) table, up to the largest degree, holds at
+    most _KINK_CELLS entries. As no sample sets its order, a batch equals the
+    per-sample calls bit for bit. Raises ValueError unless 2 lam is a positive
+    integer: elsewhere the weight sin^(2 lam) branches at the panel ends, and
+    the rule misses its target.
     """
     if not lam > 0 or (2.0 * lam) % 1.0:
         raise ValueError(f"2*lambda must be a positive integer for kink, got {lam}")
     k = np.asarray(k)
     if k.dtype.kind not in "iu" or np.any(k < 0):
         raise ValueError(f"k must be nonnegative integer degrees, got {k.tolist()}")
-    s = _inside(s, 1.0, "s must lie in (-1, 1)")
+    k, s = np.broadcast_arrays(k, _inside(s, 1.0, "s must lie in (-1, 1)"))
     degrees, samples = k.ravel(), s.ravel()
-    out = np.empty((degrees.size, samples.size))
-    for order_rule, rows in _kink_groups(lam, degrees, rule):
-        out[rows] = _kink_sums(lam, degrees[rows, None], samples, order_rule)
-    return _value(out.reshape(k.shape + s.shape))
+    distinct = sorted(set(degrees.tolist()))
+    table = np.zeros(max(distinct, default=-1) + 1, dtype=int)
+    table[distinct] = [_kink_order(lam, d, rule.order) for d in distinct]
+    out = np.empty(samples.size)
+    for n in sorted(set(table[distinct].tolist())):
+        order_rule, rows = rule if n == rule.order else gauss_legendre(n), table[degrees] == n
+        size = max(1, _KINK_CELLS // (2 * n * table.size))
+        for r in np.split(np.flatnonzero(rows), range(size, rows.sum(), size)):
+            out[r] = _kink_sums(lam, degrees[r], samples[r], order_rule)
+    return _value(out.reshape(s.shape))
 
 
 # -- residual suite ---------------------------------------------------------
@@ -367,7 +365,7 @@ _SAMPLE_BLOCK = 256
 # cells of the addition family's (degree, j, angle, row) table per call (2 MB),
 # which holds a call to fewer than _SAMPLE_BLOCK rows from max_degree 22 on
 _FAMILY_CELLS = 2 ** 18
-# entries of the kink check's (degree, row, node) table per quadrature call (0.5 MB)
+# entries of kink_integral_brute's (degree, row, node) table per quadrature call (0.5 MB)
 _KINK_CELLS = 2 ** 16
 # the lambdas a check applies to, as (rule, test); other checks take every lambda.
 # Near lambda = 1 the weighted derivative's finite-difference oracle is ill-conditioned.
@@ -416,11 +414,9 @@ def run_suite(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12, samples: int 
     one lam at once: the samples of all degrees are drawn in one call, in the
     order of one draw per degree, and each (degree, sample) row reads its own
     degree from one recurrence table, in blocks of _SAMPLE_BLOCK rows (fewer
-    for the addition family, by _FAMILY_CELLS). The quadrature side of "kink"
-    makes one call per Gauss order its degrees take (_kink_order), in blocks
-    whose (degree, row, node) table holds at most _KINK_CELLS entries. The
-    other checks run one call per (lam, degree) per block of _SAMPLE_BLOCK
-    samples. Every
+    for the addition family, by _FAMILY_CELLS); the quadrature side of "kink"
+    is one kink_integral_brute call a lam over all its rows. The other checks
+    run one call per (lam, degree) per block of _SAMPLE_BLOCK samples. Every
     residual equals that of a call of the public check function at its one
     degree, bit for bit. A non-finite residual records max_residual nan and
     fails its check.
@@ -521,13 +517,9 @@ def run_suite(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12, samples: int 
         kinks = rows[2 * samples:]
         for lam in lambdas:
             s = rng.uniform(-0.9, 0.9, size=kinks.size)
-            for order_rule, group in _kink_groups(lam, kinks, rule):
-                # each row reads its own degree off one (degree, row, node) table
-                # of at most _KINK_CELLS entries a call
-                size = max(1, _KINK_CELLS // (2 * order_rule.order * (max_degree + 1)))
-                for k, sb in _blocks(size, kinks[group], s[group]):
-                    record("kink", _residual(kink_integral_closed(lam, k, sb),
-                                             _kink_sums(lam, k, sb, order_rule)))
+            brute = kink_integral_brute(lam, kinks, s, rule)
+            for k, sb, bb in _blocks(_SAMPLE_BLOCK, kinks, s, brute):
+                record("kink", _residual(kink_integral_closed(lam, k, sb), bb))
 
     if "weighted-derivative" in wanted:
         for lam in lambdas:

@@ -50,7 +50,7 @@ def test_criterion_1_cross_route_agreement(rule):
         for rho in GRID_RHO:
             for alpha in GRID_ALPHA:
                 q = ConstantQuery(dim, rho, alpha)
-                a = constant_series(q, rule=rule)
+                a = constant_series(q)
                 b = constant_direct(q, rule)
                 worst = max(worst, abs(a - b) / max(1.0, abs(a)))
     elapsed = time.perf_counter() - t0
@@ -111,7 +111,7 @@ def test_criterion_4_second_derivative_consistency(rule):
                 k_val = profile_curvature_kernel(float(t), dim, rho, rule)
                 worst_kernel = max(worst_kernel, abs(s_val - k_val))
             for t in ts_fd:
-                f = [sum(profile_parts(float(t) + s * h, dim, rho, rule=rule))
+                f = [sum(profile_parts(float(t) + s * h, dim, rho))
                      for s in (-1, 0, 1)]
                 fd = (f[0] - 2.0 * f[1] + f[2]) / (h * h)
                 s_val = profile_curvature_series(float(t), dim, rho)

@@ -22,7 +22,7 @@ from ballgrad.constants import (
     CONVEXITY_FLOOR,
     ROUTE_TOL,
     ConstantQuery,
-    _T_CHUNK,
+    _CELLS,
     _far_ratio,
     _graded_edges,
     _green_edges,
@@ -54,6 +54,7 @@ from ballgrad.gegenbauer import (
     pair_weights,
     series_cutoff,
 )
+from ballgrad.identities import kink_integral_brute
 from ballgrad.quadrature import composite_nodes, gauss_legendre, map_panels
 from referees import T_GRID
 
@@ -287,15 +288,19 @@ def _reachable(order, m, e):
     return kept + [True]
 
 
-def _mixed_picks(groups, seed):
+def _block(order):
+    """_poisson_rows' block of rows on a rule of this order: 128 rows on 128 nodes."""
+    return 32 * max(1, _CELLS // (32 * order))
+
+
+def _mixed_picks(groups, seed, many):
     """Shuffled index sets into a pool of rows split by _rule_groups, with these row counts
-    per populated rule: a multiple of four rows and a lone last row (BLAS sums rows four at a
-    time and the rest apart); one row; a multiple of four and two rows; and that last for the
-    first and for the last populated rule alone."""
+    per populated rule: a multiple of four rows (many) and a lone last row (BLAS sums rows four
+    at a time and the rest apart); one row; a multiple of four and two rows; and that last for
+    the first and for the last populated rule alone."""
     rng = np.random.default_rng(seed)
     pools = [np.flatnonzero(rows) for rows, *_ in groups]
     filled = [k for k, pool in enumerate(pools) if pool.size]
-    many = 4 * _T_CHUNK
     counts = [lambda k: many + 1, lambda k: 1, lambda k: many + 2,
               lambda k: (many + 2) * (k == filled[0]), lambda k: (many + 2) * (k == filled[-1])]
     for count in counts:
@@ -311,7 +316,8 @@ def test_inner_integral_blocks_bit_identical(order, n):
     # (and at rho = 1e-300) every pole test is infinite, and the rows keep the plain panel
     rule = gauss_legendre(order)
     dim = DimensionParams(n)
-    for size in (1, _T_CHUNK - 1, _T_CHUNK, _T_CHUNK + 1, 3 * _T_CHUNK + 5):
+    block = _block(order)
+    for size in (1, block - 1, block, block + 1, 3 * block + 5):
         theta = np.linspace(0.0, math.pi, size)
         for rho in (0.0, 1e-300, 0.5, 0.9, 0.99):
             for alpha in (0.0, math.pi / 3, math.pi):
@@ -322,7 +328,7 @@ def test_inner_integral_blocks_bit_identical(order, n):
     c0, c1 = _inner_rows(pool, 0.99, math.pi / 3)
     groups = _rule_groups(0.99, rule, c0, c1, n - 3, n / 2.0 - 1.0)
     assert [rows.any() for rows, *_ in groups] == _reachable(order, n - 3, n / 2.0 - 1.0)
-    for picks, sizes in _mixed_picks(groups, n):
+    for picks, sizes in _mixed_picks(groups, n, block):
         theta = pool[picks]
         want = _inner_one_matrix(dim, 0.99, math.pi / 3, theta, rule)
         got = _inner_smooth(dim, 0.99, math.pi / 3, theta, rule)
@@ -352,7 +358,8 @@ def test_curvature_kernel_blocks_bit_identical(order, n):
     # the bracket counts as sin^4 in the kernel's tau, so m = (n - 3) + 4
     rule = gauss_legendre(order)
     dim = DimensionParams(n)
-    for size in (1, _T_CHUNK - 1, _T_CHUNK, _T_CHUNK + 1, 3 * _T_CHUNK + 5):
+    block = _block(order)
+    for size in (1, block - 1, block, block + 1, 3 * block + 5):
         t = np.linspace(0.0, 0.999, size)
         for rho in (0.0, 1e-300, 0.5, 0.9, 0.99):
             want = _kernel_one_matrix(t, dim, rho, rule)
@@ -362,7 +369,7 @@ def test_curvature_kernel_blocks_bit_identical(order, n):
     c0, c1, _ = _kernel_rows(pool, n, 0.99)
     groups = _rule_groups(0.99, rule, c0, c1, n + 1, (n + 2) / 2.0)
     assert [rows.any() for rows, *_ in groups] == _reachable(order, n + 1, (n + 2) / 2.0)
-    for picks, sizes in _mixed_picks(groups, n):
+    for picks, sizes in _mixed_picks(groups, n, block):
         want = _kernel_one_matrix(pool[picks], dim, 0.99, rule)
         assert np.array_equal(profile_curvature_kernel(pool[picks], dim, 0.99, rule), want), sizes
 
@@ -460,7 +467,7 @@ def test_constant_direct_is_even_in_t(rule, alpha):
 def test_folded_direct_meets_series(rule, n, rho):
     for alpha in (2 * math.pi / 3, 11 * math.pi / 12):
         q = ConstantQuery(DimensionParams(n), rho, alpha)
-        series = constant_series(q, rule=rule)
+        series = constant_series(q)
         assert abs(constant_direct(q, rule) - series) <= ROUTE_TOL * max(1.0, abs(series))
 
 
@@ -578,7 +585,7 @@ def test_constant_at_origin(rule):
         want = dim.c_n * 2.0 / (n - 1)
         q = ConstantQuery(dim, 0.0, 0.9)
         assert constant_direct(q, rule) == pytest.approx(want, abs=1e-12)
-        assert constant_series(q, rule=rule) == pytest.approx(want, abs=1e-12)
+        assert constant_series(q) == pytest.approx(want, abs=1e-12)
         assert constant_radial(n, 0.0, rule) == pytest.approx(want, abs=1e-12)
     assert constant_direct(ConstantQuery(DimensionParams(3), 0.0, 0.0), rule) \
         == pytest.approx(1.5, abs=1e-12)
@@ -594,7 +601,7 @@ def test_cross_route_agreement(rule):
     for n, rho, alpha in ((5, 0.7, 0.9), (3, 0.5, 2.1), (4, 0.9, 0.3), (8, 0.5, 1.6)):
         q = ConstantQuery(DimensionParams(n), rho, alpha)
         a = constant_direct(q, rule)
-        b = constant_series(q, rule=rule)
+        b = constant_series(q)
         assert abs(a - b) <= 1e-8 * max(1.0, abs(a))
 
 
@@ -609,7 +616,7 @@ def test_direct_route_near_boundary(rule, n, rho, alpha):
     # route, with its term cap raised, referees the direct route there
     q = ConstantQuery(DimensionParams(n), rho, alpha)
     direct = constant_direct(q, rule)
-    series = constant_series(q, 60000, rule)
+    series = constant_series(q, 60000)
     assert abs(direct - series) <= 1e-8 * abs(series)
 
 
@@ -617,18 +624,18 @@ def test_constant_series_query_sequence(rule):
     # both routes take the batch; the direct route integrates each query as a single call does
     dim = DimensionParams(5)
     queries = [ConstantQuery(dim, 0.9, a) for a in np.linspace(0.0, math.pi, 13)]
-    for route in (constant_series, constant_direct):
-        vec = route(queries, rule=rule)
+    for route, kw in ((constant_series, {}), (constant_direct, {"rule": rule})):
+        vec = route(queries, **kw)
         assert vec.shape == (13,)
-        single = [route(q, rule=rule) for q in queries]
+        single = [route(q, **kw) for q in queries]
         if route is constant_direct:
             assert np.array_equal(vec, single)
         else:
             assert vec == pytest.approx(single, rel=1e-14)
         with pytest.raises(ValueError, match="queries must share one dimension and rho"):
-            route(queries + [ConstantQuery(dim, 0.5, 0.0)], rule=rule)
+            route(queries + [ConstantQuery(dim, 0.5, 0.0)], **kw)
         with pytest.raises(ValueError, match="no queries given"):
-            route([], rule=rule)
+            route([], **kw)
 
 
 @pytest.mark.parametrize("n, rho", [(3, 0.5), (5, 0.9), (8, 0.0)])
@@ -637,9 +644,9 @@ def test_constant_series_single_query_is_the_batch(rule, n, rho):
     # longer batch
     dim = DimensionParams(n)
     q, q2 = ConstantQuery(dim, rho, math.pi / 5), ConstantQuery(dim, rho, 2.0)
-    for route in (constant_series, constant_direct):
-        got = route(q, rule=rule)
-        assert type(got) is float and got == route([q, q2], rule=rule)[0]
+    for route, kw in ((constant_series, {}), (constant_direct, {"rule": rule})):
+        got = route(q, **kw)
+        assert type(got) is float and got == route([q, q2], **kw)[0]
 
 
 def test_radial_specialization(rule):
@@ -664,8 +671,8 @@ def test_endpoint_equality(rule):
     # C at alpha = 0 equals C at alpha = pi
     for n, rho in ((4, 0.6), (3, 0.9)):
         dim = DimensionParams(n)
-        a = constant_series(ConstantQuery(dim, rho, 0.0), rule=rule)
-        b = constant_series(ConstantQuery(dim, rho, math.pi), rule=rule)
+        a = constant_series(ConstantQuery(dim, rho, 0.0))
+        b = constant_series(ConstantQuery(dim, rho, math.pi))
         assert abs(a - b) <= 1e-8 * max(1.0, abs(a))
 
 
@@ -682,28 +689,30 @@ def test_radial_domain(rule):
 def test_series_nonconvergence_signaled(rule):
     q = ConstantQuery(DimensionParams(4), 0.9, 0.5)
     with pytest.raises(SeriesConvergenceError):
-        constant_series(q, 16, rule)
+        constant_series(q, 16)
 
 
 # -- profile parts ------------------------------------------------------------
 
-def test_profile_even_in_t(rule):
+def test_profile_even_in_t():
     dim = DimensionParams(5)
     for t in (0.2, 0.7):
-        f_pos = profile_parts(t, dim, 0.6, rule=rule)
-        f_neg = profile_parts(-t, dim, 0.6, rule=rule)
+        f_pos = profile_parts(t, dim, 0.6)
+        f_neg = profile_parts(-t, dim, 0.6)
         for a, b in zip(f_pos, f_neg):
             assert a == pytest.approx(b, rel=1e-12, abs=1e-15)
 
 
-def test_profile_weighted_part_vanishes_at_t_zero(rule):
-    _, weighted, _ = profile_parts(0.0, DimensionParams(4), 0.7, rule=rule)
-    assert weighted == 0.0
+def test_profile_kink_part_at_t_zero():
+    # at t = 0 the kink is at s = 0 and the weighted integral drops out: int |x| (1-x^2)^((n-3)/2)
+    for n in (3, 4, 7):
+        kink, _ = profile_parts(0.0, DimensionParams(n), 0.7)
+        assert kink == 2.0 / (n - 1)
 
 
-def test_profile_series_part_finite_at_endpoints(rule):
+def test_profile_series_part_finite_at_endpoints():
     for t in (-1.0, 1.0):
-        parts = profile_parts(t, DimensionParams(3), 0.9, rule=rule)
+        parts = profile_parts(t, DimensionParams(3), 0.9)
         assert all(math.isfinite(p) for p in parts)
 
 
@@ -711,51 +720,69 @@ def test_profile_sum_reproduces_direct_route(rule):
     for n, rho, alpha in ((3, 0.5, 0.8), (4, 0.9, 2.4), (8, 0.5, 1.1)):
         dim = DimensionParams(n)
         q = ConstantQuery(dim, rho, alpha)
-        parts = profile_parts(q.t, dim, rho, rule=rule)
+        parts = profile_parts(q.t, dim, rho)
         via_profile = dim.c_n / (1 - rho ** 2) * sum(parts)
         direct = constant_direct(q, rule)
         assert abs(via_profile - direct) <= 1e-8 * max(1.0, abs(direct))
 
 
-def test_profile_parts_vectorized(rule):
+def test_profile_parts_vectorized():
     dim = DimensionParams(4)
-    # the 181-point grid spans several row blocks of the kink integrals
     for rho, ts in ((0.5, np.array([-0.8, -0.1, 0.0, 0.6])),
                     (0.95, np.cos(np.linspace(0.0, math.pi, 181)))):
-        plain, weighted, tail = profile_parts(ts, dim, rho, rule=rule)
+        kink, tail = profile_parts(ts, dim, rho)
         for i, t in enumerate(ts):
-            p, w, h = profile_parts(float(t), dim, rho, rule=rule)
-            assert plain[i] == pytest.approx(p, rel=1e-14)
-            assert weighted[i] == pytest.approx(w, rel=1e-14, abs=1e-15)
+            k, h = profile_parts(float(t), dim, rho)
+            assert kink[i] == pytest.approx(k, rel=1e-14)
             assert tail[i] == pytest.approx(h, rel=1e-14, abs=1e-15)
     # a t of two or more dimensions runs as its flat copy: parts of t's shape, bit for bit
     for shape in ((2, 3), (1, 40), (40, 1), (2, 1, 40)):
         ts = np.full(shape, 0.3)
         ts.flat[-1] = 1.0
-        flat = profile_parts(ts.ravel(), dim, 0.5, rule=rule)
-        for got, want in zip(profile_parts(ts, dim, 0.5, rule=rule), flat):
+        flat = profile_parts(ts.ravel(), dim, 0.5)
+        for got, want in zip(profile_parts(ts, dim, 0.5), flat):
             assert got.shape == shape and np.array_equal(got, want.reshape(shape))
 
 
-@pytest.mark.parametrize("rho", [0.5, 0.95])
+@pytest.mark.parametrize("rho", [0.1, 0.5, 0.9, 0.95, 0.99])
 def test_profile_kink_parts_closed_form(rule, rho):
-    # at n = 3 (lam = 1/2) the kink integrals are int_{-1}^1 |x - s| dx = 1 + s^2 and
-    # int_{-1}^1 |x - s| x dx = s^3/3 - s, with s = delta*t; the weighted part is rho*t times it
+    # the kink part is the two kink integrals, int |x - s| (1 + rho t (n-2) x) (1-x^2)^((n-3)/2)
+    # dx over [-1, 1], s = delta t: 2 (1 - s^2)^((n+1)/2) / (n-1). At n = 3 (lam = 1/2) that is
+    # 1 + s^2 + rho t (s^3/3 - s) = (1 - s^2)^2 (rho t = 3 s)
+    eps = 2.0 ** -52
     t = np.cos(np.linspace(0.0, math.pi, 73))
     s = rho / 3.0 * t
-    plain, weighted, _ = profile_parts(t, DimensionParams(3), rho, rule=rule)
-    assert np.max(np.abs(plain - (1.0 + s * s))) <= 1e-14
-    assert np.max(np.abs(weighted - rho * t * (s ** 3 / 3.0 - s))) <= 1e-14
+    kink = profile_parts(t, DimensionParams(3), rho)[0]
+    assert np.max(np.abs(kink - (1.0 - s * s) ** 2)) <= 1e-14
+    t = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+    for n in (3, 4, 5, 8, 12, 16, 33, 64):
+        kink = profile_parts(t, n, rho, 2 ** 17)[0]
+        s, lam = (n - 2) / n * rho * t, (n - 2) / 2.0
+        # against mpmath, with s and rho t (n-2) exact and the digits the cancellation of the
+        # two integrals takes: at most 4.2 eps (n = 64, rho = 0.1, t = -0.5) times the condition
+        # 1 + (n+1) s^2 / (1 - s^2) of the power in s (146 eps at n = 64, rho = 0.99, t = +-1)
+        for i, ti in enumerate(t.tolist()):
+            with mp.workdps(25 + max(0, -math.floor(math.log10(kink[i])))):
+                si = mp.mpf(n - 2) / n * rho * ti
+                want = mp.quad(lambda x: abs(x - si) * (1 + mp.mpf(rho) * ti * (n - 2) * x)
+                               * (1 - x * x) ** (mp.mpf(n - 3) / 2), [-1, si, 1])
+                cond = 1.0 + (n + 1) * s[i] ** 2 / (1.0 - s[i] ** 2)
+                assert abs(kink[i] - float(want)) <= 8.0 * eps * cond * float(want), (n, ti)
+        # against the identity suite's quadrature at degrees 0 and 1, whose two parts cancel to
+        # the kink part: at most 19 eps of their size (n = 64, rho = 0.9, t = -1)
+        plain = kink_integral_brute(lam, 0, s, rule)
+        weighted = rho * t * kink_integral_brute(lam, 1, s, rule)
+        assert np.all(np.abs(plain + weighted - kink) <= 32.0 * eps * (plain + np.abs(weighted)))
 
 
-def test_profile_parts_memory(rule):
-    # the kink integrals run in _T_CHUNK-row blocks: one block for all rows peaked at 328 MB
+def test_profile_parts_memory():
+    # 20,000 t: the kink part is elementwise and the series runs in column chunks
     t = np.linspace(-1.0, 1.0, 20000)
     dim = DimensionParams(3)
-    profile_parts(t[:10], dim, 0.5, rule=rule)
+    profile_parts(t[:10], dim, 0.5)
     tracemalloc.start()
     try:
-        profile_parts(t, dim, 0.5, rule=rule)
+        profile_parts(t, dim, 0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -768,10 +795,10 @@ def test_profile_parts_series_memory(rule):
     # 3 x 2^14 entries. Measured 1.10 MB (0.65 MB stepping 32-degree blocks; windows of
     # 2^15 entries, whose pair took 2^16 more, peaked at 1.65 MB)
     t = np.cos(np.linspace(0.0, math.pi, 13))
-    profile_parts(t, 3, 0.996, rule=rule)
+    profile_parts(t, 3, 0.996)
     tracemalloc.start()
     try:
-        profile_parts(t, 3, 0.996, rule=rule)
+        profile_parts(t, 3, 0.996)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -827,7 +854,7 @@ def test_curvature_series_vs_profile_fd(rule):
     for n, rho in ((4, 0.6), (3, 0.9)):
         dim = DimensionParams(n)
         for t in (-0.9, -0.3, 0.2, 0.7):
-            f = [sum(profile_parts(t + s * h, dim, rho, rule=rule)) for s in (-1, 0, 1)]
+            f = [sum(profile_parts(t + s * h, dim, rho)) for s in (-1, 0, 1)]
             fd = (f[0] - 2 * f[1] + f[2]) / (h * h)
             assert abs(profile_curvature_series(t, dim, rho) - fd) <= 1e-5
 
@@ -892,7 +919,7 @@ def test_profile_and_curvature_even(rule, n, rho):
     kernel = profile_curvature_kernel(t, dim, rho, rule)
     assert np.max(np.abs(kernel - kernel[::-1])) <= 1e-14 * np.max(np.abs(kernel))
     t = _symmetric(-1.0, 1.0, 41)
-    f = sum(profile_parts(t, dim, rho, 32768, rule))
+    f = sum(profile_parts(t, dim, rho, 32768))
     assert np.max(np.abs(f - f[::-1])) <= 1e-14 * np.max(np.abs(f))
 
 
@@ -1035,7 +1062,7 @@ def test_certificates_match_full_grid_evaluation(rule, n, rho):
     assert rad.passed == bool(values[0] >= values.max() - 1e-12 * max(1.0, values.max()))
     assert rad.value_at_zero == pytest.approx(values[0], rel=1e-14)
     assert rad.max_value == pytest.approx(values.max(), rel=1e-14)
-    series = dim.c_n / (1 - rho * rho) * sum(profile_parts(np.cos(alphas), dim, rho, rule=rule))
+    series = dim.c_n / (1 - rho * rho) * sum(profile_parts(np.cos(alphas), dim, rho))
     assert rad.value_at_zero == pytest.approx(series[0], rel=1e-12)
     assert rad.max_value == pytest.approx(series.max(), rel=1e-12)
     assert rad.argmax_alphas == (0.0, math.pi)
@@ -1076,7 +1103,7 @@ def _green_integral_inline(dim, rho, alphas, rule):
 
 
 def _series_profile(dim, rho, t, rule):
-    return sum(profile_parts(t, dim, rho, rule=rule))
+    return sum(profile_parts(t, dim, rho))
 
 
 @pytest.mark.parametrize("n, rho", [(n, rho) for n in (3, 5, 8, 16) for rho in (0.1, 0.5, 0.9, 0.95)]

@@ -98,6 +98,17 @@ def test_every_export_is_reached(monkeypatch):
     assert unreached == [("constants", "curvature_density_grid")]
 
 
+def test_primary_routes_import_nothing_from_identities():
+    # the identity suite is an oracle: the modules of the primary routes must not lean on it
+    for name in ("constants", "gegenbauer", "quadrature"):
+        tree = ast.parse((pathlib.Path(ballgrad.__file__).parent / f"{name}.py").read_text())
+        paths = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for a in node.names]
+        paths += [f"{node.module or ''}.{a.name}" for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) for a in node.names]
+        assert [path for path in paths if "identities" in path.split(".")] == [], name
+
+
 def test_package_root_is_readme_and_cli_surface():
     public = {name for name, value in vars(ballgrad).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}

@@ -569,6 +569,19 @@ def test_pair_series_matches_explicit(lag):
     assert scalar.shape == (1,)
 
 
+def test_pair_series_one_column_is_its_batch_column():
+    # a lone column's window sums its segments in turn, as a batch's does: pairwise (numpy's
+    # sum over a contiguous axis) moved the last bit at (n, rho) = (5, 0.9), K = 421, 14 segments.
+    # Each call here steps one window of the same segments (K < _WINDOW / 6)
+    t = np.array([math.cos(math.pi / 5), math.cos(2.0), 0.3])
+    for lam_a, lam_b, K, lag in ((3.5, 1.5, 421, 2), (1.5, 1.5, 2000, 0), (4.0, 3.0, 200, 1)):
+        weights = [pair_weights(lam_a, 0.9, K, lag)]
+        batch = pair_series([(lam_a, 0.54 * t, lam_b, t)], weights, lag)[0]
+        for i in range(t.size):
+            one = pair_series([(lam_a, 0.54 * t[i:i + 1], lam_b, t[i:i + 1])], weights, lag)[0]
+            assert one[0] == batch[i], (lam_a, K, i)
+
+
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="longdouble is double here")
 @pytest.mark.parametrize("n, rho", [(5, 0.99), (3, 0.995)])
 def test_pair_series_lagged_mixed_lambdas(n, rho):

@@ -267,24 +267,30 @@ def test_kink_integral_domain(rule):
         kink_integral_brute(1.0, 4, -1.0, rule)
 
 
-def test_kink_integral_stacked_degrees(rule):
-    # one row per degree along a new leading axis, bit for bit the per-degree calls; at
-    # lam = 5 the degrees 0..12 take two rungs of the ladder (32 and 64 nodes), and on a
-    # rule of order 32 the rung order // 4 = 8 falls below 16
-    s = np.array([-0.7, 0.0, 0.35, 0.9])
+def test_kink_integral_per_sample_degrees():
+    # one degree per sample, broadcast with s, each sample bit for bit its scalar call; at
+    # lam = 5 the degrees 0..12 take two rungs of the ladder (32 and 64 nodes), and on a rule of
+    # order 32 the rung order // 4 = 8 falls below 16. The 104 samples of np.tile span several
+    # _KINK_CELLS blocks of one order
     assert {identities._kink_order(5.0, k, 128) for k in range(13)} == {32, 64}
     assert {identities._kink_order(lam, k, 32) for lam in (0.5, 5.0) for k in range(13)} == {
         16, 32}
+    rng = np.random.default_rng(8)
     for lam, order in ((0.5, 128), (2.5, 128), (5.0, 128), (0.5, 32), (5.0, 32)):
         grid = gauss_legendre(order)
         for ks in (np.arange(2), np.array([5, 0, 3, 3]), np.array([[1, 4], [2, 0]]),
-                   np.arange(13), np.arange(13)[::-1]):
-            stacked = kink_integral_brute(lam, ks, s, grid)
-            assert stacked.shape == ks.shape + s.shape
+                   np.arange(13)[::-1], np.tile(np.arange(13), 8)):
+            s = rng.uniform(-0.9, 0.9, size=ks.shape)
+            got = kink_integral_brute(lam, ks, s, grid)
+            assert got.shape == ks.shape
             for idx, k in np.ndenumerate(ks):
-                assert stacked[idx].tolist() == kink_integral_brute(lam, int(k), s, grid).tolist()
-        assert kink_integral_brute(lam, np.arange(3), 0.35, grid).tolist() == [
-            kink_integral_brute(lam, k, 0.35, grid) for k in range(3)]
+                assert got[idx] == kink_integral_brute(lam, int(k), float(s[idx]), grid)
+        # degrees along one axis, samples along the other
+        s = np.array([[-0.7], [0.0], [0.35], [0.9]])
+        got = kink_integral_brute(lam, np.arange(3), s, grid)
+        assert got.shape == (4, 3)
+        for (i, k), value in np.ndenumerate(got):
+            assert value == kink_integral_brute(lam, k, float(s[i, 0]), grid)
 
 
 @pytest.mark.parametrize("lam", [0.25, 0.75, 1.2, -0.25])
@@ -339,9 +345,9 @@ _NONE, _NO_X = np.array([], dtype=int), np.array([])
     (lambda rule: weighted_derivative_check(1.5, _NONE, _NO_X)[1], (0,)),
     (lambda rule: orthogonality_integral(1.0, _NONE, 2, rule), (0,)),
     (lambda rule: orthogonality_integral(1.0, 2, _NONE, rule), (0,)),
-    (lambda rule: kink_integral_brute(1.0, _NONE, np.array([0.3]), rule), (0, 1)),
+    (lambda rule: kink_integral_brute(1.0, _NONE, np.array([0.3]), rule), (0,)),
     (lambda rule: kink_integral_brute(1.0, 2, _NO_X, rule), (0,)),
-    (lambda rule: kink_integral_brute(1.0, np.arange(3), _NO_X, rule), (3, 0)),
+    (lambda rule: kink_integral_brute(1.0, np.arange(3)[:, None], _NO_X, rule), (3, 0)),
     (lambda rule: addition_theorem_rhs(1.5, _NONE, _NO_X, _NO_X, _NO_X), (0,)),
     (lambda rule: legendre_addition_rhs(_NONE, _NO_X, _NO_X, _NO_X), (0,)),
 ])
