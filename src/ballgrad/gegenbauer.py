@@ -2,9 +2,10 @@
 
 Evaluation is recurrence-based: eval_sequence runs the three-term recurrence
 for scalar or array arguments (lam broadcasts too), stepping each degree in
-place in its row of the result, and eval_recurrence, the one single-degree
-evaluator, reads each element's degree off it. Gamma-ratio constants are
-computed through log-Gamma so they stay finite for large arguments.
+place in its row of the result, and eval_recurrence, the public single-degree
+evaluator, reads each element's degree off it; _own_degrees steps each row only
+to its own degree, for the kink oracle's rows of mixed degree. Gamma-ratio
+constants are computed through log-Gamma so they stay finite for large arguments.
 
 Every rho-power series of the package runs through one engine,
 `pair_series`: it steps the recurrence for a stack of (lam, argument) rows at
@@ -163,7 +164,9 @@ def eval_recurrence(lam, k, x):
     if k.dtype.kind not in "iu" or k.min(initial=0) < 0:  # one reduction for a valid k
         raise ValueError("degree must be a nonnegative integer, got "
                          f"{k.min() if k.size else k.dtype}")  # an empty array: its dtype
-    seq = eval_sequence(lam, int(k.max(initial=0)), x)
+    if not k.any():  # every degree 0: C_0 = 1, no table
+        return _value(np.ones(np.broadcast_shapes(k.shape, np.shape(lam), _clipped(x).shape)))
+    seq = eval_sequence(lam, int(k.max()), x)
     k = np.broadcast_to(k, np.broadcast_shapes(k.shape, seq.shape[1:]))
     seq = seq.reshape(seq.shape[:1] + (1,) * (k.ndim + 1 - seq.ndim) + seq.shape[1:])
     return _value(np.take_along_axis(seq, k[None], 0)[0])
@@ -203,6 +206,25 @@ def _step(cur, prev, prev2, back, m: int, tmp) -> None:
     cur *= prev
     cur -= np.multiply(back, prev2, out=tmp)
     cur /= m
+
+
+def _own_degrees(lam: float, k, x) -> np.ndarray:
+    """C_(k_i)^lam(x_i), k 1-D and x's leading axis its rows i: eval_sequence(lam, max(k),
+    x)[k, arange] bit for bit, for the kink oracle's rows of mixed degree. Sorted by degree,
+    step m runs over the suffix of rows of degree >= m alone, in three rolling rows (C_m in
+    rows[m % 3]; a later step writes only rows of higher degree): a row of degree k takes k
+    steps, not max(k), and 3 cells a point, not max(k) + 1."""
+    order = np.argsort(k, kind="stable")
+    k, x = k[order], _clipped(x)[order]
+    rows, tmp = np.empty((3,) + x.shape), np.empty(x.shape)
+    rows[0], rows[1] = 1.0, 2.0 * lam * x
+    for m, lo in enumerate(np.searchsorted(k, np.arange(2, k.max(initial=0) + 1)).tolist(), 2):
+        cur = np.multiply(2.0 * (m + lam - 1.0), x[lo:], out=rows[m % 3, lo:])
+        _step(cur, rows[(m - 1) % 3, lo:], rows[(m - 2) % 3, lo:], m + 2.0 * lam - 2.0, m,
+              tmp[lo:])
+    out = np.empty(x.shape)
+    out[order] = rows[k % 3, np.arange(k.size)]
+    return out
 
 
 def legendre(k, x):

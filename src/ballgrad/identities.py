@@ -10,11 +10,11 @@ values are read off one recurrence table by gegenbauer.eval_recurrence
 quadrature rows with the scalar path's non-finite check. The addition
 theorems, the weighted derivative and both kink forms also take one degree per
 sample; run_suite calls them with every degree of one lam at once. The brute
-kink form integrates the degrees of one Gauss order together: each degree
-takes the fewest nodes of the rule's ladder (order // 8, // 4, // 2, order)
-that a closed-form Bernstein-ellipse bound allows, a function of (lam, degree,
-order) alone. It is the identity suite's oracle only: the constant profile
-takes its kink part in closed form (constants.profile_parts).
+kink form integrates the degrees of one Gauss order together, each row stepped
+to its own degree only: each degree takes the fewest nodes of the rule's ladder
+(order // 8, // 4, // 2, order) that a closed-form Bernstein-ellipse bound
+allows, a function of (lam, degree, order) alone. It is the identity suite's
+oracle only: the constant profile takes its kink part in closed form.
 Either way a sample's value equals the scalar call bit for bit, so fractional
 powers of sampled values are taken with np.power: `**` on a numpy scalar calls
 the C library's pow, which can round differently from numpy's array loop.
@@ -37,6 +37,7 @@ import numpy as np
 # traces calls through these names in this module.
 from .gegenbauer import (  # noqa: F401
     _inside,
+    _own_degrees,
     _value,
     assoc_legendre,
     eval_recurrence,
@@ -301,12 +302,11 @@ def _kink_order(lam: float, k: int, order: int) -> int:
 
 def _kink_sums(lam: float, k, s, rule: QuadratureRule):
     """The kink integrals on the panels [0, arccos s_i] and [arccos s_i, pi] of the rule, s 1-D
-    and k one degree per sample, all read off one eval_sequence table."""
+    and k one degree per sample, each row stepped to its own degree (gegenbauer._own_degrees)."""
     edges = np.stack(np.broadcast_arrays(0.0, np.arccos(s), math.pi), axis=-1)
     theta, w = map_panels(edges, rule)
     c = np.cos(theta)
-    seq = eval_sequence(lam, int(k.max(initial=0)), c)[k, np.arange(s.size)]
-    vals = np.abs(c - s[:, None]) * np.sin(theta) ** (2.0 * lam) * seq
+    vals = np.abs(c - s[:, None]) * np.sin(theta) ** (2.0 * lam) * _own_degrees(lam, k, c)
     return integrate_values(vals, w)
 
 
@@ -318,11 +318,11 @@ def kink_integral_brute(lam: float, k, s, rule: QuadratureRule):
     k is a degree or one degree per sample, broadcast with s. Both panels of
     degree k take _kink_order(lam, k, rule.order) nodes, the fewest of the
     rule's ladder its closed-form bound allows; the samples of one order run in
-    blocks whose (degree, row, node) table, up to the largest degree, holds at
-    most _KINK_CELLS entries. As no sample sets its order, a batch equals the
-    per-sample calls bit for bit. Raises ValueError unless 2 lam is a positive
-    integer: elsewhere the weight sin^(2 lam) branches at the panel ends, and
-    the rule misses its target.
+    blocks whose three rolling (row, node) rows, each row stepped only to its
+    own degree, hold at most _KINK_CELLS entries. As no sample sets its order,
+    a batch equals the per-sample calls bit for bit. Raises ValueError unless
+    2 lam is a positive integer: elsewhere the weight sin^(2 lam) branches at
+    the panel ends, and the rule misses its target.
     """
     if not lam > 0 or (2.0 * lam) % 1.0:
         raise ValueError(f"2*lambda must be a positive integer for kink, got {lam}")
@@ -337,7 +337,7 @@ def kink_integral_brute(lam: float, k, s, rule: QuadratureRule):
     out = np.empty(samples.size)
     for n in sorted(set(table[distinct].tolist())):
         order_rule, rows = rule if n == rule.order else gauss_legendre(n), table[degrees] == n
-        size = max(1, _KINK_CELLS // (2 * n * table.size))
+        size = max(1, _KINK_CELLS // (3 * 2 * n))
         for r in np.split(np.flatnonzero(rows), range(size, rows.sum(), size)):
             out[r] = _kink_sums(lam, degrees[r], samples[r], order_rule)
     return _value(out.reshape(s.shape))
@@ -358,14 +358,11 @@ SUITE_TOLERANCES = {
 }
 
 DEFAULT_SUITE_LAMBDAS = (0.5, 1.0, 1.5, 2.5, 3.0)
-# rows per check call, a row being one sample, or one (degree, sample) pair
-# where a call takes every degree: keeps the (samples, nodes, degrees)
-# temporaries of one call near 7 MB however many samples are asked for
-_SAMPLE_BLOCK = 256
-# cells of the addition family's (degree, j, angle, row) table per call (2 MB),
-# which holds a call to fewer than _SAMPLE_BLOCK rows from max_degree 22 on
-_FAMILY_CELLS = 2 ** 18
-# entries of kink_integral_brute's (degree, row, node) table per quadrature call (0.5 MB)
+# cells of a sample check call's largest table (2 MB), a row being one sample, or one
+# (degree, sample) pair where a call takes every degree: run_suite's blocks hold as many
+# rows as fit, however many samples are asked for
+_SAMPLE_CELLS = 2 ** 18
+# entries of kink_integral_brute's three rolling (row, node) rows per quadrature call (0.5 MB)
 _KINK_CELLS = 2 ** 16
 # the lambdas a check applies to, as (rule, test); other checks take every lambda.
 # Near lambda = 1 the weighted derivative's finite-difference oracle is ill-conditioned.
@@ -391,9 +388,10 @@ def _residual(a, b):
     return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-3)
 
 
-def _blocks(size: int, *columns):
-    """The rows of the columns (arrays of one length) in blocks of `size`,
-    as one list of column slices per block."""
+def _blocks(cells: int, *columns):
+    """The rows of the columns (arrays of one length) in blocks of as many rows as fit
+    _SAMPLE_CELLS at `cells` cells a row, as one list of column slices per block."""
+    size = max(1, _SAMPLE_CELLS // cells)
     return ([c[i:i + size] for c in columns] for i in range(0, len(columns[0]), size))
 
 
@@ -413,13 +411,15 @@ def run_suite(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12, samples: int 
     "legendre-addition", "weighted-derivative" and "kink" run every degree of
     one lam at once: the samples of all degrees are drawn in one call, in the
     order of one draw per degree, and each (degree, sample) row reads its own
-    degree from one recurrence table, in blocks of _SAMPLE_BLOCK rows (fewer
-    for the addition family, by _FAMILY_CELLS); the quadrature side of "kink"
-    is one kink_integral_brute call a lam over all its rows. The other checks
-    run one call per (lam, degree) per block of _SAMPLE_BLOCK samples. Every
-    residual equals that of a call of the public check function at its one
-    degree, bit for bit. A non-finite residual records max_residual nan and
-    fails its check.
+    degree from one recurrence table; the quadrature side of "kink" is one
+    kink_integral_brute call a lam over all its rows. The other checks run one
+    call per (lam, degree). A call takes as many rows as fit _SAMPLE_CELLS at
+    the cells a row adds to its largest table: 2 (max_degree+1)^2 for the
+    addition family, 4 (max_degree+1) for the weighted derivative's stencil,
+    nodes x (k+1) for the product and kernel samples; one block a lam at the
+    defaults. Every residual equals that of a call of the public check
+    function at its one degree, bit for bit, whatever the blocks. A
+    non-finite residual records max_residual nan and fails its check.
     """
     rule = rule or gauss_legendre(DEFAULT_QUAD_ORDER)
     wanted = set(checks) if checks is not None else set(SUITE_TOLERANCES)
@@ -480,13 +480,13 @@ def run_suite(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12, samples: int 
                 record("orthogonality-offdiag", np.abs(vals[~diag]))
 
     if {"addition", "legendre-addition"} & wanted:
-        size = min(_SAMPLE_BLOCK, max(1, _FAMILY_CELLS // (2 * (max_degree + 1) ** 2)))
         for lam in lambdas:
             name = "addition" if _applies("addition", lam) else "legendre-addition"
             if name not in wanted or not _applies(name, lam):
                 continue
             angles = rng.uniform(0.05, math.pi - 0.05, size=(rows.size, 3))
-            for k, theta, phi, psi in _blocks(size, rows, *angles.T):
+            # the family table: (degree, j, angle) per row
+            for k, theta, phi, psi in _blocks(2 * (max_degree + 1) ** 2, rows, *angles.T):
                 arg = np.cos(theta) * np.cos(phi) + np.sin(theta) * np.sin(phi) * np.cos(psi)
                 if name == "addition":
                     lhs = eval_recurrence(lam, k, arg)
@@ -499,13 +499,14 @@ def run_suite(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12, samples: int 
         for lam in lambdas:
             for k in degrees:
                 angles = rng.uniform(0.05, math.pi - 0.05, size=(samples, 2))
-                for phi, psi in _blocks(_SAMPLE_BLOCK, *angles.T):
+                for phi, psi in _blocks(rule.order * (k + 1), *angles.T):
                     record("product", _residual(*product_formula_check(lam, k, phi, psi, rule)))
 
     if {"kernel-product", "kernel-mass"} & wanted:
+        top = max(range(1, max_degree + 1, 3)) if "kernel-product" in wanted else 0
         for lam in lambdas:
             points = rng.uniform(-0.95, 0.95, size=(samples, 2))
-            for x, y in _blocks(_SAMPLE_BLOCK, *points.T):
+            for x, y in _blocks(rule.order * (top + 1), *points.T):
                 if "kernel-mass" in wanted:
                     _, mass = kernel_product_check(lam, 0, x, y, rule)
                     record("kernel-mass", np.abs(mass - 1.0))
@@ -518,7 +519,7 @@ def run_suite(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12, samples: int 
         for lam in lambdas:
             s = rng.uniform(-0.9, 0.9, size=kinks.size)
             brute = kink_integral_brute(lam, kinks, s, rule)
-            for k, sb, bb in _blocks(_SAMPLE_BLOCK, kinks, s, brute):
+            for k, sb, bb in _blocks(max_degree - 1, kinks, s, brute):
                 record("kink", _residual(kink_integral_closed(lam, k, sb), bb))
 
     if "weighted-derivative" in wanted:
@@ -526,7 +527,7 @@ def run_suite(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12, samples: int 
             if not _applies("weighted-derivative", lam):
                 continue
             x = rng.uniform(-0.95, 0.95, size=rows.size)
-            for k, xb in _blocks(_SAMPLE_BLOCK, rows, x):
+            for k, xb in _blocks(4 * (max_degree + 1), rows, x):  # the stencil's table
                 lhs, rhs = weighted_derivative_check(lam, k, xb)
                 record("weighted-derivative", np.abs(lhs - rhs))
 

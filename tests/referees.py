@@ -11,7 +11,6 @@ import numpy as np
 from ballgrad.gegenbauer import _clipped, _value, eval_recurrence, eval_sequence, legendre, pochhammer
 from ballgrad.identities import (
     _LAMBDA_DOMAINS,
-    _SAMPLE_BLOCK,
     DEFAULT_SUITE_LAMBDAS,
     SUITE_TOLERANCES,
     _kernel_density,
@@ -33,6 +32,10 @@ from ballgrad.quadrature import DEFAULT_QUAD_ORDER, gauss_legendre
 T_GRID = np.linspace(-0.999, 0.999, 201)
 T_GRID = 0.5 * (T_GRID - T_GRID[::-1])
 T_GRID.flags.writeable = False
+
+# samples per call of run_suite_reference: its own size, as any block size gives the
+# same bits (each sample is its own row of every table and quadrature sum)
+REFERENCE_BLOCK = 100
 
 
 def eval_explicit(lam: float, k: int, x: float) -> float:
@@ -167,7 +170,7 @@ def run_suite_reference(lambdas=DEFAULT_SUITE_LAMBDAS, max_degree: int = 12,
         return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-3)
 
     def blocks(rows):
-        return (rows[i:i + _SAMPLE_BLOCK].T for i in range(0, len(rows), _SAMPLE_BLOCK))
+        return (rows[i:i + REFERENCE_BLOCK].T for i in range(0, len(rows), REFERENCE_BLOCK))
 
     rule = rule or gauss_legendre(DEFAULT_QUAD_ORDER)
     rng = np.random.default_rng(seed)

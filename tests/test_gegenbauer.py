@@ -12,6 +12,7 @@ from ballgrad.gegenbauer import (
     SERIES_MAX_TERMS,
     DimensionParams,
     SeriesConvergenceError,
+    _own_degrees,
     _scales,
     assoc_legendre,
     eval_recurrence,
@@ -208,6 +209,41 @@ def test_eval_sequence_in_place_equals_expression(K):
                    (lams[:, None, None], np.stack([xs, -xs]))):
         got, want = eval_sequence(lam, K, x), eval_sequence_reference(lam, K, x)
         assert got.shape == want.shape and np.array_equal(got, want), (lam, x)
+
+
+@pytest.mark.parametrize("lam", (0.5, 1.0, 3.0, 31.0))
+@pytest.mark.parametrize("k", [
+    np.array([5, 0, 3, 3, 40, 1, 17, 3, 0, 2, 29, 17]),  # unsorted, repeated, gaps
+    np.zeros(6, dtype=int), np.ones(6, dtype=int), np.zeros(0, dtype=int),
+    np.arange(41)[::-1].copy(), np.array([40]),
+])
+def test_own_degrees_equals_table_reads(lam, k):
+    # each row read at its own degree off one eval_sequence table, bit for bit, for rows
+    # of one point and of several
+    rng = np.random.default_rng(k.size)
+    ends = np.array([-1.0, 1.0, 0.0])
+    for x in (np.resize(np.concatenate([ends, rng.uniform(-1, 1, 5)]), k.size),
+              np.concatenate([np.resize(ends, (k.size, 3)), rng.uniform(-1, 1, (k.size, 4))], 1)):
+        want = eval_sequence(lam, int(k.max(initial=0)), x)[k, np.arange(k.size)]
+        got = _own_degrees(lam, k, x)
+        assert got.shape == want.shape == x.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("lam, k, x", [
+    (1.5, 0, 0.3), (1.5, 0, np.linspace(-1.0, 1.0, 5)), (1.5, np.zeros((3, 1), int), [0.2, -0.4]),
+    (np.array([[0.5], [9.0]]), np.zeros(4, np.uint8), 1.0 + 1e-13), (2.0, np.zeros(0, int), 0.5),
+])
+def test_eval_recurrence_degree_zero_is_one(lam, k, x):
+    # every degree 0 takes no table: ones of the table read's shape, a float when 0-d
+    got = eval_recurrence(lam, k, x)
+    want = np.broadcast_to(eval_sequence(lam, 0, x)[0], np.broadcast_shapes(
+        np.shape(k), np.broadcast_shapes(np.shape(lam), np.shape(x))))
+    assert np.array_equal(got, want) and np.shape(got) == want.shape
+    assert type(got) is (float if want.ndim == 0 else np.ndarray)
+    with pytest.raises(ValueError, match=r"^polynomial argument outside \[-1, 1\], got 1.5$"):
+        eval_recurrence(lam, k, 1.5)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        eval_recurrence(np.ones(7), 0, np.ones(3))
 
 
 def test_derivative_trivial():

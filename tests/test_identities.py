@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,21 +268,29 @@ def test_kink_integral_domain(rule):
         kink_integral_brute(1.0, 4, -1.0, rule)
 
 
-def test_kink_integral_per_sample_degrees():
+def test_kink_integral_per_sample_degrees(monkeypatch):
     # one degree per sample, broadcast with s, each sample bit for bit its scalar call; at
     # lam = 5 the degrees 0..12 take two rungs of the ladder (32 and 64 nodes), and on a rule of
-    # order 32 the rung order // 4 = 8 falls below 16. The 104 samples of np.tile span several
-    # _KINK_CELLS blocks of one order
+    # order 32 the rung order // 4 = 8 falls below 16. In every case at least 10 of the 13
+    # degrees take 32 nodes, so np.tile's reps span at least two blocks of that order,
+    # _KINK_CELLS over 3 rolling rows of 2 x 32 nodes
     assert {identities._kink_order(5.0, k, 128) for k in range(13)} == {32, 64}
     assert {identities._kink_order(lam, k, 32) for lam in (0.5, 5.0) for k in range(13)} == {
         16, 32}
+    reps = 2 * (identities._KINK_CELLS // (3 * 2 * 32)) // 10 + 1
+    calls, sums = [], identities._kink_sums
+    monkeypatch.setattr(identities, "_kink_sums", lambda *a: calls.append(a[1].size) or sums(*a))
     rng = np.random.default_rng(8)
     for lam, order in ((0.5, 128), (2.5, 128), (5.0, 128), (0.5, 32), (5.0, 32)):
         grid = gauss_legendre(order)
+        assert sum(identities._kink_order(lam, k, order) == 32 for k in range(13)) >= 10
         for ks in (np.arange(2), np.array([5, 0, 3, 3]), np.array([[1, 4], [2, 0]]),
-                   np.arange(13)[::-1], np.tile(np.arange(13), 8)):
+                   np.arange(13)[::-1], np.tile(np.arange(13), reps)):
             s = rng.uniform(-0.9, 0.9, size=ks.shape)
+            calls.clear()
             got = kink_integral_brute(lam, ks, s, grid)
+            if ks.size > 13:  # two blocks or more of one order
+                assert len(calls) > len({identities._kink_order(lam, k, order) for k in range(13)})
             assert got.shape == ks.shape
             for idx, k in np.ndenumerate(ks):
                 assert got[idx] == kink_integral_brute(lam, int(k), float(s[idx]), grid)
@@ -580,7 +589,7 @@ def test_run_suite_matches_per_degree_loop(rule, seed, lambdas):
 
 
 @pytest.mark.parametrize("max_degree", (0, 1, 2, 12, 20))
-@pytest.mark.parametrize("samples", (1, 20, 300))  # 300 crosses _SAMPLE_BLOCK
+@pytest.mark.parametrize("samples", (1, 20, 300))  # (20, 300) takes several blocks a lambda
 def test_run_suite_matches_per_degree_loop_on_every_grid(rule, max_degree, samples):
     _assert_suite_matches_reference(max_degree=max_degree, samples=samples, rule=rule, seed=1)
 
@@ -594,6 +603,52 @@ def test_run_suite_matches_per_degree_loop_on_every_grid(rule, max_degree, sampl
 def test_each_check_matches_per_degree_loop(rule, check, lambdas, max_degree, samples, seed):
     _assert_suite_matches_reference(lambdas=lambdas, max_degree=max_degree, samples=samples,
                                     rule=rule, seed=seed, checks={check})
+
+
+_COUNTED = ("addition_theorem_rhs", "legendre_addition_rhs", "weighted_derivative_check",
+            "_kink_sums", "kink_integral_closed", "product_formula_check", "kernel_product_check")
+
+
+@pytest.mark.parametrize("max_degree, samples", [(12, 20), (20, 300)])
+def test_run_suite_blocks_by_cells(rule, monkeypatch, max_degree, samples):
+    # at the default grid every check call takes all its rows of one lambda (a (lambda, order)
+    # for the kink sums, a (lambda, degree) for product); at (20, 300) each takes several
+    # blocks, but for the closed kink form's 19 cells a row, and
+    # test_run_suite_matches_per_degree_loop_on_every_grid holds it to the reference loop
+    # bit for bit there
+    calls = dict.fromkeys(_COUNTED, 0)
+    for name in _COUNTED:
+        def counted(*args, _fn=getattr(identities, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(identities, name, counted)
+    run_suite(max_degree=max_degree, samples=samples, rule=rule)
+    lams = DEFAULT_SUITE_LAMBDAS
+    orders = sum(len({identities._kink_order(lam, k, rule.order)
+                      for k in range(2, max_degree + 1)}) for lam in lams)
+    once = {"addition_theorem_rhs": 4, "legendre_addition_rhs": 1, "weighted_derivative_check": 4,
+            "_kink_sums": orders, "kink_integral_closed": 5,
+            "product_formula_check": 5 * (max_degree + 1),
+            "kernel_product_check": 5 * (1 + len(range(1, max_degree + 1, 3)))}
+    if max_degree == 12:
+        assert calls == once
+    else:
+        assert calls.pop("kink_integral_closed") == once.pop("kink_integral_closed")
+        assert all(calls[name] >= 2 * once[name] for name in once), calls
+
+
+def test_run_suite_peak_memory(rule):
+    # at (20, 300) no check's tracemalloc peak reaches 4 MiB: 2.1 to 2.9 MiB for every check
+    # but orthogonality (0.2), where product and kernel-product took 6.1 in 256-row blocks
+    run_suite(max_degree=20, samples=300, rule=rule, checks={"kink"})  # fill the caches
+    for name in sorted(SUITE_TOLERANCES):
+        tracemalloc.start()
+        try:
+            run_suite(max_degree=20, samples=300, rule=rule, checks={name})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20, (name, peak)
 
 
 def test_run_suite_leaves_out_checks_below_their_degree(rule):
