@@ -52,6 +52,13 @@ twice in closed form, cached per panel set (_green_map); the convexity one the c
 nodes themselves, refereed by constant_direct at pi/3. The panels depend on rho alone and
 ALPHA_GRID is a constant, as the accuracy contracts are; the series routes' one setting is their
 term cap.
+
+Every rule a route integrates on is cached with the tables read off its nodes: the inner rows'
+(_plain_table, _panel_table), the outer rules of constant_direct (_outer_rules), the radial
+(_radial_table) and transverse (_transverse_table) rules and the Green map (_green_map). A cache
+holds rules and tables read off their nodes, never a Poisson power p^-e and never a returned
+value (the one Green profile of _green_profile aside), and each keyed by a radius has a maxsize.
+Every expression keeps its operation order, so a cached table gives the bits a per-call one gave.
 """
 
 from __future__ import annotations
@@ -306,20 +313,19 @@ def _poisson_rows(rho: float, rule: QuadratureRule, c0, c1, e: float, m: int, a=
     return out
 
 
-def _inner_smooth(dim: DimensionParams, rho: float, alpha, theta, rule: QuadratureRule,
-                  sin_alpha=None):
+def _inner_smooth(dim: DimensionParams, rho: float, half_sq, sin_theta, sin_alpha,
+                  rule: QuadratureRule):
     """Angular form of the inner integral with its (sin theta)^(n-3) factored out.
 
     Returns the integral over psi in [0, pi] of (sin psi)^(n-3) / D^(n/2-1),
     D = 1 - 2 rho (cos(theta) cos(alpha) + sin(theta) sin(alpha) cos(psi)) + rho^2
       = c0 + c1 sin^2(psi/2), c0 = (1-rho)^2 + 4 rho sin^2((theta-alpha)/2),
-    c1 = 4 rho sin(theta) sin(alpha), for all outer angles theta at once (_poisson_rows).
-    alpha and sin_alpha (math.sin(alpha) if not given) are scalars or one per theta:
-    constant_direct stacks the rows of the folded angles of a chunk in one call.
+    c1 = 4 rho sin(theta) sin(alpha), for all outer angles theta at once (_poisson_rows), from
+    their tables half_sq = sin^2((theta-alpha)/2) and sin_theta; sin_alpha is a scalar or one per
+    theta. constant_direct passes the tables _outer_rules keeps for the folded angles of a chunk.
     """
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    c0 = (1.0 - rho) ** 2 + 4.0 * rho * np.sin(0.5 * (th - alpha)) ** 2
-    c1 = 4.0 * rho * np.sin(th) * (math.sin(alpha) if sin_alpha is None else sin_alpha)
+    c0 = (1.0 - rho) ** 2 + 4.0 * rho * half_sq
+    c1 = 4.0 * rho * sin_theta * sin_alpha
     return _poisson_rows(rho, rule, c0, c1, dim.n / 2.0 - 1.0, dim.n - 3)
 
 
@@ -371,21 +377,32 @@ def _outer_bounds(n: int, rho: float, alphas, order: int):
 
 @functools.lru_cache(maxsize=256 // _OUTER_CHUNK)  # at most 256 rules
 def _outer_rules(n: int, rho: float, alphas: tuple, rule: QuadratureRule) -> tuple:
-    """(nodes, weights, fold, ends) of constant_direct's outer integral at every folded alpha, all
-    bounded together and stacked as read-only arrays: alphas[k]'s nodes and weights are
-    [ends[k]:ends[k + 1]] (ends a tuple of ints) and fold holds each node's k. Each panel of
-    _outer_bounds takes the first order of the rule's ladder whose bound meets 2^-52 of the scale
-    (_panel_orders, power n - 2 + e). constant_direct passes at most _OUTER_CHUNK alphas, so a
-    long grid keeps its temporaries to a few MB; the cache holds the rules only, never integrand
-    values."""
+    """(nodes, weights, ends, tables) of constant_direct's outer integral at every folded alpha,
+    all bounded together and stacked as read-only arrays: alphas[k]'s nodes, weights and table
+    columns are [ends[k]:ends[k + 1]] (ends a tuple of ints). Each panel of _outer_bounds takes
+    the first order of the rule's ladder whose bound meets 2^-52 of the scale (_panel_orders,
+    power n - 2 + e). The tables, read off each node theta and its alpha, are the rows of
+    sin^2((theta - alpha)/2), sin(theta), sin(alpha) and the fixed outer factor
+    |delta cos(alpha) - cos(theta)| sin^(n-2)(theta) (_inner_smooth and constant_direct). An
+    entry holds six doubles a node: at most about 0.37 MB (eight angles at rho = 0.999, n = 64),
+    so about 12 MB for the 32 entries. constant_direct passes at most _OUTER_CHUNK alphas, so a
+    long grid keeps its temporaries to a few MB; the cache holds rules and their tables only,
+    never a Poisson power or an integrand value."""
     edges, bound, scale, which = _outer_bounds(n, rho, alphas, rule.order)
     orders = _panel_orders(bound, scale, rule.order, 1.5 * n - 3.0)
     rules = [_mapped(edges[k], orders[which == k]) for k in range(len(alphas))]
     sizes = [nodes.size for nodes, _ in rules]
-    stacked = (*map(np.concatenate, zip(*rules)), np.repeat(np.arange(len(alphas)), sizes))
-    for v in stacked:
+    nodes, weights = map(np.concatenate, zip(*rules))
+    # each node's alpha, sin(alpha) and delta cos(alpha), by math once per folded angle
+    delta = (n - 2) / n * rho
+    at, sin_a, dt = (np.repeat(v, sizes) for v in zip(*[(a, math.sin(a), delta * math.cos(a))
+                                                          for a in alphas]))
+    sin_th = np.sin(nodes)
+    tables = np.stack((np.sin(0.5 * (nodes - at)) ** 2, sin_th, sin_a,
+                       np.abs(dt - np.cos(nodes)) * sin_th ** (n - 2)))
+    for v in (nodes, weights, tables):
         v.flags.writeable = False
-    return (*stacked, tuple(itertools.accumulate(sizes, initial=0)))
+    return nodes, weights, tuple(itertools.accumulate(sizes, initial=0)), tables
 
 
 # -- the three constant routes ----------------------------------------------
@@ -413,25 +430,21 @@ def constant_direct(q, rule: QuadratureRule | None = None):
     `q` is one ConstantQuery (float result) or a sequence at one dimension and rho
     (ndarray result), as for constant_series: each distinct a is integrated once.
     The folded angles of each _OUTER_CHUNK are one stacked row set: one _inner_smooth
-    call over the outer nodes of them all (a, sin(a) and cos(a) by math, repeated per
-    node) and one outer integrand, each angle's outer sum over its own slice.
+    call over the outer nodes of them all, from the node tables _outer_rules keeps, and
+    one outer integrand, each angle's outer sum over its own slice.
     """
     queries, dim, rho = _batch(q)
     rule = rule or gauss_legendre(DEFAULT_QUAD_ORDER)
-    n, delta = dim.n, queries[0].delta
+    n = dim.n
     folds = list(dict.fromkeys(min(p.alpha, math.pi - p.alpha) for p in queries))
     scale = n * (n - 2) / (2.0 * math.pi) / ((1.0 - rho) * (1.0 + rho))
     values = {}  # by folded angle
     for lo in range(0, len(folds), _OUTER_CHUNK):
         chunk = tuple(folds[lo:lo + _OUTER_CHUNK])
-        nodes, wts, fold, ends = _outer_rules(n, rho, chunk, rule)
-        # each node's alpha, sin(alpha) and delta cos(alpha), by math once per folded angle (one
-        # folded angle's broadcast as scalars)
-        trig = [(a, math.sin(a), delta * math.cos(a)) for a in chunk]
-        at, sin_a, dt = trig[0] if len(chunk) == 1 else (np.array(v)[fold] for v in zip(*trig))
-        inner = _inner_smooth(dim, rho, at, nodes, rule, sin_a)
+        _, wts, ends, (half_sq, sin_th, sin_a, outer) = _outer_rules(n, rho, chunk, rule)
+        inner = _inner_smooth(dim, rho, half_sq, sin_th, sin_a, rule)
         with np.errstate(over="ignore", invalid="ignore"):  # inf * 0: raised below
-            vals = np.abs(dt - np.cos(nodes)) * np.sin(nodes) ** (n - 2) * inner
+            vals = outer * inner
         for alpha, i, j in zip(chunk, ends, ends[1:]):
             values[alpha] = scale * float(wts[i:j] @ vals[i:j])
     out = [values[min(p.alpha, math.pi - p.alpha)] for p in queries]
@@ -480,22 +493,48 @@ def constant_series(q, max_terms: int = SERIES_MAX_TERMS):
     return float(out[0]) if isinstance(q, ConstantQuery) else out
 
 
-def constant_radial(n, rho: float, rule: QuadratureRule | None = None) -> float:
-    """Sharp constant in the radial direction, by the closed 1-D formula c_n / (1 - rho^2) int_0^pi
-    sin^(n-2) |cos - delta| p^-(n-2)/2, p = (1 - rho)^2 + 4 rho sin^2(theta/2): the rule on each
-    panel, split at arccos(delta), graded from rho = 0.8 on where the rule's pole test fails."""
-    dim = _dimension(n)
-    rule = rule or gauss_legendre(DEFAULT_QUAD_ORDER)
-    n, delta = dim.n, (dim.n - 2) / dim.n * _checked_rho(rho)
+@functools.lru_cache(maxsize=64)  # 64 radii: at most 12 kB each (6 panels of 128 nodes)
+def _radial_table(n: int, rho: float, rule: QuadratureRule):
+    """sin^2(t/2) and the fixed weight w sin^(n-2) t |cos t - delta| of constant_radial's nodes,
+    read-only: the rule on each panel, split at arccos(delta), graded from rho = 0.8 on where the
+    rule's pole test fails."""
+    delta = (n - 2) / n * rho
     near = rho >= 0.8 and (1.0 - rho) ** 2 < _far_ratio(rule.order, n - 2, n / 2 - 1)[3] * (4 * rho)
     t, w = map_panels(_graded_edges(rho if near else 0.0, 0.0, (math.acos(delta),)), rule)
+    table = np.stack((np.sin(0.5 * t) ** 2, w * (np.sin(t) ** (n - 2) * np.abs(np.cos(t) - delta))))
+    table.flags.writeable = False
+    return table
+
+
+def constant_radial(n, rho: float, rule: QuadratureRule | None = None) -> float:
+    """Sharp constant in the radial direction, by the closed 1-D formula c_n / (1 - rho^2) int_0^pi
+    sin^(n-2) |cos - delta| p^-(n-2)/2, p = (1 - rho)^2 + 4 rho sin^2(theta/2), on the nodes and
+    fixed weights of _radial_table."""
+    dim = _dimension(n)
+    rule = rule or gauss_legendre(DEFAULT_QUAD_ORDER)
+    n = dim.n
+    half_sq, weights = _radial_table(n, _checked_rho(rho), rule)
     with np.errstate(over="ignore", invalid="ignore"):  # raised below
-        p = _inv_power(4.0 * rho * np.sin(0.5 * t) ** 2 + (1.0 - rho) ** 2, (n - 2) / 2.0)
-        total = p @ (w * (np.sin(t) ** (n - 2) * np.abs(np.cos(t) - delta)))
+        p = _inv_power(4.0 * rho * half_sq + (1.0 - rho) ** 2, (n - 2) / 2.0)
+        total = p @ weights
     value = dim.c_n / ((1.0 - rho) * (1.0 + rho)) * float(total)
     if not math.isfinite(value):
         raise OverflowError(f"constant_radial overflows at n={dim.n}, rho={rho}")
     return value
+
+
+@functools.lru_cache(maxsize=64)  # 64 radii: at most 10 kB each (5 panels of 64 nodes)
+def _transverse_table(rho: float):
+    """(weights, cos, sin, sqrt(cos^2 + (eps sin)^2)) of constant_transverse's nodes, read-only:
+    64 Gauss nodes per panel of [0, pi/2], graded into its layer at pi/2, of width eps =
+    sqrt(1-rho^2)."""
+    eps = math.sqrt((1.0 - rho) * (1.0 + rho))
+    nodes, wts = composite_nodes(0.0, math.pi / 2, gauss_legendre(64),
+                                 [math.pi / 2 - m * eps for m in (1.0, 4.0, 16.0, 64.0)])
+    c, s = np.cos(nodes), np.sin(nodes)
+    table = np.stack((wts, c, s, np.sqrt(c * c + (eps * s) ** 2)))
+    table.flags.writeable = False
+    return table
 
 
 def constant_transverse(n, rho: float) -> float:
@@ -503,15 +542,10 @@ def constant_transverse(n, rho: float) -> float:
     n/2-1; (n+1)/2; rho^2). By Euler's integral for F (DLMF 15.6.1, s = sin^2 phi),
     whose Gamma factors and 2 c_n/(n-1) cancel to n(n-2)/pi, it is n(n-2) E / (pi
     (1-rho^2)), E = int_0^(pi/2) 2 sin^(n-3) cos^2 sqrt(cos^2 + (1-rho^2) sin^2) dphi,
-    by 64 Gauss nodes per panel graded into its layer at pi/2, of width sqrt(1-rho^2).
-    Never overflows."""
-    dim = _dimension(n)
-    n = dim.n
-    eps = math.sqrt((1.0 - _checked_rho(rho)) * (1.0 + rho))
-    nodes, wts = composite_nodes(0.0, math.pi / 2, gauss_legendre(64),
-                                 [math.pi / 2 - m * eps for m in (1.0, 4.0, 16.0, 64.0)])
-    c, s = np.cos(nodes), np.sin(nodes)
-    euler = float(wts @ (2.0 * s ** (n - 3) * c * c * np.sqrt(c * c + (eps * s) ** 2)))
+    on the nodes of _transverse_table. Never overflows."""
+    n = _dimension(n).n
+    wts, c, s, root = _transverse_table(_checked_rho(rho))
+    euler = float(wts @ (2.0 * s ** (n - 3) * c * c * root))
     return n * (n - 2.0) * euler / (math.pi * (1.0 - rho) * (1.0 + rho))
 
 

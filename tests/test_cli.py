@@ -422,6 +422,24 @@ def test_constant_runs_direct_once_per_mirror_pair(capsys, monkeypatch, alpha, c
         assert row["c_direct"] == constant_direct(q, rule)
 
 
+def test_certify_again_builds_no_rule(capsys, monkeypatch):
+    # the transverse, radial and outer rules are cached with their node tables: a second certify
+    # at the same radii and rule builds no panels (the Green profile of the first radius, one
+    # cached at a time, runs its kernel sweep again)
+    made = []
+    for name in ("composite_nodes", "map_panels", "_graded_edges"):
+        monkeypatch.setattr(constants, name, lambda *args, _fn=getattr(constants, name), _name=name:
+                            made.append(_name) or _fn(*args))
+    for cache in (constants._outer_rules, constants._radial_table, constants._transverse_table):
+        cache.cache_clear()
+    argv = ["certify", "--dim", "5", "--rho", "0.3,0.9", "--quad-order", "64", "--format", "csv"]
+    code, first, _ = _run(capsys, argv)
+    assert code == 0 and set(made) == {"composite_nodes", "map_panels", "_graded_edges"}
+    made.clear()
+    code, again, _ = _run(capsys, argv)
+    assert code == 0 and again == first and made == []
+
+
 def _count_outer_bounds(monkeypatch):
     """The folded angles of each _outer_bounds call, from an empty outer-rule cache on."""
     bounds, calls = constants._outer_bounds, []

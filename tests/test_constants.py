@@ -33,7 +33,9 @@ from ballgrad.constants import (
     _outer_bounds,
     _outer_rules,
     _panel_orders,
+    _radial_table,
     _row_bounds,
+    _transverse_table,
     certify_convexity,
     certify_radial_max,
     constant_direct,
@@ -55,7 +57,7 @@ from ballgrad.gegenbauer import (
     series_cutoff,
 )
 from ballgrad.identities import kink_integral_brute
-from ballgrad.quadrature import composite_nodes, gauss_legendre, map_panels
+from ballgrad.quadrature import QuadratureRule, composite_nodes, gauss_legendre, map_panels
 from referees import T_GRID
 
 DIMS = (3, 4, 5, 8)
@@ -126,7 +128,7 @@ def test_kernel_point_membership():
 
 def _inner_quadrature(q, x, rule):
     """The inner integral of constant_direct at abscissa x, by its own quadrature."""
-    smooth = float(_inner_smooth(q.dim, q.rho, q.alpha, math.acos(x), rule)[0])
+    smooth = float(_inner_at(q.dim, q.rho, q.alpha, math.acos(x), rule)[0])
     return (1.0 - x * x) ** ((q.dim.n - 3) / 2.0) * smooth
 
 
@@ -171,6 +173,13 @@ def test_inner_integral_cross_route(rule):
                     a = _inner_quadrature(q, x, rule)
                     b = _inner_series(q, x)
                     assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
+
+
+def _inner_at(dim, rho, alpha, theta, rule):
+    """_inner_smooth at the outer angles theta, from their tables as _outer_rules forms them."""
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    return _inner_smooth(dim, rho, np.sin(0.5 * (theta - alpha)) ** 2, np.sin(theta),
+                         math.sin(alpha), rule)
 
 
 def _inner_rows(theta, rho, alpha):
@@ -322,7 +331,7 @@ def test_inner_integral_blocks_bit_identical(order, n):
         for rho in (0.0, 1e-300, 0.5, 0.9, 0.99):
             for alpha in (0.0, math.pi / 3, math.pi):
                 want = _inner_one_matrix(dim, rho, alpha, theta, rule)
-                assert np.array_equal(_inner_smooth(dim, rho, alpha, theta, rule), want)
+                assert np.array_equal(_inner_at(dim, rho, alpha, theta, rule), want)
     # at rho = 0.99 the pool reaches every rule whose tau is finite, and the graded panels
     pool = np.linspace(0.0, math.pi, 4001)
     c0, c1 = _inner_rows(pool, 0.99, math.pi / 3)
@@ -331,7 +340,7 @@ def test_inner_integral_blocks_bit_identical(order, n):
     for picks, sizes in _mixed_picks(groups, n, block):
         theta = pool[picks]
         want = _inner_one_matrix(dim, 0.99, math.pi / 3, theta, rule)
-        got = _inner_smooth(dim, 0.99, math.pi / 3, theta, rule)
+        got = _inner_at(dim, 0.99, math.pi / 3, theta, rule)
         assert np.array_equal(got, want), sizes
 
 
@@ -690,6 +699,116 @@ def test_series_nonconvergence_signaled(rule):
     q = ConstantQuery(DimensionParams(4), 0.9, 0.5)
     with pytest.raises(SeriesConvergenceError):
         constant_series(q, 16)
+
+
+# -- cached rule tables ---------------------------------------------------------
+
+
+def _radial_per_call(n, rho, rule):
+    """Reference: constant_radial with its rule and node tables formed on the call."""
+    delta = (n - 2) / n * rho
+    near = rho >= 0.8 and (1.0 - rho) ** 2 < _far_ratio(rule.order, n - 2, n / 2 - 1)[3] * (4 * rho)
+    t, w = map_panels(_graded_edges(rho if near else 0.0, 0.0, (math.acos(delta),)), rule)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = _inv_power(4.0 * rho * np.sin(0.5 * t) ** 2 + (1.0 - rho) ** 2, (n - 2) / 2.0)
+        total = p @ (w * (np.sin(t) ** (n - 2) * np.abs(np.cos(t) - delta)))
+    return DimensionParams(n).c_n / ((1.0 - rho) * (1.0 + rho)) * float(total)
+
+
+def _transverse_per_call(n, rho):
+    """Reference: constant_transverse with its graded rule and node tables formed on the call."""
+    eps = math.sqrt((1.0 - rho) * (1.0 + rho))
+    nodes, wts = composite_nodes(0.0, math.pi / 2, gauss_legendre(64),
+                                 [math.pi / 2 - m * eps for m in (1.0, 4.0, 16.0, 64.0)])
+    c, s = np.cos(nodes), np.sin(nodes)
+    euler = float(wts @ (2.0 * s ** (n - 3) * c * c * np.sqrt(c * c + (eps * s) ** 2)))
+    return n * (n - 2.0) * euler / (math.pi * (1.0 - rho) * (1.0 + rho))
+
+
+def _direct_per_call(n, rho, alphas, rule):
+    """Reference: constant_direct's values at alphas, each chunk's rows and outer factor formed
+    from its outer nodes on the call (a, sin(a), delta cos(a) as scalars for a lone angle)."""
+    delta = (n - 2) / n * rho
+    folds = list(dict.fromkeys(min(a, math.pi - a) for a in alphas))
+    scale = n * (n - 2) / (2.0 * math.pi) / ((1.0 - rho) * (1.0 + rho))
+    sums = {}
+    for lo in range(0, len(folds), constants._OUTER_CHUNK):
+        chunk = tuple(folds[lo:lo + constants._OUTER_CHUNK])
+        nodes, wts, ends, _ = _outer_rules(n, rho, chunk, rule)
+        fold = np.repeat(np.arange(len(chunk)), np.diff(ends))
+        trig = [(a, math.sin(a), delta * math.cos(a)) for a in chunk]
+        at, sin_a, dt = trig[0] if len(chunk) == 1 else (np.array(v)[fold] for v in zip(*trig))
+        c0 = (1.0 - rho) ** 2 + 4.0 * rho * np.sin(0.5 * (nodes - at)) ** 2
+        c1 = 4.0 * rho * np.sin(nodes) * sin_a
+        inner = constants._poisson_rows(rho, rule, c0, c1, n / 2.0 - 1.0, n - 3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.abs(dt - np.cos(nodes)) * np.sin(nodes) ** (n - 2) * inner
+        for a, i, j in zip(chunk, ends, ends[1:]):
+            sums[a] = scale * float(wts[i:j] @ vals[i:j])
+    return np.array([sums[min(a, math.pi - a)] for a in alphas])
+
+
+def _same_or_overflow(call, want):
+    """call() equals want bit for bit, or raises OverflowError where want is not finite."""
+    if np.all(np.isfinite(want)):
+        assert np.array_equal(call(), want)
+    else:
+        with pytest.raises(OverflowError):
+            call()
+
+
+@pytest.mark.parametrize("order", [64, 128])
+@pytest.mark.parametrize("n", [3, 5, 16, 128])
+def test_cached_tables_give_the_per_call_bits(order, n):
+    # each route reads its rule and node tables from a cache; cold and warm, every value equals
+    # the expressions formed on the call bit for bit (the radial and direct routes overflow at
+    # (128, 0.999))
+    rule, dim = gauss_legendre(order), DimensionParams(n)
+    table = [k * math.pi / 12 for k in range(13)]
+    for rho in (0.0, 1e-300, 0.3, 0.8, 0.95, 0.999):
+        _radial_table.cache_clear()
+        _transverse_table.cache_clear()
+        _outer_rules.cache_clear()
+        radial, transverse = _radial_per_call(n, rho, rule), _transverse_per_call(n, rho)
+        third, batch = _direct_per_call(n, rho, [math.pi / 3], rule), _direct_per_call(
+            n, rho, table, rule)
+        for _ in range(2):
+            _same_or_overflow(lambda: constant_radial(n, rho, rule), radial)
+            assert constant_transverse(n, rho) == transverse
+            _same_or_overflow(lambda: constant_direct(ConstantQuery(dim, rho, math.pi / 3), rule),
+                              third[0])
+            _same_or_overflow(lambda: constant_direct(
+                [ConstantQuery(dim, rho, a) for a in table], rule), batch)
+
+
+def test_rule_tables_are_per_rule_object_and_read_only():
+    # a rule is hashed by identity: an equal rule object gets its own tables, of the same bits;
+    # no cached table can be written
+    rule = gauss_legendre(64)
+    twin = QuadratureRule(64, rule.nodes.copy(), rule.weights.copy())
+    for tables in (lambda r: _radial_table(5, 0.9, r),
+                   lambda r: _outer_rules(5, 0.9, (0.0, math.pi / 3), r)[3]):
+        assert tables(twin) is not tables(rule) and np.array_equal(tables(twin), tables(rule))
+    nodes, weights, _, outer = _outer_rules(5, 0.9, (0.0, math.pi / 3), rule)
+    for table in (nodes, weights, outer, *outer, _radial_table(5, 0.9, rule),
+                  *_radial_table(5, 0.9, rule), _transverse_table(0.9), *_transverse_table(0.9)):
+        with pytest.raises(ValueError):
+            table[..., 0] = 1.0
+
+
+def test_radius_caches_hold_at_most_64_radii():
+    # the radial and transverse tables are kept for 64 radii at most, of at most 12 kB each
+    rule = gauss_legendre(128)
+    for cache, call in ((_radial_table, lambda rho: constant_radial(3, rho, rule)),
+                        (_transverse_table, lambda rho: constant_transverse(3, rho))):
+        cache.cache_clear()
+        for k in range(100):
+            call(1.0 - 2.0 ** -(k / 5.0))
+        info = cache.cache_info()
+        assert info.maxsize == info.currsize == 64 and info.misses == 100
+    rhos = (0.0, 0.5, 0.9, 0.99999)
+    assert max(_radial_table(n, rho, rule).nbytes for n in (3, 128) for rho in rhos) <= 12288
+    assert max(_transverse_table(rho).nbytes for rho in rhos) <= 10240
 
 
 # -- profile parts ------------------------------------------------------------
@@ -1335,7 +1454,7 @@ def test_direct_meets_512_nodes(n, rho):
         q = ConstantQuery(dim, rho, k * math.pi / 12)
         dt = q.delta * q.t
         nodes, wts = map_panels(_graded_edges(rho, q.alpha, (math.acos(dt),)), fine)
-        inner = _inner_smooth(dim, rho, q.alpha, nodes, fine)
+        inner = _inner_at(dim, rho, q.alpha, nodes, fine)
         want = n * (n - 2) / (2 * math.pi) / ((1 - rho) * (1 + rho)) * float(
             wts @ (np.abs(dt - np.cos(nodes)) * np.sin(nodes) ** (n - 2) * inner))
         assert abs(constant_direct(q) - want) <= 1e-14 * max(1.0, abs(want)), k
